@@ -34,7 +34,6 @@ from .errors import (
 from .exactness import (
     ExactnessReport,
     degree_of_exactness,
-    exactness_degree,
     integral_of_monomial,
     remainder_on_monomial,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "composite_partition_bound",
     "degree_of_exactness",
     "error_bound",
-    "exactness_degree",
     "export_kernel_csv",
     "export_kernel_json",
     "export_scan_csv",

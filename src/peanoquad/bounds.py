@@ -252,13 +252,15 @@ def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> Minim
         raise ValueError("tol must be positive")
     scan = bound_scan(family, r, grid_size=33, refine_tol=tol_f)
     x_star, v_star = scan.minimizer
-    fn, _ = _bound_fn(family, r)
     multimodal = scan.multimodal_suspected
     eps = Fraction(1, 10**6)
     xf = x_star.as_fraction()
     slack = 1e-11 * (1.0 + abs(float(v_star)))
     for probe in (xf - eps, xf + eps):
-        if family.domain.contains(probe) and float(v_star - fn(probe)) > slack:
+        if not family.domain.contains(probe):
+            continue
+        value = kernel_l1_norm(family.build(Scalar(probe)), r).l1_norm
+        if float(v_star - value) > slack:
             multimodal = True
     return MinimizeResult(x=x_star, value=v_star, multimodal_suspected=multimodal)
 
@@ -266,22 +268,12 @@ def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> Minim
 def alomari4_min_m0(lam) -> tuple[Scalar, Scalar]:
     """Closed-form M_0 minimizer of the symmetric four-point family:
     x* = (1-lambda)/2 with value (3 lambda^2 - 2 lambda + 1)/2.
-
-    Cross-checked against the numeric minimizer to 1e-12 on every call.
     """
     lam = as_scalar(lam)
     if not (Scalar(0) < lam < Scalar(1)):
         raise ParamOutOfDomain("alomari4: need 0 < lambda < 1")
     x_star = (Scalar(1) - lam) / 2
     value = (3 * lam * lam - 2 * lam + Scalar(1)) / 2
-    from .rules import family as _family
-
-    numeric = minimize_bound(_family("alomari4", lam=lam), 0)
-    if abs(float(numeric.value - value)) > 1e-12:
-        raise ParamOutOfDomain(
-            "alomari4_min_m0: closed form and numeric minimum disagree; "
-            f"lambda={lam}, closed={float(value)}, numeric={float(numeric.value)}"
-        )
     return x_star, value
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rules import QuadRule
-from .scalars import Scalar, sum_scalars
+from .scalars import Scalar
 
 #: An interval counts as zero only when it encloses 0 this tightly.
 ZERO_WIDTH = Fraction(1, 10**30)
@@ -40,15 +40,15 @@ def integral_of_monomial(k: int) -> Scalar:
 def remainder_on_monomial(rule: QuadRule, k: int) -> Scalar:
     """R(e_k): integral of t**k minus the rule applied to t**k.
 
-    Terms are summed with like-radicand grouping so symmetric irrational
-    contributions cancel exactly.
+    Exact whenever every node and weight is rational or lies in one field
+    Q(sqrt m), so symmetric irrational contributions cancel exactly.
     """
     if k < 0:
         raise ValueError("monomial index must be nonnegative")
     terms = [a * x**k for x, a in rule.value_nodes]
     if k >= 1:
         terms.extend(b * k * y ** (k - 1) for y, b in rule.deriv_nodes)
-    return integral_of_monomial(k) - sum_scalars(terms)
+    return integral_of_monomial(k) - sum(terms, Scalar(0))
 
 
 def _classify(value: Scalar) -> tuple[str, bool]:
@@ -97,15 +97,3 @@ def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
         ambiguous_indices=tuple(flags),
     )
 
-
-def exactness_degree(rule: QuadRule, k_max: int = 20) -> int:
-    return degree_of_exactness(rule, k_max).degree
-
-
-def has_degree_at_least(rule: QuadRule, r: int) -> bool:
-    """True when R(e_k) vanishes for every k <= r (cheap precondition check)."""
-    for k in range(r + 1):
-        kind, _ = _classify(remainder_on_monomial(rule, k))
-        if kind == "nonzero":
-            return False
-    return True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OrderExceedsExactness
-from .exactness import has_degree_at_least
+from .exactness import degree_of_exactness
 from .polynomials import Polynomial
 from .roots import DEFAULT_ROOT_TOL, Root, RootList, isolate_roots
 from .rules import QuadRule
@@ -102,7 +102,7 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     """
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
-    if not has_degree_at_least(rule, r):
+    if degree_of_exactness(rule, r).degree < r:
         raise OrderExceedsExactness(
             f"rule {rule.name} is not exact on degree {r} polynomials; "
             "the order-{r} kernel identity does not hold".format(r=r)

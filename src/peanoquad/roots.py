@@ -17,7 +17,7 @@ import mpmath
 
 from .errors import DegreeTooHigh
 from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, get_working_dps
+from .scalars import Scalar, as_scalar, get_working_dps, sqrt
 
 DEGREE_LIMIT = 16
 DEFAULT_ROOT_TOL = Fraction(1, 10**20)
@@ -138,8 +138,6 @@ def _to_int_primitive(c: list[Fraction]) -> list[int]:
         g = math.gcd(g, abs(v))
     if g > 1:
         ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
     return ints
 
 
@@ -232,11 +230,9 @@ def _refine_single(f_int: list[int], fq: list[Fraction], a: Fraction, b: Fractio
 def _quadratic_roots(f: list[Fraction], lo: Fraction, hi: Fraction) -> list[Scalar]:
     """Exact roots of a squarefree linear/quadratic factor inside (lo, hi).
 
-    Irrational quadratic roots come back as sqrt-tagged scalars (radius about
-    one ulp), which downstream integration handles exactly enough.
+    Irrational quadratic roots come back as exact elements a + b*sqrt(m) of
+    Q(sqrt(disc)), so values of rational polynomials at them stay exact.
     """
-    from .scalars import sqrt as _sqrt
-
     if _fdeg(f) == 1:
         r = -f[0] / f[1]
         return [Scalar(r)] if lo < r < hi else []
@@ -244,7 +240,7 @@ def _quadratic_roots(f: list[Fraction], lo: Fraction, hi: Fraction) -> list[Scal
     disc = c1 * c1 - 4 * c0 * c2
     if disc < 0:
         return []
-    root_d = _sqrt(Scalar(disc))
+    root_d = sqrt(Scalar(disc))
     lo_s, hi_s = Scalar(lo), Scalar(hi)
     out = []
     for sign in (-1, 1):

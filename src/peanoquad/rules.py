@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
 from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, sqrt, sum_scalars
+from .scalars import Scalar, as_scalar, sqrt
 
 F = Fraction
 
@@ -110,7 +110,7 @@ def apply_rule(rule: QuadRule, f, a=-1, b=1, fprime=None) -> Scalar:
     mapped = map_rule_to_interval(rule, a, b)
     terms = [w * as_scalar(f(x)) for x, w in mapped.value_nodes]
     terms.extend(w * as_scalar(fprime(y)) for y, w in mapped.deriv_nodes)
-    return sum_scalars(terms)
+    return sum(terms, Scalar(0))
 
 
 # --------------------------------------------------------------------------

@@ -1,22 +1,28 @@
-"""Two-tier scalar arithmetic: exact rationals plus validated high-precision reals.
+"""Scalar arithmetic in three tiers: rationals, Q(sqrt m), validated reals.
 
-A :class:`Scalar` is either an exact rational (arbitrary-precision
-``fractions.Fraction``) or a validated real: an outward-rounded interval at the
-current working precision, so every arithmetic result encloses the true value
-and the error radius is tracked conservatively.  Mixing the two tiers demotes
-to the validated tier.
+A :class:`Scalar` is one of
 
-Square roots of rationals additionally remember the form ``coef * sqrt(m)``
-(``coef`` rational, ``m`` a positive integer).  This provenance is carried
-through negation, multiplication and division by rationals, like-radicand
-products, and integer powers, so quantities such as ``sqrt(1/5) ** 6`` come
-out exactly rational.  Everything else falls back to interval arithmetic.
+* an exact rational (arbitrary-precision ``fractions.Fraction``);
+* an exact element ``a + b*sqrt(m)`` of a real quadratic field, with ``a``
+  and ``b != 0`` rational and ``m > 1`` an integer that is not a square;
+* a validated real: an outward-rounded interval at the current working
+  precision, so every arithmetic result encloses the true value and the
+  error radius is tracked conservatively.
+
+Field operations (add, subtract, multiply, divide via the conjugate, integer
+powers), signs and comparisons are closed forms whenever both operands are
+exact over the same ``m`` (a rational fits any ``m``), following the usual
+arithmetic of quadratic fields (Cohen, *A Course in Computational Algebraic
+Number Theory*, section 4).  Products of pure roots with different radicands
+stay exact as ``s*sqrt(m)``.  Everything else falls back to interval
+arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import mpmath
@@ -63,6 +69,13 @@ def _frac_to_interval(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
+@lru_cache(maxsize=256)
+def _sqrt_enclosure(m: int, dps: int):
+    """Enclosure of sqrt(m) at ``dps`` digits; keyed on the precision so a
+    change of working precision never reuses a coarser enclosure."""
+    return iv.sqrt(iv.mpf(m))
+
+
 def _iv_endpoints(x):
     lo, hi = x._mpi_
     return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
@@ -74,11 +87,13 @@ _RATIONAL_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_RAT = r"(?:\d+\s*/\s*\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"  # unsigned literal
 _SQRT_RE = re.compile(
-    r"""^(?P<sign>[+-])?\s*
-        (?:(?P<coef>[^s*]+)\s*\*\s*)?      # optional rational coefficient
+    rf"""^(?:(?P<a>[+-]?{_RAT})\s*(?=[+-]))?     # optional rational term
+        \s*(?P<sign>[+-])?\s*
+        (?:(?P<coef>{_RAT})\s*\*\s*)?          # optional rational coefficient
         sqrt\(\s*(?P<rad>[^)]+)\s*\)
-        (?:\s*/\s*(?P<div>\S+))?$          # optional rational divisor
+        (?:\s*/\s*(?P<div>\S+))?$              # optional rational divisor
     """,
     re.VERBOSE,
 )
@@ -94,7 +109,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 class Scalar:
-    """Exact rational, or validated interval real (optionally coef*sqrt(m))."""
+    """Exact rational, exact a + b*sqrt(m), or validated interval real.
+
+    Exactly one of the slots describes the value: ``_frac`` (a Fraction),
+    ``_sqrt`` (the triple ``(a, b, m)``) or ``_ival`` (an ``iv.mpf``).
+    """
 
     __slots__ = ("_frac", "_ival", "_sqrt")
 
@@ -142,16 +161,8 @@ class Scalar:
         return s
 
     @staticmethod
-    def _sqrt_form(coef: Fraction, radicand: int, interval) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s._frac = None
-        s._ival = interval
-        s._sqrt = (coef, radicand)
-        return s
-
-    @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse "p/q", integer/decimal literals, and [c*]sqrt(r)[/d] forms."""
+        """Parse "p/q", integer/decimal literals, and [a±][c*]sqrt(r)[/d] forms."""
         text = text.strip()
         m = _SQRT_RE.match(text)
         if m:
@@ -161,7 +172,8 @@ class Scalar:
             if m.group("div"):
                 coef /= _parse_fraction(m.group("div"))
             rad = _parse_fraction(m.group("rad"))
-            return Scalar(coef) * sqrt(Scalar(rad))
+            a = _parse_fraction(m.group("a")) if m.group("a") else 0
+            return Scalar(a) + Scalar(coef) * sqrt(Scalar(rad))
         return Scalar(_parse_fraction(text))
 
     # --- predicates and accessors --------------------------------------
@@ -180,17 +192,18 @@ class Scalar:
         if self._frac is not None:
             return _frac_to_interval(self._frac)
         if self._sqrt is not None:
-            c, m = self._sqrt  # recompute: tracks precision raises after creation
-            return _frac_to_interval(c) * iv.sqrt(iv.mpf(m))
+            a, b, m = self._sqrt  # recomputed: tracks precision raises after creation
+            root = _frac_to_interval(b) * _sqrt_enclosure(m, iv.dps)
+            return root + _frac_to_interval(a) if a else root
         return self._ival
 
     def is_exact_zero(self) -> bool:
         return self._frac is not None and self._frac == 0
 
     def contains_zero(self) -> bool:
-        if self._frac is not None:
+        if self._ival is None:
             return self._frac == 0
-        return 0 in self.interval()
+        return 0 in self._ival
 
     def zero_within(self, width: Fraction) -> bool:
         """True when the value is exactly zero, or encloses zero tightly.
@@ -198,20 +211,24 @@ class Scalar:
         For interval scalars "tightly" means the enclosure width is below
         ``width``; this is the zero test used by the exactness machinery.
         """
-        if self._frac is not None:
+        if self._ival is None:
             return self._frac == 0
-        ival = self.interval()
-        if 0 not in ival:
+        if 0 not in self._ival:
             return False
-        lo, hi = _iv_endpoints(ival)
+        lo, hi = _iv_endpoints(self._ival)
         return (hi - lo) < mpmath.mpf(width.numerator) / width.denominator
 
     def sign(self):
-        """-1, 0, or +1; None when the enclosure straddles zero."""
+        """-1, 0, or +1; None when an interval enclosure straddles zero."""
         if self._frac is not None:
             f = self._frac
             return 0 if f == 0 else (1 if f > 0 else -1)
-        lo, hi = _iv_endpoints(self.interval())
+        if self._sqrt is not None:
+            a, b, m = self._sqrt
+            sb = 1 if b > 0 else -1
+            # a and b*sqrt(m) agree in sign, or b*sqrt(m) dominates: a^2 < b^2*m
+            return sb if a * sb >= 0 or a * a < b * b * m else -sb
+        lo, hi = _iv_endpoints(self._ival)
         if lo > 0:
             return 1
         if hi < 0:
@@ -221,7 +238,8 @@ class Scalar:
         return None
 
     def radius(self) -> float:
-        """Conservative absolute-error radius (0.0 for exact rationals)."""
+        """Conservative absolute-error radius of the enclosure (0.0 for
+        exact rationals; positive for a + b*sqrt(m), whose enclosure is)."""
         if self._frac is not None:
             return 0.0
         lo, hi = _iv_endpoints(self.interval())
@@ -236,7 +254,7 @@ class Scalar:
         """Exact rational at (or near) the midpoint of the enclosure."""
         if self._frac is not None:
             return self._frac
-        return Fraction(float(self._ival.mid))
+        return Fraction(float(self.interval().mid))
 
     # --- arithmetic ----------------------------------------------------
 
@@ -244,34 +262,29 @@ class Scalar:
         if self._frac is not None:
             return Scalar(-self._frac)
         if self._sqrt is not None:
-            return Scalar._sqrt_form(-self._sqrt[0], self._sqrt[1], -self._ival)
+            a, b, m = self._sqrt
+            return _quad(-a, -b, m)
         return Scalar(-self._ival)
 
     def __abs__(self) -> "Scalar":
         if self._frac is not None:
             return Scalar(abs(self._frac))
         if self._sqrt is not None:
-            c, m = self._sqrt
-            return Scalar._sqrt_form(abs(c), m, abs(self._ival))
+            return -self if self.sign() < 0 else self
         return Scalar(abs(self._ival))
 
     def __add__(self, other) -> "Scalar":
         other = as_scalar(other)
         if self._frac is not None and other._frac is not None:
             return Scalar(self._frac + other._frac)
-        if self._frac is not None and self._frac == 0:
+        p = _common_field(self, other)
+        if p is not None:
+            a1, b1, a2, b2, m = p
+            return _quad(a1 + a2, b1 + b2, m)
+        if self.is_exact_zero():
             return other
-        if other._frac is not None and other._frac == 0:
+        if other.is_exact_zero():
             return self
-        if (
-            self._sqrt is not None
-            and other._sqrt is not None
-            and self._sqrt[1] == other._sqrt[1]
-        ):
-            c = self._sqrt[0] + other._sqrt[0]
-            if c == 0:
-                return Scalar(0)
-            return Scalar._sqrt_form(c, self._sqrt[1], self.interval() + other.interval())
         return Scalar(self.interval() + other.interval())
 
     def __radd__(self, other):
@@ -287,27 +300,18 @@ class Scalar:
         other = as_scalar(other)
         if self._frac is not None and other._frac is not None:
             return Scalar(self._frac * other._frac)
-        for a, b in ((self, other), (other, self)):
-            if a._frac is not None and b._sqrt is not None:
-                if a._frac == 0:
-                    return Scalar(0)
-                return Scalar._sqrt_form(
-                    a._frac * b._sqrt[0], b._sqrt[1], a.interval() * b.interval()
-                )
+        p = _common_field(self, other)
+        if p is not None:
+            a1, b1, a2, b2, m = p
+            return _quad(a1 * a2 + b1 * b2 * m, a1 * b2 + a2 * b1, m)
+        if self.is_exact_zero() or other.is_exact_zero():
+            return Scalar(0)
         if self._sqrt is not None and other._sqrt is not None:
-            c1, m1 = self._sqrt
-            c2, m2 = other._sqrt
-            if m1 == m2:
-                return Scalar(c1 * c2 * m1)  # sqrt(m)^2 == m, exactly
-            s, m = _extract_square(m1 * m2)
-            coef = c1 * c2 * s
-            if m == 1:
-                return Scalar(coef)
-            return Scalar._sqrt_form(coef, m, self.interval() * other.interval())
-        if self._frac is not None and self._frac == 0:
-            return Scalar(0)
-        if other._frac is not None and other._frac == 0:
-            return Scalar(0)
+            a1, b1, m1 = self._sqrt
+            a2, b2, m2 = other._sqrt
+            if a1 == 0 and a2 == 0:  # b1*sqrt(m1) * b2*sqrt(m2) == b1*b2*s*sqrt(m)
+                s, m = _extract_square(m1 * m2)
+                return _quad(Fraction(0), b1 * b2 * s, m)
         return Scalar(self.interval() * other.interval())
 
     def __rmul__(self, other):
@@ -315,21 +319,16 @@ class Scalar:
 
     def __truediv__(self, other) -> "Scalar":
         other = as_scalar(other)
+        if self._frac is not None and other._frac:
+            return Scalar(self._frac / other._frac)
         if other.is_exact_zero():
             raise ZeroDivisionError("scalar division by exact zero")
-        if self._frac is not None and other._frac is not None:
-            return Scalar(self._frac / other._frac)
-        if self._sqrt is not None and other._frac is not None:
-            return Scalar._sqrt_form(
-                self._sqrt[0] / other._frac, self._sqrt[1], self.interval() / other.interval()
-            )
-        if other._sqrt is not None:
-            # 1/sqrt(m) == sqrt(m)/m
-            c, m = other._sqrt
-            inv = Scalar._sqrt_form(
-                Fraction(1) / (c * m), m, 1 / other.interval()
-            )
-            return self * inv
+        if self._ival is None and other._ival is None:  # multiply by the reciprocal
+            if other._frac is not None:
+                return self * Scalar(1 / other._frac)
+            a, b, m = other._sqrt
+            n = a * a - b * b * m  # the norm; nonzero because m is not a square
+            return self * _quad(a / n, -b / n, m)
         return Scalar(self.interval() / other.interval())
 
     def __rtruediv__(self, other):
@@ -342,12 +341,15 @@ class Scalar:
             return Scalar(1) / (self ** (-n))
         if self._frac is not None:
             return Scalar(self._frac**n)
-        if self._sqrt is not None:
-            c, m = self._sqrt
-            if n % 2 == 0:
-                return Scalar(c**n * Fraction(m) ** (n // 2))
-            return Scalar._sqrt_form(c**n * Fraction(m) ** ((n - 1) // 2), m, self._ival**n)
-        return Scalar(self._ival**n)
+        if self._ival is not None:
+            return Scalar(self._ival**n)
+        out, base = Scalar(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
     # --- comparisons ---------------------------------------------------
 
@@ -356,12 +358,10 @@ class Scalar:
         other = as_scalar(other)
         if self._frac is not None and other._frac is not None:
             return self._frac < other._frac
-        if (
-            self._sqrt is not None
-            and other._sqrt is not None
-            and self._sqrt[1] == other._sqrt[1]
-        ):
-            return self._sqrt[0] < other._sqrt[0]
+        p = _common_field(self, other)
+        if p is not None:
+            a1, b1, a2, b2, m = p
+            return _quad(a2 - a1, b2 - b1, m).sign() == 1
         a_lo, a_hi = _iv_endpoints(self.interval())
         b_lo, b_hi = _iv_endpoints(other.interval())
         if a_hi < b_lo:
@@ -387,14 +387,13 @@ class Scalar:
         return not (self < as_scalar(other))
 
     def __eq__(self, other):
-        """Definite equality: exact match within one representation tier."""
+        """Definite equality: exact values compare exactly, intervals by identical
+        enclosures; an exact value never equals an interval."""
         if not isinstance(other, (Scalar, int, float, Fraction)):
             return NotImplemented
         other = as_scalar(other)
-        if self._frac is not None and other._frac is not None:
-            return self._frac == other._frac
-        if self._sqrt is not None and other._sqrt is not None:
-            return self._sqrt == other._sqrt
+        if self._ival is None and other._ival is None:
+            return self._frac == other._frac and self._sqrt == other._sqrt
         if self._ival is not None and other._ival is not None:
             return self._ival._mpi_ == other._ival._mpi_
         return False
@@ -415,22 +414,19 @@ class Scalar:
             return mpmath.nstr(x, digits)
 
     def to_json_str(self, digits: int | None = None) -> str:
-        """Serialization string: exact "p/q", "c*sqrt(m)", or a decimal."""
+        """Serialization string: exact "p/q", "a+c*sqrt(m)" (or "c*sqrt(m)" when
+        a = 0), or a decimal."""
         if self._frac is not None:
-            f = self._frac
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            return str(self._frac)
         if self._sqrt is not None:
-            c, m = self._sqrt
-            if c == 1:
-                return f"sqrt({m})"
-            if c == -1:
-                return f"-sqrt({m})"
-            cstr = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            return f"{cstr}*sqrt({m})"
+            a, b, m = self._sqrt
+            root = f"sqrt({m})" if abs(b) == 1 else f"{abs(b)}*sqrt({m})"
+            sign = "-" if b < 0 else ("+" if a else "")
+            return f"{a if a else ''}{sign}{root}"
         return self.to_decimal(digits if digits is not None else get_working_dps())
 
     def __str__(self):
-        if self._frac is not None or self._sqrt is not None:
+        if self._ival is None:
             return self.to_json_str()
         return self.to_decimal(17)
 
@@ -442,38 +438,39 @@ def as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-def sum_scalars(items) -> Scalar:
-    """Sum that groups rationals and like-radicand sqrt terms before mixing.
+def _quad(a: Fraction, b: Fraction, m: int) -> Scalar:
+    """a + b*sqrt(m) as a Scalar; a rational when b == 0 or m == 1."""
+    if b == 0 or m == 1:
+        return Scalar(a + b)
+    s = Scalar.__new__(Scalar)
+    s._frac = None
+    s._ival = None
+    s._sqrt = (a, b, m)
+    return s
 
-    Keeps results exact when symmetric contributions cancel (e.g. weights at
-    -x and x), which a plain left-to-right sum would demote to intervals.
-    """
-    rational = Fraction(0)
-    sqrt_parts: dict[int, Fraction] = {}
-    rest: list[Scalar] = []
-    for item in items:
-        s = as_scalar(item)
-        if s._frac is not None:
-            rational += s._frac
-        elif s._sqrt is not None:
-            c, m = s._sqrt
-            sqrt_parts[m] = sqrt_parts.get(m, Fraction(0)) + c
-        else:
-            rest.append(s)
-    total = Scalar(rational)
-    for m, c in sqrt_parts.items():
-        if c != 0:
-            total = total + Scalar._sqrt_form(
-                c, m, _frac_to_interval(c) * iv.sqrt(iv.mpf(m))
-            )
-    for s in rest:
-        total = total + s
-    return total
+
+def _common_field(x: Scalar, y: Scalar):
+    """(a1, b1, a2, b2, m) with x = a1 + b1*sqrt(m) and y = a2 + b2*sqrt(m), or
+    None when either is an interval or their radicands differ.  Called only
+    when at least one of them is irrational."""
+    if x._frac is not None:
+        if y._sqrt is None:
+            return None
+        a2, b2, m = y._sqrt
+        return x._frac, 0, a2, b2, m
+    if x._sqrt is None:
+        return None
+    a1, b1, m = x._sqrt
+    if y._frac is not None:
+        return a1, b1, y._frac, 0, m
+    if y._sqrt is None or y._sqrt[2] != m:
+        return None
+    return a1, b1, y._sqrt[0], y._sqrt[1], m
 
 
 def sqrt(x) -> Scalar:
-    """Square root; exact for perfect squares, else a validated enclosure
-    tagged with its coef*sqrt(m) form."""
+    """Square root: exact on rationals (a rational, or c*sqrt(m)), else a
+    validated enclosure."""
     x = as_scalar(x)
     if x._frac is not None:
         f = x._frac
@@ -481,16 +478,8 @@ def sqrt(x) -> Scalar:
             raise ValueError("square root of a negative scalar")
         if f == 0:
             return Scalar(0)
-        sn, mn = _extract_square(f.numerator)
-        sd, md = _extract_square(f.denominator)
-        if mn == 1 and md == 1:
-            return Scalar(Fraction(sn, sd))
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, m = _extract_square(f.numerator * f.denominator)
-        coef = Fraction(s, f.denominator)
-        if m == 1:
-            return Scalar(coef)
-        return Scalar._sqrt_form(coef, m, _frac_to_interval(coef) * iv.sqrt(iv.mpf(m)))
+        s, m = _extract_square(f.numerator * f.denominator)  # sqrt(p/q) = sqrt(p*q)/q
+        return _quad(Fraction(0), Fraction(s, f.denominator), m)
     try:
         return Scalar(iv.sqrt(x.interval()))
     except mpmath.libmp.libhyper.ComplexResult:

@@ -200,9 +200,11 @@ def test_criterion_5_minimizers():
             assert abs(float(res.x) - float(x_ref)) <= tol_x
             assert abs(float(res.value) - float(v_ref)) <= tol_v
     for lam in (F(1, 6), F(1, 3), F(1, 2)):
-        x_star, value = alomari4_min_m0(lam)  # cross-checks numerically inside
+        x_star, value = alomari4_min_m0(lam)
         assert x_star.as_fraction() == (1 - lam) / 2
         assert value.as_fraction() == (3 * lam**2 - 2 * lam + 1) / 2
+        numeric = minimize_bound(family("alomari4", lam=lam), 0)
+        assert abs(float(numeric.value - value)) <= 1e-12
     _report("criterion 5", "all minimizers within 1e-9")
 
 

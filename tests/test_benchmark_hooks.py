@@ -1,0 +1,22 @@
+"""Private names that the benchmark in perfbench/ reads from outside the package.
+
+perfbench/run.py watches roots._isolate_rational for its per-operation
+deadline, and perfbench/tracer.py tells exact from interval scalars by the
+_frac and _sqrt slots.  Renaming either breaks the benchmark, so pin them.
+"""
+
+import inspect
+
+from peanoquad import Scalar, roots, sqrt
+
+
+def test_isolate_rational_is_a_function():
+    assert inspect.isfunction(roots._isolate_rational)
+
+
+def test_scalar_tier_slots():
+    assert {"_frac", "_sqrt"} <= set(Scalar.__slots__)
+    q, s, v = Scalar(1), sqrt(Scalar(2)) + 1, Scalar.from_interval(0, 1)
+    assert q._frac is not None and q._sqrt is None
+    assert s._frac is None and s._sqrt is not None
+    assert v._frac is None and v._sqrt is None

@@ -234,15 +234,18 @@ def test_four_point_symmetric_m0_closed_form_minimum(lam):
     x_star, value = alomari4_min_m0(lam)
     assert x_star.as_fraction() == (1 - lam) / 2
     assert value.as_fraction() == (3 * lam**2 - 2 * lam + 1) / 2
+    numeric = minimize_bound(family("alomari4", lam=lam), 0)
+    assert abs(float(numeric.value - value)) <= 1e-12
 
 
 def test_four_point_m0_minimum_is_smallest_at_third():
     _, value = alomari4_min_m0(F(1, 3))
     assert value.as_fraction() == F(1, 3)
-    # substitution at lambda = 1/5: ((1-1/5)/2, (3/25 - 2/5 + 1)/2) = (2/5, 9/25),
-    # confirmed by the numeric cross-check inside alomari4_min_m0
+    # substitution at lambda = 1/5: ((1-1/5)/2, (3/25 - 2/5 + 1)/2) = (2/5, 9/25)
     x_star, value = alomari4_min_m0(F(1, 5))
     assert (x_star.as_fraction(), value.as_fraction()) == (F(2, 5), F(9, 25))
+    numeric = minimize_bound(family("alomari4", lam=F(1, 5)), 0)
+    assert abs(float(numeric.value - value)) <= 1e-12
 
 
 def test_alomari4_min_m0_domain():

@@ -12,6 +12,7 @@ from peanoquad import (
     Polynomial,
     Scalar,
     build_kernel,
+    custom_rule,
     degree_of_exactness,
     export_kernel_csv,
     export_kernel_json,
@@ -309,7 +310,21 @@ def test_gauss_legendre2_constants():
     assert_scalar_equals(m2.l1_norm, want, tol=1e-12)
     assert m2.radius < 1e-13
     m3 = kernel_l1_norm(rule, 3)
-    assert_scalar_equals(m3.l1_norm, Scalar(F(1, 135)), tol=1e-12)
+    assert m3.l1_norm.as_fraction() == F(1, 135)
+
+
+def test_double_node_rule_kernel_root_is_found():
+    # K_4 changes sign once inside (-1, 1); a miscounting Sturm chain missed
+    # that root and reported the wrong exact constant 32768/703125
+    nodes = (F(3, 5), F(4, 5), F(21, 25))
+    rule = custom_rule(
+        "double_node_3",
+        list(zip(nodes, (F(-1065415, 27), -2759728, F(75578125, 27)))),
+        list(zip(nodes, (F(-33703, 15), F(-350752, 5), F(-427175, 9)))),
+    )
+    rep = kernel_l1_norm(rule, 4)
+    assert abs(float(rep.l1_norm) - 0.0569870537375) < 1e-12
+    assert [round(float(rt.location), 15) for rt in rep.sign_changes] == [0.676203665267365]
 
 
 def test_liu_park_gauss_constants():

@@ -99,6 +99,13 @@ def test_random_rational_root_recovery():
         assert [r.location.as_fraction() for r in got] == roots
 
 
+def test_sturm_chain_keeps_remainder_signs():
+    # a Sturm chain whose remainders were sign-normalized miscounted here and
+    # the bisection never terminated; the quartic has no real root at all
+    p = Polynomial([F(1, 3), F(-1, 2), F(3, 5), F(-2, 3), F(5, 7)])
+    assert len(isolate_roots(p, -1, 1)) == 0
+
+
 def test_gauss2_quartic_has_no_roots_inside():
     # middle kernel piece of order 3 for the two-point Gauss rule
     s3 = sqrt(Scalar(3))

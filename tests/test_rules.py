@@ -209,6 +209,15 @@ def test_json_round_trip_sqrt_nodes():
     assert data["value_nodes"][1][0] == "1/3*sqrt(3)"
 
 
+def test_json_round_trip_quadratic_field_weights():
+    r = make_rule("mod3", x="sqrt(1/3)", lam=F(1, 2))
+    data = json.loads(rule_to_json(r))
+    assert [w for _, w in data["value_nodes"]] == ["1/2+1/6*sqrt(3)", "1", "1/2-1/6*sqrt(3)"]
+    r2 = rule_from_json(rule_to_json(r))
+    assert r2.value_nodes == r.value_nodes  # every node and weight equal exactly
+    assert rule_to_json(r2) == rule_to_json(r)
+
+
 def test_catalog_listing_is_deterministic():
     names = catalog_names()
     assert names == catalog_names()

@@ -1,4 +1,4 @@
-"""Scalar arithmetic: exact rationals, validated reals, sqrt tagging."""
+"""Scalar arithmetic: exact rationals, exact Q(sqrt m), validated reals."""
 
 import math
 from fractions import Fraction as F
@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from peanoquad import Scalar, sqrt
+from peanoquad import Scalar, get_working_dps, set_working_dps, sqrt
 from peanoquad.scalars import as_scalar
 
 
@@ -51,11 +51,20 @@ def test_parse_sqrt_forms():
     assert Scalar.parse("-sqrt(3)") == -sqrt(Scalar(3))
     assert Scalar.parse("5/2*sqrt(3)") == Scalar(F(5, 2)) * sqrt(Scalar(3))
     assert Scalar.parse("sqrt(1/3)/2") == sqrt(Scalar(F(1, 3))) / 2
+    half_plus = Scalar(F(1, 2)) + sqrt(Scalar(3)) / 6
+    assert Scalar.parse("1/2+1/6*sqrt(3)") == half_plus
+    assert Scalar.parse("1/2+sqrt(3)/6") == half_plus
+    assert Scalar.parse("-1/2-sqrt(3)") == -Scalar(F(1, 2)) - sqrt(Scalar(3))
+    assert Scalar.parse("1e-3*sqrt(2)") == sqrt(Scalar(2)) / 1000
 
 
 def test_json_string_round_trip():
-    for s in [Scalar(F(22, 7)), Scalar(-3), sqrt(Scalar(F(1, 5))), -sqrt(Scalar(2)) / 3]:
+    s3 = sqrt(Scalar(3))
+    for s in [Scalar(F(22, 7)), Scalar(-3), sqrt(Scalar(F(1, 5))), -sqrt(Scalar(2)) / 3,
+              F(1, 2) + s3 / 6, F(1, 2) - s3 / 6, 1 - s3, F(-7, 3) + 5 * s3]:
         assert Scalar.parse(s.to_json_str()) == s
+    assert (F(1, 2) - s3 / 6).to_json_str() == "1/2-1/6*sqrt(3)"
+    assert (1 - s3).to_json_str() == "1-sqrt(3)"
 
 
 def test_sqrt_exact_on_perfect_squares():
@@ -93,13 +102,15 @@ def test_sqrt_tag_same_radicand_sums():
 
 def test_interval_tier_conservative():
     x = sqrt(Scalar(2))
-    y = x + 1  # mixes tag with rational: validated interval
+    y = x + 1  # exact in Q(sqrt 2), reported with its enclosure radius
     assert not y.is_rational
-    assert y.radius() < 1e-55
+    assert 0 < y.radius() < 1e-55
     assert y.contains_zero() is False
-    z = x * x - 2
-    assert z.is_exact_zero()  # provenance keeps this exact
-    w = (x + 1) * (x - 1) - 1  # no provenance: interval containing 0
+    assert (x * x - 2).is_exact_zero()
+    assert ((x + 1) * (x - 1) - 1).is_exact_zero()  # closed form in Q(sqrt 2)
+    u = Scalar(x.interval())  # same enclosure, as a plain interval
+    w = (u + 1) * (u - 1) - 1  # interval arithmetic: an enclosure of 0
+    assert not w.is_exact_zero()
     assert w.contains_zero()
     assert w.radius() < 1e-55
 
@@ -114,10 +125,50 @@ def test_comparisons():
     assert Scalar(F(1, 2)) < x < Scalar(F(3, 5))
     assert x.lt_definite(Scalar(1)) is True
     assert Scalar(1).lt_definite(x) is False
-    assert x.lt_definite(x) is False  # same tag compares exactly
-    y = x + 1  # plain interval: identical enclosures overlap -> indefinite
-    assert y.lt_definite(y) is None
+    assert x.lt_definite(x) is False  # exact values compare exactly
+    y = x + 1
+    assert y.lt_definite(y) is False
+    assert x.lt_definite(y) is True and y.lt_definite(x) is False
+    assert (1 - x).lt_definite(F(1, 2)) is True  # 0.42 < 1/2
+    iv = Scalar.from_interval(F(1, 2), F(3, 5))  # identical enclosures overlap
+    assert iv.lt_definite(iv) is None
+    assert iv.lt_definite(x) is None and x.lt_definite(iv) is None
     assert sorted([Scalar(1), x, Scalar(0)], key=float)[1] is x
+
+
+def test_pell_convergent_sign_is_exact_at_low_precision():
+    p, q = 1, 1  # convergents p/q of sqrt(2): p^2 - 2 q^2 = +-1
+    while q <= 10**11:
+        p, q = p + 2 * q, p + q
+    dps = get_working_dps()
+    set_working_dps(15)
+    try:
+        d = Scalar(F(p, q)) - sqrt(Scalar(2))  # |d| ~ 1e-23, far below one ulp at 15 digits
+        assert d.sign() == p * p - 2 * q * q
+        assert Scalar(F(p, q)).lt_definite(sqrt(Scalar(2))) is (d.sign() < 0)
+        assert 0 in d.interval()  # the enclosure alone could not tell
+    finally:
+        set_working_dps(dps)
+
+
+def test_exact_division_by_conjugate():
+    s3 = sqrt(Scalar(3))
+    assert Scalar(1) / (2 + s3) == 2 - s3  # (2 + sqrt 3)(2 - sqrt 3) = 1
+    y = F(1, 2) + s3 / 6
+    inv = 1 / y
+    assert inv == Scalar(3) - s3  # (1/2 - sqrt(3)/6) / (1/4 - 3/36)
+    assert (y * inv).as_fraction() == 1
+    assert ((1 + s3) / (1 - s3)) == -2 - s3
+    assert (y**-2 * y**2).as_fraction() == 1
+
+
+def test_mixed_radicand_sum_falls_back_to_interval():
+    s = sqrt(Scalar(3)) + sqrt(Scalar(5))
+    assert not s.is_rational
+    assert "sqrt" not in s.to_json_str()  # a decimal, not an exact form
+    assert 0 < s.radius() < 1e-55
+    assert abs(float(s) - (math.sqrt(3) + math.sqrt(5))) < 1e-15
+    assert s.lt_definite(Scalar(4)) is True  # 3.968 < 4, by enclosures
 
 
 def test_sign_and_zero_tests():
