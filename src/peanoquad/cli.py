@@ -94,12 +94,15 @@ def _cmd_analyze(args) -> int:
     for r in range(min(d, _MAX_REPORT_ORDER) + 1):
         rep = kernel_l1_norm(rule, r)
         m = rep.l1_norm
-        exact = m.to_json_str() if m.is_rational else None
-        shown = exact if exact is not None else m.to_decimal(args.digits)
-        print(f"  M_{r} = {shown}" + (f"  (radius {rep.radius:.2g})" if not m.is_rational else ""))
+        exact = m.to_json_str() if m.is_exact else None
+        decimal = m.to_decimal(args.digits)
+        if exact is None:
+            print(f"  M_{r} = {decimal}  (radius {rep.radius:.2g})")
+        else:
+            print(f"  M_{r} = {exact}" + ("" if m.is_rational else f" = {decimal}"))
         constants.append({
             "r": r,
-            "value_decimal": m.to_decimal(args.digits),
+            "value_decimal": decimal,
             "exact": exact,
             "radius": rep.radius,
         })

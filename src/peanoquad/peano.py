@@ -133,9 +133,10 @@ def kernel_l1_norm(
 ) -> KernelReport:
     """Sharp constant M_r = integral of |K_r| with sign changes isolated.
 
-    The result is an exact rational whenever the rule and every kernel root
-    are rational; otherwise a validated value whose radius is reported (and
-    is far below `tol` at the default working precision).
+    The result is exact (rational, or a + b*sqrt(m)) whenever the rule's data
+    lie in one Q(sqrt m) and every kernel root is rational or lies in it;
+    otherwise a validated value whose radius is reported (and is far below
+    `tol` at the default working precision).
     """
     kernel = build_kernel(rule, r)
     total = Scalar(0)

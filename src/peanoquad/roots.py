@@ -1,10 +1,18 @@
 """Real-root isolation for low-degree polynomials on an interval.
 
-Rational-coefficient polynomials take the exact path: Yun squarefree split,
+One exact engine works on rational coefficients: Yun squarefree split,
 integer Sturm chains, bisection over dyadic rationals, and simplest-rational
-reconstruction so roots like 1/3 are reported exactly.  Polynomials with
-validated (interval) coefficients take a high-precision numeric path whose
-final brackets are certified by rigorous sign evaluation at the endpoints.
+reconstruction, so roots like 1/3 are reported exactly and roots of
+quadratic factors as exact a + b*sqrt(m).  Every input reduces to it:
+
+* coefficients in one field Q(sqrt m): p = A + B*sqrt(m) with A, B in Q[t]
+  (B = 0 for rationals).  The roots of G = gcd(A, B) are isolated directly,
+  those of the cofactor p' = A' + B'*sqrt(m) through its rational norm
+  N = A'^2 - m*B'^2 = p' * conj(p'); a root of N is one of p' exactly when
+  A'*B' < 0 there (Cohen, *A Course in Computational Algebraic Number
+  Theory*, section 4).
+* interval or mixed-radicand coefficients: the exact midpoints of their
+  enclosures, with widened brackets that carry a sign-change certificate.
 """
 
 from __future__ import annotations
@@ -13,11 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DegreeTooHigh
 from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, get_working_dps, sqrt
+from .scalars import Scalar, as_scalar, field_parts, sqrt
 
 DEGREE_LIMIT = 16
 DEFAULT_ROOT_TOL = Fraction(1, 10**20)
@@ -25,11 +31,15 @@ DEFAULT_ROOT_TOL = Fraction(1, 10**20)
 
 @dataclass(frozen=True)
 class Root:
+    """An exact location or a bracket; ``certified`` is False for a bracket
+    (from interval data) over which no sign change could be proven."""
+
     location: Scalar
     multiplicity_hint: int
+    certified: bool = True
 
     def is_exact(self) -> bool:
-        return self.location.is_rational
+        return self.location.is_exact
 
 
 @dataclass(frozen=True)
@@ -305,149 +315,92 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
     return found
 
 
-# --------------------------------------------------------------------------
-# numeric path for validated (interval) coefficients
+def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def _mid_mpf(s: Scalar):
-    return mpmath.mp.make_mpf(s.interval().mid._mpi_[0])
+def _sign_at_root(s: list[Fraction], n: list[Fraction], x: Scalar) -> int:
+    """Exact sign of s at the root of n that x locates; s must not vanish there.
+
+    A bracket is halved on the squarefree part of n until the centred form
+    |s(t) - s(c)| <= max|s'| * |t - c| proves the sign of s over it.
+    """
+    if x.is_exact:
+        return Polynomial(s)(x).sign()
+    lo, hi = x.bounds()
+    w = _to_int_primitive(_fdivmod(n, _fgcd(n, _fderiv(n)))[0])  # a sign change at every root
+    slope = [abs(c) for c in _fderiv(s)]
+    s_lo = _int_sign_at(w, lo)
+    while True:
+        c = (lo + hi) / 2
+        v = _feval(s, c)
+        if abs(v) > _feval(slope, max(abs(lo), abs(hi))) * (hi - lo) / 2:
+            return 1 if v > 0 else -1
+        if _int_sign_at(w, c) == s_lo:
+            lo = c
+        else:
+            hi = c
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
+def _isolate_field(a: list[Fraction], b: list[Fraction], m: int, lo: Fraction, hi: Fraction,
+                   tol: Fraction) -> list[Root]:
+    """Roots of p = a + b*sqrt(m) (a, b in Q[t]) via the rational engine."""
+    if not b:
+        return _isolate_rational(a, lo, hi, tol)
+    g = _fgcd(a, b)
+    a, b = _fdivmod(a, g)[0], _fdivmod(b, g)[0]
+    found = _isolate_rational(g, lo, hi, tol)
+    # the norm (a + b*sqrt(m)) * (a - b*sqrt(m)); a and b share no root now, so
+    # each root of it belongs to exactly one factor, to the first where a*b < 0
+    norm = _fsub(_fmul(a, a), [m * x for x in _fmul(b, b)])
+    ab = _fmul(a, b)
+    found += [r for r in _isolate_rational(norm, lo, hi, tol)
+              if _sign_at_root(ab, norm, r.location) < 0]
+    out: list[Root] = []
+    for r in sorted(found, key=lambda r: float(r.location)):
+        if out and out[-1].location.lt_definite(r.location) is not True:  # in g and the cofactor
+            prev = out.pop()
+            r = Root(prev.location if prev.is_exact() else r.location,
+                     prev.multiplicity_hint + r.multiplicity_hint)
+        out.append(r)
+    return out
 
 
-def _mpf_eval_with_scale(c, t):
-    acc = mpmath.mpf(0)
-    scale = mpmath.mpf(0)
-    at = abs(t)
-    for a in reversed(c):
-        acc = acc * t + a
-        scale = scale * at + abs(a)
-    return acc, scale
-
-
-def _mpf_sign(c, t, eps) -> int:
-    v, s = _mpf_eval_with_scale(c, t)
-    if abs(v) <= s * eps:
-        return 0
-    return 1 if v > 0 else -1
-
-
-def _mpf_divrem(a, b):
-    a = list(a)
-    while a and abs(a[-1]) == 0:
-        a.pop()
-    q_len = max(len(a) - len(b) + 1, 0)
-    for _ in range(q_len):
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a.pop()
-    return a
-
-
-def _isolate_numeric(poly: Polynomial, lo: Fraction, hi: Fraction,
-                     tol: Fraction) -> list[Root]:
-    dps = get_working_dps()
-    with mpmath.workdps(dps):
-        eps = mpmath.mpf(10) ** (-(dps - 12))
-        c = [_mid_mpf(s) for s in poly.coeffs]
-        top = max(abs(x) for x in c)
-        if top == 0:
-            return []
-        c = [x / top for x in c]
-        while c and abs(c[-1]) < eps:
-            c.pop()
-        if len(c) <= 1:
-            return []
-
-        flo = mpmath.mpf(lo.numerator) / lo.denominator
-        fhi = mpmath.mpf(hi.numerator) / hi.denominator
-        width = fhi - flo
-        nudge = width * mpmath.mpf(2) ** -40
-        a0, b0 = flo + nudge, fhi - nudge
-
-        # numeric Sturm chain with coefficient pruning
-        chain = [list(c)]
-        d = [c[i] * i for i in range(1, len(c))]
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            r = _mpf_divrem(chain[-2], chain[-1])
-            r = [-x for x in r]
-            if not r:
-                break
-            m = max(abs(x) for x in r)
-            if m < eps:
-                break
-            r = [x / m for x in r]
-            while r and abs(r[-1]) < eps:
-                r.pop()
-            if not r:
-                break
-            chain.append(r)
-
-        def var(t):
-            signs = [s for s in (_mpf_sign(p, t, eps) for p in chain) if s != 0]
-            return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-        stack = [(a0, b0, var(a0) - var(b0))]
-        brackets = []
-        while stack:
-            a, b, n = stack.pop()
-            if n <= 0:
-                continue
-            if n == 1 or b - a <= mpmath.mpf(tol.numerator) / tol.denominator:
-                brackets.append((a, b, n))
-                continue
-            m = (a + b) / 2
-            if _mpf_sign(c, m, eps) == 0:
-                m = a + (b - a) * mpmath.mpf("0.53711")
-            vm = var(m)
-            stack.append((a, m, var(a) - vm))
-            stack.append((m, b, vm - var(b)))
-
-        ftol = mpmath.mpf(tol.numerator) / tol.denominator
-        out = []
-        for a, b, n in sorted(brackets, key=lambda x: x[0]):
-            sa = _mpf_sign(c, a, eps)
-            while b - a > ftol / 2:
-                m = (a + b) / 2
-                sm = _mpf_sign(c, m, eps)
-                if sm == 0:
-                    m2 = a + (b - a) * mpmath.mpf("0.46913")
-                    sm = _mpf_sign(c, m2, eps)
-                    if sm == 0:
-                        break
-                    m = m2
-                if sm == sa:
-                    a = m
-                else:
-                    b = m
-            qa = _mpf_to_fraction(a) - tol / 4
-            qb = _mpf_to_fraction(b) + tol / 4
-            sign_a = poly.evaluate(Scalar(qa)).sign()
-            sign_b = poly.evaluate(Scalar(qb)).sign()
-            certified = sign_a is not None and sign_b is not None and sign_a * sign_b < 0
-            hint = 1 if certified or n == 1 else n
-            out.append(Root(Scalar.from_interval(qa, qb), hint))
-        return out
+def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, hi: Fraction,
+                       tol: Fraction) -> list[Root]:
+    """Brackets for interval or mixed-radicand coefficients, from the
+    polynomial q of exact enclosure midpoints.  Where p's enclosure at an end
+    contains zero, a line is subtracted from q so that it vanishes there and
+    the boundary root deflates.  A bracket widened by tol/4 is certified when
+    p provably changes sign over it."""
+    q = [sum(c.bounds()) / 2 for c in p.coeffs]
+    v_lo = _feval(q, lo) if p(lo_s).contains_zero() else 0
+    v_hi = _feval(q, hi) if p(hi_s).contains_zero() else 0
+    slope = (v_hi - v_lo) / (hi - lo)
+    q = _fsub(q, [v_lo - slope * lo, slope])
+    out = []
+    for r in _isolate_rational(q, lo, hi, tol):
+        qa, qb = r.location.bounds()
+        qa, qb = qa - tol / 4, qb + tol / 4
+        sa, sb = p(Scalar(qa)).sign(), p(Scalar(qb)).sign()
+        certified = sa is not None and sb is not None and sa * sb < 0
+        out.append(Root(Scalar.from_interval(qa, qb), r.multiplicity_hint, certified))
+    return out
 
 
 def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> RootList:
     """Isolate every real root of p inside the open interval (lo, hi).
 
-    Exact rational roots are reported exactly; the rest come back as interval
-    scalars of width at most ``tol``.  Raises :class:`DegreeTooHigh` above
-    degree 16.
+    For exact coefficients (rationals, or a + b*sqrt(m) over one m) every
+    root is found: rational roots and roots of quadratic factors come back
+    exactly, the rest as interval scalars of width at most ``tol``, each
+    certain to hold one root.  Interval or mixed-radicand coefficients give
+    brackets about ``tol/4`` wider, flagged ``certified`` only where p
+    provably changes sign.  Raises :class:`DegreeTooHigh` above degree 16.
     """
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
@@ -460,8 +413,9 @@ def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> RootList:
         raise ValueError("tol must be positive")
     if p.degree < 1:
         return RootList(())
-    if all(s.is_rational for s in p.coeffs):
-        roots = _isolate_rational([s.as_fraction() for s in p.coeffs], lof, hif, tol)
-    else:
-        roots = _isolate_numeric(p, lof, hif, tol)
-    return RootList(tuple(roots))
+    parts = field_parts(p.coeffs)
+    if parts is None:
+        return RootList(tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, tol)))
+    m, ab = parts
+    a, b = (_ftrim(list(c)) for c in zip(*ab))
+    return RootList(tuple(_isolate_field(a, b, m, lof, hif, tol)))

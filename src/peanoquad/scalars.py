@@ -11,7 +11,8 @@ A :class:`Scalar` is one of
 
 Field operations (add, subtract, multiply, divide via the conjugate, integer
 powers), signs and comparisons are closed forms whenever both operands are
-exact over the same ``m`` (a rational fits any ``m``), following the usual
+exact over one field (a rational fits any ``m``, and radicands ``m1 != m2``
+with ``m1*m2`` a square name one field), following the usual
 arithmetic of quadratic fields (Cohen, *A Course in Computational Algebraic
 Number Theory*, section 4).  Products of pure roots with different radicands
 stay exact as ``s*sqrt(m)``.  Everything else falls back to interval
@@ -27,6 +28,7 @@ from math import isqrt
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 _DEFAULT_DPS = 60
 
@@ -182,6 +184,11 @@ class Scalar:
     def is_rational(self) -> bool:
         return self._frac is not None
 
+    @property
+    def is_exact(self) -> bool:
+        """True for a rational or an a + b*sqrt(m); False for an interval."""
+        return self._ival is None
+
     def as_fraction(self) -> Fraction:
         if self._frac is None:
             raise ValueError("scalar is not an exact rational")
@@ -249,6 +256,15 @@ class Scalar:
         if self._frac is not None:
             return float(self._frac)
         return float(self.interval().mid)
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Exact rational endpoints of the enclosure (both equal for a rational)."""
+        if self._frac is not None:
+            return self._frac, self._frac
+        ends = _iv_endpoints(self.interval())
+        if not all(mpmath.isfinite(e) for e in ends):
+            raise ValueError("scalar enclosure is unbounded")
+        return tuple(Fraction(*to_rational(e._mpf_)) for e in ends)
 
     def mid_fraction(self) -> Fraction:
         """Exact rational at (or near) the midpoint of the enclosure."""
@@ -392,8 +408,9 @@ class Scalar:
         if not isinstance(other, (Scalar, int, float, Fraction)):
             return NotImplemented
         other = as_scalar(other)
-        if self._ival is None and other._ival is None:
-            return self._frac == other._frac and self._sqrt == other._sqrt
+        p = _common_field(self, other)
+        if p is not None:
+            return p[:2] == p[2:4]
         if self._ival is not None and other._ival is not None:
             return self._ival._mpi_ == other._ival._mpi_
         return False
@@ -450,22 +467,35 @@ def _quad(a: Fraction, b: Fraction, m: int) -> Scalar:
 
 
 def _common_field(x: Scalar, y: Scalar):
-    """(a1, b1, a2, b2, m) with x = a1 + b1*sqrt(m) and y = a2 + b2*sqrt(m), or
-    None when either is an interval or their radicands differ.  Called only
-    when at least one of them is irrational."""
-    if x._frac is not None:
-        if y._sqrt is None:
-            return None
-        a2, b2, m = y._sqrt
-        return x._frac, 0, a2, b2, m
-    if x._sqrt is None:
+    """(a1, b1, a2, b2, m) with x = a1 + b1*sqrt(m) and y = a2 + b2*sqrt(m)
+    (m is None when both are rational), or None when either is an interval
+    or they lie in different fields."""
+    if x._ival is not None or y._ival is not None:
         return None
-    a1, b1, m = x._sqrt
-    if y._frac is not None:
-        return a1, b1, y._frac, 0, m
-    if y._sqrt is None or y._sqrt[2] != m:
+    a1, b1, m1 = x._sqrt or (x._frac, 0, None)
+    a2, b2, m2 = y._sqrt or (y._frac, 0, None)
+    if m1 is None or m2 is None or m1 == m2:
+        return a1, b1, a2, b2, m1 or m2
+    # one field when m1*m2 = s^2: sqrt(m2) = (s/m1)*sqrt(m1), so rewrite the
+    # larger radicand into the smaller (_extract_square misses big primes)
+    s = isqrt(m1 * m2)
+    if s * s != m1 * m2:
         return None
-    return a1, b1, y._sqrt[0], y._sqrt[1], m
+    if m1 < m2:
+        return a1, b1, a2, b2 * Fraction(s, m1), m1
+    return a1, b1 * Fraction(s, m2), a2, b2, m2
+
+
+def field_parts(values):
+    """(m, [(a, b), ...]) with values[i] == a + b*sqrt(m) over one radicand m
+    (m == 1 when every value is rational), or None when a value is an
+    interval or two values lie in different fields."""
+    # the reference carries the smallest radicand, or is rational if all are
+    ref = min((v for v in values if v._sqrt is not None), key=lambda v: v._sqrt[2], default=ONE)
+    parts = [_common_field(ref, v) for v in values]
+    if None in parts:
+        return None
+    return parts[0][4] or 1, [p[2:4] for p in parts]
 
 
 def sqrt(x) -> Scalar:

@@ -176,3 +176,13 @@ def test_rounding_digits_flag(capsys):
     code, out, _ = run(capsys, "analyze", "gauss_legendre2", "--digits", "8")
     assert code == 0
     assert "0.019183303" in out
+
+
+def test_analyze_shows_quadratic_field_constants_exactly(tmp_path, capsys):
+    path = tmp_path / "gl2.json"
+    code, out, _ = run(capsys, "analyze", "gauss_legendre2", "--json", str(path))
+    assert code == 0
+    exact = [c["exact"] for c in json.loads(path.read_text())["constants"]]
+    assert exact == ["5/3-2/3*sqrt(3)", None, "1/12-1/27*sqrt(3)", "1/135"]
+    line = next(ln for ln in out.splitlines() if "M_0" in ln)
+    assert "5/3-2/3*sqrt(3)" in line and "radius" not in line

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from peanoquad import (
@@ -19,6 +20,7 @@ from peanoquad import (
     kernel_l1_norm,
     make_rule,
     remainder_on_monomial,
+    set_working_dps,
     sqrt,
     verify_peano_identity,
 )
@@ -311,6 +313,43 @@ def test_gauss_legendre2_constants():
     assert m2.radius < 1e-13
     m3 = kernel_l1_norm(rule, 3)
     assert m3.l1_norm.as_fraction() == F(1, 135)
+
+
+@pytest.mark.parametrize("dps", [20, 60, 120])
+def test_quadratic_field_constants_exact_at_any_precision(dps):
+    set_working_dps(dps)
+    try:
+        gl2, lob4 = make_rule("gauss_legendre2"), make_rule("lobatto4")
+        assert kernel_l1_norm(gl2, 2).l1_norm == Scalar("1/12-1/27*sqrt(3)")
+        assert kernel_l1_norm(lob4, 2).l1_norm == Scalar("1/32-1/90*sqrt(5)")
+        assert kernel_l1_norm(lob4, 4).l1_norm == Scalar("1/9000*sqrt(5)")
+        [root] = kernel_l1_norm(gl2, 2).sign_changes
+        assert root.is_exact() and root.location == 0
+        exact = [rt.location for rt in kernel_l1_norm(lob4, 1).sign_changes if rt.is_exact()]
+        assert exact == [Scalar(F(-2, 3)), Scalar(F(2, 3))]
+        for name in ("simpson", "radau2", "gauss_legendre2", "lobatto4", "liu_park_gauss"):
+            rule = make_rule(name)
+            for r in range(degree_of_exactness(rule).degree + 1):
+                rep = kernel_l1_norm(rule, r)
+                assert rep.l1_norm.is_exact or rep.radius <= 1e-20, (name, r, rep.radius)
+    finally:
+        set_working_dps(60)
+
+
+def test_mixed_radicand_rule_brackets():
+    # x in Q(sqrt 2), lambda in Q(sqrt 3): interval weights, midpoint isolation
+    x, lam = Scalar("1/2*sqrt(1/2)"), Scalar("1/3*sqrt(1/3)")
+    rule = make_rule("mod3", x=x, lam=lam)
+    m0, m1 = kernel_l1_norm(rule, 0), kernel_l1_norm(rule, 1)
+    assert len(m1.sign_changes) == 0  # K_1 vanishes at t = -1, an end of its piece
+    assert m1.radius <= 1e-55
+    assert m0.sign_changes and all(rt.certified for rt in m0.sign_changes)
+    with mpmath.workdps(80):
+        xv, lv = mpmath.sqrt(2) / 4, mpmath.sqrt(3) / 9
+        t0, t1 = lv * (xv - 1), lv * (1 + xv)  # K_0 = t_k - t on the two pieces
+        ref = mpmath.quad(lambda t: abs(t0 - t) if t <= xv else abs(t1 - t), [-1, t0, xv, 1])
+        lo, hi = m0.l1_norm.bounds()
+        assert lo <= F(mpmath.nstr(ref, 75)) <= hi
 
 
 def test_double_node_rule_kernel_root_is_found():

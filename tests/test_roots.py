@@ -1,4 +1,4 @@
-"""Root isolation: exact rational path, numeric interval path, oracles."""
+"""Root isolation: rational and Q(sqrt m) inputs, interval data, oracles."""
 
 import math
 import random
@@ -142,3 +142,26 @@ def test_numeric_path_certifies_brackets():
     got = isolate_roots(p, -Scalar(1) / s5, Scalar(1) / s5)
     for root in got:
         assert root.multiplicity_hint == 1  # certified sign change
+
+
+def test_root_shared_by_gcd_and_cofactor_is_merged():
+    # p = (2t^2 - 1)(t - sqrt(2)/2): A = 2t^3 - t and B = 1/2 - t^2 share
+    # 2t^2 - 1, and the cofactor 2t - sqrt(2) vanishes at sqrt(2)/2 again
+    s2 = sqrt(Scalar(2))
+    p = Polynomial([2 * s2 / 4, -1, -s2, 2])
+    got = isolate_roots(p, -1, 1)
+    assert [r.location for r in got] == [-s2 / 2, s2 / 2]
+    assert [r.multiplicity_hint for r in got] == [1, 2]
+    assert all(r.is_exact() and r.certified for r in got)
+
+
+def test_interval_data_double_root_is_reported_uncertified():
+    # (t - 1/4)^2 with an interval constant term centred on 1/16: the
+    # midpoint polynomial has the double root, p has no provable sign change
+    c0 = Scalar.from_interval(F(1, 16) - F(1, 2**140), F(1, 16) + F(1, 2**140))
+    tol = F(1, 10**20)
+    [root] = isolate_roots(Polynomial([c0, F(-1, 2), 1]), 0, 1, tol)
+    assert not root.is_exact() and not root.certified
+    assert root.multiplicity_hint == 2
+    lo, hi = root.location.bounds()
+    assert lo < F(1, 4) < hi and hi - lo <= tol

@@ -100,6 +100,16 @@ def test_sqrt_tag_same_radicand_sums():
     assert (x - x).is_exact_zero()
 
 
+def test_one_field_under_two_radicands():
+    # 5618 = 2 * 53^2: the square of 53 is not pulled out, but sqrt(5618) and
+    # sqrt(2) still name one field
+    big, two = sqrt(Scalar(5618)), sqrt(Scalar(2))
+    assert str(big + two) == "54*sqrt(2)"
+    assert big == 53 * two and two != big
+    assert (big - 53 * two).is_exact_zero()
+    assert two.lt_definite(big) is True
+
+
 def test_interval_tier_conservative():
     x = sqrt(Scalar(2))
     y = x + 1  # exact in Q(sqrt 2), reported with its enclosure radius
