@@ -20,7 +20,7 @@ from .errors import PeanoQuadError
 from .exactness import degree_of_exactness
 from .peano import export_kernel_csv, export_kernel_json, kernel_l1_norm, verify_peano_identity
 from .polynomials import Polynomial
-from .rules import CATALOG, family, make_rule, rule_to_json_dict
+from .rules import _PY_NAMES, CATALOG, family, make_rule, rule_to_json_dict
 from .scalars import Scalar
 
 _EXIT_OK = 0
@@ -47,8 +47,7 @@ def _parse_params(pairs: list[str]) -> dict:
         if not sep:
             raise ValueError(f"expected name=value, got {item!r}")
         key = name.strip()
-        key = {"lambda": "lam"}.get(key, key)
-        params[key] = Scalar.parse(value.strip())
+        params[_PY_NAMES.get(key, key)] = Scalar.parse(value.strip())
     return params
 
 

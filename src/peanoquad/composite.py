@@ -7,17 +7,20 @@ M_r on each panel gives the additive certificate
 
 valid whenever deriv_sup really bounds |f^(r+1)| on [a, b].  The derivative
 bound is always caller-asserted; nothing here differentiates a black box.
+
+The rule is mapped once per call, not once per panel: node offsets and
+scaled weights are formed once, and f is summed node by node over the
+panels (``rules._sum_panels``, the same path ``apply_rule`` takes).  For
+exact data the value equals the panel-by-panel sum exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadInterval
 from .peano import kernel_l1_norm
-from .rules import QuadRule, apply_rule
+from .rules import QuadRule, _sum_panels
 from .scalars import Scalar, as_scalar
 
 
@@ -49,7 +52,9 @@ def composite_integrate(
     """Apply the rule on n equal panels of [a, b]; certify the total error.
 
     The certificate bounds |integral - value| whenever `deriv_sup` is a valid
-    sup norm of f^(r+1) on [a, b].  Panels are summed left to right.
+    sup norm of f^(r+1) on [a, b].  The value is summed node by node: the
+    values of f at node j of every panel form one sum, weighted once.  For
+    exact data this is exactly the sum of the panels taken one by one.
     """
     a, b = as_scalar(a), as_scalar(b)
     if not a.lt_definite(b):
@@ -60,18 +65,12 @@ def composite_integrate(
     if deriv_sup < Scalar(0):
         raise ValueError("deriv_sup must be nonnegative")
     m_r = kernel_l1_norm(rule, r).l1_norm  # raises OrderExceedsExactness if r > d
-    width = b - a
-    total = Scalar(0)
-    for k in range(n):
-        pa = a + width * Fraction(k, n)
-        pb = a + width * Fraction(k + 1, n)
-        total = total + apply_rule(rule, f, pa, pb, fprime)
     return CompositeResult(
-        value=total,
+        value=_sum_panels(rule, f, a, b, n, fprime),
         panels=n,
         rule_name=rule.name,
         order_used=r,
-        certificate=_certificate(m_r, n, r, width, deriv_sup),
+        certificate=_certificate(m_r, n, r, b - a, deriv_sup),
         deriv_sup_asserted=deriv_sup,
     )
 
@@ -79,8 +78,9 @@ def composite_integrate(
 def panels_for_tolerance(rule: QuadRule, r: int, deriv_sup, a, b, eps) -> int:
     """Smallest panel count whose certificate is at most eps.
 
-    The certificate scales as n^-(r+1), so the count follows from a direct
-    inversion, then is verified exactly on both sides.
+    The certificate falls as n^-(r+1), so the count is found by doubling n
+    until the certificate is small enough, then bisecting; every comparison
+    is exact, at any size of eps or deriv_sup.
     """
     a, b = as_scalar(a), as_scalar(b)
     if not a.lt_definite(b):
@@ -91,13 +91,19 @@ def panels_for_tolerance(rule: QuadRule, r: int, deriv_sup, a, b, eps) -> int:
     deriv_sup = as_scalar(deriv_sup)
     m_r = kernel_l1_norm(rule, r).l1_norm
     width = b - a
-    if not _certificate(m_r, 1, r, width, deriv_sup) > eps:
+
+    def too_few(n: int) -> bool:
+        return _certificate(m_r, n, r, width, deriv_sup) > eps
+
+    if not too_few(1):
         return 1
-    # certificate(n) = C / n^(r+1)
-    c_top = float(m_r * (width / 2) ** (r + 2) * deriv_sup)
-    n = max(1, math.ceil((c_top / float(eps)) ** (1.0 / (r + 1))))
-    while _certificate(m_r, n, r, width, deriv_sup) > eps:
-        n += 1
-    while n > 1 and not _certificate(m_r, n - 1, r, width, deriv_sup) > eps:
-        n -= 1
-    return n
+    lo, hi = 1, 2  # too_few(lo) holds throughout, too_few(hi) fails on exit
+    while too_few(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if too_few(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -100,6 +100,19 @@ def map_rule_to_interval(rule: QuadRule, a, b) -> MappedRule:
 
 def apply_rule(rule: QuadRule, f, a=-1, b=1, fprime=None) -> Scalar:
     """Evaluate the rule for f on [a, b] (affine mapping applied on the fly)."""
+    return _sum_panels(rule, f, a, b, 1, fprime)
+
+
+def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
+    """The rule applied to f on each of n equal panels of [a, b], summed.
+
+    With h = (b - a)/(2n), the node offsets x*h and the scaled weights w*h
+    (w*h^2 at derivative nodes) are formed once.  Panel k's nodes are
+    mid_k + x*h, mid_k its midpoint, and the values of f (or fprime) at
+    node j of every panel go into one sum S_j; the result is sum_j W_j*S_j.
+    For exact data this equals the panel-by-panel sum exactly, and f sees
+    the same node values.
+    """
     if rule.deriv_nodes and fprime is None:
         if isinstance(f, Polynomial):
             fprime = f.derivative()
@@ -107,10 +120,21 @@ def apply_rule(rule: QuadRule, f, a=-1, b=1, fprime=None) -> Scalar:
             raise MissingDerivative(
                 f"rule {rule.name} has derivative nodes; supply fprime"
             )
-    mapped = map_rule_to_interval(rule, a, b)
-    terms = [w * as_scalar(f(x)) for x, w in mapped.value_nodes]
-    terms.extend(w * as_scalar(fprime(y)) for y, w in mapped.deriv_nodes)
-    return sum(terms, Scalar(0))
+    a, b = as_scalar(a), as_scalar(b)
+    if not a.lt_definite(b):
+        raise BadInterval(f"need a < b, got [{a}, {b}]")
+    h = (b - a) / (2 * n)
+    nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
+    nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
+    centre = (a + b) / 2
+    sums = [Scalar(0)] * len(nodes)
+    for k in range(n):
+        # from the centre directly, not a running sum: interval endpoints
+        # pick up no drift across panels, and n = 1 gives (a + b)/2 itself
+        mid = centre + (2 * k + 1 - n) * h
+        for j, (g, offset, _) in enumerate(nodes):
+            sums[j] = sums[j] + as_scalar(g(mid + offset))
+    return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +390,8 @@ _register(
     (F(0), F(1), True, True), 1,
 )
 
+#: catalog parameter names that are Python keywords, and the keyword-argument
+#: names that make_rule, family and the CLI's -p flag take for them
 _PY_NAMES = {"lambda": "lam"}
 
 
@@ -490,6 +516,6 @@ def family(name: str, **fixed) -> RuleFamily:
         lo, hi, lo_open, hi_open = entry.family_domain
         domain = Domain(lo, hi, lo_open, hi_open)
         generic_degree = entry.generic_degree
-    display = {(_PY_NAMES.get(k, k) if k != "lam" else "lambda"): v
-               for k, v in fixed_scalars.items()}
+    catalog_names = {py: p for p, py in _PY_NAMES.items()}
+    display = {catalog_names.get(k, k): v for k, v in fixed_scalars.items()}
     return RuleFamily(name, display, domain, generic_degree)

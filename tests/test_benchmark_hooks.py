@@ -1,13 +1,22 @@
-"""Private names that the benchmark in perfbench/ reads from outside the package.
+"""Names that the benchmark in perfbench/ reads from outside the package.
 
 perfbench/run.py watches roots._isolate_rational for its per-operation
-deadline, and perfbench/tracer.py tells exact from interval scalars by the
-_frac and _sqrt slots.  Renaming either breaks the benchmark, so pin them.
+deadline and traces rules.map_rule_to_interval and rules.apply_rule by name,
+and perfbench/tracer.py tells exact from interval scalars by the _frac and
+_sqrt slots.  Renaming any of them breaks the benchmark, so pin them.
 """
 
 import inspect
 
-from peanoquad import Scalar, roots, sqrt
+import peanoquad
+from peanoquad import Scalar, roots, rules, sqrt
+
+
+def test_traced_rule_functions_stay_public():
+    for name in ("map_rule_to_interval", "apply_rule"):
+        assert name in peanoquad.__all__
+        assert inspect.isfunction(getattr(peanoquad, name))
+        assert getattr(peanoquad, name) is getattr(rules, name)
 
 
 def test_isolate_rational_is_a_function():

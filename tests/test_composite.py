@@ -1,6 +1,7 @@
 """Composite integration: values, certificates, panel counts."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -8,15 +9,82 @@ import pytest
 
 from peanoquad import (
     BadInterval,
+    MissingDerivative,
     OrderExceedsExactness,
     Polynomial,
     Scalar,
     apply_rule,
+    as_scalar,
     composite_integrate,
     kernel_l1_norm,
     make_rule,
+    map_rule_to_interval,
     panels_for_tolerance,
 )
+
+
+def reference_composite(rule, f, a, b, n, fprime=None):
+    """The panel-by-panel algorithm: map the rule to each panel, sum the
+    panels left to right."""
+    a, b = as_scalar(a), as_scalar(b)
+    if fprime is None and rule.deriv_nodes:
+        fprime = f.derivative()
+    width = b - a
+    total = Scalar(0)
+    for k in range(n):
+        mapped = map_rule_to_interval(rule, a + width * F(k, n), a + width * F(k + 1, n))
+        terms = [w * as_scalar(f(x)) for x, w in mapped.value_nodes]
+        terms += [w * as_scalar(fprime(y)) for y, w in mapped.deriv_nodes]
+        total = total + sum(terms, Scalar(0))
+    return total
+
+
+REFERENCE_RULES = ("simpson", "radau2", "gauss_legendre2", "lobatto4", "liu_park_gauss")
+REFERENCE_INTEGRANDS = {
+    "exp": (math.exp, math.exp),
+    "cos": (math.cos, lambda t: -math.sin(float(t))),
+    "poly": (Polynomial([F(1, 3), -2, F(5, 7), 1, F(-2, 9)]), None),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RULES)
+@pytest.mark.parametrize("fname", sorted(REFERENCE_INTEGRANDS))
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("a, b", [(F(-3, 4), F(1, 4)), (0, 1), (-1, F(5, 3))])
+def test_value_equals_panel_by_panel_reference(name, fname, n, a, b):
+    rule = make_rule(name)
+    f, fprime = REFERENCE_INTEGRANDS[fname]
+    value = composite_integrate(rule, f, a, b, n, 1, 1, fprime=fprime).value
+    assert value.is_exact
+    assert value.to_json_str() == reference_composite(rule, f, a, b, n, fprime).to_json_str()
+
+
+@pytest.mark.parametrize("name", ["simpson", "liu_park_gauss"])
+@pytest.mark.parametrize("fname", ["exp", "poly"])
+def test_interval_endpoints_no_wider_than_reference(name, fname):
+    rule = make_rule(name)
+    f, fprime = REFERENCE_INTEGRANDS[fname]
+    tiny = F(1, 10**40)
+    a = Scalar.from_interval(F(-3, 4) - tiny, F(-3, 4) + tiny)
+    b = Scalar.from_interval(F(1, 4) - tiny, F(1, 4) + tiny)
+    value = composite_integrate(rule, f, a, b, 100, 1, 1, fprime=fprime).value
+    ref = reference_composite(rule, f, a, b, 100, fprime)
+    lo, hi = value.bounds()
+    ref_lo, ref_hi = ref.bounds()
+    assert lo <= (ref_lo + ref_hi) / 2 <= hi
+    assert value.radius() <= ref.radius()
+
+
+def test_missing_derivative_raises_before_evaluating_f():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(float(t))
+
+    with pytest.raises(MissingDerivative):
+        composite_integrate(make_rule("liu_park_gauss"), f, 0, 1, 5, 3, 1)
+    assert calls == []
 
 
 def test_simpson_on_quartic_certificate_is_tight():
@@ -124,6 +192,25 @@ def test_panels_for_tolerance_examples():
     n = panels_for_tolerance(rule, 3, 1, -1, 1, F(1, 10**6))
     cert = lambda k: F(1, 90 * k**4)
     assert cert(n) <= F(1, 10**6) < cert(n - 1)
+
+
+@pytest.mark.parametrize("deriv_sup, eps", [
+    (1, F(1, 10**120)),
+    (1, F(1, 10**300)),
+    (1, F(1, 10**400)),
+    (F(10**400), F(1, 10**6)),
+])
+def test_panels_for_tolerance_is_exact_at_any_scale(deriv_sup, eps):
+    # simpson on [0, 1]: M_3 = 1/90, h = 1/(2n), certificate(n) = 1/(2880 n^4)
+    n = panels_for_tolerance(make_rule("simpson"), 3, deriv_sup, 0, 1, eps)
+    cert = lambda k: F(deriv_sup) / (2880 * k**4)
+    assert cert(n) <= eps < cert(n - 1)
+
+
+def test_panels_for_tolerance_tiny_eps_returns_quickly():
+    start = time.perf_counter()
+    panels_for_tolerance(make_rule("simpson"), 3, 1, 0, 1, F(1, 10**300))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_panels_for_tolerance_zero_deriv_sup():

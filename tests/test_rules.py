@@ -192,6 +192,20 @@ def test_mapped_rule_integrates_polynomials_exactly():
     assert apply_rule(s, p, a, b) == p.definite_integral(a, b)
 
 
+@pytest.mark.parametrize("name", ["gauss_legendre2", "liu_park_gauss"])
+def test_apply_on_interval_endpoints_equals_mapped_rule_sum(name):
+    # the mapped rule's midpoint is (a + b)/2; apply_rule keeps that enclosure
+    rule = make_rule(name)
+    p = Polynomial([F(1, 3), -2, F(5, 7), 1])
+    tiny = F(1, 10**40)
+    a = Scalar.from_interval(F(-3, 4) - tiny, F(-3, 4) + tiny)
+    b = Scalar.from_interval(F(1, 4) - tiny, F(1, 4) + tiny)
+    mapped = map_rule_to_interval(rule, a, b)
+    terms = [w * p(x) for x, w in mapped.value_nodes]
+    terms += [w * p.derivative()(y) for y, w in mapped.deriv_nodes]
+    assert apply_rule(rule, p, a, b).bounds() == sum(terms, Scalar(0)).bounds()
+
+
 def test_json_round_trip_rational_bit_exact():
     r = make_rule("mod3", x=F(5, 17), lam=F(3, 11))
     r2 = rule_from_json(rule_to_json(r))
