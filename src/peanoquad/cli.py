@@ -20,6 +20,7 @@ from .errors import PeanoQuadError
 from .exactness import degree_of_exactness
 from .peano import export_kernel_csv, export_kernel_json, kernel_l1_norm, verify_peano_identity
 from .polynomials import Polynomial
+from .roots import DEFAULT_ROOT_TOL
 from .rules import _PY_NAMES, CATALOG, family, make_rule, rule_to_json_dict
 from .scalars import Scalar
 
@@ -236,11 +237,7 @@ def _cmd_verify(args) -> int:
     tests.append(Polynomial([1, -2, 0, 3]) * Polynomial.monomial(max(args.r - 1, 0)))
     for f in tests:
         lhs, rhs = verify_peano_identity(rule, args.r, f)
-        diff = lhs - rhs
-        if diff.is_rational:
-            good = diff.as_fraction() == 0
-        else:
-            good = diff.contains_zero() and diff.radius() < 1e-25
+        good = (lhs - rhs).zero_within()
         status = "ok" if good else "MISMATCH"
         print(f"  degree {f.degree}: remainder {lhs.to_decimal(12)}  kernel side "
               f"{rhs.to_decimal(12)}  [{status}]")
@@ -288,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule_args(p)
     p.add_argument("--r", type=int, required=True, help="kernel order")
     p.add_argument("--grid", type=int, default=2001, help="CSV grid points (default 2001)")
-    p.add_argument("--root-tol", type=_scalar_arg, default=Scalar.parse("1e-20"),
-                   help="root isolation tolerance (default 1e-20)")
+    p.add_argument("--root-tol", type=_scalar_arg, default=Scalar(DEFAULT_ROOT_TOL),
+                   help=f"root isolation tolerance (default {float(DEFAULT_ROOT_TOL):g})")
     p.add_argument("--csv", help="CSV output path (columns t, K_r)")
     p.add_argument("--json", help="JSON sidecar path (breakpoints, pieces, norm)")
 

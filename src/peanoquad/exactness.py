@@ -1,4 +1,8 @@
-"""Monomial remainders and the precise degree of exactness of a rule."""
+"""Monomial remainders and the precise degree of exactness of a rule.
+
+A remainder counts as zero by ``Scalar.zero_within``: exactly zero, or an
+interval enclosing zero narrower than 10**-(working dps // 2).
+"""
 
 from __future__ import annotations
 
@@ -7,9 +11,6 @@ from fractions import Fraction
 
 from .rules import QuadRule
 from .scalars import Scalar
-
-#: An interval counts as zero only when it encloses 0 this tightly.
-ZERO_WIDTH = Fraction(1, 10**30)
 
 #: A nonzero value this close to its own error radius gets flagged.
 AMBIGUITY_FACTOR = 10
@@ -55,7 +56,7 @@ def _classify(value: Scalar) -> tuple[str, bool]:
     """('zero'|'nonzero', ambiguous_flag) for a remainder value."""
     if value.is_rational:
         return ("zero" if value.as_fraction() == 0 else "nonzero", False)
-    if value.zero_within(ZERO_WIDTH):
+    if value.zero_within():
         return "zero", False
     if value.contains_zero():
         # straddles zero but too wide to certify: treat as a nonzero stop,

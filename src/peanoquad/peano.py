@@ -27,11 +27,6 @@ from .roots import DEFAULT_ROOT_TOL, Root, RootList, isolate_roots
 from .rules import QuadRule
 from .scalars import Scalar, as_scalar
 
-#: interior-breakpoint jumps tighter than this count as continuous
-_CONTINUITY_WIDTH = Fraction(1, 10**25)
-
-DEFAULT_REPORT_TOL = Fraction(1, 10**14)
-
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
@@ -54,10 +49,7 @@ class PiecewisePolynomial:
     __call__ = evaluate
 
     def integrate(self) -> Scalar:
-        total = Scalar(0)
-        for i, p in enumerate(self.pieces):
-            total = total + p.definite_integral(self.breakpoints[i], self.breakpoints[i + 1])
-        return total
+        return self.integrate_against(Polynomial([1]))
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
@@ -99,6 +91,11 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     part of the functional only (the derivative weights would enter as point
     masses at the derivative nodes).  The full remainder identity therefore
     starts at r = 1 for such rules.
+
+    Each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
+    once; every piece then starts from the leading term and subtracts the
+    terms of its active nodes in rule order, so each piece is summed in the
+    same order whatever the tier of the data.
     """
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
@@ -109,34 +106,29 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
         )
     bps = _breakpoints(rule)
     r_fact = math.factorial(r)
-    lead = Polynomial.affine_power(1, -1, r + 1) * Scalar(Fraction(1, r + 1))
+    lead = Polynomial([1, -1]) ** (r + 1) * Scalar(Fraction(1, r + 1))
+    terms = [(x, Polynomial([x, -1]) ** r * a) for x, a in rule.value_nodes]
+    if r >= 1:
+        terms += [(y, Polynomial([y, -1]) ** (r - 1) * (b * r)) for y, b in rule.deriv_nodes]
     pieces = []
     for i in range(len(bps) - 1):
         right = bps[i + 1]
         p = lead
-        for x, a in rule.value_nodes:
-            if x.lt_definite(right) is not True:  # node >= right end: active on piece
-                p = p - Polynomial.affine_power(x, -1, r) * a
-        if r >= 1:
-            for y, b in rule.deriv_nodes:
-                if y.lt_definite(right) is not True:
-                    p = p - Polynomial.affine_power(y, -1, r - 1) * (b * r)
+        for node, term in terms:
+            if node.lt_definite(right) is not True:  # node >= right end: active on piece
+                p = p - term
         pieces.append(p * Scalar(Fraction(1, r_fact)))
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
-def kernel_l1_norm(
-    rule: QuadRule,
-    r: int,
-    tol=DEFAULT_REPORT_TOL,
-    root_tol=DEFAULT_ROOT_TOL,
-) -> KernelReport:
+def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelReport:
     """Sharp constant M_r = integral of |K_r| with sign changes isolated.
 
     The result is exact (rational, or a + b*sqrt(m)) whenever the rule's data
     lie in one Q(sqrt m) and every kernel root is rational or lies in it;
-    otherwise a validated value whose radius is reported (and is far below
-    `tol` at the default working precision).
+    otherwise a validated value whose radius is reported.  A continuity flag
+    is True when the jump of K_r at that interior breakpoint passes
+    ``Scalar.zero_within``.
     """
     kernel = build_kernel(rule, r)
     total = Scalar(0)
@@ -158,7 +150,7 @@ def kernel_l1_norm(
     for i in range(1, len(kernel.breakpoints) - 1):
         b = kernel.breakpoints[i]
         jump = kernel.pieces[i - 1](b) - kernel.pieces[i](b)
-        flags.append(jump.zero_within(_CONTINUITY_WIDTH))
+        flags.append(jump.zero_within())
     return KernelReport(
         order=r,
         kernel=kernel,

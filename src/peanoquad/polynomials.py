@@ -40,15 +40,6 @@ class Polynomial:
         """coef * t**k"""
         return Polynomial([0] * k + [coef])
 
-    @staticmethod
-    def affine_power(c, slope, r: int) -> "Polynomial":
-        """(c + slope*t) ** r by repeated multiplication."""
-        base = Polynomial([c, slope])
-        out = Polynomial([1])
-        for _ in range(r):
-            out = out * base
-        return out
-
     def evaluate(self, t) -> Scalar:
         t = as_scalar(t)
         acc = Scalar(0)

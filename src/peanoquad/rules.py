@@ -36,9 +36,6 @@ class QuadRule:
             total = total + a
         return total
 
-    def all_nodes(self) -> tuple[Scalar, ...]:
-        return tuple(x for x, _ in self.value_nodes) + tuple(y for y, _ in self.deriv_nodes)
-
     def apply(self, f, a=-1, b=1, fprime=None) -> Scalar:
         return apply_rule(self, f, a, b, fprime)
 
@@ -474,10 +471,12 @@ class RuleFamily:
     generic_degree: int
 
     def build(self, x) -> QuadRule:
+        """The rule at node x; the same rule make_rule gives for these parameters."""
         x = as_scalar(x)
-        return make_rule(self.name, x=x, **{
-            _PY_NAMES.get(k, k): v for k, v in self.fixed_params.items()
-        })
+        entry = CATALOG[self.name]
+        params = {p: x if p == "x" else self.fixed_params[p] for p in entry.param_names}
+        values, derivs = entry.builder(*params.values())
+        return _assemble(self.name, values, derivs, params)
 
     def label(self) -> str:
         if not self.fixed_params:

@@ -124,11 +124,9 @@ class Scalar:
             self._frac, self._ival, self._sqrt = value._frac, value._ival, value._sqrt
             return
         self._sqrt = None
-        if isinstance(value, (int, Fraction)):
-            self._frac = Fraction(value)
-            self._ival = None
-        elif isinstance(value, float):
-            self._frac = Fraction(value)  # floats are exact dyadic rationals
+        if isinstance(value, (int, Fraction, float)):
+            # floats are exact dyadic rationals; a Fraction is kept as given
+            self._frac = value if isinstance(value, Fraction) else Fraction(value)
             self._ival = None
         elif isinstance(value, str):
             s = Scalar.parse(value)
@@ -143,10 +141,6 @@ class Scalar:
             raise TypeError(f"cannot build Scalar from {type(value).__name__}")
 
     # --- constructors -------------------------------------------------
-
-    @staticmethod
-    def rational(num, den=1) -> "Scalar":
-        return Scalar(Fraction(num, den))
 
     @staticmethod
     def from_interval(lo, hi) -> "Scalar":
@@ -212,18 +206,22 @@ class Scalar:
             return self._frac == 0
         return 0 in self._ival
 
-    def zero_within(self, width: Fraction) -> bool:
-        """True when the value is exactly zero, or encloses zero tightly.
+    def zero_within(self) -> bool:
+        """The library's one zero test: True when the value is exactly zero,
+        or is an interval that encloses zero and is narrower than
+        10**-(working dps // 2) (1e-30 at the default 60 digits).
 
-        For interval scalars "tightly" means the enclosure width is below
-        ``width``; this is the zero test used by the exactness machinery.
+        An exact a + b*sqrt(m) is never zero.  The width follows the working
+        precision, so a value that is zero in exact arithmetic, carried
+        through a few interval operations, still counts as zero at 15 digits,
+        while half the digits stay as margin against a true nonzero value.
         """
         if self._ival is None:
             return self._frac == 0
         if 0 not in self._ival:
             return False
         lo, hi = _iv_endpoints(self._ival)
-        return (hi - lo) < mpmath.mpf(width.numerator) / width.denominator
+        return (hi - lo) < mpmath.mpf(1) / 10 ** (iv.dps // 2)
 
     def sign(self):
         """-1, 0, or +1; None when an interval enclosure straddles zero."""
@@ -516,6 +514,4 @@ def sqrt(x) -> Scalar:
         raise ValueError("square root of a negative scalar") from None
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
-TWO = Scalar(2)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -336,6 +337,106 @@ def test_quadratic_field_constants_exact_at_any_precision(dps):
         set_working_dps(60)
 
 
+def _mod3_sqrt_rule():
+    return make_rule("mod3", x=Scalar("sqrt(1/8)"), lam=Scalar("sqrt(1/27)"))
+
+
+@pytest.mark.parametrize("dps", [15, 20, 30])
+def test_zero_test_follows_working_precision(dps):
+    # the weights at -1 and 1 mix sqrt(2) and sqrt(3), so the remainders are
+    # intervals whose width shrinks with the precision; a fixed 1e-30 zero
+    # width called R(e_0) nonzero below 40 digits
+    lo, hi = kernel_l1_norm(_mod3_sqrt_rule(), 1).l1_norm.bounds()
+    set_working_dps(dps)
+    try:
+        rule = _mod3_sqrt_rule()
+        report = degree_of_exactness(rule)
+        assert report.degree == 1 and report.ambiguous_indices == ()
+        rep = kernel_l1_norm(rule, 1)
+        assert rep.continuity_flags == (True,)
+        low, high = rep.l1_norm.bounds()
+        assert low <= lo and hi <= high
+    finally:
+        set_working_dps(60)
+
+
+def _reference_kernel_pieces(rule, r, breakpoints):
+    """The per-piece assembly build_kernel replaced: each piece forms the
+    power (x_k - t)^r of every active node again, by repeated multiplication."""
+
+    def affine_power(c, n):
+        out = Polynomial([1])
+        for _ in range(n):
+            out = out * Polynomial([c, -1])
+        return out
+
+    lead = affine_power(1, r + 1) * Scalar(F(1, r + 1))
+    pieces = []
+    for right in breakpoints[1:]:
+        p = lead
+        for x, a in rule.value_nodes:
+            if x.lt_definite(right) is not True:
+                p = p - affine_power(x, r) * a
+        if r >= 1:
+            for y, b in rule.deriv_nodes:
+                if y.lt_definite(right) is not True:
+                    p = p - affine_power(y, r - 1) * (b * r)
+        pieces.append(p * Scalar(F(1, math.factorial(r))))
+    return pieces
+
+
+def _kernel_reference_rules():
+    rng = random.Random(2024)
+
+    def x():
+        return F(rng.randint(1, 9), 10)
+
+    def narrow(q):
+        return Scalar.from_interval(q - F(1, 10**40), q + F(1, 10**40))
+
+    rules = [
+        make_rule("ostrowski", x=x()),
+        make_rule("mp3", x=x()),
+        make_rule("mod3", x=x(), lam=x()),
+        make_rule("mod3_opt", x=x()),
+        make_rule("simpson"),
+        make_rule("dcr", lam=F(1, 5), x=x() / 2),
+        make_rule("gs2", x=x()),
+        make_rule("gauss_legendre2"),
+        make_rule("franjic", x=x()),
+        make_rule("radau2"),
+        make_rule("alomari2", lam=F(0), x=-x(), y=x()),
+        make_rule("alomari4", lam=x(), x=x()),
+        make_rule("lobatto4"),
+        make_rule("liu_park", x=x()),
+        make_rule("liu_park_gauss"),
+        make_rule("dragomir_sofo", x=x()),
+        make_rule("q44", lam=x(), gamma=F(rng.randint(-3, 3), 10), delta=-x(), x=x()),
+        _mod3_sqrt_rule(),
+        make_rule("gs2", x=narrow(F(1, 2))),
+        custom_rule("interval_simpson", [(-1, narrow(F(1, 3))), (narrow(F(0)), F(4, 3)), (1, F(1, 3))]),
+        custom_rule("interval_double_node", [(-1, F(1, 2)), (narrow(F(1, 3)), F(3, 2))],
+                    [(narrow(F(1, 3)), narrow(F(1, 7)))]),
+    ]
+    for i in range(10):
+        rules.append(random_rational_rule(rng, with_derivs=i % 2 == 1, force_degree_one=i % 4 == 1))
+    return rules
+
+
+def test_build_kernel_matches_per_piece_reference():
+    # same bits, interval enclosures included: a reordered sum fails this
+    for rule in _kernel_reference_rules():
+        for r in range(min(degree_of_exactness(rule, k_max=8).degree, 6) + 1):
+            kernel = build_kernel(rule, r)
+            want = _reference_kernel_pieces(rule, r, kernel.breakpoints)
+            assert len(kernel.pieces) == len(want)
+            for got_p, want_p in zip(kernel.pieces, want):
+                assert len(got_p.coeffs) == len(want_p.coeffs), (rule.name, r)
+                for c, w in zip(got_p.coeffs, want_p.coeffs):
+                    assert c.to_json_str() == w.to_json_str(), (rule.name, r)
+                    assert c.bounds() == w.bounds(), (rule.name, r)
+
+
 def test_mixed_radicand_rule_brackets():
     # x in Q(sqrt 2), lambda in Q(sqrt 3): interval weights, midpoint isolation
     x, lam = Scalar("1/2*sqrt(1/2)"), Scalar("1/3*sqrt(1/3)")
@@ -469,8 +570,6 @@ def test_peano_identity_derivative_node_rules_from_order_one():
 
 
 def test_moment_identity_across_catalog():
-    import math
-
     rules = [
         make_rule("ostrowski", x=F(1, 4)),
         make_rule("mp3", x=F(2, 5)),

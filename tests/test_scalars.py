@@ -188,9 +188,18 @@ def test_sign_and_zero_tests():
     wide = Scalar.from_interval(F(-1, 10), F(1, 10))
     assert wide.sign() is None
     assert wide.contains_zero()
-    assert not wide.zero_within(F(1, 10**30))
+    assert not wide.zero_within()
     tiny = sqrt(Scalar(2)) - Scalar.parse("sqrt(2)")
-    assert tiny.is_exact_zero() or tiny.zero_within(F(1, 10**30))
+    assert tiny.is_exact_zero() or tiny.zero_within()
+    # the zero width is 10**-(working dps // 2): 1e-30 at 60 digits, 1e-7 at 15
+    small = Scalar.from_interval(F(-1, 10**20), F(1, 10**20))
+    assert not small.zero_within()
+    set_working_dps(15)
+    try:
+        assert small.zero_within()
+        assert not Scalar.from_interval(F(-1, 10**7), F(1, 10**7)).zero_within()
+    finally:
+        set_working_dps(60)
 
 
 def test_decimal_rendering():

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 from peanoquad import QuadRule, Scalar, custom_rule
 
 
-def scalar_is_zero(s: Scalar, width=F(1, 10**25)) -> bool:
-    return s.is_exact_zero() or s.zero_within(width)
+def scalar_is_zero(s: Scalar) -> bool:
+    return s.is_exact_zero() or s.zero_within()
 
 
 def assert_scalar_equals(got: Scalar, want, tol=1e-12):
