@@ -7,15 +7,21 @@ families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid and bisects each change, which localizes even branch points where
 the bound itself is numerically indistinguishable from smooth.
+
+Minima are found from the exact derivative dM_r/dx, which one kernel pass on
+the rule built at a dual-number node x + eps gives (forward-mode
+differentiation).  On each branch the minimizer is a branch end, or lies in
+a bracket across which the sign of dM_r/dx provably changes from negative to
+positive; the bracket is shrunk by regula falsi on exact rational iterates.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import (
@@ -26,10 +32,9 @@ from .errors import (
     PointOutsideBox,
 )
 from .peano import kernel_l1_norm
+from .roots import _simplest_in_open
 from .rules import QuadRule, RuleFamily
-from .scalars import Scalar, as_scalar
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .scalars import Scalar, _Dual, as_scalar, field_parts, get_working_dps
 
 
 def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
@@ -74,12 +79,18 @@ class MinimizeResult(NamedTuple):
 
 
 def _bound_fn(family: RuleFamily, r: int):
-    """Memoized x -> (M_r(x), kernel root signature).
+    """Memoized x -> M_r(x), x -> kernel root signature, and
+    x -> (M_r(x), M_r'(x)).
 
     The signature is the per-piece count of interior kernel roots; it changes
-    exactly where the bound function switches branch.
+    exactly where the bound function switches branch.  The derivative comes
+    from one kernel pass on the rule built at a dual number x + eps, which
+    carries d/dx through the nodes, weights, breakpoints and integrals; where
+    M_r has a corner it is the right-hand derivative (the left-hand one at
+    the upper end of the domain).
     """
     cache: dict[Fraction, tuple[Scalar, tuple[int, ...]]] = {}
+    slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
 
     def compute(x: Fraction) -> tuple[Scalar, tuple[int, ...]]:
         got = cache.get(x)
@@ -98,39 +109,96 @@ def _bound_fn(family: RuleFamily, r: int):
     def sig(x: Fraction) -> tuple[int, ...]:
         return compute(x)[1]
 
-    return fn, sig
+    def slope(x: Fraction) -> tuple[Scalar, Scalar]:
+        got = slopes.get(x)
+        if got is None:
+            # one-sided into the domain: from the left at its upper end
+            seed = -1 if x == family.domain.hi else 1
+            m, dm = _Dual.parts(kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm)
+            got = slopes[x] = (m, dm * seed)
+        return got
+
+    return fn, sig, slope
 
 
-def _golden_min(fn, a: Fraction, b: Fraction, xtol: float) -> tuple[Fraction, Scalar]:
-    """Golden-section minimum on [a, b]; comparisons are exact Scalar compares."""
-    fa, fb = fn(a), fn(b)
-    af, bf = float(a), float(b)
-    c = Fraction(bf - _INVPHI * (bf - af))
-    d = Fraction(af + _INVPHI * (bf - af))
-    if not (a < c < d < b):
-        c = a + (b - a) / 3
-        d = b - (b - a) / 3
-    fc, fd = fn(c), fn(d)
-    while float(b - a) > xtol:
-        if fc < fd:
-            b, fb = d, fd
-            d, fd = c, fc
-            c = Fraction(float(b) - _INVPHI * float(b - a))
-            if not a < c < d:
-                c = a + (d - a) / 2
-            fc = fn(c)
+def _estimate(g: Scalar) -> Fraction:
+    """A rational near the nonzero g, close relative to |g|, with g's sign."""
+    parts = field_parts([g])
+    if parts is None:  # an interval whose sign is known: its midpoint
+        lo, hi = g.bounds()
+        return (lo + hi) / 2
+    m, [(a, b)] = parts
+    if b == 0:
+        return a
+    k = 4 * get_working_dps()
+    root = Fraction(isqrt(m << 2 * k), 1 << k)  # sqrt(m) to about k bits
+    if a * b >= 0:
+        return a + b * root
+    # a and b*sqrt(m) nearly cancel near a zero of M': divide the exact norm
+    # by the conjugate, where they add
+    return (a * a - b * b * m) / (a - b * root)
+
+
+def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Scalar]:
+    """Minimum of M on [a, b] from the sign of M' (``slope(x) = (M, M')``).
+
+    Unless M' goes from negative at a to positive at b, the minimum is the
+    smaller endpoint value.  Otherwise the sign change of M' brackets the
+    minimizer with a certificate (Moore, Kearfott & Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009, ch. 8), and the bracket is shrunk below
+    ``tol`` by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), with a
+    bisection whenever the bracket fails to halve in three steps.  The first
+    iterate is the simplest rational inside, so minimizers like 1/2 are hit
+    exactly; later ones are exact rationals with modest denominators near
+    the secant point.  Each sign is decided by ``Scalar.sign``; a sign it
+    cannot decide ends the search with the bracket found so far.
+    """
+    (va, ga), (vb, gb) = slope(a), slope(b)
+    best = (b, vb) if vb < va else (a, va)
+    if not (ga.sign() == -1 and gb.sign() == 1) or b - a <= tol:
+        return best
+    qa, qb = _estimate(ga), _estimate(gb)
+    side, stale, goal = 0, 0, (b - a) / 2
+    c = _simplest_in_open(a, b)
+    while True:
+        vc, gc = slope(c)
+        s = gc.sign()
+        if s == 0:
+            return c, vc
+        if s is None:
+            return min((best, (c, vc)), key=lambda p: p[1])
+        # Illinois: halve the weight of an end kept twice in a row
+        if s < 0:
+            a, va, qa = c, vc, _estimate(gc)
+            if side == -1:
+                qb /= 2
+            side = -1
         else:
-            a, fa = c, fc
-            c, fc = d, fd
-            d = Fraction(float(a) + _INVPHI * float(b - a))
-            if not c < d < b:
-                d = c + (b - c) / 2
-            fd = fn(d)
-    best_x, best_v = c, fc
-    for x, v in ((d, fd), (a, fa), (b, fb)):
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+            b, vb, qb = c, vc, _estimate(gc)
+            if side == 1:
+                qa /= 2
+            side = 1
+        best = (b, vb) if vb < va else (a, va)
+        w = b - a
+        if w <= tol:
+            return best
+        if w <= goal:
+            stale, goal = 0, w / 2
+        else:
+            stale += 1
+        if stale == 3:
+            c = (a + b) / 2
+        else:
+            c = b - qb * w / (qb - qa)
+            c = _simplest_in_open(max(a, c - w / 2**20), min(b, c + w / 2**20))
+
+
+def _positive_fraction(value, name: str) -> Fraction:
+    """A tolerance as an exact rational (a float is read exactly); must be > 0."""
+    value = as_scalar(value).as_fraction()
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def _locate_signature_change(sig, a: Fraction, b: Fraction, tol: Fraction) -> Fraction:
@@ -151,9 +219,19 @@ def bound_scan(
     grid_size: int = 101,
     lo=None,
     hi=None,
-    refine_tol: float = 1e-12,
+    refine_tol=1e-12,
 ) -> BoundScan:
-    """Evaluate x -> M_r(x) on a grid, locate branch points, refine the minimum."""
+    """Evaluate x -> M_r(x) on a grid, locate branch points, refine the minimum.
+
+    On each branch between branch points the minimum is an end of the branch,
+    unless dM_r/dx changes sign from negative to positive across it.  Then
+    that sign change is bracketed, each sign decided exactly or by a
+    validated enclosure, and the bracket is shrunk to width at most
+    ``refine_tol`` (an exact rational; a float is read exactly), or until a
+    sign cannot be decided.  The minimizer is the bracket end with the
+    smaller value, an exact rational.
+    """
+    refine_tol = _positive_fraction(refine_tol, "refine_tol")
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     if r < 0 or r > family.generic_degree:
@@ -178,7 +256,7 @@ def bound_scan(
             dom.hi_open and nhi == dom.hi,
         )
     grid = dom.grid(grid_size)
-    fn, sig = _bound_fn(family, r)
+    fn, sig, slope = _bound_fn(family, r)
     values = [fn(x) for x in grid]
 
     branch_tol = Fraction(1, 10**9)
@@ -208,7 +286,7 @@ def bound_scan(
     for a, b in segments:
         if not a < b:
             continue
-        x, v = _golden_min(fn, a, b, refine_tol)
+        x, v = _slope_min(slope, a, b, refine_tol)
         if best_v is None or v < best_v:
             best_x, best_v = x, v
 
@@ -217,8 +295,8 @@ def bound_scan(
     slack = 1e-11 * (1.0 + abs(float(best_v)))
     if float(best_v - values[g_idx]) > slack:
         # the grid saw a basin the per-branch search missed
-        x, v = _golden_min(
-            fn,
+        x, v = _slope_min(
+            slope,
             grid[max(g_idx - 1, 0)],
             grid[min(g_idx + 1, len(grid) - 1)],
             refine_tol,
@@ -243,14 +321,16 @@ def bound_scan(
 def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> MinimizeResult:
     """Locate (x*, M_r(x*)) over the family domain.
 
-    Assumes the bound is piecewise smooth and unimodal per branch (this holds
-    for every catalog family); if the local-minimum check fails the result is
-    flagged MultimodalSuspected and is the best grid-refined value.
+    A :func:`bound_scan` on 33 grid points: x* is an exact rational within
+    ``tol`` of the certified sign change of dM_r/dx on its branch (or a branch
+    end; or the end of a wider bracket where a sign could not be decided), and
+    the value is M_r(x*).  Assumes the bound is piecewise smooth and unimodal
+    per branch (this holds for every catalog family); if the local-minimum
+    check fails the result is flagged MultimodalSuspected and is the best
+    grid-refined value.
     """
-    tol_f = float(tol)
-    if tol_f <= 0:
-        raise ValueError("tol must be positive")
-    scan = bound_scan(family, r, grid_size=33, refine_tol=tol_f)
+    tol = _positive_fraction(tol, "tol")
+    scan = bound_scan(family, r, grid_size=33, refine_tol=tol)
     x_star, v_star = scan.minimizer
     multimodal = scan.multimodal_suspected
     eps = Fraction(1, 10**6)

@@ -25,7 +25,7 @@ from .exactness import degree_of_exactness
 from .polynomials import Polynomial
 from .roots import DEFAULT_ROOT_TOL, Root, RootList, isolate_roots
 from .rules import QuadRule
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, sort_key
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _breakpoints(rule: QuadRule) -> list[Scalar]:
     pts = [Scalar(-1), Scalar(1)]
     pts.extend(x for x, _ in rule.value_nodes)
     pts.extend(y for y, _ in rule.deriv_nodes)
-    pts.sort(key=float)
+    pts.sort(key=sort_key)
     out = [pts[0]]
     for p in pts[1:]:
         if not (out[-1] == p):
@@ -137,7 +137,10 @@ def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelR
         lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
         if piece.is_zero:
             continue
-        piece_roots = isolate_roots(piece, lo, hi, root_tol) if piece.degree >= 1 else ()
+        # nodes of a dual pass that meet at x but part with it leave a piece of
+        # zero length (equal values, compared as plain copies): no roots there
+        inside = piece.degree >= 1 and Scalar(lo) != Scalar(hi)
+        piece_roots = isolate_roots(piece, lo, hi, root_tol) if inside else ()
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
         F = piece.antiderivative()
         prev = F(cuts[0])

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
 from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, sqrt
+from .scalars import Scalar, as_scalar, sort_key, sqrt
 
 F = Fraction
 
@@ -43,7 +43,7 @@ class QuadRule:
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
     """Sort nodes, merge exactly-coincident ones, drop exact-zero weights."""
     pairs = [(as_scalar(x), as_scalar(w)) for x, w in pairs]
-    pairs.sort(key=lambda p: float(p[0]))
+    pairs.sort(key=lambda p: sort_key(p[0]))
     merged: list[tuple[Scalar, Scalar]] = []
     for x, w in pairs:
         if merged and merged[-1][0] == x:

@@ -370,6 +370,8 @@ class Scalar:
     def lt_definite(self, other):
         """True/False when provably ordered, None when enclosures overlap."""
         other = as_scalar(other)
+        if type(other) is _Dual:
+            return _dual_lt(self, other)
         if self._frac is not None and other._frac is not None:
             return self._frac < other._frac
         p = _common_field(self, other)
@@ -391,14 +393,16 @@ class Scalar:
             return float(self) < float(as_scalar(other))
         return r
 
+    # direct __lt__ calls: the operator would try a subclass's reflected
+    # method first, and that one would come straight back here
     def __gt__(self, other):
-        return as_scalar(other) < self
+        return as_scalar(other).__lt__(self)
 
     def __le__(self, other):
-        return not (as_scalar(other) < self)
+        return not as_scalar(other).__lt__(self)
 
     def __ge__(self, other):
-        return not (self < as_scalar(other))
+        return not self.__lt__(other)
 
     def __eq__(self, other):
         """Definite equality: exact values compare exactly, intervals by identical
@@ -515,3 +519,145 @@ def sqrt(x) -> Scalar:
 
 
 ONE = Scalar(1)
+
+
+class _Dual(Scalar):
+    """v + d*eps with eps**2 = 0: a value and its derivative in one free
+    parameter, for forward-mode differentiation (Griewank & Walther,
+    *Evaluating Derivatives*, SIAM 2008, ch. 3).
+
+    The value sits in Scalar's slots, so signs, root isolation and the
+    rational accessors see the value alone, and it is bit for bit the value
+    plain Scalar arithmetic gives.  The arithmetic operators also carry the
+    derivative ``_d``.  A result whose derivative is exactly zero is a plain
+    Scalar, and a value that is exactly zero is not an exact zero while its
+    derivative is nonzero.
+
+    Order, equality, ``abs`` and :func:`sort_key` read eps as a positive
+    infinitesimal: values that tie are ordered by their derivatives, as at
+    the parameter x + eps.  Nodes that meet at x but part as x grows stay
+    apart, so the derivative is the one-sided one in the direction of the
+    seed, as at the ends of a family's domain.
+    """
+
+    __slots__ = ("_d",)
+
+    def __init__(self, value, d):
+        Scalar.__init__(self, value)
+        self._d = as_scalar(d)
+
+    @staticmethod
+    def parts(x) -> tuple[Scalar, Scalar]:
+        """(value, derivative) of any scalar; a plain one has derivative 0."""
+        v, d = _split(x)
+        return v, Scalar(0) if d is None else d
+
+    def is_exact_zero(self) -> bool:
+        return Scalar.is_exact_zero(self) and self._d.is_exact_zero()
+
+    def lt_definite(self, other):
+        return _dual_lt(self, other)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Scalar, int, float, Fraction)):
+            return NotImplemented
+        (a, da), (b, db) = _Dual.parts(self), _Dual.parts(other)
+        return a == b and da == db
+
+    def __neg__(self):
+        v, d = _split(self)
+        return _dual(-v, -d)
+
+    def __abs__(self):
+        v, d = _split(self)
+        s = v.sign()
+        if s == 0:  # v + d*eps has the sign of d
+            s = d.sign()
+        if s == 1:
+            return self
+        if s == -1:
+            return -self
+        # |.| has a corner inside the enclosure: enclose both one-sided slopes
+        _, hi = _iv_endpoints(abs(d).interval())
+        return _dual(abs(v), Scalar(iv.mpf([-hi, hi])))
+
+    # Python tries a subclass's reflected operator before Scalar's own, so
+    # Scalar op _Dual lands here too; Scalar's a - b is a + (-b)
+    def __add__(self, other):
+        return _dual_add(self, other)
+
+    def __radd__(self, other):
+        return _dual_add(other, self)
+
+    def __mul__(self, other):
+        return _dual_mul(self, other)
+
+    def __rmul__(self, other):
+        return _dual_mul(other, self)
+
+    def __truediv__(self, other):
+        return _dual_div(self, other)
+
+    def __rtruediv__(self, other):
+        return _dual_div(other, self)
+
+    def __pow__(self, n: int):
+        v, d = _split(self)
+        if n == 0:
+            return v**0
+        return _dual(v**n, n * v ** (n - 1) * d)
+
+
+def _split(x) -> tuple[Scalar, Scalar | None]:
+    """(plain value, derivative or None for a plain scalar)."""
+    x = as_scalar(x)
+    if isinstance(x, _Dual):
+        return Scalar(x), x._d
+    return x, None
+
+
+def _dual_lt(x, y):
+    """x < y with eps a positive infinitesimal: ties of value go by derivative."""
+    (a, da), (b, db) = _Dual.parts(x), _Dual.parts(y)
+    lt = a.lt_definite(b)
+    return da.lt_definite(db) if lt is False and a == b else lt
+
+
+def sort_key(x) -> tuple[float, float]:
+    """Sort key for nodes and breakpoints: the value as a float, ties broken
+    by the derivative of a dual number (0 for a plain scalar)."""
+    v, d = _split(x)
+    return float(v), 0.0 if d is None else float(d)
+
+
+def _dual(v: Scalar, d) -> Scalar:
+    if d is None or d.is_exact_zero():
+        return v
+    out = _Dual.__new__(_Dual)
+    out._frac, out._ival, out._sqrt, out._d = v._frac, v._ival, v._sqrt, d
+    return out
+
+
+def _dual_add(x, y) -> Scalar:
+    (a, da), (b, db) = _split(x), _split(y)
+    return _dual(a + b, da if db is None else db if da is None else da + db)
+
+
+def _dual_mul(x, y) -> Scalar:
+    (a, da), (b, db) = _split(x), _split(y)
+    if da is None:
+        d = a * db
+    elif db is None:
+        d = da * b
+    else:
+        d = da * b + a * db
+    return _dual(a * b, d)
+
+
+def _dual_div(x, y) -> Scalar:
+    (a, da), (b, db) = _split(x), _split(y)
+    v = a / b
+    if db is None:
+        return _dual(v, da / b)
+    d = -(v * db) if da is None else da - v * db
+    return _dual(v, d / b)

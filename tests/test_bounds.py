@@ -267,6 +267,53 @@ def test_minimum_is_locally_minimal():
                 assert float(probe_val) >= float(res.value) - 1e-11
 
 
+CRITERION_5_CASES = [("gs2", 0), ("gs2", 1), ("franjic", 0), ("franjic", 1),
+                     ("liu_park", 0), ("liu_park", 1)]
+# kernel_l1_norm calls made after the grid and the branch-point bisection,
+# summed over CRITERION_5_CASES, by the golden-section search this search
+# replaced (counted the same way)
+GOLDEN_SECTION_CALLS = 735
+
+
+def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
+    import peanoquad.bounds as bounds
+
+    searching, calls = [False], [0]
+    kernel, search = bounds.kernel_l1_norm, bounds._slope_min
+
+    def counted(*args, **kwargs):
+        calls[0] += searching[0]
+        return kernel(*args, **kwargs)
+
+    def flagged(*args):
+        searching[0] = True
+        return search(*args)
+
+    monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
+    monkeypatch.setattr(bounds, "_slope_min", flagged)
+    for name, r in CRITERION_5_CASES:
+        searching[0] = False
+        minimize_bound(family(name), r)
+    assert 4 * calls[0] <= GOLDEN_SECTION_CALLS, calls[0]
+
+
+def test_tolerance_is_compared_exactly():
+    # float(1e-400) is 0: the tolerance must stay an exact rational
+    tiny = F(1, 10**400)
+    res = minimize_bound(family("gs2"), 0, tol=tiny)
+    assert res.x == Scalar(F(1, 2)) and res.value == Scalar(F(1, 2))
+    # M_1' is exact in Q(sqrt(2x-1)), so the sign-change bracket shrinks
+    # below 1e-400 around 4 - 2 sqrt(3)
+    res = minimize_bound(family("gs2"), 1, tol=tiny)
+    assert res.x.is_rational and not res.multimodal_suspected
+    assert abs(res.x - (4 - 2 * sqrt(Scalar(3)))).lt_definite(Scalar(tiny))
+    for bad in (0, F(-1, 10**12)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            minimize_bound(family("gs2"), 0, tol=bad)
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            bound_scan(family("gs2"), 0, grid_size=5, refine_tol=bad)
+
+
 # ---------------------------------------------------------------------------
 # scans: branch points and export
 

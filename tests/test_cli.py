@@ -123,6 +123,13 @@ def test_minimize_command(capsys):
     assert "0.25" in out and "0.375" in out
 
 
+def test_minimize_tolerance_below_float_range(capsys):
+    # 1e-400 underflows a float to 0; the tolerance is compared exactly
+    code, out, _ = run(capsys, "minimize", "gs2", "--r", "0", "--tol", "1e-400")
+    assert code == 0
+    assert "x*  = 0.5" in out
+
+
 def test_minimize_with_fixed_param(capsys):
     code, out, _ = run(capsys, "minimize", "alomari4", "-p", "lambda=1/3", "--r", "0")
     assert code == 0
