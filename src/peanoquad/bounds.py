@@ -5,8 +5,12 @@ The bound function x -> M_r(x) of a one-parameter family is always computed
 from kernels (never from hard-coded formulas), so it works equally for
 families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
-the grid and bisects each change, which localizes even branch points where
-the bound itself is numerically indistinguishable from smooth.
+the grid, which localizes even branch points where the bound itself is
+numerically indistinguishable from smooth.  A change within the bisection
+tolerance of a grid point (a branch switch at x = 1/2, or nodes colliding at
+a domain end) is taken as that grid point, exactly; any other change is
+bisected, and the simplest rational in the final bracket is reported, so a
+kink at a small rational such as 1/3 comes back exactly too.
 
 Minima are found from the exact derivative dM_r/dx, which one kernel pass on
 the rule built at a dual-number node x + eps gives (forward-mode
@@ -60,7 +64,8 @@ class BoundScan:
     or piece structure changes.  That includes the closed-form branch
     switches of the bound function, and also degenerate parameters where
     nodes collide (typically at domain endpoints); the bound itself may stay
-    smooth through the latter.
+    smooth through the latter.  Each is an exact rational within 1e-9 of the
+    change: the grid point itself when the change lies that close to one.
     """
 
     family: RuleFamily
@@ -202,15 +207,30 @@ def _positive_fraction(value, name: str) -> Fraction:
 
 
 def _locate_signature_change(sig, a: Fraction, b: Fraction, tol: Fraction) -> Fraction:
-    """Bisect [a, b] down to where the kernel root signature first changes."""
-    sig_a = sig(a)
+    """A point within ``tol`` of a change of the kernel root signature in
+    [a, b], whose end signatures differ.
+
+    Branch switches and node collisions often sit on a grid point (x = 0,
+    +-1, 1/2), so the ends are tried first: when the signature one ``tol``
+    inside an end already equals the other end's, the change lies within
+    ``tol`` of that end, which is returned exactly.  Otherwise the cell is
+    bisected, and the simplest rational inside the final bracket is returned,
+    so a kink at a small rational (1/3, 3/5) comes back exactly.  A cell no
+    wider than 2 ``tol`` is only bisected, never probed outside itself.
+    """
+    sig_a, sig_b = sig(a), sig(b)
+    if b - a > 2 * tol:
+        if sig(a + tol) == sig_b:
+            return a
+        if sig(b - tol) == sig_a:
+            return b
     while b - a > tol:
         m = (a + b) / 2
         if sig(m) == sig_a:
             a = m
         else:
             b = m
-    return (a + b) / 2
+    return _simplest_in_open(a, b)
 
 
 def bound_scan(
@@ -223,6 +243,11 @@ def bound_scan(
 ) -> BoundScan:
     """Evaluate x -> M_r(x) on a grid, locate branch points, refine the minimum.
 
+    Each grid cell whose end signatures differ holds a branch point: the cell
+    end itself when the change lies within 1e-9 of it (one or two kernel
+    passes), otherwise the simplest rational in a bisection bracket of width
+    at most 1e-9.  A grid point found from both neighbouring cells is
+    reported once.
     On each branch between branch points the minimum is an end of the branch,
     unless dM_r/dx changes sign from negative to positive across it.  Then
     that sign change is bracketed, each sign decided exactly or by a
@@ -268,7 +293,8 @@ def bound_scan(
     merged: list[Fraction] = []
     for k in kinks:
         # a degenerate transition (double root at the switch) is seen from both
-        # sides; collapse detections within a few bisection tolerances
+        # sides, as the same grid point when it sits on one; collapse
+        # detections within a few bisection tolerances
         if merged and k - merged[-1] <= 8 * branch_tol:
             merged[-1] = (merged[-1] + k) / 2
         else:
@@ -435,13 +461,13 @@ def composite_partition_bound(partition, points, deriv_bound) -> Scalar:
 
 
 def export_scan_csv(scan: BoundScan, path, digits: int = 17) -> None:
-    """Columns x, M_r(x), branch_id."""
-    kinks = [float(k) for k in scan.branch_points]
+    """Columns x, M_r(x), branch_id: the number of branch points strictly
+    below x, compared exactly."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", f"M{scan.order}", "branch_id"])
         for x, v in zip(scan.grid, scan.values):
-            branch = sum(1 for k in kinks if float(x) > k)
+            branch = sum(1 for k in scan.branch_points if k < x)
             w.writerow([x.to_decimal(digits), v.to_decimal(digits), branch])
 
 

@@ -376,7 +376,10 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     polynomial q of exact enclosure midpoints.  Where p's enclosure at an end
     contains zero, a line is subtracted from q so that it vanishes there and
     the boundary root deflates.  A bracket widened by tol/4 is certified when
-    p provably changes sign over it."""
+    p provably changes sign over it.  An even-multiplicity root of p can
+    leave q just clear of zero, so an extremum of q that turns away from zero
+    (q q'' > 0 there), over whose bracket p's enclosure still contains zero,
+    is reported as an uncertified bracket with multiplicity hint 2."""
     q = [sum(c.bounds()) / 2 for c in p.coeffs]
     v_lo = _feval(q, lo) if p(lo_s).contains_zero() else 0
     v_hi = _feval(q, hi) if p(hi_s).contains_zero() else 0
@@ -389,6 +392,16 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
         sa, sb = p(Scalar(qa)).sign(), p(Scalar(qb)).sign()
         certified = sa is not None and sb is not None and sa * sb < 0
         out.append(Root(Scalar.from_interval(qa, qb), r.multiplicity_hint, certified))
+    dq = _fderiv(q)
+    d2q = _fderiv(dq)
+    for r in _isolate_rational(dq, lo, hi, tol):
+        qa, qb = r.location.bounds()
+        c = (qa + qb) / 2
+        if _feval(q, c) * _feval(d2q, c) > 0:
+            qa, qb = qa - tol / 4, qb + tol / 4
+            if p(Scalar.from_interval(qa, qb)).contains_zero():
+                out.append(Root(Scalar.from_interval(qa, qb), 2, False))
+    out.sort(key=lambda r: r.location.bounds()[0])
     return out
 
 

@@ -1,6 +1,7 @@
 """Bound functions vs closed forms, minimizers, box bound, partition bound."""
 
 import csv
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -323,6 +324,7 @@ def test_scan_finds_branch_points_of_three_point_family():
     for r in (0, 1, 2):
         scan = bound_scan(fam, r, grid_size=41, lo=F(1, 100), hi=F(4, 5))
         assert any(abs(float(b) - 1 / 3) < 1e-6 for b in scan.branch_points), r
+        assert Scalar(F(1, 3)) in scan.branch_points, r
 
 
 def test_scan_finds_branch_points_of_fifth_lambda_family():
@@ -331,6 +333,8 @@ def test_scan_finds_branch_points_of_fifth_lambda_family():
     kinks = [float(b) for b in scan.branch_points]
     assert any(abs(b - 0.375) < 1e-6 for b in kinks)
     assert any(abs(b - 0.6) < 1e-6 for b in kinks)
+    assert Scalar(F(3, 8)) in scan.branch_points
+    assert Scalar(F(3, 5)) in scan.branch_points
 
 
 def test_scan_invariants_and_minimizer():
@@ -347,6 +351,7 @@ def test_scan_smooth_bound_reports_only_edge_degeneracies():
     # are the node colliding with an interval end at x = +-1
     scan = bound_scan(family("ostrowski"), 0, grid_size=21)
     assert all(abs(abs(float(b)) - 1.0) < 1e-6 for b in scan.branch_points)
+    assert scan.branch_points == (Scalar(-1), Scalar(1))
     assert abs(float(scan.minimizer[0])) < 1e-9
     assert float(scan.minimizer[1]) == 1.0
 
@@ -377,6 +382,137 @@ def test_scan_export(tmp_path):
     data = json.loads(json_path.read_text())
     assert data["family"] == "alomari4(lambda=1/5)"
     assert len(data["branch_points"]) == len(scan.branch_points)
+
+
+def _bisect_locate(sig, a, b, tol):
+    """Reference branch-point search: bisect every change down to a bracket
+    no wider than tol and return its midpoint."""
+    sig_a = sig(a)
+    while b - a > tol:
+        m = (a + b) / 2
+        if sig(m) == sig_a:
+            a = m
+        else:
+            b = m
+    return (a + b) / 2
+
+
+# every family with a free node x; the parameters of the others are those
+# the family_scan benchmark pins with seeds 1 and 5
+SCAN_FAMILIES = [
+    ("ostrowski", {}), ("mp3", {}), ("mod3_opt", {}), ("gs2", {}), ("franjic", {}),
+    ("liu_park", {}), ("dragomir_sofo", {}),
+    ("mod3", {"lam": F(9, 19)}), ("mod3", {"lam": F(7, 17)}),
+    ("dcr", {"lam": F(2, 7)}), ("dcr", {"lam": F(17, 60)}),
+    ("alomari4", {"lam": F(9, 43)}), ("alomari4", {"lam": F(3, 16)}),
+    ("q44", {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)}),
+    ("q44", {"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}),
+]
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_branch_points_agree_with_the_bisection_reference(name, fixed, monkeypatch):
+    import peanoquad.bounds as bounds
+
+    fam = family(name, **fixed)
+    for r in range(fam.generic_degree + 1):
+        got = bound_scan(fam, r, grid_size=33)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_locate_signature_change", _bisect_locate)
+            ref = bound_scan(fam, r, grid_size=33)
+        assert len(got.branch_points) == len(ref.branch_points), (name, r)
+        for k, k_ref in zip(got.branch_points, ref.branch_points):
+            assert abs(k.as_fraction() - k_ref.as_fraction()) <= F(1, 10**9), (name, r)
+        assert [v.to_json_str() for v in got.values] == [v.to_json_str() for v in ref.values]
+        assert ([v.to_json_str() for v in got.minimizer]
+                == [v.to_json_str() for v in ref.minimizer]), (name, r)
+        assert got.multimodal_suspected == ref.multimodal_suspected
+
+
+def test_branch_points_on_grid_points_are_exact():
+    def points(name, r, **kw):
+        return bound_scan(family(name), r, grid_size=33, **kw).branch_points
+
+    assert points("liu_park", 0) == (Scalar(0), Scalar(F(1, 2)), Scalar(1))
+    assert points("ostrowski", 0) == (Scalar(-1), Scalar(1))
+    assert Scalar(F(1, 2)) in points("gs2", 1)
+    # x = 0 is seen from both neighbouring cells and reported once
+    assert points("dragomir_sofo", 1) == (Scalar(-1), Scalar(0), Scalar(1))
+    assert points("mod3_opt", 2) == (Scalar(F(-1, 3)), Scalar(0), Scalar(F(1, 3)))
+
+
+# kernel passes of the branch-point search over the scans below on 33
+# points, counted the same way, when every change was bisected to 1e-9: 693
+# in 27 searches, 641 of them for the 25 changes on a grid point
+GRID_POINT_SCANS = [("ostrowski", 0), ("gs2", 0), ("gs2", 1), ("franjic", 0), ("franjic", 1),
+                    ("liu_park", 0), ("liu_park", 1), ("dragomir_sofo", 0),
+                    ("dragomir_sofo", 1), ("mod3_opt", 2)]
+
+
+def test_grid_point_branch_points_need_few_kernel_passes(monkeypatch):
+    import peanoquad.bounds as bounds
+
+    calls = [0]
+    kernel, locate = bounds.kernel_l1_norm, bounds._locate_signature_change
+    on_grid, passes = [], []
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    def located(sig, a, b, tol):
+        before = calls[0]
+        k = locate(sig, a, b, tol)
+        passes.append(calls[0] - before)
+        on_grid.append(k in (a, b))
+        return k
+
+    monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
+    monkeypatch.setattr(bounds, "_locate_signature_change", located)
+    for name, r in GRID_POINT_SCANS:
+        bound_scan(family(name), r, grid_size=33)
+    assert sum(on_grid) >= 20
+    assert all(n <= 2 for n, hit in zip(passes, on_grid) if hit), passes
+    assert 5 * sum(passes) <= 693, sum(passes)
+
+
+def test_narrow_scan_window_is_never_probed_outside_a_cell(monkeypatch):
+    import peanoquad.bounds as bounds
+
+    locate = bounds._locate_signature_change
+    probes = []
+
+    def located(sig, a, b, tol):
+        def watched(x):
+            probes.append((a, x, b))
+            return sig(x)
+
+        return locate(watched, a, b, tol)
+
+    monkeypatch.setattr(bounds, "_locate_signature_change", located)
+    # liu_park r = 0 switches branch at 1/2, inside a window of width 1e-9
+    lo, hi = F(1, 2) - F(3, 10**10), F(1, 2) + F(7, 10**10)
+    scan = bound_scan(family("liu_park"), 0, grid_size=5, lo=lo, hi=hi)
+    assert probes and all(a <= x <= b for a, x, b in probes)
+    [k] = scan.branch_points
+    assert lo < k.as_fraction() < hi
+    assert abs(k.as_fraction() - F(1, 2)) <= F(1, 10**9)
+
+
+def test_scan_csv_branch_ids_are_exact(tmp_path):
+    # branch points 0, 1/2 and 1 sit on the grid: a grid point's id counts
+    # the branch points strictly below it
+    scan = bound_scan(family("liu_park"), 0, grid_size=33)
+    path = tmp_path / "scan.csv"
+    export_scan_csv(scan, path)
+    ids = [int(row[2]) for row in list(csv.reader(open(path)))[1:]]
+    assert ids == [0] + [1] * 16 + [2] * 16
+    # a branch point a float cannot tell from the grid point 1/2
+    tiny = F(1, 10**30)
+    moved = dataclasses.replace(scan, branch_points=(Scalar(F(1, 2) - tiny),))
+    export_scan_csv(moved, path)
+    ids = [int(row[2]) for row in list(csv.reader(open(path)))[1:]]
+    assert ids == [0] * 16 + [1] * 17
 
 
 # ---------------------------------------------------------------------------

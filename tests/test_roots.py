@@ -165,3 +165,26 @@ def test_interval_data_double_root_is_reported_uncertified():
     assert root.multiplicity_hint == 2
     lo, hi = root.location.bounds()
     assert lo < F(1, 4) < hi and hi - lo <= tol
+
+
+def test_interval_data_double_root_off_the_midpoint_grid():
+    # (t - 1/3)^2 with the constant 1/9 +- 1e-40: the enclosure's midpoint
+    # is not exactly 1/9, so the midpoint polynomial misses zero near 1/3 by
+    # a hair; its minimum there is still reported, uncertified
+    def poly(c):
+        return Polynomial([Scalar.from_interval(c - F(1, 10**40), c + F(1, 10**40)), F(-2, 3), 1])
+
+    tol = F(1, 10**20)
+    [root] = isolate_roots(poly(F(1, 9)), 0, 1, tol)
+    assert not root.is_exact() and not root.certified
+    assert root.multiplicity_hint == 2
+    lo, hi = root.location.bounds()
+    assert lo < F(1, 3) < hi and hi - lo <= tol
+    # a minimum clear of zero is no root, and one below zero adds nothing to
+    # the two certified roots around it
+    assert len(isolate_roots(poly(F(1, 9) + F(1, 1000)), 0, 1, tol)) == 0
+    got = isolate_roots(poly(F(1, 9) - F(1, 100)), 0, 1, tol)
+    assert [r.certified for r in got] == [True, True]
+    for root, want in zip(got, (F(7, 30), F(13, 30))):
+        lo, hi = root.location.bounds()
+        assert lo < want < hi
