@@ -25,7 +25,6 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
 from .peano import kernel_l1_norm
 from .roots import _simplest_in_open
 from .rules import QuadRule, RuleFamily
-from .scalars import Scalar, _Dual, as_scalar, field_parts, get_working_dps
+from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
 
 def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
@@ -133,15 +132,7 @@ def _estimate(g: Scalar) -> Fraction:
         lo, hi = g.bounds()
         return (lo + hi) / 2
     m, [(a, b)] = parts
-    if b == 0:
-        return a
-    k = 4 * get_working_dps()
-    root = Fraction(isqrt(m << 2 * k), 1 << k)  # sqrt(m) to about k bits
-    if a * b >= 0:
-        return a + b * root
-    # a and b*sqrt(m) nearly cancel near a zero of M': divide the exact norm
-    # by the conjugate, where they add
-    return (a * a - b * b * m) / (a - b * root)
+    return approx_quad(a, b, m, 4 * get_working_dps())
 
 
 def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Scalar]:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from .bounds import bound_scan, export_scan_csv, export_scan_json, minimize_bound
 from .composite import composite_integrate
@@ -32,13 +33,19 @@ _EXIT_AMBIGUOUS = 3
 _MAX_REPORT_ORDER = 8
 
 
-def _out_path(path: str) -> str:
-    """Resolve an output path, honoring the output-directory override."""
+def _write(path: str, write) -> None:
+    """Call ``write`` on the output path, under $PEANOQUAD_OUTDIR when that is
+    set and the path is relative, and report the file written."""
     base = os.environ.get("PEANOQUAD_OUTDIR")
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+        path = os.path.join(base, path)
+    write(path)
+    print(f"wrote {path}")
+
+
+def _write_json(payload: dict, path: str) -> None:
+    _write(path, lambda p: Path(p).write_text(json.dumps(payload, indent=2) + "\n"))
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -107,19 +114,14 @@ def _cmd_analyze(args) -> int:
             "radius": rep.radius,
         })
     if args.json:
-        payload = {
+        _write_json({
             "rule": rule_to_json_dict(rule),
             "degree": d,
             "degree_at_least": report.at_least,
             "remainders": [s.to_json_str(args.digits) for s in report.remainders],
             "constants": constants,
             "ambiguous_indices": list(report.ambiguous_indices),
-        }
-        path = _out_path(args.json)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+        }, args.json)
     if args.strict and report.ambiguous_indices:
         print(f"numerically ambiguous remainder indices: {list(report.ambiguous_indices)}",
               file=sys.stderr)
@@ -133,22 +135,14 @@ def _cmd_kernel(args) -> int:
     print(f"rule {rule.name}, order {args.r}: M_{args.r} = {report.l1_norm.to_decimal(args.digits)}"
           f" (radius {report.radius:.2g})")
     if args.csv:
-        path = _out_path(args.csv)
-        export_kernel_csv(report, path, points=args.grid, digits=args.digits)
-        print(f"wrote {path}")
+        _write(args.csv, lambda p: export_kernel_csv(report, p, args.grid, args.digits))
     if args.json:
-        path = _out_path(args.json)
-        export_kernel_json(report, path, digits=args.digits)
-        print(f"wrote {path}")
+        _write(args.json, lambda p: export_kernel_json(report, p, digits=args.digits))
     return _EXIT_OK
 
 
-def _family_from_args(args):
-    return family(args.family, **_parse_params(args.param))
-
-
 def _cmd_scan(args) -> int:
-    fam = _family_from_args(args)
+    fam = family(args.family, **_parse_params(args.param))
     scan = bound_scan(
         fam,
         args.r,
@@ -164,18 +158,14 @@ def _cmd_scan(args) -> int:
     if scan.multimodal_suspected:
         print("  warning: multimodal suspected; minimizer is grid-refined only")
     if args.csv:
-        path = _out_path(args.csv)
-        export_scan_csv(scan, path, digits=args.digits)
-        print(f"wrote {path}")
+        _write(args.csv, lambda p: export_scan_csv(scan, p, digits=args.digits))
     if args.json:
-        path = _out_path(args.json)
-        export_scan_json(scan, path, digits=args.digits)
-        print(f"wrote {path}")
+        _write(args.json, lambda p: export_scan_json(scan, p, digits=args.digits))
     return _EXIT_OK
 
 
 def _cmd_minimize(args) -> int:
-    fam = _family_from_args(args)
+    fam = family(args.family, **_parse_params(args.param))
     res = minimize_bound(fam, args.r, tol=args.tol.as_fraction())
     print(f"family {fam.label()}, order {args.r}:")
     print(f"  x*  = {res.x.to_decimal(args.digits)}")
@@ -183,18 +173,13 @@ def _cmd_minimize(args) -> int:
     if res.multimodal_suspected:
         print("  warning: multimodal suspected")
     if args.json:
-        payload = {
+        _write_json({
             "family": fam.label(),
             "order": args.r,
             "x": res.x.to_decimal(args.digits),
             "value": res.value.to_decimal(args.digits),
             "multimodal_suspected": res.multimodal_suspected,
-        }
-        path = _out_path(args.json)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+        }, args.json)
     return _EXIT_OK
 
 
@@ -209,7 +194,7 @@ def _cmd_integrate(args) -> int:
     print(f"  certificate = {res.certificate.to_decimal(args.digits)}"
           f"  (asserted sup |f^({args.r + 1})| = {res.deriv_sup_asserted.to_decimal(6)})")
     if args.json:
-        payload = {
+        _write_json({
             "rule": rule.name,
             "a": str(args.a), "b": str(args.b),
             "panels": res.panels,
@@ -217,12 +202,7 @@ def _cmd_integrate(args) -> int:
             "value": res.value.to_decimal(args.digits),
             "certificate": res.certificate.to_decimal(args.digits),
             "deriv_sup": res.deriv_sup_asserted.to_decimal(args.digits),
-        }
-        path = _out_path(args.json)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+        }, args.json)
     return _EXIT_OK
 
 

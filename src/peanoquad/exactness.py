@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rules import QuadRule
-from .scalars import Scalar
+from .scalars import Scalar, minus_terms
 
 #: A nonzero value this close to its own error radius gets flagged.
 AMBIGUITY_FACTOR = 10
@@ -42,28 +42,26 @@ def remainder_on_monomial(rule: QuadRule, k: int) -> Scalar:
     """R(e_k): integral of t**k minus the rule applied to t**k.
 
     Exact whenever every node and weight is rational or lies in one field
-    Q(sqrt m), so symmetric irrational contributions cancel exactly.
+    Q(sqrt m), so symmetric irrational contributions cancel exactly; the
+    exact terms are subtracted before the interval ones (``minus_terms``).
     """
     if k < 0:
         raise ValueError("monomial index must be nonnegative")
     terms = [a * x**k for x, a in rule.value_nodes]
     if k >= 1:
         terms.extend(b * k * y ** (k - 1) for y, b in rule.deriv_nodes)
-    return integral_of_monomial(k) - sum(terms, Scalar(0))
+    return minus_terms(integral_of_monomial(k), terms)
 
 
 def _classify(value: Scalar) -> tuple[str, bool]:
     """('zero'|'nonzero', ambiguous_flag) for a remainder value."""
-    if value.is_rational:
-        return ("zero" if value.as_fraction() == 0 else "nonzero", False)
     if value.zero_within():
         return "zero", False
     if value.contains_zero():
         # straddles zero but too wide to certify: treat as a nonzero stop,
         # flagged, so callers can raise the working precision
         return "nonzero", True
-    ambiguous = abs(float(value)) < AMBIGUITY_FACTOR * value.radius()
-    return "nonzero", ambiguous
+    return "nonzero", abs(float(value)) < AMBIGUITY_FACTOR * value.radius()
 
 
 def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
@@ -74,8 +72,7 @@ def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    remainders = []
-    flags = []
+    remainders, flags, first = [], [], None
     for k in range(k_max + 1):
         r = remainder_on_monomial(rule, k)
         remainders.append(r)
@@ -83,18 +80,12 @@ def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
         if ambiguous:
             flags.append(k)
         if kind == "nonzero":
-            return ExactnessReport(
-                remainders=tuple(remainders),
-                degree=k - 1,
-                first_nonzero_index=k,
-                at_least=False,
-                ambiguous_indices=tuple(flags),
-            )
+            first = k
+            break
     return ExactnessReport(
         remainders=tuple(remainders),
-        degree=k_max,
-        first_nonzero_index=None,
-        at_least=True,
+        degree=k_max if first is None else first - 1,
+        first_nonzero_index=first,
+        at_least=first is None,
         ambiguous_indices=tuple(flags),
     )
-

@@ -10,6 +10,10 @@ assembled here piece by piece between consecutive breakpoints (the union of
 taken per piece so kernel values at breakpoints come from the left piece.
 The L1 norm integrates |K_r| exactly between isolated sign changes, which
 yields the sharp sup-norm error constant of the rule.
+
+The order condition is read from the same node terms: I[(x-t)^r] minus all
+of them is R[(x-t)^r], whose coefficient of t^(r-j) is binom(r, j)
+(-1)^(r-j) R(e_j), so it vanishes exactly when the rule is exact on degree r.
 """
 
 from __future__ import annotations
@@ -19,13 +23,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import OrderExceedsExactness
-from .exactness import degree_of_exactness
 from .polynomials import Polynomial
 from .roots import DEFAULT_ROOT_TOL, Root, RootList, isolate_roots
 from .rules import QuadRule
-from .scalars import Scalar, as_scalar, sort_key
+from .scalars import Scalar, as_scalar, minus_terms, sort_key
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,18 @@ class KernelReport:
     order: int
     kernel: PiecewisePolynomial
     l1_norm: Scalar
-    radius: float
     sign_changes: RootList
-    continuity_flags: tuple[bool, ...]
+
+    @property
+    def radius(self) -> float:
+        return self.l1_norm.radius()
+
+    @property
+    def continuity_flags(self) -> tuple[bool, ...]:
+        """Whether the jump of K_r at each interior breakpoint passes ``zero_within``."""
+        k = self.kernel
+        return tuple((k.pieces[i - 1](b) - k.pieces[i](b)).zero_within()
+                     for i, b in enumerate(k.breakpoints[1:-1], 1))
 
 
 def _breakpoints(rule: QuadRule) -> list[Scalar]:
@@ -81,6 +94,13 @@ def _breakpoints(rule: QuadRule) -> list[Scalar]:
         if not (out[-1] == p):
             out.append(p)
     return out
+
+
+@lru_cache(maxsize=64)
+def _integrals(r: int) -> tuple[Polynomial, Polynomial]:
+    """(1-t)^(r+1)/(r+1) and I[(x-t)^r] = ((1-t)^(r+1) - (-1-t)^(r+1))/(r+1)."""
+    lead = Polynomial([1, -1]) ** (r + 1) * Scalar(Fraction(1, r + 1))
+    return lead, lead - Polynomial([-1, -1]) ** (r + 1) * Scalar(Fraction(1, r + 1))
 
 
 def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
@@ -96,20 +116,24 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
     same order whatever the tier of the data.
+
+    ``OrderExceedsExactness`` is raised unless every coefficient of
+    I[(x-t)^r] - (all node terms), formed by ``minus_terms``, passes ``zero_within``.
     """
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
-    if degree_of_exactness(rule, r).degree < r:
-        raise OrderExceedsExactness(
-            f"rule {rule.name} is not exact on degree {r} polynomials; "
-            "the order-{r} kernel identity does not hold".format(r=r)
-        )
-    bps = _breakpoints(rule)
-    r_fact = math.factorial(r)
-    lead = Polynomial([1, -1]) ** (r + 1) * Scalar(Fraction(1, r + 1))
+    lead, moments = _integrals(r)
     terms = [(x, Polynomial([x, -1]) ** r * a) for x, a in rule.value_nodes]
     if r >= 1:
         terms += [(y, Polynomial([y, -1]) ** (r - 1) * (b * r)) for y, b in rule.deriv_nodes]
+    for i, c in enumerate(moments.coeffs):
+        if not minus_terms(c, [t.coeffs[i] for _, t in terms if i < len(t.coeffs)]).zero_within():
+            raise OrderExceedsExactness(
+                f"rule {rule.name} is not exact on degree {r} polynomials; "
+                f"the order-{r} kernel identity does not hold"
+            )
+    bps = _breakpoints(rule)
+    r_fact = math.factorial(r)
     pieces = []
     for i in range(len(bps) - 1):
         right = bps[i + 1]
@@ -149,19 +173,7 @@ def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelR
             total = total + abs(cur - prev)
             prev = cur
         roots.extend(piece_roots)
-    flags = []
-    for i in range(1, len(kernel.breakpoints) - 1):
-        b = kernel.breakpoints[i]
-        jump = kernel.pieces[i - 1](b) - kernel.pieces[i](b)
-        flags.append(jump.zero_within())
-    return KernelReport(
-        order=r,
-        kernel=kernel,
-        l1_norm=total,
-        radius=total.radius(),
-        sign_changes=RootList(tuple(roots)),
-        continuity_flags=tuple(flags),
-    )
+    return KernelReport(order=r, kernel=kernel, l1_norm=total, sign_changes=RootList(tuple(roots)))
 
 
 def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:
@@ -184,22 +196,16 @@ def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar
 # export
 
 
-def kernel_grid(kernel: PiecewisePolynomial, points: int = 2001):
-    """Uniform sampling of the kernel over [-1, 1] (left-piece values)."""
+def export_kernel_csv(report: KernelReport, path, points: int = 2001, digits: int = 17) -> None:
+    """Columns t, K<r>(t) on a uniform grid of [-1, 1] (left-piece values)."""
     if points < 2:
         raise ValueError("need at least two grid points")
-    for i in range(points):
-        t = Scalar(Fraction(-1) + Fraction(2 * i, points - 1))
-        yield t, kernel.evaluate(t)
-
-
-def export_kernel_csv(report: KernelReport, path, points: int = 2001, digits: int = 17) -> None:
-    """Columns t, K<r>(t) on a uniform grid."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", f"K{report.order}"])
-        for t, v in kernel_grid(report.kernel, points):
-            w.writerow([t.to_decimal(digits), v.to_decimal(digits)])
+        for i in range(points):
+            t = Scalar(Fraction(-1) + Fraction(2 * i, points - 1))
+            w.writerow([t.to_decimal(digits), report.kernel.evaluate(t).to_decimal(digits)])
 
 
 def kernel_report_json_dict(report: KernelReport, digits: int = 17) -> dict:

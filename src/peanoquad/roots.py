@@ -52,9 +52,6 @@ class RootList:
     def __len__(self):
         return len(self.roots)
 
-    def locations(self) -> tuple[Scalar, ...]:
-        return tuple(r.location for r in self.roots)
-
 
 # --------------------------------------------------------------------------
 # exact helpers on Fraction coefficient lists (index i = coefficient of t^i)

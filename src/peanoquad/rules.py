@@ -31,10 +31,7 @@ class QuadRule:
     params: dict = field(default_factory=dict)
 
     def weight_sum(self) -> Scalar:
-        total = Scalar(0)
-        for _, a in self.value_nodes:
-            total = total + a
-        return total
+        return sum((a for _, a in self.value_nodes), Scalar(0))
 
     def apply(self, f, a=-1, b=1, fprime=None) -> Scalar:
         return apply_rule(self, f, a, b, fprime)

@@ -28,7 +28,7 @@ from math import isqrt
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 _DEFAULT_DPS = 60
 
@@ -251,8 +251,17 @@ class Scalar:
         return float((hi - lo) / 2)
 
     def __float__(self) -> float:
+        """Nearest float; correctly rounded for a rational or a + b*sqrt(m)."""
         if self._frac is not None:
             return float(self._frac)
+        if self._sqrt is not None:
+            # the truncations of sqrt(m) from below and above bracket the value;
+            # refine until both round alike (an irrational is never a tie)
+            a, b, m = self._sqrt
+            bits = 64
+            while (x := float(approx_quad(a, b, m, bits))) != float(approx_quad(a, b, m, bits, True)):
+                bits *= 2
+            return x
         return float(self.interval().mid)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -355,7 +364,7 @@ class Scalar:
             return Scalar(1) / (self ** (-n))
         if self._frac is not None:
             return Scalar(self._frac**n)
-        if self._ival is not None:
+        if self._ival is not None and n:  # x**0 is exactly 1 on every tier
             return Scalar(self._ival**n)
         out, base = Scalar(1), self
         while n:
@@ -486,6 +495,34 @@ def _common_field(x: Scalar, y: Scalar):
     if m1 < m2:
         return a1, b1, a2, b2 * Fraction(s, m1), m1
     return a1, b1 * Fraction(s, m2), a2, b2, m2
+
+
+def approx_quad(a: Fraction, b: Fraction, m: int, bits: int, above: bool = False) -> Fraction:
+    """a + b*sqrt(m) with sqrt(m) truncated to ``bits`` bits (one unit more
+    when ``above``), close relative to the value: where a and b*sqrt(m) have
+    opposite signs it is the exact norm divided by the conjugate, where they
+    add.  Monotone in the root, so the two truncations bracket the value."""
+    root = Fraction(isqrt(m << 2 * bits) + above, 1 << bits)
+    if a * b >= 0:
+        return a + b * root
+    return (a * a - b * b * m) / (a - b * root)
+
+
+def minus_terms(total: Scalar, terms) -> Scalar:
+    """total minus the sum of terms: the exact terms exactly, then the interval
+    ones on the exact bounds of their enclosures, rounded outward once, so a
+    difference far below their rounding survives and no sum of the same
+    enclosures at the working precision is narrower."""
+    for t in terms:
+        if t.is_exact:
+            total = total - t
+    rest = [t.bounds() for t in terms if not t.is_exact]
+    if not rest:
+        return total
+    lo, hi = total.bounds()
+    lo, hi = lo - sum(b for _, b in rest), hi - sum(a for a, _ in rest)
+    return Scalar(iv.mpf([mpmath.mp.make_mpf(from_rational(q.numerator, q.denominator, iv.prec, rnd))
+                          for q, rnd in ((lo, round_floor), (hi, round_ceiling))]))
 
 
 def field_parts(values):

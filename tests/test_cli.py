@@ -193,3 +193,22 @@ def test_analyze_shows_quadratic_field_constants_exactly(tmp_path, capsys):
     assert exact == ["5/3-2/3*sqrt(3)", None, "1/12-1/27*sqrt(3)", "1/135"]
     line = next(ln for ln in out.splitlines() if "M_0" in ln)
     assert "5/3-2/3*sqrt(3)" in line and "radius" not in line
+
+
+def test_json_payloads_share_one_writer(tmp_path, capsys, monkeypatch):
+    # analyze, minimize and integrate write two-space indented JSON with a
+    # final newline, under PEANOQUAD_OUTDIR for a relative path, and say so
+    monkeypatch.setenv("PEANOQUAD_OUTDIR", str(tmp_path / "out"))
+    commands = [
+        ("analyze", "simpson", "--json", "a.json"),
+        ("minimize", "gs2", "--r", "1", "--json", "m.json"),
+        ("integrate", "simpson", "--function", "poly:1,0,3", "--a", "0", "--b", "1",
+         "--r", "3", "--deriv-sup", "0", "--json", "i.json"),
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / "out" / argv[-1]
+        assert code == 0
+        assert out.count("wrote ") == 1 and out.rstrip().endswith(f"wrote {path}")
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -14,10 +14,13 @@ from peanoquad import (
     Polynomial,
     Scalar,
     build_kernel,
+    catalog_names,
     custom_rule,
     degree_of_exactness,
     export_kernel_csv,
     export_kernel_json,
+    family,
+    integral_of_monomial,
     kernel_l1_norm,
     make_rule,
     remainder_on_monomial,
@@ -25,6 +28,7 @@ from peanoquad import (
     sqrt,
     verify_peano_identity,
 )
+from peanoquad.scalars import _Dual
 from util import assert_scalar_equals, random_rational_rule, scalar_is_zero
 
 S3 = sqrt(Scalar(3))
@@ -435,6 +439,119 @@ def test_build_kernel_matches_per_piece_reference():
                 for c, w in zip(got_p.coeffs, want_p.coeffs):
                     assert c.to_json_str() == w.to_json_str(), (rule.name, r)
                     assert c.bounds() == w.bounds(), (rule.name, r)
+
+
+def _order_check_rules():
+    """The catalog, 50 seeded rational rules, the mod3 sqrt rule, dual-number
+    rules of every scannable family, and rules with interval data."""
+    rng = random.Random(88)
+    rules = _kernel_reference_rules()
+    rules += [random_rational_rule(rng, with_derivs=i % 2 == 1, force_degree_one=i % 4 == 1)
+              for i in range(40)]
+    for name, fixed, x in [("ostrowski", {}, F(1, 3)), ("mp3", {}, F(1, 2)),
+                           ("mod3", {"lam": F(1, 2)}, F(1, 4)), ("mod3_opt", {}, F(1, 3)),
+                           ("gs2", {}, F(1, 2)), ("franjic", {}, F(1, 5)),
+                           ("alomari4", {"lam": F(1, 5)}, F(2, 5)), ("liu_park", {}, F(1, 4)),
+                           ("dragomir_sofo", {}, F(1, 2)),
+                           ("q44", {"lam": F(1, 5), "gamma": F(1, 30), "delta": F(1, 10)}, F(1, 2))]:
+        for seed in (1, -1):
+            rules.append(family(name, **fixed).build(_Dual(x, seed)))
+    wobble = _narrow(F(0), 50)
+    rules += [
+        _simpson_with_tiny_derivative_nodes(),
+        # exact weights summing to 2 - 1e-40: R(e_0) is exact and nonzero
+        custom_rule("interval_node", [(-1, F(1, 3)), (_narrow(F(0)), F(4, 3) - F(1, 10**40)),
+                                      (1, F(1, 3))]),
+        custom_rule("interval_weights",
+                    [(-1, _narrow(F(1, 2))), (_narrow(F(1, 3), 50), _narrow(F(3, 2), 50))],
+                    [(F(1, 3), _narrow(F(1, 7)))]),
+        custom_rule("interval_lobatto", [(-1, F(1, 6)), (-S5 / 5 + wobble, F(5, 6)),
+                                         (S5 / 5 + wobble, F(5, 6)), (1, F(1, 6))]),
+    ]
+    return rules
+
+
+def _narrow(q, digits=40):
+    return Scalar.from_interval(q - F(1, 10**digits), q + F(1, 10**digits))
+
+
+def _simpson_with_tiny_derivative_nodes():
+    """Simpson plus derivative nodes 1/2 and -1/2 (each an interval of
+    half-width 1e-40) with weights 1e-40 and -1e-40: R(e_2) is about -2e-40,
+    far below the rounding of Simpson's exact terms at 15 digits."""
+    tiny = F(1, 10**40)
+    return custom_rule("simpson_tiny_derivs", [(-1, F(1, 3)), (0, F(4, 3)), (1, F(1, 3))],
+                       [(_narrow(F(1, 2)), tiny), (_narrow(F(-1, 2)), -tiny)])
+
+
+@pytest.mark.parametrize("dps", [15, 20, 30, 60, 120, 200])
+def test_kernel_order_check_agrees_with_degree_of_exactness(dps):
+    set_working_dps(dps)
+    try:
+        for rule in _order_check_rules():
+            degree = degree_of_exactness(rule, 8).degree
+            for r in range(9):
+                try:
+                    build_kernel(rule, r)
+                    raised = False
+                except OrderExceedsExactness:
+                    raised = True
+                assert raised == (degree < r), (rule.name, r, degree)
+    finally:
+        set_working_dps(60)
+
+
+def test_remainder_far_below_rounding_is_kept():
+    # the exact Simpson terms cancel the integral before the 1e-40 interval
+    # terms are subtracted; summed together they rounded R(e_2) away to 0
+    set_working_dps(15)
+    try:
+        rule = _simpson_with_tiny_derivative_nodes()
+        report = degree_of_exactness(rule, 8)
+        assert report.degree == 1
+        assert report.remainders[2].lt_definite(0) is True
+        with pytest.raises(OrderExceedsExactness):
+            build_kernel(rule, 2)
+        build_kernel(rule, 1)
+    finally:
+        set_working_dps(60)
+
+
+@pytest.mark.parametrize("dps", [15, 60, 120])
+def test_remainder_no_wider_than_running_sum(dps):
+    # the summation the remainder used before: integral - (t_1 + ... + t_n)
+    # in rule order; the exact-first enclosure must lie inside it
+    set_working_dps(dps)
+    try:
+        for rule in _order_check_rules():
+            for k in range(9):
+                terms = [a * x**k for x, a in rule.value_nodes]
+                if k >= 1:
+                    terms += [b * k * y ** (k - 1) for y, b in rule.deriv_nodes]
+                ref_lo, ref_hi = (integral_of_monomial(k) - sum(terms, Scalar(0))).bounds()
+                lo, hi = remainder_on_monomial(rule, k).bounds()
+                assert ref_lo <= lo and hi <= ref_hi, (rule.name, k)
+    finally:
+        set_working_dps(60)
+
+
+def test_kernel_passes_run_no_exactness_loop(monkeypatch):
+    from peanoquad import exactness, peano
+
+    rules = _kernel_reference_rules()[:17]
+    assert sorted(rule.name for rule in rules) == sorted(catalog_names())
+    orders = [(rule, r) for rule in rules for r in range(degree_of_exactness(rule, 8).degree + 1)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return degree_of_exactness(*args, **kwargs)
+
+    monkeypatch.setattr(exactness, "degree_of_exactness", counted)
+    monkeypatch.setattr(peano, "degree_of_exactness", counted, raising=False)
+    for rule, r in orders:
+        kernel_l1_norm(rule, r)
+    assert len(orders) > 40 and calls == []
 
 
 def test_mixed_radicand_rule_brackets():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from peanoquad import Scalar, get_working_dps, set_working_dps, sqrt
+from peanoquad import Scalar, composite_integrate, get_working_dps, make_rule, set_working_dps, sqrt
 from peanoquad.scalars import as_scalar
 
 
@@ -223,3 +223,49 @@ def test_as_scalar_coercions():
     assert as_scalar("1/7").as_fraction() == F(1, 7)
     s = Scalar(5)
     assert as_scalar(s) is s
+
+
+def _lobatto4_composite_nodes():
+    """The irrational nodes a + b*sqrt(5) of lobatto4 on 5000 panels of
+    [-3/4, 5/3], as composite integration forms them."""
+    nodes = []
+    composite_integrate(make_rule("lobatto4"), lambda t: nodes.append(t) or 0.0,
+                        F(-3, 4), F(5, 3), 5000, 1, 1)
+    return [t for t in nodes if not t.is_rational]
+
+
+@pytest.mark.parametrize("dps", [15, 60])
+def test_float_of_quadratic_field_value_is_correctly_rounded(dps):
+    nodes = _lobatto4_composite_nodes()
+    assert len(nodes) == 10000
+    set_working_dps(200)
+    try:
+        want = []
+        for t in nodes:
+            lo, hi = t.bounds()  # float() of a Fraction rounds correctly
+            assert float(lo) == float(hi)
+            want.append(float(lo))
+        set_working_dps(dps)
+        assert [float(t) for t in nodes] == want
+    finally:
+        set_working_dps(60)
+
+
+def test_float_near_a_tie_and_under_cancellation():
+    # tie = 1 + 2**-53 lies halfway between two floats; a + sqrt(2) within
+    # 1e-40 of it on either side must round away from the tie correctly
+    tie = 1 + F(1, 2**53)
+    q = F(math.isqrt(2 * 10**80), 10**40)  # sqrt(2) - 1e-40 < q < sqrt(2)
+    above = Scalar(tie - q) + sqrt(Scalar(2))
+    below = Scalar(tie - q - F(1, 10**40)) + sqrt(Scalar(2))
+    assert float(above) == 1 + 2.0**-52 and float(below) == 1.0
+    # 99/70 - sqrt(2) ~ 7.2e-5: a and b*sqrt(m) nearly cancel
+    gap = Scalar(F(99, 70)) - sqrt(Scalar(2))
+    with mpmath.workdps(60):
+        assert float(gap) == float(mpmath.mpf(99) / 70 - mpmath.sqrt(2))
+
+
+def test_zeroth_power_is_exact():
+    x = Scalar.from_interval(F(1, 3) - F(1, 10**40), F(1, 3) + F(1, 10**40))
+    assert (x**0).is_rational and (x**0).as_fraction() == 1
+    assert (sqrt(Scalar(2)) ** 0).as_fraction() == 1
