@@ -10,8 +10,14 @@ bound is always caller-asserted; nothing here differentiates a black box.
 
 The rule is mapped once per call, not once per panel: node offsets and
 scaled weights are formed once, and f is summed node by node over the
-panels (``rules._sum_panels``, the same path ``apply_rule`` takes).  For
-exact data the value equals the panel-by-panel sum exactly.
+panels (``rules._sum_panels``, the same path ``apply_rule`` takes).  Exact
+nodes are stepped in integer arithmetic, float values of f are summed
+exactly as dyadic rationals, and a Polynomial with exact coefficients is
+summed in closed form from deg + 1 values.  For exact data the value equals
+the panel-by-panel sum exactly.
+
+The certificate covers the truncation error alone: it still ignores the
+rounding error of evaluating f in floating point.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from math import comb, lcm
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
 from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, sort_key, sqrt
+from .scalars import Scalar, _quad, as_scalar, field_parts, sort_key, sqrt
 
 F = Fraction
 
@@ -102,10 +104,19 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
 
     With h = (b - a)/(2n), the node offsets x*h and the scaled weights w*h
     (w*h^2 at derivative nodes) are formed once.  Panel k's nodes are
-    mid_k + x*h, mid_k its midpoint, and the values of f (or fprime) at
-    node j of every panel go into one sum S_j; the result is sum_j W_j*S_j.
-    For exact data this equals the panel-by-panel sum exactly, and f sees
-    the same node values.
+    centre + (2k + 1 - n)*h + x*h; the values of f (or fprime) at node j of
+    every panel go into one sum S_j, and the result is sum_j W_j*S_j.  f is
+    called panel by panel with the same node Scalars as a panel-by-panel
+    sum, and for exact data the result equals that sum exactly:
+
+    * exact nodes are stepped in integers (:func:`_walk`), interval nodes
+      are formed by the expression above, so their enclosures stay the same;
+    * float values of f are summed exactly, as integer multiples of
+      2**-1074 (every finite float is one), other values as Scalars in
+      panel order;
+    * a Polynomial with exact coefficients at exact nodes is summed in
+      closed form from its first deg + 1 values (:func:`_closed_sum`) once
+      n > deg + 1.
     """
     if rule.deriv_nodes and fprime is None:
         if isinstance(f, Polynomial):
@@ -121,14 +132,77 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
     nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
     centre = (a + b) / 2
+    m = _radicand([centre, h] + [offset for _, offset, _ in nodes])
     sums = [Scalar(0)] * len(nodes)
-    for k in range(n):
-        # from the centre directly, not a running sum: interval endpoints
-        # pick up no drift across panels, and n = 1 gives (a + b)/2 itself
-        mid = centre + (2 * k + 1 - n) * h
-        for j, (g, offset, _) in enumerate(nodes):
-            sums[j] = sums[j] + as_scalar(g(mid + offset))
+    looped = []
+    for j, (g, offset, _) in enumerate(nodes):
+        walk = _walk(centre, h, offset, n, m)
+        if (m is not None and isinstance(g, Polynomial) and n > g.degree + 1
+                and _radicand(g.coeffs, m) is not None):
+            sums[j] = _closed_sum(g, walk, n)
+        else:
+            looped.append((j, g, walk))
+    floats = [0] * len(nodes)  # in units of 2**-1074
+    for row in zip(*(walk for _, _, walk in looped)):
+        for (j, g, _), x in zip(looped, row):
+            v = g(x)
+            if isinstance(v, float):  # inf and nan raise here, as Fraction(v) does
+                p, q = v.as_integer_ratio()
+                floats[j] += p << (1075 - q.bit_length())
+            else:
+                sums[j] = sums[j] + as_scalar(v)
+    sums = [s + Scalar(Fraction(e, 1 << 1074)) if e else s for s, e in zip(sums, floats)]
     return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
+
+
+def _radicand(values, m: int = 1) -> int | None:
+    """The radicand shared by values that are all rational or exact
+    a + b*sqrt(m) over one m (the given m, or 1 when every value is
+    rational), or None for an interval, a dual number or a second radicand."""
+    for v in values:
+        if type(v) is not Scalar or v._ival is not None:
+            return None
+        if v._sqrt is not None:
+            if m != 1 and v._sqrt[2] != m:
+                return None
+            m = v._sqrt[2]
+    return m
+
+
+def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int, m: int | None):
+    """Panel k's node centre + (2k + 1 - n)*h + offset for k = 0, ..., n - 1.
+
+    Over one radicand m the node is (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m)
+    with integers formed once, and each node is one Fraction or one _quad:
+    the Scalar that the Scalar expression gives.  Interval data (m None)
+    take the expression itself, from the centre, so no drift builds up.
+    """
+    if m is None:
+        for k in range(n):
+            yield centre + (2 * k + 1 - n) * h + offset
+        return
+    _, [(a0, b0), (a1, b1)] = field_parts([centre + (1 - n) * h + offset, 2 * h])
+    da, db = lcm(a0.denominator, a1.denominator), lcm(b0.denominator, b1.denominator)
+    a0, a1 = (q.numerator * (da // q.denominator) for q in (a0, a1))
+    b0, b1 = (q.numerator * (db // q.denominator) for q in (b0, b1))
+    for _ in range(n):
+        x = Fraction(a0, da)
+        yield _quad(x, Fraction(b0, db), m) if b0 else Scalar(x)
+        a0 += a1
+        b0 += b1
+
+
+def _closed_sum(g: Polynomial, walk, n: int) -> Scalar:
+    """sum of g over the n nodes of walk, exactly.  g(node_k) is a
+    polynomial of degree d = deg g in k, so by Newton's forward-difference
+    formula the sum is sum_i C(n, i + 1) * Delta^i g(node_0) for i <= d,
+    from the first d + 1 values."""
+    diffs = [g(x) for x in islice(walk, g.degree + 1)]
+    total = Scalar(0)
+    for i in range(len(diffs)):
+        total = total + comb(n, i + 1) * diffs[0]
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from math import isqrt
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
+from mpmath.libmp import (from_rational, mpf_add, mpf_shift, round_ceiling, round_floor,
+                          round_nearest, to_float, to_rational)
 
 _DEFAULT_DPS = 60
 
@@ -68,7 +69,11 @@ def _extract_square(n: int) -> tuple[int, int]:
 
 
 def _frac_to_interval(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    """The tightest enclosure of q at the working precision: each end
+    rounded once, outward."""
+    p, d = q.numerator, q.denominator
+    return iv.make_mpf((from_rational(p, d, iv.prec, round_floor),
+                        from_rational(p, d, iv.prec, round_ceiling)))
 
 
 @lru_cache(maxsize=256)
@@ -251,18 +256,28 @@ class Scalar:
         return float((hi - lo) / 2)
 
     def __float__(self) -> float:
-        """Nearest float; correctly rounded for a rational or a + b*sqrt(m)."""
+        """Nearest float: correctly rounded for a rational or a + b*sqrt(m),
+        the correctly rounded midpoint of the enclosure for an interval."""
         if self._frac is not None:
             return float(self._frac)
         if self._sqrt is not None:
-            # the truncations of sqrt(m) from below and above bracket the value;
-            # refine until both round alike (an irrational is never a tie)
+            # a + b*sqrt(m) = (x + y*sqrt(m))/d; with t = isqrt(y^2*m*4^k) the
+            # value times d*2^k lies strictly between lo and lo + 1.  Python
+            # rounds int/int correctly, so once both ends round alike the
+            # value (irrational, never a tie) rounds the same way
             a, b, m = self._sqrt
-            bits = 64
-            while (x := float(approx_quad(a, b, m, bits))) != float(approx_quad(a, b, m, bits, True)):
-                bits *= 2
-            return x
-        return float(self.interval().mid)
+            d = a.denominator * b.denominator
+            x, y = a.numerator * b.denominator, b.numerator * a.denominator
+            k = 64
+            while True:
+                t = isqrt(y * y * m << 2 * k)
+                lo = (x << k) + t if y > 0 else (x << k) - t - 1
+                den = d << k
+                if (out := lo / den) == (lo + 1) / den:
+                    return out
+                k *= 2
+        lo, hi = self.interval()._mpi_
+        return to_float(mpf_shift(mpf_add(lo, hi, 0), -1), rnd=round_nearest)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Exact rational endpoints of the enclosure (both equal for a rational)."""

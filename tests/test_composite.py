@@ -20,6 +20,7 @@ from peanoquad import (
     make_rule,
     map_rule_to_interval,
     panels_for_tolerance,
+    sqrt,
 )
 
 
@@ -73,6 +74,177 @@ def test_interval_endpoints_no_wider_than_reference(name, fname):
     ref_lo, ref_hi = ref.bounds()
     assert lo <= (ref_lo + ref_hi) / 2 <= hi
     assert value.radius() <= ref.radius()
+
+
+def reference_sum_panels(rule, f, a, b, n, fprime=None):
+    """The panel loop in plain Scalar arithmetic: panel k's nodes are
+    centre + (2k + 1 - n)*h + x*h, and the values at node j of every panel
+    form one Scalar sum, added in panel order."""
+    a, b = as_scalar(a), as_scalar(b)
+    if fprime is None and rule.deriv_nodes:
+        fprime = f.derivative()
+    h = (b - a) / (2 * n)
+    nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
+    nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
+    centre = (a + b) / 2
+    sums = [Scalar(0)] * len(nodes)
+    for k in range(n):
+        mid = centre + (2 * k + 1 - n) * h
+        for j, (g, offset, _) in enumerate(nodes):
+            sums[j] = sums[j] + as_scalar(g(mid + offset))
+    return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
+
+
+class Recorder:
+    """A callable that records the points it is called at."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, t):
+        self.calls.append(t)
+        return self.fn(t)
+
+
+class RecordingPolynomial(Polynomial):
+    """A Polynomial that records the points it is called at."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(t)
+        return self.evaluate(t)
+
+
+def fingerprint(x):
+    """Type, tier and value of a Scalar: the exact string, and for an
+    interval the exact endpoints of its enclosure too."""
+    return type(x), x.is_rational, x.is_exact, x.to_json_str(), None if x.is_exact else x.bounds()
+
+
+def sum_and_calls(rule, make_f, a, b, n, make_fprime=None, reference=False):
+    """The panel sum (or the reference's) with fresh recorders, and the
+    fingerprints of the points f and fprime were called at."""
+    f = make_f()
+    fprime = make_fprime() if make_fprime else None
+    if reference:
+        value = reference_sum_panels(rule, f, a, b, n, fprime)
+    else:
+        value = composite_integrate(rule, f, a, b, n, 0, 1, fprime=fprime).value
+    calls = [[fingerprint(t) for t in g.calls] for g in (f, fprime) if hasattr(g, "calls")]
+    return fingerprint(value), calls
+
+
+def assert_matches_reference(rule, make_f, a, b, n, make_fprime=None):
+    got = sum_and_calls(rule, make_f, a, b, n, make_fprime)
+    assert got == sum_and_calls(rule, make_f, a, b, n, make_fprime, reference=True)
+    return got
+
+
+PANEL_RULES = ("simpson", "gauss_legendre2", "lobatto4", "liu_park_gauss")
+#: (f, fprime) of float, int and Scalar values
+PANEL_INTEGRANDS = {
+    "exp": (math.exp, math.exp),
+    "cos": (math.cos, lambda t: -math.sin(float(t))),
+    "int": (lambda t: math.floor(8 * float(t)), lambda t: 8),
+    "scalar": (lambda t: t * t - t / 3, lambda t: 2 * t - Scalar(F(1, 3))),
+}
+
+
+@pytest.mark.parametrize("name", PANEL_RULES)
+@pytest.mark.parametrize("fname", sorted(PANEL_INTEGRANDS))
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("ends", ["rational", "sqrt"])
+def test_panel_sum_and_nodes_match_the_reference_loop(name, fname, n, ends):
+    rule = make_rule(name)
+    f, fprime = PANEL_INTEGRANDS[fname]
+    s3 = sqrt(Scalar(3))  # an irrational width steps the sqrt(3) parts too
+    a, b = (F(-3, 4), F(1, 4)) if ends == "rational" else (s3 / 4 - 1, s3 / 2 + F(1, 3))
+    value, calls = assert_matches_reference(rule, lambda: Recorder(f), a, b, n,
+                                            lambda: Recorder(fprime))
+    assert len(calls[0]) == n * len(rule.value_nodes)
+    assert len(calls[1]) == n * len(rule.deriv_nodes)
+
+
+@pytest.mark.parametrize("name", PANEL_RULES)
+@pytest.mark.parametrize("fname", ["exp", "scalar"])
+def test_panel_sum_on_interval_endpoints_matches_the_reference_loop(name, fname):
+    f, fprime = PANEL_INTEGRANDS[fname]
+    tiny = F(1, 10**40)
+    a = Scalar.from_interval(F(-3, 4) - tiny, F(-3, 4) + tiny)
+    b = Scalar.from_interval(F(1, 4) - tiny, F(1, 4) + tiny)
+    value, _ = assert_matches_reference(make_rule(name), lambda: Recorder(f), a, b, 20,
+                                        lambda: Recorder(fprime))
+    assert not value[2]
+
+
+def test_polynomial_with_an_interval_coefficient_takes_the_loop():
+    tiny = F(1, 10**40)
+    coeffs = [F(1, 3), Scalar.from_interval(-2 - tiny, -2 + tiny), F(5, 7)]
+    rule = make_rule("gauss_legendre2")
+    _, calls = assert_matches_reference(rule, lambda: RecordingPolynomial(coeffs), 0, 1, 40)
+    assert len(calls[0]) == 40 * 2
+
+
+def test_polynomial_over_another_field_takes_the_loop():
+    # sqrt(2) coefficients at Q(sqrt 3) nodes: the values are intervals
+    coeffs = [sqrt(Scalar(2)), 1, F(1, 5)]
+    value, calls = assert_matches_reference(make_rule("gauss_legendre2"),
+                                            lambda: RecordingPolynomial(coeffs), 0, 1, 30)
+    assert not value[2] and len(calls[0]) == 30 * 2
+
+
+QUARTIC = [F(1, 3), -2, F(5, 7), 1, F(-2, 9)]
+
+
+@pytest.mark.parametrize("name", ["simpson", "radau2", "gauss_legendre2", "lobatto4"])
+@pytest.mark.parametrize("n", [1, 5, 6, 513])  # 1, d + 1, d + 2, many
+@pytest.mark.parametrize("coeffs", [QUARTIC, [sqrt(Scalar(3)), F(1, 2), -sqrt(Scalar(3)), 0, 1]])
+def test_exact_polynomial_closed_form_matches_the_reference_loop(name, n, coeffs):
+    rule = make_rule(name)
+    got, calls = sum_and_calls(rule, lambda: RecordingPolynomial(coeffs), F(-1, 3), F(7, 5), n)
+    want, want_calls = sum_and_calls(rule, lambda: RecordingPolynomial(coeffs), F(-1, 3),
+                                     F(7, 5), n, reference=True)
+    assert got == want
+    # lobatto4's nodes lie in Q(sqrt 5): sqrt(3) coefficients give intervals
+    assert got[2] == (name != "lobatto4" or coeffs is QUARTIC)
+    if n <= 5 or not got[2]:  # the loop: the same calls
+        assert calls == want_calls
+    else:  # deg + 1 values per node, all at nodes the loop visits
+        assert len(calls[0]) == 5 * len(rule.value_nodes)
+        assert set(calls[0]) <= set(want_calls[0])
+
+
+@pytest.mark.parametrize("rule", [make_rule("liu_park_gauss"),
+                                  make_rule("q44", lam=F(1, 3), gamma=F(1, 7), delta=F(-1, 5),
+                                            x=F(1, 2))])
+@pytest.mark.parametrize("n", [2, 100])
+def test_derivative_node_rule_with_a_polynomial(rule, n):
+    p = Polynomial(QUARTIC)
+    want = reference_sum_panels(rule, p, F(-3, 4), F(1, 4), n)
+    assert want.is_exact
+    for fprime in (None, p.derivative()):
+        got = composite_integrate(rule, p, F(-3, 4), F(1, 4), n, 0, 1, fprime=fprime).value
+        assert got.to_json_str() == want.to_json_str()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["simpson", "gauss_legendre2"])
+def test_non_finite_values_raise_as_the_reference_does(bad, name):
+    rule = make_rule(name)
+
+    def f(t):  # finite except at the last node
+        return bad if float(t) > 0.95 else 1.0
+
+    with pytest.raises(Exception) as want:
+        reference_sum_panels(rule, f, 0, 1, 7)
+    assert want.type is (ValueError if math.isnan(bad) else OverflowError)
+    with pytest.raises(want.type):
+        composite_integrate(rule, f, 0, 1, 7, 0, 1)
 
 
 def test_missing_derivative_raises_before_evaluating_f():

@@ -1,12 +1,24 @@
 """Scalar arithmetic: exact rationals, exact Q(sqrt m), validated reals."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath import iv
+from mpmath.libmp import to_rational
 
-from peanoquad import Scalar, composite_integrate, get_working_dps, make_rule, set_working_dps, sqrt
+from peanoquad import (
+    Scalar,
+    composite_integrate,
+    get_working_dps,
+    kernel_l1_norm,
+    make_rule,
+    set_working_dps,
+    sqrt,
+)
+from peanoquad import scalars
 from peanoquad.scalars import as_scalar
 
 
@@ -269,3 +281,121 @@ def test_zeroth_power_is_exact():
     x = Scalar.from_interval(F(1, 3) - F(1, 10**40), F(1, 3) + F(1, 10**40))
     assert (x**0).is_rational and (x**0).as_fraction() == 1
     assert (sqrt(Scalar(2)) ** 0).as_fraction() == 1
+
+
+def _tightest(q: F, prec: int) -> tuple[F, F]:
+    """The nearest prec-bit binary floats below and above q, as rationals."""
+    if q == 0:
+        return q, q
+    e = abs(q.numerator).bit_length() - q.denominator.bit_length()
+    if F(2) ** e > abs(q):
+        e -= 1  # now 2^e <= |q| < 2^(e+1)
+    unit = F(2) ** (e - prec + 1)
+    return math.floor(q / unit) * unit, math.ceil(q / unit) * unit
+
+
+@pytest.mark.parametrize("dps", [15, 60, 200])
+def test_rational_enclosure_is_the_tightest(dps):
+    rng = random.Random(dps)
+    qs = [F(rng.choice((-1, 1)) * rng.randrange(10**89, 10**90), rng.randrange(10**89, 10**90))
+          for _ in range(500)]
+    qs += [F(3, 8), F(-5), F(0), F(1, 3), F(2**200 + 1, 2**100)]
+    set_working_dps(dps)
+    try:
+        for q in qs:
+            want = _tightest(q, iv.prec)
+            assert Scalar(q).radius() == 0.0
+            assert Scalar.from_interval(q, q).bounds() == want
+            lo, hi = _tightest(q - F(1, 10**70), iv.prec)[0], _tightest(q + F(1, 10**70), iv.prec)[1]
+            assert Scalar.from_interval(q - F(1, 10**70), q + F(1, 10**70)).bounds() == (lo, hi)
+    finally:
+        set_working_dps(60)
+
+
+def _two_roundings(q: F):
+    """The former enclosure of q: numerator and denominator rounded, then divided."""
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+@pytest.mark.parametrize("name, r", [("gauss_legendre2", 1), ("lobatto4", 1), ("lobatto4", 3),
+                                     ("mod3", 1)])
+def test_root_brackets_no_wider_than_with_two_roundings(monkeypatch, name, r):
+    params = {"x": F(7, 11), "lam": F(5, 9)} if name == "mod3" else {}
+    rule = make_rule(name, **params)
+
+    def run():
+        rep = kernel_l1_norm(rule, r)
+        return [root.location.bounds() for root in rep.sign_changes], rep.l1_norm.bounds()
+
+    roots, m = run()
+    monkeypatch.setattr(scalars, "_frac_to_interval", _two_roundings)
+    old_roots, old_m = run()
+    assert len(roots) == len(old_roots)
+    for (lo, hi), (old_lo, old_hi) in zip(roots + [m], old_roots + [old_m]):
+        assert old_lo <= lo <= hi <= old_hi
+
+
+def test_float_of_interval_is_the_correctly_rounded_midpoint():
+    rng = random.Random(5)
+    for _ in range(400):
+        c = F(rng.randrange(1, 10**30), rng.randrange(1, 10**30)) * rng.choice((-1, 1))
+        s = Scalar.from_interval(c - F(1, 10**80), c + F(1, 10**80))
+        lo, hi = s.bounds()
+        assert float(s) == float((lo + hi) / 2)  # float() of a Fraction rounds correctly
+    wide = Scalar.from_interval(F(-1, 3), F(2, 3))
+    assert float(wide) == float(sum(wide.bounds()) / 2)
+
+
+def _quad_cases():
+    rng = random.Random(11)
+    cases = [
+        (F(1732050807568877, 10**15), F(-1), 3),  # 1.732050807568877 - sqrt(3) ~ -2.9e-16
+        (F(99, 70), F(-1), 2),
+        (F(-665857, 470832), F(1), 2),  # a Pell convergent: ~ 1.6e-12
+        (F(0), F(10**300), 2),
+        (F(17 * 10**307), F(10**306), 2),  # just below the largest float
+        (F(0), F(1, 10**300), 3),
+        (F(0), F(-1, 10**320), 2),  # subnormal
+        (F(1, 10**310), F(-1, 10**310), 5),
+        (F(1, 2**1074), F(1, 10**400), 7),
+    ]
+    for _ in range(60):
+        scale = F(10) ** rng.randint(-30, 30)
+        cases.append((F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) * scale,
+                      F(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6)) * scale,
+                      rng.choice((2, 3, 5, 6, 7, 10, 11, 1009))))
+    return cases
+
+
+def _reference_float(a: F, b: F, m: int) -> float:
+    """a + b*sqrt(m) enclosed at 400 digits; both ends round to one float."""
+    saved = iv.dps
+    iv.dps = 400
+    try:
+        x = iv.mpf(a.numerator) / a.denominator + iv.mpf(b.numerator) / b.denominator * iv.sqrt(m)
+        lo, hi = (F(*to_rational(e)) for e in x._mpi_)
+    finally:
+        iv.dps = saved
+    assert float(lo) == float(hi)
+    return float(lo)
+
+
+def test_float_of_quadratic_field_value_matches_a_400_digit_reference():
+    cases = _quad_cases()
+    values = [Scalar(a) + Scalar(b) * sqrt(Scalar(m)) for a, b, m in cases]
+    assert all(v.is_exact and not v.is_rational for v in values)
+    want = [_reference_float(a, b, m) for a, b, m in cases]
+    for dps in (15, 60, 200):
+        set_working_dps(dps)
+        try:
+            assert [float(v) for v in values] == want
+        finally:
+            set_working_dps(60)
+
+
+def test_float_of_quadratic_field_value_overflows():
+    for big in (F(10**400), F(-(10**400)), F(2**1024)):
+        with pytest.raises(OverflowError):
+            float(Scalar(big) + sqrt(Scalar(2)))
+    with pytest.raises(OverflowError):
+        float(Scalar(10**200) * sqrt(Scalar(10**250 + 1)))
