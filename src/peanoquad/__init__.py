@@ -47,7 +47,7 @@ from .peano import (
     verify_peano_identity,
 )
 from .polynomials import Polynomial
-from .roots import Root, RootList, isolate_roots
+from .roots import Root, isolate_roots
 from .rules import (
     QuadRule,
     RuleFamily,
@@ -56,7 +56,6 @@ from .rules import (
     custom_rule,
     family,
     make_rule,
-    map_rule_to_interval,
     rule_from_json,
     rule_from_json_dict,
     rule_to_json,
@@ -85,7 +84,6 @@ __all__ = [
     "Polynomial",
     "QuadRule",
     "Root",
-    "RootList",
     "RuleFamily",
     "Scalar",
     "UnknownRule",
@@ -110,7 +108,6 @@ __all__ = [
     "isolate_roots",
     "kernel_l1_norm",
     "make_rule",
-    "map_rule_to_interval",
     "minimize_bound",
     "multidim_ostrowski_bound",
     "panels_for_tolerance",

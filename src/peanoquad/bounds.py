@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .composite import _certificate
 from .errors import (
     BadInterval,
     InvalidPartition,
@@ -35,7 +36,7 @@ from .errors import (
     PointOutsideBox,
 )
 from .peano import kernel_l1_norm
-from .roots import _simplest_in_open
+from .roots import _positive_fraction, _simplest_in_open
 from .rules import QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
@@ -49,10 +50,7 @@ def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
     a, b = as_scalar(a), as_scalar(b)
     if not a.lt_definite(b):
         raise BadInterval(f"need a < b, got [{a}, {b}]")
-    deriv_sup = as_scalar(deriv_sup)
-    m = kernel_l1_norm(rule, r).l1_norm
-    h = (b - a) / 2
-    return m * h ** (r + 2) * deriv_sup
+    return _certificate(rule, r, b - a, deriv_sup)(1)
 
 
 @dataclass(frozen=True)
@@ -187,14 +185,6 @@ def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction
         else:
             c = b - qb * w / (qb - qa)
             c = _simplest_in_open(max(a, c - w / 2**20), min(b, c + w / 2**20))
-
-
-def _positive_fraction(value, name: str) -> Fraction:
-    """A tolerance as an exact rational (a float is read exactly); must be > 0."""
-    value = as_scalar(value).as_fraction()
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
 
 
 def _locate_signature_change(sig, a: Fraction, b: Fraction, tol: Fraction) -> Fraction:

@@ -40,9 +40,15 @@ class CompositeResult:
     deriv_sup_asserted: Scalar
 
 
-def _certificate(m_r: Scalar, n: int, r: int, width: Scalar, deriv_sup: Scalar) -> Scalar:
-    h = width / (2 * n)
-    return n * m_r * h ** (r + 2) * deriv_sup
+def _certificate(rule: QuadRule, r: int, width: Scalar, deriv_sup):
+    """n -> n * M_r * h^(r+2) * deriv_sup with h = width / (2n): the error
+    certificate of the rule on n equal panels of an interval of that width.
+    M_r is computed once; deriv_sup must be nonnegative."""
+    deriv_sup = as_scalar(deriv_sup)
+    if deriv_sup < Scalar(0):
+        raise ValueError("deriv_sup must be nonnegative")
+    m_r = kernel_l1_norm(rule, r).l1_norm  # raises OrderExceedsExactness if r > d
+    return lambda n: n * m_r * (width / (2 * n)) ** (r + 2) * deriv_sup
 
 
 def composite_integrate(
@@ -67,17 +73,14 @@ def composite_integrate(
         raise BadInterval(f"need a < b, got [{a}, {b}]")
     if n < 1:
         raise ValueError("need at least one panel")
-    deriv_sup = as_scalar(deriv_sup)
-    if deriv_sup < Scalar(0):
-        raise ValueError("deriv_sup must be nonnegative")
-    m_r = kernel_l1_norm(rule, r).l1_norm  # raises OrderExceedsExactness if r > d
+    certificate = _certificate(rule, r, b - a, deriv_sup)(n)
     return CompositeResult(
         value=_sum_panels(rule, f, a, b, n, fprime),
         panels=n,
         rule_name=rule.name,
         order_used=r,
-        certificate=_certificate(m_r, n, r, b - a, deriv_sup),
-        deriv_sup_asserted=deriv_sup,
+        certificate=certificate,
+        deriv_sup_asserted=as_scalar(deriv_sup),
     )
 
 
@@ -94,12 +97,10 @@ def panels_for_tolerance(rule: QuadRule, r: int, deriv_sup, a, b, eps) -> int:
     eps = as_scalar(eps)
     if not eps > Scalar(0):
         raise ValueError("eps must be positive")
-    deriv_sup = as_scalar(deriv_sup)
-    m_r = kernel_l1_norm(rule, r).l1_norm
-    width = b - a
+    certificate = _certificate(rule, r, b - a, deriv_sup)
 
     def too_few(n: int) -> bool:
-        return _certificate(m_r, n, r, width, deriv_sup) > eps
+        return certificate(n) > eps
 
     if not too_few(1):
         return 1

@@ -27,9 +27,9 @@ from functools import lru_cache
 
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
-from .roots import DEFAULT_ROOT_TOL, Root, RootList, isolate_roots
+from .roots import DEFAULT_ROOT_TOL, Root, isolate_roots
 from .rules import QuadRule
-from .scalars import Scalar, as_scalar, minus_terms, sort_key
+from .scalars import Scalar, as_scalar, minus_terms
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class KernelReport:
     order: int
     kernel: PiecewisePolynomial
     l1_norm: Scalar
-    sign_changes: RootList
+    sign_changes: tuple[Root, ...]
 
     @property
     def radius(self) -> float:
@@ -88,7 +88,7 @@ def _breakpoints(rule: QuadRule) -> list[Scalar]:
     pts = [Scalar(-1), Scalar(1)]
     pts.extend(x for x, _ in rule.value_nodes)
     pts.extend(y for y, _ in rule.deriv_nodes)
-    pts.sort(key=sort_key)
+    pts.sort()
     out = [pts[0]]
     for p in pts[1:]:
         if not (out[-1] == p):
@@ -173,7 +173,7 @@ def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelR
             total = total + abs(cur - prev)
             prev = cur
         roots.extend(piece_roots)
-    return KernelReport(order=r, kernel=kernel, l1_norm=total, sign_changes=RootList(tuple(roots)))
+    return KernelReport(order=r, kernel=kernel, l1_norm=total, sign_changes=tuple(roots))
 
 
 def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:

@@ -42,17 +42,6 @@ class Root:
         return self.location.is_exact
 
 
-@dataclass(frozen=True)
-class RootList:
-    roots: tuple[Root, ...]
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
-
-
 # --------------------------------------------------------------------------
 # exact helpers on Fraction coefficient lists (index i = coefficient of t^i)
 
@@ -198,17 +187,6 @@ def _simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
     return ia + 1 / _simplest_in_open(1 / (b - ia), 1 / (a - ia))
 
 
-def _deflate(c: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (t - r); the remainder is zero by contract."""
-    n = len(c) - 1
-    q = [Fraction(0)] * n
-    acc = c[n]
-    for i in range(n - 1, -1, -1):
-        q[i] = acc
-        acc = c[i] + r * acc
-    return q
-
-
 def _refine_single(f_int: list[int], fq: list[Fraction], a: Fraction, b: Fraction,
                    tol: Fraction):
     """Shrink a one-root bracket; returns ('exact', r) or ('bracket', a, b)."""
@@ -254,18 +232,18 @@ def _quadratic_roots(f: list[Fraction], lo: Fraction, hi: Fraction) -> list[Scal
         r = (Scalar(-c1) + sign * root_d) / Scalar(2 * c2)
         if lo_s.lt_definite(r) and r.lt_definite(hi_s):
             out.append(r)
-    out.sort(key=float)
+    out.sort()
     return out
 
 
 def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                       tol: Fraction) -> list[Root]:
-    # roots at the interval endpoints are outside (lo, hi): deflate them away
+    # roots at the interval endpoints are outside (lo, hi): divide them away
     c = list(coeffs)
     while _fdeg(c) >= 1 and _feval(c, lo) == 0:
-        c = _deflate(c, lo)
+        c = _fdivmod(c, [-lo, Fraction(1)])[0]
     while _fdeg(c) >= 1 and _feval(c, hi) == 0:
-        c = _deflate(c, hi)
+        c = _fdivmod(c, [-hi, Fraction(1)])[0]
     if _fdeg(c) < 1:
         return []
 
@@ -299,7 +277,7 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                 stack.append((m, b, vm - _variations(chain, b)))
             if exact_hit is not None:
                 found.append(Root(Scalar(exact_hit), mult))
-                pending = _deflate(pending, exact_hit)
+                pending = _fdivmod(pending, [-exact_hit, Fraction(1)])[0]
                 continue
             for a, b in brackets:
                 got = _refine_single(f_int, pending, a, b, tol)
@@ -308,7 +286,7 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                 else:
                     found.append(Root(Scalar.from_interval(got[1], got[2]), mult))
             break
-    found.sort(key=lambda r: float(r.location))
+    found.sort(key=lambda r: r.location)
     return found
 
 
@@ -358,7 +336,7 @@ def _isolate_field(a: list[Fraction], b: list[Fraction], m: int, lo: Fraction, h
     found += [r for r in _isolate_rational(norm, lo, hi, tol)
               if _sign_at_root(ab, norm, r.location) < 0]
     out: list[Root] = []
-    for r in sorted(found, key=lambda r: float(r.location)):
+    for r in sorted(found, key=lambda r: r.location):
         if out and out[-1].location.lt_definite(r.location) is not True:  # in g and the cofactor
             prev = out.pop()
             r = Root(prev.location if prev.is_exact() else r.location,
@@ -402,7 +380,15 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     return out
 
 
-def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> RootList:
+def _positive_fraction(value, name: str) -> Fraction:
+    """A tolerance as an exact rational (a float is read exactly); must be > 0."""
+    value = as_scalar(value).as_fraction()
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
+def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> tuple[Root, ...]:
     """Isolate every real root of p inside the open interval (lo, hi).
 
     For exact coefficients (rationals, or a + b*sqrt(m) over one m) every
@@ -418,14 +404,12 @@ def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> RootList:
     lof, hif = lo_s.mid_fraction(), hi_s.mid_fraction()
     if not lof < hif:
         raise ValueError("isolate_roots requires lo < hi")
-    tol = Fraction(tol) if not isinstance(tol, Scalar) else tol.as_fraction()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive_fraction(tol, "tol")
     if p.degree < 1:
-        return RootList(())
+        return ()
     parts = field_parts(p.coeffs)
     if parts is None:
-        return RootList(tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, tol)))
+        return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, tol))
     m, ab = parts
     a, b = (_ftrim(list(c)) for c in zip(*ab))
-    return RootList(tuple(_isolate_field(a, b, m, lof, hif, tol)))
+    return tuple(_isolate_field(a, b, m, lof, hif, tol))

@@ -1,4 +1,4 @@
-"""Quadrature-rule data model, the rule catalog, and interval mapping.
+"""Quadrature-rule data model, the rule catalog, and rule application on [a, b].
 
 Rules live canonically on [-1, 1] as two node/weight sequences: plain value
 nodes (x_k, A_k) and first-derivative nodes (y_k, B_k).  The catalog covers
@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
 from .polynomials import Polynomial
-from .scalars import Scalar, _quad, as_scalar, field_parts, sort_key, sqrt
+from .scalars import Scalar, _quad, as_scalar, field_parts, sqrt
 
 F = Fraction
 
@@ -42,7 +42,7 @@ class QuadRule:
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
     """Sort nodes, merge exactly-coincident ones, drop exact-zero weights."""
     pairs = [(as_scalar(x), as_scalar(w)) for x, w in pairs]
-    pairs.sort(key=lambda p: sort_key(p[0]))
+    pairs.sort(key=lambda p: p[0])
     merged: list[tuple[Scalar, Scalar]] = []
     for x, w in pairs:
         if merged and merged[-1][0] == x:
@@ -66,32 +66,7 @@ def _assemble(name: str, values, derivs, params: dict) -> QuadRule:
 
 
 # --------------------------------------------------------------------------
-# applying and mapping rules
-
-
-@dataclass(frozen=True, eq=False)
-class MappedRule:
-    """A catalog rule pushed to [a, b]: nodes shifted, weights scaled by h,
-    derivative weights by h^2."""
-
-    rule: QuadRule
-    a: Scalar
-    b: Scalar
-    h: Scalar
-    midpoint: Scalar
-    value_nodes: tuple[tuple[Scalar, Scalar], ...]
-    deriv_nodes: tuple[tuple[Scalar, Scalar], ...]
-
-
-def map_rule_to_interval(rule: QuadRule, a, b) -> MappedRule:
-    a, b = as_scalar(a), as_scalar(b)
-    if not a.lt_definite(b):
-        raise BadInterval(f"need a < b, got [{a}, {b}]")
-    h = (b - a) / 2
-    mid = (a + b) / 2
-    vals = tuple((mid + x * h, w * h) for x, w in rule.value_nodes)
-    ders = tuple((mid + y * h, w * h * h) for y, w in rule.deriv_nodes)
-    return MappedRule(rule, a, b, h, mid, vals, ders)
+# applying rules
 
 
 def apply_rule(rule: QuadRule, f, a=-1, b=1, fprime=None) -> Scalar:
@@ -219,11 +194,13 @@ def rule_to_json_dict(rule: QuadRule) -> dict:
 
 
 def rule_from_json_dict(data: dict) -> QuadRule:
-    return QuadRule(
-        name=data["name"],
-        value_nodes=tuple((Scalar.parse(x), Scalar.parse(w)) for x, w in data["value_nodes"]),
-        deriv_nodes=tuple((Scalar.parse(y), Scalar.parse(w)) for y, w in data["deriv_nodes"]),
-        params={k: Scalar.parse(v) for k, v in data.get("params", {}).items()},
+    """The rule a dict of rule_to_json_dict describes, normalized and checked
+    as custom_rule does."""
+    return _assemble(
+        data["name"],
+        [(Scalar.parse(x), Scalar.parse(w)) for x, w in data["value_nodes"]],
+        [(Scalar.parse(y), Scalar.parse(w)) for y, w in data["deriv_nodes"]],
+        {k: Scalar.parse(v) for k, v in data.get("params", {}).items()},
     )
 
 

@@ -68,12 +68,11 @@ def _extract_square(n: int) -> tuple[int, int]:
     return s, n
 
 
-def _frac_to_interval(q: Fraction):
-    """The tightest enclosure of q at the working precision: each end
+def _frac_to_interval(lo: Fraction, hi: Fraction):
+    """The tightest enclosure of [lo, hi] at the working precision: each end
     rounded once, outward."""
-    p, d = q.numerator, q.denominator
-    return iv.make_mpf((from_rational(p, d, iv.prec, round_floor),
-                        from_rational(p, d, iv.prec, round_ceiling)))
+    return iv.make_mpf((from_rational(lo.numerator, lo.denominator, iv.prec, round_floor),
+                        from_rational(hi.numerator, hi.denominator, iv.prec, round_ceiling)))
 
 
 @lru_cache(maxsize=256)
@@ -154,9 +153,10 @@ class Scalar:
         s._frac = None
         s._sqrt = None
         if isinstance(lo, Fraction) or isinstance(hi, Fraction):
-            a_lo, _ = _iv_endpoints(_frac_to_interval(Fraction(lo)))
-            _, b_hi = _iv_endpoints(_frac_to_interval(Fraction(hi)))
-            s._ival = iv.mpf([a_lo, b_hi])
+            lo, hi = Fraction(lo), Fraction(hi)
+            if hi < lo:
+                raise ValueError(f"interval ends out of order: [{lo}, {hi}]")
+            s._ival = _frac_to_interval(lo, hi)
         else:
             s._ival = iv.mpf([lo, hi])
         return s
@@ -196,11 +196,11 @@ class Scalar:
     def interval(self):
         """Outward-rounded interval enclosure at the working precision."""
         if self._frac is not None:
-            return _frac_to_interval(self._frac)
+            return _frac_to_interval(self._frac, self._frac)
         if self._sqrt is not None:
             a, b, m = self._sqrt  # recomputed: tracks precision raises after creation
-            root = _frac_to_interval(b) * _sqrt_enclosure(m, iv.dps)
-            return root + _frac_to_interval(a) if a else root
+            root = _frac_to_interval(b, b) * _sqrt_enclosure(m, iv.dps)
+            return root + _frac_to_interval(a, a) if a else root
         return self._ival
 
     def is_exact_zero(self) -> bool:
@@ -535,9 +535,7 @@ def minus_terms(total: Scalar, terms) -> Scalar:
     if not rest:
         return total
     lo, hi = total.bounds()
-    lo, hi = lo - sum(b for _, b in rest), hi - sum(a for a, _ in rest)
-    return Scalar(iv.mpf([mpmath.mp.make_mpf(from_rational(q.numerator, q.denominator, iv.prec, rnd))
-                          for q, rnd in ((lo, round_floor), (hi, round_ceiling))]))
+    return Scalar.from_interval(lo - sum(b for _, b in rest), hi - sum(a for a, _ in rest))
 
 
 def field_parts(values):
@@ -585,7 +583,7 @@ class _Dual(Scalar):
     Scalar, and a value that is exactly zero is not an exact zero while its
     derivative is nonzero.
 
-    Order, equality, ``abs`` and :func:`sort_key` read eps as a positive
+    Order (so ``sorted`` too), equality and ``abs`` read eps as a positive
     infinitesimal: values that tie are ordered by their derivatives, as at
     the parameter x + eps.  Nodes that meet at x but part as x grows stay
     apart, so the derivative is the one-sided one in the direction of the
@@ -673,13 +671,6 @@ def _dual_lt(x, y):
     (a, da), (b, db) = _Dual.parts(x), _Dual.parts(y)
     lt = a.lt_definite(b)
     return da.lt_definite(db) if lt is False and a == b else lt
-
-
-def sort_key(x) -> tuple[float, float]:
-    """Sort key for nodes and breakpoints: the value as a float, ties broken
-    by the derivative of a dual number (0 for a plain scalar)."""
-    v, d = _split(x)
-    return float(v), 0.0 if d is None else float(d)
 
 
 def _dual(v: Scalar, d) -> Scalar:

@@ -536,6 +536,11 @@ def test_error_bound_bad_interval():
         error_bound(make_rule("simpson"), 3, 1, 1, 0)
 
 
+def test_error_bound_rejects_negative_deriv_sup():
+    with pytest.raises(ValueError, match="deriv_sup"):
+        error_bound(make_rule("simpson"), 3, -5, 0, 1)
+
+
 def test_multidim_bound_examples():
     box = BoxDomain.of([(-1, 1)], [1])
     assert multidim_ostrowski_bound(box, [0]).as_fraction() == F(1, 2)

@@ -18,24 +18,25 @@ from peanoquad import (
     composite_integrate,
     kernel_l1_norm,
     make_rule,
-    map_rule_to_interval,
     panels_for_tolerance,
     sqrt,
 )
 
 
 def reference_composite(rule, f, a, b, n, fprime=None):
-    """The panel-by-panel algorithm: map the rule to each panel, sum the
-    panels left to right."""
+    """The panel-by-panel algorithm: map the rule affinely to each panel
+    (nodes mid + x*h, weights w*h, derivative weights w*h^2), sum the panels
+    left to right."""
     a, b = as_scalar(a), as_scalar(b)
     if fprime is None and rule.deriv_nodes:
         fprime = f.derivative()
     width = b - a
     total = Scalar(0)
     for k in range(n):
-        mapped = map_rule_to_interval(rule, a + width * F(k, n), a + width * F(k + 1, n))
-        terms = [w * as_scalar(f(x)) for x, w in mapped.value_nodes]
-        terms += [w * as_scalar(fprime(y)) for y, w in mapped.deriv_nodes]
+        lo, hi = a + width * F(k, n), a + width * F(k + 1, n)
+        h, mid = (hi - lo) / 2, (lo + hi) / 2
+        terms = [w * h * as_scalar(f(mid + x * h)) for x, w in rule.value_nodes]
+        terms += [w * h * h * as_scalar(fprime(mid + y * h)) for y, w in rule.deriv_nodes]
         total = total + sum(terms, Scalar(0))
     return total
 
@@ -389,8 +390,15 @@ def test_panels_for_tolerance_zero_deriv_sup():
     assert panels_for_tolerance(make_rule("simpson"), 3, 0, -1, 1, F(1, 10**30)) == 1
 
 
+def test_panels_for_tolerance_rejects_negative_deriv_sup():
+    with pytest.raises(ValueError, match="deriv_sup"):
+        panels_for_tolerance(make_rule("simpson"), 3, -5, 0, 1, 1e-9)
+
+
 def test_composite_validation():
     rule = make_rule("simpson")
+    with pytest.raises(ValueError, match="deriv_sup"):
+        composite_integrate(rule, math.exp, 0, 1, 4, 3, -5)
     with pytest.raises(BadInterval):
         composite_integrate(rule, math.exp, 1, 0, 1, 3, 1)
     with pytest.raises(ValueError):

@@ -26,9 +26,9 @@ def sign_scan_oracle(fn, lo, hi, n=100001):
 def test_linear_exact_roots():
     roots = isolate_roots(Polynomial([0, 1]), -1, 1)
     assert len(roots) == 1
-    assert roots.roots[0].location.as_fraction() == 0
+    assert roots[0].location.as_fraction() == 0
     roots = isolate_roots(Polynomial([-1, 3]), -1, 1)
-    assert roots.roots[0].location.as_fraction() == F(1, 3)
+    assert roots[0].location.as_fraction() == F(1, 3)
 
 
 def test_zero_and_constant_have_no_roots():
@@ -45,8 +45,8 @@ def test_quadratic_irrational_roots():
     p = Polynomial([-2, 0, 1])  # t^2 - 2
     roots = isolate_roots(p, -3, 3)
     assert len(roots) == 2
-    assert abs(float(roots.roots[0].location) + math.sqrt(2)) < 1e-15
-    assert abs(float(roots.roots[1].location) - math.sqrt(2)) < 1e-15
+    assert abs(float(roots[0].location) + math.sqrt(2)) < 1e-15
+    assert abs(float(roots[1].location) - math.sqrt(2)) < 1e-15
 
 
 def test_endpoint_roots_excluded():
@@ -82,7 +82,7 @@ def test_bracket_width_within_tolerance():
     p = Polynomial([-F(1, 3), 0, 0, 1])  # t^3 = 1/3, irrational root
     tol = F(1, 10**20)
     roots = isolate_roots(p, 0, 1, tol)
-    loc = roots.roots[0].location
+    loc = roots[0].location
     assert not loc.is_rational
     assert loc.radius() <= float(tol)
     assert abs(float(loc) - (1 / 3) ** (1 / 3)) < 1e-15

@@ -1,4 +1,4 @@
-"""Rule catalog, node conventions, interval mapping, serialization."""
+"""Rule catalog, node conventions, rules applied on [a, b], serialization."""
 
 import json
 from fractions import Fraction as F
@@ -14,10 +14,11 @@ from peanoquad import (
     UnknownRule,
     apply_rule,
     catalog_names,
+    custom_rule,
     family,
     make_rule,
-    map_rule_to_interval,
     rule_from_json,
+    rule_from_json_dict,
     rule_to_json,
     sqrt,
 )
@@ -155,34 +156,43 @@ def test_apply_requires_derivative_for_birkhoff_rules():
     assert apply_rule(lp, Polynomial([0, 0, 1])).as_fraction() == F(3, 4)
 
 
+def applied_nodes(rule, a, b):
+    """The (node, weight) pairs apply_rule uses on [a, b], for f and for
+    fprime: the points a recording f and fprime are called at, each weighted
+    by the rule's value on the indicator of that point."""
+    seen = {"f": [], "fprime": []}
+    apply_rule(rule, lambda t: seen["f"].append(t) or 0, a, b,
+               lambda t: seen["fprime"].append(t) or 0)
+
+    def weight(kind, x):
+        hit, miss = (lambda t: 1 if t == x else 0), (lambda t: 0)
+        f, fprime = (hit, miss) if kind == "f" else (miss, hit)
+        return apply_rule(rule, f, a, b, fprime)
+
+    return {kind: [(x.as_fraction(), weight(kind, x).as_fraction()) for x in pts]
+            for kind, pts in seen.items()}
+
+
 def test_map_ostrowski_zero_is_midpoint_rule():
-    m = map_rule_to_interval(make_rule("ostrowski", x=0), 2, 5)
-    (node, weight), = m.value_nodes
-    assert node.as_fraction() == F(7, 2)
-    assert weight.as_fraction() == 3
+    got = applied_nodes(make_rule("ostrowski", x=0), 2, 5)
+    assert got == {"f": [(F(7, 2), F(3))], "fprime": []}
 
 
 def test_map_simpson_to_shifted_interval_is_identity_scaling():
-    m = map_rule_to_interval(make_rule("simpson"), 0, 2)
-    assert [(x.as_fraction(), w.as_fraction()) for x, w in m.value_nodes] == [
-        (F(0), F(1, 3)),
-        (F(1), F(4, 3)),
-        (F(2), F(1, 3)),
-    ]
+    got = applied_nodes(make_rule("simpson"), 0, 2)
+    assert got["f"] == [(F(0), F(1, 3)), (F(1), F(4, 3)), (F(2), F(1, 3))]
 
 
 def test_map_scales_derivative_weights_quadratically():
     lp = make_rule("liu_park", x=F(1, 2))
-    m = map_rule_to_interval(lp, 0, 1)  # h = 1/2
-    assert [(y.as_fraction(), w.as_fraction()) for y, w in m.deriv_nodes] == [
-        (F(1, 4), F(1, 16)),
-        (F(3, 4), F(-1, 16)),
-    ]
+    got = applied_nodes(lp, 0, 1)  # h = 1/2
+    assert got["f"] == [(F(0), F(1, 4)), (F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1), F(1, 4))]
+    assert got["fprime"] == [(F(1, 4), F(1, 16)), (F(3, 4), F(-1, 16))]
 
 
 def test_map_bad_interval():
     with pytest.raises(BadInterval):
-        map_rule_to_interval(make_rule("simpson"), 1, 1)
+        apply_rule(make_rule("simpson"), lambda t: 0, 1, 1)
 
 
 def test_mapped_rule_integrates_polynomials_exactly():
@@ -200,9 +210,9 @@ def test_apply_on_interval_endpoints_equals_mapped_rule_sum(name):
     tiny = F(1, 10**40)
     a = Scalar.from_interval(F(-3, 4) - tiny, F(-3, 4) + tiny)
     b = Scalar.from_interval(F(1, 4) - tiny, F(1, 4) + tiny)
-    mapped = map_rule_to_interval(rule, a, b)
-    terms = [w * p(x) for x, w in mapped.value_nodes]
-    terms += [w * p.derivative()(y) for y, w in mapped.deriv_nodes]
+    h, mid = (b - a) / 2, (a + b) / 2
+    terms = [w * h * p(mid + x * h) for x, w in rule.value_nodes]
+    terms += [w * h * h * p.derivative()(mid + y * h) for y, w in rule.deriv_nodes]
     assert apply_rule(rule, p, a, b).bounds() == sum(terms, Scalar(0)).bounds()
 
 
@@ -230,6 +240,41 @@ def test_json_round_trip_quadratic_field_weights():
     r2 = rule_from_json(rule_to_json(r))
     assert r2.value_nodes == r.value_nodes  # every node and weight equal exactly
     assert rule_to_json(r2) == rule_to_json(r)
+
+
+@pytest.mark.parametrize("rule", ALL_FIXED, ids=lambda r: r.name)
+def test_json_round_trip_every_catalog_rule_bit_exact(rule):
+    r2 = rule_from_json(rule_to_json(rule))
+    assert (r2.value_nodes, r2.deriv_nodes, r2.params) == (rule.value_nodes, rule.deriv_nodes,
+                                                           rule.params)
+    assert rule_to_json(r2) == rule_to_json(rule)
+
+
+def test_json_import_rejects_nodes_outside_the_interval():
+    with pytest.raises(ParamOutOfDomain):
+        rule_from_json_dict({"name": "bad", "value_nodes": [["2", "1"]], "deriv_nodes": []})
+    with pytest.raises(ParamOutOfDomain):
+        rule_from_json_dict({"name": "bad", "value_nodes": [["0", "2"]],
+                             "deriv_nodes": [["-3/2", "1"]]})
+
+
+def test_json_import_normalizes_nodes():
+    # unsorted nodes sort, coincident ones merge, exact-zero weights drop
+    rule = rule_from_json_dict({
+        "name": "n",
+        "value_nodes": [["1/2", "1"], ["-1/2", "1/2"], ["1/2", "1/2"], ["0", "0"]],
+        "deriv_nodes": [["1/3", "1"], ["-1/3", "0"]],
+    })
+    assert [(x.as_fraction(), w.as_fraction()) for x, w in rule.value_nodes] == [
+        (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))]
+    assert [(y.as_fraction(), w.as_fraction()) for y, w in rule.deriv_nodes] == [(F(1, 3), F(1))]
+
+
+def test_nodes_closer_than_a_float_sort_exactly():
+    # the two nodes have the same float; they are ordered by exact comparison
+    near = F(1, 3) + F(1, 10**30)
+    rule = custom_rule("t", [(near, 1), (F(1, 3), 1)])
+    assert [x.as_fraction() for x, _ in rule.value_nodes] == [F(1, 3), near]
 
 
 def test_catalog_listing_is_deterministic():

@@ -312,9 +312,17 @@ def test_rational_enclosure_is_the_tightest(dps):
         set_working_dps(60)
 
 
-def _two_roundings(q: F):
-    """The former enclosure of q: numerator and denominator rounded, then divided."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def test_rational_enclosure_ends_must_be_ordered():
+    with pytest.raises(ValueError, match="out of order"):
+        Scalar.from_interval(F(2, 3), F(1, 3))
+    assert Scalar.from_interval(F(1, 3), 0.5).bounds()[1] == F(1, 2)
+
+
+def _two_roundings(lo: F, hi: F):
+    """The former enclosure of [lo, hi]: the numerator and denominator of
+    each end rounded, then divided."""
+    return iv.make_mpf(((iv.mpf(lo.numerator) / iv.mpf(lo.denominator))._mpi_[0],
+                        (iv.mpf(hi.numerator) / iv.mpf(hi.denominator))._mpi_[1]))
 
 
 @pytest.mark.parametrize("name, r", [("gauss_legendre2", 1), ("lobatto4", 1), ("lobatto4", 3),
