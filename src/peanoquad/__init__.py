@@ -21,6 +21,7 @@ from .bounds import (
 )
 from .composite import CompositeResult, composite_integrate, panels_for_tolerance
 from .errors import (
+    AmbiguousOrder,
     BadInterval,
     DegreeTooHigh,
     InvalidPartition,
@@ -66,6 +67,7 @@ from .scalars import Scalar, as_scalar, get_working_dps, set_working_dps, sqrt
 __version__ = "0.1.0"
 
 __all__ = [
+    "AmbiguousOrder",
     "BadInterval",
     "BoundScan",
     "BoxDomain",

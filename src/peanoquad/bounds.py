@@ -37,7 +37,7 @@ from .errors import (
 )
 from .peano import kernel_l1_norm
 from .roots import _positive_fraction, _simplest_in_open
-from .rules import QuadRule, RuleFamily
+from .rules import Domain, QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
 
@@ -47,10 +47,7 @@ def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
     `deriv_sup` is the caller-asserted sup norm of f^(r+1) on [a, b]; the
     bound is valid whenever that assertion is.
     """
-    a, b = as_scalar(a), as_scalar(b)
-    if not a.lt_definite(b):
-        raise BadInterval(f"need a < b, got [{a}, {b}]")
-    return _certificate(rule, r, b - a, deriv_sup)(1)
+    return _certificate(rule, r, a, b, deriv_sup)(1)
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,11 @@ def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction
     iterate is the simplest rational inside, so minimizers like 1/2 are hit
     exactly; later ones are exact rationals with modest denominators near
     the secant point.  Each sign is decided by ``Scalar.sign``; a sign it
-    cannot decide ends the search with the bracket found so far.
+    cannot decide ends the search with the bracket found so far.  Values
+    whose enclosures overlap are a tie, which keeps the incumbent.
     """
     (va, ga), (vb, gb) = slope(a), slope(b)
-    best = (b, vb) if vb < va else (a, va)
+    best = (b, vb) if vb.lt_definite(va) else (a, va)
     if not (ga.sign() == -1 and gb.sign() == 1) or b - a <= tol:
         return best
     qa, qb = _estimate(ga), _estimate(gb)
@@ -160,7 +158,7 @@ def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction
         if s == 0:
             return c, vc
         if s is None:
-            return min((best, (c, vc)), key=lambda p: p[1])
+            return (c, vc) if vc.lt_definite(best[1]) else best
         # Illinois: halve the weight of an end kept twice in a row
         if s < 0:
             a, va, qa = c, vc, _estimate(gc)
@@ -172,7 +170,7 @@ def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction
             if side == 1:
                 qa /= 2
             side = 1
-        best = (b, vb) if vb < va else (a, va)
+        best = (b, vb) if vb.lt_definite(va) else (a, va)
         w = b - a
         if w <= tol:
             return best
@@ -249,8 +247,6 @@ def bound_scan(
     glo = as_scalar(lo).mid_fraction() if lo is not None else None
     ghi = as_scalar(hi).mid_fraction() if hi is not None else None
     if glo is not None or ghi is not None:
-        from .rules import Domain
-
         nlo = dom.lo if glo is None else max(dom.lo, glo)
         nhi = dom.hi if ghi is None else min(dom.hi, ghi)
         if not nlo < nhi:
@@ -282,23 +278,19 @@ def bound_scan(
             merged.append(k)
     kinks = merged
 
-    segments = []
-    cut_prev = grid[0]
-    for k in kinks:
-        segments.append((cut_prev, k))
-        cut_prev = k
-    segments.append((cut_prev, grid[-1]))
-
+    cuts = [grid[0], *kinks, grid[-1]]
     best_x, best_v = None, None
-    for a, b in segments:
+    for a, b in zip(cuts, cuts[1:]):
         if not a < b:
             continue
         x, v = _slope_min(slope, a, b, refine_tol)
-        if best_v is None or v < best_v:
+        if best_v is None or v.lt_definite(best_v):
             best_x, best_v = x, v
 
     multimodal = False
-    g_idx = min(range(len(grid)), key=lambda i: float(values[i]))
+    # the first grid value that no later one provably beats
+    g_idx = next(i for i, v in enumerate(values)
+                 if not any(w.lt_definite(v) for w in values[i + 1:]))
     slack = 1e-11 * (1.0 + abs(float(best_v)))
     if float(best_v - values[g_idx]) > slack:
         # the grid saw a basin the per-branch search missed
@@ -308,10 +300,10 @@ def bound_scan(
             grid[min(g_idx + 1, len(grid) - 1)],
             refine_tol,
         )
-        if v < best_v:
+        if v.lt_definite(best_v):
             best_x, best_v = x, v
         multimodal = float(best_v - values[g_idx]) > slack
-    if values[g_idx] < best_v:
+    if values[g_idx].lt_definite(best_v):
         # a grid point is the best value seen (e.g. the exact minimizer)
         best_x, best_v = grid[g_idx], values[g_idx]
     return BoundScan(

@@ -40,15 +40,17 @@ class CompositeResult:
     deriv_sup_asserted: Scalar
 
 
-def _certificate(rule: QuadRule, r: int, width: Scalar, deriv_sup):
-    """n -> n * M_r * h^(r+2) * deriv_sup with h = width / (2n): the error
-    certificate of the rule on n equal panels of an interval of that width.
-    M_r is computed once; deriv_sup must be nonnegative."""
-    deriv_sup = as_scalar(deriv_sup)
-    if deriv_sup < Scalar(0):
+def _certificate(rule: QuadRule, r: int, a, b, deriv_sup):
+    """n -> n * M_r * h^(r+2) * deriv_sup with h = (b - a) / (2n): the error
+    certificate of the rule on n equal panels of [a, b].  M_r is computed
+    once; a < b and deriv_sup >= 0 must be provable."""
+    a, b, deriv_sup = as_scalar(a), as_scalar(b), as_scalar(deriv_sup)
+    if not a.lt_definite(b):
+        raise BadInterval(f"need a < b, got [{a}, {b}]")
+    if deriv_sup.lt_definite(0) is not False:  # an enclosure straddling 0 too
         raise ValueError("deriv_sup must be nonnegative")
     m_r = kernel_l1_norm(rule, r).l1_norm  # raises OrderExceedsExactness if r > d
-    return lambda n: n * m_r * (width / (2 * n)) ** (r + 2) * deriv_sup
+    return lambda n: n * m_r * ((b - a) / (2 * n)) ** (r + 2) * deriv_sup
 
 
 def composite_integrate(
@@ -68,12 +70,9 @@ def composite_integrate(
     values of f at node j of every panel form one sum, weighted once.  For
     exact data this is exactly the sum of the panels taken one by one.
     """
-    a, b = as_scalar(a), as_scalar(b)
-    if not a.lt_definite(b):
-        raise BadInterval(f"need a < b, got [{a}, {b}]")
     if n < 1:
         raise ValueError("need at least one panel")
-    certificate = _certificate(rule, r, b - a, deriv_sup)(n)
+    certificate = _certificate(rule, r, a, b, deriv_sup)(n)
     return CompositeResult(
         value=_sum_panels(rule, f, a, b, n, fprime),
         panels=n,
@@ -89,18 +88,16 @@ def panels_for_tolerance(rule: QuadRule, r: int, deriv_sup, a, b, eps) -> int:
 
     The certificate falls as n^-(r+1), so the count is found by doubling n
     until the certificate is small enough, then bisecting; every comparison
-    is exact, at any size of eps or deriv_sup.
+    is exact or validated, at any size of eps or deriv_sup; a certificate
+    not provably at most eps counts as too few panels.
     """
-    a, b = as_scalar(a), as_scalar(b)
-    if not a.lt_definite(b):
-        raise BadInterval(f"need a < b, got [{a}, {b}]")
+    certificate = _certificate(rule, r, a, b, deriv_sup)
     eps = as_scalar(eps)
     if not eps > Scalar(0):
         raise ValueError("eps must be positive")
-    certificate = _certificate(rule, r, b - a, deriv_sup)
 
     def too_few(n: int) -> bool:
-        return certificate(n) > eps
+        return eps.lt_definite(certificate(n)) is not False
 
     if not too_few(1):
         return 1

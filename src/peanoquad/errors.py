@@ -17,6 +17,10 @@ class ParamOutOfDomain(PeanoQuadError):
     """Rule parameter outside the admissible domain of its family."""
 
 
+class AmbiguousOrder(PeanoQuadError):
+    """``<`` on overlapping enclosures; ``Scalar.lt_definite`` answers None there."""
+
+
 class BadInterval(PeanoQuadError):
     """Integration interval with a >= b."""
 

@@ -61,7 +61,8 @@ def _classify(value: Scalar) -> tuple[str, bool]:
         # straddles zero but too wide to certify: treat as a nonzero stop,
         # flagged, so callers can raise the working precision
         return "nonzero", True
-    return "nonzero", abs(float(value)) < AMBIGUITY_FACTOR * value.radius()
+    lo, hi = value.bounds()
+    return "nonzero", 2 * min(abs(lo), abs(hi)) < AMBIGUITY_FACTOR * (hi - lo)
 
 
 def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:

@@ -85,15 +85,13 @@ class KernelReport:
 
 
 def _breakpoints(rule: QuadRule) -> list[Scalar]:
+    """-1, 1 and the nodes: equal values merged, then sorted by the exact
+    order (nodes that overlap without being equal raise AmbiguousOrder)."""
     pts = [Scalar(-1), Scalar(1)]
-    pts.extend(x for x, _ in rule.value_nodes)
-    pts.extend(y for y, _ in rule.deriv_nodes)
-    pts.sort()
-    out = [pts[0]]
-    for p in pts[1:]:
-        if not (out[-1] == p):
-            out.append(p)
-    return out
+    for x, _ in rule.value_nodes + rule.deriv_nodes:
+        if x not in pts:
+            pts.append(x)
+    return sorted(pts)
 
 
 @lru_cache(maxsize=64)

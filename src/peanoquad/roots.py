@@ -336,7 +336,7 @@ def _isolate_field(a: list[Fraction], b: list[Fraction], m: int, lo: Fraction, h
     found += [r for r in _isolate_rational(norm, lo, hi, tol)
               if _sign_at_root(ab, norm, r.location) < 0]
     out: list[Root] = []
-    for r in sorted(found, key=lambda r: r.location):
+    for r in sorted(found, key=lambda r: r.location.bounds()[0]):
         if out and out[-1].location.lt_definite(r.location) is not True:  # in g and the cofactor
             prev = out.pop()
             r = Root(prev.location if prev.is_exact() else r.location,

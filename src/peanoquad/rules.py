@@ -40,16 +40,17 @@ class QuadRule:
 
 
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
-    """Sort nodes, merge exactly-coincident ones, drop exact-zero weights."""
-    pairs = [(as_scalar(x), as_scalar(w)) for x, w in pairs]
-    pairs.sort(key=lambda p: p[0])
-    merged: list[tuple[Scalar, Scalar]] = []
+    """Merge equal nodes, drop exact-zero weights, sort by the exact order
+    (nodes that overlap without being equal raise AmbiguousOrder)."""
+    merged: list[list[Scalar]] = []
     for x, w in pairs:
-        if merged and merged[-1][0] == x:
-            merged[-1] = (x, merged[-1][1] + w)
+        x, w = as_scalar(x), as_scalar(w)
+        same = next((p for p in merged if p[0] == x), None)
+        if same is None:
+            merged.append([x, w])
         else:
-            merged.append((x, w))
-    return [(x, w) for x, w in merged if not w.is_exact_zero()]
+            same[1] = same[1] + w
+    return sorted(((x, w) for x, w in merged if not w.is_exact_zero()), key=lambda p: p[0])
 
 
 def _assemble(name: str, values, derivs, params: dict) -> QuadRule:
@@ -184,12 +185,21 @@ def _closed_sum(g: Polynomial, walk, n: int) -> Scalar:
 # serialization
 
 
+def _to_json(v: Scalar):
+    """An exact value as its string, an interval as its exact ["lo", "hi"] ends."""
+    return v.to_json_str() if v.is_exact else [str(e) for e in v.bounds()]
+
+
+def _from_json(v) -> Scalar:
+    return Scalar.parse(v) if isinstance(v, str) else Scalar.from_interval(F(v[0]), F(v[1]))
+
+
 def rule_to_json_dict(rule: QuadRule) -> dict:
     return {
         "name": rule.name,
-        "value_nodes": [[x.to_json_str(), w.to_json_str()] for x, w in rule.value_nodes],
-        "deriv_nodes": [[y.to_json_str(), w.to_json_str()] for y, w in rule.deriv_nodes],
-        "params": {k: v.to_json_str() for k, v in rule.params.items()},
+        "value_nodes": [[_to_json(x), _to_json(w)] for x, w in rule.value_nodes],
+        "deriv_nodes": [[_to_json(y), _to_json(w)] for y, w in rule.deriv_nodes],
+        "params": {k: _to_json(v) for k, v in rule.params.items()},
     }
 
 
@@ -198,9 +208,9 @@ def rule_from_json_dict(data: dict) -> QuadRule:
     as custom_rule does."""
     return _assemble(
         data["name"],
-        [(Scalar.parse(x), Scalar.parse(w)) for x, w in data["value_nodes"]],
-        [(Scalar.parse(y), Scalar.parse(w)) for y, w in data["deriv_nodes"]],
-        {k: Scalar.parse(v) for k, v in data.get("params", {}).items()},
+        [(_from_json(x), _from_json(w)) for x, w in data["value_nodes"]],
+        [(_from_json(y), _from_json(w)) for y, w in data["deriv_nodes"]],
+        {k: _from_json(v) for k, v in data.get("params", {}).items()},
     )
 
 
@@ -466,9 +476,8 @@ def make_rule(name: str, **params) -> QuadRule:
     missing = expected - given
     if missing:
         raise UnknownRule(f"{name} requires parameter(s) {sorted(missing)}")
-    args = [as_scalar(params[_PY_NAMES.get(p, p)]) for p in entry.param_names]
-    values, derivs = entry.builder(*args)
     recorded = {p: as_scalar(params[_PY_NAMES.get(p, p)]) for p in entry.param_names}
+    values, derivs = entry.builder(*recorded.values())
     return _assemble(name, values, derivs, recorded)
 
 

@@ -16,7 +16,7 @@ with ``m1*m2`` a square name one field), following the usual
 arithmetic of quadratic fields (Cohen, *A Course in Computational Algebraic
 Number Theory*, section 4).  Products of pure roots with different radicands
 stay exact as ``s*sqrt(m)``.  Everything else falls back to interval
-arithmetic.
+arithmetic, and ``<`` between overlapping enclosures raises ``AmbiguousOrder``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import mpmath
 from mpmath import iv
 from mpmath.libmp import (from_rational, mpf_add, mpf_shift, round_ceiling, round_floor,
                           round_nearest, to_float, to_rational)
+
+from .errors import AmbiguousOrder
 
 _DEFAULT_DPS = 60
 
@@ -411,10 +413,10 @@ class Scalar:
         return None
 
     def __lt__(self, other):
+        """The answer of ``lt_definite``; AmbiguousOrder where enclosures overlap."""
         r = self.lt_definite(other)
         if r is None:
-            # overlap below the error radius: fall back to midpoints
-            return float(self) < float(as_scalar(other))
+            raise AmbiguousOrder(f"enclosures overlap: {self} vs {as_scalar(other)}")
         return r
 
     # direct __lt__ calls: the operator would try a subclass's reflected

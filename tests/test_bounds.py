@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 from peanoquad import (
+    AmbiguousOrder,
     BadInterval,
     BoxDomain,
     InvalidPartition,
@@ -539,6 +540,16 @@ def test_error_bound_bad_interval():
 def test_error_bound_rejects_negative_deriv_sup():
     with pytest.raises(ValueError, match="deriv_sup"):
         error_bound(make_rule("simpson"), 3, -5, 0, 1)
+
+
+def test_error_bound_rejects_deriv_sup_straddling_zero():
+    with pytest.raises(ValueError, match="deriv_sup"):
+        error_bound(make_rule("simpson"), 3, Scalar.from_interval(F(-1, 2), F(1)), 0, 1)
+
+
+def test_box_rejects_a_derivative_bound_not_provably_positive():
+    with pytest.raises(AmbiguousOrder):
+        BoxDomain.of([(0, 1)], [Scalar.from_interval(F(-1, 2), F(1))])
 
 
 def test_multidim_bound_examples():

@@ -395,6 +395,32 @@ def test_panels_for_tolerance_rejects_negative_deriv_sup():
         panels_for_tolerance(make_rule("simpson"), 3, -5, 0, 1, 1e-9)
 
 
+STRADDLES_ZERO = Scalar.from_interval(F(-1, 2), F(1))
+
+
+def test_deriv_sup_straddling_zero_is_rejected():
+    # not provably >= 0: the midpoint 1/4 used to let it through, with a
+    # certificate whose lower end was negative
+    rule = make_rule("simpson")
+    with pytest.raises(ValueError, match="deriv_sup"):
+        composite_integrate(rule, math.exp, 0, 1, 4, 3, STRADDLES_ZERO)
+    with pytest.raises(ValueError, match="deriv_sup"):
+        panels_for_tolerance(rule, 3, STRADDLES_ZERO, 0, 1, 1e-9)
+    assert composite_integrate(rule, math.exp, 0, 1, 4, 3,
+                               Scalar.from_interval(F(0), F(1))).certificate.sign() is None
+
+
+def test_panels_for_tolerance_needs_a_certificate_provably_below_eps():
+    rule = make_rule("simpson")
+    exact = panels_for_tolerance(rule, 3, 1, 0, 1, F(1, 10**6))
+    # a certificate that overlaps eps is not provably below it: one more panel
+    m_r = kernel_l1_norm(rule, 3).l1_norm
+    eps = m_r * (F(1, 2 * exact)) ** 5 * exact
+    wide = Scalar.from_interval(F(1) - F(1, 10**30), F(1) + F(1, 10**30))
+    assert panels_for_tolerance(rule, 3, 1, 0, 1, eps) == exact
+    assert panels_for_tolerance(rule, 3, wide, 0, 1, eps) == exact + 1
+
+
 def test_composite_validation():
     rule = make_rule("simpson")
     with pytest.raises(ValueError, match="deriv_sup"):

@@ -14,6 +14,7 @@ from peanoquad import (
     make_rule,
     remainder_on_monomial,
 )
+from peanoquad.exactness import _classify
 
 
 def test_simpson_remainders():
@@ -129,6 +130,14 @@ def test_dcr_special_cases():
     assert degree_of_exactness(make_rule("dcr", lam=0, x=0)).degree == 1
     # lambda = 1/3, x = 0 is Simpson
     assert degree_of_exactness(make_rule("dcr", lam=F(1, 3), x=0)).degree == 3
+
+
+def test_ambiguity_is_decided_from_exact_ends():
+    # the float of 1e-400 is 0: the ends must be compared as rationals
+    tiny = Scalar.from_interval(F(1, 10**400), F(2, 10**400))
+    assert _classify(tiny) == ("nonzero", True)
+    assert _classify(Scalar.from_interval(F(1), F(1) + F(1, 10**40))) == ("nonzero", False)
+    assert _classify(Scalar(F(1, 10**400))) == ("nonzero", False)
 
 
 def test_gs2_trapezoid_case():

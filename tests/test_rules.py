@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from peanoquad import (
+    AmbiguousOrder,
     BadInterval,
     MissingDerivative,
     ParamOutOfDomain,
@@ -275,6 +276,42 @@ def test_nodes_closer_than_a_float_sort_exactly():
     near = F(1, 3) + F(1, 10**30)
     rule = custom_rule("t", [(near, 1), (F(1, 3), 1)])
     assert [x.as_fraction() for x, _ in rule.value_nodes] == [F(1, 3), near]
+
+
+def _narrow(q, radius=F(1, 10**30)):
+    return Scalar.from_interval(q - radius, q + radius)
+
+
+def test_parameter_straddling_a_domain_end_has_no_order():
+    with pytest.raises(AmbiguousOrder):
+        make_rule("gs2", x=_narrow(F(0)))
+
+
+def test_overlapping_interval_nodes_raise_and_identical_ones_merge():
+    with pytest.raises(AmbiguousOrder):
+        custom_rule("t", [(_narrow(F(1, 3)), 1), (F(1, 3), 1)])
+    with pytest.raises(AmbiguousOrder):
+        custom_rule("t", [(_narrow(F(1, 3)), 1), (_narrow(F(1, 3), F(1, 10**40)), 1)])
+    x = _narrow(F(1, 3))
+    rule = custom_rule("t", [(x, F(1, 2)), (-1, 1), (x, F(1, 2))])
+    assert len(rule.value_nodes) == 2 and rule.value_nodes[1][0] is x
+    assert rule.value_nodes[1][1].as_fraction() == 1
+
+
+def test_json_round_trip_keeps_interval_data():
+    x = _narrow(F(1, 3), F(1, 10**40))
+    w = _narrow(F(1))
+    rule = custom_rule("i", [(-x, w), (x, 1)], [(x, F(1, 7))], params={"x": x})
+    data = json.loads(rule_to_json(rule))
+    assert data["value_nodes"][1][0] == [str(e) for e in x.bounds()]
+    r2 = rule_from_json(rule_to_json(rule))
+    for (a, wa), (b, wb) in zip(rule.value_nodes + rule.deriv_nodes,
+                                r2.value_nodes + r2.deriv_nodes):
+        assert a.bounds() == b.bounds() and wa.bounds() == wb.bounds()
+        assert a.is_exact == b.is_exact and wa.is_exact == wb.is_exact
+    assert not r2.value_nodes[1][0].is_exact and r2.value_nodes[0][1].bounds() == w.bounds()
+    assert r2.params["x"].bounds() == x.bounds() and not r2.params["x"].is_exact
+    assert rule_to_json(r2) == rule_to_json(rule)
 
 
 def test_catalog_listing_is_deterministic():

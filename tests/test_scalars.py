@@ -10,6 +10,7 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from peanoquad import (
+    AmbiguousOrder,
     Scalar,
     composite_integrate,
     get_working_dps,
@@ -156,6 +157,21 @@ def test_comparisons():
     assert iv.lt_definite(iv) is None
     assert iv.lt_definite(x) is None and x.lt_definite(iv) is None
     assert sorted([Scalar(1), x, Scalar(0)], key=float)[1] is x
+
+
+def test_overlapping_enclosures_have_no_order():
+    # lt_definite answers None; every operator built on < raises instead of
+    # comparing float midpoints
+    iv = Scalar.from_interval(F(1, 2), F(3, 5))
+    x = sqrt(Scalar(F(1, 3)))
+    for a, b in ((iv, x), (x, iv), (iv, iv), (iv, F(11, 20))):
+        for op in (lambda: a < b, lambda: a > b, lambda: a <= b, lambda: a >= b):
+            with pytest.raises(AmbiguousOrder, match="enclosures overlap"):
+                op()
+    with pytest.raises(AmbiguousOrder):
+        sorted([Scalar(1), iv, x])
+    assert iv < Scalar(1) and Scalar(0) <= iv  # disjoint enclosures still compare
+    assert sorted([Scalar(1), iv, Scalar(0)])[1] is iv
 
 
 def test_pell_convergent_sign_is_exact_at_low_precision():
