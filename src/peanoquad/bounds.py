@@ -287,10 +287,10 @@ def bound_scan(
         if best_v is None or v.lt_definite(best_v):
             best_x, best_v = x, v
 
-    multimodal = False
-    # the first grid value that no later one provably beats
-    g_idx = next(i for i, v in enumerate(values)
-                 if not any(w.lt_definite(v) for w in values[i + 1:]))
+    g_idx = 0
+    for i, v in enumerate(values):
+        if v.lt_definite(values[g_idx]):
+            g_idx = i
     slack = 1e-11 * (1.0 + abs(float(best_v)))
     if float(best_v - values[g_idx]) > slack:
         # the grid saw a basin the per-branch search missed
@@ -302,7 +302,7 @@ def bound_scan(
         )
         if v.lt_definite(best_v):
             best_x, best_v = x, v
-        multimodal = float(best_v - values[g_idx]) > slack
+    multimodal = float(best_v - values[g_idx]) > slack
     if values[g_idx].lt_definite(best_v):
         # a grid point is the best value seen (e.g. the exact minimizer)
         best_x, best_v = grid[g_idx], values[g_idx]

@@ -62,7 +62,7 @@ def _classify(value: Scalar) -> tuple[str, bool]:
         # flagged, so callers can raise the working precision
         return "nonzero", True
     lo, hi = value.bounds()
-    return "nonzero", 2 * min(abs(lo), abs(hi)) < AMBIGUITY_FACTOR * (hi - lo)
+    return "nonzero", abs(lo + hi) < AMBIGUITY_FACTOR * (hi - lo)
 
 
 def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:

@@ -286,7 +286,7 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                 else:
                     found.append(Root(Scalar.from_interval(got[1], got[2]), mult))
             break
-    found.sort(key=lambda r: r.location)
+    found.sort(key=lambda r: r.location.bounds()[0])
     return found
 
 

@@ -138,6 +138,9 @@ def test_ambiguity_is_decided_from_exact_ends():
     assert _classify(tiny) == ("nonzero", True)
     assert _classify(Scalar.from_interval(F(1), F(1) + F(1, 10**40))) == ("nonzero", False)
     assert _classify(Scalar(F(1, 10**400))) == ("nonzero", False)
+    # flagged when the midpoint is within AMBIGUITY_FACTOR radii of zero
+    assert _classify(Scalar.from_interval(F(17, 4), F(21, 4))) == ("nonzero", True)
+    assert _classify(Scalar.from_interval(F(9, 2), F(11, 2))) == ("nonzero", False)
 
 
 def test_gs2_trapezoid_case():

@@ -65,6 +65,24 @@ def test_multiplicity_hints():
     ]
 
 
+@pytest.mark.parametrize("q", ["1.25992104989487316477", "1.259921049894873164767",
+                               "1.259921049894873164767211", "1.25992104989487316476721060728"])
+def test_close_roots_of_two_multiplicities_are_both_reported(q):
+    # q is 2^(1/3) rounded, so the simple root 2^(1/3) and the double root q
+    # of two squarefree factors sit closer than the root tolerance: their
+    # brackets overlap and have no exact order
+    q = F(q)
+    p = Polynomial([-2, 0, 0, 1]) * Polynomial([-q, 1]) ** 2
+    roots = isolate_roots(p, 0, 2)
+    assert sorted(r.multiplicity_hint for r in roots) == [1, 2]
+    assert [r.location.bounds()[0] for r in roots] == sorted(r.location.bounds()[0] for r in roots)
+    double = next(r for r in roots if r.multiplicity_hint == 2)
+    simple = next(r for r in roots if r.multiplicity_hint == 1)
+    assert double.location.as_fraction() == q
+    lo, hi = simple.location.bounds()
+    assert lo**3 <= 2 <= hi**3
+
+
 def test_sign_pattern_consistent_with_multiplicity():
     p = Polynomial([F(-1, 2), 1]) ** 2 * Polynomial([F(1, 4), 1])
     roots = isolate_roots(p, -1, 1)
