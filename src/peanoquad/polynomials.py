@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
+from fractions import Fraction
 
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, _rat, as_scalar
+
+
+def int_horner(c: list[int], u: int, v: int) -> int:
+    """p(u/v) * v**deg for the integer polynomial p = sum c[i] t**i, in integers."""
+    acc, vp = 0, 1
+    for a in reversed(c):
+        acc = acc * u + a * vp
+        vp *= v
+    return acc
+
+
+def fraction_eval(c: list[Fraction], t: Fraction) -> Fraction:
+    """p(t) for rational coefficients c: one integer Horner pass over their
+    common denominator, and one normalisation of the result."""
+    if not c:
+        return Fraction(0)
+    den = math.lcm(*(x.denominator for x in c))
+    acc = int_horner([x.numerator * (den // x.denominator) for x in c], t.numerator, t.denominator)
+    return Fraction(acc, den * t.denominator ** (len(c) - 1))
 
 
 class Polynomial:
@@ -41,9 +62,16 @@ class Polynomial:
         return Polynomial([0] * k + [coef])
 
     def evaluate(self, t) -> Scalar:
+        """p(t) by Horner's rule.  Rational coefficients at a rational t take
+        ``fraction_eval``; every other tier, and a ``_Dual`` point or
+        coefficient, runs the Scalar loop.  The value is the same either way."""
         t = as_scalar(t)
+        cs = self._coeffs
+        if type(t) is Scalar and t._frac is not None and all(
+                type(c) is Scalar and c._frac is not None for c in cs):
+            return _rat(fraction_eval([c._frac for c in cs], t._frac))
         acc = Scalar(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(cs):
             acc = acc * t + c
         return acc
 
@@ -59,7 +87,9 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        a, b = self._coeffs, other._coeffs
+        return Polynomial([x - y for x, y in zip(a, b)] + list(a[len(b):])
+                          + [-y for y in b[len(a):]])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self._coeffs])

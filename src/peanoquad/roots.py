@@ -1,9 +1,10 @@
 """Real-root isolation for low-degree polynomials on an interval.
 
-One exact engine works on rational coefficients: Yun squarefree split,
-integer Sturm chains, bisection over dyadic rationals, and simplest-rational
-reconstruction, so roots like 1/3 are reported exactly and roots of
-quadratic factors as exact a + b*sqrt(m).  Every input reduces to it:
+One exact engine works on rational coefficients: closed forms for linear
+and quadratic pieces, Yun squarefree split, integer Sturm chains, bisection
+over dyadic rationals, and simplest-rational reconstruction, so roots like
+1/3 are reported exactly and roots of quadratic factors as exact
+a + b*sqrt(m).  Every input reduces to it:
 
 * coefficients in one field Q(sqrt m): p = A + B*sqrt(m) with A, B in Q[t]
   (B = 0 for rationals).  The roots of G = gcd(A, B) are isolated directly,
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeTooHigh
-from .polynomials import Polynomial
-from .scalars import Scalar, as_scalar, field_parts, sqrt
+from .polynomials import Polynomial, fraction_eval, int_horner
+from .scalars import Scalar, _extract_square, _quad, as_scalar, field_parts
 
 DEGREE_LIMIT = 16
 DEFAULT_ROOT_TOL = Fraction(1, 10**20)
@@ -59,12 +60,6 @@ def _ftrim(c: list[Fraction]) -> list[Fraction]:
 def _fderiv(c: list[Fraction]) -> list[Fraction]:
     return [c[i] * i for i in range(1, len(c))]
 
-def _feval(c: list[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * t + a
-    return acc
-
 
 def _fdivmod(a: list[Fraction], b: list[Fraction]):
     """Exact polynomial division over the rationals."""
@@ -73,11 +68,10 @@ def _fdivmod(a: list[Fraction], b: list[Fraction]):
     inv = 1 / b[-1]
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
-        f = a[-1] * inv
+        f = a.pop() * inv  # the leading term cancels exactly
         q[k] = f
-        for i in range(len(b)):
+        for i in range(len(b) - 1):
             a[k + i] -= f * b[i]
-        a.pop()
         _ftrim(a)
     return _ftrim(q), a
 
@@ -138,16 +132,8 @@ def _to_int_primitive(c: list[Fraction]) -> list[int]:
 
 
 def _int_sign_at(c: list[int], t: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point, exactly.
-
-    Accumulates p(u/v) * v^deg with pure integer arithmetic.
-    """
-    u, v = t.numerator, t.denominator
-    acc = 0
-    vp = 1
-    for a in reversed(c):
-        acc = acc * u + a * vp
-        vp *= v
+    """Sign of the integer polynomial at a rational point, exactly."""
+    acc = int_horner(c, t.numerator, t.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -195,7 +181,7 @@ def _refine_single(f_int: list[int], fq: list[Fraction], a: Fraction, b: Fractio
     while b - a > tol:
         if step in (0, 8):  # cheap shots at small-denominator rational roots
             cand = _simplest_in_open(a, b)
-            if _feval(fq, cand) == 0:
+            if fraction_eval(fq, cand) == 0:
                 return ("exact", cand)
         m = (a + b) / 2
         sm = _int_sign_at(f_int, m)
@@ -207,45 +193,58 @@ def _refine_single(f_int: list[int], fq: list[Fraction], a: Fraction, b: Fractio
             b = m
         step += 1
     cand = _simplest_in_open(a, b)
-    if _feval(fq, cand) == 0:
+    if fraction_eval(fq, cand) == 0:
         return ("exact", cand)
     return ("bracket", a, b)
 
 
 def _quadratic_roots(f: list[Fraction], lo: Fraction, hi: Fraction) -> list[Scalar]:
-    """Exact roots of a squarefree linear/quadratic factor inside (lo, hi).
+    """Exact roots inside (lo, hi), in increasing order, of a linear factor
+    or of a quadratic one with nonzero discriminant.
 
     Irrational quadratic roots come back as exact elements a + b*sqrt(m) of
     Q(sqrt(disc)), so values of rational polynomials at them stay exact.
+    Each root is placed against lo and hi by the sign of f there and the
+    side of the vertex a they lie on, without a square root.
     """
     if _fdeg(f) == 1:
         r = -f[0] / f[1]
         return [Scalar(r)] if lo < r < hi else []
-    c0, c1, c2 = f[0], f[1], f[2]
+    f = f if f[2] > 0 else [-x for x in f]  # now f < 0 just between the roots
+    c0, c1, c2 = f
     disc = c1 * c1 - 4 * c0 * c2
     if disc < 0:
         return []
-    root_d = sqrt(Scalar(disc))
-    lo_s, hi_s = Scalar(lo), Scalar(hi)
-    out = []
-    for sign in (-1, 1):
-        r = (Scalar(-c1) + sign * root_d) / Scalar(2 * c2)
-        if lo_s.lt_definite(r) and r.lt_definite(hi_s):
-            out.append(r)
-    out.sort()
-    return out
+    s, m = _extract_square(disc.numerator * disc.denominator)  # sqrt(p/q) = sqrt(p*q)/q
+    a, b = -c1 / (2 * c2), Fraction(s, disc.denominator) / (2 * c2)
+    f_lo, f_hi = fraction_eval(f, lo), fraction_eval(f, hi)
+    inside = (f_lo > 0 and lo < a and (f_hi < 0 or a < hi),   # lo < a - b*sqrt(m) < hi
+              (f_lo < 0 or lo < a) and f_hi > 0 and a < hi)   # lo < a + b*sqrt(m) < hi
+    return [_quad(a, y, m) for y, ok in zip((-b, b), inside) if ok]
 
 
 def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                       tol: Fraction) -> list[Root]:
-    # roots at the interval endpoints are outside (lo, hi): divide them away
+    """Roots inside (lo, hi), sorted by the lower end of their brackets.
+
+    Roots at lo and hi are divided away first.  What is left of degree 1,
+    or of degree 2 with a nonzero discriminant, is squarefree and goes
+    straight to the closed form ``_quadratic_roots``; a quadratic with zero
+    discriminant is one double root.  Higher degrees are split by Yun, and
+    factors above degree 2 are isolated with integer Sturm chains.
+    """
     c = list(coeffs)
-    while _fdeg(c) >= 1 and _feval(c, lo) == 0:
+    while _fdeg(c) >= 1 and fraction_eval(c, lo) == 0:
         c = _fdivmod(c, [-lo, Fraction(1)])[0]
-    while _fdeg(c) >= 1 and _feval(c, hi) == 0:
+    while _fdeg(c) >= 1 and fraction_eval(c, hi) == 0:
         c = _fdivmod(c, [-hi, Fraction(1)])[0]
     if _fdeg(c) < 1:
         return []
+    if _fdeg(c) == 2 and c[1] * c[1] == 4 * c[0] * c[2]:
+        r = -c[1] / (2 * c[2])
+        return [Root(Scalar(r), 2)] if lo < r < hi else []
+    if _fdeg(c) <= 2:
+        return [Root(r, 1) for r in _quadratic_roots(c, lo, hi)]
 
     found: list[Root] = []
     for factor, mult in _yun_squarefree(c):
@@ -269,7 +268,7 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
                     brackets.append((a, b))
                     continue
                 m = (a + b) / 2
-                if _feval(pending, m) == 0:
+                if fraction_eval(pending, m) == 0:
                     exact_hit = m
                     break
                 vm = _variations(chain, m)
@@ -312,8 +311,8 @@ def _sign_at_root(s: list[Fraction], n: list[Fraction], x: Scalar) -> int:
     s_lo = _int_sign_at(w, lo)
     while True:
         c = (lo + hi) / 2
-        v = _feval(s, c)
-        if abs(v) > _feval(slope, max(abs(lo), abs(hi))) * (hi - lo) / 2:
+        v = fraction_eval(s, c)
+        if abs(v) > fraction_eval(slope, max(abs(lo), abs(hi))) * (hi - lo) / 2:
             return 1 if v > 0 else -1
         if _int_sign_at(w, c) == s_lo:
             lo = c
@@ -356,8 +355,8 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     (q q'' > 0 there), over whose bracket p's enclosure still contains zero,
     is reported as an uncertified bracket with multiplicity hint 2."""
     q = [sum(c.bounds()) / 2 for c in p.coeffs]
-    v_lo = _feval(q, lo) if p(lo_s).contains_zero() else 0
-    v_hi = _feval(q, hi) if p(hi_s).contains_zero() else 0
+    v_lo = fraction_eval(q, lo) if p(lo_s).contains_zero() else 0
+    v_hi = fraction_eval(q, hi) if p(hi_s).contains_zero() else 0
     slope = (v_hi - v_lo) / (hi - lo)
     q = _fsub(q, [v_lo - slope * lo, slope])
     out = []
@@ -372,7 +371,7 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     for r in _isolate_rational(dq, lo, hi, tol):
         qa, qb = r.location.bounds()
         c = (qa + qb) / 2
-        if _feval(q, c) * _feval(d2q, c) > 0:
+        if fraction_eval(q, c) * fraction_eval(d2q, c) > 0:
             qa, qb = qa - tol / 4, qb + tol / 4
             if p(Scalar.from_interval(qa, qb)).contains_zero():
                 out.append(Root(Scalar.from_interval(qa, qb), 2, False))

@@ -126,6 +126,10 @@ class Scalar:
     __slots__ = ("_frac", "_ival", "_sqrt")
 
     def __init__(self, value=0):
+        if type(value) is Fraction or type(value) is int:
+            self._frac = value if type(value) is Fraction else Fraction(value)
+            self._ival = self._sqrt = None
+            return
         if isinstance(value, Scalar):
             self._frac, self._ival, self._sqrt = value._frac, value._ival, value._sqrt
             return
@@ -291,16 +295,20 @@ class Scalar:
         return tuple(Fraction(*to_rational(e._mpf_)) for e in ends)
 
     def mid_fraction(self) -> Fraction:
-        """Exact rational at (or near) the midpoint of the enclosure."""
+        """Exact rational at (or near) the midpoint of the enclosure: the
+        value of a rational, the exact midpoint of an interval, the nearest
+        float of a + b*sqrt(m)."""
         if self._frac is not None:
             return self._frac
+        if self._ival is not None:
+            return sum(self.bounds()) / 2
         return Fraction(float(self.interval().mid))
 
     # --- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "Scalar":
-        if self._frac is not None:
-            return Scalar(-self._frac)
+        if type(self) is Scalar and self._frac is not None:
+            return _rat(-self._frac)
         if self._sqrt is not None:
             a, b, m = self._sqrt
             return _quad(-a, -b, m)
@@ -315,8 +323,8 @@ class Scalar:
 
     def __add__(self, other) -> "Scalar":
         other = as_scalar(other)
-        if self._frac is not None and other._frac is not None:
-            return Scalar(self._frac + other._frac)
+        if type(self) is Scalar is type(other) and self._frac is not None and other._frac is not None:
+            return _rat(self._frac + other._frac)
         p = _common_field(self, other)
         if p is not None:
             a1, b1, a2, b2, m = p
@@ -331,15 +339,18 @@ class Scalar:
         return as_scalar(other) + self
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-as_scalar(other))
+        other = as_scalar(other)
+        if type(self) is Scalar is type(other) and self._frac is not None and other._frac is not None:
+            return _rat(self._frac - other._frac)
+        return self + (-other)
 
     def __rsub__(self, other):
         return as_scalar(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
         other = as_scalar(other)
-        if self._frac is not None and other._frac is not None:
-            return Scalar(self._frac * other._frac)
+        if type(self) is Scalar is type(other) and self._frac is not None and other._frac is not None:
+            return _rat(self._frac * other._frac)
         p = _common_field(self, other)
         if p is not None:
             a1, b1, a2, b2, m = p
@@ -359,8 +370,8 @@ class Scalar:
 
     def __truediv__(self, other) -> "Scalar":
         other = as_scalar(other)
-        if self._frac is not None and other._frac:
-            return Scalar(self._frac / other._frac)
+        if type(self) is Scalar is type(other) and self._frac is not None and other._frac:
+            return _rat(self._frac / other._frac)
         if other.is_exact_zero():
             raise ZeroDivisionError("scalar division by exact zero")
         if self._ival is None and other._ival is None:  # multiply by the reciprocal
@@ -433,6 +444,8 @@ class Scalar:
     def __eq__(self, other):
         """Definite equality: exact values compare exactly, intervals by identical
         enclosures; an exact value never equals an interval."""
+        if type(self) is Scalar is type(other) and self._frac is not None and other._frac is not None:
+            return self._frac == other._frac
         if not isinstance(other, (Scalar, int, float, Fraction)):
             return NotImplemented
         other = as_scalar(other)
@@ -481,6 +494,19 @@ class Scalar:
 
 def as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
+
+
+def _rat(f: Fraction) -> Scalar:
+    """The rational Scalar f, built without __init__'s type tests.
+
+    Negation, the four field operations and ``==`` take a fast lane through
+    it when both operands are plain rationals.  The lane tests
+    ``type(x) is Scalar``: a _Dual keeps its value in the same slots, and
+    the lane would drop its derivative.
+    """
+    s = object.__new__(Scalar)
+    s._frac, s._ival, s._sqrt = f, None, None
+    return s
 
 
 def _quad(a: Fraction, b: Fraction, m: int) -> Scalar:

@@ -201,3 +201,16 @@ def test_dual_arithmetic_rules():
     _, corner = _Dual.parts(abs(_Dual(Scalar.from_interval(F(-1, 10**40), F(1, 10**40)), 2)))
     assert corner.sign() is None
     assert corner.bounds() == (F(-2), F(2))
+
+
+def test_rational_fast_lane_keeps_the_derivative():
+    import operator
+
+    a, x, v = Scalar(F(1, 3)), _Dual(F(1, 2), 1), Scalar(F(1, 2))
+    for op, d_ax, d_xa in [(operator.add, 1, 1), (operator.sub, -1, 1),
+                           (operator.mul, F(1, 3), F(1, 3)), (operator.truediv, F(-4, 3), 3)]:
+        assert _Dual.parts(op(a, x)) == (op(a, v), Scalar(d_ax))
+        assert _Dual.parts(op(x, a)) == (op(v, a), Scalar(d_xa))
+    assert _Dual.parts(-x) == (-v, Scalar(-1))
+    assert v.lt_definite(x) is True and x.lt_definite(v) is False
+    assert v != x and x != v

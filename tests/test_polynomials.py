@@ -98,3 +98,35 @@ def test_derivative():
     p = Polynomial([5, 3, 0, 2])  # 5 + 3t + 2t^3
     assert p.derivative() == Polynomial([3, 0, 6])
     assert Polynomial([7]).derivative().is_zero
+
+
+def _scalar_horner(p, t):
+    """Reference: p(t) by Horner's rule in Scalar arithmetic."""
+    acc = Scalar(0)
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _spelled(x):
+    from peanoquad.scalars import _Dual
+
+    v, d = _Dual.parts(x)
+    return [(s.to_json_str(), s.is_rational, s.is_exact, s.bounds()) for s in (v, d)]
+
+
+def test_evaluate_matches_the_scalar_horner_loop():
+    from peanoquad.scalars import _Dual
+
+    rng = random.Random(4711)
+    points = [Scalar(F(-7, 3)), Scalar(0), Scalar(F(5, 11)), sqrt(Scalar(F(1, 3))),
+              Scalar(F(1, 2)) - sqrt(Scalar(5)),
+              Scalar.from_interval(F(1, 3) - F(1, 10**30), F(1, 3) + F(1, 10**30)),
+              _Dual(Scalar(F(2, 7)), 1), _Dual(sqrt(Scalar(2)), F(-1, 3))]
+    for _ in range(20):
+        p = rand_poly(rng)
+        dual_coeffs = Polynomial([_Dual(c, F(rng.randint(-3, 3), 5)) if rng.random() < 0.5 else c
+                                  for c in p.coeffs])
+        for q in (p, dual_coeffs, Polynomial()):
+            for t in points:
+                assert _spelled(q(t)) == _spelled(_scalar_horner(q, t)), (q, t)

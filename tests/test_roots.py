@@ -206,3 +206,90 @@ def test_interval_data_double_root_off_the_midpoint_grid():
     for root, want in zip(got, (F(7, 30), F(13, 30))):
         lo, hi = root.location.bounds()
         assert lo < want < hi
+
+
+def test_interval_window_end_is_its_exact_midpoint():
+    # the root lies 1e-18 below 1/3; a window end 1/3 +- 1e-40 read as the
+    # nearest double (1/3 - 1.85e-17) would leave it outside
+    root = F(1, 3) - F(1, 10**18)
+    hi = Scalar.from_interval(F(1, 3) - F(1, 10**40), F(1, 3) + F(1, 10**40))
+    for end in (hi, F(1, 3)):
+        got = isolate_roots(Polynomial([-root, 1]), 0, end)
+        assert [r.location.as_fraction() for r in got] == [root]
+
+
+def _scalar_quadratic_roots(f, lo, hi):
+    """Reference: roots of a squarefree linear or quadratic factor inside
+    (lo, hi) by Scalar arithmetic in Q(sqrt(disc))."""
+    if len(f) == 2:
+        r = -f[0] / f[1]
+        return [Scalar(r)] if lo < r < hi else []
+    disc = f[1] * f[1] - 4 * f[0] * f[2]
+    if disc < 0:
+        return []
+    rs = [(Scalar(-f[1]) + s * sqrt(Scalar(disc))) / Scalar(2 * f[2]) for s in (-1, 1)]
+    return sorted(r for r in rs if Scalar(lo).lt_definite(r) and r.lt_definite(Scalar(hi)))
+
+
+def _yun_route(c, lo, hi):
+    """Reference: _isolate_rational with every piece split by Yun first."""
+    from peanoquad import roots
+
+    while len(c) > 1 and roots.fraction_eval(c, lo) == 0:
+        c = roots._fdivmod(c, [-lo, F(1)])[0]
+    while len(c) > 1 and roots.fraction_eval(c, hi) == 0:
+        c = roots._fdivmod(c, [-hi, F(1)])[0]
+    if len(c) < 2:
+        return []
+    found = [roots.Root(r, mult) for factor, mult in roots._yun_squarefree(c)
+             for r in _scalar_quadratic_roots(factor, lo, hi)]
+    return sorted(found, key=lambda r: r.location.bounds()[0])
+
+
+def _low_degree_cases(rng):
+    """(coefficients, lo, hi) of seeded linear and quadratic pieces, and of
+    cubics that deflate to one at a window end."""
+    def q():
+        return F(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def times(*fs):
+        from functools import reduce
+
+        from peanoquad.roots import _fmul
+
+        return reduce(_fmul, fs)
+
+    for _ in range(60):
+        k, a, b = q() or F(-1), q(), q()
+        lo, hi = sorted((q(), q() + F(1, 7)))
+        yield [-a * k, k], lo, hi                                  # linear, k < 0 half the time
+        yield [-a * k, k], a, hi if hi > a else a + 1              # linear root at lo
+        yield times([-a, 1], [-b, 1], [k]), lo, hi                 # rational roots
+        yield times([-a, 1], [-a, 1], [k]), lo, hi                 # double root
+        yield times([-a, 1], [-a, 1], [k]), a, a + 2               # double root at lo
+        yield times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b) + 1  # root at lo
+        yield times([-a, 1], [-b, 1], [k]), min(a, b) - 1, max(a, b)  # root at hi
+        yield times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b)   # both at the ends
+        yield [k * (a * a + 1), -2 * a * k, k], lo, hi             # negative discriminant
+        yield [q(), q(), k], lo - 3, hi + 3                        # roots in Q(sqrt m), mostly
+        yield times([q(), q(), k], [-lo, 1]), lo, hi + 3           # cubic, a root at lo
+        yield times([-a, 1], [-a, 1], [-hi, 1]), lo, hi            # double root, a root at hi
+
+
+def test_closed_form_low_degree_roots_match_the_yun_route():
+    from peanoquad.roots import _isolate_rational
+
+    rng = random.Random(8128)
+    tol = F(1, 10**20)
+    kinds = set()
+    for c, lo, hi in _low_degree_cases(rng):
+        if lo >= hi or c[-1] == 0:
+            continue
+        want = _yun_route(list(c), lo, hi)
+        got = _isolate_rational(list(c), lo, hi, tol)
+        assert ([(r.location.to_json_str(), r.multiplicity_hint, r.certified) for r in got]
+                == [(r.location.to_json_str(), r.multiplicity_hint, r.certified) for r in want]), c
+        assert list(isolate_roots(Polynomial(c), lo, hi)) == got
+        kinds.update(("rational" if r.location.is_rational else "sqrt", r.multiplicity_hint)
+                     for r in got)
+    assert kinds == {("rational", 1), ("rational", 2), ("sqrt", 1)}
