@@ -191,17 +191,18 @@ def _locate_signature_change(sig, a: Fraction, b: Fraction, tol: Fraction) -> Fr
 
     Branch switches and node collisions often sit on a grid point (x = 0,
     +-1, 1/2), so the ends are tried first: when the signature one ``tol``
-    inside an end already equals the other end's, the change lies within
-    ``tol`` of that end, which is returned exactly.  Otherwise the cell is
+    inside an end differs from that end's own, a change lies within ``tol``
+    of that end, which is returned exactly; a cell holding a second change
+    (gs2's [1/2, 1] on a 3-point grid) still gives its end.  Otherwise it is
     bisected, and the simplest rational inside the final bracket is returned,
     so a kink at a small rational (1/3, 3/5) comes back exactly.  A cell no
     wider than 2 ``tol`` is only bisected, never probed outside itself.
     """
     sig_a, sig_b = sig(a), sig(b)
     if b - a > 2 * tol:
-        if sig(a + tol) == sig_b:
+        if sig(a + tol) != sig_a:
             return a
-        if sig(b - tol) == sig_a:
+        if sig(b - tol) != sig_b:
             return b
     while b - a > tol:
         m = (a + b) / 2

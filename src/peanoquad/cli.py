@@ -1,9 +1,9 @@
 """Command-line interface: catalog, analyze, kernel, scan, minimize, integrate, verify.
 
-Scalars cross this boundary as strings: exact rationals ("1/3", "0.25"),
-decimals, or square roots of rationals ("sqrt(1/3)", "-1/2*sqrt(5)").  Exit
-codes: 0 success, 1 verification/runtime failure, 2 invalid rule or
-parameters, 3 numerical-ambiguity flag raised under --strict.
+Scalars cross this boundary as strings read by ``Scalar.parse`` ("1/3",
+"0.25", "-1/2*sqrt(5)", "(1+sqrt(5))/2").  Exit codes: 0 success, 1
+verification/runtime failure, 2 invalid rule, parameter or scalar,
+3 numerical-ambiguity flag raised under --strict.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import PeanoQuadError
 from .exactness import degree_of_exactness
 from .peano import export_kernel_csv, export_kernel_json, kernel_l1_norm, verify_peano_identity
 from .polynomials import Polynomial
-from .roots import DEFAULT_ROOT_TOL
 from .rules import _PY_NAMES, CATALOG, family, make_rule, rule_to_json_dict
 from .scalars import Scalar
 
@@ -131,7 +130,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_kernel(args) -> int:
     rule = make_rule(args.rule, **_parse_params(args.param))
-    report = kernel_l1_norm(rule, args.r, root_tol=args.root_tol.as_fraction())
+    report = kernel_l1_norm(rule, args.r)
     print(f"rule {rule.name}, order {args.r}: M_{args.r} = {report.l1_norm.to_decimal(args.digits)}"
           f" (radius {report.radius:.2g})")
     if args.csv:
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule_args(p)
     p.add_argument("--r", type=int, required=True, help="kernel order")
     p.add_argument("--grid", type=int, default=2001, help="CSV grid points (default 2001)")
-    p.add_argument("--root-tol", type=_scalar_arg, default=Scalar(DEFAULT_ROOT_TOL),
-                   help=f"root isolation tolerance (default {float(DEFAULT_ROOT_TOL):g})")
     p.add_argument("--csv", help="CSV output path (columns t, K_r)")
     p.add_argument("--json", help="JSON sidecar path (breakpoints, pieces, norm)")
 

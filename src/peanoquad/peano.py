@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
-from .roots import DEFAULT_ROOT_TOL, Root, isolate_roots
+from .roots import Root, isolate_roots
 from .rules import QuadRule
 from .scalars import Scalar, as_scalar, minus_terms
 
@@ -143,7 +143,7 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
-def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelReport:
+def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     """Sharp constant M_r = integral of |K_r| with sign changes isolated.
 
     The result is exact (rational, or a + b*sqrt(m)) whenever the rule's data
@@ -162,7 +162,7 @@ def kernel_l1_norm(rule: QuadRule, r: int, root_tol=DEFAULT_ROOT_TOL) -> KernelR
         # nodes of a dual pass that meet at x but part with it leave a piece of
         # zero length (equal values, compared as plain copies): no roots there
         inside = piece.degree >= 1 and Scalar(lo) != Scalar(hi)
-        piece_roots = isolate_roots(piece, lo, hi, root_tol) if inside else ()
+        piece_roots = isolate_roots(piece, lo, hi) if inside else ()
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
         F = piece.antiderivative()
         prev = F(cuts[0])

@@ -108,13 +108,13 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
     nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
     centre = (a + b) / 2
-    m = _radicand([centre, h] + [offset for _, offset, _ in nodes])
+    data = [centre, h] + [offset for _, offset, _ in nodes]
     sums = [Scalar(0)] * len(nodes)
     looped = []
     for j, (g, offset, _) in enumerate(nodes):
-        walk = _walk(centre, h, offset, n, m)
-        if (m is not None and isinstance(g, Polynomial) and n > g.degree + 1
-                and _radicand(g.coeffs, m) is not None):
+        walk = _walk(centre, h, offset, n)
+        if (isinstance(g, Polynomial) and n > g.degree + 1
+                and field_parts(data + list(g.coeffs)) is not None):
             sums[j] = _closed_sum(g, walk, n)
         else:
             looped.append((j, g, walk))
@@ -131,33 +131,21 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
 
 
-def _radicand(values, m: int = 1) -> int | None:
-    """The radicand shared by values that are all rational or exact
-    a + b*sqrt(m) over one m (the given m, or 1 when every value is
-    rational), or None for an interval, a dual number or a second radicand."""
-    for v in values:
-        if type(v) is not Scalar or v._ival is not None:
-            return None
-        if v._sqrt is not None:
-            if m != 1 and v._sqrt[2] != m:
-                return None
-            m = v._sqrt[2]
-    return m
-
-
-def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int, m: int | None):
+def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
     """Panel k's node centre + (2k + 1 - n)*h + offset for k = 0, ..., n - 1.
 
-    Over one radicand m the node is (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m)
-    with integers formed once, and each node is one Fraction or one _quad:
-    the Scalar that the Scalar expression gives.  Interval data (m None)
-    take the expression itself, from the centre, so no drift builds up.
+    When ``field_parts`` puts the first node and the step 2h in one
+    Q(sqrt m), the node is (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m) with
+    integers formed once, and each node is one Fraction or one _quad: the
+    Scalar that the Scalar expression gives.  Interval data take the
+    expression itself, from the centre, so no drift builds up.
     """
-    if m is None:
+    parts = field_parts([centre + (1 - n) * h + offset, 2 * h])
+    if parts is None:
         for k in range(n):
             yield centre + (2 * k + 1 - n) * h + offset
         return
-    _, [(a0, b0), (a1, b1)] = field_parts([centre + (1 - n) * h + offset, 2 * h])
+    m, [(a0, b0), (a1, b1)] = parts
     da, db = lcm(a0.denominator, a1.denominator), lcm(b0.denominator, b1.denominator)
     a0, a1 = (q.numerator * (da // q.denominator) for q in (a0, a1))
     b0, b1 = (q.numerator * (db // q.denominator) for q in (b0, b1))

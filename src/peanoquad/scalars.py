@@ -21,7 +21,8 @@ arithmetic, and ``<`` between overlapping enclosures raises ``AmbiguousOrder``.
 
 from __future__ import annotations
 
-import re
+import ast
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -89,33 +90,6 @@ def _iv_endpoints(x):
     return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
 
 
-_RATIONAL_RE = re.compile(
-    r"""^([+-]?\d+)\s*/\s*(\d+)$          # p/q
-      | ^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)$   # integer / decimal
-    """,
-    re.VERBOSE,
-)
-_RAT = r"(?:\d+\s*/\s*\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"  # unsigned literal
-_SQRT_RE = re.compile(
-    rf"""^(?:(?P<a>[+-]?{_RAT})\s*(?=[+-]))?     # optional rational term
-        \s*(?P<sign>[+-])?\s*
-        (?:(?P<coef>{_RAT})\s*\*\s*)?          # optional rational coefficient
-        sqrt\(\s*(?P<rad>[^)]+)\s*\)
-        (?:\s*/\s*(?P<div>\S+))?$              # optional rational divisor
-    """,
-    re.VERBOSE,
-)
-
-
-def _parse_fraction(text: str) -> Fraction:
-    m = _RATIONAL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a rational literal: {text!r}")
-    if m.group(1) is not None:
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    return Fraction(m.group(3))
-
-
 class Scalar:
     """Exact rational, exact a + b*sqrt(m), or validated interval real.
 
@@ -154,34 +128,30 @@ class Scalar:
 
     @staticmethod
     def from_interval(lo, hi) -> "Scalar":
-        """Validated scalar from endpoint bounds (Fractions, floats, or mpf)."""
+        """Validated scalar enclosing [lo, hi]: each end (int, Fraction, float
+        or mpf) is read exactly and rounded once, outward, to the working
+        precision.  NaN, infinite or reversed ends raise ValueError."""
+        lo, hi = _exact_end(lo), _exact_end(hi)
+        if hi < lo:
+            raise ValueError(f"interval ends out of order: [{lo}, {hi}]")
         s = Scalar.__new__(Scalar)
         s._frac = None
         s._sqrt = None
-        if isinstance(lo, Fraction) or isinstance(hi, Fraction):
-            lo, hi = Fraction(lo), Fraction(hi)
-            if hi < lo:
-                raise ValueError(f"interval ends out of order: [{lo}, {hi}]")
-            s._ival = _frac_to_interval(lo, hi)
-        else:
-            s._ival = iv.mpf([lo, hi])
+        s._ival = _frac_to_interval(lo, hi)
         return s
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse "p/q", integer/decimal literals, and [a±][c*]sqrt(r)[/d] forms."""
+        """The value of a literal such as "1/3", "-0.25", "1e-3", "sqrt(1/3)" or
+        "(1+sqrt(5))/2": a Python expression of numbers (read exactly from
+        their digits), unary + and -, + - * /, parentheses and sqrt(...),
+        evaluated by Scalar arithmetic.  Any other form (also "007", which
+        Python rejects) and a division by zero raise ValueError."""
         text = text.strip()
-        m = _SQRT_RE.match(text)
-        if m:
-            coef = Fraction(-1 if m.group("sign") == "-" else 1)
-            if m.group("coef"):
-                coef *= _parse_fraction(m.group("coef"))
-            if m.group("div"):
-                coef /= _parse_fraction(m.group("div"))
-            rad = _parse_fraction(m.group("rad"))
-            a = _parse_fraction(m.group("a")) if m.group("a") else 0
-            return Scalar(a) + Scalar(coef) * sqrt(Scalar(rad))
-        return Scalar(_parse_fraction(text))
+        try:
+            return _literal(ast.parse(text, mode="eval").body, text)
+        except (SyntaxError, ZeroDivisionError, RecursionError, MemoryError) as exc:
+            raise ValueError(f"not a scalar literal: {text!r} ({getattr(exc, 'msg', exc)})") from None
 
     # --- predicates and accessors --------------------------------------
 
@@ -289,10 +259,7 @@ class Scalar:
         """Exact rational endpoints of the enclosure (both equal for a rational)."""
         if self._frac is not None:
             return self._frac, self._frac
-        ends = _iv_endpoints(self.interval())
-        if not all(mpmath.isfinite(e) for e in ends):
-            raise ValueError("scalar enclosure is unbounded")
-        return tuple(Fraction(*to_rational(e._mpf_)) for e in ends)
+        return tuple(_exact_end(e) for e in _iv_endpoints(self.interval()))
 
     def mid_fraction(self) -> Fraction:
         """Exact rational at (or near) the midpoint of the enclosure: the
@@ -496,6 +463,34 @@ def as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _literal(node, text: str) -> Scalar:
+    """The value of the parsed literal ``node`` of ``text`` (see Scalar.parse)."""
+    if isinstance(node, ast.Constant):  # Fraction reads the digits, or raises
+        return Scalar(Fraction(ast.get_source_segment(text, node)))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        x = _literal(node.operand, text)
+        return -x if isinstance(node.op, ast.USub) else x
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_literal(node.left, text), _literal(node.right, text))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sqrt"
+            and len(node.args) == 1 and not node.keywords):
+        return sqrt(_literal(node.args[0], text))
+    raise ValueError(f"not a scalar literal: {text!r}")
+
+
+def _exact_end(x) -> Fraction:
+    """An interval end read exactly; ValueError for NaN or infinity."""
+    try:
+        if isinstance(x, mpmath.mpf):  # to_rational would read inf as 0
+            return Fraction(*to_rational(x._mpf_)) if mpmath.isfinite(x) else Fraction(float(x))
+        return Fraction(x)
+    except OverflowError:  # Fraction(inf); NaN raises ValueError itself
+        raise ValueError(f"interval end is not finite: {x}") from None
+
+
 def _rat(f: Fraction) -> Scalar:
     """The rational Scalar f, built without __init__'s type tests.
 
@@ -540,12 +535,11 @@ def _common_field(x: Scalar, y: Scalar):
     return a1, b1 * Fraction(s, m2), a2, b2, m2
 
 
-def approx_quad(a: Fraction, b: Fraction, m: int, bits: int, above: bool = False) -> Fraction:
-    """a + b*sqrt(m) with sqrt(m) truncated to ``bits`` bits (one unit more
-    when ``above``), close relative to the value: where a and b*sqrt(m) have
-    opposite signs it is the exact norm divided by the conjugate, where they
-    add.  Monotone in the root, so the two truncations bracket the value."""
-    root = Fraction(isqrt(m << 2 * bits) + above, 1 << bits)
+def approx_quad(a: Fraction, b: Fraction, m: int, bits: int) -> Fraction:
+    """a + b*sqrt(m) with sqrt(m) truncated to ``bits`` bits, close relative
+    to the value: where a and b*sqrt(m) have opposite signs it is the exact
+    norm divided by the conjugate, where they add."""
+    root = Fraction(isqrt(m << 2 * bits), 1 << bits)
     if a * b >= 0:
         return a + b * root
     return (a * a - b * b * m) / (a - b * root)

@@ -601,3 +601,12 @@ def test_gauss_node_family_value_matches_fixed_rule():
     fixed = kernel_l1_norm(make_rule("gauss_legendre2"), 1).l1_norm
     want = (4 * (2 / mpmath.sqrt(3) - 1) ** mpmath.mpf("1.5") + 1 - 3 / mpmath.mpf(3)) / 3
     assert abs(float(fixed) - float(want)) <= 1e-12
+
+
+def test_grid_point_branch_point_is_exact_beside_a_second_change():
+    # on 3 points the cell [1/2, 1] holds gs2's switch at 1/2 and its node
+    # collision at 1; the end probe still returns the switch exactly
+    assert bound_scan(family("gs2"), 1, grid_size=3).branch_points == (Scalar(F(1, 2)),)
+    for grid in (5, 33, 101):
+        assert bound_scan(family("gs2"), 1, grid_size=grid).branch_points == (
+            Scalar(F(1, 2)), Scalar(1))

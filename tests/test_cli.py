@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from peanoquad import cli
 
 
@@ -212,3 +214,24 @@ def test_json_payloads_share_one_writer(tmp_path, capsys, monkeypatch):
         assert out.count("wrote ") == 1 and out.rstrip().endswith(f"wrote {path}")
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_division_by_zero_in_a_rule_parameter_exits_two(capsys):
+    code, _, err = run(capsys, "analyze", "mod3_opt", "-p", "x=1/0")
+    assert code == 2
+    assert err.startswith("error:") and "1/0" in err
+
+
+def test_division_by_zero_in_a_scalar_option_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["integrate", "simpson", "--function", "exp", "--a", "1/0", "--b", "1",
+                  "--r", "3", "--deriv-sup", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --a" in err and "Traceback" not in err
+
+
+def test_kernel_has_no_root_tolerance_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "simpson", "--r", "3", "--root-tol", "1e-30"])
+    assert exc.value.code == 2

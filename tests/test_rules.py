@@ -369,3 +369,16 @@ def test_merged_degenerate_rules():
     ]
     # dragomir_sofo at x = 0 has no derivative term either
     assert make_rule("dragomir_sofo", x=0).deriv_nodes == ()
+
+
+def test_json_import_rejects_a_division_by_zero():
+    with pytest.raises(ValueError, match="not a scalar literal"):
+        rule_from_json_dict({"name": "bad", "value_nodes": [["1/0", "2"]], "deriv_nodes": []})
+    with pytest.raises(ValueError, match="not a scalar literal"):
+        rule_from_json_dict({"name": "bad", "value_nodes": [["0", "2/0"]], "deriv_nodes": []})
+
+
+def test_json_import_rejects_reversed_interval_ends():
+    with pytest.raises(ValueError, match="out of order"):
+        rule_from_json_dict({"name": "bad", "value_nodes": [[["1/3", "1/4"], "2"]],
+                             "deriv_nodes": []})
