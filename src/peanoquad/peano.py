@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._qpoly import (add_abs_diff, antiderivative_values, integrate_pieces, kernel_pieces, parts,
+                     plain_field, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
@@ -38,6 +40,7 @@ class PiecewisePolynomial:
 
     breakpoints: tuple[Scalar, ...]
     pieces: tuple[Polynomial, ...]
+    _exact = None  # not a field: (A_i, B_i, den, m) per piece, set by build_kernel
 
     def piece_index(self, t) -> int:
         t = as_scalar(t)
@@ -57,6 +60,10 @@ class PiecewisePolynomial:
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
+        if self._exact is not None:
+            total = integrate_pieces(self._exact, g.coeffs, self.breakpoints)
+            if total is not None:
+                return total
         total = Scalar(0)
         for i, p in enumerate(self.pieces):
             total = total + (p * g).definite_integral(
@@ -110,7 +117,9 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     masses at the derivative nodes).  The full remainder identity therefore
     starts at r = 1 for such rules.
 
-    Each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
+    Plain exact data over Q or one Q(sqrt m) are formed in integers
+    (``_qpoly.kernel_pieces``), with the same Scalars as a result.  Otherwise
+    each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
     same order whatever the tier of the data.
@@ -120,26 +129,40 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     """
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
-    lead, moments = _integrals(r)
-    terms = [(x, Polynomial([x, -1]) ** r * a) for x, a in rule.value_nodes]
+    nodes = [(x, a, r) for x, a in rule.value_nodes]
     if r >= 1:
-        terms += [(y, Polynomial([y, -1]) ** (r - 1) * (b * r)) for y, b in rule.deriv_nodes]
-    for i, c in enumerate(moments.coeffs):
-        if not minus_terms(c, [t.coeffs[i] for _, t in terms if i < len(t.coeffs)]).zero_within():
-            raise OrderExceedsExactness(
-                f"rule {rule.name} is not exact on degree {r} polynomials; "
-                f"the order-{r} kernel identity does not hold"
-            )
+        nodes += [(y, b * r, r - 1) for y, b in rule.deriv_nodes]
+    m = plain_field([v for node in rule.value_nodes + rule.deriv_nodes for v in node])
+    if m is not None:
+        bps = _breakpoints(rule)
+        index = {parts(b): j for j, b in enumerate(bps)}
+        den, exact = kernel_pieces([(x, a, n, index[parts(x)]) for x, a, n in nodes], r, m,
+                                   len(bps) - 1)
+        ok = exact is not None
+    else:
+        lead, moments = _integrals(r)
+        terms = [(x, Polynomial([x, -1]) ** n * a) for x, a, n in nodes]
+        ok = all(minus_terms(c, [t.coeffs[i] for _, t in terms if i < len(t.coeffs)]).zero_within()
+                 for i, c in enumerate(moments.coeffs))
+    if not ok:
+        raise OrderExceedsExactness(
+            f"rule {rule.name} is not exact on degree {r} polynomials; "
+            f"the order-{r} kernel identity does not hold"
+        )
+    if m is not None:
+        kernel = PiecewisePolynomial(tuple(bps), tuple(Polynomial(
+            [to_scalar((Fraction(a, den), b and Fraction(b, den), m)) for a, b in zip(A, B)])
+            for A, B in exact))
+        object.__setattr__(kernel, "_exact", [(A, B, den, m) for A, B in exact])
+        return kernel
     bps = _breakpoints(rule)
-    r_fact = math.factorial(r)
     pieces = []
-    for i in range(len(bps) - 1):
-        right = bps[i + 1]
+    for right in bps[1:]:
         p = lead
         for node, term in terms:
             if node.lt_definite(right) is not True:  # node >= right end: active on piece
                 p = p - term
-        pieces.append(p * Scalar(Fraction(1, r_fact)))
+        pieces.append(p * Scalar(Fraction(1, math.factorial(r))))
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
@@ -150,10 +173,12 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     lie in one Q(sqrt m) and every kernel root is rational or lies in it;
     otherwise a validated value whose radius is reported.  A continuity flag
     is True when the jump of K_r at that interior breakpoint passes
-    ``Scalar.zero_within``.
+    ``Scalar.zero_within``.  A kernel formed in integers is integrated in
+    integers too (``_qpoly.antiderivative_values`` and ``add_abs_diff``).
     """
     kernel = build_kernel(rule, r)
-    total = Scalar(0)
+    exact = kernel._exact
+    total = (Fraction(0), Fraction(0), 1)
     roots: list[Root] = []
     for i, piece in enumerate(kernel.pieces):
         lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
@@ -161,17 +186,17 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
             continue
         # nodes of a dual pass that meet at x but part with it leave a piece of
         # zero length (equal values, compared as plain copies): no roots there
-        inside = piece.degree >= 1 and Scalar(lo) != Scalar(hi)
+        inside = piece.degree >= 1 and (exact or Scalar(lo) != Scalar(hi))
         piece_roots = isolate_roots(piece, lo, hi) if inside else ()
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
-        F = piece.antiderivative()
-        prev = F(cuts[0])
-        for s in cuts[1:]:
-            cur = F(s)
-            total = total + abs(cur - prev)
-            prev = cur
+        values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
+        if any(v is None for v in values):
+            F = piece.antiderivative()
+            values = [F(s) if v is None else v for s, v in zip(cuts, values)]
+        for prev, cur in zip(values, values[1:]):
+            total = add_abs_diff(total, cur, prev)
         roots.extend(piece_roots)
-    return KernelReport(order=r, kernel=kernel, l1_norm=total, sign_changes=tuple(roots))
+    return KernelReport(order=r, kernel=kernel, l1_norm=to_scalar(total), sign_changes=tuple(roots))
 
 
 def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:

@@ -2,30 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
-from fractions import Fraction
 
+from ._qpoly import fraction_eval
 from .scalars import Scalar, _rat, as_scalar
-
-
-def int_horner(c: list[int], u: int, v: int) -> int:
-    """p(u/v) * v**deg for the integer polynomial p = sum c[i] t**i, in integers."""
-    acc, vp = 0, 1
-    for a in reversed(c):
-        acc = acc * u + a * vp
-        vp *= v
-    return acc
-
-
-def fraction_eval(c: list[Fraction], t: Fraction) -> Fraction:
-    """p(t) for rational coefficients c: one integer Horner pass over their
-    common denominator, and one normalisation of the result."""
-    if not c:
-        return Fraction(0)
-    den = math.lcm(*(x.denominator for x in c))
-    acc = int_horner([x.numerator * (den // x.denominator) for x in c], t.numerator, t.denominator)
-    return Fraction(acc, den * t.denominator ** (len(c) - 1))
 
 
 class Polynomial:

@@ -18,12 +18,13 @@ a + b*sqrt(m).  Every input reduces to it:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeTooHigh
-from .polynomials import Polynomial, fraction_eval, int_horner
+from ._qpoly import (_fderiv, _fdeg, _fdivmod, _fgcd, _fmul, _fsub, _ftrim, _to_int_primitive,
+                     _yun_squarefree, fraction_eval, int_horner)
+from .polynomials import Polynomial
 from .scalars import Scalar, _extract_square, _quad, as_scalar, field_parts
 
 DEGREE_LIMIT = 16
@@ -41,94 +42,6 @@ class Root:
 
     def is_exact(self) -> bool:
         return self.location.is_exact
-
-
-# --------------------------------------------------------------------------
-# exact helpers on Fraction coefficient lists (index i = coefficient of t^i)
-
-
-def _fdeg(c: list[Fraction]) -> int:
-    return len(c) - 1
-
-
-def _ftrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fderiv(c: list[Fraction]) -> list[Fraction]:
-    return [c[i] * i for i in range(1, len(c))]
-
-
-def _fdivmod(a: list[Fraction], b: list[Fraction]):
-    """Exact polynomial division over the rationals."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a.pop() * inv  # the leading term cancels exactly
-        q[k] = f
-        for i in range(len(b) - 1):
-            a[k + i] -= f * b[i]
-        _ftrim(a)
-    return _ftrim(q), a
-
-
-def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [x * inv for x in a]
-    return a
-
-
-def _fsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _ftrim(out)
-
-
-def _yun_squarefree(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun squarefree decomposition: list of (monic factor, multiplicity)."""
-    d = _fderiv(list(c))
-    g = _fgcd(list(c), list(d))
-    if _fdeg(g) < 1:
-        return [(list(c), 1)]
-    out = []
-    w, _ = _fdivmod(c, g)   # product of distinct roots
-    y, _ = _fdivmod(d, g)
-    z = _fsub(y, _fderiv(w))
-    i = 1
-    while _fdeg(w) > 0:
-        g_i = _fgcd(list(w), list(z))
-        if _fdeg(g_i) > 0:
-            out.append((g_i, i))
-        w, _ = _fdivmod(w, g_i)
-        y, _ = _fdivmod(z, g_i) if z else ([], [])
-        z = _fsub(y, _fderiv(w))
-        i += 1
-    return out
-
-
-def _to_int_primitive(c: list[Fraction]) -> list[int]:
-    den = 1
-    for x in c:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
 
 def _int_sign_at(c: list[int], t: Fraction) -> int:
@@ -287,14 +200,6 @@ def _isolate_rational(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
             break
     found.sort(key=lambda r: r.location.bounds()[0])
     return found
-
-
-def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _sign_at_root(s: list[Fraction], n: list[Fraction], x: Scalar) -> int:

@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
+from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
+from ._qpoly import _ints, parts, plain_field
 from .polynomials import Polynomial
-from .scalars import Scalar, _quad, as_scalar, field_parts, sqrt
+from .scalars import Scalar, _quad, as_scalar, sqrt
 
 F = Fraction
 
@@ -85,14 +86,15 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     called panel by panel with the same node Scalars as a panel-by-panel
     sum, and for exact data the result equals that sum exactly:
 
-    * exact nodes are stepped in integers (:func:`_walk`), interval nodes
-      are formed by the expression above, so their enclosures stay the same;
+    * plain exact nodes are stepped in integers (:func:`_walk`), interval
+      and ``_Dual`` nodes are formed by the expression above, so their
+      enclosures and derivatives stay the same;
     * float values of f are summed exactly, as integer multiples of
       2**-1074 (every finite float is one), other values as Scalars in
       panel order;
-    * a Polynomial with exact coefficients at exact nodes is summed in
-      closed form from its first deg + 1 values (:func:`_closed_sum`) once
-      n > deg + 1.
+    * a Polynomial with plain exact coefficients at plain exact nodes
+      (``_qpoly.plain_field``) is summed in closed form from its first
+      deg + 1 values (:func:`_closed_sum`) once n > deg + 1.
     """
     if rule.deriv_nodes and fprime is None:
         if isinstance(f, Polynomial):
@@ -114,7 +116,7 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     for j, (g, offset, _) in enumerate(nodes):
         walk = _walk(centre, h, offset, n)
         if (isinstance(g, Polynomial) and n > g.degree + 1
-                and field_parts(data + list(g.coeffs)) is not None):
+                and plain_field(data + list(g.coeffs)) is not None):
             sums[j] = _closed_sum(g, walk, n)
         else:
             looped.append((j, g, walk))
@@ -122,8 +124,11 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     for row in zip(*(walk for _, _, walk in looped)):
         for (j, g, _), x in zip(looped, row):
             v = g(x)
-            if isinstance(v, float):  # inf and nan raise here, as Fraction(v) does
-                p, q = v.as_integer_ratio()
+            if isinstance(v, float):
+                try:
+                    p, q = v.as_integer_ratio()
+                except (OverflowError, ValueError):  # inf, nan: as Scalar(v) raises
+                    raise ValueError(f"not a finite number: {v}") from None
                 floats[j] += p << (1075 - q.bit_length())
             else:
                 sums[j] = sums[j] + as_scalar(v)
@@ -134,21 +139,21 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
 def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
     """Panel k's node centre + (2k + 1 - n)*h + offset for k = 0, ..., n - 1.
 
-    When ``field_parts`` puts the first node and the step 2h in one
-    Q(sqrt m), the node is (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m) with
-    integers formed once, and each node is one Fraction or one _quad: the
-    Scalar that the Scalar expression gives.  Interval data take the
-    expression itself, from the centre, so no drift builds up.
+    When ``plain_field`` finds the first node and the step 2h plain and
+    exact over one Q(sqrt m), the node is
+    (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m) with integers formed once, and
+    each node is one Fraction or one _quad: the Scalar that the Scalar
+    expression gives.  Interval and dual data take the expression itself,
+    from the centre, so no drift builds up.
     """
-    parts = field_parts([centre + (1 - n) * h + offset, 2 * h])
-    if parts is None:
+    first, step = centre + (1 - n) * h + offset, 2 * h
+    m = plain_field([first, step])
+    if m is None:
         for k in range(n):
             yield centre + (2 * k + 1 - n) * h + offset
         return
-    m, [(a0, b0), (a1, b1)] = parts
-    da, db = lcm(a0.denominator, a1.denominator), lcm(b0.denominator, b1.denominator)
-    a0, a1 = (q.numerator * (da // q.denominator) for q in (a0, a1))
-    b0, b1 = (q.numerator * (db // q.denominator) for q in (b0, b1))
+    (a0, b0), (a1, b1) = parts(first), parts(step)
+    (a0, a1, da), (b0, b1, db) = _ints(a0, a1), _ints(b0, b1)
     for _ in range(n):
         x = Fraction(a0, da)
         yield _quad(x, Fraction(b0, db), m) if b0 else Scalar(x)

@@ -109,8 +109,9 @@ class Scalar:
             return
         self._sqrt = None
         if isinstance(value, (int, Fraction, float)):
-            # floats are exact dyadic rationals; a Fraction is kept as given
-            self._frac = value if isinstance(value, Fraction) else Fraction(value)
+            # floats are exact dyadic rationals (NaN and inf raise ValueError);
+            # a Fraction is kept as given
+            self._frac = value if isinstance(value, Fraction) else _exact_end(value)
             self._ival = None
         elif isinstance(value, str):
             s = Scalar.parse(value)
@@ -482,13 +483,13 @@ def _literal(node, text: str) -> Scalar:
 
 
 def _exact_end(x) -> Fraction:
-    """An interval end read exactly; ValueError for NaN or infinity."""
+    """A number (or an interval end) read exactly; ValueError for NaN or infinity."""
     try:
         if isinstance(x, mpmath.mpf):  # to_rational would read inf as 0
             return Fraction(*to_rational(x._mpf_)) if mpmath.isfinite(x) else Fraction(float(x))
         return Fraction(x)
-    except OverflowError:  # Fraction(inf); NaN raises ValueError itself
-        raise ValueError(f"interval end is not finite: {x}") from None
+    except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
+        raise ValueError(f"not a finite number: {x}") from None
 
 
 def _rat(f: Fraction) -> Scalar:

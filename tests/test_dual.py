@@ -214,3 +214,16 @@ def test_rational_fast_lane_keeps_the_derivative():
     assert _Dual.parts(-x) == (-v, Scalar(-1))
     assert v.lt_definite(x) is True and x.lt_definite(v) is False
     assert v != x and x != v
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_panel_sum_at_a_dual_end_keeps_the_derivative(n):
+    # Simpson is exact on t^2, so the sum over [0, b] is b^3/3 with d/db = b^2;
+    # n = 5 panels would take the closed form for plain data
+    from peanoquad import composite_integrate
+    from peanoquad.rules import apply_rule
+
+    rule, p, b = make_rule("simpson"), Polynomial([0, 0, 1]), _Dual(1, 1)
+    got = apply_rule(rule, p, 0, b) if n == 1 else composite_integrate(rule, p, 0, b, n, 0, 1).value
+    value, slope = _Dual.parts(got)
+    assert value.to_json_str() == "1/3" and slope.to_json_str() == "1"

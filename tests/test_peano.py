@@ -30,7 +30,8 @@ from peanoquad import (
     verify_peano_identity,
 )
 from peanoquad.scalars import _Dual
-from util import assert_scalar_equals, random_rational_rule, scalar_is_zero
+from util import (assert_scalar_equals, random_rational_rule, reference_build_kernel,
+                  reference_kernel_l1_norm, scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -773,3 +774,68 @@ def test_kernel_csv_and_json_export(tmp_path):
     assert data["l1_norm"] == "1/90"
     assert len(data["pieces"]) == 2
     assert data["continuity_flags"] == [True]
+
+
+def _fingerprint(x):
+    """Type, and for the value and its derivative (0 for a plain Scalar) the
+    tier, the exact string and, for an interval, the exact enclosure ends."""
+    return type(x), [(v.is_rational, v.is_exact, v.to_json_str(), None if v.is_exact else v.bounds())
+                     for v in _Dual.parts(x)]
+
+
+def _report_fingerprint(rep):
+    k = rep.kernel
+    return ([_fingerprint(b) for b in k.breakpoints],
+            [[_fingerprint(c) for c in p.coeffs] for p in k.pieces],
+            _fingerprint(rep.l1_norm),
+            [(_fingerprint(rt.location), rt.multiplicity_hint, rt.certified)
+             for rt in rep.sign_changes])
+
+
+def _oracle_rules():
+    """Every catalog rule, the sqrt, mixed-radicand and interval rules of the
+    piece reference, 30 seeded random rational rules, and rules at a _Dual
+    node."""
+    rng = random.Random(1616)
+    rules = _kernel_reference_rules()[:-10]
+    rules += [random_rational_rule(rng, with_derivs=i % 2 == 1, force_degree_one=i % 4 == 1)
+              for i in range(30)]
+    rules += [family(name).build(_Dual(F(1, 3), seed))
+              for name in ("ostrowski", "mp3", "gs2") for seed in (1, -1)]
+    return rules
+
+
+@pytest.mark.parametrize("dps", [20, 60, 120])
+def test_kernel_pass_matches_the_scalar_reference(dps):
+    # pieces, L1 norm and sign changes: the same exact strings, tiers and
+    # enclosures as the Scalar-product kernel and the Scalar sum
+    set_working_dps(dps)
+    try:
+        for rule in _oracle_rules():
+            for r in range(min(degree_of_exactness(rule, k_max=8).degree, 6) + 1):
+                got, want = kernel_l1_norm(rule, r), reference_kernel_l1_norm(rule, r)
+                assert _report_fingerprint(got) == _report_fingerprint(want), (rule.name, r)
+    finally:
+        set_working_dps(60)
+
+
+def test_dual_cut_points_keep_their_derivative():
+    # K_0 of Ostrowski's rule at a dual node x has plain pieces, -1 - t and
+    # 1 - t, but the cut point x carries d/dx: M_0 = 1 + x^2, M_0' = 2x
+    rule = family("ostrowski").build(_Dual(F(1, 3), 1))
+    rep = kernel_l1_norm(rule, 0)
+    assert all(type(c) is Scalar for p in rep.kernel.pieces for c in p.coeffs)
+    value, slope = _Dual.parts(rep.l1_norm)
+    assert value.to_json_str() == "10/9" and slope.to_json_str() == "2/3"
+
+
+def test_integrate_against_matches_the_scalar_reference():
+    rng = random.Random(16)
+    gs = [Polynomial([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]) for k in (0, 1, 4, 9)]
+    gs += [Polynomial([S3, 1, -2 * S3]), Polynomial([1, S5]), Polynomial([ONE, _Dual(F(1, 2), 1)])]
+    for rule in _oracle_rules():
+        for r in range(min(degree_of_exactness(rule, k_max=8).degree, 6) + 1):
+            got, want = build_kernel(rule, r), reference_build_kernel(rule, r)
+            for g in gs:
+                assert (_fingerprint(got.integrate_against(g))
+                        == _fingerprint(want.integrate_against(g))), (rule.name, r, str(g))

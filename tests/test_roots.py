@@ -233,15 +233,15 @@ def _scalar_quadratic_roots(f, lo, hi):
 
 def _yun_route(c, lo, hi):
     """Reference: _isolate_rational with every piece split by Yun first."""
-    from peanoquad import roots
+    from peanoquad import _qpoly, roots
 
-    while len(c) > 1 and roots.fraction_eval(c, lo) == 0:
-        c = roots._fdivmod(c, [-lo, F(1)])[0]
-    while len(c) > 1 and roots.fraction_eval(c, hi) == 0:
-        c = roots._fdivmod(c, [-hi, F(1)])[0]
+    while len(c) > 1 and _qpoly.fraction_eval(c, lo) == 0:
+        c = _qpoly._fdivmod(c, [-lo, F(1)])[0]
+    while len(c) > 1 and _qpoly.fraction_eval(c, hi) == 0:
+        c = _qpoly._fdivmod(c, [-hi, F(1)])[0]
     if len(c) < 2:
         return []
-    found = [roots.Root(r, mult) for factor, mult in roots._yun_squarefree(c)
+    found = [roots.Root(r, mult) for factor, mult in _qpoly._yun_squarefree(c)
              for r in _scalar_quadratic_roots(factor, lo, hi)]
     return sorted(found, key=lambda r: r.location.bounds()[0])
 
@@ -255,7 +255,7 @@ def _low_degree_cases(rng):
     def times(*fs):
         from functools import reduce
 
-        from peanoquad.roots import _fmul
+        from peanoquad._qpoly import _fmul
 
         return reduce(_fmul, fs)
 

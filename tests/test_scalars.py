@@ -423,3 +423,11 @@ def test_float_of_quadratic_field_value_overflows():
             float(Scalar(big) + sqrt(Scalar(2)))
     with pytest.raises(OverflowError):
         float(Scalar(10**200) * sqrt(Scalar(10**250 + 1)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_raises_value_error(bad):
+    with pytest.raises(ValueError, match="not a finite number"):
+        Scalar(bad)
+    with pytest.raises(ValueError, match="not a finite number"):
+        as_scalar(bad)
