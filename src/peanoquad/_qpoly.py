@@ -1,11 +1,13 @@
 """Exact polynomials over Q and over one Q(sqrt m), in integers.
 
-Root isolation uses lists of Fractions (index i holds the coefficient of
-t**i).  The Peano kernel pass of plain exact data uses pairs (A, B) of
-integer lists over one shared denominator d, meaning (A + B*sqrt(m))/d: node
-terms by the binomial expansion, pieces by integer subtraction, and
-antiderivatives evaluated by integer Horner passes over Z[sqrt m].  A value
-converted back is the Scalar that Scalar arithmetic gives, since both are exact.
+Root isolation works in Z[t], on lists of integers (index i holds the
+coefficient of t**i): pseudo-remainders, primitive gcds, exact quotients and
+Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
+Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
+pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
+node terms by the binomial expansion, pieces by integer subtraction, and
+antiderivatives by integer Horner passes over Z[sqrt m].  A value converted
+back is the Scalar that Scalar arithmetic gives, since both are exact.
 """
 
 from __future__ import annotations
@@ -41,51 +43,25 @@ def fraction_eval(c: list[Fraction], t: Fraction) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Fraction coefficient lists
+# coefficient lists: Fractions, or integers for Z[t]
 
 
-def _fdeg(c: list[Fraction]) -> int:
+def _fdeg(c: list) -> int:
     return len(c) - 1
 
 
-def _ftrim(c: list[Fraction]) -> list[Fraction]:
+def _ftrim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _fderiv(c: list[Fraction]) -> list[Fraction]:
+def _fderiv(c: list) -> list:
     return [c[i] * i for i in range(1, len(c))]
 
 
-def _fdivmod(a: list[Fraction], b: list[Fraction]):
-    """Exact polynomial division over the rationals."""
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        f = a.pop() * inv  # the leading term cancels exactly
-        q[k] = f
-        for i in range(len(b) - 1):
-            a[k + i] -= f * b[i]
-        _ftrim(a)
-    return _ftrim(q), a
-
-
-def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [x * inv for x in a]
-    return a
-
-
-def _fsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
+def _fsub(a: list, b: list) -> list:
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
     for i, x in enumerate(b):
@@ -102,32 +78,70 @@ def _fmul(a: list, b: list) -> list:
     return out
 
 
-def _yun_squarefree(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun squarefree decomposition: list of (monic factor, multiplicity)."""
-    d = _fderiv(list(c))
-    g = _fgcd(list(c), list(d))
-    if _fdeg(g) < 1:
-        return [(list(c), 1)]
-    out = []
-    w, _ = _fdivmod(c, g)   # product of distinct roots
-    y, _ = _fdivmod(d, g)
-    z = _fsub(y, _fderiv(w))
-    i = 1
-    while _fdeg(w) > 0:
-        g_i = _fgcd(list(w), list(z))
-        if _fdeg(g_i) > 0:
-            out.append((g_i, i))
-        w, _ = _fdivmod(w, g_i)
-        y, _ = _fdivmod(z, g_i) if z else ([], [])
-        z = _fsub(y, _fderiv(w))
-        i += 1
-    return out
+def _primitive(c: list[int]) -> list[int]:
+    """c divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
 
 
 def _to_int_primitive(c: list[Fraction]) -> list[int]:
-    *ints, _ = _ints(*c)
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    return _primitive(_ints(*c)[:-1])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """(a mod b) times |lc(b)|**k for some k >= 0, in Z[t]: a pseudo-remainder
+    with the sign of the remainder over Q."""
+    if b[-1] < 0:
+        b = [-x for x in b]
+    r, lc, n = list(a), b[-1], len(b) - 1
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = r.pop()
+        if c:
+            r = [lc * x for x in r]
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return _ftrim(r)
+
+
+def _idiv(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[t] for a primitive b that divides a, so every step is exact
+    (Gauss's lemma); b = [-p, q] divides out a root p/q in lowest terms."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = a[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    return q
+
+
+def _igcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Z[t] by primitive remainders, primitive with a positive leading coefficient."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-x for x in a]
+
+
+def _yun_squarefree(c: list[int]) -> list[tuple[list[int], int]]:
+    """Yun squarefree decomposition in Z[t]: (factor, multiplicity) pairs, each
+    factor primitive with a positive leading coefficient, or [(c, 1)] when c
+    is squarefree.  Every quotient is exact, since the divisors are primitive."""
+    d = _fderiv(c)
+    g = _igcd(c, d)
+    if _fdeg(g) < 1:
+        return [(c, 1)]
+    out = []
+    w, y = _idiv(c, g), _idiv(d, g)  # w: product of distinct roots
+    z = _fsub(y, _fderiv(w))
+    i = 1
+    while _fdeg(w) > 0:
+        g_i = _igcd(w, z)
+        if _fdeg(g_i) > 0:
+            out.append((g_i, i))
+        w, y = _idiv(w, g_i), _idiv(z, g_i)
+        z = _fsub(y, _fderiv(w))
+        i += 1
+    return out
 
 
 # --------------------------------------------------------------------------

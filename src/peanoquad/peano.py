@@ -23,15 +23,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
-from ._qpoly import (add_abs_diff, antiderivative_values, integrate_pieces, kernel_pieces, parts,
-                     plain_field, to_scalar)
+from ._qpoly import (_ints, add_abs_diff, antiderivative_values, integrate_pieces, kernel_pieces,
+                     parts, plain_field, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
 from .rules import QuadRule
-from .scalars import Scalar, as_scalar, minus_terms
+from .scalars import Scalar, _quad, as_scalar, minus_terms
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,24 @@ class KernelReport:
 
 
 def _breakpoints(rule: QuadRule) -> list[Scalar]:
-    """-1, 1 and the nodes: equal values merged, then sorted by the exact
-    order (nodes that overlap without being equal raise AmbiguousOrder)."""
-    pts = [Scalar(-1), Scalar(1)]
-    for x, _ in rule.value_nodes + rule.deriv_nodes:
-        if x not in pts:
-            pts.append(x)
-    return sorted(pts)
+    """-1, 1 and the nodes: equal values merged (the first instance stays), then
+    sorted by the exact order.  Plain rationals by integer keys, plain values in
+    one Q(sqrt m) on their parts and by an integer sign test; other values by
+    Scalar == and < (nodes that overlap without being equal raise AmbiguousOrder)."""
+    pts = [Scalar(-1), Scalar(1)] + [x for x, _ in rule.value_nodes + rule.deriv_nodes]
+    m = plain_field(pts)
+    if m is None:
+        merged = []
+        for x in pts:
+            if x not in merged:
+                merged.append(x)
+        return sorted(merged)
+    if m == 1:  # numerators over one denominator: equal for equal values, and in order
+        by_key = dict(reversed([*zip(_ints(*(x._frac for x in pts)), pts)]))
+        return [by_key[k] for k in sorted(by_key)]
+    by_parts = {parts(x): x for x in reversed(pts)}
+    order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign())
+    return [by_parts[k] for k in sorted(by_parts, key=order)]
 
 
 @lru_cache(maxsize=64)

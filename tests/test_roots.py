@@ -3,10 +3,15 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 from peanoquad import DegreeTooHigh, Polynomial, Scalar, isolate_roots, sqrt
+from peanoquad._qpoly import _fmul
+from peanoquad.roots import _simplest_in_open, _sturm_chain_int
+from util import (REFERENCE_EXITS, fdivmod, reference_isolate_roots, reference_simplest_in_open,
+                  reference_sturm_chain_int, yun_squarefree)
 
 
 def sign_scan_oracle(fn, lo, hi, n=100001):
@@ -218,6 +223,10 @@ def test_interval_window_end_is_its_exact_midpoint():
         assert [r.location.as_fraction() for r in got] == [root]
 
 
+def _times(*fs):
+    return reduce(_fmul, fs)
+
+
 def _scalar_quadratic_roots(f, lo, hi):
     """Reference: roots of a squarefree linear or quadratic factor inside
     (lo, hi) by Scalar arithmetic in Q(sqrt(disc))."""
@@ -236,12 +245,12 @@ def _yun_route(c, lo, hi):
     from peanoquad import _qpoly, roots
 
     while len(c) > 1 and _qpoly.fraction_eval(c, lo) == 0:
-        c = _qpoly._fdivmod(c, [-lo, F(1)])[0]
+        c = fdivmod(c, [-lo, F(1)])[0]
     while len(c) > 1 and _qpoly.fraction_eval(c, hi) == 0:
-        c = _qpoly._fdivmod(c, [-hi, F(1)])[0]
+        c = fdivmod(c, [-hi, F(1)])[0]
     if len(c) < 2:
         return []
-    found = [roots.Root(r, mult) for factor, mult in _qpoly._yun_squarefree(c)
+    found = [roots.Root(r, mult) for factor, mult in yun_squarefree(c)
              for r in _scalar_quadratic_roots(factor, lo, hi)]
     return sorted(found, key=lambda r: r.location.bounds()[0])
 
@@ -252,28 +261,21 @@ def _low_degree_cases(rng):
     def q():
         return F(rng.randint(-30, 30), rng.randint(1, 12))
 
-    def times(*fs):
-        from functools import reduce
-
-        from peanoquad._qpoly import _fmul
-
-        return reduce(_fmul, fs)
-
     for _ in range(60):
         k, a, b = q() or F(-1), q(), q()
         lo, hi = sorted((q(), q() + F(1, 7)))
         yield [-a * k, k], lo, hi                                  # linear, k < 0 half the time
         yield [-a * k, k], a, hi if hi > a else a + 1              # linear root at lo
-        yield times([-a, 1], [-b, 1], [k]), lo, hi                 # rational roots
-        yield times([-a, 1], [-a, 1], [k]), lo, hi                 # double root
-        yield times([-a, 1], [-a, 1], [k]), a, a + 2               # double root at lo
-        yield times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b) + 1  # root at lo
-        yield times([-a, 1], [-b, 1], [k]), min(a, b) - 1, max(a, b)  # root at hi
-        yield times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b)   # both at the ends
+        yield _times([-a, 1], [-b, 1], [k]), lo, hi                # rational roots
+        yield _times([-a, 1], [-a, 1], [k]), lo, hi                # double root
+        yield _times([-a, 1], [-a, 1], [k]), a, a + 2              # double root at lo
+        yield _times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b) + 1  # root at lo
+        yield _times([-a, 1], [-b, 1], [k]), min(a, b) - 1, max(a, b)  # root at hi
+        yield _times([-a, 1], [-b, 1], [k]), min(a, b), max(a, b)  # both at the ends
         yield [k * (a * a + 1), -2 * a * k, k], lo, hi             # negative discriminant
         yield [q(), q(), k], lo - 3, hi + 3                        # roots in Q(sqrt m), mostly
-        yield times([q(), q(), k], [-lo, 1]), lo, hi + 3           # cubic, a root at lo
-        yield times([-a, 1], [-a, 1], [-hi, 1]), lo, hi            # double root, a root at hi
+        yield _times([q(), q(), k], [-lo, 1]), lo, hi + 3          # cubic, a root at lo
+        yield _times([-a, 1], [-a, 1], [-hi, 1]), lo, hi           # double root, a root at hi
 
 
 def test_closed_form_low_degree_roots_match_the_yun_route():
@@ -293,3 +295,137 @@ def test_closed_form_low_degree_roots_match_the_yun_route():
         kinds.update(("rational" if r.location.is_rational else "sqrt", r.multiplicity_hint)
                      for r in got)
     assert kinds == {("rational", 1), ("rational", 2), ("sqrt", 1)}
+
+
+# --------------------------------------------------------------------------
+# the integer engine against the Fraction reference in util.py
+
+
+def _root_keys(roots):
+    return [(r.location.to_json_str(), r.location.bounds(), r.multiplicity_hint, r.certified)
+            for r in roots]
+
+
+def _engine_cases(rng):
+    """(coefficients, lo, hi) of seeded rational polynomials of degree 3 to 8.
+
+    An integer root alone in its window meets the rational probe at step 0;
+    roots of middling and large odd denominators meet the probes at step 8
+    and after the last halving; odd/2**k roots meet a dyadic midpoint; cube
+    roots of non-cubes stay brackets."""
+    def q(den=12):
+        return F(rng.randint(-30, 30), rng.randint(1, den))
+
+    def root_in(lo, hi, den):
+        return lo + (hi - lo) * F(rng.randint(1, den - 1), den)
+
+    def cubic(lo, hi):  # (t - s)**3 - k, its real root irrational
+        s, k = root_in(lo, hi, 7), F(rng.choice((2, 3, 5, 7)), rng.choice((1, 4, 9)))
+        k *= rng.choice((-1, 1)) * (hi - lo) ** 3 / 64
+        return [-s**3 - k, 3 * s * s, -3 * s, F(1)]
+
+    def lin(r):
+        return [-r, F(1)]
+
+    for _ in range(12):
+        lo, hi = sorted((q(), q() + F(1, 5)))
+        k = [rng.choice((-1, 1)) * F(rng.randint(1, 9), rng.randint(1, 9))]
+        rs = [root_in(lo, hi, 97), root_in(lo, hi, 3 * rng.randint(10, 60) + 1),
+              root_in(lo, hi, 2 * rng.randint(10**6, 10**7) + 1)]
+        yield _times(k, *map(lin, rs)), lo, hi                      # probes at steps 0, 8, end
+        yield _times(k, *map(lin, rs), cubic(lo, hi)), lo, hi       # and a bracket
+        n = F(rng.randint(-5, 5))
+        yield _times(k, lin(n), cubic(n + 1, n + 2)), n - F(1, 3), n + F(1, 2)  # the simplest
+        dy = F(2 * rng.randint(0, 31) + 1, 64)
+        yield _times(k, lin(dy), cubic(F(2), F(3))), F(0), F(1)     # a dyadic midpoint
+        mid = (lo + hi) / 2  # a Sturm midpoint
+        yield _times(k, lin(mid), lin(root_in(lo, mid, 5)), cubic(mid, hi)), lo, hi
+        i = rng.randint(1, 3)
+        j = rng.randint(1, 5 - i)
+        yield _times(k, *[lin(lo)] * i, *[lin(hi)] * j, cubic(lo, hi)), lo, hi  # roots at lo, hi
+        yield _times(k, cubic(lo, hi), cubic(lo, hi)), lo, hi      # a Yun factor of multiplicity 2
+        yield _times(k, *[lin(rs[1])] * 3, cubic(lo, hi)), lo, hi  # multiplicity 3
+        w = [q(), q(), F(1)]
+        yield _times(k, w, w, lin(rs[0]), lin(rs[1])), lo - 3, hi + 3  # a quadratic factor twice
+    # the scale of the input names the field of a closed-form root: 53**2 is
+    # not pulled out of the discriminant, so the root is 1/53*sqrt(5618)
+    yield _times([F(53)], [F(-2), F(0), F(1)], lin(F(-2))), F(-2), F(2)
+
+
+def _field_cases(rng):
+    """Polynomials A + B*sqrt(m) with a cubic A, and ones times a rational
+    factor that A and B share: their norms have irrational roots."""
+    def q():
+        return F(rng.randint(-20, 20), rng.randint(1, 6))
+
+    for m in (2, 3, 5, 7, 2, 3):
+        s = sqrt(Scalar(m))
+        a, b = [q(), q(), q(), F(rng.choice((-2, -1, 1, 3)))], [q(), q() or F(1)]
+        coeffs = [Scalar(x) + (Scalar(y) * s if i < len(b) else 0) for i, (x, y) in
+                  enumerate(zip(a, b + [F(0)] * 2))]
+        yield Polynomial(coeffs), F(-3), F(3)
+        yield Polynomial(coeffs) * Polynomial([-q(), 1]), F(-3), F(3)
+    s2 = sqrt(Scalar(2))  # a quadratic norm with 53 in its leading coefficient
+    yield Polynomial([-s2, 1]) * Polynomial([F(-1, 3), 1]) * Polynomial([F(2, 5), F(53)]), -2, 2
+    # a quadratic gcd of A and B, t**2 + t/53 - 1: its roots lie in Q(sqrt(11237 * 53**2))
+    yield Polynomial([s2, 1, 1]) * Polynomial([-1, F(1, 53), 1]), -3, 3
+
+
+def _interval_cases(rng):
+    def q():
+        return F(rng.randint(-20, 20), rng.randint(1, 6))
+
+    for _ in range(6):
+        c = _times([-q(), F(1)], [-q(), F(1)], [q(), q(), F(1)])
+        eps = F(1, 10 ** rng.randint(25, 40))
+        yield Polynomial([Scalar.from_interval(x - eps, x + eps) for x in c]), F(-4), F(4)
+
+
+def test_integer_engine_matches_the_fraction_reference():
+    rng = random.Random(17017)
+    REFERENCE_EXITS.clear()
+    cases = [(Polynomial(c), lo, hi) for c, lo, hi in _engine_cases(rng)]
+    cases += list(_field_cases(rng)) + list(_interval_cases(rng))
+    for p, lo, hi in cases:
+        assert 3 <= p.degree <= 8
+        want = reference_isolate_roots(p, lo, hi)
+        got = isolate_roots(p, lo, hi)
+        assert _root_keys(got) == _root_keys(want), (p.coeffs, lo, hi)
+    exits = {"probe at step 0", "probe at step 8", "final probe", "dyadic midpoint", "bracket",
+             "Sturm midpoint", "Yun factor of multiplicity 2", "Yun factor of multiplicity 3",
+             "sign at a bracket", "interval midpoints"}
+    exits |= {f"root at {end} of multiplicity {k}" for end in ("lo", "hi") for k in (1, 2, 3)}
+    assert exits <= {e for e, n in REFERENCE_EXITS.items() if n}, exits - set(REFERENCE_EXITS)
+
+
+def test_simplest_rational_matches_the_fraction_reference():
+    rng = random.Random(2718)
+    ends = [(F(-7, 3), F(-2, 3)), (F(-1, 2), F(1, 3)), (F(-5), F(-4)), (F(2), F(5, 2)),
+            (F(3), F(3) + F(1, 10**9)), (F(0), F(1, 10**20)), (F(-1, 10**20), F(0)),
+            (F(1, 3), F(1, 3) + F(1, 10**20))]
+    for _ in range(300):
+        a = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        ends.append((a, a + F(1, rng.choice((1, 7, 10**3, 10**9, 10**20)))))
+        ends.append((F(rng.randint(-9, 9)), F(rng.randint(-9, 9)) + F(1, rng.randint(1, 10**6))))
+    kinds = set()
+    for a, b in ends:
+        if a < b:
+            assert _simplest_in_open(a, b) == reference_simplest_in_open(a, b), (a, b)
+            kinds.add("negative" if b <= 0 else "straddle" if a < 0 else
+                      "integer left end" if a.denominator == 1 else "positive")
+    assert kinds == {"negative", "straddle", "integer left end", "positive"}
+
+
+def test_sturm_chain_keeps_the_signs_of_the_fraction_chain():
+    # pseudo-remainders scaled by lc instead of |lc| flip the sign of a
+    # remainder after a negative leading coefficient and miscount roots
+    rng = random.Random(31)
+    polys = [[5, -3, 0, 2, -7], [-1, 4, 0, -6, 1, -2], [3, 0, -9, 2, 0, 0, -1]]
+    polys += [[rng.randint(-9, 9) for _ in range(rng.randint(4, 9))] + [rng.choice((-3, -1, 2))]
+              for _ in range(40)]
+    negative_inner = 0
+    for c in polys:
+        chain = _sturm_chain_int(c)
+        assert chain == reference_sturm_chain_int(c), c
+        negative_inner += any(p[-1] < 0 for p in chain[1:-1])
+    assert negative_inner >= 10
