@@ -6,8 +6,8 @@ Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
 Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
 pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
 node terms by the binomial expansion, pieces by integer subtraction, and
-antiderivatives by integer Horner passes over Z[sqrt m].  A value converted
-back is the Scalar that Scalar arithmetic gives, since both are exact.
+antiderivatives and remainders I(f) - Q(f) by one Horner loop over Z[sqrt m].
+A value converted back is the Scalar that Scalar arithmetic gives (exact).
 """
 
 from __future__ import annotations
@@ -199,6 +199,17 @@ def kernel_pieces(terms, r: int, m: int, n_pieces: int):
     return den * math.factorial(r), out[-2::-1]
 
 
+def zm_horner(A: list[int], B: list[int], p: int, q: int, w: int, m: int) -> tuple[int, int]:
+    """(X, Y) with X + Y*sqrt(m) == P(s) * w**deg for P = A + B*sqrt(m) (integer
+    lists of one length) at s = (p + q*sqrt(m))/w: one Horner pass over Z[sqrt m]."""
+    if not q:
+        return int_horner(A, p, w), int_horner(B, p, w) if any(B) else 0
+    X, Y, wp = 0, 0, 1
+    for a, b in zip(A[::-1], B[::-1]):
+        X, Y, wp = X * p + Y * q * m + a * wp, X * q + Y * p + b * wp, wp * w
+    return X, Y
+
+
 def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) -> list:
     """F(s) at each point s, F the antiderivative with F(0) = 0 of
     (A + B*sqrt(m))/den: a triple (a, b, M) meaning a + b*sqrt(M) where s is
@@ -212,13 +223,7 @@ def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) 
             out.append(None)
             continue
         (p, q, w), M = _ints(*parts(s)), s._sqrt[2] if s._sqrt else m
-        if q:  # Horner over Z[sqrt M]: X + Y*sqrt(M) == F(s) * den * L * w**deg
-            X = Y = 0
-            wp = 1
-            for a, b in zip(FA[::-1], FB[::-1]):
-                X, Y, wp = X * p + Y * q * M + a * wp, X * q + Y * p + b * wp, wp * w
-        else:
-            X, Y = int_horner(FA, p, w), int_horner(FB, p, w) if irrational else 0
+        X, Y = zm_horner(FA, FB, p, q, w, M)  # F(s) * den * L * w**deg
         d = den * L * w ** len(A)
         out.append((Fraction(X, d), Y and Fraction(Y, d), M))
     return out
@@ -240,19 +245,39 @@ def add_abs_diff(total, x, y):
     return to_scalar(total) + abs(to_scalar(x) - to_scalar(y))
 
 
-def integrate_pieces(pieces, g, breakpoints) -> Scalar | None:
-    """Sum over the pieces (A, B, den, m) of the integral of piece_i * g over
-    [b_i, b_{i+1}]; None unless g's coefficients are plain exact Scalars in Q
-    or in the pieces' field."""
-    gm, (_, _, den, m) = plain_field(g), pieces[0]
-    if gm is None or 1 != m != gm != 1:
-        return None
-    m, ab = max(m, gm), [parts(c) for c in g]
+def int_parts(values) -> tuple[list[int], list[int], int]:
+    """(G, H, e) with values[i] == (G[i] + H[i]*sqrt(m))/e, all plain exact in Q(sqrt m)."""
+    ab = [parts(c) for c in values]
     *GH, e = _ints(*[a for a, _ in ab], *[b for _, b in ab])
-    G, H, a, b = GH[:len(g)], GH[len(g):], Fraction(0), Fraction(0)
-    for (A, B, _, _), lo, hi in zip(pieces, breakpoints, breakpoints[1:]):
-        PA = [x + m * y for x, y in zip(_fmul(A, G), _fmul(B, H))]
-        PB = [x + y for x, y in zip(_fmul(A, H), _fmul(B, G))]
-        (a0, b0, _), (a1, b1, _) = antiderivative_values(PA, PB, den * e, m, (lo, hi))
-        a, b = a + a1 - a0, b + b1 - b0
+    return GH[:len(ab)], GH[len(ab):], e
+
+
+def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpoints) -> Scalar:
+    """Sum of the integrals of piece_i * (G + H*sqrt(m))/e over [b_i, b_{i+1}]
+    for pieces (A, B, den, m'), one den, m' in (1, m): with F_i the antiderivative
+    of piece_i * g, the sum of (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0)."""
+    zero = [0] * len(pieces[0][0])
+    ends = [(zero, zero)] + [(A, B) for A, B, _, _ in pieces] + [(zero, zero)]
+    a, b = Fraction(0), Fraction(0)
+    for (A0, B0), (A1, B1), s in zip(ends, ends[1:], breakpoints):
+        dA, dB = [x - y for x, y in zip(A0, A1)], [x - y for x, y in zip(B0, B1)]
+        PA = [x + m * y for x, y in zip(_fmul(dA, G), _fmul(dB, H))]
+        PB = [x + y for x, y in zip(_fmul(dA, H), _fmul(dB, G))]
+        (a1, b1, _), = antiderivative_values(PA, PB, pieces[0][2] * e, m, (s,))
+        a, b = a + a1, b + b1
+    return to_scalar((a, b, m))
+
+
+def remainder(value_nodes, deriv_nodes, G: list[int], H: list[int], e: int, m: int) -> Scalar:
+    """I(f) - Q(f) for f == (G + H*sqrt(m))/e, nodes and weights plain exact in Q(sqrt m):
+    I(f) = sum of 2 f_k/(k + 1) over even k, each f(x_j) or f'(y_j) one ``zm_horner`` pass."""
+    L = lcm(*range(1, len(G) + 1, 2))
+    a, b = (Fraction(sum(2 * (L // (k + 1)) * c for k, c in enumerate(P) if k % 2 == 0), e * L)
+            for P in (G, H))
+    for nodes, P, Q in ((value_nodes, G, H), (deriv_nodes, _fderiv(G), _fderiv(H))):
+        for x, w in nodes:
+            (p, q, s), (u, v, z) = _ints(*parts(x)), _ints(*parts(w))
+            X, Y = zm_horner(P, Q, p, q, s, m)  # f(x) * e * s**deg
+            d = z * e * s ** max(len(P) - 1, 0)
+            a, b = a - Fraction(X * u + Y * v * m, d), b - Fraction(X * v + Y * u, d)
     return to_scalar((a, b, m))

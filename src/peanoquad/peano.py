@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
-from ._qpoly import (_ints, add_abs_diff, antiderivative_values, integrate_pieces, kernel_pieces,
-                     parts, plain_field, to_scalar)
+from ._qpoly import (_ints, add_abs_diff, antiderivative_values, int_parts, integrate_pieces,
+                     kernel_pieces, parts, plain_field, remainder, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
@@ -50,7 +50,9 @@ class PiecewisePolynomial:
         return len(self.pieces) - 1
 
     def evaluate(self, t) -> Scalar:
-        """Value at t, taken from the left piece at breakpoints."""
+        """Value at t, from the left piece at breakpoints; 0 outside [b_0, b_m]."""
+        if t < self.breakpoints[0] or t > self.breakpoints[-1]:
+            return Scalar(0)
         return self.pieces[self.piece_index(t)](t)
 
     __call__ = evaluate
@@ -60,10 +62,11 @@ class PiecewisePolynomial:
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
-        if self._exact is not None:
-            total = integrate_pieces(self._exact, g.coeffs, self.breakpoints)
-            if total is not None:
-                return total
+        if self._exact is not None:  # in integers for g in Q or the pieces' field
+            m, gm = self._exact[0][3], plain_field(g.coeffs)
+            if gm is not None and (m == 1 or gm in (1, m)):
+                G, H, e = int_parts(g.coeffs)
+                return integrate_pieces(self._exact, G, H, e, max(m, gm), self.breakpoints)
         total = Scalar(0)
         for i, p in enumerate(self.pieces):
             total = total + (p * g).definite_integral(
@@ -129,7 +132,8 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     starts at r = 1 for such rules.
 
     Plain exact data over Q or one Q(sqrt m) are formed in integers
-    (``_qpoly.kernel_pieces``), with the same Scalars as a result.  Otherwise
+    (``_qpoly.kernel_pieces``), with the same Scalars as a result, and kept
+    on the rule by r: they do not depend on the working precision.  Otherwise
     each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
@@ -140,6 +144,9 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     """
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
+    kernels = vars(rule).setdefault("_kernels", {})
+    if r in kernels:
+        return kernels[r]
     nodes = [(x, a, r) for x, a in rule.value_nodes]
     if r >= 1:
         nodes += [(y, b * r, r - 1) for y, b in rule.deriv_nodes]
@@ -165,6 +172,7 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
             [to_scalar((Fraction(a, den), b and Fraction(b, den), m)) for a, b in zip(A, B)])
             for A, B in exact))
         object.__setattr__(kernel, "_exact", [(A, B, den, m) for A, B in exact])
+        kernels[r] = kernel
         return kernel
     bps = _breakpoints(rule)
     pieces = []
@@ -216,14 +224,21 @@ def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar
     Left: direct remainder I(f) - Q(f).  Right: integral of K_r * f^(r+1),
     computed by exact piecewise integration.  The contract is lhs == rhs
     (exactly so on rational data) for r >= 1, and for r = 0 on rules without
-    derivative nodes (see build_kernel on the r = 0 convention).
+    derivative nodes (see build_kernel on the r = 0 convention).  Plain exact
+    data in one Q(sqrt m) take integers: the left by ``_qpoly.remainder``, which
+    reads no kernel, the right from f^(r+1) by falling factorials.
     """
-    lhs = f.definite_integral(-1, 1) - rule.apply(f)
-    g = f
-    for _ in range(r + 1):
-        g = g.derivative()
-    rhs = build_kernel(rule, r).integrate_against(g)
-    return lhs, rhs
+    kernel = build_kernel(rule, r)
+    m = plain_field([*f.coeffs, *(v for node in rule.value_nodes + rule.deriv_nodes for v in node)])
+    if m is None:
+        g = f
+        for _ in range(r + 1):
+            g = g.derivative()
+        return f.definite_integral(-1, 1) - rule.apply(f), kernel.integrate_against(g)
+    G, H, e = int_parts(f.coeffs)
+    G1, H1 = ([c * math.perm(k, r + 1) for k, c in enumerate(P) if k > r] for P in (G, H))
+    return (remainder(rule.value_nodes, rule.deriv_nodes, G, H, e, m),
+            integrate_pieces(kernel._exact, G1, H1, e, m, kernel.breakpoints))
 
 
 # --------------------------------------------------------------------------

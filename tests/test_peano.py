@@ -11,6 +11,8 @@ import pytest
 
 from peanoquad import (
     AmbiguousOrder,
+    PiecewisePolynomial,
+    QuadRule,
     OrderExceedsExactness,
     Polynomial,
     Scalar,
@@ -31,7 +33,7 @@ from peanoquad import (
 )
 from peanoquad.scalars import _Dual
 from util import (assert_scalar_equals, random_rational_rule, reference_build_kernel,
-                  reference_kernel_l1_norm, scalar_is_zero)
+                  reference_kernel_l1_norm, reference_verify_peano_identity, scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -839,3 +841,123 @@ def test_integrate_against_matches_the_scalar_reference():
             for g in gs:
                 assert (_fingerprint(got.integrate_against(g))
                         == _fingerprint(want.integrate_against(g))), (rule.name, r, str(g))
+
+
+def _identity_polys(rng, r):
+    """Rational f of degree r - 1 to r + 3, the zero polynomial, f over
+    Q(sqrt 3), Q(sqrt 5) and Q(sqrt 7), and f with a _Dual coefficient."""
+    def q():
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+    fs = [Polynomial([q() for _ in range(k)]) for k in (r, r + 2, r + 4)] + [Polynomial()]
+    fs += [Polynomial([q() * s + q() for _ in range(r + 3)]) for s in (S3, S5, sqrt(Scalar(7)))]
+    return fs + [Polynomial([ONE, q(), _Dual(q(), 1)])]
+
+
+@pytest.mark.parametrize("dps", [20, 60, 120])
+def test_peano_identity_matches_the_scalar_reference(dps):
+    # both sides, in integers for plain exact data in one field, against the
+    # Scalar expression: same type, tier, exact string and enclosure; f over
+    # another field than the rule's, interval and dual data take the fallback
+    rng = random.Random(1818)
+    set_working_dps(dps)
+    try:
+        for rule in _oracle_rules():
+            for r in range(min(degree_of_exactness(rule, k_max=8).degree, 6) + 1):
+                for f in _identity_polys(rng, r):
+                    got = verify_peano_identity(rule, r, f)
+                    want = reference_verify_peano_identity(rule, r, f)
+                    assert ([(_fingerprint(v), v.bounds()) for v in got]
+                            == [(_fingerprint(v), v.bounds()) for v in want]), (rule.name, r)
+    finally:
+        set_working_dps(60)
+
+
+def test_plain_exact_identity_takes_no_scalar_pass_and_keeps_its_sides_apart(monkeypatch):
+    def scalar_pass(*args):
+        raise AssertionError("Scalar pass on plain exact data")
+
+    monkeypatch.setattr(QuadRule, "apply", scalar_pass)
+    monkeypatch.setattr(PiecewisePolynomial, "integrate_against", scalar_pass)
+    f = Polynomial([1, F(2, 3), -S3, 5, F(1, 7), 1])
+    rule = make_rule("gauss_legendre2")
+    lhs, rhs = verify_peano_identity(rule, 3, f)
+    assert lhs == rhs
+    # the left side reads no kernel: a wrong kept kernel changes the right side only
+    rule._kernels[3] = build_kernel(make_rule("simpson"), 3)
+    wrong_lhs, wrong_rhs = verify_peano_identity(rule, 3, f)
+    assert wrong_lhs == lhs and wrong_rhs != rhs
+
+
+def test_peano_identity_errors_match_the_reference():
+    f = Polynomial([1, 2, 3, 4, 5])
+    for rule, r, error in [(make_rule("simpson"), -1, ValueError),
+                           (make_rule("simpson"), 4, OrderExceedsExactness),
+                           (make_rule("gauss_legendre2"), 4, OrderExceedsExactness),
+                           (make_rule("ostrowski", x=F(1, 4)), 1, OrderExceedsExactness),
+                           (family("ostrowski").build(_Dual(F(1, 3), 1)), 1, OrderExceedsExactness)]:
+        for verify in (verify_peano_identity, reference_verify_peano_identity):
+            with pytest.raises(error):
+                verify(rule, r, f)
+
+
+def test_plain_exact_kernels_are_kept_on_the_rule():
+    for rule in (make_rule("simpson"), make_rule("lobatto4"), random_rational_rule(random.Random(5))):
+        for r in range(min(degree_of_exactness(rule, k_max=8).degree, 3) + 1):
+            kernel = build_kernel(rule, r)
+            assert build_kernel(rule, r) is kernel
+    # the kept kernel serves another working precision: it holds no enclosure
+    rule = make_rule("gauss_legendre2")
+    kernel = build_kernel(rule, 1)
+    set_working_dps(20)
+    try:
+        got = kernel_l1_norm(rule, 1)
+        assert got.kernel is kernel
+        assert _report_fingerprint(got) == _report_fingerprint(reference_kernel_l1_norm(rule, 1))
+    finally:
+        set_working_dps(60)
+    assert _report_fingerprint(kernel_l1_norm(rule, 1)) == _report_fingerprint(
+        reference_kernel_l1_norm(rule, 1))
+
+
+def test_interval_and_dual_kernels_are_built_on_every_call():
+    rule = custom_rule("interval_simpson", [(-1, _narrow(F(1, 3))), (_narrow(F(0)), F(4, 3)),
+                                            (1, F(1, 3))])
+    kernels = []
+    for dps in (20, 60):
+        set_working_dps(dps)
+        try:
+            kernels.append(build_kernel(rule, 3))
+            assert _report_fingerprint(kernel_l1_norm(rule, 3)) == _report_fingerprint(
+                reference_kernel_l1_norm(rule, 3)), dps
+        finally:
+            set_working_dps(60)
+    assert kernels[0] is not kernels[1]
+    dual = family("ostrowski").build(_Dual(F(1, 3), 1))
+    assert build_kernel(dual, 0) is not build_kernel(dual, 0)
+
+
+def test_order_exceeding_exactness_is_raised_on_every_call():
+    rule = make_rule("simpson")
+    for _ in range(2):
+        with pytest.raises(OrderExceedsExactness):
+            build_kernel(rule, 4)
+        with pytest.raises(ValueError):
+            build_kernel(rule, -1)
+    assert build_kernel(rule, 3) is build_kernel(rule, 3)
+
+
+def test_kernel_is_zero_outside_its_interval():
+    # K_r(t) = 0 for t >= 1 (no (x - t)_+ term is left) and for t <= -1 (the
+    # rule is exact on degree r); the end pieces extrapolate to other values
+    k = build_kernel(make_rule("simpson"), 3)
+    for t in (2, -3, F(1000001, 1000000), -S3):
+        v = k.evaluate(Scalar(t))
+        assert v.is_rational and v.as_fraction() == 0, t
+    assert k.pieces[-1](Scalar(2)).as_fraction() == F(7, 72)
+    assert k.pieces[0](Scalar(-3)).as_fraction() == F(10, 9)
+    for t in (-1, 1):
+        assert k.evaluate(Scalar(t)) == k.pieces[0 if t < 0 else -1](Scalar(t))
+    with pytest.raises(AmbiguousOrder):
+        k.evaluate(_narrow(F(1)))
+    with pytest.raises(AmbiguousOrder):
+        k.evaluate(_narrow(F(-1)))

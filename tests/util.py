@@ -98,6 +98,17 @@ def reference_build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
+def reference_verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:
+    """``verify_peano_identity`` in Scalar arithmetic: I(f) - Q(f) by
+    ``definite_integral`` and ``rule.apply``, and f^(r+1) by r + 1
+    ``derivative`` calls integrated against ``reference_build_kernel``."""
+    lhs = f.definite_integral(-1, 1) - rule.apply(f)
+    g = f
+    for _ in range(r + 1):
+        g = g.derivative()
+    return lhs, reference_build_kernel(rule, r).integrate_against(g)
+
+
 def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     """``kernel_l1_norm`` on ``reference_build_kernel``: the antiderivative of
     each piece by Scalar Horner passes at the cut points, and the sum
