@@ -36,7 +36,7 @@ from .errors import (
     PointOutsideBox,
 )
 from .peano import kernel_l1_norm
-from .roots import _positive_fraction, _simplest_in_open
+from .roots import _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
@@ -211,6 +211,14 @@ def _locate_signature_change(sig, a: Fraction, b: Fraction, tol: Fraction) -> Fr
         else:
             b = m
     return _simplest_in_open(a, b)
+
+
+def _positive_fraction(value, name: str) -> Fraction:
+    """A tolerance as an exact rational (a float is read exactly); must be > 0."""
+    value = as_scalar(value).as_fraction()
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def bound_scan(

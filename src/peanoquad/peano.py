@@ -23,15 +23,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
-from ._qpoly import (_ints, add_abs_diff, antiderivative_values, int_parts, integrate_pieces,
-                     kernel_pieces, parts, plain_field, remainder, to_scalar)
+from ._qpoly import (add_abs_diff, antiderivative_values, int_parts, integrate_pieces,
+                     kernel_pieces, plain_field, remainder, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
-from .rules import QuadRule
-from .scalars import Scalar, _quad, as_scalar, minus_terms
+from .rules import QuadRule, _node_order
+from .scalars import Scalar, as_scalar, minus_terms
 
 
 @dataclass(frozen=True)
@@ -94,27 +94,6 @@ class KernelReport:
                      for i, b in enumerate(k.breakpoints[1:-1], 1))
 
 
-def _breakpoints(rule: QuadRule) -> list[Scalar]:
-    """-1, 1 and the nodes: equal values merged (the first instance stays), then
-    sorted by the exact order.  Plain rationals by integer keys, plain values in
-    one Q(sqrt m) on their parts and by an integer sign test; other values by
-    Scalar == and < (nodes that overlap without being equal raise AmbiguousOrder)."""
-    pts = [Scalar(-1), Scalar(1)] + [x for x, _ in rule.value_nodes + rule.deriv_nodes]
-    m = plain_field(pts)
-    if m is None:
-        merged = []
-        for x in pts:
-            if x not in merged:
-                merged.append(x)
-        return sorted(merged)
-    if m == 1:  # numerators over one denominator: equal for equal values, and in order
-        by_key = dict(reversed([*zip(_ints(*(x._frac for x in pts)), pts)]))
-        return [by_key[k] for k in sorted(by_key)]
-    by_parts = {parts(x): x for x in reversed(pts)}
-    order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign())
-    return [by_parts[k] for k in sorted(by_parts, key=order)]
-
-
 @lru_cache(maxsize=64)
 def _integrals(r: int) -> tuple[Polynomial, Polynomial]:
     """(1-t)^(r+1)/(r+1) and I[(x-t)^r] = ((1-t)^(r+1) - (-1-t)^(r+1))/(r+1)."""
@@ -130,6 +109,10 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     part of the functional only (the derivative weights would enter as point
     masses at the derivative nodes).  The full remainder identity therefore
     starts at r = 1 for such rules.
+
+    The breakpoints are -1, 1 and the nodes in ``rules._node_order``; the
+    term of the node at b_j is active on the pieces (b_i, b_(i+1)] with
+    i < j, in both lanes below.
 
     Plain exact data over Q or one Q(sqrt m) are formed in integers
     (``_qpoly.kernel_pieces``), with the same Scalars as a result, and kept
@@ -150,17 +133,17 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     nodes = [(x, a, r) for x, a in rule.value_nodes]
     if r >= 1:
         nodes += [(y, b * r, r - 1) for y, b in rule.deriv_nodes]
+    points = [Scalar(-1), Scalar(1)] + [x for x, _ in rule.value_nodes + rule.deriv_nodes]
     m = plain_field([v for node in rule.value_nodes + rule.deriv_nodes for v in node])
     if m is not None:
-        bps = _breakpoints(rule)
-        index = {parts(b): j for j, b in enumerate(bps)}
-        den, exact = kernel_pieces([(x, a, n, index[parts(x)]) for x, a, n in nodes], r, m,
+        bps, at = _node_order(points)
+        den, exact = kernel_pieces([(*node, j) for node, j in zip(nodes, at[2:])], r, m,
                                    len(bps) - 1)
         ok = exact is not None
     else:
         lead, moments = _integrals(r)
-        terms = [(x, Polynomial([x, -1]) ** n * a) for x, a, n in nodes]
-        ok = all(minus_terms(c, [t.coeffs[i] for _, t in terms if i < len(t.coeffs)]).zero_within()
+        terms = [Polynomial([x, -1]) ** n * a for x, a, n in nodes]
+        ok = all(minus_terms(c, [t.coeffs[i] for t in terms if i < len(t.coeffs)]).zero_within()
                  for i, c in enumerate(moments.coeffs))
     if not ok:
         raise OrderExceedsExactness(
@@ -174,12 +157,12 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
         object.__setattr__(kernel, "_exact", [(A, B, den, m) for A, B in exact])
         kernels[r] = kernel
         return kernel
-    bps = _breakpoints(rule)
+    bps, at = _node_order(points)  # after the order check, which may raise first
     pieces = []
-    for right in bps[1:]:
+    for i in range(len(bps) - 1):
         p = lead
-        for node, term in terms:
-            if node.lt_definite(right) is not True:  # node >= right end: active on piece
+        for term, j in zip(terms, at[2:]):
+            if j > i:  # node at b_j >= right end b_(i+1): active on piece i
                 p = p - term
         pieces.append(p * Scalar(Fraction(1, math.factorial(r))))
     return PiecewisePolynomial(tuple(bps), tuple(pieces))

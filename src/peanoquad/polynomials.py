@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ._qpoly import fraction_eval
-from .scalars import Scalar, _rat, as_scalar
+from .scalars import Scalar, as_scalar
 
 
 class Polynomial:
@@ -42,16 +41,10 @@ class Polynomial:
         return Polynomial([0] * k + [coef])
 
     def evaluate(self, t) -> Scalar:
-        """p(t) by Horner's rule.  Rational coefficients at a rational t take
-        ``fraction_eval``; every other tier, and a ``_Dual`` point or
-        coefficient, runs the Scalar loop.  The value is the same either way."""
+        """p(t) by Horner's rule in Scalar arithmetic."""
         t = as_scalar(t)
-        cs = self._coeffs
-        if type(t) is Scalar and t._frac is not None and all(
-                type(c) is Scalar and c._frac is not None for c in cs):
-            return _rat(fraction_eval([c._frac for c in cs], t._frac))
         acc = Scalar(0)
-        for c in reversed(cs):
+        for c in reversed(self._coeffs):
             acc = acc * t + c
         return acc
 

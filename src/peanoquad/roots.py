@@ -299,23 +299,16 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     return out
 
 
-def _positive_fraction(value, name: str) -> Fraction:
-    """A tolerance as an exact rational (a float is read exactly); must be > 0."""
-    value = as_scalar(value).as_fraction()
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
-def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> tuple[Root, ...]:
+def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     """Isolate every real root of p inside the open interval (lo, hi).
 
     For exact coefficients (rationals, or a + b*sqrt(m) over one m) every
     root is found: rational roots and roots of quadratic factors come back
-    exactly, the rest as interval scalars of width at most ``tol``, each
-    certain to hold one root.  Interval or mixed-radicand coefficients give
-    brackets about ``tol/4`` wider, flagged ``certified`` only where p
-    provably changes sign.  Raises :class:`DegreeTooHigh` above degree 16.
+    exactly, the rest as interval scalars of width at most
+    ``DEFAULT_ROOT_TOL``, each certain to hold one root.  Interval or
+    mixed-radicand coefficients give brackets about a quarter of it wider,
+    flagged ``certified`` only where p provably changes sign.  Raises
+    :class:`DegreeTooHigh` above degree 16.
     """
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
@@ -323,12 +316,11 @@ def isolate_roots(p: Polynomial, lo, hi, tol=DEFAULT_ROOT_TOL) -> tuple[Root, ..
     lof, hif = lo_s.mid_fraction(), hi_s.mid_fraction()
     if not lof < hif:
         raise ValueError("isolate_roots requires lo < hi")
-    tol = _positive_fraction(tol, "tol")
     if p.degree < 1:
         return ()
     parts = field_parts(p.coeffs)
     if parts is None:
-        return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, tol))
+        return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, DEFAULT_ROOT_TOL))
     m, ab = parts
     a, b = (_ftrim(list(c)) for c in zip(*ab))
-    return tuple(_isolate_field(a, b, m, lof, hif, tol))
+    return tuple(_isolate_field(a, b, m, lof, hif, DEFAULT_ROOT_TOL))

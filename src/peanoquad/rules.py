@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import _ints, parts, plain_field
+from ._qpoly import _ints, int_parts, parts, plain_field
 from .polynomials import Polynomial
 from .scalars import Scalar, _quad, as_scalar, sqrt
 
@@ -40,18 +41,41 @@ class QuadRule:
         return apply_rule(self, f, a, b, fprime)
 
 
+def _node_order(xs) -> tuple[list[Scalar], list[int]]:
+    """The distinct values of xs in exact order (the first instance of each
+    stays), and the index of each x among them.  Plain exact values
+    (``plain_field``) are keyed by their integer parts over one denominator:
+    rationals sort as integers, a + b*sqrt(m) by the sign of a difference.
+    Other values merge by Scalar == and sort by Scalar <, so values that
+    overlap without being equal raise AmbiguousOrder."""
+    m = plain_field(xs)
+    if m is None:  # the key of x: the index of its first instance
+        keys, order = [], xs.__getitem__
+        for i, x in enumerate(xs):
+            keys.append(next((j for j in range(i) if keys[j] == j and xs[j] == x), i))
+    elif m == 1:
+        keys, order = _ints(*(x._frac for x in xs))[:-1], None
+    else:
+        G, H, _ = int_parts(xs)
+        keys = list(zip(G, H))
+        order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign())
+    first = {}
+    for k, x in zip(keys, xs):
+        first.setdefault(k, x)
+    ranked = sorted(first, key=order)
+    rank = {k: j for j, k in enumerate(ranked)}
+    return [first[k] for k in ranked], [rank[k] for k in keys]
+
+
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
-    """Merge equal nodes, drop exact-zero weights, sort by the exact order
-    (nodes that overlap without being equal raise AmbiguousOrder)."""
-    merged: list[list[Scalar]] = []
-    for x, w in pairs:
-        x, w = as_scalar(x), as_scalar(w)
-        same = next((p for p in merged if p[0] == x), None)
-        if same is None:
-            merged.append([x, w])
-        else:
-            same[1] = same[1] + w
-    return sorted(((x, w) for x, w in merged if not w.is_exact_zero()), key=lambda p: p[0])
+    """Equal nodes merged (weights summed in input order), in ``_node_order``,
+    exact-zero weights dropped."""
+    pairs = [(as_scalar(x), as_scalar(w)) for x, w in pairs]
+    nodes, at = _node_order([x for x, _ in pairs])
+    weights = [None] * len(nodes)
+    for (_, w), j in zip(pairs, at):
+        weights[j] = w if weights[j] is None else weights[j] + w
+    return [(x, w) for x, w in zip(nodes, weights) if not w.is_exact_zero()]
 
 
 def _assemble(name: str, values, derivs, params: dict) -> QuadRule:

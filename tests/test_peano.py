@@ -32,8 +32,10 @@ from peanoquad import (
     verify_peano_identity,
 )
 from peanoquad.scalars import _Dual
-from util import (assert_scalar_equals, random_rational_rule, reference_build_kernel,
-                  reference_kernel_l1_norm, reference_verify_peano_identity, scalar_is_zero)
+from peanoquad.rules import _merge_nodes
+from util import (assert_scalar_equals, random_rational_rule, reference_breakpoints,
+                  reference_build_kernel, reference_kernel_l1_norm, reference_merge_nodes,
+                  reference_verify_peano_identity, scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -797,14 +799,36 @@ def _report_fingerprint(rep):
 def _oracle_rules():
     """Every catalog rule, the sqrt, mixed-radicand and interval rules of the
     piece reference, 30 seeded random rational rules, and rules at a _Dual
-    node."""
+    node.  Two of those have nodes that meet at the value of x but stay apart
+    (x = 0 + eps, and 1 - eps at double nodes), leaving pieces of zero length."""
     rng = random.Random(1616)
     rules = _kernel_reference_rules()[:-10]
     rules += [random_rational_rule(rng, with_derivs=i % 2 == 1, force_degree_one=i % 4 == 1)
               for i in range(30)]
     rules += [family(name).build(_Dual(F(1, 3), seed))
               for name in ("ostrowski", "mp3", "gs2") for seed in (1, -1)]
+    rules += [family("alomari4", lam=F(1, 5)).build(_Dual(0, 1)),
+              family("liu_park").build(_Dual(1, -1))]
     return rules
+
+
+def test_node_order_matches_the_scalar_reference():
+    # nodes merged and ordered for a rule, and the breakpoints of its kernels,
+    # against the Scalar == scan and < sort: same values, types, tiers and ends
+    def fingerprints(values):
+        return [(_fingerprint(v), v.bounds()) for v in values]
+
+    for rule in _oracle_rules():
+        pairs = list(rule.value_nodes + rule.deriv_nodes)
+        cancel = [(pairs[0][0], -pairs[0][1])]  # the first node's weight sums to 0
+        thirds = [(x, w / 3) for x, w in pairs] + [(x, 2 * w / 3) for x, w in pairs[::-1]]
+        for nodes in (rule.value_nodes, rule.deriv_nodes, pairs, pairs[::-1], pairs + cancel,
+                      thirds):
+            got, want = _merge_nodes(nodes), reference_merge_nodes(nodes)
+            assert [fingerprints(p) for p in got] == [fingerprints(p) for p in want], rule.name
+        want = fingerprints(reference_breakpoints(rule))
+        for r in range(min(degree_of_exactness(rule, k_max=8).degree, 2) + 1):
+            assert fingerprints(build_kernel(rule, r).breakpoints) == want, (rule.name, r)
 
 
 @pytest.mark.parametrize("dps", [20, 60, 120])

@@ -104,7 +104,7 @@ def test_sign_pattern_consistent_with_multiplicity():
 def test_bracket_width_within_tolerance():
     p = Polynomial([-F(1, 3), 0, 0, 1])  # t^3 = 1/3, irrational root
     tol = F(1, 10**20)
-    roots = isolate_roots(p, 0, 1, tol)
+    roots = isolate_roots(p, 0, 1)
     loc = roots[0].location
     assert not loc.is_rational
     assert loc.radius() <= float(tol)
@@ -183,7 +183,7 @@ def test_interval_data_double_root_is_reported_uncertified():
     # midpoint polynomial has the double root, p has no provable sign change
     c0 = Scalar.from_interval(F(1, 16) - F(1, 2**140), F(1, 16) + F(1, 2**140))
     tol = F(1, 10**20)
-    [root] = isolate_roots(Polynomial([c0, F(-1, 2), 1]), 0, 1, tol)
+    [root] = isolate_roots(Polynomial([c0, F(-1, 2), 1]), 0, 1)
     assert not root.is_exact() and not root.certified
     assert root.multiplicity_hint == 2
     lo, hi = root.location.bounds()
@@ -198,15 +198,15 @@ def test_interval_data_double_root_off_the_midpoint_grid():
         return Polynomial([Scalar.from_interval(c - F(1, 10**40), c + F(1, 10**40)), F(-2, 3), 1])
 
     tol = F(1, 10**20)
-    [root] = isolate_roots(poly(F(1, 9)), 0, 1, tol)
+    [root] = isolate_roots(poly(F(1, 9)), 0, 1)
     assert not root.is_exact() and not root.certified
     assert root.multiplicity_hint == 2
     lo, hi = root.location.bounds()
     assert lo < F(1, 3) < hi and hi - lo <= tol
     # a minimum clear of zero is no root, and one below zero adds nothing to
     # the two certified roots around it
-    assert len(isolate_roots(poly(F(1, 9) + F(1, 1000)), 0, 1, tol)) == 0
-    got = isolate_roots(poly(F(1, 9) - F(1, 100)), 0, 1, tol)
+    assert len(isolate_roots(poly(F(1, 9) + F(1, 1000)), 0, 1)) == 0
+    got = isolate_roots(poly(F(1, 9) - F(1, 100)), 0, 1)
     assert [r.certified for r in got] == [True, True]
     for root, want in zip(got, (F(7, 30), F(13, 30))):
         lo, hi = root.location.bounds()

@@ -64,6 +64,21 @@ def random_rational_rule(
             return rule
 
 
+def reference_merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
+    """Equal nodes merged by a scan of Scalar ==, exact-zero weights dropped,
+    then sorted by Scalar < (nodes that overlap without being equal raise
+    AmbiguousOrder)."""
+    merged: list[list[Scalar]] = []
+    for x, w in pairs:
+        x, w = as_scalar(x), as_scalar(w)
+        same = next((p for p in merged if p[0] == x), None)
+        if same is None:
+            merged.append([x, w])
+        else:
+            same[1] = same[1] + w
+    return sorted(((x, w) for x, w in merged if not w.is_exact_zero()), key=lambda p: p[0])
+
+
 def reference_breakpoints(rule: QuadRule) -> list[Scalar]:
     """-1, 1 and the nodes: equal values merged by Scalar ==, then sorted by Scalar <."""
     pts = [Scalar(-1), Scalar(1)]

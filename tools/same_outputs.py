@@ -14,9 +14,16 @@ operation with ``execute``:
 Every Scalar in an output is written as its ``to_json_str``, its tier
 (rational, sqrt or interval) and the exact rational ends of its enclosure;
 a CLI operation gives its exit code, standard output and written files, and
-an operation that raises gives its exception type and message.  The ids of
-the operations whose outputs differ are printed, and the last line counts
-them.  Exit status: 0 when every output is identical, 1 otherwise.
+an operation that raises gives its exception type and message.
+
+Each tree's ``demos/*.py`` also run, each from a fresh empty working
+directory with the same relative ``PEANOQUAD_OUTDIR``, so the paths they
+print match; a demo gives its exit code, standard output and the files it
+writes.
+
+The ids of the operations and the names of the demos whose outputs differ
+are printed, and the last line counts them.  Exit status: 0 when every
+output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -80,6 +87,25 @@ def dump(tree: str, scratch: str, out_path: str) -> None:
         json.dump(outputs, fh)
 
 
+def run_demos(tree: str) -> dict:
+    """{demo file name: exit code, standard output, {written file: text}}."""
+    tree = os.path.abspath(tree)
+    demos = os.path.join(tree, "demos")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PEANOQUAD_OUTDIR="out")
+    outputs = {}
+    for name in sorted(n for n in os.listdir(demos) if n.endswith(".py")):
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([sys.executable, os.path.join(demos, name)], cwd=cwd, env=env,
+                                  capture_output=True, text=True)
+            files = {}
+            for root, _, names in os.walk(cwd):
+                for n in names:
+                    with open(os.path.join(root, n)) as fh:
+                        files[os.path.relpath(os.path.join(root, n), cwd)] = fh.read()
+        outputs[name] = [proc.returncode, proc.stdout, files]
+    return outputs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[0] == "--dump":
         dump(*argv[1:])
@@ -97,12 +123,14 @@ def main(argv: list[str]) -> int:
                             os.path.abspath(tree), scratch, path], check=True)
             with open(path) as fh:
                 dumps.append(json.load(fh))
-    a, b = dumps
+    (a, b), (da, db) = dumps, [run_demos(tree) for tree in argv]
     differ = [key for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
-    for key in differ:
+    demos = [key for key in sorted(da.keys() | db.keys()) if da.get(key) != db.get(key)]
+    for key in differ + [f"demos/{name}" for name in demos]:
         print(key)
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} ops differ")
-    return 1 if differ else 0
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} ops differ, "
+          f"{len(demos)} of {len(da.keys() | db.keys())} demos differ")
+    return 1 if differ or demos else 0
 
 
 if __name__ == "__main__":
