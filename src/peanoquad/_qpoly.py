@@ -7,7 +7,10 @@ Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
 pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
 node terms by the binomial expansion, pieces by integer subtraction, and
 antiderivatives and remainders I(f) - Q(f) by one Horner loop over Z[sqrt m].
-A value converted back is the Scalar that Scalar arithmetic gives (exact).
+With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2), so
+the kernel pass of rational ``_Dual`` data (value A, derivative B) runs on the
+same code.  A value converted back is the Scalar that Scalar arithmetic gives
+(exact).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from fractions import Fraction
 from math import comb, lcm
 
-from .scalars import Scalar, _quad, _rat
+from .scalars import Scalar, _Dual, _dual, _quad, _rat
 
 
 def _ints(*xs) -> list[int]:
@@ -158,14 +161,20 @@ def plain_field(values: list) -> int | None:
 
 
 def parts(v: Scalar) -> tuple:
-    """(a, b) with the exact v == a + b*sqrt(m)."""
-    return v._sqrt[:2] if v._sqrt is not None else (v._frac, 0)
+    """(a, b) with the exact v == a + b*sqrt(m); for a rational _Dual, its
+    value and derivative (m = 0)."""
+    if v._sqrt is not None:
+        return v._sqrt[:2]
+    return (v._frac, v._d._frac) if type(v) is _Dual else (v._frac, 0)
 
 
 def to_scalar(v) -> Scalar:
     """A triple (a, b, m) (a a Fraction, b a Fraction or 0) as the Scalar
-    a + b*sqrt(m); a Scalar as itself."""
-    return v if isinstance(v, Scalar) else _quad(*v) if v[1] else _rat(v[0])
+    a + b*sqrt(m), or the _Dual a + b*eps for m = 0; a Scalar as itself."""
+    if isinstance(v, Scalar):
+        return v
+    a, b, m = v
+    return _rat(a) if not b else _quad(a, b, m) if m else _dual(_rat(a), _rat(b))
 
 
 def kernel_pieces(terms, r: int, m: int, n_pieces: int):
@@ -174,7 +183,8 @@ def kernel_pieces(terms, r: int, m: int, n_pieces: int):
     exact on degree r.  ``terms`` holds (x, w, n, j) for each node term
     w*(x - t)**n, x = b_j and x, w exact in Q(sqrt m).  Piece i is
     ((1 - t)**(r+1)/(r+1) - the terms with j > i)/r!, and the order
-    condition says that (1 - t)**(r+1)/(r+1) minus all terms is (-1 - t)**(r+1)/(r+1)."""
+    condition says that (1 - t)**(r+1)/(r+1) minus all terms is (-1 - t)**(r+1)/(r+1);
+    for m = 0 it reads the value part A alone, as ``zero_within`` does on a _Dual."""
     ints = []
     for x, w, n, j in terms:
         (p, q, s), (u, v, z) = _ints(*parts(x)), _ints(*parts(w))
@@ -194,7 +204,7 @@ def kernel_pieces(terms, r: int, m: int, n_pieces: int):
                 A = [a - den // d * t for a, t in zip(A, TA + [0] * (r + 2 - len(TA)))]
                 B = [b - den // d * t for b, t in zip(B, TB + [0] * (r + 2 - len(TB)))]
         out.append((A, B))
-    if any(B) or A != [(-1) ** (r + 1) * c for c in binom]:
+    if m and any(B) or A != [(-1) ** (r + 1) * c for c in binom]:
         return den, None
     return den * math.factorial(r), out[-2::-1]
 
@@ -213,12 +223,13 @@ def zm_horner(A: list[int], B: list[int], p: int, q: int, w: int, m: int) -> tup
 def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) -> list:
     """F(s) at each point s, F the antiderivative with F(0) = 0 of
     (A + B*sqrt(m))/den: a triple (a, b, M) meaning a + b*sqrt(M) where s is
-    a plain exact Scalar that is rational or in the field of F, else None."""
+    a plain exact Scalar that is rational or in the field of F, or (m = 0) a
+    rational _Dual, else None."""
     L, irrational, out = lcm(*range(1, len(A) + 1)), any(B), []
     FA = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
     FB = [0] + [b * (L // (k + 1)) for k, b in enumerate(B)]
     for s in points:
-        if (type(s) is not Scalar or s._ival is not None
+        if (s._ival is not None or type(s) is not Scalar and m
                 or irrational and s._sqrt and s._sqrt[2] != m):
             out.append(None)
             continue
@@ -232,7 +243,9 @@ def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) 
 def add_abs_diff(total, x, y):
     """total + |x - y| for triples (a, b, m) or Scalars: a triple while all three
     are triples over one radicand, else by Scalar arithmetic on the Scalars
-    they stand for, so the value is the one Scalar arithmetic gives throughout."""
+    they stand for, so the value is the one Scalar arithmetic gives throughout.
+    For m = 0 the sign below is that of a, or of b when a = 0, as
+    ``_Dual.__abs__`` reads eps."""
     if type(total) is tuple and type(x) is tuple and type(y) is tuple:
         ms = {v[2] for v in (total, x, y) if v[1]}
         if not ms:

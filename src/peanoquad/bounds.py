@@ -6,11 +6,12 @@ from kernels (never from hard-coded formulas), so it works equally for
 families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid, which localizes even branch points where the bound itself is
-numerically indistinguishable from smooth.  A change within the bisection
-tolerance of a grid point (a branch switch at x = 1/2, or nodes colliding at
-a domain end) is taken as that grid point, exactly; any other change is
-bisected, and the simplest rational in the final bracket is reported, so a
-kink at a small rational such as 1/3 comes back exactly too.
+numerically indistinguishable from smooth.  A probe of that pattern builds
+the kernel and isolates its roots, but forms no L1 sum.  A change within the
+bisection tolerance of a grid point (a branch switch at x = 1/2, or nodes
+colliding at a domain end) is taken as that grid point, exactly; any other
+change is bisected, and the simplest rational in the final bracket is
+reported, so a kink at a small rational such as 1/3 comes back exactly too.
 
 Minima are found from the exact derivative dM_r/dx, which one kernel pass on
 the rule built at a dual-number node x + eps gives (forward-mode
@@ -35,7 +36,7 @@ from .errors import (
     ParamOutOfDomain,
     PointOutsideBox,
 )
-from .peano import kernel_l1_norm
+from .peano import _piece_roots, build_kernel, kernel_l1_norm
 from .roots import _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
@@ -82,31 +83,36 @@ def _bound_fn(family: RuleFamily, r: int):
     x -> (M_r(x), M_r'(x)).
 
     The signature is the per-piece count of interior kernel roots; it changes
-    exactly where the bound function switches branch.  The derivative comes
-    from one kernel pass on the rule built at a dual number x + eps, which
-    carries d/dx through the nodes, weights, breakpoints and integrals; where
-    M_r has a corner it is the right-hand derivative (the left-hand one at
-    the upper end of the domain).
+    exactly where the bound function switches branch.  At an x without a
+    value, a signature probe builds the kernel and isolates the roots of each
+    piece (``peano._piece_roots``), with no antiderivative or L1 sum; a later
+    M_r(x) runs the full pass.  The derivative comes from one kernel pass on
+    the rule built at a dual number x + eps, which carries d/dx through the
+    nodes, weights, breakpoints and integrals, in integers over Q[eps] for
+    rational data; where M_r has a corner it is the right-hand derivative
+    (the left-hand one at the upper end of the domain).
     """
-    cache: dict[Fraction, tuple[Scalar, tuple[int, ...]]] = {}
+    values: dict[Fraction, Scalar] = {}
+    sigs: dict[Fraction, tuple[int, ...]] = {}
     slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
 
-    def compute(x: Fraction) -> tuple[Scalar, tuple[int, ...]]:
-        got = cache.get(x)
+    def fn(x: Fraction) -> Scalar:
+        got = values.get(x)
         if got is None:
             rep = kernel_l1_norm(family.build(Scalar(x)), r)
             counts = [0] * len(rep.kernel.pieces)
             for root in rep.sign_changes:
                 counts[rep.kernel.piece_index(root.location)] += 1
-            got = (rep.l1_norm, tuple(counts))
-            cache[x] = got
+            got = values[x] = rep.l1_norm
+            sigs.setdefault(x, tuple(counts))
         return got
 
-    def fn(x: Fraction) -> Scalar:
-        return compute(x)[0]
-
     def sig(x: Fraction) -> tuple[int, ...]:
-        return compute(x)[1]
+        got = sigs.get(x)
+        if got is None:
+            kernel = build_kernel(family.build(Scalar(x)), r)
+            got = sigs[x] = tuple(len(roots) for roots in _piece_roots(kernel))
+        return got
 
     def slope(x: Fraction) -> tuple[Scalar, Scalar]:
         got = slopes.get(x)

@@ -62,9 +62,9 @@ class PiecewisePolynomial:
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
-        if self._exact is not None:  # in integers for g in Q or the pieces' field
+        if self._exact is not None:  # in integers for g in Q or the pieces' field, not over Q[eps]
             m, gm = self._exact[0][3], plain_field(g.coeffs)
-            if gm is not None and (m == 1 or gm in (1, m)):
+            if m and gm is not None and (m == 1 or gm in (1, m)):
                 G, H, e = int_parts(g.coeffs)
                 return integrate_pieces(self._exact, G, H, e, max(m, gm), self.breakpoints)
         total = Scalar(0)
@@ -116,7 +116,9 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
 
     Plain exact data over Q or one Q(sqrt m) are formed in integers
     (``_qpoly.kernel_pieces``), with the same Scalars as a result, and kept
-    on the rule by r: they do not depend on the working precision.  Otherwise
+    on the rule by r: they do not depend on the working precision.  Rational
+    dual numbers (every ``_Dual`` with a rational value and derivative) are
+    formed there too, over Q[eps] as m = 0, and built on every call.  Otherwise
     each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
@@ -134,7 +136,11 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     if r >= 1:
         nodes += [(y, b * r, r - 1) for y, b in rule.deriv_nodes]
     points = [Scalar(-1), Scalar(1)] + [x for x, _ in rule.value_nodes + rule.deriv_nodes]
-    m = plain_field([v for node in rule.value_nodes + rule.deriv_nodes for v in node])
+    data = [v for node in rule.value_nodes + rule.deriv_nodes for v in node]
+    m = plain_field(data)
+    if m is None and all(v._frac is not None and getattr(v, "_d", v)._frac is not None
+                         for v in data):
+        m = 0  # rational values and derivatives: Q[eps] as the pairs over sqrt(0)
     if m is not None:
         bps, at = _node_order(points)
         den, exact = kernel_pieces([(*node, j) for node, j in zip(nodes, at[2:])], r, m,
@@ -155,7 +161,8 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
             [to_scalar((Fraction(a, den), b and Fraction(b, den), m)) for a, b in zip(A, B)])
             for A, B in exact))
         object.__setattr__(kernel, "_exact", [(A, B, den, m) for A, B in exact])
-        kernels[r] = kernel
+        if m:
+            kernels[r] = kernel
         return kernel
     bps, at = _node_order(points)  # after the order check, which may raise first
     pieces = []
@@ -166,6 +173,19 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
                 p = p - term
         pieces.append(p * Scalar(Fraction(1, math.factorial(r))))
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
+
+
+def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Root, ...]]:
+    """The interior roots of each piece on (b_i, b_(i+1)], one ``isolate_roots``
+    call per piece of degree >= 1.  Nodes of a dual pass that meet at x but
+    part with it leave a piece of zero length (equal values, compared as
+    plain copies): no roots there."""
+    exact, out = kernel._exact, []
+    for i, piece in enumerate(kernel.pieces):
+        lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
+        inside = piece.degree >= 1 and (exact and exact[i][3] or Scalar(lo) != Scalar(hi))
+        out.append(isolate_roots(piece, lo, hi) if inside else ())
+    return out
 
 
 def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
@@ -182,14 +202,10 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     exact = kernel._exact
     total = (Fraction(0), Fraction(0), 1)
     roots: list[Root] = []
-    for i, piece in enumerate(kernel.pieces):
-        lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
+    for i, piece_roots in enumerate(_piece_roots(kernel)):
+        piece, lo, hi = kernel.pieces[i], kernel.breakpoints[i], kernel.breakpoints[i + 1]
         if piece.is_zero:
             continue
-        # nodes of a dual pass that meet at x but part with it leave a piece of
-        # zero length (equal values, compared as plain copies): no roots there
-        inside = piece.degree >= 1 and (exact or Scalar(lo) != Scalar(hi))
-        piece_roots = isolate_roots(piece, lo, hi) if inside else ()
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
         values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
         if any(v is None for v in values):

@@ -31,7 +31,7 @@ from peanoquad import (
     multidim_ostrowski_bound,
     sqrt,
 )
-from util import assert_scalar_equals
+from util import SCAN_FAMILIES, assert_scalar_equals, reference_signature
 
 
 def m_of(name, r, x=None, **fixed):
@@ -398,19 +398,6 @@ def _bisect_locate(sig, a, b, tol):
     return (a + b) / 2
 
 
-# every family with a free node x; the parameters of the others are those
-# the family_scan benchmark pins with seeds 1 and 5
-SCAN_FAMILIES = [
-    ("ostrowski", {}), ("mp3", {}), ("mod3_opt", {}), ("gs2", {}), ("franjic", {}),
-    ("liu_park", {}), ("dragomir_sofo", {}),
-    ("mod3", {"lam": F(9, 19)}), ("mod3", {"lam": F(7, 17)}),
-    ("dcr", {"lam": F(2, 7)}), ("dcr", {"lam": F(17, 60)}),
-    ("alomari4", {"lam": F(9, 43)}), ("alomari4", {"lam": F(3, 16)}),
-    ("q44", {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)}),
-    ("q44", {"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}),
-]
-
-
 @pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
 def test_branch_points_agree_with_the_bisection_reference(name, fixed, monkeypatch):
     import peanoquad.bounds as bounds
@@ -428,6 +415,25 @@ def test_branch_points_agree_with_the_bisection_reference(name, fixed, monkeypat
         assert ([v.to_json_str() for v in got.minimizer]
                 == [v.to_json_str() for v in ref.minimizer]), (name, r)
         assert got.multimodal_suspected == ref.multimodal_suspected
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_signature_probes_match_the_full_pass_reference(name, fixed):
+    # a probe counts each root in the piece it was isolated in, and forms no
+    # L1 sum; the reference counts the roots of a full pass by piece_index.
+    # M_r(x) asked after a probe at the same x is the full pass's value
+    from peanoquad.bounds import _bound_fn
+
+    fam = family(name, **fixed)
+    for r in range(fam.generic_degree + 1):
+        kinks = [k.as_fraction() for k in bound_scan(fam, r, grid_size=33).branch_points]
+        fn, sig, _ = _bound_fn(fam, r)
+        for x in fam.domain.grid(33) + kinks:
+            rule = fam.build(Scalar(x))
+            assert sig(x) == reference_signature(rule, r), (name, r, x)
+            want = kernel_l1_norm(rule, r).l1_norm
+            got = fn(x)
+            assert (got.to_json_str(), got.bounds()) == (want.to_json_str(), want.bounds())
 
 
 def test_branch_points_on_grid_points_are_exact():

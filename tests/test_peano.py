@@ -33,7 +33,7 @@ from peanoquad import (
 )
 from peanoquad.scalars import _Dual
 from peanoquad.rules import _merge_nodes
-from util import (assert_scalar_equals, random_rational_rule, reference_breakpoints,
+from util import (SCAN_FAMILIES, assert_scalar_equals, random_rational_rule, reference_breakpoints,
                   reference_build_kernel, reference_kernel_l1_norm, reference_merge_nodes,
                   reference_verify_peano_identity, scalar_is_zero)
 
@@ -809,7 +809,16 @@ def _oracle_rules():
               for name in ("ostrowski", "mp3", "gs2") for seed in (1, -1)]
     rules += [family("alomari4", lam=F(1, 5)).build(_Dual(0, 1)),
               family("liu_park").build(_Dual(1, -1))]
-    return rules
+    # Simpson at x = 0 only: R(t^3) has value 0 and derivative 4/3, so the
+    # order-3 condition holds on the value part alone
+    rules += [family("mod3", lam=F(2, 3)).build(_Dual(0, seed)) for seed in (1, -1)]
+    # every scannable family at a grid point and at its upper end (the
+    # one-sided slope there has seed -1), and gs2 at its kink x = 1/2
+    for name, fixed in SCAN_FAMILIES:
+        fam = family(name, **fixed)
+        grid = fam.domain.grid(33)
+        rules += [fam.build(_Dual(grid[9], 1)), fam.build(_Dual(grid[-1], -1))]
+    return rules + [family("gs2").build(_Dual(F(1, 2), seed)) for seed in (1, -1)]
 
 
 def test_node_order_matches_the_scalar_reference():
@@ -853,6 +862,25 @@ def test_dual_cut_points_keep_their_derivative():
     assert all(type(c) is Scalar for p in rep.kernel.pieces for c in p.coeffs)
     value, slope = _Dual.parts(rep.l1_norm)
     assert value.to_json_str() == "10/9" and slope.to_json_str() == "2/3"
+
+
+def test_rational_dual_pass_takes_the_integer_lane(monkeypatch):
+    # gs2 at x = 1/3 + eps, r = 0: a rational kernel root, integrated in
+    # integers over Q[eps] with no Scalar moment or antiderivative
+    import peanoquad.peano as peano
+
+    rule = family("gs2").build(_Dual(F(1, 3), 1))
+    want = reference_kernel_l1_norm(rule, 0)
+    assert want.sign_changes and all(rt.location.is_rational for rt in want.sign_changes)
+
+    def scalar_pass(*args):
+        raise AssertionError("Scalar pass on rational dual data")
+
+    monkeypatch.setattr(peano, "_integrals", scalar_pass)
+    monkeypatch.setattr(Polynomial, "antiderivative", scalar_pass)
+    got = kernel_l1_norm(rule, 0)
+    assert _report_fingerprint(got) == _report_fingerprint(want)
+    assert type(got.l1_norm) is _Dual
 
 
 def test_integrate_against_matches_the_scalar_reference():

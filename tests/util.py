@@ -6,12 +6,25 @@ from collections import Counter
 from fractions import Fraction as F
 
 from peanoquad import (KernelReport, OrderExceedsExactness, PiecewisePolynomial, Polynomial,
-                       QuadRule, Scalar, custom_rule, isolate_roots)
+                       QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm)
 from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _to_int_primitive,
                               fraction_eval, int_horner)
 from peanoquad.peano import _integrals
 from peanoquad.roots import Root
 from peanoquad.scalars import _extract_square, _quad, as_scalar, field_parts, minus_terms
+
+
+# every family with a free node x; the parameters of the others are those
+# the family_scan benchmark pins with seeds 1 and 5
+SCAN_FAMILIES = [
+    ("ostrowski", {}), ("mp3", {}), ("mod3_opt", {}), ("gs2", {}), ("franjic", {}),
+    ("liu_park", {}), ("dragomir_sofo", {}),
+    ("mod3", {"lam": F(9, 19)}), ("mod3", {"lam": F(7, 17)}),
+    ("dcr", {"lam": F(2, 7)}), ("dcr", {"lam": F(17, 60)}),
+    ("alomari4", {"lam": F(9, 43)}), ("alomari4", {"lam": F(3, 16)}),
+    ("q44", {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)}),
+    ("q44", {"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}),
+]
 
 
 def scalar_is_zero(s: Scalar) -> bool:
@@ -122,6 +135,16 @@ def reference_verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tu
     for _ in range(r + 1):
         g = g.derivative()
     return lhs, reference_build_kernel(rule, r).integrate_against(g)
+
+
+def reference_signature(rule: QuadRule, r: int) -> tuple[int, ...]:
+    """The kernel root signature from a full ``kernel_l1_norm`` pass: each
+    sign change counted in the piece that ``piece_index`` finds for it."""
+    rep = kernel_l1_norm(rule, r)
+    counts = [0] * len(rep.kernel.pieces)
+    for root in rep.sign_changes:
+        counts[rep.kernel.piece_index(root.location)] += 1
+    return tuple(counts)
 
 
 def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
