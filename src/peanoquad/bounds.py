@@ -100,7 +100,7 @@ def _bound_fn(family: RuleFamily, r: int):
         got = values.get(x)
         if got is None:
             rep = kernel_l1_norm(family.build(Scalar(x)), r)
-            counts = [0] * len(rep.kernel.pieces)
+            counts = [0] * (len(rep.kernel.breakpoints) - 1)
             for root in rep.sign_changes:
                 counts[rep.kernel.piece_index(root.location)] += 1
             got = values[x] = rep.l1_norm
@@ -111,7 +111,7 @@ def _bound_fn(family: RuleFamily, r: int):
         got = sigs.get(x)
         if got is None:
             kernel = build_kernel(family.build(Scalar(x)), r)
-            got = sigs[x] = tuple(len(roots) for roots in _piece_roots(kernel))
+            got = sigs[x] = tuple(len(roots) for _, roots in _piece_roots(kernel))
         return got
 
     def slope(x: Fraction) -> tuple[Scalar, Scalar]:

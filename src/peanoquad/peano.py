@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._qpoly import (add_abs_diff, antiderivative_values, int_parts, integrate_pieces,
                      kernel_pieces, plain_field, remainder, to_scalar)
@@ -34,20 +34,27 @@ from .rules import QuadRule, _node_order
 from .scalars import Scalar, as_scalar, minus_terms
 
 
-@dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Breakpoints -1 = b_0 < ... < b_m = 1 with piece i valid on (b_i, b_{i+1}]."""
+    """Breakpoints -1 = b_0 < ... < b_m = 1 with piece i valid on (b_i, b_{i+1}].
+    A kernel formed in integers keeps its pieces as ``exact``, (A_i, B_i, den, m)
+    for (A_i + B_i*sqrt(m))/den, and ``pieces`` is their view, built on first read."""
 
-    breakpoints: tuple[Scalar, ...]
-    pieces: tuple[Polynomial, ...]
-    _exact = None  # not a field: (A_i, B_i, den, m) per piece, set by build_kernel
+    def __init__(self, breakpoints, pieces=None, exact=None):
+        self.breakpoints, self.exact = tuple(breakpoints), exact
+        if pieces is not None:
+            self.pieces = tuple(pieces)
+
+    @cached_property
+    def pieces(self) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial.of_ints(*p) for p in self.exact)
+
+    def __eq__(self, other):
+        return (isinstance(other, PiecewisePolynomial) and self.breakpoints == other.breakpoints
+                and self.pieces == other.pieces)
 
     def piece_index(self, t) -> int:
-        t = as_scalar(t)
-        for i in range(len(self.pieces)):
-            if t <= self.breakpoints[i + 1]:
-                return i
-        return len(self.pieces) - 1
+        t, last = as_scalar(t), len(self.breakpoints) - 2
+        return next((i for i in range(last) if t <= self.breakpoints[i + 1]), last)
 
     def evaluate(self, t) -> Scalar:
         """Value at t, from the left piece at breakpoints; 0 outside [b_0, b_m]."""
@@ -62,11 +69,11 @@ class PiecewisePolynomial:
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
-        if self._exact is not None:  # in integers for g in Q or the pieces' field, not over Q[eps]
-            m, gm = self._exact[0][3], plain_field(g.coeffs)
+        if self.exact is not None:  # in integers for g in Q or the pieces' field, not over Q[eps]
+            m, gm = self.exact[0][3], plain_field(g.coeffs)
             if m and gm is not None and (m == 1 or gm in (1, m)):
                 G, H, e = int_parts(g.coeffs)
-                return integrate_pieces(self._exact, G, H, e, max(m, gm), self.breakpoints)
+                return integrate_pieces(self.exact, G, H, e, max(m, gm), self.breakpoints)
         total = Scalar(0)
         for i, p in enumerate(self.pieces):
             total = total + (p * g).definite_integral(
@@ -115,10 +122,11 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     i < j, in both lanes below.
 
     Plain exact data over Q or one Q(sqrt m) are formed in integers
-    (``_qpoly.kernel_pieces``), with the same Scalars as a result, and kept
-    on the rule by r: they do not depend on the working precision.  Rational
-    dual numbers (every ``_Dual`` with a rational value and derivative) are
-    formed there too, over Q[eps] as m = 0, and built on every call.  Otherwise
+    (``_qpoly.kernel_pieces``) and stay integer pieces, whose Scalar view is
+    what Scalar arithmetic gives; they are kept on the rule by r, as they do
+    not depend on the working precision.  Rational dual numbers (every
+    ``_Dual`` with a rational value and derivative) are formed there too,
+    over Q[eps] as m = 0, and built on every call.  Otherwise
     each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
@@ -157,10 +165,7 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
             f"the order-{r} kernel identity does not hold"
         )
     if m is not None:
-        kernel = PiecewisePolynomial(tuple(bps), tuple(Polynomial(
-            [to_scalar((Fraction(a, den), b and Fraction(b, den), m)) for a, b in zip(A, B)])
-            for A, B in exact))
-        object.__setattr__(kernel, "_exact", [(A, B, den, m) for A, B in exact])
+        kernel = PiecewisePolynomial(bps, exact=tuple((A, B, den, m) for A, B in exact))
         if m:
             kernels[r] = kernel
         return kernel
@@ -175,16 +180,18 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
-def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Root, ...]]:
-    """The interior roots of each piece on (b_i, b_(i+1)], one ``isolate_roots``
-    call per piece of degree >= 1.  Nodes of a dual pass that meet at x but
-    part with it leave a piece of zero length (equal values, compared as
-    plain copies): no roots there."""
-    exact, out = kernel._exact, []
-    for i, piece in enumerate(kernel.pieces):
-        lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
-        inside = piece.degree >= 1 and (exact and exact[i][3] or Scalar(lo) != Scalar(hi))
-        out.append(isolate_roots(piece, lo, hi) if inside else ())
+def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Polynomial, tuple[Root, ...]]]:
+    """Each piece with its interior roots on (b_i, b_(i+1)], one
+    ``isolate_roots`` call per piece of degree >= 1.  The pieces of an integer
+    kernel are ``Polynomial.of_ints``, which the root engine reads as integers.
+    Nodes of a dual pass that meet at x but part with it leave a piece of zero
+    length (equal values, compared as plain copies): no roots there."""
+    exact, bps = kernel.exact, kernel.breakpoints
+    pieces = [Polynomial.of_ints(*p) for p in exact] if exact else kernel.pieces
+    out = []
+    for piece, lo, hi in zip(pieces, bps, bps[1:]):
+        inside = piece.degree >= 1 and (exact and exact[0][3] or Scalar(lo) != Scalar(hi))
+        out.append((piece, isolate_roots(piece, lo, hi) if inside else ()))
     return out
 
 
@@ -199,13 +206,13 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     integers too (``_qpoly.antiderivative_values`` and ``add_abs_diff``).
     """
     kernel = build_kernel(rule, r)
-    exact = kernel._exact
+    exact = kernel.exact
     total = (Fraction(0), Fraction(0), 1)
     roots: list[Root] = []
-    for i, piece_roots in enumerate(_piece_roots(kernel)):
-        piece, lo, hi = kernel.pieces[i], kernel.breakpoints[i], kernel.breakpoints[i + 1]
+    for i, (piece, piece_roots) in enumerate(_piece_roots(kernel)):
         if piece.is_zero:
             continue
+        lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
         values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
         if any(v is None for v in values):
@@ -237,7 +244,7 @@ def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar
     G, H, e = int_parts(f.coeffs)
     G1, H1 = ([c * math.perm(k, r + 1) for k, c in enumerate(P) if k > r] for P in (G, H))
     return (remainder(rule.value_nodes, rule.deriv_nodes, G, H, e, m),
-            integrate_pieces(kernel._exact, G1, H1, e, m, kernel.breakpoints))
+            integrate_pieces(kernel.exact, G1, H1, e, m, kernel.breakpoints))
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from fractions import Fraction
 
+from ._qpoly import to_scalar
 from .scalars import Scalar, as_scalar
 
 
@@ -12,16 +14,34 @@ class Polynomial:
 
     Trailing exactly-zero coefficients are trimmed on construction; the zero
     polynomial is the empty sequence with degree -1.  All arithmetic is exact
-    whenever every coefficient involved is rational.
+    whenever every coefficient involved is rational.  A polynomial made by
+    ``of_ints`` holds integer pairs ``ints`` and forms its Scalar
+    coefficients when they are first read.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "ints")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_scalar(c) for c in coeffs]
         while cs and cs[-1].is_exact_zero():
             cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs, self.ints = tuple(cs), None
+
+    @classmethod
+    def of_ints(cls, A: list[int], B: list[int], den: int, m: int) -> "Polynomial":
+        """(A + B*sqrt(m))/den (A + B*eps for m = 0), for integer lists of one
+        length whose last pair is not (0, 0)."""
+        p = cls.__new__(cls)
+        p.ints = (A, B, den, m)
+        return p
+
+    def __getattr__(self, name):  # reached only while the _coeffs slot is unset
+        if name != "_coeffs":
+            raise AttributeError(name)
+        A, B, den, m = self.ints
+        self._coeffs = tuple(to_scalar((Fraction(a, den), b and Fraction(b, den), m))
+                             for a, b in zip(A, B))
+        return self._coeffs
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
@@ -29,11 +49,11 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._coeffs if self.ints is None else self.ints[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.degree < 0
 
     @staticmethod
     def monomial(k: int, coef=1) -> "Polynomial":

@@ -7,9 +7,10 @@ closed forms.  Higher degrees are split by Yun over Z[t] and isolated with
 Sturm chains of primitive pseudo-remainders; a bracket A/d < t < B/d is
 bisected by doubling A, B and d, and a rational root is recognised by a
 continued-fraction walk for the simplest rational in the bracket.  So roots
-like 1/3 are reported exactly, roots of quadratic factors as exact
-a + b*sqrt(m), and the rest as brackets of width at most the tolerance,
-each holding one root.  Every input reduces to it:
+like 1/3 are reported exactly, irrational roots of Yun factors of degree
+<= 2 as exact a + b*sqrt(m), and the rest (a quadratic irrational inside a
+squarefree factor of degree >= 3 too) as brackets of width at most the
+tolerance, each holding one root.  Every input reduces to it:
 
 * coefficients in one field Q(sqrt m): p = A + B*sqrt(m) with A, B in Q[t]
   (B = 0 for rationals).  The roots of G = gcd(A, B) are isolated directly,
@@ -303,12 +304,14 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     """Isolate every real root of p inside the open interval (lo, hi).
 
     For exact coefficients (rationals, or a + b*sqrt(m) over one m) every
-    root is found: rational roots and roots of quadratic factors come back
-    exactly, the rest as interval scalars of width at most
-    ``DEFAULT_ROOT_TOL``, each certain to hold one root.  Interval or
-    mixed-radicand coefficients give brackets about a quarter of it wider,
-    flagged ``certified`` only where p provably changes sign.  Raises
-    :class:`DegreeTooHigh` above degree 16.
+    root is found: rational roots and roots of Yun factors of degree <= 2
+    come back exactly, the rest as interval scalars of width at most
+    ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
+    root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` over
+    Q(sqrt m) is read from its integers, at the scale ``field_parts`` gives.
+    Interval or mixed-radicand coefficients give brackets about a quarter
+    of it wider, flagged ``certified`` only where p provably changes sign.
+    Raises :class:`DegreeTooHigh` above degree 16.
     """
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
@@ -318,9 +321,13 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
         return ()
-    parts = field_parts(p.coeffs)
-    if parts is None:
-        return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, DEFAULT_ROOT_TOL))
-    m, ab = parts
-    a, b = (_ftrim(list(c)) for c in zip(*ab))
-    return tuple(_isolate_field(a, b, m, lof, hif, DEFAULT_ROOT_TOL))
+    if p.ints is not None and p.ints[3]:  # (A + B*sqrt(m))/den; Q[eps] reads its Scalars
+        A, B, den, m = p.ints
+        a, b = [Fraction(x, den) for x in A], [Fraction(x, den) for x in B] if any(B) else []
+    else:
+        parts = field_parts(p.coeffs)
+        if parts is None:
+            return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, DEFAULT_ROOT_TOL))
+        m, ab = parts
+        a, b = zip(*ab)
+    return tuple(_isolate_field(_ftrim(list(a)), _ftrim(list(b)), m, lof, hif, DEFAULT_ROOT_TOL))

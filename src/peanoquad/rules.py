@@ -23,6 +23,7 @@ from .polynomials import Polynomial
 from .scalars import Scalar, _quad, as_scalar, sqrt
 
 F = Fraction
+_MINUS_ONE, _ZERO, _ONE = Scalar(-1), Scalar(0), Scalar(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +71,8 @@ def _node_order(xs) -> tuple[list[Scalar], list[int]]:
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
     """Equal nodes merged (weights summed in input order), in ``_node_order``,
     exact-zero weights dropped."""
+    if not pairs:
+        return []
     pairs = [(as_scalar(x), as_scalar(w)) for x, w in pairs]
     nodes, at = _node_order([x for x, _ in pairs])
     weights = [None] * len(nodes)
@@ -81,9 +84,14 @@ def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:
 def _assemble(name: str, values, derivs, params: dict) -> QuadRule:
     vnodes = _merge_nodes(values)
     dnodes = _merge_nodes(derivs)
-    for x, _ in vnodes + dnodes:
-        if x < Scalar(-1) or x > Scalar(1):
-            raise ParamOutOfDomain(f"{name}: node {x} outside [-1, 1]")
+    # each sequence is in exact order: a first node >= -1 and a last node <= 1
+    # put all of it inside; otherwise the loop names the first node outside
+    ends = [(seq[0][0], seq[-1][0]) for seq in (vnodes, dnodes) if seq]
+    if not all(lo.lt_definite(_MINUS_ONE) is False and _ONE.lt_definite(hi) is False
+               for lo, hi in ends):
+        for x, _ in vnodes + dnodes:
+            if x < _MINUS_ONE or x > _ONE:
+                raise ParamOutOfDomain(f"{name}: node {x} outside [-1, 1]")
     for seq in (vnodes, dnodes):
         for (x1, _), (x2, _) in zip(seq, seq[1:]):
             if x1.lt_definite(x2) is not True:
@@ -249,28 +257,27 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _build_ostrowski(x: Scalar):
-    _require(Scalar(-1) <= x <= Scalar(1), "ostrowski: need -1 <= x <= 1")
+    _require(_MINUS_ONE <= x <= _ONE, "ostrowski: need -1 <= x <= 1")
     return [(x, 2)], []
 
 
 def _build_mp3(x: Scalar):
-    _require(Scalar(-1) < x < Scalar(1), "mp3: need -1 < x < 1")
-    return [(-1, (Scalar(1) + x) / 2), (x, 1), (1, (Scalar(1) - x) / 2)], []
+    _require(_MINUS_ONE < x < _ONE, "mp3: need -1 < x < 1")
+    return [(-1, (_ONE + x) / 2), (x, 1), (1, (_ONE - x) / 2)], []
 
 
 def _build_mod3(x: Scalar, lam: Scalar):
-    _require(Scalar(-1) < x < Scalar(1), "mod3: need -1 < x < 1")
-    _require(lam >= Scalar(0), "mod3: need lambda >= 0")
-    one = Scalar(1)
-    return [(-1, one - lam * (one - x)), (x, 2 * lam), (1, one - lam * (one + x))], []
+    _require(_MINUS_ONE < x < _ONE, "mod3: need -1 < x < 1")
+    _require(lam >= _ZERO, "mod3: need lambda >= 0")
+    return [(-1, _ONE - lam * (_ONE - x)), (x, 2 * lam), (1, _ONE - lam * (_ONE + x))], []
 
 
 def _lam_opt(x: Scalar) -> Scalar:
-    return Scalar(F(2, 3)) / (Scalar(1) - x * x)
+    return Scalar(F(2, 3)) / (_ONE - x * x)
 
 
 def _build_mod3_opt(x: Scalar):
-    _require(Scalar(-1) < x < Scalar(1), "mod3_opt: need -1 < x < 1")
+    _require(_MINUS_ONE < x < _ONE, "mod3_opt: need -1 < x < 1")
     return _build_mod3(x, _lam_opt(x))
 
 
@@ -279,15 +286,15 @@ def _build_simpson():
 
 
 def _build_dcr(lam: Scalar, x: Scalar):
-    _require(Scalar(0) <= lam <= Scalar(1), "dcr: need 0 <= lambda <= 1")
-    lo = Scalar(-1) + 3 * lam / 2
-    hi = Scalar(1) - 3 * lam / 2
+    _require(_ZERO <= lam <= _ONE, "dcr: need 0 <= lambda <= 1")
+    lo = _MINUS_ONE + 3 * lam / 2
+    hi = _ONE - 3 * lam / 2
     _require(lo <= x <= hi, "dcr: need -1 + 3*lambda/2 <= x <= 1 - 3*lambda/2")
-    return [(-1, lam), (x, 2 * (Scalar(1) - lam)), (1, lam)], []
+    return [(-1, lam), (x, 2 * (_ONE - lam)), (1, lam)], []
 
 
 def _build_gs2(x: Scalar):
-    _require(Scalar(0) < x <= Scalar(1), "gs2: need 0 < x <= 1")
+    _require(_ZERO < x <= _ONE, "gs2: need 0 < x <= 1")
     return [(-x, 1), (x, 1)], []
 
 
@@ -296,9 +303,8 @@ def _build_gauss_legendre2():
 
 
 def _build_franjic(x: Scalar):
-    _require(Scalar(-1) < x <= Scalar(1), "franjic: need -1 < x <= 1")
-    one = Scalar(1)
-    return [(-1, 2 * x / (one + x)), (x, 2 / (one + x))], []
+    _require(_MINUS_ONE < x <= _ONE, "franjic: need -1 < x <= 1")
+    return [(-1, 2 * x / (_ONE + x)), (x, 2 / (_ONE + x))], []
 
 
 def _build_radau2():
@@ -306,15 +312,14 @@ def _build_radau2():
 
 
 def _build_alomari2(lam: Scalar, x: Scalar, y: Scalar):
-    _require(Scalar(-1) <= x <= lam <= y <= Scalar(1), "alomari2: need -1 <= x <= lambda <= y <= 1")
-    return [(x, Scalar(1) + lam), (y, Scalar(1) - lam)], []
+    _require(_MINUS_ONE <= x <= lam <= y <= _ONE, "alomari2: need -1 <= x <= lambda <= y <= 1")
+    return [(x, _ONE + lam), (y, _ONE - lam)], []
 
 
 def _build_alomari4(lam: Scalar, x: Scalar):
-    _require(Scalar(0) < lam < Scalar(1), "alomari4: need 0 < lambda < 1")
-    _require(Scalar(0) <= x <= Scalar(1), "alomari4: need 0 <= x <= 1")
-    one = Scalar(1)
-    return [(-1, lam), (-x, one - lam), (x, one - lam), (1, lam)], []
+    _require(_ZERO < lam < _ONE, "alomari4: need 0 < lambda < 1")
+    _require(_ZERO <= x <= _ONE, "alomari4: need 0 <= x <= 1")
+    return [(-1, lam), (-x, _ONE - lam), (x, _ONE - lam), (1, lam)], []
 
 
 def _build_lobatto4():
@@ -322,7 +327,7 @@ def _build_lobatto4():
 
 
 def _build_liu_park(x: Scalar):
-    _require(Scalar(0) <= x <= Scalar(1), "liu_park: need 0 <= x <= 1")
+    _require(_ZERO <= x <= _ONE, "liu_park: need 0 <= x <= 1")
     half = Scalar(F(1, 2))
     return (
         [(-1, half), (-x, half), (x, half), (1, half)],
@@ -335,17 +340,16 @@ def _build_liu_park_gauss():
 
 
 def _build_dragomir_sofo(x: Scalar):
-    _require(Scalar(-1) <= x <= Scalar(1), "dragomir_sofo: need -1 <= x <= 1")
+    _require(_MINUS_ONE <= x <= _ONE, "dragomir_sofo: need -1 <= x <= 1")
     half = Scalar(F(1, 2))
     return [(-1, half), (x, 1), (1, half)], [(x, -x)]
 
 
 def _build_q44(lam: Scalar, gamma: Scalar, delta: Scalar, x: Scalar):
-    _require(Scalar(0) < lam < Scalar(1), "q44: need 0 < lambda < 1")
-    _require(Scalar(0) < x < Scalar(1), "q44: need 0 < x < 1")
-    one = Scalar(1)
+    _require(_ZERO < lam < _ONE, "q44: need 0 < lambda < 1")
+    _require(_ZERO < x < _ONE, "q44: need 0 < x < 1")
     return (
-        [(-1, lam), (-x, one - lam), (x, one - lam), (1, lam)],
+        [(-1, lam), (-x, _ONE - lam), (x, _ONE - lam), (1, lam)],
         [(-1, -gamma), (-x, -delta), (x, delta), (1, gamma)],
     )
 

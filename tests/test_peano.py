@@ -32,10 +32,12 @@ from peanoquad import (
     verify_peano_identity,
 )
 from peanoquad.scalars import _Dual
+from peanoquad.peano import _piece_roots
+from peanoquad.roots import isolate_roots
 from peanoquad.rules import _merge_nodes
 from util import (SCAN_FAMILIES, assert_scalar_equals, random_rational_rule, reference_breakpoints,
                   reference_build_kernel, reference_kernel_l1_norm, reference_merge_nodes,
-                  reference_verify_peano_identity, scalar_is_zero)
+                  reference_signature, reference_verify_peano_identity, scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -881,6 +883,79 @@ def test_rational_dual_pass_takes_the_integer_lane(monkeypatch):
     got = kernel_l1_norm(rule, 0)
     assert _report_fingerprint(got) == _report_fingerprint(want)
     assert type(got.l1_norm) is _Dual
+
+
+Q44 = {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)}
+
+
+def test_plain_exact_passes_read_no_scalar_view(monkeypatch):
+    # a kernel of plain exact data stays integer pieces: an L1 pass whose
+    # roots are all exact, a signature probe and M_r(x) build no Scalar view
+    # and form no Scalar coefficient of a piece
+    from peanoquad.bounds import _bound_fn
+
+    q44, gs2 = family("q44", **Q44), family("gs2")
+    cases = [(lambda: make_rule("gauss_legendre2"), 0), (lambda: make_rule("lobatto4"), 2),
+             (lambda: q44.build(Scalar(F(1, 64))), 1), (lambda: make_rule("simpson"), 3)]
+    wants = [reference_kernel_l1_norm(build(), r) for build, r in cases]
+    assert all(w.sign_changes for w in wants[:3])
+    assert all(rt.is_exact() for w in wants for rt in w.sign_changes)
+    probes = [(q44, F(1, 64)), (gs2, F(1, 3)), (gs2, F(1, 2)), (gs2, F(3, 4))]
+    values = [kernel_l1_norm(fam.build(Scalar(x)), 1).l1_norm for fam, x in probes]
+    assert [reference_signature(fam.build(Scalar(x)), 1) for fam, x in probes] == [
+        (1, 0, 1), (0, 0, 0), (0, 1, 0), (0, 2, 0)]
+
+    def no_view(self, *args):
+        raise AssertionError("the Scalar view of an integer kernel was read")
+
+    monkeypatch.setattr(PiecewisePolynomial, "pieces", property(no_view))
+    monkeypatch.setattr(Polynomial, "__getattr__", no_view)
+    gots = [kernel_l1_norm(build(), r) for build, r in cases]
+    sigs, got_values = [], []
+    for fam, x in probes:
+        fn, sig, _ = _bound_fn(fam, 1)
+        sigs.append(sig(x))
+        got_values.append(fn(x))
+    monkeypatch.undo()
+    assert [_report_fingerprint(g) for g in gots] == [_report_fingerprint(w) for w in wants]
+    assert sigs == [(1, 0, 1), (0, 0, 0), (0, 1, 0), (0, 2, 0)]
+    assert [_fingerprint(v) for v in got_values] == [_fingerprint(v) for v in values]
+
+
+def test_scalar_pieces_build_a_kernel_equal_by_value():
+    kernel = build_kernel(make_rule("lobatto4"), 3)
+    copy = PiecewisePolynomial(kernel.breakpoints, kernel.pieces)
+    assert kernel.exact is not None and copy.exact is None
+    assert copy == kernel == reference_build_kernel(make_rule("lobatto4"), 3)
+    assert copy.evaluate(Scalar(F(1, 3))) == kernel.evaluate(Scalar(F(1, 3)))
+    changed = PiecewisePolynomial(kernel.breakpoints, (Polynomial([1]),) + kernel.pieces[1:])
+    assert changed != kernel and kernel != build_kernel(make_rule("lobatto4"), 2)
+
+
+def test_integer_pieces_isolate_like_their_scalar_coefficients():
+    # the root engine reads an integer piece at the scale field_parts gives
+    # its Scalars; that scale names the field of a closed-form root, so q44
+    # at x = 1/64 has roots in Q(sqrt 41), not under the radicand 53**2 * 41
+    rep = kernel_l1_norm(family("q44", **Q44).build(Scalar(F(1, 64))), 1)
+    assert rep.l1_norm.to_json_str() == "701171/6784000+41/6000*sqrt(41)"
+    assert [rt.location.to_json_str() for rt in rep.sign_changes] == [
+        "-4/5+1/20*sqrt(41)", "4/5-1/20*sqrt(41)"]
+
+    def roots(found):
+        return [(rt.location.to_json_str(), rt.multiplicity_hint, rt.certified) for rt in found]
+
+    rules = _kernel_reference_rules()[:17]  # every catalog rule
+    for name, fixed in SCAN_FAMILIES:
+        fam = family(name, **fixed)
+        rules += [fam.build(Scalar(x)) for x in fam.domain.grid(9)]
+    for rule in rules:
+        for r in range(degree_of_exactness(rule, k_max=8).degree + 1):
+            kernel = build_kernel(rule, r)
+            bps = kernel.breakpoints
+            for (piece, got), lo, hi in zip(_piece_roots(kernel), bps, bps[1:]):
+                assert piece.ints is not None, (rule.name, r)
+                want = isolate_roots(Polynomial(piece.coeffs), lo, hi)
+                assert roots(got) == roots(want), (rule.name, r, str(lo), str(hi))
 
 
 def test_integrate_against_matches_the_scalar_reference():

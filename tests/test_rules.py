@@ -287,6 +287,22 @@ def test_parameter_straddling_a_domain_end_has_no_order():
         make_rule("gs2", x=_narrow(F(0)))
 
 
+@pytest.mark.parametrize("values,derivs,error,message", [
+    ([(0, 1), (2, 1), (3, 1)], [], ParamOutOfDomain, "c: node 2 outside [-1, 1]"),
+    ([(-3, 1), (-2, 1), (0, 1)], [], ParamOutOfDomain, "c: node -3 outside [-1, 1]"),
+    ([(0, 2)], [(2, 1)], ParamOutOfDomain, "c: node 2 outside [-1, 1]"),
+    ([(0, 1)], [(-2, 1), (_narrow(F(1)), 1)], ParamOutOfDomain, "c: node -2 outside [-1, 1]"),
+    ([(0, 1), (_narrow(F(1)), 1)], [], AmbiguousOrder, "enclosures overlap: 1 vs 1.0"),
+    ([(_narrow(F(1)), 1)], [(-2, 1)], AmbiguousOrder, "enclosures overlap: 1 vs 1.0"),
+])
+def test_range_check_names_the_first_node_outside(values, derivs, error, message):
+    # only the ends of each sorted sequence are tested until one fails; the
+    # error then names the first failing node in rule order, values first
+    with pytest.raises(error) as got:
+        custom_rule("c", values, derivs)
+    assert str(got.value) == message
+
+
 def test_overlapping_interval_nodes_raise_and_identical_ones_merge():
     with pytest.raises(AmbiguousOrder):
         custom_rule("t", [(_narrow(F(1, 3)), 1), (F(1, 3), 1)])
