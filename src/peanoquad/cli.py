@@ -232,6 +232,16 @@ def _scalar_arg(text: str) -> Scalar:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _digits_arg(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return digits
+
+
 def _add_rule_args(p, with_params=True):
     p.add_argument("rule", help="catalog rule name (see `peanoquad catalog`)")
     if with_params:
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Birkhoff-type quadrature rules on [-1, 1].",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=17,
+    common.add_argument("--digits", type=_digits_arg, default=17,
                         help="significant digits for decimal output (default 17)")
     sub = ap.add_subparsers(dest="command", required=True)
 

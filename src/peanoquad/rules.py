@@ -13,14 +13,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
+from itertools import islice, tee
 from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
 from ._qpoly import _ints, int_parts, parts, plain_field
 from .polynomials import Polynomial
-from .scalars import Scalar, _quad, as_scalar, sqrt
+from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
 
 F = Fraction
 _MINUS_ONE, _ZERO, _ONE = Scalar(-1), Scalar(0), Scalar(1)
@@ -115,12 +115,14 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     (w*h^2 at derivative nodes) are formed once.  Panel k's nodes are
     centre + (2k + 1 - n)*h + x*h; the values of f (or fprime) at node j of
     every panel go into one sum S_j, and the result is sum_j W_j*S_j.  f is
-    called panel by panel with the same node Scalars as a panel-by-panel
-    sum, and for exact data the result equals that sum exactly:
+    called once per node of each panel, panel by panel, with the same node
+    Scalars as a panel-by-panel sum; for exact data the result is that sum:
 
-    * plain exact nodes are stepped in integers (:func:`_walk`), interval
-      and ``_Dual`` nodes are formed by the expression above, so their
-      enclosures and derivatives stay the same;
+    * plain exact nodes are stepped in integers (:func:`_walk`), each
+      distinct node built once: equal offsets read one walk, and offsets -h
+      and +h one walk of the n + 1 panel ends, so a shared node is one
+      Scalar; interval and ``_Dual`` nodes are formed node by node by the
+      expression above, so their enclosures and derivatives stay the same;
     * float values of f are summed exactly, as integer multiples of
       2**-1074 (every finite float is one), other values as Scalars in
       panel order;
@@ -143,19 +145,31 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
     centre = (a + b) / 2
     data = [centre, h] + [offset for _, offset, _ in nodes]
+    plain = plain_field(data) is not None
+    keys = range(len(nodes))  # plain exact offsets by their integer parts, others by node
+    if plain:
+        G, H, _ = int_parts(data[2:] + [-h, h])
+        *keys, lo, hi = zip(G, H)
     sums = [Scalar(0)] * len(nodes)
     looped = []
     for j, (g, offset, _) in enumerate(nodes):
-        walk = _walk(centre, h, offset, n)
-        if (isinstance(g, Polynomial) and n > g.degree + 1
+        if (plain and isinstance(g, Polynomial) and n > g.degree + 1
                 and plain_field(data + list(g.coeffs)) is not None):
-            sums[j] = _closed_sum(g, walk, n)
+            sums[j] = _closed_sum(g, _walk(centre, h, offset, n), n)
         else:
-            looped.append((j, g, walk))
+            looped.append((j, g, offset, keys[j]))
+    walks, col = [], {}
+    if plain and {lo, hi} <= {key for *_, key in looped}:  # panel k: ends k and k + 1
+        walks, col = list(tee(_walk(centre, h, _ZERO, n + 1))), {lo: 0, hi: 1}
+        next(walks[1])
+    for _, _, offset, key in looped:
+        if col.setdefault(key, len(walks)) == len(walks):
+            walks.append(_walk(centre, h, offset, n))
+    looped = [(j, g, col[key]) for j, g, _, key in looped]
     floats = [0] * len(nodes)  # in units of 2**-1074
-    for row in zip(*(walk for _, _, walk in looped)):
-        for (j, g, _), x in zip(looped, row):
-            v = g(x)
+    for row in zip(*walks):
+        for j, g, c in looped:
+            v = g(row[c])
             if isinstance(v, float):
                 try:
                     p, q = v.as_integer_ratio()
@@ -174,9 +188,9 @@ def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
     When ``plain_field`` finds the first node and the step 2h plain and
     exact over one Q(sqrt m), the node is
     (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m) with integers formed once, and
-    each node is one Fraction or one _quad: the Scalar that the Scalar
-    expression gives.  Interval and dual data take the expression itself,
-    from the centre, so no drift builds up.
+    each node is one Fraction or one _quad (the Scalar that the Scalar
+    expression gives), read by every panel that has it.  Interval and dual
+    data take the expression itself, from the centre, so no drift builds up.
     """
     first, step = centre + (1 - n) * h + offset, 2 * h
     m = plain_field([first, step])
@@ -188,7 +202,7 @@ def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
     (a0, a1, da), (b0, b1, db) = _ints(a0, a1), _ints(b0, b1)
     for _ in range(n):
         x = Fraction(a0, da)
-        yield _quad(x, Fraction(b0, db), m) if b0 else Scalar(x)
+        yield _quad(x, Fraction(b0, db), m) if b0 else _rat(x)
         a0 += a1
         b0 += b1
 

@@ -235,8 +235,8 @@ class Scalar:
     def __float__(self) -> float:
         """Nearest float: correctly rounded for a rational or a + b*sqrt(m),
         the correctly rounded midpoint of the enclosure for an interval."""
-        if self._frac is not None:
-            return float(self._frac)
+        if self._frac is not None:  # the int/int division float(Fraction) makes
+            return self._frac.numerator / self._frac.denominator
         if self._sqrt is not None:
             # a + b*sqrt(m) = (x + y*sqrt(m))/d; with t = isqrt(y^2*m*4^k) the
             # value times d*2^k lies strictly between lo and lo + 1.  Python
@@ -431,7 +431,9 @@ class Scalar:
     # --- formatting ----------------------------------------------------
 
     def to_decimal(self, digits: int = 17) -> str:
-        """Decimal rendering with '.' separator and the given significant digits."""
+        """Decimal rendering with '.' separator and the given significant digits (>= 1)."""
+        if digits < 1:
+            raise ValueError(f"need at least 1 significant digit, got {digits}")
         with mpmath.workdps(digits + 10):
             if self._frac is not None:
                 x = mpmath.mpf(self._frac.numerator) / self._frac.denominator

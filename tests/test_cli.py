@@ -235,3 +235,20 @@ def test_kernel_has_no_root_tolerance_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["kernel", "simpson", "--r", "3", "--root-tol", "1e-30"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("digits", ["0", "-1", "x", "1.5", ""])
+@pytest.mark.parametrize("argv", [["catalog"], ["analyze", "simpson"],
+                                  ["kernel", "simpson", "--r", "3"]])
+def test_digits_below_one_is_an_argument_error(capsys, argv, digits):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--digits", digits])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --digits: need an integer >= 1" in err and "Traceback" not in err
+
+
+def test_one_digit_is_accepted(capsys):
+    code, out, _ = run(capsys, "analyze", "gauss_legendre2", "--digits", "1")
+    assert code == 0
+    assert "0.02" in out

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -181,6 +182,66 @@ def test_panel_sum_on_interval_endpoints_matches_the_reference_loop(name, fname)
     value, _ = assert_matches_reference(make_rule(name), lambda: Recorder(f), a, b, 20,
                                         lambda: Recorder(fprime))
     assert not value[2]
+
+
+SHARING_RULES = ("simpson", "lobatto4", "radau2", "gauss_legendre2", "liu_park_gauss")
+_TINY = F(1, 10**40)
+SHARING_ENDS = {
+    "rational": (F(-3, 4), F(1, 4)),
+    "sqrt": (sqrt(Scalar(3)) / 4 - 1, sqrt(Scalar(3)) / 2 + F(1, 3)),
+    "interval": (Scalar.from_interval(F(-3, 4) - _TINY, F(-3, 4) + _TINY),
+                 Scalar.from_interval(F(1, 4) - _TINY, F(1, 4) + _TINY)),
+}
+
+
+@pytest.mark.parametrize("name", SHARING_RULES)
+@pytest.mark.parametrize("fname", ["exp", "scalar"])
+@pytest.mark.parametrize("n", [1, 2, 7, 513])
+@pytest.mark.parametrize("ends", sorted(SHARING_ENDS))
+def test_coinciding_exact_nodes_are_one_scalar(name, fname, n, ends):
+    # closed rules share their panel ends, liu_park_gauss its value and
+    # derivative nodes; interval and mixed-radicand nodes are never shared
+    rule = make_rule(name)
+    f, fprime = PANEL_INTEGRANDS[fname]
+    made = []
+
+    def recorder(fn):
+        def make():
+            made.append(Recorder(fn))
+            return made[-1]
+        return make
+
+    a, b = SHARING_ENDS[ends]
+    assert_matches_reference(rule, recorder(f), a, b, n, recorder(fprime))
+    f_calls, fprime_calls = made[0].calls, made[1].calls  # composite_integrate's
+    points = f_calls + fprime_calls
+    exact = all(t.is_exact for t in points)
+    # lobatto4's nodes lie in Q(sqrt 5): sqrt(3) ends give interval nodes
+    assert exact == (ends == "rational" or ends == "sqrt" and name != "lobatto4")
+    distinct = len({id(t) for t in points})  # the recorders keep every point alive
+    assert distinct == (len({fingerprint(t) for t in points}) if exact else len(points))
+    nv = len(rule.value_nodes)
+    if rule.value_nodes[0][0] == -1 and rule.value_nodes[-1][0] == 1:
+        for k in range(1, n):
+            assert (f_calls[k * nv - 1] is f_calls[k * nv]) == exact
+    if rule.deriv_nodes:  # liu_park_gauss: fprime at -x and x, f's nodes 1 and 2
+        for k in range(n):
+            for i in (0, 1):
+                assert (fprime_calls[2 * k + i] is f_calls[nv * k + 1 + i]) == exact
+
+
+def test_simpson_panel_walk_holds_no_node_list():
+    # the panel ends are stepped, never listed, and the two ends of a panel
+    # read one walk in lockstep, so the memory peak stays small at any n
+    rule = make_rule("simpson")
+    kernel_l1_norm(rule, 3)  # the rule keeps its kernel: built outside the trace
+    tracemalloc.start()
+    try:
+        composite_integrate(rule, math.exp, 0, 1, 100_000, 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_polynomial_with_an_interval_coefficient_takes_the_loop():

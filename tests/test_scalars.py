@@ -431,3 +431,39 @@ def test_non_finite_float_raises_value_error(bad):
         Scalar(bad)
     with pytest.raises(ValueError, match="not a finite number"):
         as_scalar(bad)
+
+
+#: integers, negatives, values near the smallest subnormal 2**-1074 and near
+#: the largest float, and ratios of 400-digit integers
+FLOAT_RATIONALS = [
+    F(0), F(1), F(-1), F(7), F(-(2**53) - 1), F(1, 3), F(-2, 3),
+    F(1, 2**1074), F(-1, 2**1074), F(1, 2**1075), F(3, 2**1076), F(-3, 2**1076), F(1, 2**1076),
+    F(5, 2**1075), F(2**52 - 1, 2**1074), F(17 * 10**307), F(-(17 * 10**307)),
+    F(2**1024 - 2**971), F(2**1024 - 2**970 - 1),
+    F(10**400 + 1, 3 * 10**399 + 7), F(-(7 * 10**399 + 3), 10**400 + 9), F(1, 10**400),
+    F(10**400 - 1, 10**399 * 11),
+]
+
+
+@pytest.mark.parametrize("q", FLOAT_RATIONALS)
+def test_float_of_a_rational_is_float_of_its_fraction(q):
+    assert repr(float(Scalar(q))) == repr(float(q))
+
+
+@pytest.mark.parametrize("q", [F(10**400), F(-(10**400), 3), F(2**1024 - 2**970),
+                               F(10**800 + 1, 10**399 + 1)])
+def test_float_of_a_huge_rational_overflows_as_its_fraction_does(q):
+    with pytest.raises(OverflowError) as want:
+        float(q)
+    with pytest.raises(OverflowError) as got:
+        float(Scalar(q))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("digits", [0, -1, -17])
+def test_decimal_rendering_needs_at_least_one_digit(digits):
+    tiny = F(1, 10**30)
+    for x in (Scalar(F(1, 3)), sqrt(Scalar(3)), Scalar.from_interval(F(1, 3) - tiny, F(1, 3) + tiny)):
+        with pytest.raises(ValueError, match="at least 1 significant digit"):
+            x.to_decimal(digits)
+    assert Scalar(F(1, 3)).to_decimal(1) == "0.3"
