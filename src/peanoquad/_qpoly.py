@@ -160,6 +160,14 @@ def plain_field(values: list) -> int | None:
     return None if len(ms) > 1 else max(ms, default=1)
 
 
+def exact_field(values: list) -> int | None:
+    """``plain_field``, or 0 when every value is rational and some are _Duals
+    with rational derivatives: pairs over Q[eps], read as m = 0 by ``parts``."""
+    m = plain_field(values)
+    return 0 if m is None and all(v._frac is not None and getattr(v, "_d", v)._frac is not None
+                                  for v in values) else m
+
+
 def parts(v: Scalar) -> tuple:
     """(a, b) with the exact v == a + b*sqrt(m); for a rational _Dual, its
     value and derivative (m = 0)."""
@@ -177,30 +185,29 @@ def to_scalar(v) -> Scalar:
     return _rat(a) if not b else _quad(a, b, m) if m else _dual(_rat(a), _rat(b))
 
 
-def kernel_pieces(terms, r: int, m: int, n_pieces: int):
+def kernel_pieces(terms, e: int, r: int, m: int, n_pieces: int):
     """K_r on the pieces (b_i, b_{i+1}], i < n_pieces: (den, [(A_i, B_i)]) with
     piece i == (A_i + B_i*sqrt(m))/den, or (den, None) when the rule is not
-    exact on degree r.  ``terms`` holds (x, w, n, j) for each node term
-    w*(x - t)**n, x = b_j and x, w exact in Q(sqrt m).  Piece i is
+    exact on degree r.  ``terms`` holds (p, q, u, v, n, j) for each node term
+    w*(x - t)**n, x = (p + q*sqrt(m))/e = b_j and w = (u + v*sqrt(m))/e.  Piece i is
     ((1 - t)**(r+1)/(r+1) - the terms with j > i)/r!, and the order
     condition says that (1 - t)**(r+1)/(r+1) minus all terms is (-1 - t)**(r+1)/(r+1);
     for m = 0 it reads the value part A alone, as ``zero_within`` does on a _Dual."""
     ints = []
-    for x, w, n, j in terms:
-        (p, q, s), (u, v, z) = _ints(*parts(x)), _ints(*parts(w))
-        P, Q = [1], [0]  # (s*x)**k == P[k] + Q[k]*sqrt(m)
+    for p, q, u, v, n, j in terms:
+        P, Q = [1], [0]  # (e*x)**k == P[k] + Q[k]*sqrt(m)
         for _ in range(n):
             P, Q = P + [P[-1] * p + Q[-1] * q * m], Q + [P[-1] * q + Q[-1] * p]
-        c = [comb(n, i) * (-s) ** i for i in range(n + 1)]  # t**i: C(n, i) (-1)**i w x**(n-i)
-        ints.append((z * s**n, j,
+        c = [comb(n, i) * (-e) ** i for i in range(n + 1)]  # t**i: C(n, i) (-1)**i w x**(n-i)
+        ints.append((e ** (n + 1), j,
                      [ci * (u * P[n - i] + v * Q[n - i] * m) for i, ci in enumerate(c)],
                      [ci * (u * Q[n - i] + v * P[n - i]) for i, ci in enumerate(c)]))
     den = lcm(r + 1, *(d for d, *_ in ints))
     binom = [comb(r + 1, i) * (den // (r + 1)) for i in range(r + 2)]
     A, B, out = [(-1) ** i * c for i, c in enumerate(binom)], [0] * (r + 2), []
-    for e in range(n_pieces, -1, -1):  # subtract the terms at b_e: piece e - 1
+    for k in range(n_pieces, -1, -1):  # subtract the terms at b_k: piece k - 1
         for d, j, TA, TB in ints:
-            if j == e:
+            if j == k:
                 A = [a - den // d * t for a, t in zip(A, TA + [0] * (r + 2 - len(TA)))]
                 B = [b - den // d * t for b, t in zip(B, TB + [0] * (r + 2 - len(TB)))]
         out.append((A, B))
@@ -238,6 +245,17 @@ def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) 
         d = den * L * w ** len(A)
         out.append((Fraction(X, d), Y and Fraction(Y, d), M))
     return out
+
+
+def abs_integral(A: list[int], den: int, cuts: list[Fraction]) -> Fraction:
+    """The integral of |A/den| from cuts[0] to cuts[-1] for rational cuts
+    between which A keeps its sign: the sum of |F(c_(k+1)) - F(c_k)|, F an
+    antiderivative, as one integer sum over a common denominator."""
+    L = lcm(*range(1, len(A) + 1))
+    F = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
+    *U, V = _ints(*cuts)
+    X = [int_horner(F, u, V) for u in U]  # F(u/V) * den * L * V**len(A)
+    return Fraction(sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * V ** len(A))
 
 
 def add_abs_diff(total, x, y):

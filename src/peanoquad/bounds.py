@@ -7,7 +7,7 @@ families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid, which localizes even branch points where the bound itself is
 numerically indistinguishable from smooth.  A probe of that pattern builds
-the kernel and isolates its roots, but forms no L1 sum.  A change within the
+the kernel and counts its roots, but forms no L1 sum.  A change within the
 bisection tolerance of a grid point (a branch switch at x = 1/2, or nodes
 colliding at a domain end) is taken as that grid point, exactly; any other
 change is bisected, and the simplest rational in the final bracket is
@@ -37,7 +37,7 @@ from .errors import (
     PointOutsideBox,
 )
 from .peano import _piece_roots, build_kernel, kernel_l1_norm
-from .roots import _simplest_in_open
+from .roots import _count_roots, _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
@@ -84,13 +84,15 @@ def _bound_fn(family: RuleFamily, r: int):
 
     The signature is the per-piece count of interior kernel roots; it changes
     exactly where the bound function switches branch.  At an x without a
-    value, a signature probe builds the kernel and isolates the roots of each
-    piece (``peano._piece_roots``), with no antiderivative or L1 sum; a later
-    M_r(x) runs the full pass.  The derivative comes from one kernel pass on
-    the rule built at a dual number x + eps, which carries d/dx through the
-    nodes, weights, breakpoints and integrals, in integers over Q[eps] for
-    rational data; where M_r has a corner it is the right-hand derivative
-    (the left-hand one at the upper end of the domain).
+    value, a signature probe builds the kernel and counts the distinct roots
+    of each rational piece on its integer Sturm chain (``roots._count_roots``;
+    a Q(sqrt m) piece is isolated by ``peano._piece_roots``), with no closed
+    form, antiderivative or L1 sum; a later M_r(x) runs the full pass.  The
+    derivative comes from one kernel pass on the rule built at a dual number
+    x + eps, which carries d/dx through the nodes, weights, breakpoints and
+    integrals, in integers over Q[eps] for rational data; where M_r has a
+    corner it is the right-hand derivative (the left-hand one at the upper
+    end of the domain).
     """
     values: dict[Fraction, Scalar] = {}
     sigs: dict[Fraction, tuple[int, ...]] = {}
@@ -110,8 +112,12 @@ def _bound_fn(family: RuleFamily, r: int):
     def sig(x: Fraction) -> tuple[int, ...]:
         got = sigs.get(x)
         if got is None:
-            kernel = build_kernel(family.build(Scalar(x)), r)
-            got = sigs[x] = tuple(len(roots) for _, roots in _piece_roots(kernel))
+            k = build_kernel(family.build(Scalar(x)), r)
+            if k.exact and k.exact[0][3] == 1:  # rational pieces: count their roots
+                bps = [b._frac for b in k.breakpoints]
+                got = sigs[x] = tuple(map(_count_roots, (A for A, *_ in k.exact), bps, bps[1:]))
+            else:
+                got = sigs[x] = tuple(len(roots) for _, roots in _piece_roots(k))
         return got
 
     def slope(x: Fraction) -> tuple[Scalar, Scalar]:
@@ -253,7 +259,9 @@ def bound_scan(
     refine_tol = _positive_fraction(refine_tol, "refine_tol")
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    if r < 0 or r > family.generic_degree:
+    if r < 0:
+        raise ValueError("kernel order must be nonnegative")
+    if r > family.generic_degree:
         raise OrderExceedsExactness(
             f"order {r} exceeds the generic exactness degree "
             f"{family.generic_degree} of family {family.label()}"

@@ -232,14 +232,14 @@ def _scalar_arg(text: str) -> Scalar:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _digits_arg(text: str) -> int:
+def _int_arg(least: int, text: str) -> int:
     try:
-        digits = int(text)
+        value = int(text)
     except ValueError:
-        digits = 0
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return digits
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text!r}")
+    return value
 
 
 def _add_rule_args(p, with_params=True):
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Birkhoff-type quadrature rules on [-1, 1].",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=_digits_arg, default=17,
+    common.add_argument("--digits", type=lambda t: _int_arg(1, t), default=17,
                         help="significant digits for decimal output (default 17)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", parents=[common], help="export an order-r kernel as CSV/JSON")
     _add_rule_args(p)
     p.add_argument("--r", type=int, required=True, help="kernel order")
-    p.add_argument("--grid", type=int, default=2001, help="CSV grid points (default 2001)")
+    p.add_argument("--grid", type=lambda t: _int_arg(2, t), default=2001,
+                   help="CSV grid points (default 2001)")
     p.add_argument("--csv", help="CSV output path (columns t, K_r)")
     p.add_argument("--json", help="JSON sidecar path (breakpoints, pieces, norm)")
 
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--param", action="append", default=[],
                    help="fixed family parameter name=value (repeatable)")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=lambda t: _int_arg(3, t), default=101)
     p.add_argument("--lo", type=_scalar_arg, help="scan window lower end (rational)")
     p.add_argument("--hi", type=_scalar_arg, help="scan window upper end (rational)")
     p.add_argument("--csv", help="CSV output path (columns x, M_r, branch_id)")

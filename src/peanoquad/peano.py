@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from ._qpoly import (add_abs_diff, antiderivative_values, int_parts, integrate_pieces,
-                     kernel_pieces, plain_field, remainder, to_scalar)
+from ._qpoly import (abs_integral, add_abs_diff, antiderivative_values, exact_field, int_parts,
+                     integrate_pieces, kernel_pieces, plain_field, remainder, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
-from .rules import QuadRule, _node_order
+from .rules import QuadRule, _node_keys, _node_order
 from .scalars import Scalar, as_scalar, minus_terms
 
 
@@ -126,7 +126,9 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     what Scalar arithmetic gives; they are kept on the rule by r, as they do
     not depend on the working precision.  Rational dual numbers (every
     ``_Dual`` with a rational value and derivative) are formed there too,
-    over Q[eps] as m = 0, and built on every call.  Otherwise
+    over Q[eps] as m = 0, and built on every call.  Both read the nodes and
+    weights once, as integers over one denominator e, which key the
+    breakpoint order (``rules._node_keys``) and form the node terms.  Otherwise
     each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
     once; every piece then starts from the leading term and subtracts the
     terms of its active nodes in rule order, so each piece is summed in the
@@ -140,23 +142,23 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     kernels = vars(rule).setdefault("_kernels", {})
     if r in kernels:
         return kernels[r]
-    nodes = [(x, a, r) for x, a in rule.value_nodes]
-    if r >= 1:
-        nodes += [(y, b * r, r - 1) for y, b in rule.deriv_nodes]
-    points = [Scalar(-1), Scalar(1)] + [x for x, _ in rule.value_nodes + rule.deriv_nodes]
-    data = [v for node in rule.value_nodes + rule.deriv_nodes for v in node]
-    m = plain_field(data)
-    if m is None and all(v._frac is not None and getattr(v, "_d", v)._frac is not None
-                         for v in data):
-        m = 0  # rational values and derivatives: Q[eps] as the pairs over sqrt(0)
-    if m is not None:
-        bps, at = _node_order(points)
-        den, exact = kernel_pieces([(*node, j) for node, j in zip(nodes, at[2:])], r, m,
-                                   len(bps) - 1)
+    nodes = rule.value_nodes + rule.deriv_nodes
+    points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
+    m = exact_field([v for node in nodes for v in node])
+    if m is not None:  # one read of the nodes and weights, over one denominator e
+        G, H, e = int_parts(points + [w for _, w in nodes])
+        k = len(points)  # the weight of the node points[i] is at k + i - 2
+        bps, at = _node_order(points, *_node_keys(G[:k], H[:k], m))
+        # node terms s*w*(x - t)**n: r*w*(y - t)**(r-1) at derivative nodes, none at r = 0
+        sn = [(1, r)] * len(rule.value_nodes) + [(r, r - 1)] * len(rule.deriv_nodes) * (r > 0)
+        den, exact = kernel_pieces([(G[i], H[i], s * G[k + i - 2], s * H[k + i - 2], n, at[i])
+                                    for i, (s, n) in enumerate(sn, 2)], e, r, m, len(bps) - 1)
         ok = exact is not None
     else:
         lead, moments = _integrals(r)
-        terms = [Polynomial([x, -1]) ** n * a for x, a, n in nodes]
+        terms = [Polynomial([x, -1]) ** r * a for x, a in rule.value_nodes]
+        if r >= 1:
+            terms += [Polynomial([y, -1]) ** (r - 1) * (b * r) for y, b in rule.deriv_nodes]
         ok = all(minus_terms(c, [t.coeffs[i] for t in terms if i < len(t.coeffs)]).zero_within()
                  for i, c in enumerate(moments.coeffs))
     if not ok:
@@ -203,7 +205,9 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     otherwise a validated value whose radius is reported.  A continuity flag
     is True when the jump of K_r at that interior breakpoint passes
     ``Scalar.zero_within``.  A kernel formed in integers is integrated in
-    integers too (``_qpoly.antiderivative_values`` and ``add_abs_diff``).
+    integers too: a rational piece with rational cuts, while the sum is exact,
+    in one integer sum (``_qpoly.abs_integral``), other pieces term by term
+    (``_qpoly.antiderivative_values`` and ``add_abs_diff``).
     """
     kernel = build_kernel(rule, r)
     exact = kernel.exact
@@ -214,13 +218,17 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
             continue
         lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
+        roots.extend(piece_roots)
+        fracs = [c._frac for c in cuts]
+        if exact and exact[i][3] == 1 and type(total) is tuple and None not in fracs:
+            total = (total[0] + abs_integral(exact[i][0], exact[i][2], fracs), *total[1:])
+            continue
         values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
         if any(v is None for v in values):
             F = piece.antiderivative()
             values = [F(s) if v is None else v for s, v in zip(cuts, values)]
         for prev, cur in zip(values, values[1:]):
             total = add_abs_diff(total, cur, prev)
-        roots.extend(piece_roots)
     return KernelReport(order=r, kernel=kernel, l1_norm=to_scalar(total), sign_changes=tuple(roots))
 
 

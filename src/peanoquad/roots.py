@@ -153,28 +153,48 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
     return [_quad(a, y, m) for y, ok in zip((-b, b), inside) if ok]
 
 
-def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction) -> list[Root]:
+def _deflate_ends(c: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """c with its roots at lo and hi divided out, by exact division in Z[t]."""
+    for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
+        while _fdeg(c) >= 1 and int_horner(c, p, q) == 0:
+            c = _idiv(c, [-p, q])
+    return c
+
+
+def _count_roots(c: list[int], lo: Fraction, hi: Fraction) -> int:
+    """The number of distinct roots inside (lo, hi) of the integer polynomial
+    c: roots at the ends are divided out as ``_isolate_rational`` does, and
+    Sturm's theorem gives V(lo) - V(hi) on the integer chain."""
+    c = _deflate_ends(c, lo, hi)
+    if _fdeg(c) < 1:
+        return 0
+    chain = _sturm_chain_int(c)
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
+
+
+def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
+                      lead=None) -> list[Root]:
     """Roots inside (lo, hi) of the rational (Fraction or integer)
-    coefficients, sorted by the lower end of their brackets.
+    coefficients, sorted by the lower end of their brackets; given ``lead``,
+    of integer coefficients scaled so that the last one is lead.
 
     The work is in Z[t], on the primitive integer multiple of the input.
     Roots at lo and hi are divided away first.  What is left of degree 1,
     or of degree 2 with a nonzero discriminant, is squarefree and goes
-    straight to the closed form ``_quadratic_roots``; a quadratic with zero
-    discriminant is one double root.  Higher degrees are split by Yun, and
-    factors above degree 2 are isolated with integer Sturm chains.
+    straight to the closed form ``_quadratic_roots`` with the input's lead;
+    a quadratic with zero discriminant is one double root.  Higher degrees
+    are split by Yun, and factors above degree 2 are isolated with integer
+    Sturm chains.
     """
-    c = _to_int_primitive(coeffs)
-    for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
-        while _fdeg(c) >= 1 and int_horner(c, p, q) == 0:
-            c = _idiv(c, [-p, q])
+    c = _deflate_ends(_to_int_primitive(coeffs) if lead is None else _primitive(coeffs), lo, hi)
     if _fdeg(c) < 1:
         return []
     if _fdeg(c) == 2 and c[1] * c[1] == 4 * c[0] * c[2]:
         r = Fraction(-c[1], 2 * c[2])
         return [Root(Scalar(r), 2)] if lo < r < hi else []
     if _fdeg(c) <= 2:
-        return [Root(r, 1) for r in _quadratic_roots(c, coeffs[-1], lo, hi)]
+        return [Root(r, 1) for r in _quadratic_roots(c, lead or coeffs[-1], lo, hi)]
 
     found: list[Root] = []
     L, H, d = _ints(lo, hi)
@@ -235,25 +255,22 @@ def _sign_at_root(s: list[int], n: list[int], x: Scalar) -> int:
         d *= 2
 
 
-def _isolate_field(a: list[Fraction], b: list[Fraction], m: int, lo: Fraction, hi: Fraction,
+def _isolate_field(A: list[int], B: list[int], D: int, m: int, lo: Fraction, hi: Fraction,
                    tol: Fraction) -> list[Root]:
-    """Roots of p = a + b*sqrt(m) (a, b in Q[t]) via the rational engine, on
-    the integer multiples A, B of a, b over their common denominator D.  The
-    scale of its input names the field of a closed-form root (see
-    ``_quadratic_roots``), so the engine gets the monic gcd of a and b, and
-    the norm of a and b divided by it."""
-    if not b:
-        return _isolate_rational(a, lo, hi, tol)
-    *AB, D = _ints(*a, *b)
-    A, B = AB[:len(a)], AB[len(a):]
+    """Roots of p = (A + B*sqrt(m))/D (A, B in Z[t], trimmed) via the rational
+    engine.  The scale of its input names the field of a closed-form root
+    (see ``_quadratic_roots``), so the engine gets A at the scale 1/D, or the
+    monic gcd of A and B, and the norm of A/D and B/D divided by it."""
+    if not B:
+        return _isolate_rational(A, lo, hi, tol, Fraction(A[-1], D)) if A else []
     g = _igcd(A, B)
     A, B = _idiv(A, g), _idiv(B, g)
-    found = _isolate_rational([Fraction(x, g[-1]) for x in g], lo, hi, tol)
+    found = _isolate_rational(g, lo, hi, tol, 1)
     # the norm (a + b*sqrt(m)) * (a - b*sqrt(m)); a and b share no root now, so
     # each root of it belongs to exactly one factor, to the first where a*b < 0
     norm = _fsub(_fmul(A, A), [m * x for x in _fmul(B, B)])
-    scale, ab = Fraction(g[-1] ** 2, D * D), _fmul(A, B)
-    found += [r for r in _isolate_rational([x * scale for x in norm], lo, hi, tol)
+    lead, ab = Fraction(g[-1] ** 2 * norm[-1], D * D), _fmul(A, B)
+    found += [r for r in _isolate_rational(norm, lo, hi, tol, lead)
               if _sign_at_root(ab, norm, r.location) < 0]
     out: list[Root] = []
     for r in sorted(found, key=lambda r: r.location.bounds()[0]):
@@ -307,8 +324,9 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     root is found: rational roots and roots of Yun factors of degree <= 2
     come back exactly, the rest as interval scalars of width at most
     ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
-    root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` over
-    Q(sqrt m) is read from its integers, at the scale ``field_parts`` gives.
+    root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` is read
+    from its integers (A + B*eps by its value part A), at the scale 1/den, and
+    other exact coefficients as integers over their common denominator.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign.
     Raises :class:`DegreeTooHigh` above degree 16.
@@ -321,13 +339,14 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
         return ()
-    if p.ints is not None and p.ints[3]:  # (A + B*sqrt(m))/den; Q[eps] reads its Scalars
+    if p.ints is not None:  # (A + B*sqrt(m))/den, or A + B*eps, whose roots are those of A
         A, B, den, m = p.ints
-        a, b = [Fraction(x, den) for x in A], [Fraction(x, den) for x in B] if any(B) else []
     else:
         parts = field_parts(p.coeffs)
         if parts is None:
             return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, DEFAULT_ROOT_TOL))
         m, ab = parts
-        a, b = zip(*ab)
-    return tuple(_isolate_field(_ftrim(list(a)), _ftrim(list(b)), m, lof, hif, DEFAULT_ROOT_TOL))
+        *AB, den = _ints(*(x for pair in ab for x in pair))
+        A, B = AB[::2], AB[1::2]
+    B = _ftrim(list(B)) if m else []
+    return tuple(_isolate_field(_ftrim(list(A)), B, den, m, lof, hif, DEFAULT_ROOT_TOL))

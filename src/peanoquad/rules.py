@@ -18,7 +18,7 @@ from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import _ints, int_parts, parts, plain_field
+from ._qpoly import _ints, exact_field, int_parts, parts, plain_field
 from .polynomials import Polynomial
 from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
 
@@ -42,30 +42,36 @@ class QuadRule:
         return apply_rule(self, f, a, b, fprime)
 
 
-def _node_order(xs) -> tuple[list[Scalar], list[int]]:
+def _node_order(xs, keys=None, order=None) -> tuple[list[Scalar], list[int]]:
     """The distinct values of xs in exact order (the first instance of each
-    stays), and the index of each x among them.  Plain exact values
-    (``plain_field``) are keyed by their integer parts over one denominator:
-    rationals sort as integers, a + b*sqrt(m) by the sign of a difference.
-    Other values merge by Scalar == and sort by Scalar <, so values that
-    overlap without being equal raise AmbiguousOrder."""
-    m = plain_field(xs)
-    if m is None:  # the key of x: the index of its first instance
-        keys, order = [], xs.__getitem__
-        for i, x in enumerate(xs):
-            keys.append(next((j for j in range(i) if keys[j] == j and xs[j] == x), i))
-    elif m == 1:
-        keys, order = _ints(*(x._frac for x in xs))[:-1], None
-    else:
-        G, H, _ = int_parts(xs)
-        keys = list(zip(G, H))
-        order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign())
+    stays), and the index of each x among them.  Exact values
+    (``_qpoly.exact_field``) are keyed by their integer parts over one
+    denominator, or by the ``keys`` and ``order`` of ``_node_keys`` that a
+    caller has read already.  Other values merge by Scalar == and sort by
+    Scalar <, so values that overlap without being equal raise AmbiguousOrder."""
+    if keys is None:
+        m = exact_field(xs)
+        if m is None:  # the key of x: the index of its first instance
+            keys, order = [], xs.__getitem__
+            for i, x in enumerate(xs):
+                keys.append(next((j for j in range(i) if keys[j] == j and xs[j] == x), i))
+        else:
+            keys, order = _node_keys(*int_parts(xs)[:2], m)
     first = {}
     for k, x in zip(keys, xs):
         first.setdefault(k, x)
     ranked = sorted(first, key=order)
     rank = {k: j for j, k in enumerate(ranked)}
     return [first[k] for k in ranked], [rank[k] for k in keys]
+
+
+def _node_keys(G: list[int], H: list[int], m: int):
+    """Sort keys (G_i, H_i) of the values (G_i + H_i*sqrt(m))/e, and the key
+    function that orders them: pairs in lexicographic order for rationals and
+    for rational _Duals G_i + H_i*eps (as _Dual orders), else by the sign of
+    a difference."""
+    order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign()) if m > 1 else None
+    return list(zip(G, H)), order
 
 
 def _merge_nodes(pairs) -> list[tuple[Scalar, Scalar]]:

@@ -616,3 +616,30 @@ def test_grid_point_branch_point_is_exact_beside_a_second_change():
     for grid in (5, 33, 101):
         assert bound_scan(family("gs2"), 1, grid_size=grid).branch_points == (
             Scalar(F(1, 2)), Scalar(1))
+
+
+def test_scan_rejects_a_negative_order():
+    for call in (lambda: bound_scan(family("gs2"), -1), lambda: minimize_bound(family("gs2"), -1),
+                 lambda: bound_scan(family("alomari4", lam=F(1, 5)), -3, grid_size=5)):
+        with pytest.raises(ValueError, match="kernel order must be nonnegative"):
+            call()
+
+
+def test_probes_count_roots_without_isolating_them(monkeypatch):
+    # a probe of a rational kernel counts each piece's roots on a Sturm chain:
+    # no isolate_roots call, and the counts of the full-pass reference
+    import peanoquad.peano as peano
+    from peanoquad.bounds import _bound_fn
+
+    def isolated(*args):
+        raise AssertionError("a probe isolated roots")
+
+    for name, fixed in SCAN_FAMILIES:
+        fam = family(name, **fixed)
+        for r in range(fam.generic_degree + 1):
+            grid = fam.domain.grid(9)
+            want = [reference_signature(fam.build(Scalar(x)), r) for x in grid]
+            _, sig, _ = _bound_fn(fam, r)
+            with monkeypatch.context() as m:
+                m.setattr(peano, "isolate_roots", isolated)
+                assert [sig(x) for x in grid] == want, (name, r)

@@ -252,3 +252,29 @@ def test_one_digit_is_accepted(capsys):
     code, out, _ = run(capsys, "analyze", "gauss_legendre2", "--digits", "1")
     assert code == 0
     assert "0.02" in out
+
+
+@pytest.mark.parametrize("command", ["scan", "minimize"])
+def test_negative_order_is_a_bad_spec(capsys, command):
+    code, out, err = run(capsys, command, "gs2", "--r", "-1")
+    assert code == 2
+    assert "error: kernel order must be nonnegative" in err and "exceeds" not in err
+
+
+@pytest.mark.parametrize("argv,least", [(["kernel", "simpson", "--r", "1"], 2),
+                                        (["scan", "gs2", "--r", "0"], 3)])
+@pytest.mark.parametrize("grid", ["0", "1", "2", "x"])
+def test_grid_below_its_least_is_an_argument_error(tmp_path, capsys, argv, least, grid):
+    # a grid too small for its command fails in argparse, before any output
+    # or kernel pass; the least grid works
+    csv_path = tmp_path / "out.csv"
+    if grid.isdigit() and int(grid) >= least:
+        code, out, _ = run(capsys, *argv, "--grid", grid, "--csv", str(csv_path))
+        assert code == 0 and len(csv_path.read_text().splitlines()) == least + 1
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--grid", grid, "--csv", str(csv_path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and not csv_path.exists()
+    assert f"error: argument --grid: need an integer >= {least}, got '{grid}'" in out.err

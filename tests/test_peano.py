@@ -1088,3 +1088,78 @@ def test_kernel_is_zero_outside_its_interval():
         k.evaluate(_narrow(F(1)))
     with pytest.raises(AmbiguousOrder):
         k.evaluate(_narrow(F(-1)))
+
+
+def _no_scalar_order(monkeypatch):
+    """Make every Scalar and _Dual comparison raise."""
+    def compared(*args):
+        raise AssertionError("a Scalar comparison")
+
+    for cls in (Scalar, _Dual):
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "lt_definite"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, compared)
+
+
+def test_dual_nodes_order_by_their_integer_keys(monkeypatch):
+    # rational _Dual nodes are merged and ordered by their integer (value,
+    # derivative) keys in lexicographic order, as _Dual orders: the result of
+    # the Scalar == scan and < sort, reached with no Scalar comparison
+    def fingerprints(nodes):
+        return [(_fingerprint(x), _fingerprint(w)) for x, w in nodes]
+
+    x = F(1, 3)
+    colliding = [(_Dual(x, 1), F(1, 2)), (_Dual(x, -1), F(1, 3)), (Scalar(x), F(1, 5)),
+                 (_Dual(x, F(-1, 2)), ONE), (_Dual(x, 1), F(1, 4)), (_Dual(-x, 2), F(2, 7)),
+                 (_Dual(x, -1), F(-1, 3)), (Scalar(-x), ONE), (_Dual(F(-1), 1), ONE),
+                 (_Dual(F(1), -1), F(1, 6)), (_Dual(x, F(1, 3)), ONE)]
+    rng = random.Random(2502)
+    cases = []
+    for _ in range(40):
+        rng.shuffle(colliding)
+        cases.append(colliding[:rng.randint(1, len(colliding))])
+    rules = [rule for rule in _oracle_rules()
+             if any(type(x) is _Dual for x, _ in rule.value_nodes + rule.deriv_nodes)]
+    rules = [rule for rule in rules
+             if all(v.is_rational for node in rule.value_nodes + rule.deriv_nodes
+                    for v in node for v in _Dual.parts(v))]
+    assert len(rules) >= 20
+    for rule in rules:
+        cases += [rule.value_nodes, rule.deriv_nodes, rule.value_nodes + rule.deriv_nodes]
+    wants = [fingerprints(reference_merge_nodes(nodes)) for nodes in cases]
+    breakpoints = [[_fingerprint(b) for b in reference_breakpoints(rule)] for rule in rules]
+    with monkeypatch.context() as m:
+        _no_scalar_order(m)
+        gots = [_merge_nodes(nodes) for nodes in cases]
+        kernels = [build_kernel(rule, 0) for rule in rules]
+    assert [fingerprints(got) for got in gots] == wants
+    assert [[_fingerprint(b) for b in k.breakpoints] for k in kernels] == breakpoints
+
+
+def test_rational_pieces_sum_in_integers(monkeypatch):
+    # a rational kernel whose roots are all rational adds each piece's
+    # |F(c') - F(c)| in one integer sum: no antiderivative triple and no
+    # term-by-term sum, and the report of the Scalar reference
+    import peanoquad.peano as peano
+
+    rng = random.Random(2503)
+    rules = [make_rule("simpson"), make_rule("radau2")]
+    rules += [family(name).build(Scalar(x)) for name in ("gs2", "ostrowski", "mp3", "mod3_opt",
+                                                          "liu_park", "dragomir_sofo")
+              for x in (F(1, 3), F(1, 4), F(3, 5))]
+    rules += [random_rational_rule(rng, with_derivs=i % 2 == 1) for i in range(20)]
+    cases = [(rule, r) for rule in rules
+             for r in range(min(degree_of_exactness(rule, k_max=8).degree, 4) + 1)]
+    wants = [reference_kernel_l1_norm(rule, r) for rule, r in cases]
+    kept = [(case, want) for case, want in zip(cases, wants)
+            if all(rt.location.is_rational for rt in want.sign_changes)]
+    assert len(kept) >= 40 and sum(bool(want.sign_changes) for _, want in kept) >= 20
+
+    def scalar_sum(*args):
+        raise AssertionError("a term-by-term sum on rational cuts")
+
+    monkeypatch.setattr(peano, "antiderivative_values", scalar_sum)
+    monkeypatch.setattr(peano, "add_abs_diff", scalar_sum)
+    gots = [kernel_l1_norm(rule, r) for (rule, r), _ in kept]
+    monkeypatch.undo()
+    assert [_report_fingerprint(g) for g in gots] == [_report_fingerprint(w) for _, w in kept]

@@ -429,3 +429,83 @@ def test_sturm_chain_keeps_the_signs_of_the_fraction_chain():
         assert chain == reference_sturm_chain_int(c), c
         negative_inner += any(p[-1] < 0 for p in chain[1:-1])
     assert negative_inner >= 10
+
+
+# --------------------------------------------------------------------------
+# integer entries: root counts and integer pieces
+
+
+def _count_cases(rng):
+    """(rational coefficients, lo, hi): seeded random polynomials of degree
+    1-8, and products with roots at both window ends, double and triple
+    roots, rational roots, quadratic irrationals and a cubic's irrational
+    roots, which the engine brackets."""
+    def q():
+        return F(rng.randint(-20, 20), rng.randint(1, 9))
+
+    cubic = [F(1), F(-3), F(0), F(1)]  # t^3 - 3t + 1: three real roots in (-2, 2)
+    for _ in range(40):
+        lo, hi = sorted((q(), q()))
+        hi += F(1, 5)
+        a, b, k = q(), q(), q() or F(3)
+        deg = rng.randint(1, 8)
+        yield [F(rng.randint(-9, 9)) for _ in range(deg)] + [F(rng.choice((-3, -1, 1, 2)))], lo, hi
+        yield _times([-lo, 1], [-hi, 1], [-a, k]), lo, hi                   # roots at both ends
+        yield _times([-lo, 1], [-lo, 1], [-hi, 1], [-a, 1]), lo, hi         # double root at lo
+        yield _times([-a, 1], [-a, 1], [-b, k]), a - 1, b + 1               # double root
+        yield _times([-a, 1], [-a, 1], [-a, 1], [q(), q(), k]), a - 2, a + 2  # triple root
+        yield _times([-a, 1], [-b, 1], [q(), 1]), min(a, b) - 1, max(a, b) + 1  # rational roots
+        yield _times([F(-2), 0, 1], [-a, k]), F(-3), F(3)                   # +-sqrt(2) and a
+        yield _times([q(), q(), 1], [q(), q(), k]), lo - 4, hi + 4          # in Q(sqrt m), mostly
+        yield _times(cubic, [-a, 1]), F(-2), F(2)                           # brackets
+        yield _times(cubic, cubic, [-lo, 1]), lo, F(2)                      # double brackets
+
+
+def test_root_counts_match_isolation():
+    # a signature probe counts the distinct roots in (lo, hi) by a Sturm
+    # chain; the engine isolates the same number, from rational coefficients
+    # and from the integer entry (A at the scale 1/den) alike
+    from peanoquad._qpoly import _ints
+    from peanoquad.roots import _count_roots
+
+    def fingerprint(found):
+        return [(rt.location.to_json_str(), rt.multiplicity_hint, rt.certified) for rt in found]
+
+    kinds, counts = set(), set()
+    for c, lo, hi in _count_cases(random.Random(2501)):
+        if not lo < hi:
+            continue
+        *A, den = _ints(*c)
+        want = isolate_roots(Polynomial(c), lo, hi)
+        assert _count_roots(A, lo, hi) == len(want), (c, lo, hi)
+        got = isolate_roots(Polynomial.of_ints(A, [0] * len(A), den, 1), lo, hi)
+        assert fingerprint(got) == fingerprint(want), (c, lo, hi)
+        counts.add(len(want))
+        kinds.update(("rational" if rt.location.is_rational else
+                      "sqrt" if rt.location.is_exact else "bracket", rt.multiplicity_hint)
+                     for rt in want)
+    assert {("rational", 1), ("rational", 2), ("rational", 3), ("sqrt", 1), ("bracket", 1),
+            ("bracket", 2)} <= kinds
+    assert {0, 1, 2, 3, 4} <= counts
+
+
+def test_dual_pieces_isolate_their_value_part():
+    # a piece (A + B*eps)/den over Q[eps] has the roots of its value part A,
+    # read at the scale of its trimmed lead, as the Scalar view gives them; a
+    # value part that trims below degree 1, or to nothing, has no roots
+    def fingerprint(found):
+        return [(rt.location.to_json_str(), rt.multiplicity_hint, rt.certified) for rt in found]
+
+    cases = [([-2, 0, 1], [0, 5, 0], 53),         # +-sqrt(2)/... at the scale 1/53
+             ([-2, 0, 1, 0], [0, 0, 0, 7], 53),   # the same after the lead is trimmed
+             ([0, 4, -4, 1], [1, 0, 0, 0], 3),    # t (t - 2)^2
+             ([1, -1, 0], [1, 1, 4], 6),          # linear after trimming
+             ([1, 0], [0, 1], 7),                 # constant after trimming
+             ([0, 0, 0], [1, 0, 2], 5)]           # nothing left
+    for A, B, den in cases:
+        view = Polynomial.of_ints(A, B, den, 0).coeffs
+        want = isolate_roots(Polynomial(view), F(-3), F(3))
+        got = isolate_roots(Polynomial.of_ints(A, B, den, 0), F(-3), F(3))
+        assert fingerprint(got) == fingerprint(want), (A, B, den)
+    assert [len(isolate_roots(Polynomial.of_ints(A, B, den, 0), -3, 3)) for A, B, den in cases] == [
+        2, 2, 2, 1, 0, 0]
