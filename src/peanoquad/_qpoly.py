@@ -279,6 +279,9 @@ def add_abs_diff(total, x, y):
 def int_parts(values) -> tuple[list[int], list[int], int]:
     """(G, H, e) with values[i] == (G[i] + H[i]*sqrt(m))/e, all plain exact in Q(sqrt m)."""
     ab = [parts(c) for c in values]
+    if not any(b for _, b in ab):  # every b is 0, of denominator 1
+        *G, e = _ints(*[a for a, _ in ab])
+        return G, [0] * len(ab), e
     *GH, e = _ints(*[a for a, _ in ab], *[b for _, b in ab])
     return GH[:len(ab)], GH[len(ab):], e
 

@@ -144,9 +144,10 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
         return kernels[r]
     nodes = rule.value_nodes + rule.deriv_nodes
     points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
-    m = exact_field([v for node in nodes for v in node])
+    read = vars(rule).get("_int_read")  # kept by RuleFamily.build from a fitted form
+    m = exact_field([v for node in nodes for v in node]) if read is None else read[3]
     if m is not None:  # one read of the nodes and weights, over one denominator e
-        G, H, e = int_parts(points + [w for _, w in nodes])
+        G, H, e = int_parts(points + [w for _, w in nodes]) if read is None else read[:3]
         k = len(points)  # the weight of the node points[i] is at k + i - 2
         bps, at = _node_order(points, *_node_keys(G[:k], H[:k], m))
         # node terms s*w*(x - t)**n: r*w*(y - t)**(r-1) at derivative nodes, none at r = 0

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic pair results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,29 @@ def test_direction_decides_the_winner(better, wins):
     pairs = _pairs([10, 11, 12], [9, 10, 11], name="m")
     (row,) = bench_pairs.summarize(pairs, [{"name": "m", "better": better}])
     assert row["wins"] == wins
+
+
+def test_json_summary_round_trips_the_printed_rows(tmp_path, monkeypatch, capsys):
+    runs = iter([4.0, 5.0, 6.0, 5.5, 4.5, 6.5])  # parent, change; change, parent; parent, change
+
+    def fake_run(tree, workload, seed, seconds):
+        value = next(runs)
+        return {"correct": True, "metrics": {"ops_per_s": {"value": value, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    argv = [str(parent), str(change), "--workload", "family_scan", "--pairs", "3", "--seed", "7",
+            "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["workload"] == "family_scan" and data["seeds"] == [7, 8, 9] and data["pairs"] == 3
+    assert data["parent_commit"] is None and data["change_commit"] is None  # not git checkouts
+    (row,) = data["metrics"]
+    pairs = [({"ops_per_s": 4.0}, {"ops_per_s": 5.0}), ({"ops_per_s": 5.5}, {"ops_per_s": 6.0}),
+             ({"ops_per_s": 4.5}, {"ops_per_s": 6.5})]
+    assert row == json.loads(json.dumps(bench_pairs.summarize(pairs, METRICS)[0]))
+    assert row["wins"] == 3
+    assert "ops_per_s" in capsys.readouterr().out

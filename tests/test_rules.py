@@ -23,6 +23,12 @@ from peanoquad import (
     rule_to_json,
     sqrt,
 )
+from peanoquad._forms import fit_ratio
+from peanoquad._qpoly import exact_field, int_parts
+from peanoquad.rules import CATALOG
+from peanoquad.scalars import _Dual
+
+from util import SCAN_FAMILIES
 
 ALL_FIXED = [
     make_rule("ostrowski", x=F(1, 4)),
@@ -398,3 +404,105 @@ def test_json_import_rejects_reversed_interval_ends():
     with pytest.raises(ValueError, match="out of order"):
         rule_from_json_dict({"name": "bad", "value_nodes": [[["1/3", "1/4"], "2"]],
                              "deriv_nodes": []})
+
+
+def test_every_family_with_a_free_node_has_a_fitted_form():
+    with_x = {n for n in catalog_names() if "x" in CATALOG[n].param_names} - {"alomari2"}
+    assert {name for name, _ in SCAN_FAMILIES} == with_x
+    for name, fixed in SCAN_FAMILIES:
+        assert family(name, **fixed)._form is not None, name
+    with pytest.raises(UnknownRule, match="fixed rule"):
+        family("alomari2", lam=F(1, 4), y=F(1, 2))
+
+
+def _family_points(fam):
+    """At least 50 rational x in the domain: both ends when closed, the
+    collision and zero-weight points 0 and 1, and a grid of the rest."""
+    d = fam.domain
+    xs = {d.lo + (d.hi - d.lo) * F(k, 53) for k in range(54)} | {F(0), F(1), F(1, 3)}
+    xs = sorted(x for x in xs if d.contains(x))
+    assert len(xs) >= 50
+    return xs
+
+
+def _read_of(rule):
+    """(G, H, e, m) as build_kernel reads a rule without a kept read."""
+    nodes = rule.value_nodes + rule.deriv_nodes
+    points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
+    return (*int_parts(points + [w for _, w in nodes]),
+            exact_field([v for node in nodes for v in node]))
+
+
+def _outcome(build, x, view):
+    try:
+        rule = build(x)
+    except ParamOutOfDomain as err:
+        return str(err), None
+    seqs = (rule.value_nodes, rule.deriv_nodes)
+    return (rule.name, [(k, view(v)) for k, v in rule.params.items()],
+            [[(view(a), view(w)) for a, w in seq] for seq in seqs]), rule
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_fitted_form_gives_the_builder_rule(name, fixed):
+    fam = family(name, **fixed)
+
+    def made(x):
+        return make_rule(name, x=x, **fixed)
+
+    for x in _family_points(fam):
+        for arg, view in ((Scalar(x), Scalar.to_json_str),
+                          (_Dual(x, 1), _Dual.parts), (_Dual(x, -1), _Dual.parts),
+                          (_Dual(x, F(3, 7)), _Dual.parts)):
+            (got, rule), (want, _) = _outcome(fam.build, arg, view), _outcome(made, arg, view)
+            assert got == want, (x, arg)
+            if rule is not None:  # built from the form, with the read build_kernel would take
+                assert vars(rule)["_int_read"] == _read_of(rule)
+    # at x = 0 alomari4 merges -x and x, franjic and dragomir_sofo drop a zero weight
+    if name in ("alomari4", "franjic", "dragomir_sofo"):
+        def size(rule):
+            return len(rule.value_nodes + rule.deriv_nodes)
+        at_0 = fam.build(0)
+        assert "_int_read" in vars(at_0) and size(at_0) == size(made(0)) < size(made(F(1, 3)))
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_a_point_outside_the_domain_raises_the_builder_error(name, fixed):
+    fam = family(name, **fixed)
+    d = fam.domain
+    outside = [d.lo - F(1, 7), d.hi + F(1, 7)]
+    outside += [end for end, is_open in ((d.lo, d.lo_open), (d.hi, d.hi_open)) if is_open]
+    for x in outside:
+        with pytest.raises(ParamOutOfDomain) as want:
+            make_rule(name, x=x, **fixed)
+        with pytest.raises(ParamOutOfDomain) as got:
+            fam.build(x)
+        assert str(got.value) == str(want.value)
+
+
+def test_irrational_and_interval_points_take_the_builder_path():
+    lam = sqrt(Scalar(F(1, 5)))
+    fam = family("alomari4", lam=lam)
+    assert fam._form is None
+    built = fam.build(F(1, 3))
+    assert "_int_read" not in vars(built)
+    assert rule_to_json(built) == rule_to_json(make_rule("alomari4", lam=lam, x=F(1, 3)))
+    x = Scalar.from_interval(F(1, 3) - F(1, 10**30), F(1, 3) + F(1, 10**30))
+    assert family("alomari4", lam=x)._form is None
+    for fam in (family("gs2"), family("franjic")):
+        built = fam.build(x)
+        assert "_int_read" not in vars(built)
+        assert rule_to_json(built) == rule_to_json(make_rule(fam.name, x=x))
+
+
+def test_fit_ratio_finds_the_lowest_terms_and_rejects_higher_degrees():
+    xs = [F(k, 8) for k in range(1, 8)]
+    assert fit_ratio(xs, [2 * x / (1 + x) for x in xs]) == ([0, 2], [1, 1])
+    assert fit_ratio(xs, [(x * x - 1) / (3 * x - 3) for x in xs]) == ([1, 1], [3])
+    assert fit_ratio(xs, [F(0)] * 7) == ([], [1])
+    assert fit_ratio(xs, [x**3 for x in xs]) is None
+
+
+def test_int_parts_of_rationals_reads_one_denominator():
+    assert int_parts([Scalar(F(1, 6)), Scalar(F(-3, 4)), Scalar(2)]) == ([2, -9, 24], [0, 0, 0], 12)
+    assert int_parts([Scalar(F(1, 2)), sqrt(Scalar(3)) / 3]) == ([3, 0], [0, 2], 6)

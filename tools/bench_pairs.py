@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two source trees on one workload.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seed S
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seed S [--json PATH]
 
 Pair k runs ``perfbench/run.py --workload W --seed S+k --seconds T --trace 0``
 once in each tree, from that tree's root, with T the ``run_seconds`` of this
@@ -11,7 +11,11 @@ every end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 median and quartiles, the number of pairs the change won (strictly better in
 the metric's direction), and whether the gap between the medians is wider
 than the parent's interquartile range.  Exit status 1 when a run reports
-``correct`` false or prints no result line, else 0.  Standard library only.
+``correct`` false or prints no result line, else 0.  With ``--json PATH``
+the summary is also written to PATH: the workload, the seeds, the number of
+pairs, each tree's ``git rev-parse HEAD`` (null for a tree that is not the
+root of a git checkout), and the rows printed, quartiles as
+[q1, median, q3].  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     return rows
 
 
+def tree_commit(tree: str) -> str | None:
+    """HEAD of the git checkout whose root is tree, else None."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree,
+                          capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != Path(tree).resolve():
+        return None
+    return lines[1]
+
+
 def _values(result: dict) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items()}
 
@@ -73,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", metavar="PATH", help="also write the summary to PATH")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
@@ -92,11 +107,17 @@ def main(argv: list[str] | None = None) -> int:
         shown = ", ".join(f"{m['name']} {pairs[-1][0][m['name']]:.4g} -> {pairs[-1][1][m['name']]:.4g}"
                           for m in metrics if m["name"] in pairs[-1][0])
         print(f"pair {k + 1} seed {seed} ({order[k % 2][0]} first): {shown}", flush=True)
+    rows = summarize(pairs, metrics)
     print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} won    gap>IQR")
-    for row in summarize(pairs, metrics):
+    for row in rows:
         p, c = (f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]" for q in (row["parent"], row["change"]))
         print(f"{row['name']:<14} {p:<34} {c:<34} {row['wins']:>2}/{row['pairs']:<3} "
               f"{'yes' if row['resolved'] else 'no'}")
+    if args.json:
+        summary = {"workload": args.workload, "seeds": [args.seed + k for k in range(len(pairs))],
+                   "pairs": len(pairs), "parent_commit": tree_commit(args.parent),
+                   "change_commit": tree_commit(args.change), "metrics": rows}
+        Path(args.json).write_text(json.dumps(summary, indent=2) + "\n")
     return 0 if ok else 1
 
 
