@@ -3,18 +3,22 @@
 Each raw node and weight of a family's builder is fitted as P(x)/Q(x), deg P,
 deg Q <= 2, from samples in the domain (``fit_ratio``), and kept as an integer
 polynomial in x over one denominator D(x) (``family_form``).  The rule at a
-rational x, or x + d*eps, is then read in integers (``form_rule``).  ``rules``
+rational x, or x + d*eps, is then read in integers (``form_rule``), and its
+kernels from the form's kernel pieces in x (``form_kernel``).  ``rules``
 imports this module only when a family first needs its form.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from ._qpoly import _fderiv, _fmul, _ftrim, _idiv, _igcd, _ints, _primitive, int_horner, to_scalar
 from .errors import ParamOutOfDomain
+from .peano import PiecewisePolynomial
 from .rules import CATALOG, Domain, QuadRule
 from .scalars import Scalar, _Dual, _rat, as_scalar
 
@@ -53,10 +57,10 @@ def fit_ratio(xs: list[Fraction], vs: list[Fraction]) -> tuple[list[int], list[i
 
 @lru_cache(maxsize=64)
 def family_form(name: str, fixed: tuple, domain: Domain):
-    """(2 * the number of value nodes, D, N, D', N', the Scalar of each constant
-    entry), D and the N_i padded to one length, from the builder at the closed
-    ends of ``domain`` and 7 points inside; None when a sample fails or is not
-    rational, or an entry has no fit.  ``fixed``: (catalog name, Fraction) pairs."""
+    """(2 * the number of value nodes, D, N, D', N') as integer tuples, D and the
+    N_i padded to one length, from the builder at the closed ends of ``domain``
+    and 7 points inside; None when a sample fails or is not rational, or an
+    entry has no fit.  ``fixed``: (catalog name, Fraction) pairs."""
     entry, lo, hi = CATALOG[name], domain.lo, domain.hi
     xs = ([lo] * (not domain.lo_open) + [lo + (hi - lo) * k / 8 for k in range(1, 8)]
           + [hi] * (not domain.hi_open))
@@ -81,23 +85,23 @@ def family_form(name: str, fixed: tuple, domain: Domain):
     N = [_ftrim(_fmul([a * (scale // (Q[-1] // q[-1])) for a in P], _idiv(base, q)))
          for (P, Q), q in zip(fits, prims)]
     D, n = [scale * a for a in base], max(map(len, N + [base]))
-    D, N = D + [0] * (n - len(D)), [c + [0] * (n - len(c)) for c in N]
-    consts = [_rat(Fraction(P[0] if P else 0, Q[0])) if len(Q) == 1 and len(P) < 2 else None
-              for P, Q in fits]  # and two Nones for the index -2 of a merged node
-    return rows[0][0], D, N, _fderiv(D), [_fderiv(c) for c in N], consts + [None, None]
+    D, N = tuple(D + [0] * (n - len(D))), tuple(tuple(c + [0] * (n - len(c))) for c in N)
+    return rows[0][0], D, N, tuple(_fderiv(D)), tuple(tuple(_fderiv(c)) for c in N)
 
 
 def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadRule | None:
     """The rule at x = u/v, or x + d*eps: each entry (N*D, v*d*(N'*D - N*D')) over
-    D**2 in integers, and the integer read (G, H, e, m) of [-1, 1, nodes,
-    weights] kept for ``build_kernel``.  None, for the builder to decide, unless
-    x (d != 0, in _Dual's order) lies in ``domain``, D(x) != 0 and the nodes in [-1, 1]."""
+    D**2, kept as ``_read``: (form, u, v, d, E, the merged value and derivative nodes
+    as sorted (node, weight) integer pairs over E, the sorted breakpoint keys, the
+    breakpoint of each raw node: its own, or the next when its node dropped).  None,
+    for the builder to decide, unless x (d != 0, in _Dual's order) lies in
+    ``domain``, D(x) != 0 and the nodes in [-1, 1]."""
     dual = type(x) is _Dual
     d = x._d._frac if dual else 0
     if (x._frac is None or not domain.contains(x._frac)
             or dual and (not d or x._frac == (domain.hi if d > 0 else domain.lo))):
         return None
-    n_values, D, N, dD, dN, consts = form
+    n_values, D, N, dD, dN = form
     u, v = x._frac.numerator, x._frac.denominator
     E, dE = int_horner(D, u, v), d and int_horner(dD, u, v)
     if not E:
@@ -105,23 +109,73 @@ def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadR
     GH = [(n * E * d.denominator, d and d.numerator * v * (int_horner(dn, u, v) * E - n * dE))
           for n, dn in zip([int_horner(c, u, v) for c in N], dN)]
     E = E * E * d.denominator
-    seqs = []  # per node: (key, (weight, the index of its node entry, or -2 when merged))
+    seqs = []
     for lo, hi in ((0, n_values), (n_values, len(GH))):
         merged = {}
         for i in range(lo, hi, 2):
-            got, (g, h) = merged.get(GH[i]), GH[i + 1]
-            merged[GH[i]] = ((g, h), i) if got is None else ((got[0][0] + g, got[0][1] + h), -2)
-        seqs.append(sorted(kw for kw in merged.items() if kw[1][0] != (0, 0)))
+            g, h = merged.get(GH[i], (0, 0))
+            merged[GH[i]] = g + GH[i + 1][0], h + GH[i + 1][1]
+        seqs.append(sorted(kw for kw in merged.items() if kw[1] != (0, 0)))
     if any(seq and (seq[0][0] < (-E, 0) or seq[-1][0] > (E, 0)) for seq in seqs):
         return None
-    flat = [k for seq in seqs for k, _ in seq] + [w for seq in seqs for _, (w, _) in seq]
-    G, H = [-E, E] + [a for a, _ in flat], [0, 0] + [b for _, b in flat]
-    g = math.gcd(E, *G, *H)
-
-    def scalar(ab, i):  # a constant entry's own Scalar, else (a + b*eps)/E
-        return consts[i] or to_scalar((Fraction(ab[0], E), ab[1] and Fraction(ab[1], E), 0))
-
-    rule = QuadRule(name, *(tuple((scalar(k, i), scalar(w, i + 1)) for k, (w, i) in seq)
-                            for seq in seqs), dict(params))
-    vars(rule)["_int_read"] = [a // g for a in G], [b // g for b in H], E // g, 0 if any(H) else 1
+    keys = sorted({(-E, 0), (E, 0), *(k for seq in seqs for k, _ in seq)})
+    rule = object.__new__(QuadRule)
+    vars(rule).update(name=name, params=dict(params), _read=(
+        form, u, v, d, E, seqs, keys, tuple(bisect_left(keys, k) for k in GH[::2])))
     return rule
+
+
+def _scalar(ab: tuple, E: int) -> Scalar:  # (a + b*eps)/E
+    return to_scalar((Fraction(ab[0], E), ab[1] and Fraction(ab[1], E), 0))
+
+
+@lru_cache(maxsize=256)
+def _kernel_form(form, r: int, at: tuple, n_pieces: int):
+    """(Den, Den', [P_i], [P_i']): K_r(t; x) = P_i/Den on (b_i, b_(i+1)] when raw
+    node k is at b_(at[k]), P_i a list over t of Z[x] lists as long as Den (D and
+    the N_k are of one length, so each term is too).  P_i is (1 - t)**(r+1) D**(r+1)
+    minus (r+1) W (N - D*t)**r at each value node N/D, weight W/D, and (r+1) r W D
+    (N - D*t)**(r-1) at each derivative node (none at r = 0) with at[k] > i.  None
+    unless all of them leave (-1 - t)**(r+1) D**(r+1): the order condition in x."""
+    n_values, D, N = form[:3]
+    Dk = list(accumulate([D] * (r + 1), _fmul, initial=[1]))
+
+    def power(s, W, X, n):  # s W (X - D*t)**n, over t
+        Xk = list(accumulate([X] * n, _fmul, initial=[1]))
+        return [_fmul([s * (-1) ** k * math.comb(n, k) * a for a in W], _fmul(Xk[n - k], Dk[k]))
+                for k in range(n + 1)]
+
+    P, pieces = power(1, [1], D, r + 1), []
+    for k in range(n_pieces, -1, -1):  # subtract the terms at b_k: piece k - 1
+        for j, i in enumerate(range(0, len(N), 2)):
+            if at[j] == k and (i < n_values or r):
+                s, W = (r + 1, N[i + 1]) if i < n_values else ((r + 1) * r, _fmul(N[i + 1], D))
+                T = power(s, W, N[i], r - (i >= n_values))
+                P = [[a - b for a, b in zip(p, t)] for p, t in zip(P, T)] + P[len(T):]
+        pieces.append(P)
+    if pieces.pop() != power(1, [1], [-a for a in D], r + 1):
+        return None
+    Den, pieces = [math.factorial(r + 1) * a for a in Dk[-1]], pieces[::-1]
+    return Den, _fderiv(Den), pieces, [[_fderiv(c) for c in P] for P in pieces]
+
+
+def form_kernel(read, r: int):
+    """The order-r kernel of a form rule, pieces (A, B, den, m) in integers: P/Den
+    at x = u/v with den > 0, or at x + d*eps P*Den + d*(P'*Den - P*Den')*eps over
+    Den**2 (m = 0 unless the read has no eps part); None where ``_kernel_form`` is."""
+    form, u, v, d, E, seqs, keys, at = read
+    if (got := _kernel_form(form, r, at, len(keys) - 1)) is None:
+        return None
+    Den, dDen, pieces, dpieces = got
+    h = int_horner(Den, u, v)
+    bps = (Scalar(-1), *(_scalar(k, E) for k in keys[1:-1]), Scalar(1))
+    if not d:  # D(x) < 0 for mod3_opt
+        s = 1 if h > 0 else -1
+        return PiecewisePolynomial(bps, exact=tuple(
+            ([s * int_horner(c, u, v) for c in P], [0] * (r + 2), s * h, 1) for P in pieces))
+    m = 0 if any(k[1] or w[1] for seq in seqs for k, w in seq) else 1
+    dh, a, b = int_horner(dDen, u, v), d.numerator * v, d.denominator
+    Hs = [[int_horner(c, u, v) for c in P] for P in pieces]
+    return PiecewisePolynomial(bps, exact=tuple(
+        ([p * h * b for p in H], [a * (int_horner(c, u, v) * h - p * dh) for p, c in zip(H, dP)],
+         h * h * b, m) for H, dP in zip(Hs, dpieces)))

@@ -18,8 +18,8 @@ the rule built at a dual-number node x + eps gives (forward-mode
 differentiation).  On each branch the minimizer is a branch end, or lies in
 a bracket across which the sign of dM_r/dx provably changes from negative to
 positive; the bracket is shrunk by regula falsi on exact rational iterates.
-Each rule of a scan is ``RuleFamily.build`` at a rational x or x + eps, which
-a family with a fitted form reads from it in integers, not from its builder.
+Each rule of a scan is ``RuleFamily.build`` at a rational x or x + eps: for a
+family with a fitted form, read from it in integers, kernels from its pieces in x.
 """
 
 from __future__ import annotations

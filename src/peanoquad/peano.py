@@ -118,21 +118,17 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     starts at r = 1 for such rules.
 
     The breakpoints are -1, 1 and the nodes in ``rules._node_order``; the
-    term of the node at b_j is active on the pieces (b_i, b_(i+1)] with
-    i < j, in both lanes below.
-
-    Plain exact data over Q or one Q(sqrt m) are formed in integers
-    (``_qpoly.kernel_pieces``) and stay integer pieces, whose Scalar view is
-    what Scalar arithmetic gives; they are kept on the rule by r, as they do
-    not depend on the working precision.  Rational dual numbers (every
-    ``_Dual`` with a rational value and derivative) are formed there too,
-    over Q[eps] as m = 0, and built on every call.  Both read the nodes and
-    weights once, as integers over one denominator e, which key the
-    breakpoint order (``rules._node_keys``) and form the node terms.  Otherwise
-    each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
-    once; every piece then starts from the leading term and subtracts the
-    terms of its active nodes in rule order, so each piece is summed in the
-    same order whatever the tier of the data.
+    term of the node at b_j is active on the pieces (b_i, b_(i+1)] with i < j.
+    A rule read from a family's fitted form evaluates the form's pieces in x
+    at its x, in integers, where the order condition is an identity in x
+    (``_forms.form_kernel``).  Other plain exact data in Q or one Q(sqrt m),
+    or rational dual numbers (Q[eps] as m = 0), are read once as integers,
+    which key the breakpoint order and form the node terms
+    (``_qpoly.kernel_pieces``).  Plain integer kernels are kept on the rule by
+    r; dual ones are built on every call.  Otherwise each node's term
+    A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed once, and every piece
+    subtracts the terms of its active nodes from the leading term in rule
+    order, the same order whatever the tier of the data.
 
     ``OrderExceedsExactness`` is raised unless every coefficient of
     I[(x-t)^r] - (all node terms), formed by ``minus_terms``, passes ``zero_within``.
@@ -142,12 +138,16 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     kernels = vars(rule).setdefault("_kernels", {})
     if r in kernels:
         return kernels[r]
+    if "_read" in vars(rule):
+        from ._forms import form_kernel
+        kernel = form_kernel(vars(rule)["_read"], r)
+        if kernel:  # kept on the rule unless over Q[eps]
+            return kernels.setdefault(r, kernel) if kernel.exact[0][3] else kernel
     nodes = rule.value_nodes + rule.deriv_nodes
     points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
-    read = vars(rule).get("_int_read")  # kept by RuleFamily.build from a fitted form
-    m = exact_field([v for node in nodes for v in node]) if read is None else read[3]
+    m = exact_field([v for node in nodes for v in node])
     if m is not None:  # one read of the nodes and weights, over one denominator e
-        G, H, e = int_parts(points + [w for _, w in nodes]) if read is None else read[:3]
+        G, H, e = int_parts(points + [w for _, w in nodes])
         k = len(points)  # the weight of the node points[i] is at k + i - 2
         bps, at = _node_order(points, *_node_keys(G[:k], H[:k], m))
         # node terms s*w*(x - t)**n: r*w*(y - t)**(r-1) at derivative nodes, none at r = 0

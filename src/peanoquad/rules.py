@@ -35,8 +35,14 @@ class QuadRule:
     deriv_nodes: tuple[tuple[Scalar, Scalar], ...]
     params: dict = field(default_factory=dict)
 
-    def weight_sum(self) -> Scalar:
-        return sum((a for _, a in self.value_nodes), Scalar(0))
+    def __getattr__(self, name):  # reached only while a form rule's nodes are unset
+        read = self.__dict__.get("_read")  # kept by RuleFamily.build: see _forms.form_rule
+        if read is None or name not in ("value_nodes", "deriv_nodes"):
+            raise AttributeError(name)
+        from ._forms import _scalar
+        vars(self).update(zip(("value_nodes", "deriv_nodes"), (tuple(
+            (_scalar(x, read[4]), _scalar(w, read[4])) for x, w in seq) for seq in read[5])))
+        return vars(self)[name]
 
     def apply(self, f, a=-1, b=1, fprime=None) -> Scalar:
         return apply_rule(self, f, a, b, fprime)
@@ -571,10 +577,10 @@ class RuleFamily:
     def build(self, x) -> QuadRule:
         """The rule at node x; the same rule make_rule gives for these parameters.
 
-        A rational x (or x + d*eps) in ``domain`` is evaluated from the
-        family's fitted integer form, when it has one (``_forms``).  Any
-        other x runs the catalog builder, which raises its own
-        ``ParamOutOfDomain`` outside the domain."""
+        A rational x (or x + d*eps) in ``domain`` is read from the family's
+        fitted integer form, when it has one (``_forms``); that rule builds
+        its node Scalars when first read.  Any other x runs the catalog
+        builder, which raises its own ``ParamOutOfDomain`` outside the domain."""
         x = as_scalar(x)
         entry = CATALOG[self.name]
         params = {p: x if p == "x" else self.fixed_params[p] for p in entry.param_names}

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,27 @@ def test_json_summary_round_trips_the_printed_rows(tmp_path, monkeypatch, capsys
     assert row == json.loads(json.dumps(bench_pairs.summarize(pairs, METRICS)[0]))
     assert row["wins"] == 3
     assert "ops_per_s" in capsys.readouterr().out
+
+
+def test_tree_commit_names_only_a_clean_checkout_root(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                               *args], cwd=tmp_path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("a = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD")
+    assert bench_pairs.tree_commit(str(tmp_path)) == head
+    (tmp_path / "out.json").write_text("{}\n")  # untracked: a run output, not the code
+    assert bench_pairs.tree_commit(str(tmp_path)) == head
+    (tmp_path / "sub").mkdir()
+    assert bench_pairs.tree_commit(str(tmp_path / "sub")) is None  # not the root
+    (tmp_path / "a.py").write_text("a = 2\n")
+    assert bench_pairs.tree_commit(str(tmp_path)) is None
+    git("add", "a.py")  # staged, not committed
+    assert bench_pairs.tree_commit(str(tmp_path)) is None
+    git("commit", "-q", "-m", "a = 2")
+    assert bench_pairs.tree_commit(str(tmp_path)) == git("rev-parse", "HEAD") != head

@@ -24,11 +24,11 @@ from peanoquad import (
     sqrt,
 )
 from peanoquad._forms import fit_ratio
-from peanoquad._qpoly import exact_field, int_parts
+from peanoquad._qpoly import int_parts
 from peanoquad.rules import CATALOG
 from peanoquad.scalars import _Dual
 
-from util import SCAN_FAMILIES
+from util import SCAN_FAMILIES, family_points
 
 ALL_FIXED = [
     make_rule("ostrowski", x=F(1, 4)),
@@ -86,7 +86,7 @@ def test_gauss_legendre2_is_gs2_at_sqrt_third():
 
 @pytest.mark.parametrize("rule", ALL_FIXED, ids=lambda r: r.name)
 def test_weight_sums_to_two(rule):
-    total = rule.weight_sum()
+    total = sum((a for _, a in rule.value_nodes), Scalar(0))
     assert total.is_rational and total.as_fraction() == 2
 
 
@@ -415,22 +415,16 @@ def test_every_family_with_a_free_node_has_a_fitted_form():
         family("alomari2", lam=F(1, 4), y=F(1, 2))
 
 
-def _family_points(fam):
-    """At least 50 rational x in the domain: both ends when closed, the
-    collision and zero-weight points 0 and 1, and a grid of the rest."""
-    d = fam.domain
-    xs = {d.lo + (d.hi - d.lo) * F(k, 53) for k in range(54)} | {F(0), F(1), F(1, 3)}
-    xs = sorted(x for x in xs if d.contains(x))
-    assert len(xs) >= 50
-    return xs
+def _read_of(rule, E):
+    """The merged (node, weight) integer pairs over E of the rule's Scalars,
+    (a + b*eps)/E as (a, b), and the sorted breakpoint keys, with -E and E."""
+    def key(v):
+        ab = [c.as_fraction() * E for c in _Dual.parts(v)]
+        assert all(c.denominator == 1 for c in ab)
+        return int(ab[0]), int(ab[1])
 
-
-def _read_of(rule):
-    """(G, H, e, m) as build_kernel reads a rule without a kept read."""
-    nodes = rule.value_nodes + rule.deriv_nodes
-    points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
-    return (*int_parts(points + [w for _, w in nodes]),
-            exact_field([v for node in nodes for v in node]))
+    seqs = [[(key(x), key(w)) for x, w in seq] for seq in (rule.value_nodes, rule.deriv_nodes)]
+    return seqs, sorted({(-E, 0), (E, 0), *(k for seq in seqs for k, _ in seq)})
 
 
 def _outcome(build, x, view):
@@ -450,20 +444,22 @@ def test_fitted_form_gives_the_builder_rule(name, fixed):
     def made(x):
         return make_rule(name, x=x, **fixed)
 
-    for x in _family_points(fam):
+    for x in family_points(fam):
         for arg, view in ((Scalar(x), Scalar.to_json_str),
                           (_Dual(x, 1), _Dual.parts), (_Dual(x, -1), _Dual.parts),
                           (_Dual(x, F(3, 7)), _Dual.parts)):
             (got, rule), (want, _) = _outcome(fam.build, arg, view), _outcome(made, arg, view)
             assert got == want, (x, arg)
-            if rule is not None:  # built from the form, with the read build_kernel would take
-                assert vars(rule)["_int_read"] == _read_of(rule)
+            if rule is not None:  # from the form: its nodes unset until read, and a read of them
+                read = vars(rule)["_read"]
+                assert sorted(vars(fam.build(arg))) == ["_read", "name", "params"]
+                assert (read[5], read[6]) == _read_of(rule, read[4])
     # at x = 0 alomari4 merges -x and x, franjic and dragomir_sofo drop a zero weight
     if name in ("alomari4", "franjic", "dragomir_sofo"):
         def size(rule):
             return len(rule.value_nodes + rule.deriv_nodes)
         at_0 = fam.build(0)
-        assert "_int_read" in vars(at_0) and size(at_0) == size(made(0)) < size(made(F(1, 3)))
+        assert "_read" in vars(at_0) and size(at_0) == size(made(0)) < size(made(F(1, 3)))
 
 
 @pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
@@ -485,13 +481,13 @@ def test_irrational_and_interval_points_take_the_builder_path():
     fam = family("alomari4", lam=lam)
     assert fam._form is None
     built = fam.build(F(1, 3))
-    assert "_int_read" not in vars(built)
+    assert "_read" not in vars(built) and {"value_nodes", "deriv_nodes"} <= set(vars(built))
     assert rule_to_json(built) == rule_to_json(make_rule("alomari4", lam=lam, x=F(1, 3)))
     x = Scalar.from_interval(F(1, 3) - F(1, 10**30), F(1, 3) + F(1, 10**30))
     assert family("alomari4", lam=x)._form is None
     for fam in (family("gs2"), family("franjic")):
         built = fam.build(x)
-        assert "_int_read" not in vars(built)
+        assert "_read" not in vars(built) and {"value_nodes", "deriv_nodes"} <= set(vars(built))
         assert rule_to_json(built) == rule_to_json(make_rule(fam.name, x=x))
 
 

@@ -27,6 +27,16 @@ SCAN_FAMILIES = [
 ]
 
 
+def family_points(fam):
+    """At least 50 rational x in the domain: both ends when closed, the
+    collision and zero-weight points 0 and 1, and a grid of the rest."""
+    d = fam.domain
+    xs = {d.lo + (d.hi - d.lo) * F(k, 53) for k in range(54)} | {F(0), F(1), F(1, 3)}
+    xs = sorted(x for x in xs if d.contains(x))
+    assert len(xs) >= 50
+    return xs
+
+
 def scalar_is_zero(s: Scalar) -> bool:
     return s.is_exact_zero() or s.zero_within()
 

@@ -14,8 +14,8 @@ than the parent's interquartile range.  Exit status 1 when a run reports
 ``correct`` false or prints no result line, else 0.  With ``--json PATH``
 the summary is also written to PATH: the workload, the seeds, the number of
 pairs, each tree's ``git rev-parse HEAD`` (null for a tree that is not the
-root of a git checkout), and the rows printed, quartiles as
-[q1, median, q3].  Standard library only.
+root of a git checkout, or whose tracked files have uncommitted changes),
+and the rows printed, quartiles as [q1, median, q3].  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,13 +67,17 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 
 
 def tree_commit(tree: str) -> str | None:
-    """HEAD of the git checkout whose root is tree, else None."""
+    """HEAD of the git checkout whose root is tree, else None; None too when a
+    tracked file differs from HEAD (staged or not), as HEAD then does not hold
+    the code that ran.  Untracked files, such as run outputs, do not count."""
     proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree,
                           capture_output=True, text=True)
     lines = proc.stdout.split()
     if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != Path(tree).resolve():
         return None
-    return lines[1]
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=tree,
+                            capture_output=True, text=True)
+    return None if status.returncode or status.stdout.strip() else lines[1]
 
 
 def _values(result: dict) -> dict:
