@@ -3,9 +3,11 @@
 Each raw node and weight of a family's builder is fitted as P(x)/Q(x), deg P,
 deg Q <= 2, from samples in the domain (``fit_ratio``), and kept as an integer
 polynomial in x over one denominator D(x) (``family_form``).  The rule at a
-rational x, or x + d*eps, is then read in integers (``form_rule``), and its
-kernels from the form's kernel pieces in x (``form_kernel``).  ``rules``
-imports this module only when a family first needs its form.
+rational x, or x + d*eps, is then read in integers (``form_read``), and its
+kernels from the form's kernel pieces in x (``form_pieces``).  A family rule
+keeps its read (``form_rule``) and wraps the pieces as its kernel
+(``form_kernel``); a scan point of ``bounds`` takes the read and the pieces
+alone.  ``rules`` imports this module only when a family first needs its form.
 """
 
 from __future__ import annotations
@@ -89,20 +91,17 @@ def family_form(name: str, fixed: tuple, domain: Domain):
     return rows[0][0], D, N, tuple(_fderiv(D)), tuple(tuple(_fderiv(c)) for c in N)
 
 
-def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadRule | None:
-    """The rule at x = u/v, or x + d*eps: each entry (N*D, v*d*(N'*D - N*D')) over
-    D**2, kept as ``_read``: (form, u, v, d, E, the merged value and derivative nodes
-    as sorted (node, weight) integer pairs over E, the sorted breakpoint keys, the
-    breakpoint of each raw node: its own, or the next when its node dropped).  None,
-    for the builder to decide, unless x (d != 0, in _Dual's order) lies in
+def form_read(form, domain: Domain, x: Fraction, d=0) -> tuple | None:
+    """The rule at x = u/v, or x + d*eps, in integers: each entry (N*D, v*d*(N'*D - N*D'))
+    over D**2, read as (form, u, v, d, E, the merged value and derivative nodes as sorted
+    (node, weight) integer pairs over E, the sorted breakpoint keys, the breakpoint of
+    each raw node: its own, or the next when its node dropped).  None, for the builder
+    to decide, unless x (d != 0: not at the end of ``domain`` it leaves by) lies in
     ``domain``, D(x) != 0 and the nodes in [-1, 1]."""
-    dual = type(x) is _Dual
-    d = x._d._frac if dual else 0
-    if (x._frac is None or not domain.contains(x._frac)
-            or dual and (not d or x._frac == (domain.hi if d > 0 else domain.lo))):
+    if not domain.contains(x) or d and x == (domain.hi if d > 0 else domain.lo):
         return None
     n_values, D, N, dD, dN = form
-    u, v = x._frac.numerator, x._frac.denominator
+    u, v = x.numerator, x.denominator
     E, dE = int_horner(D, u, v), d and int_horner(dD, u, v)
     if not E:
         return None
@@ -119,9 +118,18 @@ def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadR
     if any(seq and (seq[0][0] < (-E, 0) or seq[-1][0] > (E, 0)) for seq in seqs):
         return None
     keys = sorted({(-E, 0), (E, 0), *(k for seq in seqs for k, _ in seq)})
+    return form, u, v, d, E, seqs, keys, tuple(bisect_left(keys, k) for k in GH[::2])
+
+
+def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadRule | None:
+    """The rule at a rational x, or x + d*eps (in _Dual's order), kept as its
+    ``form_read``; None where that is, or x is not rational."""
+    dual = type(x) is _Dual
+    d = x._d._frac if dual else 0
+    if x._frac is None or dual and not d or not (read := form_read(form, domain, x._frac, d)):
+        return None
     rule = object.__new__(QuadRule)
-    vars(rule).update(name=name, params=dict(params), _read=(
-        form, u, v, d, E, seqs, keys, tuple(bisect_left(keys, k) for k in GH[::2])))
+    vars(rule).update(name=name, params=dict(params), _read=read)
     return rule
 
 
@@ -159,23 +167,29 @@ def _kernel_form(form, r: int, at: tuple, n_pieces: int):
     return Den, _fderiv(Den), pieces, [[_fderiv(c) for c in P] for P in pieces]
 
 
-def form_kernel(read, r: int):
-    """The order-r kernel of a form rule, pieces (A, B, den, m) in integers: P/Den
-    at x = u/v with den > 0, or at x + d*eps P*Den + d*(P'*Den - P*Den')*eps over
-    Den**2 (m = 0 unless the read has no eps part); None where ``_kernel_form`` is."""
+def form_pieces(read, r: int) -> list | None:
+    """The order-r kernel pieces of a form read, (A, B, den, m) in integers: P/Den at
+    x = u/v with den > 0, or at x + d*eps P*Den + d*(P'*Den - P*Den')*eps over Den**2
+    (m = 0 unless the read has no eps part); None where ``_kernel_form`` is."""
     form, u, v, d, E, seqs, keys, at = read
     if (got := _kernel_form(form, r, at, len(keys) - 1)) is None:
         return None
     Den, dDen, pieces, dpieces = got
     h = int_horner(Den, u, v)
-    bps = (Scalar(-1), *(_scalar(k, E) for k in keys[1:-1]), Scalar(1))
     if not d:  # D(x) < 0 for mod3_opt
         s = 1 if h > 0 else -1
-        return PiecewisePolynomial(bps, exact=tuple(
-            ([s * int_horner(c, u, v) for c in P], [0] * (r + 2), s * h, 1) for P in pieces))
+        return [([s * int_horner(c, u, v) for c in P], [0] * (r + 2), s * h, 1) for P in pieces]
     m = 0 if any(k[1] or w[1] for seq in seqs for k, w in seq) else 1
     dh, a, b = int_horner(dDen, u, v), d.numerator * v, d.denominator
     Hs = [[int_horner(c, u, v) for c in P] for P in pieces]
-    return PiecewisePolynomial(bps, exact=tuple(
-        ([p * h * b for p in H], [a * (int_horner(c, u, v) * h - p * dh) for p, c in zip(H, dP)],
-         h * h * b, m) for H, dP in zip(Hs, dpieces)))
+    return [([p * h * b for p in H], [a * (int_horner(c, u, v) * h - p * dh) for p, c in zip(H, dP)],
+             h * h * b, m) for H, dP in zip(Hs, dpieces)]
+
+
+def form_kernel(read, r: int):
+    """The order-r kernel of a form rule, on its ``form_pieces``; None where they are."""
+    if (pieces := form_pieces(read, r)) is None:
+        return None
+    E, keys = read[4], read[6]
+    bps = (Scalar(-1), *(_scalar(k, E) for k in keys[1:-1]), Scalar(1))
+    return PiecewisePolynomial(bps, exact=tuple(pieces))

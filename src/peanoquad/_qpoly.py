@@ -247,15 +247,46 @@ def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) 
     return out
 
 
-def abs_integral(A: list[int], den: int, cuts: list[Fraction]) -> Fraction:
-    """The integral of |A/den| from cuts[0] to cuts[-1] for rational cuts
-    between which A keeps its sign: the sum of |F(c_(k+1)) - F(c_k)|, F an
-    antiderivative, as one integer sum over a common denominator."""
+def _sign(a: int, b: int, m: int) -> int:
+    """The sign of a + b*sqrt(m), as ``Scalar.sign`` reads it."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    return sb if a * sb >= 0 or a * a < b * b * m else -sb
+
+
+def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1) -> tuple:
+    """The integral of |(A + B*eps)/den| (B empty for a rational piece) from the
+    first cut to the last, between consecutive cuts of which A keeps its sign:
+    the sum of |F(c_(k+1)) - F(c_k)|, F an antiderivative, as (a, b, c, e) for
+    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.  A
+    cut is a rational, or a pair (p, q): p + q*eps at the two ends (breakpoints
+    of a dual pass), p + q*sqrt(m) between them (roots).  Each |.| reads the
+    sign of the value part, or of the eps part where that is 0, as
+    ``_Dual.__abs__`` does."""
     L = lcm(*range(1, len(A) + 1))
-    F = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
-    *U, V = _ints(*cuts)
-    X = [int_horner(F, u, V) for u in U]  # F(u/V) * den * L * V**len(A)
-    return Fraction(sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * V ** len(A))
+    FA = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
+    if not B and all(type(c) is not tuple for c in cuts):  # all in Q
+        *U, w = _ints(*cuts)
+        X = [int_horner(FA, u, w) for u in U]  # F(u/w) * den * L * w**len(A)
+        S, D = sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * w ** len(A)
+        return Fraction(S, D), 0, 0, 0
+    zero, F = [0] * len(FA), []
+    FB = [0] + [b * (L // (k + 1)) for k, b in enumerate(B)] if B else zero
+    *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
+    for k, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
+        if not q or k in (0, len(cuts) - 1):  # p + q*eps over w
+            X, U = zm_horner(FA, FB, p, q, w, 0)
+            F.append((X, 0, U, 0))
+        else:
+            F.append((*zm_horner(FA, zero, p, q, w, m), *zm_horner(FB, zero, p, q, w, m)))
+    total = [0, 0, 0, 0]
+    for x, y in zip(F, F[1:]):
+        d = [b - a for a, b in zip(x, y)]
+        s = _sign(d[0], d[1], m) or _sign(d[2], d[3], m)
+        total = [t + s * v for t, v in zip(total, d)]
+    D = den * L * w ** len(A)
+    return tuple(t and Fraction(t, D) for t in total)
 
 
 def add_abs_diff(total, x, y):

@@ -6,20 +6,22 @@ from kernels (never from hard-coded formulas), so it works equally for
 families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid, which localizes even branch points where the bound itself is
-numerically indistinguishable from smooth.  A probe of that pattern builds
-the kernel and counts its roots, but forms no L1 sum.  A change within the
+numerically indistinguishable from smooth.  A probe of that pattern counts
+the kernel's roots, but forms no L1 sum.  A change within the
 bisection tolerance of a grid point (a branch switch at x = 1/2, or nodes
 colliding at a domain end) is taken as that grid point, exactly; any other
 change is bisected, and the simplest rational in the final bracket is
 reported, so a kink at a small rational such as 1/3 comes back exactly too.
 
-Minima are found from the exact derivative dM_r/dx, which one kernel pass on
-the rule built at a dual-number node x + eps gives (forward-mode
-differentiation).  On each branch the minimizer is a branch end, or lies in
-a bracket across which the sign of dM_r/dx provably changes from negative to
-positive; the bracket is shrunk by regula falsi on exact rational iterates.
-Each rule of a scan is ``RuleFamily.build`` at a rational x or x + eps: for a
-family with a fitted form, read from it in integers, kernels from its pieces in x.
+Minima are found from the exact derivative dM_r/dx, which one kernel pass at
+a dual-number node x + eps gives (forward-mode differentiation).  On each
+branch the minimizer is a branch end, or lies in a bracket across which the
+sign of dM_r/dx provably changes from negative to positive; the bracket is
+shrunk by regula falsi on exact rational iterates.  A scan point that the
+family's fitted form covers (a rational x or x + eps) is valued, probed and
+differentiated in one integer pass over the form's kernel pieces in x, with
+no rule or kernel object; any other point builds its rule (``RuleFamily.build``)
+and runs the kernel pass on it.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .errors import (
     PointOutsideBox,
 )
 from .peano import _piece_roots, build_kernel, kernel_l1_norm
-from .roots import _count_roots, _simplest_in_open
+from ._qpoly import abs_integral
+from .roots import DEFAULT_ROOT_TOL, _count_roots, _isolate_rational, _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
-from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
+from .scalars import Scalar, _Dual, _quad, approx_quad, as_scalar, field_parts, get_working_dps
 
 
 def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
@@ -80,46 +83,91 @@ class MinimizeResult(NamedTuple):
     multimodal_suspected: bool
 
 
+def _form_l1(pieces: list, E: int, keys: list) -> tuple | None:
+    """(M_r, its eps part, the per-piece root counts) from a form's kernel pieces
+    (``_forms.form_pieces``) on the breakpoints keys/E, in integers: each piece's
+    value part goes to the integer root engine as ``isolate_roots`` hands it over,
+    and |K_r| is summed by ``_qpoly.abs_integral`` over Q, one Q(sqrt m) or Q[eps].
+    None when a root is bracketed or roots lie in two fields."""
+    total, counts, m = [Fraction(0)] * 4, [], 1
+    bps = [Fraction(g, E) for g, _ in keys]
+    for (A, B, den, pm), lo, hi, (g0, h0), (g1, h1) in zip(pieces, bps, bps[1:], keys, keys[1:]):
+        # A's lead is nonzero; nodes of a dual pass that meet at x but part
+        # with it leave a piece of zero length, with no roots
+        roots = _isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den)) if g0 != g1 else ()
+        cuts = [(lo, Fraction(h0, E)) if h0 else lo]
+        for root in roots:
+            s = root.location
+            if s._sqrt and m in (1, s._sqrt[2]):
+                m, cut = s._sqrt[2], s._sqrt[:2]
+            elif (cut := s._frac) is None:
+                return None
+            cuts.append(cut)
+        cuts.append((hi, Fraction(h1, E)) if h1 else hi)
+        counts.append(len(roots))
+        total = [t + a if a else t for t, a in zip(total, abs_integral(A, () if pm else B, den, cuts, m))]
+    return _quad(total[0], total[1], m), _quad(total[2], total[3], m), tuple(counts)
+
+
 def _bound_fn(family: RuleFamily, r: int):
     """Memoized x -> M_r(x), x -> kernel root signature, and
     x -> (M_r(x), M_r'(x)).
 
     The signature is the per-piece count of interior kernel roots; it changes
-    exactly where the bound function switches branch.  At an x without a
-    value, a signature probe builds the kernel and counts the distinct roots
-    of each rational piece on its integer Sturm chain (``roots._count_roots``;
-    a Q(sqrt m) piece is isolated by ``peano._piece_roots``), with no closed
-    form, antiderivative or L1 sum; a later M_r(x) runs the full pass.  The
-    derivative comes from one kernel pass on the rule built at a dual number
-    x + eps, which carries d/dx through the nodes, weights, breakpoints and
-    integrals, in integers over Q[eps] for rational data; where M_r has a
-    corner it is the right-hand derivative (the left-hand one at the upper
-    end of the domain).
+    exactly where the bound function switches branch.  At a rational x, or
+    x + eps, that the family's fitted form covers, each is one integer pass
+    over the form's kernel pieces (``_forms.form_pieces``), with no rule,
+    kernel or Root of its own: a probe counts each piece's distinct roots on
+    its integer Sturm chain (``roots._count_roots``), and a value or slope
+    pass isolates and sums them (``_form_l1``).  Any other x, and a pass with
+    a bracketed root or roots in two fields, builds the rule and runs the
+    kernel pass (``kernel_l1_norm``; a probe builds the kernel and isolates
+    its roots).  A probe forms no L1 sum; a later M_r(x) runs the full pass.
+    The derivative is
+    that of the kernel pass on the rule at a dual number x + eps, which
+    carries d/dx through the nodes, weights, breakpoints and integrals; where
+    M_r has a corner it is the right-hand derivative (the left-hand one at the
+    upper end of the domain).
     """
     values: dict[Fraction, Scalar] = {}
     sigs: dict[Fraction, tuple[int, ...]] = {}
     slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
+    form = family._form
+    if form:
+        from ._forms import form_pieces, form_read
+
+    def at(x: Fraction, d: int = 0):  # (pieces, E, keys) at x + d*eps, or None
+        read = form and form_read(form, family.domain, x, d)
+        pieces = read and form_pieces(read, r)
+        return pieces and (pieces, read[4], read[6])
 
     def fn(x: Fraction) -> Scalar:
         got = values.get(x)
         if got is None:
-            rep = kernel_l1_norm(family.build(Scalar(x)), r)
-            counts = [0] * (len(rep.kernel.breakpoints) - 1)
-            for root in rep.sign_changes:
-                counts[rep.kernel.piece_index(root.location)] += 1
-            got = values[x] = rep.l1_norm
+            done = (read := at(x)) and _form_l1(*read)
+            if done:
+                got, _, counts = done
+            else:
+                rep = kernel_l1_norm(family.build(Scalar(x)), r)
+                counts = [0] * (len(rep.kernel.breakpoints) - 1)
+                for root in rep.sign_changes:
+                    counts[rep.kernel.piece_index(root.location)] += 1
+                got = rep.l1_norm
+            values[x] = got
             sigs.setdefault(x, tuple(counts))
         return got
 
     def sig(x: Fraction) -> tuple[int, ...]:
         got = sigs.get(x)
         if got is None:
-            k = build_kernel(family.build(Scalar(x)), r)
-            if k.exact and k.exact[0][3] == 1:  # rational pieces: count their roots
-                bps = [b._frac for b in k.breakpoints]
-                got = sigs[x] = tuple(map(_count_roots, (A for A, *_ in k.exact), bps, bps[1:]))
+            if read := at(x):
+                pieces, E, keys = read
+                bps = [Fraction(g, E) for g, _ in keys]
+                got = tuple(map(_count_roots, (A for A, *_ in pieces), bps, bps[1:]))
             else:
-                got = sigs[x] = tuple(len(roots) for _, roots in _piece_roots(k))
+                k = build_kernel(family.build(Scalar(x)), r)
+                got = tuple(len(roots) for _, roots in _piece_roots(k))
+            sigs[x] = got
         return got
 
     def slope(x: Fraction) -> tuple[Scalar, Scalar]:
@@ -127,7 +175,11 @@ def _bound_fn(family: RuleFamily, r: int):
         if got is None:
             # one-sided into the domain: from the left at its upper end
             seed = -1 if x == family.domain.hi else 1
-            m, dm = _Dual.parts(kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm)
+            done = (read := at(x, seed)) and _form_l1(*read)
+            if done:
+                m, dm, _ = done
+            else:
+                m, dm = _Dual.parts(kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm)
             got = slopes[x] = (m, dm * seed)
         return got
 
@@ -357,14 +409,14 @@ def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> Minim
     scan = bound_scan(family, r, grid_size=33, refine_tol=tol)
     x_star, v_star = scan.minimizer
     multimodal = scan.multimodal_suspected
+    fn = _bound_fn(family, r)[0]
     eps = Fraction(1, 10**6)
     xf = x_star.as_fraction()
     slack = 1e-11 * (1.0 + abs(float(v_star)))
     for probe in (xf - eps, xf + eps):
         if not family.domain.contains(probe):
             continue
-        value = kernel_l1_norm(family.build(Scalar(probe)), r).l1_norm
-        if float(v_star - value) > slack:
+        if float(v_star - fn(probe)) > slack:
             multimodal = True
     return MinimizeResult(x=x_star, value=v_star, multimodal_suspected=multimodal)
 

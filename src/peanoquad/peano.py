@@ -222,7 +222,7 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
         roots.extend(piece_roots)
         fracs = [c._frac for c in cuts]
         if exact and exact[i][3] == 1 and type(total) is tuple and None not in fracs:
-            total = (total[0] + abs_integral(exact[i][0], exact[i][2], fracs), *total[1:])
+            total = (total[0] + abs_integral(exact[i][0], (), exact[i][2], fracs)[0], *total[1:])
             continue
         values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
         if any(v is None for v in values):

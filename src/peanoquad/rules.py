@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key
 from itertools import islice, tee
 from math import comb
 from typing import Callable
@@ -584,22 +584,22 @@ class RuleFamily:
         x = as_scalar(x)
         entry = CATALOG[self.name]
         params = {p: x if p == "x" else self.fixed_params[p] for p in entry.param_names}
-        rule = self._form and self._form(x, params)
-        if rule:
-            return rule
+        if self._form:
+            from ._forms import form_rule
+            if rule := form_rule(self._form, self.domain, self.name, x, params):
+                return rule
         values, derivs = entry.builder(*params.values())
         return _assemble(self.name, values, derivs, params)
 
     @cached_property
     def _form(self):
-        """x, params -> ``_forms.form_rule``, or None (a fixed parameter that is
+        """The family's ``_forms.family_form``, or None (a fixed parameter that is
         not rational, or no form).  ``_forms`` is imported, so compiled, only here."""
         fixed = tuple(self.fixed_params.items())
         if not all(type(v) is Scalar and v._frac is not None for _, v in fixed):
             return None
-        from . import _forms
-        form = _forms.family_form(self.name, tuple((k, v._frac) for k, v in fixed), self.domain)
-        return form and partial(_forms.form_rule, form, self.domain, self.name)
+        from ._forms import family_form
+        return family_form(self.name, tuple((k, v._frac) for k, v in fixed), self.domain)
 
     def label(self) -> str:
         if not self.fixed_params:

@@ -29,8 +29,8 @@ from math import isqrt
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import (from_rational, mpf_add, mpf_shift, round_ceiling, round_floor,
-                          round_nearest, to_float, to_rational)
+from mpmath.libmp import (dps_to_prec, from_int, from_rational, mpf_add, mpf_div, mpf_shift,
+                          round_ceiling, round_floor, round_nearest, to_float, to_rational, to_str)
 
 from .errors import AmbiguousOrder
 
@@ -431,15 +431,21 @@ class Scalar:
     # --- formatting ----------------------------------------------------
 
     def to_decimal(self, digits: int = 17) -> str:
-        """Decimal rendering with '.' separator and the given significant digits (>= 1)."""
+        """Decimal rendering with '.' separator and the given significant digits (>= 1):
+        libmp's ``to_str`` of the value rounded to nearest at digits + 10 decimal
+        digits (a rational by mpmath's division, an a + b*sqrt(m) from integers,
+        whatever the working precision), or of an interval's midpoint."""
         if digits < 1:
             raise ValueError(f"need at least 1 significant digit, got {digits}")
-        with mpmath.workdps(digits + 10):
-            if self._frac is not None:
-                x = mpmath.mpf(self._frac.numerator) / self._frac.denominator
-            else:
-                x = mpmath.mp.make_mpf(self.interval().mid._mpi_[0])
-            return mpmath.nstr(x, digits)
+        prec = dps_to_prec(digits + 10)
+        if self._frac is not None:
+            x = mpf_div(from_int(self._frac.numerator, prec, round_nearest),
+                        from_int(self._frac.denominator), prec, round_nearest)
+        elif self._sqrt is not None:
+            x = _quad_mpf(*self._sqrt, prec)
+        else:
+            x = self.interval().mid._mpi_[0]
+        return to_str(x, digits)
 
     def to_json_str(self, digits: int | None = None) -> str:
         """Serialization string: exact "p/q", "a+c*sqrt(m)" (or "c*sqrt(m)" when
@@ -516,6 +522,22 @@ def _quad(a: Fraction, b: Fraction, m: int) -> Scalar:
     s._ival = None
     s._sqrt = (a, b, m)
     return s
+
+
+def _quad_mpf(a: Fraction, b: Fraction, m: int, prec: int):
+    """a + b*sqrt(m) (b != 0) rounded to nearest at prec bits, by the bracket
+    of ``Scalar.__float__``: the value times d*2^k lies strictly between lo
+    and lo + 1, and once both ends round alike, so does the value."""
+    d = a.denominator * b.denominator
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    k = prec + 8
+    while True:
+        t = isqrt(y * y * m << 2 * k)
+        lo = (x << k) + t if y > 0 else (x << k) - t - 1
+        if (out := from_rational(lo, d << k, prec, round_nearest)) == from_rational(
+                lo + 1, d << k, prec, round_nearest):
+            return out
+        k *= 2
 
 
 def _common_field(x: Scalar, y: Scalar):

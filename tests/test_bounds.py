@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -31,6 +32,9 @@ from peanoquad import (
     multidim_ostrowski_bound,
     sqrt,
 )
+from peanoquad._qpoly import abs_integral
+from peanoquad.polynomials import Polynomial
+from peanoquad.scalars import _Dual, _dual, _quad
 from util import SCAN_FAMILIES, assert_scalar_equals, reference_signature
 
 
@@ -281,17 +285,23 @@ def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
     import peanoquad.bounds as bounds
 
     searching, calls = [False], [0]
-    kernel, search = bounds.kernel_l1_norm, bounds._slope_min
+    kernel, form_l1, search = bounds.kernel_l1_norm, bounds._form_l1, bounds._slope_min
 
     def counted(*args, **kwargs):
         calls[0] += searching[0]
         return kernel(*args, **kwargs)
+
+    def counted_form_l1(*args):  # a pass it hands on is counted as a kernel_l1_norm call
+        out = form_l1(*args)
+        calls[0] += searching[0] and out is not None
+        return out
 
     def flagged(*args):
         searching[0] = True
         return search(*args)
 
     monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
+    monkeypatch.setattr(bounds, "_form_l1", counted_form_l1)
     monkeypatch.setattr(bounds, "_slope_min", flagged)
     for name, r in CRITERION_5_CASES:
         searching[0] = False
@@ -643,3 +653,144 @@ def test_probes_count_roots_without_isolating_them(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(peano, "isolate_roots", isolated)
                 assert [sig(x) for x in grid] == want, (name, r)
+
+
+# ---------------------------------------------------------------------------
+# scan points in one integer pass over the form's kernel pieces
+
+# every scan family, and two the pass hands to the kernel pass: mod3 at
+# lambda = 2/3, whose order condition is no identity in x at r >= 2, and
+# alomari4 at an irrational lambda, which has no fitted form
+PASS_FAMILIES = SCAN_FAMILIES + [("mod3", {"lam": F(2, 3)}),
+                                 ("alomari4", {"lam": sqrt(Scalar(F(1, 20)))})]
+
+
+def _fingerprint(v):
+    return type(v), v.to_json_str(), v.is_rational, v.is_exact, v.bounds()
+
+
+def _pass_lanes(monkeypatch):
+    """Wrap bounds._form_l1 and kernel_l1_norm; count what each scan point took."""
+    import peanoquad.bounds as bounds
+
+    lanes = Counter()
+    form_l1, kernel = bounds._form_l1, bounds.kernel_l1_norm
+
+    def counted_form_l1(pieces, E, keys):
+        out = form_l1(pieces, E, keys)
+        dual = any(h for _, h in keys) or pieces[0][3] == 0
+        lanes["zero-length pieces"] += sum(g0 == g1 for (g0, _), (g1, _) in zip(keys, keys[1:]))
+        lanes[("dual" if dual else "value",
+               "kernel pass" if out is None else "sqrt" if out[0]._sqrt or out[1]._sqrt else "Q")] += 1
+        return out
+
+    def counted_kernel(*args):
+        lanes["kernel_l1_norm"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(bounds, "_form_l1", counted_form_l1)
+    monkeypatch.setattr(bounds, "kernel_l1_norm", counted_kernel)
+    return lanes
+
+
+@pytest.mark.parametrize("name,fixed", PASS_FAMILIES)
+def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
+    # M_r(x), the signature (probed first, and after a value) and (M_r, M_r')
+    # of the integer pass equal those of kernel passes on built rules, by
+    # to_json_str, tier, enclosure and type, at every order on the family
+    # points: both closed domain ends (the slope seeded -1 at the upper one),
+    # and x = 0 and 1, where nodes meet
+    from peanoquad.bounds import _bound_fn
+    from util import family_points, reference_bound_fn
+
+    fam = family(name, **fixed)
+    lanes = _pass_lanes(monkeypatch)
+    # Simpson's rule, mod3 at x = 0 for lambda = 2/3, is exact on degree 3
+    # there alone: its kernels of order 2 and 3 take the kernel pass
+    extra = [(2, F(0)), (3, F(0))] if fixed.get("lam") == F(2, 3) else []
+    points = [(r, x) for r in range(fam.generic_degree + 1) for x in family_points(fam)] + extra
+    for r in sorted({r for r, _ in points}):
+        fn, sig, slope = _bound_fn(fam, r)
+        _, probe, _ = _bound_fn(fam, r)
+        want_fn, want_sig, want_slope = reference_bound_fn(fam, r)
+        _, want_probe, _ = reference_bound_fn(fam, r)
+        for x in (x for k, x in points if k == r):
+            where = (name, r, x)
+            assert probe(x) == want_probe(x), where
+            assert _fingerprint(fn(x)) == _fingerprint(want_fn(x)), where
+            assert sig(x) == want_sig(x), where
+            assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
+    passes = sum(n for lane, n in lanes.items() if lane[1:] in (("Q",), ("sqrt",)))
+    if fam._form is None:  # the builder's rules, by kernel passes
+        assert passes == 0 and lanes["kernel_l1_norm"] == 2 * len(points)
+    else:  # at most the rare bracketed root, or roots in two fields
+        assert passes >= 2 * len(points) - 2 * len(extra) - 10, lanes
+        assert lanes["kernel_l1_norm"] == 2 * len(points) - passes, lanes
+
+
+def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
+    # r = 1 kernels of gs2, alomari4 and q44 have quadratic irrational roots:
+    # their value and slope passes sum over Q(sqrt m) and Q(sqrt m)[eps]; the
+    # nodes +-x of gs2 meet at x = 0 and part as x grows, a piece of zero
+    # length whose only part is its eps part
+    from peanoquad.bounds import _bound_fn
+
+    from util import family_points
+
+    lanes = _pass_lanes(monkeypatch)
+    for name, fixed in (("gs2", {}), ("alomari4", {"lam": F(9, 43)}),
+                        ("q44", {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)})):
+        fam = family(name, **fixed)
+        fn, _, slope = _bound_fn(fam, 1)
+        for x in family_points(fam):
+            fn(x), slope(x)
+    assert lanes[("value", "sqrt")] >= 10 and lanes[("dual", "sqrt")] >= 10
+    assert lanes["zero-length pieces"] >= 1
+    assert lanes[("value", "Q")] + lanes[("dual", "Q")] > lanes["kernel_l1_norm"]
+
+
+def _reference_abs_sum(A, B, den, cuts, m):
+    """The sum of |F(c_(k+1)) - F(c_k)| in Scalar and _Dual arithmetic."""
+    F_ = Polynomial.of_ints(A, B or [0] * len(A), den, 0).antiderivative()
+    points = [Scalar(c) if type(c) is not tuple
+              else _dual(Scalar(c[0]), Scalar(c[1])) if k in (0, len(cuts) - 1)
+              else _quad(c[0], c[1], m) for k, c in enumerate(cuts)]
+    total = Scalar(0)
+    for s, t in zip(points, points[1:]):
+        total = total + abs(F_(t) - F_(s))
+    return _Dual.parts(total)
+
+
+def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
+    # against Scalar and _Dual arithmetic: the eps parts at the ends, quadratic
+    # irrational cuts inside, and differences whose value part is 0, where the
+    # eps part gives the sign (a piece of zero length, and a cut met twice)
+    rng = random.Random(28)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        A = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([-3, -1, 1, 2])]
+        B = rng.choice([(), [rng.randint(-9, 9) for _ in range(n + 1)]])
+        den, m = rng.randint(1, 12), rng.choice([1, 2, 3, 7])
+        ends = sorted(F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2))
+        if rng.random() < 0.1:
+            ends[1] = ends[0]
+        cuts = [(end, F(rng.randint(-5, 5), rng.randint(1, 4))) if B and rng.random() < 0.7
+                else end for end in ends]
+        inside = []
+        for _ in range(rng.randint(0, 2)):
+            if m > 1 and rng.random() < 0.6:
+                inside.append((F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(1, 3), rng.randint(1, 5))))
+            else:
+                inside.append(F(rng.randint(-12, 12), rng.randint(1, 6)))
+        if rng.random() < 0.2 and inside:
+            inside.append(inside[-1])
+        cuts[1:1] = inside
+        a, b, c, e = abs_integral(A, B, den, cuts, m)
+        got = (_quad(a, b, m), _quad(c, e, m))
+        want = _reference_abs_sum(A, list(B), den, cuts, m)
+        assert [v.to_json_str() for v in got] == [v.to_json_str() for v in want], (A, B, den, cuts, m)
+        seen["sqrt"] += bool(got[0]._sqrt or got[1]._sqrt)
+        seen["eps"] += bool(c or e)
+        seen["zero-length"] += cuts[0] != cuts[-1] and type(cuts[0]) is tuple and ends[0] == ends[1]
+    assert seen["sqrt"] >= 40 and seen["eps"] >= 100 and seen["zero-length"] >= 5, seen

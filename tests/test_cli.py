@@ -278,3 +278,15 @@ def test_grid_below_its_least_is_an_argument_error(tmp_path, capsys, argv, least
     out = capsys.readouterr()
     assert out.out == "" and not csv_path.exists()
     assert f"error: argument --grid: need an integer >= {least}, got '{grid}'" in out.err
+
+
+def test_analyze_prints_every_requested_digit_of_an_exact_constant(capsys):
+    # M_0 = 5/3 - 2/3*sqrt(3) of the two-point Gauss rule, to 75 digits: past
+    # the 60 working digits, which once bent the last 15 of them
+    import mpmath
+
+    code, out, _ = run(capsys, "analyze", "gauss_legendre2", "--digits", "75")
+    assert code == 0
+    with mpmath.workdps(200):
+        want = mpmath.nstr(mpmath.mpf(5) / 3 - 2 * mpmath.sqrt(3) / 3, 75)
+    assert f"M_0 = 5/3-2/3*sqrt(3) = {want}\n" in out

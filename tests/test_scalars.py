@@ -237,6 +237,35 @@ def test_decimal_rendering():
     assert s.startswith("0.57735026918962576")
 
 
+def _digits(a, b, m, n):
+    """n significant digits of a + b*sqrt(m) from a 400-digit mpmath evaluation."""
+    with mpmath.workdps(400):
+        return mpmath.nstr(mpmath.mpf(a.numerator) / a.denominator
+                           + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(m), n)
+
+
+def test_exact_quadratic_decimals_hold_past_the_working_precision():
+    # at 60 working digits the enclosure's midpoint went wrong from about
+    # the 60th digit; the digits of an exact a + b*sqrt(m) come from integers
+    got = sqrt(Scalar(2)).to_decimal(80)
+    assert got == _digits(F(0), F(1), 2, 80)
+    assert got.endswith("79737990732478462107")
+    v = Scalar(F(5, 3)) - F(2, 3) * sqrt(Scalar(3))
+    assert v.to_decimal(75) == _digits(F(5, 3), F(-2, 3), 3, 75)
+    # cancellation: a value far below its parts keeps every digit
+    tiny = Scalar(F(665857, 470832)) - sqrt(Scalar(2))
+    assert tiny.to_decimal(30) == _digits(F(665857, 470832), F(-1), 2, 30)
+
+
+def test_exact_decimals_do_not_follow_the_working_precision():
+    set_working_dps(15)
+    try:
+        assert sqrt(Scalar(2)).to_decimal(17) == "1.414213562373095"
+        assert Scalar(F(1, 3)).to_decimal(40) == "0." + "3" * 40
+    finally:
+        set_working_dps(60)
+
+
 def test_oracle_high_precision_eval():
     # spot check against an independent 50-digit computation
     with mpmath.workdps(50):

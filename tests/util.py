@@ -9,9 +9,9 @@ from peanoquad import (KernelReport, OrderExceedsExactness, PiecewisePolynomial,
                        QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm)
 from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _to_int_primitive,
                               fraction_eval, int_horner)
-from peanoquad.peano import _integrals
-from peanoquad.roots import Root
-from peanoquad.scalars import _extract_square, _quad, as_scalar, field_parts, minus_terms
+from peanoquad.peano import _integrals, _piece_roots, build_kernel
+from peanoquad.roots import Root, _count_roots
+from peanoquad.scalars import _Dual, _extract_square, _quad, as_scalar, field_parts, minus_terms
 
 
 # every family with a free node x; the parameters of the others are those
@@ -155,6 +155,45 @@ def reference_signature(rule: QuadRule, r: int) -> tuple[int, ...]:
     for root in rep.sign_changes:
         counts[rep.kernel.piece_index(root.location)] += 1
     return tuple(counts)
+
+
+def reference_bound_fn(family, r: int):
+    """``bounds._bound_fn`` by kernel passes on built rules: M_r(x) and its
+    signature from ``kernel_l1_norm`` (each root counted in the piece that
+    ``piece_index`` finds for it), a probe from ``build_kernel`` (roots of
+    rational pieces counted on their Sturm chains, those of other pieces
+    isolated), and (M_r, M_r') from the kernel pass on the rule at x + eps
+    (x - eps at the upper end of the domain)."""
+    values, sigs, slopes = {}, {}, {}
+
+    def fn(x):
+        if x not in values:
+            rep = kernel_l1_norm(family.build(Scalar(x)), r)
+            counts = [0] * (len(rep.kernel.breakpoints) - 1)
+            for root in rep.sign_changes:
+                counts[rep.kernel.piece_index(root.location)] += 1
+            values[x] = rep.l1_norm
+            sigs.setdefault(x, tuple(counts))
+        return values[x]
+
+    def sig(x):
+        if x not in sigs:
+            k = build_kernel(family.build(Scalar(x)), r)
+            if k.exact and k.exact[0][3] == 1:
+                bps = [b._frac for b in k.breakpoints]
+                sigs[x] = tuple(map(_count_roots, (A for A, *_ in k.exact), bps, bps[1:]))
+            else:
+                sigs[x] = tuple(len(roots) for _, roots in _piece_roots(k))
+        return sigs[x]
+
+    def slope(x):
+        if x not in slopes:
+            seed = -1 if x == family.domain.hi else 1
+            m, dm = _Dual.parts(kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm)
+            slopes[x] = (m, dm * seed)
+        return slopes[x]
+
+    return fn, sig, slope
 
 
 def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
