@@ -117,7 +117,7 @@ def _bound_fn(family: RuleFamily, r: int):
     exactly where the bound function switches branch.  At a rational x, or
     x + eps, that the family's fitted form covers, each is one integer pass
     over the form's kernel pieces (``_forms.form_pieces``), with no rule,
-    kernel or Root of its own: a probe counts each piece's distinct roots on
+    kernel or report: a probe counts each piece's distinct roots on
     its integer Sturm chain (``roots._count_roots``), and a value or slope
     pass isolates and sums them (``_form_l1``).  Any other x, and a pass with
     a bracketed root or roots in two fields, builds the rule and runs the

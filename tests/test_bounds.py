@@ -720,7 +720,7 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
             assert _fingerprint(fn(x)) == _fingerprint(want_fn(x)), where
             assert sig(x) == want_sig(x), where
             assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
-    passes = sum(n for lane, n in lanes.items() if lane[1:] in (("Q",), ("sqrt",)))
+    passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt"))
     if fam._form is None:  # the builder's rules, by kernel passes
         assert passes == 0 and lanes["kernel_l1_norm"] == 2 * len(points)
     else:  # at most the rare bracketed root, or roots in two fields
@@ -731,10 +731,10 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
 def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
     # r = 1 kernels of gs2, alomari4 and q44 have quadratic irrational roots:
     # their value and slope passes sum over Q(sqrt m) and Q(sqrt m)[eps]; the
-    # nodes +-x of gs2 meet at x = 0 and part as x grows, a piece of zero
-    # length whose only part is its eps part
+    # nodes +-x meet the ends +-1 at x = 1 (gs2, alomari4) and each other at
+    # x = 0 (alomari4), and part with x: pieces of zero length, whose only
+    # part is their eps part
     from peanoquad.bounds import _bound_fn
-
     from util import family_points
 
     lanes = _pass_lanes(monkeypatch)
