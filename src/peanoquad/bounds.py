@@ -117,17 +117,16 @@ def _bound_fn(family: RuleFamily, r: int):
     exactly where the bound function switches branch.  At a rational x, or
     x + eps, that the family's fitted form covers, each is one integer pass
     over the form's kernel pieces (``_forms.form_pieces``), with no rule,
-    kernel or report: a probe counts each piece's distinct roots on
-    its integer Sturm chain (``roots._count_roots``), and a value or slope
-    pass isolates and sums them (``_form_l1``).  Any other x, and a pass with
-    a bracketed root or roots in two fields, builds the rule and runs the
+    kernel or report: a probe counts each piece's distinct roots on its
+    integer Sturm chain (``roots._count_roots``), and a value or slope pass
+    isolates and sums them (``_form_l1``).  Any other x, and a pass with a
+    bracketed root or roots in two fields, builds the rule and runs the
     kernel pass (``kernel_l1_norm``; a probe builds the kernel and isolates
     its roots).  A probe forms no L1 sum; a later M_r(x) runs the full pass.
-    The derivative is
-    that of the kernel pass on the rule at a dual number x + eps, which
-    carries d/dx through the nodes, weights, breakpoints and integrals; where
-    M_r has a corner it is the right-hand derivative (the left-hand one at the
-    upper end of the domain).
+    The derivative is that of the kernel pass at a dual number x + eps,
+    which carries d/dx through the nodes, weights, breakpoints and
+    integrals; where M_r has a corner it is the right-hand derivative (the
+    left-hand one at the upper end of the domain).
     """
     values: dict[Fraction, Scalar] = {}
     sigs: dict[Fraction, tuple[int, ...]] = {}
