@@ -255,15 +255,16 @@ def _sign(a: int, b: int, m: int) -> int:
     return sb if a * sb >= 0 or a * a < b * b * m else -sb
 
 
-def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1) -> tuple:
-    """The integral of |(A + B*eps)/den| (B empty for a rational piece) from the
+def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1, eps: bool = True) -> tuple:
+    """The integral of |(A + B*z)/den| (B empty for a rational piece) from the
     first cut to the last, between consecutive cuts of which A keeps its sign:
     the sum of |F(c_(k+1)) - F(c_k)|, F an antiderivative, as (a, b, c, e) for
-    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.  A
-    cut is a rational, or a pair (p, q): p + q*eps at the two ends (breakpoints
-    of a dual pass), p + q*sqrt(m) between them (roots).  Each |.| reads the
-    sign of the value part, or of the eps part where that is 0, as
-    ``_Dual.__abs__`` does."""
+    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.
+    A cut is a rational or a pair (p, q).  With ``eps``, z = eps and a pair is
+    p + q*eps at the two ends (breakpoints of a dual pass), p + q*sqrt(m)
+    between them (roots); each |.| reads the sign of the value part, or of the
+    eps part where that is 0, as ``_Dual.__abs__`` does.  Without it, z =
+    sqrt(m), every pair is p + q*sqrt(m), and c = e = 0."""
     L = lcm(*range(1, len(A) + 1))
     FA = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
     if not B and all(type(c) is not tuple for c in cuts):  # all in Q
@@ -275,7 +276,9 @@ def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1) -> tuple:
     FB = [0] + [b * (L // (k + 1)) for k, b in enumerate(B)] if B else zero
     *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
     for k, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
-        if not q or k in (0, len(cuts) - 1):  # p + q*eps over w
+        if not eps:  # F(p + q*sqrt(m)) over w
+            F.append((*zm_horner(FA, FB, p, q, w, m), 0, 0))
+        elif not q or k in (0, len(cuts) - 1):  # p + q*eps over w
             X, U = zm_horner(FA, FB, p, q, w, 0)
             F.append((X, 0, U, 0))
         else:
@@ -287,24 +290,6 @@ def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1) -> tuple:
         total = [t + s * v for t, v in zip(total, d)]
     D = den * L * w ** len(A)
     return tuple(t and Fraction(t, D) for t in total)
-
-
-def add_abs_diff(total, x, y):
-    """total + |x - y| for triples (a, b, m) or Scalars: a triple while all three
-    are triples over one radicand, else by Scalar arithmetic on the Scalars
-    they stand for, so the value is the one Scalar arithmetic gives throughout.
-    For m = 0 the sign below is that of a, or of b when a = 0, as
-    ``_Dual.__abs__`` reads eps."""
-    if type(total) is tuple and type(x) is tuple and type(y) is tuple:
-        ms = {v[2] for v in (total, x, y) if v[1]}
-        if not ms:
-            return total[0] + abs(x[0] - y[0]), 0, 1
-        if len(ms) == 1:
-            m, a, b = ms.pop(), x[0] - y[0], x[1] - y[1]
-            if _quad(a, b, m).sign() < 0:
-                a, b = -a, -b
-            return total[0] + a, total[1] + b, m
-    return to_scalar(total) + abs(to_scalar(x) - to_scalar(y))
 
 
 def int_parts(values) -> tuple[list[int], list[int], int]:

@@ -40,11 +40,10 @@ from .errors import (
     ParamOutOfDomain,
     PointOutsideBox,
 )
-from .peano import _piece_roots, build_kernel, kernel_l1_norm
-from ._qpoly import abs_integral
+from .peano import _piece_roots, build_kernel, kernel_l1_norm, l1_sum
 from .roots import DEFAULT_ROOT_TOL, _count_roots, _isolate_rational, _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
-from .scalars import Scalar, _Dual, _quad, approx_quad, as_scalar, field_parts, get_working_dps
+from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
 
 def error_bound(rule: QuadRule, r: int, deriv_sup, a=-1, b=1) -> Scalar:
@@ -83,30 +82,13 @@ class MinimizeResult(NamedTuple):
     multimodal_suspected: bool
 
 
-def _form_l1(pieces: list, E: int, keys: list) -> tuple | None:
-    """(M_r, its eps part, the per-piece root counts) from a form's kernel pieces
-    (``_forms.form_pieces``) on the breakpoints keys/E, in integers: each piece's
-    value part goes to the integer root engine as ``isolate_roots`` hands it over,
-    and |K_r| is summed by ``_qpoly.abs_integral`` over Q, one Q(sqrt m) or Q[eps].
-    None when a root is bracketed or roots lie in two fields."""
-    total, counts, m = [Fraction(0)] * 4, [], 1
-    bps = [Fraction(g, E) for g, _ in keys]
-    for (A, B, den, pm), lo, hi, (g0, h0), (g1, h1) in zip(pieces, bps, bps[1:], keys, keys[1:]):
-        # A's lead is nonzero; nodes of a dual pass that meet at x but part
-        # with it leave a piece of zero length, with no roots
-        roots = _isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den)) if g0 != g1 else ()
-        cuts = [(lo, Fraction(h0, E)) if h0 else lo]
-        for root in roots:
-            s = root.location
-            if s._sqrt and m in (1, s._sqrt[2]):
-                m, cut = s._sqrt[2], s._sqrt[:2]
-            elif (cut := s._frac) is None:
-                return None
-            cuts.append(cut)
-        cuts.append((hi, Fraction(h1, E)) if h1 else hi)
-        counts.append(len(roots))
-        total = [t + a if a else t for t, a in zip(total, abs_integral(A, () if pm else B, den, cuts, m))]
-    return _quad(total[0], total[1], m), _quad(total[2], total[3], m), tuple(counts)
+def _form_roots(pieces: list, ends: list) -> list:
+    """The roots inside each of a form's kernel pieces (``_forms.form_pieces``):
+    its value part goes to the integer root engine as ``isolate_roots`` hands
+    it over (A's lead is nonzero).  A piece of zero length, left by nodes of a
+    dual pass that meet at x but part with it, has none."""
+    return [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den))
+            for (A, _, den, _), (lo, _), (hi, _) in zip(pieces, ends, ends[1:])]
 
 
 def _bound_fn(family: RuleFamily, r: int):
@@ -119,8 +101,8 @@ def _bound_fn(family: RuleFamily, r: int):
     over the form's kernel pieces (``_forms.form_pieces``), with no rule,
     kernel or report: a probe counts each piece's distinct roots on its
     integer Sturm chain (``roots._count_roots``), and a value or slope pass
-    isolates and sums them (``_form_l1``).  Any other x, and a pass with a
-    bracketed root or roots in two fields, builds the rule and runs the
+    isolates them (``_form_roots``) and sums |K_r| by ``peano.l1_sum``, the
+    sum of every integer kernel.  Any other x builds the rule and runs the
     kernel pass (``kernel_l1_norm``; a probe builds the kernel and isolates
     its roots).  A probe forms no L1 sum; a later M_r(x) runs the full pass.
     The derivative is that of the kernel pass at a dual number x + eps,
@@ -135,17 +117,18 @@ def _bound_fn(family: RuleFamily, r: int):
     if form:
         from ._forms import form_pieces, form_read
 
-    def at(x: Fraction, d: int = 0):  # (pieces, E, keys) at x + d*eps, or None
+    def at(x: Fraction, d: int = 0):  # (pieces, breakpoint pairs) at x + d*eps, or None
         read = form and form_read(form, family.domain, x, d)
         pieces = read and form_pieces(read, r)
-        return pieces and (pieces, read[4], read[6])
+        E = pieces and read[4]
+        return pieces and (pieces, [(Fraction(g, E), h and Fraction(h, E)) for g, h in read[6]])
 
     def fn(x: Fraction) -> Scalar:
         got = values.get(x)
         if got is None:
-            done = (read := at(x)) and _form_l1(*read)
-            if done:
-                got, _, counts = done
+            if read := at(x):
+                found = _form_roots(*read)
+                got, counts = l1_sum(*read, found), map(len, found)
             else:
                 rep = kernel_l1_norm(family.build(Scalar(x)), r)
                 counts = [0] * (len(rep.kernel.breakpoints) - 1)
@@ -160,8 +143,8 @@ def _bound_fn(family: RuleFamily, r: int):
         got = sigs.get(x)
         if got is None:
             if read := at(x):
-                pieces, E, keys = read
-                bps = [Fraction(g, E) for g, _ in keys]
+                pieces, ends = read
+                bps = [p for p, _ in ends]
                 got = tuple(map(_count_roots, (A for A, *_ in pieces), bps, bps[1:]))
             else:
                 k = build_kernel(family.build(Scalar(x)), r)
@@ -174,11 +157,11 @@ def _bound_fn(family: RuleFamily, r: int):
         if got is None:
             # one-sided into the domain: from the left at its upper end
             seed = -1 if x == family.domain.hi else 1
-            done = (read := at(x, seed)) and _form_l1(*read)
-            if done:
-                m, dm, _ = done
+            if read := at(x, seed):
+                total = l1_sum(*read, _form_roots(*read))
             else:
-                m, dm = _Dual.parts(kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm)
+                total = kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm
+            m, dm = _Dual.parts(total)
             got = slopes[x] = (m, dm * seed)
         return got
 

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from ._qpoly import (abs_integral, add_abs_diff, antiderivative_values, exact_field, int_parts,
-                     integrate_pieces, kernel_pieces, plain_field, remainder, to_scalar)
+from ._qpoly import (abs_integral, antiderivative_values, exact_field, int_parts, integrate_pieces,
+                     kernel_pieces, parts, plain_field, remainder, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
 from .rules import QuadRule, _node_keys, _node_order
-from .scalars import Scalar, as_scalar, minus_terms
+from .scalars import Scalar, _dual, _quad, as_scalar, minus_terms
 
 
 class PiecewisePolynomial:
@@ -198,6 +198,53 @@ def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Polynomial, tuple[Ro
     return out
 
 
+def _abs_diffs(total: Scalar, values) -> Scalar:
+    """total + |v' - v| over consecutive values, term by term in Scalar arithmetic."""
+    for prev, cur in zip(values, values[1:]):
+        total = total + abs(cur - prev)
+    return total
+
+
+def l1_sum(pieces, ends, roots) -> Scalar:
+    """The integral of |K_r| over [-1, 1] for a kernel's integer pieces
+    (A, B, den, m), (A + B*sqrt(m))/den or (m = 0) (A + B*eps)/den, on the
+    breakpoints ``ends``, pairs (p, q) for p + q*sqrt(m) or p + q*eps, given
+    the roots inside each piece.  A piece whose cuts (its ends and roots) are
+    rational or lie in one Q(sqrt d), shared with the sum so far, adds its
+    |F(c') - F(c)| in one integer sum (``_qpoly.abs_integral``): over Q, one
+    Q(sqrt d), Q[eps] or Q(sqrt d)[eps].  From the first piece with an
+    interval root or a second radicand on, the sum goes on term by term in
+    Scalar arithmetic, with F in integers at exact cuts
+    (``_qpoly.antiderivative_values``) and by Scalar Horner at the others."""
+    total, d, scalar = [0, 0, 0, 0], 1, None
+    for (A, B, den, m), lo, hi, found in zip(pieces, ends, ends[1:], roots):
+        if scalar is None:
+            Bz = B if m != 1 and any(B) else ()
+            fields = {m} if m > 1 and (Bz or lo[1] or hi[1]) else set()
+            if total[1] or total[3]:
+                fields.add(d)
+            cuts = [lo if lo[1] else lo[0]]
+            for rt in found:
+                s = rt.location
+                if s._sqrt:
+                    fields.add(s._sqrt[2])
+                cuts.append(s._frac if s._frac is not None else s._sqrt and s._sqrt[:2])
+            cuts.append(hi if hi[1] else hi[0])
+            if len(fields) <= 1 and None not in cuts:
+                d = fields.pop() if fields else d
+                part = abs_integral(A, Bz, den, cuts, d, eps=not m)
+                total = [t + a if a else t for t, a in zip(total, part)]
+                continue
+            scalar = _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d))
+        cuts = [to_scalar((*lo, m)), *(rt.location for rt in found), to_scalar((*hi, m))]
+        values = antiderivative_values(A, B, den, m, cuts)
+        if None in values:
+            F = Polynomial.of_ints(A, B, den, m).antiderivative()
+            values = [F(s) if v is None else v for s, v in zip(cuts, values)]
+        scalar = _abs_diffs(scalar, [to_scalar(v) for v in values])
+    return _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d)) if scalar is None else scalar
+
+
 def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     """Sharp constant M_r = integral of |K_r| with sign changes isolated.
 
@@ -205,32 +252,22 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     lie in one Q(sqrt m) and every kernel root is rational or lies in it;
     otherwise a validated value whose radius is reported.  A continuity flag
     is True when the jump of K_r at that interior breakpoint passes
-    ``Scalar.zero_within``.  A kernel formed in integers is integrated in
-    integers too: a rational piece with rational cuts, while the sum is exact,
-    in one integer sum (``_qpoly.abs_integral``), other pieces term by term
-    (``_qpoly.antiderivative_values`` and ``add_abs_diff``).
+    ``Scalar.zero_within``.  A kernel formed in integers is summed by
+    ``l1_sum``, on its breakpoints as pairs (``_qpoly.parts``); any other in
+    Scalar arithmetic, total + |F(c') - F(c)| term by term.
     """
     kernel = build_kernel(rule, r)
-    exact = kernel.exact
-    total = (Fraction(0), Fraction(0), 1)
-    roots: list[Root] = []
-    for i, (piece, piece_roots) in enumerate(_piece_roots(kernel)):
-        if piece.is_zero:
-            continue
-        lo, hi = kernel.breakpoints[i], kernel.breakpoints[i + 1]
-        cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
-        roots.extend(piece_roots)
-        fracs = [c._frac for c in cuts]
-        if exact and exact[i][3] == 1 and type(total) is tuple and None not in fracs:
-            total = (total[0] + abs_integral(exact[i][0], (), exact[i][2], fracs)[0], *total[1:])
-            continue
-        values = antiderivative_values(*exact[i], cuts) if exact else [None] * len(cuts)
-        if any(v is None for v in values):
+    found = [roots for _, roots in _piece_roots(kernel)]
+    bps = kernel.breakpoints
+    if kernel.exact:
+        total = l1_sum(kernel.exact, [parts(b) for b in bps], found)
+    else:
+        total = Scalar(0)
+        for piece, roots, lo, hi in zip(kernel.pieces, found, bps, bps[1:]):
             F = piece.antiderivative()
-            values = [F(s) if v is None else v for s, v in zip(cuts, values)]
-        for prev, cur in zip(values, values[1:]):
-            total = add_abs_diff(total, cur, prev)
-    return KernelReport(order=r, kernel=kernel, l1_norm=to_scalar(total), sign_changes=tuple(roots))
+            total = _abs_diffs(total, [F(s) for s in (lo, *(rt.location for rt in roots), hi)])
+    return KernelReport(order=r, kernel=kernel, l1_norm=total,
+                        sign_changes=tuple(rt for roots in found for rt in roots))
 
 
 def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:

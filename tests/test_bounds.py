@@ -285,23 +285,22 @@ def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
     import peanoquad.bounds as bounds
 
     searching, calls = [False], [0]
-    kernel, form_l1, search = bounds.kernel_l1_norm, bounds._form_l1, bounds._slope_min
+    kernel, form_sum, search = bounds.kernel_l1_norm, bounds.l1_sum, bounds._slope_min
 
     def counted(*args, **kwargs):
         calls[0] += searching[0]
         return kernel(*args, **kwargs)
 
-    def counted_form_l1(*args):  # a pass it hands on is counted as a kernel_l1_norm call
-        out = form_l1(*args)
-        calls[0] += searching[0] and out is not None
-        return out
+    def counted_form_sum(*args):  # an integer pass is counted as a kernel_l1_norm call
+        calls[0] += searching[0]
+        return form_sum(*args)
 
     def flagged(*args):
         searching[0] = True
         return search(*args)
 
     monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
-    monkeypatch.setattr(bounds, "_form_l1", counted_form_l1)
+    monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
     monkeypatch.setattr(bounds, "_slope_min", flagged)
     for name, r in CRITERION_5_CASES:
         searching[0] = False
@@ -670,25 +669,27 @@ def _fingerprint(v):
 
 
 def _pass_lanes(monkeypatch):
-    """Wrap bounds._form_l1 and kernel_l1_norm; count what each scan point took."""
+    """Wrap the integer pass's sum (bounds.l1_sum) and kernel_l1_norm; count
+    what each scan point took."""
     import peanoquad.bounds as bounds
 
     lanes = Counter()
-    form_l1, kernel = bounds._form_l1, bounds.kernel_l1_norm
+    form_sum, kernel = bounds.l1_sum, bounds.kernel_l1_norm
 
-    def counted_form_l1(pieces, E, keys):
-        out = form_l1(pieces, E, keys)
-        dual = any(h for _, h in keys) or pieces[0][3] == 0
-        lanes["zero-length pieces"] += sum(g0 == g1 for (g0, _), (g1, _) in zip(keys, keys[1:]))
+    def counted_form_sum(pieces, ends, roots):
+        out = form_sum(pieces, ends, roots)
+        dual = any(q for _, q in ends) or pieces[0][3] == 0
+        lanes["zero-length pieces"] += sum(p0 == p1 for (p0, _), (p1, _) in zip(ends, ends[1:]))
         lanes[("dual" if dual else "value",
-               "kernel pass" if out is None else "sqrt" if out[0]._sqrt or out[1]._sqrt else "Q")] += 1
+               "interval" if not all(v.is_exact for v in _Dual.parts(out))
+               else "sqrt" if any(v._sqrt for v in _Dual.parts(out)) else "Q")] += 1
         return out
 
     def counted_kernel(*args):
         lanes["kernel_l1_norm"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(bounds, "_form_l1", counted_form_l1)
+    monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
     monkeypatch.setattr(bounds, "kernel_l1_norm", counted_kernel)
     return lanes
 
@@ -720,12 +721,14 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
             assert _fingerprint(fn(x)) == _fingerprint(want_fn(x)), where
             assert sig(x) == want_sig(x), where
             assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
-    passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt"))
+    passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt", "interval"))
     if fam._form is None:  # the builder's rules, by kernel passes
         assert passes == 0 and lanes["kernel_l1_norm"] == 2 * len(points)
-    else:  # at most the rare bracketed root, or roots in two fields
-        assert passes >= 2 * len(points) - 2 * len(extra) - 10, lanes
-        assert lanes["kernel_l1_norm"] == 2 * len(points) - passes, lanes
+    else:  # every point the form covers, those with a bracketed root or two radicands too
+        assert passes == 2 * (len(points) - len(extra)), lanes
+        assert lanes["kernel_l1_norm"] == 2 * len(extra), lanes
+    if name == "q44":  # the sum goes on in Scalar arithmetic, equal to the kernel pass
+        assert lanes["value", "interval"] >= 1 and lanes["dual", "interval"] >= 1, lanes
 
 
 def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
@@ -794,3 +797,27 @@ def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
         seen["eps"] += bool(c or e)
         seen["zero-length"] += cuts[0] != cuts[-1] and type(cuts[0]) is tuple and ends[0] == ends[1]
     assert seen["sqrt"] >= 40 and seen["eps"] >= 100 and seen["zero-length"] >= 5, seen
+
+
+def test_abs_integral_sums_pieces_over_q_sqrt_m():
+    # a piece (A + B*sqrt(m))/den, with ends and roots rational or in Q(sqrt m),
+    # against the Scalar sum, and the sum of each Q(sqrt m) kernel of a rule
+    rng = random.Random(2828)
+    seen = Counter()
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.choice([2, 3, 7])
+        A = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([-3, -1, 1, 2])]
+        B = rng.choice([(), [rng.randint(-9, 9) for _ in range(n + 1)]])
+        cuts = sorted({F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(2, 4))})
+        cuts = [(c, F(rng.randint(-3, 3), rng.randint(1, 5))) if rng.random() < 0.5 else c
+                for c in cuts]
+        den = rng.randint(1, 12)
+        a, b, c, e = abs_integral(A, B, den, cuts, m, eps=False)
+        F_ = Polynomial.of_ints(A, B or [0] * len(A), den, m).antiderivative()
+        points = [_quad(x[0], x[1], m) if type(x) is tuple else Scalar(x) for x in cuts]
+        want = Scalar(0)
+        for x, y in zip(points, points[1:]):
+            want = want + abs(F_(y) - F_(x))
+        assert (c, e) == (0, 0) and _quad(a, b, m).to_json_str() == want.to_json_str(), (A, B, cuts)
+        seen["sqrt"] += bool(b)
+    assert seen["sqrt"] >= 150, seen

@@ -820,6 +820,11 @@ def _oracle_rules():
         fam = family(name, **fixed)
         grid = fam.domain.grid(33)
         rules += [fam.build(_Dual(grid[9], 1)), fam.build(_Dual(grid[-1], -1))]
+    # q44 where the roots of K_1 lie under two radicands: the sum of the
+    # integer pieces goes on in Scalar arithmetic from the second one on
+    for fixed, x in ((Q44, F(12, 53)), (Q44, F(13, 53)),
+                     ({"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}, F(7, 53))):
+        rules += [family("q44", **fixed).build(v) for v in (Scalar(x), _Dual(x, 1))]
     return rules + [family("gs2").build(_Dual(F(1, 2), seed)) for seed in (1, -1)]
 
 
@@ -1137,29 +1142,42 @@ def test_dual_nodes_order_by_their_integer_keys(monkeypatch):
 
 
 def test_rational_pieces_sum_in_integers(monkeypatch):
-    # a rational kernel whose roots are all rational adds each piece's
-    # |F(c') - F(c)| in one integer sum: no antiderivative triple and no
-    # term-by-term sum, and the report of the Scalar reference
+    # a kernel whose data and roots are exact in Q or one Q(sqrt m) (Q[eps],
+    # Q(sqrt m)[eps] for a dual pass) adds each piece's |F(c') - F(c)| in one
+    # integer sum: no antiderivative triple and no term-by-term sum, and the
+    # report of the Scalar reference
     import peanoquad.peano as peano
 
     rng = random.Random(2503)
-    rules = [make_rule("simpson"), make_rule("radau2")]
+    rules = [make_rule(name) for name in ("simpson", "radau2", "gauss_legendre2", "liu_park_gauss",
+                                          "lobatto4")]
     rules += [family(name).build(Scalar(x)) for name in ("gs2", "ostrowski", "mp3", "mod3_opt",
                                                           "liu_park", "dragomir_sofo")
               for x in (F(1, 3), F(1, 4), F(3, 5))]
+    rules += [family(name, **fixed).build(_Dual(x, 1))
+              for name, fixed in (("gs2", {}), ("ostrowski", {}), ("alomari4", {"lam": F(9, 43)}))
+              for x in (F(1, 3), F(3, 5))]
     rules += [random_rational_rule(rng, with_derivs=i % 2 == 1) for i in range(20)]
     cases = [(rule, r) for rule in rules
              for r in range(min(degree_of_exactness(rule, k_max=8).degree, 4) + 1)]
     wants = [reference_kernel_l1_norm(rule, r) for rule, r in cases]
+
+    def radicands(rep):
+        values = [*rep.kernel.breakpoints, *(c for p in rep.kernel.pieces for c in p.coeffs)]
+        return {v._sqrt[2] for v in values + [rt.location for rt in rep.sign_changes] if v._sqrt}
+
     kept = [(case, want) for case, want in zip(cases, wants)
-            if all(rt.location.is_rational for rt in want.sign_changes)]
-    assert len(kept) >= 40 and sum(bool(want.sign_changes) for _, want in kept) >= 20
+            if all(rt.is_exact() for rt in want.sign_changes) and len(radicands(want)) <= 1]
+    assert len(kept) >= 60 and sum(bool(want.sign_changes) for _, want in kept) >= 30
+    assert sum(bool(radicands(want)) for _, want in kept) >= 10
+    assert sum(type(want.l1_norm) is _Dual for _, want in kept) >= 10
+    assert any(type(want.l1_norm) is _Dual and radicands(want) for _, want in kept)
 
     def scalar_sum(*args):
-        raise AssertionError("a term-by-term sum on rational cuts")
+        raise AssertionError("a term-by-term sum on exact cuts")
 
     monkeypatch.setattr(peano, "antiderivative_values", scalar_sum)
-    monkeypatch.setattr(peano, "add_abs_diff", scalar_sum)
+    monkeypatch.setattr(Polynomial, "antiderivative", scalar_sum)
     gots = [kernel_l1_norm(rule, r) for (rule, r), _ in kept]
     monkeypatch.undo()
     assert [_report_fingerprint(g) for g in gots] == [_report_fingerprint(w) for _, w in kept]
