@@ -255,30 +255,30 @@ def _sign(a: int, b: int, m: int) -> int:
     return sb if a * sb >= 0 or a * a < b * b * m else -sb
 
 
-def abs_integral(A: list[int], B, den: int, cuts: list, m: int = 1, eps: bool = True) -> tuple:
-    """The integral of |(A + B*z)/den| (B empty for a rational piece) from the
-    first cut to the last, between consecutive cuts of which A keeps its sign:
-    the sum of |F(c_(k+1)) - F(c_k)|, F an antiderivative, as (a, b, c, e) for
+def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple:
+    """The integral of |p| for the piece p = (A + B*sqrt(k))/den, or
+    (A + B*eps)/den for k = 0 (B empty for a rational piece), from the first
+    cut to the last, between consecutive cuts of which A keeps its sign: the
+    sum of |F(c_(j+1)) - F(c_j)|, F an antiderivative, as (a, b, c, e) for
     (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.
-    A cut is a rational or a pair (p, q).  With ``eps``, z = eps and a pair is
-    p + q*eps at the two ends (breakpoints of a dual pass), p + q*sqrt(m)
-    between them (roots); each |.| reads the sign of the value part, or of the
-    eps part where that is 0, as ``_Dual.__abs__`` does.  Without it, z =
-    sqrt(m), every pair is p + q*sqrt(m), and c = e = 0."""
+    A cut is a rational or a pair (p, q), p + q*sqrt(m) (m = k for k > 1 and
+    B not empty), except that for k = 0 the two ends (breakpoints of a dual
+    pass) are p + q*eps.  Each |.| reads the sign of the value part, or of
+    the eps part where that is 0, as ``_Dual.__abs__`` does."""
     L = lcm(*range(1, len(A) + 1))
-    FA = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
+    FA = [0] + [a * (L // (i + 1)) for i, a in enumerate(A)]
     if not B and all(type(c) is not tuple for c in cuts):  # all in Q
         *U, w = _ints(*cuts)
         X = [int_horner(FA, u, w) for u in U]  # F(u/w) * den * L * w**len(A)
         S, D = sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * w ** len(A)
         return Fraction(S, D), 0, 0, 0
     zero, F = [0] * len(FA), []
-    FB = [0] + [b * (L // (k + 1)) for k, b in enumerate(B)] if B else zero
+    FB = [0] + [b * (L // (i + 1)) for i, b in enumerate(B)] if B else zero
     *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
-    for k, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
-        if not eps:  # F(p + q*sqrt(m)) over w
+    for j, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
+        if k:  # F(p + q*sqrt(m)) over w
             F.append((*zm_horner(FA, FB, p, q, w, m), 0, 0))
-        elif not q or k in (0, len(cuts) - 1):  # p + q*eps over w
+        elif not q or j in (0, len(cuts) - 1):  # p + q*eps over w
             X, U = zm_horner(FA, FB, p, q, w, 0)
             F.append((X, 0, U, 0))
         else:

@@ -232,7 +232,7 @@ def l1_sum(pieces, ends, roots) -> Scalar:
             cuts.append(hi if hi[1] else hi[0])
             if len(fields) <= 1 and None not in cuts:
                 d = fields.pop() if fields else d
-                part = abs_integral(A, Bz, den, cuts, d, eps=not m)
+                part = abs_integral(A, Bz, den, m, cuts, d)
                 total = [t + a if a else t for t, a in zip(total, part)]
                 continue
             scalar = _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d))

@@ -789,7 +789,7 @@ def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
         if rng.random() < 0.2 and inside:
             inside.append(inside[-1])
         cuts[1:1] = inside
-        a, b, c, e = abs_integral(A, B, den, cuts, m)
+        a, b, c, e = abs_integral(A, B, den, 0, cuts, m)
         got = (_quad(a, b, m), _quad(c, e, m))
         want = _reference_abs_sum(A, list(B), den, cuts, m)
         assert [v.to_json_str() for v in got] == [v.to_json_str() for v in want], (A, B, den, cuts, m)
@@ -812,7 +812,7 @@ def test_abs_integral_sums_pieces_over_q_sqrt_m():
         cuts = [(c, F(rng.randint(-3, 3), rng.randint(1, 5))) if rng.random() < 0.5 else c
                 for c in cuts]
         den = rng.randint(1, 12)
-        a, b, c, e = abs_integral(A, B, den, cuts, m, eps=False)
+        a, b, c, e = abs_integral(A, B, den, m, cuts, m)
         F_ = Polynomial.of_ints(A, B or [0] * len(A), den, m).antiderivative()
         points = [_quad(x[0], x[1], m) if type(x) is tuple else Scalar(x) for x in cuts]
         want = Scalar(0)
