@@ -228,7 +228,7 @@ def l1_sum(pieces, ends, roots) -> Scalar:
                 s = rt.location
                 if s._sqrt:
                     fields.add(s._sqrt[2])
-                cuts.append(s._frac if s._frac is not None else s._sqrt and s._sqrt[:2])
+                cuts.append(s._frac if s._frac is not None else s._sqrt and s._sqrt[:2])  # None: a bracket
             cuts.append(hi if hi[1] else hi[0])
             if len(fields) <= 1 and None not in cuts:
                 d = fields.pop() if fields else d
