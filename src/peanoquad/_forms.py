@@ -1,13 +1,13 @@
-"""Fitted integer forms of the one-parameter catalog families.
+"""Fitted integer forms of the one-parameter catalog families, the data of
+the scan points of ``bounds``.
 
 Each raw node and weight of a family's builder is fitted as P(x)/Q(x), deg P,
 deg Q <= 2, from samples in the domain (``fit_ratio``), and kept as an integer
 polynomial in x over one denominator D(x) (``family_form``).  The rule at a
 rational x, or x + d*eps, is then read in integers (``form_read``), and its
-kernels from the form's kernel pieces in x (``form_pieces``).  A family rule
-keeps its read (``form_rule``) and wraps the pieces as its kernel
-(``form_kernel``); a scan point of ``bounds`` takes the read and the pieces
-alone.  ``rules`` imports this module only when a family first needs its form.
+kernels from the form's kernel pieces in x (``form_pieces``); no rule or
+kernel object is built.  ``bounds`` imports this module only when a family is
+first scanned.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from ._qpoly import _fderiv, _fmul, _ftrim, _idiv, _igcd, _ints, _primitive, int_horner, to_scalar
+from ._qpoly import _fderiv, _fmul, _ftrim, _idiv, _igcd, _ints, _primitive, int_horner
 from .errors import ParamOutOfDomain
-from .peano import PiecewisePolynomial
-from .rules import CATALOG, Domain, QuadRule
-from .scalars import Scalar, _Dual, _rat, as_scalar
+from .rules import CATALOG, Domain
+from .scalars import Scalar, _rat, as_scalar
 
 
 def fit_ratio(xs: list[Fraction], vs: list[Fraction]) -> tuple[list[int], list[int]] | None:
@@ -91,6 +90,15 @@ def family_form(name: str, fixed: tuple, domain: Domain):
     return rows[0][0], D, N, tuple(_fderiv(D)), tuple(tuple(_fderiv(c)) for c in N)
 
 
+def form_of(family) -> tuple | None:
+    """The ``family_form`` of a ``rules.RuleFamily``, or None (a fixed parameter
+    that is not rational, or no form)."""
+    fixed = tuple(family.fixed_params.items())
+    if not all(type(v) is Scalar and v._frac is not None for _, v in fixed):
+        return None
+    return family_form(family.name, tuple((k, v._frac) for k, v in fixed), family.domain)
+
+
 def form_read(form, domain: Domain, x: Fraction, d=0) -> tuple | None:
     """The rule at x = u/v, or x + d*eps, in integers: each entry (N*D, v*d*(N'*D - N*D'))
     over D**2, read as (form, u, v, d, E, the merged value and derivative nodes as sorted
@@ -119,22 +127,6 @@ def form_read(form, domain: Domain, x: Fraction, d=0) -> tuple | None:
         return None
     keys = sorted({(-E, 0), (E, 0), *(k for seq in seqs for k, _ in seq)})
     return form, u, v, d, E, seqs, keys, tuple(bisect_left(keys, k) for k in GH[::2])
-
-
-def form_rule(form, domain: Domain, name: str, x: Scalar, params: dict) -> QuadRule | None:
-    """The rule at a rational x, or x + d*eps (in _Dual's order), kept as its
-    ``form_read``; None where that is, or x is not rational."""
-    dual = type(x) is _Dual
-    d = x._d._frac if dual else 0
-    if x._frac is None or dual and not d or not (read := form_read(form, domain, x._frac, d)):
-        return None
-    rule = object.__new__(QuadRule)
-    vars(rule).update(name=name, params=dict(params), _read=read)
-    return rule
-
-
-def _scalar(ab: tuple, E: int) -> Scalar:  # (a + b*eps)/E
-    return to_scalar((Fraction(ab[0], E), ab[1] and Fraction(ab[1], E), 0))
 
 
 @lru_cache(maxsize=256)
@@ -184,12 +176,3 @@ def form_pieces(read, r: int) -> list | None:
     Hs = [[int_horner(c, u, v) for c in P] for P in pieces]
     return [([p * h * b for p in H], [a * (int_horner(c, u, v) * h - p * dh) for p, c in zip(H, dP)],
              h * h * b, m) for H, dP in zip(Hs, dpieces)]
-
-
-def form_kernel(read, r: int):
-    """The order-r kernel of a form rule, on its ``form_pieces``; None where they are."""
-    if (pieces := form_pieces(read, r)) is None:
-        return None
-    E, keys = read[4], read[6]
-    bps = (Scalar(-1), *(_scalar(k, E) for k in keys[1:-1]), Scalar(1))
-    return PiecewisePolynomial(bps, exact=tuple(pieces))

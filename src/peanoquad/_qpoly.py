@@ -7,10 +7,10 @@ Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
 pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
 node terms by the binomial expansion, pieces by integer subtraction, and
 antiderivatives and remainders I(f) - Q(f) by one Horner loop over Z[sqrt m].
-With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2), so
-the kernel pass of rational ``_Dual`` data (value A, derivative B) runs on the
-same code.  A value converted back is the Scalar that Scalar arithmetic gives
-(exact).
+With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2): the
+kernel pieces of a scan point x + eps (``_forms.form_pieces``), whose L1 sum
+(``abs_integral``, ``antiderivative_values``) runs on the same code.  A value
+converted back is the Scalar that Scalar arithmetic gives (exact).
 """
 
 from __future__ import annotations
@@ -160,14 +160,6 @@ def plain_field(values: list) -> int | None:
     return None if len(ms) > 1 else max(ms, default=1)
 
 
-def exact_field(values: list) -> int | None:
-    """``plain_field``, or 0 when every value is rational and some are _Duals
-    with rational derivatives: pairs over Q[eps], read as m = 0 by ``parts``."""
-    m = plain_field(values)
-    return 0 if m is None and all(v._frac is not None and getattr(v, "_d", v)._frac is not None
-                                  for v in values) else m
-
-
 def parts(v: Scalar) -> tuple:
     """(a, b) with the exact v == a + b*sqrt(m); for a rational _Dual, its
     value and derivative (m = 0)."""
@@ -191,8 +183,7 @@ def kernel_pieces(terms, e: int, r: int, m: int, n_pieces: int):
     exact on degree r.  ``terms`` holds (p, q, u, v, n, j) for each node term
     w*(x - t)**n, x = (p + q*sqrt(m))/e = b_j and w = (u + v*sqrt(m))/e.  Piece i is
     ((1 - t)**(r+1)/(r+1) - the terms with j > i)/r!, and the order
-    condition says that (1 - t)**(r+1)/(r+1) minus all terms is (-1 - t)**(r+1)/(r+1);
-    for m = 0 it reads the value part A alone, as ``zero_within`` does on a _Dual."""
+    condition says that (1 - t)**(r+1)/(r+1) minus all terms is (-1 - t)**(r+1)/(r+1)."""
     ints = []
     for p, q, u, v, n, j in terms:
         P, Q = [1], [0]  # (e*x)**k == P[k] + Q[k]*sqrt(m)
@@ -211,7 +202,7 @@ def kernel_pieces(terms, e: int, r: int, m: int, n_pieces: int):
                 A = [a - den // d * t for a, t in zip(A, TA + [0] * (r + 2 - len(TA)))]
                 B = [b - den // d * t for b, t in zip(B, TB + [0] * (r + 2 - len(TB)))]
         out.append((A, B))
-    if m and any(B) or A != [(-1) ** (r + 1) * c for c in binom]:
+    if any(B) or A != [(-1) ** (r + 1) * c for c in binom]:
         return den, None
     return den * math.factorial(r), out[-2::-1]
 

@@ -110,12 +110,12 @@ def _bound_fn(family: RuleFamily, r: int):
     integrals; where M_r has a corner it is the right-hand derivative (the
     left-hand one at the upper end of the domain).
     """
+    from ._forms import form_of, form_pieces, form_read  # compiled on a family's first scan
+
     values: dict[Fraction, Scalar] = {}
     sigs: dict[Fraction, tuple[int, ...]] = {}
     slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
-    form = family._form
-    if form:
-        from ._forms import form_pieces, form_read
+    form = form_of(family)
 
     def at(x: Fraction, d: int = 0):  # (pieces, breakpoint pairs) at x + d*eps, or None
         read = form and form_read(form, family.domain, x, d)

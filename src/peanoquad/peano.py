@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from ._qpoly import (abs_integral, antiderivative_values, exact_field, int_parts, integrate_pieces,
-                     kernel_pieces, parts, plain_field, remainder, to_scalar)
+from ._qpoly import (abs_integral, antiderivative_values, int_parts, integrate_pieces, kernel_pieces,
+                     parts, plain_field, remainder, to_scalar)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
@@ -69,9 +69,9 @@ class PiecewisePolynomial:
 
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
-        if self.exact is not None:  # in integers for g in Q or the pieces' field, not over Q[eps]
+        if self.exact is not None:  # in integers for g in Q or the pieces' field
             m, gm = self.exact[0][3], plain_field(g.coeffs)
-            if m and gm is not None and (m == 1 or gm in (1, m)):
+            if gm is not None and (m == 1 or gm in (1, m)):
                 G, H, e = int_parts(g.coeffs)
                 return integrate_pieces(self.exact, G, H, e, max(m, gm), self.breakpoints)
         total = Scalar(0)
@@ -119,16 +119,13 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
 
     The breakpoints are -1, 1 and the nodes in ``rules._node_order``; the
     term of the node at b_j is active on the pieces (b_i, b_(i+1)] with i < j.
-    A rule read from a family's fitted form evaluates the form's pieces in x
-    at its x, in integers, where the order condition is an identity in x
-    (``_forms.form_kernel``).  Other plain exact data in Q or one Q(sqrt m),
-    or rational dual numbers (Q[eps] as m = 0), are read once as integers,
-    which key the breakpoint order and form the node terms
-    (``_qpoly.kernel_pieces``).  Plain integer kernels are kept on the rule by
-    r; dual ones are built on every call.  Otherwise each node's term
-    A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed once, and every piece
-    subtracts the terms of its active nodes from the leading term in rule
-    order, the same order whatever the tier of the data.
+    Plain exact data in Q or one Q(sqrt m) are read once as integers, which
+    key the breakpoint order and form the node terms (``_qpoly.kernel_pieces``);
+    that kernel is kept on the rule by r.  Otherwise (interval or dual data)
+    each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
+    once, and every piece subtracts the terms of its active nodes from the
+    leading term in rule order, the same order whatever the tier of the data;
+    that kernel is built on every call.
 
     ``OrderExceedsExactness`` is raised unless every coefficient of
     I[(x-t)^r] - (all node terms), formed by ``minus_terms``, passes ``zero_within``.
@@ -138,14 +135,9 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     kernels = vars(rule).setdefault("_kernels", {})
     if r in kernels:
         return kernels[r]
-    if "_read" in vars(rule):
-        from ._forms import form_kernel
-        kernel = form_kernel(vars(rule)["_read"], r)
-        if kernel:  # kept on the rule unless over Q[eps]
-            return kernels.setdefault(r, kernel) if kernel.exact[0][3] else kernel
     nodes = rule.value_nodes + rule.deriv_nodes
     points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
-    m = exact_field([v for node in nodes for v in node])
+    m = plain_field([v for node in nodes for v in node])
     if m is not None:  # one read of the nodes and weights, over one denominator e
         G, H, e = int_parts(points + [w for _, w in nodes])
         k = len(points)  # the weight of the node points[i] is at k + i - 2
@@ -168,10 +160,8 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
             f"the order-{r} kernel identity does not hold"
         )
     if m is not None:
-        kernel = PiecewisePolynomial(bps, exact=tuple((A, B, den, m) for A, B in exact))
-        if m:
-            kernels[r] = kernel
-        return kernel
+        kernels[r] = PiecewisePolynomial(bps, exact=tuple((A, B, den, m) for A, B in exact))
+        return kernels[r]
     bps, at = _node_order(points)  # after the order check, which may raise first
     pieces = []
     for i in range(len(bps) - 1):
@@ -187,13 +177,13 @@ def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Polynomial, tuple[Ro
     """Each piece with its interior roots on (b_i, b_(i+1)], one
     ``isolate_roots`` call per piece of degree >= 1.  The pieces of an integer
     kernel are ``Polynomial.of_ints``, which the root engine reads as integers.
-    Nodes of a dual pass that meet at x but part with it leave a piece of zero
+    Nodes of a dual rule that meet at x but part with it leave a piece of zero
     length (equal values, compared as plain copies): no roots there."""
     exact, bps = kernel.exact, kernel.breakpoints
     pieces = [Polynomial.of_ints(*p) for p in exact] if exact else kernel.pieces
     out = []
     for piece, lo, hi in zip(pieces, bps, bps[1:]):
-        inside = piece.degree >= 1 and (exact and exact[0][3] or Scalar(lo) != Scalar(hi))
+        inside = piece.degree >= 1 and (exact or Scalar(lo) != Scalar(hi))
         out.append((piece, isolate_roots(piece, lo, hi) if inside else ()))
     return out
 

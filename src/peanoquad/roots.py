@@ -325,8 +325,9 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     come back exactly, the rest as interval scalars of width at most
     ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
     root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` is read
-    from its integers (A + B*eps by its value part A), at the scale 1/den, and
-    other exact coefficients as integers over their common denominator.
+    from its integers (A + B*eps by its value part A; no kernel piece is one),
+    at the scale 1/den, and other exact coefficients as integers over their
+    common denominator.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign.
     Raises :class:`DegreeTooHigh` above degree 16.
@@ -339,7 +340,7 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
         return ()
-    if p.ints is not None:  # (A + B*sqrt(m))/den, or A + B*eps, whose roots are those of A
+    if p.ints is not None:  # (A + B*sqrt(m))/den; over Q[eps] (m = 0) the roots of A
         A, B, den, m = p.ints
     else:
         parts = field_parts(p.coeffs)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import islice, tee
 from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import _ints, exact_field, int_parts, parts, plain_field
+from ._qpoly import _ints, int_parts, parts, plain_field
 from .polynomials import Polynomial
 from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
 
@@ -35,28 +35,19 @@ class QuadRule:
     deriv_nodes: tuple[tuple[Scalar, Scalar], ...]
     params: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):  # reached only while a form rule's nodes are unset
-        read = self.__dict__.get("_read")  # kept by RuleFamily.build: see _forms.form_rule
-        if read is None or name not in ("value_nodes", "deriv_nodes"):
-            raise AttributeError(name)
-        from ._forms import _scalar
-        vars(self).update(zip(("value_nodes", "deriv_nodes"), (tuple(
-            (_scalar(x, read[4]), _scalar(w, read[4])) for x, w in seq) for seq in read[5])))
-        return vars(self)[name]
-
     def apply(self, f, a=-1, b=1, fprime=None) -> Scalar:
         return apply_rule(self, f, a, b, fprime)
 
 
 def _node_order(xs, keys=None, order=None) -> tuple[list[Scalar], list[int]]:
     """The distinct values of xs in exact order (the first instance of each
-    stays), and the index of each x among them.  Exact values
-    (``_qpoly.exact_field``) are keyed by their integer parts over one
+    stays), and the index of each x among them.  Plain exact values
+    (``_qpoly.plain_field``) are keyed by their integer parts over one
     denominator, or by the ``keys`` and ``order`` of ``_node_keys`` that a
     caller has read already.  Other values merge by Scalar == and sort by
     Scalar <, so values that overlap without being equal raise AmbiguousOrder."""
     if keys is None:
-        m = exact_field(xs)
+        m = plain_field(xs)
         if m is None:  # the key of x: the index of its first instance
             keys, order = [], xs.__getitem__
             for i, x in enumerate(xs):
@@ -73,9 +64,8 @@ def _node_order(xs, keys=None, order=None) -> tuple[list[Scalar], list[int]]:
 
 def _node_keys(G: list[int], H: list[int], m: int):
     """Sort keys (G_i, H_i) of the values (G_i + H_i*sqrt(m))/e, and the key
-    function that orders them: pairs in lexicographic order for rationals and
-    for rational _Duals G_i + H_i*eps (as _Dual orders), else by the sign of
-    a difference."""
+    function that orders them: pairs in lexicographic order for rationals
+    (every H_i is 0), else by the sign of a difference."""
     order = cmp_to_key(lambda u, v: _quad(u[0] - v[0], u[1] - v[1], m).sign()) if m > 1 else None
     return list(zip(G, H)), order
 
@@ -576,30 +566,12 @@ class RuleFamily:
 
     def build(self, x) -> QuadRule:
         """The rule at node x; the same rule make_rule gives for these parameters.
-
-        A rational x (or x + d*eps) in ``domain`` is read from the family's
-        fitted integer form, when it has one (``_forms``); that rule builds
-        its node Scalars when first read.  Any other x runs the catalog
-        builder, which raises its own ``ParamOutOfDomain`` outside the domain."""
+        The catalog builder raises its own ``ParamOutOfDomain`` outside the domain."""
         x = as_scalar(x)
         entry = CATALOG[self.name]
         params = {p: x if p == "x" else self.fixed_params[p] for p in entry.param_names}
-        if self._form:
-            from ._forms import form_rule
-            if rule := form_rule(self._form, self.domain, self.name, x, params):
-                return rule
         values, derivs = entry.builder(*params.values())
         return _assemble(self.name, values, derivs, params)
-
-    @cached_property
-    def _form(self):
-        """The family's ``_forms.family_form``, or None (a fixed parameter that is
-        not rational, or no form).  ``_forms`` is imported, so compiled, only here."""
-        fixed = tuple(self.fixed_params.items())
-        if not all(type(v) is Scalar and v._frac is not None for _, v in fixed):
-            return None
-        from ._forms import family_form
-        return family_form(self.name, tuple((k, v._frac) for k, v in fixed), self.domain)
 
     def label(self) -> str:
         if not self.fixed_params:

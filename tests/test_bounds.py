@@ -457,39 +457,41 @@ def test_branch_points_on_grid_points_are_exact():
     assert points("mod3_opt", 2) == (Scalar(F(-1, 3)), Scalar(0), Scalar(F(1, 3)))
 
 
-# kernel passes of the branch-point search over the scans below on 33
+# signature probes of the branch-point search over the scans below on 33
 # points, counted the same way, when every change was bisected to 1e-9: 693
-# in 27 searches, 641 of them for the 25 changes on a grid point
+# in 27 searches, 641 of them for the 25 changes within 1e-9 of a grid point
 GRID_POINT_SCANS = [("ostrowski", 0), ("gs2", 0), ("gs2", 1), ("franjic", 0), ("franjic", 1),
                     ("liu_park", 0), ("liu_park", 1), ("dragomir_sofo", 0),
                     ("dragomir_sofo", 1), ("mod3_opt", 2)]
 
 
-def test_grid_point_branch_points_need_few_kernel_passes(monkeypatch):
+def test_grid_point_branch_points_need_few_signature_probes(monkeypatch):
+    # a change beside a grid point is found by one or two probes one tol
+    # inside the cell's ends, with no bisection; probes are the distinct x
+    # other than the two ends that each search asks the signature of
     import peanoquad.bounds as bounds
 
-    calls = [0]
-    kernel, locate = bounds.kernel_l1_norm, bounds._locate_signature_change
-    on_grid, passes = [], []
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return kernel(*args, **kwargs)
+    locate = bounds._locate_signature_change
+    on_grid, probes = [], []
 
     def located(sig, a, b, tol):
-        before = calls[0]
-        k = locate(sig, a, b, tol)
-        passes.append(calls[0] - before)
+        asked = set()
+
+        def watched(x):
+            asked.add(x)
+            return sig(x)
+
+        k = locate(watched, a, b, tol)
+        probes.append(len(asked - {a, b}))
         on_grid.append(k in (a, b))
         return k
 
-    monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
     monkeypatch.setattr(bounds, "_locate_signature_change", located)
     for name, r in GRID_POINT_SCANS:
         bound_scan(family(name), r, grid_size=33)
     assert sum(on_grid) >= 20
-    assert all(n <= 2 for n, hit in zip(passes, on_grid) if hit), passes
-    assert 5 * sum(passes) <= 693, sum(passes)
+    assert all(1 <= n <= 2 for n, hit in zip(probes, on_grid) if hit), probes
+    assert 5 * sum(probes) <= 693, sum(probes)
 
 
 def test_narrow_scan_window_is_never_probed_outside_a_cell(monkeypatch):
@@ -701,6 +703,7 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
     # to_json_str, tier, enclosure and type, at every order on the family
     # points: both closed domain ends (the slope seeded -1 at the upper one),
     # and x = 0 and 1, where nodes meet
+    from peanoquad._forms import form_of
     from peanoquad.bounds import _bound_fn
     from util import family_points, reference_bound_fn
 
@@ -722,7 +725,7 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
             assert sig(x) == want_sig(x), where
             assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
     passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt", "interval"))
-    if fam._form is None:  # the builder's rules, by kernel passes
+    if form_of(fam) is None:  # the builder's rules, by kernel passes
         assert passes == 0 and lanes["kernel_l1_norm"] == 2 * len(points)
     else:  # every point the form covers, those with a bracketed root or two radicands too
         assert passes == 2 * (len(points) - len(extra)), lanes

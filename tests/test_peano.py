@@ -828,12 +828,30 @@ def _oracle_rules():
     return rules + [family("gs2").build(_Dual(F(1, 2), seed)) for seed in (1, -1)]
 
 
+def _node_fingerprints(values):
+    return [(_fingerprint(v), v.bounds()) for v in values]
+
+
+def test_dual_nodes_order_as_the_scalar_reference():
+    # rational _Dual nodes that meet at a value, or part with it, and plain
+    # copies, merged and ordered as the Scalar == scan and < sort: same
+    # values, types, tiers and ends
+    c = F(1, 3)
+    colliding = [(_Dual(c, 1), F(1, 2)), (_Dual(c, -1), F(1, 3)), (Scalar(c), F(1, 5)),
+                 (_Dual(c, F(-1, 2)), ONE), (_Dual(c, 1), F(1, 4)), (_Dual(-c, 2), F(2, 7)),
+                 (_Dual(c, -1), F(-1, 3)), (Scalar(-c), ONE), (_Dual(F(-1), 1), ONE),
+                 (_Dual(F(1), -1), F(1, 6)), (_Dual(c, F(1, 3)), ONE)]
+    rng = random.Random(2502)
+    for _ in range(40):
+        rng.shuffle(colliding)
+        nodes = colliding[:rng.randint(1, len(colliding))]
+        got, want = _merge_nodes(nodes), reference_merge_nodes(nodes)
+        assert [_node_fingerprints(p) for p in got] == [_node_fingerprints(p) for p in want], nodes
+
+
 def test_node_order_matches_the_scalar_reference():
     # nodes merged and ordered for a rule, and the breakpoints of its kernels,
     # against the Scalar == scan and < sort: same values, types, tiers and ends
-    def fingerprints(values):
-        return [(_fingerprint(v), v.bounds()) for v in values]
-
     for rule in _oracle_rules():
         pairs = list(rule.value_nodes + rule.deriv_nodes)
         cancel = [(pairs[0][0], -pairs[0][1])]  # the first node's weight sums to 0
@@ -841,10 +859,10 @@ def test_node_order_matches_the_scalar_reference():
         for nodes in (rule.value_nodes, rule.deriv_nodes, pairs, pairs[::-1], pairs + cancel,
                       thirds):
             got, want = _merge_nodes(nodes), reference_merge_nodes(nodes)
-            assert [fingerprints(p) for p in got] == [fingerprints(p) for p in want], rule.name
-        want = fingerprints(reference_breakpoints(rule))
+            assert [_node_fingerprints(p) for p in got] == [_node_fingerprints(p) for p in want], rule.name
+        want = _node_fingerprints(reference_breakpoints(rule))
         for r in range(min(degree_of_exactness(rule, k_max=8).degree, 2) + 1):
-            assert fingerprints(build_kernel(rule, r).breakpoints) == want, (rule.name, r)
+            assert _node_fingerprints(build_kernel(rule, r).breakpoints) == want, (rule.name, r)
 
 
 @pytest.mark.parametrize("dps", [20, 60, 120])
@@ -869,25 +887,6 @@ def test_dual_cut_points_keep_their_derivative():
     assert all(type(c) is Scalar for p in rep.kernel.pieces for c in p.coeffs)
     value, slope = _Dual.parts(rep.l1_norm)
     assert value.to_json_str() == "10/9" and slope.to_json_str() == "2/3"
-
-
-def test_rational_dual_pass_takes_the_integer_lane(monkeypatch):
-    # gs2 at x = 1/3 + eps, r = 0: a rational kernel root, integrated in
-    # integers over Q[eps] with no Scalar moment or antiderivative
-    import peanoquad.peano as peano
-
-    rule = family("gs2").build(_Dual(F(1, 3), 1))
-    want = reference_kernel_l1_norm(rule, 0)
-    assert want.sign_changes and all(rt.location.is_rational for rt in want.sign_changes)
-
-    def scalar_pass(*args):
-        raise AssertionError("Scalar pass on rational dual data")
-
-    monkeypatch.setattr(peano, "_integrals", scalar_pass)
-    monkeypatch.setattr(Polynomial, "antiderivative", scalar_pass)
-    got = kernel_l1_norm(rule, 0)
-    assert _report_fingerprint(got) == _report_fingerprint(want)
-    assert type(got.l1_norm) is _Dual
 
 
 Q44 = {"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)}
@@ -1095,58 +1094,14 @@ def test_kernel_is_zero_outside_its_interval():
         k.evaluate(_narrow(F(-1)))
 
 
-def _no_scalar_order(monkeypatch):
-    """Make every Scalar and _Dual comparison raise."""
-    def compared(*args):
-        raise AssertionError("a Scalar comparison")
-
-    for cls in (Scalar, _Dual):
-        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "lt_definite"):
-            if name in vars(cls):
-                monkeypatch.setattr(cls, name, compared)
-
-
-def test_dual_nodes_order_by_their_integer_keys(monkeypatch):
-    # rational _Dual nodes are merged and ordered by their integer (value,
-    # derivative) keys in lexicographic order, as _Dual orders: the result of
-    # the Scalar == scan and < sort, reached with no Scalar comparison
-    def fingerprints(nodes):
-        return [(_fingerprint(x), _fingerprint(w)) for x, w in nodes]
-
-    x = F(1, 3)
-    colliding = [(_Dual(x, 1), F(1, 2)), (_Dual(x, -1), F(1, 3)), (Scalar(x), F(1, 5)),
-                 (_Dual(x, F(-1, 2)), ONE), (_Dual(x, 1), F(1, 4)), (_Dual(-x, 2), F(2, 7)),
-                 (_Dual(x, -1), F(-1, 3)), (Scalar(-x), ONE), (_Dual(F(-1), 1), ONE),
-                 (_Dual(F(1), -1), F(1, 6)), (_Dual(x, F(1, 3)), ONE)]
-    rng = random.Random(2502)
-    cases = []
-    for _ in range(40):
-        rng.shuffle(colliding)
-        cases.append(colliding[:rng.randint(1, len(colliding))])
-    rules = [rule for rule in _oracle_rules()
-             if any(type(x) is _Dual for x, _ in rule.value_nodes + rule.deriv_nodes)]
-    rules = [rule for rule in rules
-             if all(v.is_rational for node in rule.value_nodes + rule.deriv_nodes
-                    for v in node for v in _Dual.parts(v))]
-    assert len(rules) >= 20
-    for rule in rules:
-        cases += [rule.value_nodes, rule.deriv_nodes, rule.value_nodes + rule.deriv_nodes]
-    wants = [fingerprints(reference_merge_nodes(nodes)) for nodes in cases]
-    breakpoints = [[_fingerprint(b) for b in reference_breakpoints(rule)] for rule in rules]
-    with monkeypatch.context() as m:
-        _no_scalar_order(m)
-        gots = [_merge_nodes(nodes) for nodes in cases]
-        kernels = [build_kernel(rule, 0) for rule in rules]
-    assert [fingerprints(got) for got in gots] == wants
-    assert [[_fingerprint(b) for b in k.breakpoints] for k in kernels] == breakpoints
-
-
 def test_rational_pieces_sum_in_integers(monkeypatch):
-    # a kernel whose data and roots are exact in Q or one Q(sqrt m) (Q[eps],
-    # Q(sqrt m)[eps] for a dual pass) adds each piece's |F(c') - F(c)| in one
-    # integer sum: no antiderivative triple and no term-by-term sum, and the
-    # report of the Scalar reference
+    # a kernel whose data and roots are exact in Q or one Q(sqrt m) adds each
+    # piece's |F(c') - F(c)| in one integer sum, and so does the slope pass of
+    # a scan point x + eps over Q[eps] or Q(sqrt m)[eps]: no antiderivative
+    # triple and no term-by-term sum, and the value of the Scalar reference
     import peanoquad.peano as peano
+    from peanoquad.bounds import _bound_fn
+    from peanoquad.rules import RuleFamily
 
     rng = random.Random(2503)
     rules = [make_rule(name) for name in ("simpson", "radau2", "gauss_legendre2", "liu_park_gauss",
@@ -1154,30 +1109,40 @@ def test_rational_pieces_sum_in_integers(monkeypatch):
     rules += [family(name).build(Scalar(x)) for name in ("gs2", "ostrowski", "mp3", "mod3_opt",
                                                           "liu_park", "dragomir_sofo")
               for x in (F(1, 3), F(1, 4), F(3, 5))]
-    rules += [family(name, **fixed).build(_Dual(x, 1))
-              for name, fixed in (("gs2", {}), ("ostrowski", {}), ("alomari4", {"lam": F(9, 43)}))
-              for x in (F(1, 3), F(3, 5))]
     rules += [random_rational_rule(rng, with_derivs=i % 2 == 1) for i in range(20)]
     cases = [(rule, r) for rule in rules
              for r in range(min(degree_of_exactness(rule, k_max=8).degree, 4) + 1)]
     wants = [reference_kernel_l1_norm(rule, r) for rule, r in cases]
+    fams = [family(name, **fixed) for name, fixed in (("gs2", {}), ("ostrowski", {}), ("mp3", {}),
+                                                       ("alomari4", {"lam": F(9, 43)}))]
+    slopes = [(fam, x, r) for fam in fams for x in (F(1, 3), F(3, 5))
+              for r in range(fam.generic_degree + 1)]
+    slope_wants = [reference_kernel_l1_norm(fam.build(_Dual(x, 1)), r) for fam, x, r in slopes]
 
     def radicands(rep):
         values = [*rep.kernel.breakpoints, *(c for p in rep.kernel.pieces for c in p.coeffs)]
         return {v._sqrt[2] for v in values + [rt.location for rt in rep.sign_changes] if v._sqrt}
 
-    kept = [(case, want) for case, want in zip(cases, wants)
-            if all(rt.is_exact() for rt in want.sign_changes) and len(radicands(want)) <= 1]
+    def summed_in_integers(pairs):
+        return [(case, want) for case, want in pairs
+                if all(rt.is_exact() for rt in want.sign_changes) and len(radicands(want)) <= 1]
+
+    kept = summed_in_integers(zip(cases, wants))
     assert len(kept) >= 60 and sum(bool(want.sign_changes) for _, want in kept) >= 30
     assert sum(bool(radicands(want)) for _, want in kept) >= 10
-    assert sum(type(want.l1_norm) is _Dual for _, want in kept) >= 10
-    assert any(type(want.l1_norm) is _Dual and radicands(want) for _, want in kept)
+    kept_slopes = summed_in_integers(zip(slopes, slope_wants))
+    assert len(kept_slopes) >= 10 and all(type(want.l1_norm) is _Dual for _, want in kept_slopes)
+    assert any(radicands(want) for _, want in kept_slopes)
 
     def scalar_sum(*args):
-        raise AssertionError("a term-by-term sum on exact cuts")
+        raise AssertionError("a term-by-term sum on exact cuts, or a built rule")
 
     monkeypatch.setattr(peano, "antiderivative_values", scalar_sum)
     monkeypatch.setattr(Polynomial, "antiderivative", scalar_sum)
     gots = [kernel_l1_norm(rule, r) for (rule, r), _ in kept]
+    monkeypatch.setattr(RuleFamily, "build", scalar_sum)
+    got_slopes = [_bound_fn(fam, r)[2](x) for (fam, x, r), _ in kept_slopes]
     monkeypatch.undo()
     assert [_report_fingerprint(g) for g in gots] == [_report_fingerprint(w) for _, w in kept]
+    assert ([[_fingerprint(v) for v in got] for got in got_slopes]
+            == [[_fingerprint(v) for v in _Dual.parts(w.l1_norm)] for _, w in kept_slopes])
