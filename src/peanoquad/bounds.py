@@ -6,7 +6,7 @@ from kernels (never from hard-coded formulas), so it works equally for
 families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid, which localizes even branch points where the bound itself is
-numerically indistinguishable from smooth.  A probe of that pattern counts
+numerically indistinguishable from smooth.  A probe of that pattern isolates
 the kernel's roots, but forms no L1 sum.  A change within the
 bisection tolerance of a grid point (a branch switch at x = 1/2, or nodes
 colliding at a domain end) is taken as that grid point, exactly; any other
@@ -17,11 +17,11 @@ Minima are found from the exact derivative dM_r/dx, which one kernel pass at
 a dual-number node x + eps gives (forward-mode differentiation).  On each
 branch the minimizer is a branch end, or lies in a bracket across which the
 sign of dM_r/dx provably changes from negative to positive; the bracket is
-shrunk by regula falsi on exact rational iterates.  A scan point that the
-family's fitted form covers (a rational x or x + eps) is valued, probed and
-differentiated in one integer pass over the form's kernel pieces in x, with
-no rule or kernel object; any other point builds its rule (``RuleFamily.build``)
-and runs the kernel pass on it.
+shrunk by regula falsi on exact rational iterates.  A value, probe or
+slope at a scan point is one pass that isolates the roots of each kernel
+piece: over the integer pieces of the family's fitted form where it covers
+the point (a rational x or x + eps), with no rule or kernel object, and over
+the kernel of the built rule (``RuleFamily.build``) at any other point.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .errors import (
     ParamOutOfDomain,
     PointOutsideBox,
 )
-from .peano import _piece_roots, build_kernel, kernel_l1_norm, l1_sum
-from .roots import DEFAULT_ROOT_TOL, _count_roots, _isolate_rational, _simplest_in_open
+from .peano import _kernel_l1, _piece_roots, build_kernel, l1_sum
+from .roots import DEFAULT_ROOT_TOL, _isolate_rational, _simplest_in_open
 from .rules import Domain, QuadRule, RuleFamily
 from .scalars import Scalar, _Dual, approx_quad, as_scalar, field_parts, get_working_dps
 
@@ -82,29 +82,19 @@ class MinimizeResult(NamedTuple):
     multimodal_suspected: bool
 
 
-def _form_roots(pieces: list, ends: list) -> list:
-    """The roots inside each of a form's kernel pieces (``_forms.form_pieces``):
-    its value part goes to the integer root engine as ``isolate_roots`` hands
-    it over (A's lead is nonzero).  A piece of zero length, left by nodes of a
-    dual pass that meet at x but part with it, has none."""
-    return [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den))
-            for (A, _, den, _), (lo, _), (hi, _) in zip(pieces, ends, ends[1:])]
-
-
 def _bound_fn(family: RuleFamily, r: int):
     """Memoized x -> M_r(x), x -> kernel root signature, and
     x -> (M_r(x), M_r'(x)).
 
     The signature is the per-piece count of interior kernel roots; it changes
-    exactly where the bound function switches branch.  At a rational x, or
-    x + eps, that the family's fitted form covers, each is one integer pass
-    over the form's kernel pieces (``_forms.form_pieces``), with no rule,
-    kernel or report: a probe counts each piece's distinct roots on its
-    integer Sturm chain (``roots._count_roots``), and a value or slope pass
-    isolates them (``_form_roots``) and sums |K_r| by ``peano.l1_sum``, the
-    sum of every integer kernel.  Any other x builds the rule and runs the
-    kernel pass (``kernel_l1_norm``; a probe builds the kernel and isolates
-    its roots).  A probe forms no L1 sum; a later M_r(x) runs the full pass.
+    exactly where the bound function switches branch.  Each is one pass at x,
+    or x + eps, that isolates the roots of every kernel piece: of the fitted
+    form's integer pieces (``_forms.form_pieces``) at a rational point that
+    the form covers, with no rule or kernel, else of the built rule's kernel
+    (``_piece_roots``).  A value or slope pass then sums |K_r| over them
+    (``peano.l1_sum``, or ``_kernel_l1`` as ``kernel_l1_norm`` does); a probe
+    forms no sum.  A pass at x memoizes its signature; no piece or root
+    outlives it.
     The derivative is that of the kernel pass at a dual number x + eps,
     which carries d/dx through the nodes, weights, breakpoints and
     integrals; where M_r has a corner it is the right-hand derivative (the
@@ -117,51 +107,38 @@ def _bound_fn(family: RuleFamily, r: int):
     slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
     form = form_of(family)
 
-    def at(x: Fraction, d: int = 0):  # (pieces, breakpoint pairs) at x + d*eps, or None
+    def scan(x: Fraction, d: int = 0, summed: bool = True):  # the pass at x + d*eps
         read = form and form_read(form, family.domain, x, d)
         pieces = read and form_pieces(read, r)
-        E = pieces and read[4]
-        return pieces and (pieces, [(Fraction(g, E), h and Fraction(h, E)) for g, h in read[6]])
+        if pieces:  # value parts to the root engine as isolate_roots hands them over
+            ends = [(Fraction(g, read[4]), h and Fraction(h, read[4])) for g, h in read[6]]
+            found = [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den))
+                     for (A, _, den, _), (lo, _), (hi, _) in zip(pieces, ends, ends[1:])]
+        else:
+            kernel = build_kernel(family.build(_Dual(x, d) if d else Scalar(x)), r)
+            found = [roots for _, roots in _piece_roots(kernel)]
+        if not d:
+            sigs[x] = tuple(map(len, found))
+        if summed:
+            return l1_sum(pieces, ends, found) if pieces else _kernel_l1(kernel, found)
 
     def fn(x: Fraction) -> Scalar:
         got = values.get(x)
         if got is None:
-            if read := at(x):
-                found = _form_roots(*read)
-                got, counts = l1_sum(*read, found), map(len, found)
-            else:
-                rep = kernel_l1_norm(family.build(Scalar(x)), r)
-                counts = [0] * (len(rep.kernel.breakpoints) - 1)
-                for root in rep.sign_changes:
-                    counts[rep.kernel.piece_index(root.location)] += 1
-                got = rep.l1_norm
-            values[x] = got
-            sigs.setdefault(x, tuple(counts))
+            got = values[x] = scan(x)
         return got
 
     def sig(x: Fraction) -> tuple[int, ...]:
-        got = sigs.get(x)
-        if got is None:
-            if read := at(x):
-                pieces, ends = read
-                bps = [p for p, _ in ends]
-                got = tuple(map(_count_roots, (A for A, *_ in pieces), bps, bps[1:]))
-            else:
-                k = build_kernel(family.build(Scalar(x)), r)
-                got = tuple(len(roots) for _, roots in _piece_roots(k))
-            sigs[x] = got
-        return got
+        if x not in sigs:
+            scan(x, summed=False)
+        return sigs[x]
 
     def slope(x: Fraction) -> tuple[Scalar, Scalar]:
         got = slopes.get(x)
         if got is None:
             # one-sided into the domain: from the left at its upper end
             seed = -1 if x == family.domain.hi else 1
-            if read := at(x, seed):
-                total = l1_sum(*read, _form_roots(*read))
-            else:
-                total = kernel_l1_norm(family.build(_Dual(x, seed)), r).l1_norm
-            m, dm = _Dual.parts(total)
+            m, dm = _Dual.parts(scan(x, seed))
             got = slopes[x] = (m, dm * seed)
         return got
 

@@ -235,6 +235,21 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     return _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d)) if scalar is None else scalar
 
 
+def _kernel_l1(kernel: PiecewisePolynomial, found) -> Scalar:
+    """The integral of |K_r| over [-1, 1], given the roots inside each piece
+    (``_piece_roots``): a kernel formed in integers by ``l1_sum``, on its
+    breakpoints as pairs (``_qpoly.parts``); any other in Scalar arithmetic,
+    total + |F(c') - F(c)| term by term."""
+    bps = kernel.breakpoints
+    if kernel.exact:
+        return l1_sum(kernel.exact, [parts(b) for b in bps], found)
+    total = Scalar(0)
+    for piece, roots, lo, hi in zip(kernel.pieces, found, bps, bps[1:]):
+        F = piece.antiderivative()
+        total = _abs_diffs(total, [F(s) for s in (lo, *(rt.location for rt in roots), hi)])
+    return total
+
+
 def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     """Sharp constant M_r = integral of |K_r| with sign changes isolated.
 
@@ -242,21 +257,11 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     lie in one Q(sqrt m) and every kernel root is rational or lies in it;
     otherwise a validated value whose radius is reported.  A continuity flag
     is True when the jump of K_r at that interior breakpoint passes
-    ``Scalar.zero_within``.  A kernel formed in integers is summed by
-    ``l1_sum``, on its breakpoints as pairs (``_qpoly.parts``); any other in
-    Scalar arithmetic, total + |F(c') - F(c)| term by term.
+    ``Scalar.zero_within``.
     """
     kernel = build_kernel(rule, r)
     found = [roots for _, roots in _piece_roots(kernel)]
-    bps = kernel.breakpoints
-    if kernel.exact:
-        total = l1_sum(kernel.exact, [parts(b) for b in bps], found)
-    else:
-        total = Scalar(0)
-        for piece, roots, lo, hi in zip(kernel.pieces, found, bps, bps[1:]):
-            F = piece.antiderivative()
-            total = _abs_diffs(total, [F(s) for s in (lo, *(rt.location for rt in roots), hi)])
-    return KernelReport(order=r, kernel=kernel, l1_norm=total,
+    return KernelReport(order=r, kernel=kernel, l1_norm=_kernel_l1(kernel, found),
                         sign_changes=tuple(rt for roots in found for rt in roots))
 
 

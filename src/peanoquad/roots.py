@@ -153,26 +153,6 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
     return [_quad(a, y, m) for y, ok in zip((-b, b), inside) if ok]
 
 
-def _deflate_ends(c: list[int], lo: Fraction, hi: Fraction) -> list[int]:
-    """c with its roots at lo and hi divided out, by exact division in Z[t]."""
-    for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
-        while _fdeg(c) >= 1 and int_horner(c, p, q) == 0:
-            c = _idiv(c, [-p, q])
-    return c
-
-
-def _count_roots(c: list[int], lo: Fraction, hi: Fraction) -> int:
-    """The number of distinct roots inside (lo, hi) of the integer polynomial
-    c: roots at the ends are divided out as ``_isolate_rational`` does, and
-    Sturm's theorem gives V(lo) - V(hi) on the integer chain."""
-    c = _deflate_ends(c, lo, hi)
-    if _fdeg(c) < 1:
-        return 0
-    chain = _sturm_chain_int(c)
-    return (_variations(chain, lo.numerator, lo.denominator)
-            - _variations(chain, hi.numerator, hi.denominator))
-
-
 def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
                       lead=None) -> list[Root]:
     """Roots inside (lo, hi) of the rational (Fraction or integer)
@@ -187,7 +167,10 @@ def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
     are split by Yun, and factors above degree 2 are isolated with integer
     Sturm chains.
     """
-    c = _deflate_ends(_to_int_primitive(coeffs) if lead is None else _primitive(coeffs), lo, hi)
+    c = _to_int_primitive(coeffs) if lead is None else _primitive(coeffs)
+    for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
+        while _fdeg(c) >= 1 and int_horner(c, p, q) == 0:  # a root at an end
+            c = _idiv(c, [-p, q])
     if _fdeg(c) < 1:
         return []
     if _fdeg(c) == 2 and c[1] * c[1] == 4 * c[0] * c[2]:
@@ -325,13 +308,16 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     come back exactly, the rest as interval scalars of width at most
     ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
     root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` is read
-    from its integers (A + B*eps by its value part A; no kernel piece is one),
-    at the scale 1/den, and other exact coefficients as integers over their
-    common denominator.
+    from its integers, at the scale 1/den, and other exact coefficients as
+    integers over their common denominator.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign.
-    Raises :class:`DegreeTooHigh` above degree 16.
+    Raises :class:`DegreeTooHigh` above degree 16, and ``ValueError`` for a
+    ``Polynomial.of_ints`` over Q[eps] (m = 0): read as one over Q(sqrt m),
+    its norm could not settle a sign at an irrational root.
     """
+    if p.ints is not None and not p.ints[3]:
+        raise ValueError("isolate_roots takes no polynomial over Q[eps]")
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
     lo_s, hi_s = as_scalar(lo), as_scalar(hi)
@@ -340,7 +326,7 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
         return ()
-    if p.ints is not None:  # (A + B*sqrt(m))/den; over Q[eps] (m = 0) the roots of A
+    if p.ints is not None:  # (A + B*sqrt(m))/den
         A, B, den, m = p.ints
     else:
         parts = field_parts(p.coeffs)
@@ -349,5 +335,4 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         m, ab = parts
         *AB, den = _ints(*(x for pair in ab for x in pair))
         A, B = AB[::2], AB[1::2]
-    B = _ftrim(list(B)) if m else []
-    return tuple(_isolate_field(_ftrim(list(A)), B, den, m, lof, hif, DEFAULT_ROOT_TOL))
+    return tuple(_isolate_field(_ftrim(list(A)), _ftrim(list(B)), den, m, lof, hif, DEFAULT_ROOT_TOL))

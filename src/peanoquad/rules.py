@@ -595,6 +595,8 @@ def family(name: str, **fixed) -> RuleFamily:
             f"{name} family needs fixed parameter(s) {sorted(needed)}, got {sorted(given)}"
         )
     if entry.name == "dcr":
+        if not fixed_scalars["lam"].is_rational:  # the node domain's ends are rational
+            raise ParamOutOfDomain(f"dcr: lambda must be rational, got {fixed_scalars['lam']}")
         lam = fixed_scalars["lam"].as_fraction()
         if not 0 <= lam <= 1:
             raise ParamOutOfDomain("dcr: need 0 <= lambda <= 1")

@@ -285,13 +285,13 @@ def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
     import peanoquad.bounds as bounds
 
     searching, calls = [False], [0]
-    kernel, form_sum, search = bounds.kernel_l1_norm, bounds.l1_sum, bounds._slope_min
+    kernel, form_sum, search = bounds._kernel_l1, bounds.l1_sum, bounds._slope_min
 
-    def counted(*args, **kwargs):
+    def counted(*args):  # the sum of a kernel pass on a built rule
         calls[0] += searching[0]
-        return kernel(*args, **kwargs)
+        return kernel(*args)
 
-    def counted_form_sum(*args):  # an integer pass is counted as a kernel_l1_norm call
+    def counted_form_sum(*args):  # an integer pass is counted as a kernel pass
         calls[0] += searching[0]
         return form_sum(*args)
 
@@ -299,7 +299,7 @@ def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
         searching[0] = True
         return search(*args)
 
-    monkeypatch.setattr(bounds, "kernel_l1_norm", counted)
+    monkeypatch.setattr(bounds, "_kernel_l1", counted)
     monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
     monkeypatch.setattr(bounds, "_slope_min", flagged)
     for name, r in CRITERION_5_CASES:
@@ -636,23 +636,25 @@ def test_scan_rejects_a_negative_order():
             call()
 
 
-def test_probes_count_roots_without_isolating_them(monkeypatch):
-    # a probe of a rational kernel counts each piece's roots on a Sturm chain:
-    # no isolate_roots call, and the counts of the full-pass reference
-    import peanoquad.peano as peano
-    from peanoquad.bounds import _bound_fn
+def test_probes_at_covered_points_build_no_rule_or_kernel(monkeypatch):
+    # a probe at a point the fitted form covers isolates the roots of the
+    # form's pieces: no rule and no kernel is built, and each piece has the
+    # roots the full-pass reference counts in it
+    import peanoquad.bounds as bounds
+    from peanoquad.rules import RuleFamily
 
-    def isolated(*args):
-        raise AssertionError("a probe isolated roots")
+    def built(*args):
+        raise AssertionError("a probe built a rule or a kernel")
 
     for name, fixed in SCAN_FAMILIES:
         fam = family(name, **fixed)
         for r in range(fam.generic_degree + 1):
             grid = fam.domain.grid(9)
             want = [reference_signature(fam.build(Scalar(x)), r) for x in grid]
-            _, sig, _ = _bound_fn(fam, r)
+            _, sig, _ = bounds._bound_fn(fam, r)
             with monkeypatch.context() as m:
-                m.setattr(peano, "isolate_roots", isolated)
+                m.setattr(RuleFamily, "build", built)
+                m.setattr(bounds, "build_kernel", built)
                 assert [sig(x) for x in grid] == want, (name, r)
 
 
@@ -671,12 +673,12 @@ def _fingerprint(v):
 
 
 def _pass_lanes(monkeypatch):
-    """Wrap the integer pass's sum (bounds.l1_sum) and kernel_l1_norm; count
-    what each scan point took."""
+    """Wrap the integer pass's sum (bounds.l1_sum) and the sum of a kernel
+    pass on a built rule (bounds._kernel_l1); count what each scan point took."""
     import peanoquad.bounds as bounds
 
     lanes = Counter()
-    form_sum, kernel = bounds.l1_sum, bounds.kernel_l1_norm
+    form_sum, kernel = bounds.l1_sum, bounds._kernel_l1
 
     def counted_form_sum(pieces, ends, roots):
         out = form_sum(pieces, ends, roots)
@@ -688,17 +690,17 @@ def _pass_lanes(monkeypatch):
         return out
 
     def counted_kernel(*args):
-        lanes["kernel_l1_norm"] += 1
+        lanes["kernel pass"] += 1
         return kernel(*args)
 
     monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
-    monkeypatch.setattr(bounds, "kernel_l1_norm", counted_kernel)
+    monkeypatch.setattr(bounds, "_kernel_l1", counted_kernel)
     return lanes
 
 
 @pytest.mark.parametrize("name,fixed", PASS_FAMILIES)
 def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
-    # M_r(x), the signature (probed first, and after a value) and (M_r, M_r')
+    # M_r(x), the signature (probed first, after a value and after a slope) and (M_r, M_r')
     # of the integer pass equal those of kernel passes on built rules, by
     # to_json_str, tier, enclosure and type, at every order on the family
     # points: both closed domain ends (the slope seeded -1 at the upper one),
@@ -724,14 +726,36 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
             assert _fingerprint(fn(x)) == _fingerprint(want_fn(x)), where
             assert sig(x) == want_sig(x), where
             assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
+            assert sig(x) == want_sig(x), where  # a slope pass leaves the signature alone
     passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt", "interval"))
     if form_of(fam) is None:  # the builder's rules, by kernel passes
-        assert passes == 0 and lanes["kernel_l1_norm"] == 2 * len(points)
+        assert passes == 0 and lanes["kernel pass"] == 2 * len(points)
     else:  # every point the form covers, those with a bracketed root or two radicands too
         assert passes == 2 * (len(points) - len(extra)), lanes
-        assert lanes["kernel_l1_norm"] == 2 * len(extra), lanes
+        assert lanes["kernel pass"] == 2 * len(extra), lanes
     if name == "q44":  # the sum goes on in Scalar arithmetic, equal to the kernel pass
         assert lanes["value", "interval"] >= 1 and lanes["dual", "interval"] >= 1, lanes
+
+
+@pytest.mark.parametrize("r,kinks", [(0, [0, F(4, 5), 1]), (1, [0, F(3, 8), F(3, 5), 1])])
+def test_an_interval_parameter_scans_as_its_midpoint(r, kinks, monkeypatch):
+    # alomari4 at lambda = 1/5 +- 1e-40 has no fitted form: every value,
+    # probe and slope builds the rule and runs the kernel pass, on intervals
+    # and dual numbers.  Its branch points and minimizer are those at
+    # lambda = 1/5, and each grid value encloses the value there
+    tiny = F(1, 10**40)
+    fam = family("alomari4", lam=Scalar.from_interval(F(1, 5) - tiny, F(1, 5) + tiny))
+    exact = family("alomari4", lam=F(1, 5))
+    want = bound_scan(exact, r, grid_size=9)
+    lanes = _pass_lanes(monkeypatch)
+    got = bound_scan(fam, r, grid_size=9)
+    assert lanes["kernel pass"] > 0 and set(lanes) == {"kernel pass"}, lanes
+    assert got.branch_points == want.branch_points == tuple(map(Scalar, kinks))
+    assert got.minimizer[0] == want.minimizer[0] == Scalar(F(2, 5))
+    for v, w in zip(got.values, want.values):
+        (lo, hi), (wlo, whi) = v.bounds(), w.bounds()
+        assert not v.is_exact and lo <= wlo and whi <= hi, (v, w)
+    assert minimize_bound(fam, r).x == minimize_bound(exact, r).x == Scalar(F(2, 5))
 
 
 def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
@@ -752,7 +776,7 @@ def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
             fn(x), slope(x)
     assert lanes[("value", "sqrt")] >= 10 and lanes[("dual", "sqrt")] >= 10
     assert lanes["zero-length pieces"] >= 1
-    assert lanes[("value", "Q")] + lanes[("dual", "Q")] > lanes["kernel_l1_norm"]
+    assert lanes[("value", "Q")] + lanes[("dual", "Q")] > lanes["kernel pass"]
 
 
 def _reference_abs_sum(A, B, den, cuts, m):

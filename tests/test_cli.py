@@ -88,6 +88,12 @@ def test_out_of_domain_exits_two(capsys):
     assert code == 2
 
 
+def test_irrational_dcr_lambda_exits_two(capsys):
+    code, out, err = run(capsys, "scan", "dcr", "-p", "lambda=sqrt(1/20)", "--r", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: dcr: lambda must be rational, got 1/10*sqrt(5)\n"
+
+
 def test_bad_scalar_exits_two(capsys):
     code, _, _ = run(capsys, "analyze", "ostrowski", "-p", "x=oops")
     assert code == 2

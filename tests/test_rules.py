@@ -352,6 +352,9 @@ def test_family_domains():
     assert fam.domain.lo == F(-1, 2) and fam.domain.hi == F(1, 2)
     with pytest.raises(ParamOutOfDomain):
         family("dcr", lam=F(9, 10))  # empty node window
+    # the node domain's ends are read from lambda, which must be rational
+    with pytest.raises(ParamOutOfDomain, match="dcr: lambda must be rational"):
+        family("dcr", lam=sqrt(Scalar(F(1, 20))))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from peanoquad import (KernelReport, OrderExceedsExactness, PiecewisePolynomial,
 from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _to_int_primitive,
                               fraction_eval, int_horner)
 from peanoquad.peano import _integrals, _piece_roots, build_kernel
-from peanoquad.roots import Root, _count_roots
+from peanoquad.roots import Root
 from peanoquad.scalars import _Dual, _extract_square, _quad, as_scalar, field_parts, minus_terms
 
 
@@ -161,9 +161,9 @@ def reference_bound_fn(family, r: int):
     """``bounds._bound_fn`` by kernel passes on built rules: M_r(x) and its
     signature from ``kernel_l1_norm`` (each root counted in the piece that
     ``piece_index`` finds for it), a probe from ``build_kernel`` (roots of
-    rational pieces counted on their Sturm chains, those of other pieces
-    isolated), and (M_r, M_r') from the kernel pass on the rule at x + eps
-    (x - eps at the upper end of the domain)."""
+    rational pieces counted by ``reference_count_roots``, those of other
+    pieces isolated), and (M_r, M_r') from the kernel pass on the rule at
+    x + eps (x - eps at the upper end of the domain)."""
     values, sigs, slopes = {}, {}, {}
 
     def fn(x):
@@ -181,7 +181,7 @@ def reference_bound_fn(family, r: int):
             k = build_kernel(family.build(Scalar(x)), r)
             if k.exact and k.exact[0][3] == 1:
                 bps = [b._frac for b in k.breakpoints]
-                sigs[x] = tuple(map(_count_roots, (A for A, *_ in k.exact), bps, bps[1:]))
+                sigs[x] = tuple(map(reference_count_roots, (A for A, *_ in k.exact), bps, bps[1:]))
             else:
                 sigs[x] = tuple(len(roots) for _, roots in _piece_roots(k))
         return sigs[x]
@@ -297,6 +297,19 @@ def reference_sturm_chain_int(c: list[int]) -> list[list[int]]:
 def _variations(chain: list[list[int]], t: F) -> int:
     signs = [s for s in (_int_sign_at(p, t) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def reference_count_roots(c: list, lo: F, hi: F) -> int:
+    """The number of distinct roots of c inside (lo, hi): roots at the ends
+    divided out over Q, then V(lo) - V(hi) on ``reference_sturm_chain_int``."""
+    f = _ftrim([F(x) for x in c])
+    for t in (lo, hi):
+        while _fdeg(f) >= 1 and fraction_eval(f, t) == 0:
+            f, _ = fdivmod(f, [-t, F(1)])
+    if _fdeg(f) < 1:
+        return 0
+    chain = reference_sturm_chain_int(_to_int_primitive(f))
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def reference_simplest_in_open(a: F, b: F) -> F:
