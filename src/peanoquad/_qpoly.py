@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from math import comb, lcm
 
-from .scalars import Scalar, _Dual, _dual, _quad, _rat
+from .scalars import Scalar, _Dual, _dual, _quad, _quad_sign, _rat
 
 
 def _ints(*xs) -> list[int]:
@@ -238,14 +238,6 @@ def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) 
     return out
 
 
-def _sign(a: int, b: int, m: int) -> int:
-    """The sign of a + b*sqrt(m), as ``Scalar.sign`` reads it."""
-    if not b:
-        return (a > 0) - (a < 0)
-    sb = 1 if b > 0 else -1
-    return sb if a * sb >= 0 or a * a < b * b * m else -sb
-
-
 def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple:
     """The integral of |p| for the piece p = (A + B*sqrt(k))/den, or
     (A + B*eps)/den for k = 0 (B empty for a rational piece), from the first
@@ -277,7 +269,7 @@ def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple
     total = [0, 0, 0, 0]
     for x, y in zip(F, F[1:]):
         d = [b - a for a, b in zip(x, y)]
-        s = _sign(d[0], d[1], m) or _sign(d[2], d[3], m)
+        s = _quad_sign(d[0], d[1], m) or _quad_sign(d[2], d[3], m)
         total = [t + s * v for t, v in zip(total, d)]
     D = den * L * w ** len(A)
     return tuple(t and Fraction(t, D) for t in total)

@@ -15,10 +15,11 @@ reported, so a kink at a small rational such as 1/3 comes back exactly too.
 
 Minima are found from the exact derivative dM_r/dx, which one kernel pass at
 a dual-number node x + eps gives (forward-mode differentiation).  On each
-branch the minimizer is a branch end, or lies in a bracket across which the
-sign of dM_r/dx provably changes from negative to positive; the bracket is
-shrunk by regula falsi on exact rational iterates.  A value, probe or
-slope at a scan point is one pass that isolates the roots of each kernel
+branch the minimizer is a branch end, or lies in a bracket across which
+dM_r/dx provably goes from <= 0 to >= 0, shrunk by regula falsi on exact
+rational iterates; every decision compares exact values or validated
+enclosures, never floats.  A value, probe or slope at a scan point is one
+pass that isolates the roots of each kernel
 piece: over the integer pieces of the family's fitted form where it covers
 the point (a rational x or x + eps), with no rule or kernel object, and over
 the kernel of the built rule (``RuleFamily.build``) at any other point.
@@ -146,7 +147,7 @@ def _bound_fn(family: RuleFamily, r: int):
 
 
 def _estimate(g: Scalar) -> Fraction:
-    """A rational near the nonzero g, close relative to |g|, with g's sign."""
+    """A rational near g, close relative to |g|, with g's sign (0 for 0)."""
     parts = field_parts([g])
     if parts is None:  # an interval whose sign is known: its midpoint
         lo, hi = g.bounds()
@@ -158,12 +159,15 @@ def _estimate(g: Scalar) -> Fraction:
 def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Scalar]:
     """Minimum of M on [a, b] from the sign of M' (``slope(x) = (M, M')``).
 
-    Unless M' goes from negative at a to positive at b, the minimum is the
-    smaller endpoint value.  Otherwise the sign change of M' brackets the
-    minimizer with a certificate (Moore, Kearfott & Cloud, *Introduction to
-    Interval Analysis*, SIAM 2009, ch. 8), and the bracket is shrunk below
-    ``tol`` by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), with a
-    bisection whenever the bracket fails to halve in three steps.  The first
+    Unless M' goes from <= 0 at a to >= 0 at b, and is not zero at both,
+    the minimum is the smaller endpoint value.  Otherwise the sign change of
+    M' brackets the minimizer with a certificate (Moore, Kearfott & Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009, ch. 8), and the bracket
+    is shrunk below ``tol`` by Illinois regula falsi (Dowell & Jarratt, BIT
+    11, 1971), with a bisection whenever the bracket fails to halve in three
+    steps.  An end with M' = 0 may be a maximum (liu_park r = 1 at x = 0),
+    so it is searched too; its secant weight is 0, and as only an original
+    end can carry that weight, the secant never divides by zero.  The first
     iterate is the simplest rational inside, so minimizers like 1/2 are hit
     exactly; later ones are exact rationals with modest denominators near
     the secant point.  Each sign is decided by ``Scalar.sign``; a sign it
@@ -172,7 +176,8 @@ def _slope_min(slope, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction
     """
     (va, ga), (vb, gb) = slope(a), slope(b)
     best = (b, vb) if vb.lt_definite(va) else (a, va)
-    if not (ga.sign() == -1 and gb.sign() == 1) or b - a <= tol:
+    sa, sb = ga.sign(), gb.sign()
+    if sa not in (-1, 0) or sb not in (0, 1) or sa == sb or b - a <= tol:
         return best
     qa, qb = _estimate(ga), _estimate(gb)
     side, stale, goal = 0, 0, (b - a) / 2
@@ -262,12 +267,17 @@ def bound_scan(
     at most 1e-9.  A grid point found from both neighbouring cells is
     reported once.
     On each branch between branch points the minimum is an end of the branch,
-    unless dM_r/dx changes sign from negative to positive across it.  Then
-    that sign change is bracketed, each sign decided exactly or by a
-    validated enclosure, and the bracket is shrunk to width at most
-    ``refine_tol`` (an exact rational; a float is read exactly), or until a
-    sign cannot be decided.  The minimizer is the bracket end with the
-    smaller value, an exact rational.
+    unless dM_r/dx goes from <= 0 to >= 0 across it (zero at one end at
+    most).  Then that sign change is bracketed, each sign decided exactly or
+    by a validated enclosure, and the bracket is shrunk to width at most
+    ``refine_tol``, or until a sign cannot be decided.  The minimizer is the
+    bracket end with the smaller value, an exact rational.  When the least
+    grid value is definitely below that minimum, its grid point is the
+    minimizer instead, and ``multimodal_suspected`` is set unless the
+    refined minimizer lies in one of that point's two grid cells.
+    ``refine_tol`` and the window ends ``lo`` and ``hi`` are exact rationals
+    (a float is read exactly); an irrational or interval end raises
+    ``ValueError``.
     """
     refine_tol = _positive_fraction(refine_tol, "refine_tol")
     if grid_size < 3:
@@ -280,19 +290,12 @@ def bound_scan(
             f"{family.generic_degree} of family {family.label()}"
         )
     dom = family.domain
-    glo = as_scalar(lo).mid_fraction() if lo is not None else None
-    ghi = as_scalar(hi).mid_fraction() if hi is not None else None
-    if glo is not None or ghi is not None:
-        nlo = dom.lo if glo is None else max(dom.lo, glo)
-        nhi = dom.hi if ghi is None else min(dom.hi, ghi)
+    if lo is not None or hi is not None:
+        nlo = dom.lo if lo is None else max(dom.lo, as_scalar(lo).as_fraction())
+        nhi = dom.hi if hi is None else min(dom.hi, as_scalar(hi).as_fraction())
         if not nlo < nhi:
             raise ParamOutOfDomain("scan window is empty inside the family domain")
-        dom = Domain(
-            nlo,
-            nhi,
-            dom.lo_open and nlo == dom.lo,
-            dom.hi_open and nhi == dom.hi,
-        )
+        dom = Domain(nlo, nhi, dom.lo_open and nlo == dom.lo, dom.hi_open and nhi == dom.hi)
     grid = dom.grid(grid_size)
     fn, sig, slope = _bound_fn(family, r)
     values = [fn(x) for x in grid]
@@ -323,25 +326,16 @@ def bound_scan(
         if best_v is None or v.lt_definite(best_v):
             best_x, best_v = x, v
 
-    g_idx = 0
+    g = 0
     for i, v in enumerate(values):
-        if v.lt_definite(values[g_idx]):
-            g_idx = i
-    slack = 1e-11 * (1.0 + abs(float(best_v)))
-    if float(best_v - values[g_idx]) > slack:
-        # the grid saw a basin the per-branch search missed
-        x, v = _slope_min(
-            slope,
-            grid[max(g_idx - 1, 0)],
-            grid[min(g_idx + 1, len(grid) - 1)],
-            refine_tol,
-        )
-        if v.lt_definite(best_v):
-            best_x, best_v = x, v
-    multimodal = float(best_v - values[g_idx]) > slack
-    if values[g_idx].lt_definite(best_v):
-        # a grid point is the best value seen (e.g. the exact minimizer)
-        best_x, best_v = grid[g_idx], values[g_idx]
+        if v.lt_definite(values[g]):
+            g = i
+    multimodal = False
+    if values[g].lt_definite(best_v):
+        # the best value seen: the exact minimizer when the search ended in a
+        # cell next to it, else a basin the per-branch search missed
+        multimodal = not grid[max(g - 1, 0)] <= best_x <= grid[min(g + 1, len(grid) - 1)]
+        best_x, best_v = grid[g], values[g]
     return BoundScan(
         family=family,
         order=r,
@@ -360,8 +354,9 @@ def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> Minim
     ``tol`` of the certified sign change of dM_r/dx on its branch (or a branch
     end; or the end of a wider bracket where a sign could not be decided), and
     the value is M_r(x*).  Assumes the bound is piecewise smooth and unimodal
-    per branch (this holds for every catalog family); if the local-minimum
-    check fails the result is flagged MultimodalSuspected and is the best
+    per branch (this holds for every catalog family).  The result is flagged
+    ``multimodal_suspected`` when the scan flags it, or when M_r at
+    x* +- 1e-6 is definitely below the value; it is then only the best
     grid-refined value.
     """
     tol = _positive_fraction(tol, "tol")
@@ -371,11 +366,8 @@ def minimize_bound(family: RuleFamily, r: int, tol=Fraction(1, 10**12)) -> Minim
     fn = _bound_fn(family, r)[0]
     eps = Fraction(1, 10**6)
     xf = x_star.as_fraction()
-    slack = 1e-11 * (1.0 + abs(float(v_star)))
     for probe in (xf - eps, xf + eps):
-        if not family.domain.contains(probe):
-            continue
-        if float(v_star - fn(probe)) > slack:
+        if family.domain.contains(probe) and fn(probe).lt_definite(v_star):
             multimodal = True
     return MinimizeResult(x=x_star, value=v_star, multimodal_suspected=multimodal)
 

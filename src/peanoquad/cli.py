@@ -242,11 +242,17 @@ def _int_arg(least: int, text: str) -> int:
     return value
 
 
-def _add_rule_args(p, with_params=True):
+def _add_rule_args(p):
     p.add_argument("rule", help="catalog rule name (see `peanoquad catalog`)")
-    if with_params:
-        p.add_argument("-p", "--param", action="append", default=[],
-                       help="rule parameter name=value (repeatable), e.g. -p x=1/3")
+    p.add_argument("-p", "--param", action="append", default=[],
+                   help="rule parameter name=value (repeatable), e.g. -p x=1/3")
+
+
+def _add_family_args(p):
+    p.add_argument("family", help="family name (rule with a free node x)")
+    p.add_argument("-p", "--param", action="append", default=[],
+                   help="fixed family parameter name=value (repeatable)")
+    p.add_argument("--r", type=int, required=True, help="kernel order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="JSON sidecar path (breakpoints, pieces, norm)")
 
     p = sub.add_parser("scan", parents=[common], help="scan the bound function x -> M_r(x) of a family")
-    p.add_argument("family", help="family name (rule with a free node x)")
-    p.add_argument("-p", "--param", action="append", default=[],
-                   help="fixed family parameter name=value (repeatable)")
-    p.add_argument("--r", type=int, required=True)
+    _add_family_args(p)
     p.add_argument("--grid", type=lambda t: _int_arg(3, t), default=101)
     p.add_argument("--lo", type=_scalar_arg, help="scan window lower end (rational)")
     p.add_argument("--hi", type=_scalar_arg, help="scan window upper end (rational)")
@@ -290,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="JSON summary path")
 
     p = sub.add_parser("minimize", parents=[common], help="minimize the bound function of a family")
-    p.add_argument("family")
-    p.add_argument("-p", "--param", action="append", default=[])
-    p.add_argument("--r", type=int, required=True)
+    _add_family_args(p)
     p.add_argument("--tol", type=_scalar_arg, default=Scalar.parse("1e-12"))
     p.add_argument("--json")
 

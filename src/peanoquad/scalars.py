@@ -211,10 +211,7 @@ class Scalar:
             f = self._frac
             return 0 if f == 0 else (1 if f > 0 else -1)
         if self._sqrt is not None:
-            a, b, m = self._sqrt
-            sb = 1 if b > 0 else -1
-            # a and b*sqrt(m) agree in sign, or b*sqrt(m) dominates: a^2 < b^2*m
-            return sb if a * sb >= 0 or a * a < b * b * m else -sb
+            return _quad_sign(*self._sqrt)
         lo, hi = _iv_endpoints(self._ival)
         if lo > 0:
             return 1
@@ -234,25 +231,14 @@ class Scalar:
 
     def __float__(self) -> float:
         """Nearest float: correctly rounded for a rational or a + b*sqrt(m),
-        the correctly rounded midpoint of the enclosure for an interval."""
+        by Python's int/int division, so a subnormal is rounded once, to its
+        own shorter mantissa, and a value beyond the float range raises
+        OverflowError; the correctly rounded midpoint of the enclosure for
+        an interval."""
         if self._frac is not None:  # the int/int division float(Fraction) makes
             return self._frac.numerator / self._frac.denominator
         if self._sqrt is not None:
-            # a + b*sqrt(m) = (x + y*sqrt(m))/d; with t = isqrt(y^2*m*4^k) the
-            # value times d*2^k lies strictly between lo and lo + 1.  Python
-            # rounds int/int correctly, so once both ends round alike the
-            # value (irrational, never a tie) rounds the same way
-            a, b, m = self._sqrt
-            d = a.denominator * b.denominator
-            x, y = a.numerator * b.denominator, b.numerator * a.denominator
-            k = 64
-            while True:
-                t = isqrt(y * y * m << 2 * k)
-                lo = (x << k) + t if y > 0 else (x << k) - t - 1
-                den = d << k
-                if (out := lo / den) == (lo + 1) / den:
-                    return out
-                k *= 2
+            return _quad_round(*self._sqrt)
         lo, hi = self.interval()._mpi_
         return to_float(mpf_shift(mpf_add(lo, hi, 0), -1), rnd=round_nearest)
 
@@ -442,7 +428,7 @@ class Scalar:
             x = mpf_div(from_int(self._frac.numerator, prec, round_nearest),
                         from_int(self._frac.denominator), prec, round_nearest)
         elif self._sqrt is not None:
-            x = _quad_mpf(*self._sqrt, prec)
+            x = _quad_round(*self._sqrt, prec)
         else:
             x = self.interval().mid._mpi_[0]
         return to_str(x, digits)
@@ -524,18 +510,36 @@ def _quad(a: Fraction, b: Fraction, m: int) -> Scalar:
     return s
 
 
-def _quad_mpf(a: Fraction, b: Fraction, m: int, prec: int):
-    """a + b*sqrt(m) (b != 0) rounded to nearest at prec bits, by the bracket
-    of ``Scalar.__float__``: the value times d*2^k lies strictly between lo
-    and lo + 1, and once both ends round alike, so does the value."""
+def _quad_sign(a, b, m: int) -> int:
+    """The sign of a + b*sqrt(m), for a and b both rational or both integers
+    and m >= 0: a and b*sqrt(m) agree in sign, or b*sqrt(m) dominates when
+    a^2 < b^2*m."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    return sb if a * sb >= 0 or a * a < b * b * m else -sb
+
+
+def _quad_round(a: Fraction, b: Fraction, m: int, prec: int | None = None):
+    """a + b*sqrt(m) (b != 0) rounded to nearest: a float by Python's int/int
+    division (prec None), else an mpf of prec bits.  With
+    a + b*sqrt(m) = (x + y*sqrt(m))/d and t = isqrt(y^2*m*4^k), the value
+    times d*2^k lies strictly between lo and lo + 1; once both ends round
+    alike, the value (irrational, never a tie) rounds the same way.  The
+    float lane divides inline: ``float()`` of such values is the hot loop of
+    a user integrand at sqrt nodes."""
     d = a.denominator * b.denominator
     x, y = a.numerator * b.denominator, b.numerator * a.denominator
-    k = prec + 8
+    k = 64 if prec is None else prec + 8
     while True:
         t = isqrt(y * y * m << 2 * k)
         lo = (x << k) + t if y > 0 else (x << k) - t - 1
-        if (out := from_rational(lo, d << k, prec, round_nearest)) == from_rational(
-                lo + 1, d << k, prec, round_nearest):
+        den = d << k
+        if prec is None:
+            if (out := lo / den) == (lo + 1) / den:
+                return out
+        elif (out := from_rational(lo, den, prec, round_nearest)) == from_rational(
+                lo + 1, den, prec, round_nearest):
             return out
         k *= 2
 

@@ -325,6 +325,76 @@ def test_tolerance_is_compared_exactly():
             bound_scan(family("gs2"), 0, grid_size=5, refine_tol=bad)
 
 
+@pytest.mark.parametrize("grid_size", [3, 4])
+def test_zero_slope_domain_end_is_searched(grid_size):
+    # M_1 = (1 - 3x^2 + 4x^3)/6 has M_1'(0) = 0 at its local maximum x = 0
+    scan = bound_scan(family("liu_park"), 1, grid_size=grid_size)
+    x, v = scan.minimizer
+    assert (x.as_fraction(), v.as_fraction()) == (F(1, 2), F(1, 8))
+    assert not scan.multimodal_suspected
+
+
+def _poly_slope(*coeffs):
+    """slope(x) = (M(x), M'(x)) for M with these rational coefficients, lowest first."""
+    def slope(x):
+        m = sum(c * x**k for k, c in enumerate(coeffs))
+        dm = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+        return Scalar(m), Scalar(dm)
+
+    return slope
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ((0, 0, F(-1, 6), F(1, 3)), (F(1, 3), F(-1, 162))),  # M' = x(x - 1/3): zero at a, interior min
+    ((0, 0, 1), (F(0), F(0))),  # M' = 2x: zero at a, the minimum
+    ((0, F(-1, 3), F(2, 3), F(-1, 3)), (F(1, 3), F(-4, 81))),  # M' = (x - 1/3)(1 - x): zero at b
+    ((0, 0, F(-1, 2), F(1, 3)), (F(1), F(-1, 6))),  # M' = x(x - 1): zero at both ends
+])
+def test_slope_min_searches_from_zero_slope_ends(coeffs, want):
+    from peanoquad.bounds import _slope_min
+
+    tol = F(1, 10**12)
+    x, v = _slope_min(_poly_slope(*coeffs), F(0), F(1), tol)
+    assert abs(x - want[0]) <= tol
+    assert v == _poly_slope(*coeffs)(x)[0]
+    assert abs(v.as_fraction() - want[1]) <= tol
+
+
+@pytest.mark.parametrize("x,flagged", [(F(1, 2) + F(1, 10**12), False), (F(9, 10), True)])
+def test_multimodal_flag_is_for_a_grid_minimizer_away_from_the_search(x, flagged, monkeypatch):
+    import peanoquad.bounds as bounds
+
+    # gs2 M_0 = 2(x - 1/2)^2 + 1/2 has its minimizer 1/2 on the grid: a
+    # search result 1e-12 away is next to it, 9/10 is not
+    fam = family("gs2")
+    fn = bounds._bound_fn(fam, 0)[0]
+    monkeypatch.setattr(bounds, "_slope_min", lambda slope, a, b, tol: (x, fn(x)))
+    scan = bound_scan(fam, 0, grid_size=11)
+    assert [s.as_fraction() for s in scan.minimizer] == [F(1, 2), F(1, 2)]
+    assert scan.multimodal_suspected is flagged
+
+
+def test_minimize_bound_flags_a_lower_probe(monkeypatch):
+    import peanoquad.bounds as bounds
+
+    fam, scan = family("gs2"), bounds.bound_scan
+    point = Scalar(F(3, 5)), bounds._bound_fn(fam, 0)[0](F(3, 5))
+    monkeypatch.setattr(bounds, "bound_scan",
+                        lambda *a, **k: dataclasses.replace(scan(*a, **k), minimizer=point))
+    res = minimize_bound(fam, 0)
+    assert (res.x, res.value) == point and res.multimodal_suspected
+
+
+def test_scan_window_ends_are_exact_rationals():
+    fam = family("gs2")
+    assert bound_scan(fam, 0, grid_size=5, lo=0.1).grid[0].as_fraction() == F(0.1)
+    for end in (sqrt(Scalar(2)) / 4, Scalar.from_interval(F(1, 5), F(1, 4))):
+        with pytest.raises(ValueError):
+            bound_scan(fam, 0, grid_size=5, lo=end)
+        with pytest.raises(ValueError):
+            bound_scan(fam, 0, grid_size=5, hi=1 - end)
+
+
 # ---------------------------------------------------------------------------
 # scans: branch points and export
 
