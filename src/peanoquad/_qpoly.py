@@ -9,8 +9,9 @@ node terms by the binomial expansion, pieces by integer subtraction, and
 antiderivatives and remainders I(f) - Q(f) by one Horner loop over Z[sqrt m].
 With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2): the
 kernel pieces of a scan point x + eps (``_forms.form_pieces``), whose L1 sum
-(``abs_integral``, ``antiderivative_values``) runs on the same code.  A value
-converted back is the Scalar that Scalar arithmetic gives (exact).
+(``abs_integral``) runs on the same code.  Every cut of that sum is rational
+or in one Q(sqrt m), so it never leaves integers.  A value converted back is
+the Scalar that Scalar arithmetic gives (exact).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 from math import comb, lcm
 
-from .scalars import Scalar, _Dual, _dual, _quad, _quad_sign, _rat
+from .scalars import Scalar, _quad, _quad_sign, _rat
 
 
 def _ints(*xs) -> list[int]:
@@ -35,14 +36,6 @@ def int_horner(c: list[int], u: int, v: int) -> int:
         acc = acc * u + a * vp
         vp *= v
     return acc
-
-
-def fraction_eval(c: list[Fraction], t: Fraction) -> Fraction:
-    """p(t) for rational coefficients c: one integer Horner pass over their
-    common denominator, and one normalisation of the result."""
-    *ints, den = _ints(*c)
-    acc = int_horner(ints, t.numerator, t.denominator)
-    return Fraction(acc, den * t.denominator ** max(len(c) - 1, 0))
 
 
 # --------------------------------------------------------------------------
@@ -85,10 +78,6 @@ def _primitive(c: list[int]) -> list[int]:
     """c divided by the (positive) gcd of its coefficients."""
     g = math.gcd(*c)
     return [v // g for v in c] if g > 1 else c
-
-
-def _to_int_primitive(c: list[Fraction]) -> list[int]:
-    return _primitive(_ints(*c)[:-1])
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -161,20 +150,13 @@ def plain_field(values: list) -> int | None:
 
 
 def parts(v: Scalar) -> tuple:
-    """(a, b) with the exact v == a + b*sqrt(m); for a rational _Dual, its
-    value and derivative (m = 0)."""
-    if v._sqrt is not None:
-        return v._sqrt[:2]
-    return (v._frac, v._d._frac) if type(v) is _Dual else (v._frac, 0)
+    """(a, b) with the plain exact v == a + b*sqrt(m)."""
+    return v._sqrt[:2] if v._sqrt is not None else (v._frac, 0)
 
 
-def to_scalar(v) -> Scalar:
-    """A triple (a, b, m) (a a Fraction, b a Fraction or 0) as the Scalar
-    a + b*sqrt(m), or the _Dual a + b*eps for m = 0; a Scalar as itself."""
-    if isinstance(v, Scalar):
-        return v
-    a, b, m = v
-    return _rat(a) if not b else _quad(a, b, m) if m else _dual(_rat(a), _rat(b))
+def to_scalar(a: Fraction, b, m: int) -> Scalar:
+    """a + b*sqrt(m) (a a Fraction, b a Fraction or 0) as a Scalar."""
+    return _rat(a) if not b else _quad(a, b, m)
 
 
 def kernel_pieces(terms, e: int, r: int, m: int, n_pieces: int):
@@ -218,24 +200,9 @@ def zm_horner(A: list[int], B: list[int], p: int, q: int, w: int, m: int) -> tup
     return X, Y
 
 
-def antiderivative_values(A: list[int], B: list[int], den: int, m: int, points) -> list:
-    """F(s) at each point s, F the antiderivative with F(0) = 0 of
-    (A + B*sqrt(m))/den: a triple (a, b, M) meaning a + b*sqrt(M) where s is
-    a plain exact Scalar that is rational or in the field of F, or (m = 0) a
-    rational _Dual, else None."""
-    L, irrational, out = lcm(*range(1, len(A) + 1)), any(B), []
-    FA = [0] + [a * (L // (k + 1)) for k, a in enumerate(A)]
-    FB = [0] + [b * (L // (k + 1)) for k, b in enumerate(B)]
-    for s in points:
-        if (s._ival is not None or type(s) is not Scalar and m
-                or irrational and s._sqrt and s._sqrt[2] != m):
-            out.append(None)
-            continue
-        (p, q, w), M = _ints(*parts(s)), s._sqrt[2] if s._sqrt else m
-        X, Y = zm_horner(FA, FB, p, q, w, M)  # F(s) * den * L * w**deg
-        d = den * L * w ** len(A)
-        out.append((Fraction(X, d), Y and Fraction(Y, d), M))
-    return out
+def _integral(P: list[int], L: int) -> list[int]:
+    """L times the antiderivative of P with value 0 at 0; L a multiple of 1, ..., len(P)."""
+    return [0] + [c * (L // (k + 1)) for k, c in enumerate(P)]
 
 
 def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple:
@@ -249,14 +216,14 @@ def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple
     pass) are p + q*eps.  Each |.| reads the sign of the value part, or of
     the eps part where that is 0, as ``_Dual.__abs__`` does."""
     L = lcm(*range(1, len(A) + 1))
-    FA = [0] + [a * (L // (i + 1)) for i, a in enumerate(A)]
+    FA = _integral(A, L)
     if not B and all(type(c) is not tuple for c in cuts):  # all in Q
         *U, w = _ints(*cuts)
         X = [int_horner(FA, u, w) for u in U]  # F(u/w) * den * L * w**len(A)
         S, D = sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * w ** len(A)
         return Fraction(S, D), 0, 0, 0
     zero, F = [0] * len(FA), []
-    FB = [0] + [b * (L // (i + 1)) for i, b in enumerate(B)] if B else zero
+    FB = _integral(B, L) if B else zero
     *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
     for j, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
         if k:  # F(p + q*sqrt(m)) over w
@@ -287,8 +254,9 @@ def int_parts(values) -> tuple[list[int], list[int], int]:
 
 def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpoints) -> Scalar:
     """Sum of the integrals of piece_i * (G + H*sqrt(m))/e over [b_i, b_{i+1}]
-    for pieces (A, B, den, m'), one den, m' in (1, m): with F_i the antiderivative
-    of piece_i * g, the sum of (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0)."""
+    for pieces (A, B, den, m'), one den, m' in (1, m), on breakpoints rational
+    or in Q(sqrt m): with F_i the antiderivative of piece_i * g, the sum of
+    (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0), each one ``zm_horner`` pass."""
     zero = [0] * len(pieces[0][0])
     ends = [(zero, zero)] + [(A, B) for A, B, _, _ in pieces] + [(zero, zero)]
     a, b = Fraction(0), Fraction(0)
@@ -296,9 +264,11 @@ def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpo
         dA, dB = [x - y for x, y in zip(A0, A1)], [x - y for x, y in zip(B0, B1)]
         PA = [x + m * y for x, y in zip(_fmul(dA, G), _fmul(dB, H))]
         PB = [x + y for x, y in zip(_fmul(dA, H), _fmul(dB, G))]
-        (a1, b1, _), = antiderivative_values(PA, PB, pieces[0][2] * e, m, (s,))
-        a, b = a + a1, b + b1
-    return to_scalar((a, b, m))
+        L, (p, q, w) = lcm(*range(1, len(PA) + 1)), _ints(*parts(s))
+        X, Y = zm_horner(_integral(PA, L), _integral(PB, L), p, q, w, m)
+        d = pieces[0][2] * e * L * w ** len(PA)
+        a, b = a + Fraction(X, d), b + Fraction(Y, d)
+    return to_scalar(a, b, m)
 
 
 def remainder(value_nodes, deriv_nodes, G: list[int], H: list[int], e: int, m: int) -> Scalar:
@@ -313,4 +283,4 @@ def remainder(value_nodes, deriv_nodes, G: list[int], H: list[int], e: int, m: i
             X, Y = zm_horner(P, Q, p, q, s, m)  # f(x) * e * s**deg
             d = z * e * s ** max(len(P) - 1, 0)
             a, b = a - Fraction(X * u + Y * v * m, d), b - Fraction(X * v + Y * u, d)
-    return to_scalar((a, b, m))
+    return to_scalar(a, b, m)

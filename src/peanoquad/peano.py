@@ -8,8 +8,11 @@ For a rule with degree of exactness at least r, the order-r kernel is
 assembled here piece by piece between consecutive breakpoints (the union of
 {-1, 1} and all nodes).  Pieces are left-open/right-closed, and node sums are
 taken per piece so kernel values at breakpoints come from the left piece.
-The L1 norm integrates |K_r| exactly between isolated sign changes, which
-yields the sharp sup-norm error constant of the rule.
+The L1 norm integrates |K_r| between isolated sign changes, which yields
+the sharp sup-norm error constant of the rule.  A kernel formed in integers
+is summed in integers alone (``l1_sum``): exactly where every root is exact
+in one field, else as an enclosure [L, L + G] whose gap G is second order
+in the width of the root brackets.
 
 The order condition is read from the same node terms: I[(x-t)^r] minus all
 of them is R[(x-t)^r], whose coefficient of t^(r-j) is binom(r, j)
@@ -25,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from ._qpoly import (abs_integral, antiderivative_values, int_parts, integrate_pieces, kernel_pieces,
-                     parts, plain_field, remainder, to_scalar)
+from ._qpoly import (_fderiv, abs_integral, int_parts, integrate_pieces, kernel_pieces, parts,
+                     plain_field, remainder)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
 from .rules import QuadRule, _node_keys, _node_order
-from .scalars import Scalar, _dual, _quad, as_scalar, minus_terms
+from .scalars import Scalar, _dual, _quad, _quad_sign, as_scalar, minus_terms
 
 
 class PiecewisePolynomial:
@@ -188,51 +191,65 @@ def _piece_roots(kernel: PiecewisePolynomial) -> list[tuple[Polynomial, tuple[Ro
     return out
 
 
-def _abs_diffs(total: Scalar, values) -> Scalar:
-    """total + |v' - v| over consecutive values, term by term in Scalar arithmetic."""
-    for prev, cur in zip(values, values[1:]):
-        total = total + abs(cur - prev)
-    return total
+def _abs_sum(c: list[int], R: Fraction) -> Fraction:
+    """sum |c_j| R**j: a bound on |c(t)| for |t| <= R."""
+    return sum(abs(x) * R ** j for j, x in enumerate(c))
 
 
 def l1_sum(pieces, ends, roots) -> Scalar:
     """The integral of |K_r| over [-1, 1] for a kernel's integer pieces
     (A, B, den, m), (A + B*sqrt(m))/den or (m = 0) (A + B*eps)/den, on the
     breakpoints ``ends``, pairs (p, q) for p + q*sqrt(m) or p + q*eps, given
-    the roots inside each piece.  A piece whose cuts (its ends and roots) are
-    rational or lie in one Q(sqrt d), shared with the sum so far, adds its
-    |F(c') - F(c)| in one integer sum (``_qpoly.abs_integral``): over Q, one
-    Q(sqrt d), Q[eps] or Q(sqrt d)[eps].  From the first piece with an
-    interval root or a second radicand on, the sum goes on term by term in
-    Scalar arithmetic, with F in integers at exact cuts
-    (``_qpoly.antiderivative_values``) and by Scalar Horner at the others."""
-    total, d, scalar = [0, 0, 0, 0], 1, None
-    for (A, B, den, m), lo, hi, found in zip(pieces, ends, ends[1:], roots):
-        if scalar is None:
-            Bz = B if m != 1 and any(B) else ()
-            fields = {m} if m > 1 and (Bz or lo[1] or hi[1]) else set()
-            if total[1] or total[3]:
-                fields.add(d)
-            cuts = [lo if lo[1] else lo[0]]
-            for rt in found:
-                s = rt.location
-                if s._sqrt:
-                    fields.add(s._sqrt[2])
-                cuts.append(s._frac if s._frac is not None else s._sqrt and s._sqrt[:2])  # None: a bracket
-            cuts.append(hi if hi[1] else hi[0])
-            if len(fields) <= 1 and None not in cuts:
-                d = fields.pop() if fields else d
-                part = abs_integral(A, Bz, den, m, cuts, d)
-                total = [t + a if a else t for t, a in zip(total, part)]
+    the roots inside each piece.  Each piece adds its |F(c') - F(c)| between
+    its cuts (its ends and roots) in one integer sum (``_qpoly.abs_integral``)
+    over Q, one Q(sqrt d), Q[eps] or Q(sqrt d)[eps]: d is m where a piece or
+    an end is irrational, else the field of the first quadratic root (in a
+    slope pass, of the first one whose piece has an eps part).
+
+    A bracketed root tau, or one exact in another field, is cut at the
+    rational midpoint c of its enclosure, of width w; a cut at or beyond a
+    window end is left out.  As K(tau) = 0, each such cut undercounts by at
+    most 2|int_tau^c K| <= sup|K'| (w/2)**2, so the value is [L, L + G], G
+    the sum of those bounds, with sup|K'| over |t| <= R (R the larger end of
+    the enclosure) bounded by an integer sum.  In a slope pass (m = 0) G
+    reads A alone, and the eps part is within the sum of sup|B/den| * w of
+    the true slope, sup over the enclosure: first order in w."""
+    m = pieces[0][3]
+    if m > 1 and (any(q for _, q in ends) or any(any(B) for _, B, _, _ in pieces)):
+        d = m
+    else:
+        quads = [(not (m == 0 and any(B)), rt.location._sqrt[2])
+                 for (_, B, _, _), found in zip(pieces, roots) for rt in found if rt.location._sqrt]
+        d = min(quads, key=lambda q: q[0], default=(0, 1))[1]
+    root = math.isqrt(m - 1) + 1 if m > 1 else 0  # ceil(sqrt(m)); 0 where B is no part of the value
+    total, gap, slack = [0, 0, 0, 0], 0, 0
+    for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots):
+        cuts = [lo if lo[1] else lo[0]]
+        for rt in found:
+            s = rt.location
+            if s._frac is not None or s._sqrt and s._sqrt[2] == d:
+                cuts.append(s._frac if s._frac is not None else s._sqrt[:2])
                 continue
-            scalar = _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d))
-        cuts = [to_scalar((*lo, m)), *(rt.location for rt in found), to_scalar((*hi, m))]
-        values = antiderivative_values(A, B, den, m, cuts)
-        if None in values:
-            F = Polynomial.of_ints(A, B, den, m).antiderivative()
-            values = [F(s) if v is None else v for s, v in zip(cuts, values)]
-        scalar = _abs_diffs(scalar, [to_scalar(v) for v in values])
-    return _dual(_quad(total[0], total[1], d), _quad(total[2], total[3], d)) if scalar is None else scalar
+            a, b = s.bounds()
+            c, R = (a + b) / 2, max(-a, b)
+            if _quad_sign(c - lo[0], -lo[1], m) == _quad_sign(hi[0] - c, hi[1], m) == 1:
+                cuts.append(c)
+            dK = _abs_sum(_fderiv(A), R) + root * _abs_sum(_fderiv(B), R)  # den * sup|K'|
+            gap += dK * (b - a) ** 2 / (4 * den)
+            if not m:  # |B| <= |B(c)| + sup|B'| w/2 over the enclosure
+                slack += (abs(sum(x * c**j for j, x in enumerate(B)))
+                          + _abs_sum(_fderiv(B), R) * (b - a) / 2) * (b - a) / den
+        cuts.append(hi if hi[1] else hi[0])
+        part = abs_integral(A, B if m != 1 and any(B) else (), den, m, cuts, d)
+        total = [t + x if x else t for t, x in zip(total, part)]
+    value, eps = _quad(total[0], total[1], d), _quad(total[2], total[3], d)
+    if gap:
+        lo, hi = value.bounds()
+        value = Scalar.from_interval(lo, hi + gap)
+    if slack:
+        lo, hi = eps.bounds()
+        eps = Scalar.from_interval(lo - slack, hi + slack)
+    return _dual(value, eps)
 
 
 def _kernel_l1(kernel: PiecewisePolynomial, found) -> Scalar:
@@ -246,7 +263,9 @@ def _kernel_l1(kernel: PiecewisePolynomial, found) -> Scalar:
     total = Scalar(0)
     for piece, roots, lo, hi in zip(kernel.pieces, found, bps, bps[1:]):
         F = piece.antiderivative()
-        total = _abs_diffs(total, [F(s) for s in (lo, *(rt.location for rt in roots), hi)])
+        values = [F(s) for s in (lo, *(rt.location for rt in roots), hi)]
+        for prev, cur in zip(values, values[1:]):
+            total = total + abs(cur - prev)
     return total
 
 

@@ -29,8 +29,8 @@ class Polynomial:
 
     @classmethod
     def of_ints(cls, A: list[int], B: list[int], den: int, m: int) -> "Polynomial":
-        """(A + B*sqrt(m))/den (A + B*eps for m = 0), for integer lists of one
-        length whose last pair is not (0, 0)."""
+        """(A + B*sqrt(m))/den, for integer lists of one length whose last
+        pair is not (0, 0)."""
         p = cls.__new__(cls)
         p.ints = (A, B, den, m)
         return p
@@ -39,7 +39,7 @@ class Polynomial:
         if name != "_coeffs":
             raise AttributeError(name)
         A, B, den, m = self.ints
-        self._coeffs = tuple(to_scalar((Fraction(a, den), b and Fraction(b, den), m))
+        self._coeffs = tuple(to_scalar(Fraction(a, den), b and Fraction(b, den), m)
                              for a, b in zip(A, B))
         return self._coeffs
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DegreeTooHigh
 from ._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _idiv, _igcd, _ints, _prem, _primitive,
-                     _to_int_primitive, _yun_squarefree, fraction_eval, int_horner)
+                     _yun_squarefree, int_horner)
 from .polynomials import Polynomial
 from .scalars import Scalar, _extract_square, _quad, as_scalar, field_parts
 
@@ -153,13 +153,12 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
     return [_quad(a, y, m) for y, ok in zip((-b, b), inside) if ok]
 
 
-def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
-                      lead=None) -> list[Root]:
-    """Roots inside (lo, hi) of the rational (Fraction or integer)
-    coefficients, sorted by the lower end of their brackets; given ``lead``,
-    of integer coefficients scaled so that the last one is lead.
+def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fraction,
+                      lead: Fraction) -> list[Root]:
+    """Roots inside (lo, hi) of the integer coefficients scaled so that the
+    last one is lead, sorted by the lower end of their brackets.
 
-    The work is in Z[t], on the primitive integer multiple of the input.
+    The work is in Z[t], on the primitive multiple of the input.
     Roots at lo and hi are divided away first.  What is left of degree 1,
     or of degree 2 with a nonzero discriminant, is squarefree and goes
     straight to the closed form ``_quadratic_roots`` with the input's lead;
@@ -167,7 +166,7 @@ def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
     are split by Yun, and factors above degree 2 are isolated with integer
     Sturm chains.
     """
-    c = _to_int_primitive(coeffs) if lead is None else _primitive(coeffs)
+    c = _primitive(coeffs)
     for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
         while _fdeg(c) >= 1 and int_horner(c, p, q) == 0:  # a root at an end
             c = _idiv(c, [-p, q])
@@ -177,7 +176,7 @@ def _isolate_rational(coeffs: list, lo: Fraction, hi: Fraction, tol: Fraction,
         r = Fraction(-c[1], 2 * c[2])
         return [Root(Scalar(r), 2)] if lo < r < hi else []
     if _fdeg(c) <= 2:
-        return [Root(r, 1) for r in _quadratic_roots(c, lead or coeffs[-1], lo, hi)]
+        return [Root(r, 1) for r in _quadratic_roots(c, lead, lo, hi)]
 
     found: list[Root] = []
     L, H, d = _ints(lo, hi)
@@ -268,31 +267,38 @@ def _isolate_field(A: list[int], B: list[int], D: int, m: int, lo: Fraction, hi:
 def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, hi: Fraction,
                        tol: Fraction) -> list[Root]:
     """Brackets for interval or mixed-radicand coefficients, from the
-    polynomial q of exact enclosure midpoints.  Where p's enclosure at an end
-    contains zero, a line is subtracted from q so that it vanishes there and
-    the boundary root deflates.  A bracket widened by tol/4 is certified when
-    p provably changes sign over it.  An even-multiplicity root of p can
-    leave q just clear of zero, so an extremum of q that turns away from zero
-    (q q'' > 0 there), over whose bracket p's enclosure still contains zero,
-    is reported as an uncertified bracket with multiplicity hint 2."""
-    q = [sum(c.bounds()) / 2 for c in p.coeffs]
-    v_lo = fraction_eval(q, lo) if p(lo_s).contains_zero() else 0
-    v_hi = fraction_eval(q, hi) if p(hi_s).contains_zero() else 0
+    polynomial q of exact enclosure midpoints, read once as integers Q over
+    one denominator.  Where p's enclosure at an end contains zero, a line is
+    subtracted from q so that it vanishes there and the boundary root
+    deflates.  A bracket widened by tol/4 is certified when p provably
+    changes sign over it.  An even-multiplicity root of p can leave q just
+    clear of zero, so an extremum of q that turns away from zero (q q'' > 0
+    there), over whose bracket p's enclosure still contains zero, is
+    reported as an uncertified bracket with multiplicity hint 2."""
+    *Q, w = _ints(*(sum(c.bounds()) / 2 for c in p.coeffs))
+
+    def at(t: Fraction) -> Fraction:  # Q(t), exactly
+        return Fraction(int_horner(Q, t.numerator, t.denominator), t.denominator ** (len(Q) - 1))
+
+    v_lo, v_hi = (at(t) if p(s).contains_zero() else 0 for t, s in ((lo, lo_s), (hi, hi_s)))
     slope = (v_hi - v_lo) / (hi - lo)
-    q = _fsub(q, [v_lo - slope * lo, slope])
+    a, b, z = _ints(v_lo - slope * lo, slope)  # the line (a + b*t)/z through those values of Q
+    Q = _ftrim([z * Q[0] - a, z * Q[1] - b] + [z * c for c in Q[2:]])  # q is Q/(w*z) from here on
+    if _fdeg(Q) < 1:
+        return []
     out = []
-    for r in _isolate_rational(q, lo, hi, tol):
+    for r in _isolate_rational(Q, lo, hi, tol, Fraction(Q[-1], w * z)):
         qa, qb = r.location.bounds()
         qa, qb = qa - tol / 4, qb + tol / 4
         sa, sb = p(Scalar(qa)).sign(), p(Scalar(qb)).sign()
         certified = sa is not None and sb is not None and sa * sb < 0
         out.append(Root(Scalar.from_interval(qa, qb), r.multiplicity_hint, certified))
-    dq = _fderiv(q)
-    d2q = _fderiv(dq)
-    for r in _isolate_rational(dq, lo, hi, tol):
+    dQ = _fderiv(Q)
+    d2Q = _fderiv(dQ)
+    for r in _isolate_rational(dQ, lo, hi, tol, Fraction(dQ[-1], w * z)):
         qa, qb = r.location.bounds()
         c = (qa + qb) / 2
-        if fraction_eval(q, c) * fraction_eval(d2q, c) > 0:
+        if at(c) * int_horner(d2Q, c.numerator, c.denominator) > 0:
             qa, qb = qa - tol / 4, qb + tol / 4
             if p(Scalar.from_interval(qa, qb)).contains_zero():
                 out.append(Root(Scalar.from_interval(qa, qb), 2, False))

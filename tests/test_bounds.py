@@ -30,12 +30,14 @@ from peanoquad import (
     make_rule,
     minimize_bound,
     multidim_ostrowski_bound,
+    set_working_dps,
     sqrt,
 )
 from peanoquad._qpoly import abs_integral
 from peanoquad.polynomials import Polynomial
-from peanoquad.scalars import _Dual, _dual, _quad
-from util import SCAN_FAMILIES, assert_scalar_equals, reference_signature
+from peanoquad.scalars import _Dual, _quad
+from util import (SCAN_FAMILIES, assert_scalar_equals, no_wider_overlapping, reference_abs_sum,
+                  reference_signature)
 
 
 def m_of(name, r, x=None, **fixed):
@@ -738,10 +740,6 @@ PASS_FAMILIES = SCAN_FAMILIES + [("mod3", {"lam": F(2, 3)}),
                                  ("alomari4", {"lam": sqrt(Scalar(F(1, 20)))})]
 
 
-def _fingerprint(v):
-    return type(v), v.to_json_str(), v.is_rational, v.is_exact, v.bounds()
-
-
 def _pass_lanes(monkeypatch):
     """Wrap the integer pass's sum (bounds.l1_sum) and the sum of a kernel
     pass on a built rule (bounds._kernel_l1); count what each scan point took."""
@@ -771,10 +769,12 @@ def _pass_lanes(monkeypatch):
 @pytest.mark.parametrize("name,fixed", PASS_FAMILIES)
 def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
     # M_r(x), the signature (probed first, after a value and after a slope) and (M_r, M_r')
-    # of the integer pass equal those of kernel passes on built rules, by
-    # to_json_str, tier, enclosure and type, at every order on the family
-    # points: both closed domain ends (the slope seeded -1 at the upper one),
-    # and x = 0 and 1, where nodes meet
+    # of the integer pass equal those of kernel passes on built rules, at
+    # every order on the family points: both closed domain ends (the slope
+    # seeded -1 at the upper one), and x = 0 and 1, where nodes meet.  An
+    # exact value is the same exact value, and an enclosure is no wider than
+    # the reference's and overlaps it: the slope pass of a built rule sums
+    # in Scalar arithmetic
     from peanoquad._forms import form_of
     from peanoquad.bounds import _bound_fn
     from util import family_points, reference_bound_fn
@@ -793,9 +793,9 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
         for x in (x for k, x in points if k == r):
             where = (name, r, x)
             assert probe(x) == want_probe(x), where
-            assert _fingerprint(fn(x)) == _fingerprint(want_fn(x)), where
+            assert no_wider_overlapping(fn(x), want_fn(x)), where
             assert sig(x) == want_sig(x), where
-            assert list(map(_fingerprint, slope(x))) == list(map(_fingerprint, want_slope(x))), where
+            assert all(map(no_wider_overlapping, slope(x), want_slope(x))), where
             assert sig(x) == want_sig(x), where  # a slope pass leaves the signature alone
     passes = sum(lanes[kind, lane] for kind in ("value", "dual") for lane in ("Q", "sqrt", "interval"))
     if form_of(fam) is None:  # the builder's rules, by kernel passes
@@ -803,7 +803,7 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
     else:  # every point the form covers, those with a bracketed root or two radicands too
         assert passes == 2 * (len(points) - len(extra)), lanes
         assert lanes["kernel pass"] == 2 * len(extra), lanes
-    if name == "q44":  # the sum goes on in Scalar arithmetic, equal to the kernel pass
+    if name == "q44":  # roots under two radicands: enclosures, from rational midpoint cuts
         assert lanes["value", "interval"] >= 1 and lanes["dual", "interval"] >= 1, lanes
 
 
@@ -849,16 +849,36 @@ def test_the_integer_pass_covers_roots_in_q_sqrt_m_and_dual_pieces(monkeypatch):
     assert lanes[("value", "Q")] + lanes[("dual", "Q")] > lanes["kernel pass"]
 
 
-def _reference_abs_sum(A, B, den, cuts, m):
-    """The sum of |F(c_(k+1)) - F(c_k)| in Scalar and _Dual arithmetic."""
-    F_ = Polynomial.of_ints(A, B or [0] * len(A), den, 0).antiderivative()
-    points = [Scalar(c) if type(c) is not tuple
-              else _dual(Scalar(c[0]), Scalar(c[1])) if k in (0, len(cuts) - 1)
-              else _quad(c[0], c[1], m) for k, c in enumerate(cuts)]
-    total = Scalar(0)
-    for s, t in zip(points, points[1:]):
-        total = total + abs(F_(t) - F_(s))
-    return _Dual.parts(total)
+def test_roots_under_two_radicands_give_enclosures_no_wider_than_the_scalar_sum():
+    # q44 at r = 1 where K_1 has roots under two radicands: the value and the
+    # slope of the integer pass (the roots under one radicand cut at rational
+    # midpoints) are no wider than the Scalar sums of the built rule, at x
+    # and at x + eps, and hold the Scalar sum at 150 digits
+    from peanoquad.bounds import _bound_fn
+    from util import reference_kernel_l1_norm
+
+    seen = 0
+    for fixed in ({"lam": F(1, 5), "gamma": F(1, 32), "delta": F(5, 53)},
+                  {"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}):
+        fam = family("q44", **fixed)
+        fn, _, slope = _bound_fn(fam, 1)
+        for x in sorted({F(k, n) for n in (53, 64, 100) for k in range(1, n)}):
+            found = kernel_l1_norm(fam.build(Scalar(x)), 1).sign_changes
+            if len({rt.location._sqrt[2] for rt in found if rt.location._sqrt}) < 2:
+                continue
+            seen += 1
+            want = reference_kernel_l1_norm(fam.build(Scalar(x)), 1)
+            value, dm = _Dual.parts(reference_kernel_l1_norm(fam.build(_Dual(x, 1)), 1).l1_norm)
+            got = fn(x)
+            assert no_wider_overlapping(got, want.l1_norm), x
+            assert all(map(no_wider_overlapping, slope(x), (value, dm))), x
+            set_working_dps(150)
+            try:
+                lo, hi = reference_kernel_l1_norm(fam.build(Scalar(x)), 1).l1_norm.bounds()
+            finally:
+                set_working_dps(60)
+            assert not got.is_exact and got.bounds()[0] <= lo and hi <= got.bounds()[1], x
+    assert seen >= 10, seen
 
 
 def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
@@ -888,7 +908,7 @@ def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
         cuts[1:1] = inside
         a, b, c, e = abs_integral(A, B, den, 0, cuts, m)
         got = (_quad(a, b, m), _quad(c, e, m))
-        want = _reference_abs_sum(A, list(B), den, cuts, m)
+        want = reference_abs_sum(A, list(B), den, cuts, m)
         assert [v.to_json_str() for v in got] == [v.to_json_str() for v in want], (A, B, den, cuts, m)
         seen["sqrt"] += bool(got[0]._sqrt or got[1]._sqrt)
         seen["eps"] += bool(c or e)

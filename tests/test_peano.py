@@ -31,13 +31,15 @@ from peanoquad import (
     sqrt,
     verify_peano_identity,
 )
-from peanoquad.scalars import _Dual
+from peanoquad.scalars import _Dual, _dual
+from peanoquad._qpoly import _fmul
 from peanoquad.peano import _piece_roots
 from peanoquad.roots import isolate_roots
 from peanoquad.rules import _merge_nodes
-from util import (SCAN_FAMILIES, assert_scalar_equals, random_rational_rule, reference_breakpoints,
-                  reference_build_kernel, reference_kernel_l1_norm, reference_merge_nodes,
-                  reference_signature, reference_verify_peano_identity, scalar_is_zero)
+from util import (SCAN_FAMILIES, assert_scalar_equals, no_wider_overlapping, random_rational_rule,
+                  reference_breakpoints, reference_build_kernel, reference_kernel_l1_norm,
+                  reference_merge_nodes, reference_signature, reference_verify_peano_identity,
+                  scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -798,6 +800,13 @@ def _report_fingerprint(rep):
              for rt in rep.sign_changes])
 
 
+def _matches_with_no_wider_norm(got, want):
+    """Breakpoints, pieces and sign changes as in the reference report, and
+    the L1 norm as exact or no wider (``no_wider_overlapping``)."""
+    (g, w) = _report_fingerprint(got), _report_fingerprint(want)
+    return g[:2] == w[:2] and g[3] == w[3] and no_wider_overlapping(got.l1_norm, want.l1_norm)
+
+
 def _oracle_rules():
     """Every catalog rule, the sqrt, mixed-radicand and interval rules of the
     piece reference, 30 seeded random rational rules, and rules at a _Dual
@@ -820,8 +829,8 @@ def _oracle_rules():
         fam = family(name, **fixed)
         grid = fam.domain.grid(33)
         rules += [fam.build(_Dual(grid[9], 1)), fam.build(_Dual(grid[-1], -1))]
-    # q44 where the roots of K_1 lie under two radicands: the sum of the
-    # integer pieces goes on in Scalar arithmetic from the second one on
+    # q44 where the roots of K_1 lie under two radicands: the roots under
+    # the second are cut at rational midpoints
     for fixed, x in ((Q44, F(12, 53)), (Q44, F(13, 53)),
                      ({"lam": F(13, 53), "gamma": F(2, 57), "delta": F(3, 25)}, F(7, 53))):
         rules += [family("q44", **fixed).build(v) for v in (Scalar(x), _Dual(x, 1))]
@@ -867,14 +876,15 @@ def test_node_order_matches_the_scalar_reference():
 
 @pytest.mark.parametrize("dps", [20, 60, 120])
 def test_kernel_pass_matches_the_scalar_reference(dps):
-    # pieces, L1 norm and sign changes: the same exact strings, tiers and
-    # enclosures as the Scalar-product kernel and the Scalar sum
+    # pieces and sign changes: the same exact strings, tiers and enclosures
+    # as the Scalar-product kernel; the L1 norm the same exact value as the
+    # Scalar sum, or an enclosure no wider than its that overlaps it
     set_working_dps(dps)
     try:
         for rule in _oracle_rules():
             for r in range(min(degree_of_exactness(rule, k_max=8).degree, 6) + 1):
                 got, want = kernel_l1_norm(rule, r), reference_kernel_l1_norm(rule, r)
-                assert _report_fingerprint(got) == _report_fingerprint(want), (rule.name, r)
+                assert _matches_with_no_wider_norm(got, want), (rule.name, r)
     finally:
         set_working_dps(60)
 
@@ -1043,11 +1053,12 @@ def test_plain_exact_kernels_are_kept_on_the_rule():
     try:
         got = kernel_l1_norm(rule, 1)
         assert got.kernel is kernel
-        assert _report_fingerprint(got) == _report_fingerprint(reference_kernel_l1_norm(rule, 1))
+        assert _matches_with_no_wider_norm(got, reference_kernel_l1_norm(rule, 1))
+        assert got.radius > 1e-22  # an enclosure at 20 digits
     finally:
         set_working_dps(60)
-    assert _report_fingerprint(kernel_l1_norm(rule, 1)) == _report_fingerprint(
-        reference_kernel_l1_norm(rule, 1))
+    got = kernel_l1_norm(rule, 1)
+    assert _matches_with_no_wider_norm(got, reference_kernel_l1_norm(rule, 1)) and got.radius < 1e-40
 
 
 def test_interval_and_dual_kernels_are_built_on_every_call():
@@ -1095,11 +1106,12 @@ def test_kernel_is_zero_outside_its_interval():
 
 
 def test_rational_pieces_sum_in_integers(monkeypatch):
-    # a kernel whose data and roots are exact in Q or one Q(sqrt m) adds each
-    # piece's |F(c') - F(c)| in one integer sum, and so does the slope pass of
-    # a scan point x + eps over Q[eps] or Q(sqrt m)[eps]: no antiderivative
-    # triple and no term-by-term sum, and the value of the Scalar reference
-    import peanoquad.peano as peano
+    # every kernel formed in integers adds each piece's |F(c') - F(c)| in one
+    # integer sum, and so does the slope pass of a scan point x + eps over
+    # Q[eps] or Q(sqrt m)[eps], bracketed roots and roots under a second
+    # radicand too: no antiderivative, no abs of a Scalar and no built rule.
+    # The value is the Scalar reference's where that is exact, else an
+    # enclosure no wider than it that overlaps it
     from peanoquad.bounds import _bound_fn
     from peanoquad.rules import RuleFamily
 
@@ -1114,35 +1126,171 @@ def test_rational_pieces_sum_in_integers(monkeypatch):
              for r in range(min(degree_of_exactness(rule, k_max=8).degree, 4) + 1)]
     wants = [reference_kernel_l1_norm(rule, r) for rule, r in cases]
     fams = [family(name, **fixed) for name, fixed in (("gs2", {}), ("ostrowski", {}), ("mp3", {}),
-                                                       ("alomari4", {"lam": F(9, 43)}))]
-    slopes = [(fam, x, r) for fam in fams for x in (F(1, 3), F(3, 5))
-              for r in range(fam.generic_degree + 1)]
+                                                       ("alomari4", {"lam": F(9, 43)}),
+                                                       ("q44", Q44))]
+    slopes = [(fam, x, r) for fam in fams for x in (F(1, 3), F(3, 5), F(12, 53))
+              if fam.domain.contains(x) for r in range(fam.generic_degree + 1)]
     slope_wants = [reference_kernel_l1_norm(fam.build(_Dual(x, 1)), r) for fam, x, r in slopes]
 
     def radicands(rep):
         values = [*rep.kernel.breakpoints, *(c for p in rep.kernel.pieces for c in p.coeffs)]
         return {v._sqrt[2] for v in values + [rt.location for rt in rep.sign_changes] if v._sqrt}
 
-    def summed_in_integers(pairs):
-        return [(case, want) for case, want in pairs
-                if all(rt.is_exact() for rt in want.sign_changes) and len(radicands(want)) <= 1]
+    def bracketed(rep):
+        return not all(rt.is_exact() for rt in rep.sign_changes)
 
-    kept = summed_in_integers(zip(cases, wants))
-    assert len(kept) >= 60 and sum(bool(want.sign_changes) for _, want in kept) >= 30
-    assert sum(bool(radicands(want)) for _, want in kept) >= 10
-    kept_slopes = summed_in_integers(zip(slopes, slope_wants))
-    assert len(kept_slopes) >= 10 and all(type(want.l1_norm) is _Dual for _, want in kept_slopes)
-    assert any(radicands(want) for _, want in kept_slopes)
+    assert len(cases) >= 60 and sum(bool(want.sign_changes) for want in wants) >= 30
+    assert sum(bool(radicands(want)) for want in wants) >= 10
+    assert sum(map(bracketed, wants)) >= 3
+    assert len(slopes) >= 20 and all(type(want.l1_norm) is _Dual for want in slope_wants)
+    assert any(len(radicands(want)) > 1 for want in slope_wants)
 
     def scalar_sum(*args):
-        raise AssertionError("a term-by-term sum on exact cuts, or a built rule")
+        raise AssertionError("a term-by-term sum, or a built rule")
 
-    monkeypatch.setattr(peano, "antiderivative_values", scalar_sum)
     monkeypatch.setattr(Polynomial, "antiderivative", scalar_sum)
-    gots = [kernel_l1_norm(rule, r) for (rule, r), _ in kept]
+    monkeypatch.setattr(Scalar, "__abs__", scalar_sum)
+    monkeypatch.setattr(_Dual, "__abs__", scalar_sum)
+    gots = [kernel_l1_norm(rule, r) for rule, r in cases]
     monkeypatch.setattr(RuleFamily, "build", scalar_sum)
-    got_slopes = [_bound_fn(fam, r)[2](x) for (fam, x, r), _ in kept_slopes]
+    got_slopes = [_bound_fn(fam, r)[2](x) for fam, x, r in slopes]
     monkeypatch.undo()
-    assert [_report_fingerprint(g) for g in gots] == [_report_fingerprint(w) for _, w in kept]
-    assert ([[_fingerprint(v) for v in got] for got in got_slopes]
-            == [[_fingerprint(v) for v in _Dual.parts(w.l1_norm)] for _, w in kept_slopes])
+    for got, want, case in zip(gots, wants, cases):
+        assert _matches_with_no_wider_norm(got, want), (case[0].name, case[1])
+        assert got.l1_norm.is_exact or not want.l1_norm.is_exact, (case[0].name, case[1])
+    for got, want, case in zip(got_slopes, slope_wants, slopes):
+        assert no_wider_overlapping(_dual(*got), want.l1_norm), case
+
+
+# ---------------------------------------------------------------------------
+# bracketed roots: rational midpoint cuts and a second-order gap
+
+
+def test_bracketed_catalog_constants_have_second_order_radii():
+    # each kernel root of these is a bracket of width <= 1e-20; the midpoint
+    # cuts leave a gap of order 1e-40
+    for name, r in (("gauss_legendre2", 1), ("lobatto4", 1), ("lobatto4", 3)):
+        rep = kernel_l1_norm(make_rule(name), r)
+        assert not all(rt.is_exact() for rt in rep.sign_changes), (name, r)
+        assert 0 < rep.radius <= 1e-40, (name, r, rep.radius)
+
+
+def _interpolatory_rule(rng):
+    """The interpolatory rule on 3 to 6 distinct nodes of the grid k/25 in [-1, 1]."""
+    xs = [F(k, 25) for k in sorted(rng.sample(range(-25, 26), rng.randint(3, 6)))]
+    nodes = []
+    for i, x in enumerate(xs):
+        basis = [F(1)]
+        for j, y in enumerate(xs):
+            if j != i:
+                basis = _fmul(basis, [-y / (x - y), 1 / (x - y)])
+        nodes.append((x, sum(2 * c / (k + 1) for k, c in enumerate(basis) if k % 2 == 0)))
+    return custom_rule("interpolatory", nodes)
+
+
+def test_bracketed_roots_give_enclosures_of_the_tight_reference():
+    # 500 kernels of order r >= 2 with a bracketed root: each enclosure holds
+    # the Scalar sum over roots refined to 1e-60 at 150 digits, and is no
+    # wider than the Scalar sum over today's 1e-20 brackets at 60 digits
+    rng = random.Random(25)
+    cases = []
+    while len(cases) < 500:
+        rule = _interpolatory_rule(rng)
+        for r in range(2, degree_of_exactness(rule, k_max=8).degree + 1):
+            got = kernel_l1_norm(rule, r)
+            if not all(rt.is_exact() for rt in got.sign_changes):
+                cases.append((rule, r, got.l1_norm))
+    wide = [reference_kernel_l1_norm(rule, r).l1_norm for rule, r, _ in cases]
+    set_working_dps(150)
+    try:
+        tight = [reference_kernel_l1_norm(rule, r, tol=F(1, 10**60)).l1_norm for rule, r, _ in cases]
+    finally:
+        set_working_dps(60)
+    for (rule, r, got), w, t in zip(cases, wide, tight):
+        (lo, hi), (wlo, whi), (tlo, thi) = got.bounds(), w.bounds(), t.bounds()
+        where = (r, [(str(x), str(a)) for x, a in rule.value_nodes])
+        assert not got.is_exact and lo <= tlo and thi <= hi, where
+        assert hi - lo <= whi - wlo, where
+
+
+def _dual_abs_sum(pieces, ends, roots):
+    """(value, eps part) of the sum over dual pieces (A + B*eps)/den between
+    their ends and roots, in _Dual arithmetic (``util.reference_abs_sum``)."""
+    from util import reference_abs_sum
+
+    sums = [reference_abs_sum(A, B, den, [lo, *(rt.location for rt in found), hi], 0)
+            for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots)]
+    return [sum(part, Scalar(0)) for part in zip(*sums)]
+
+
+def test_a_slope_pass_with_a_bracketed_root_encloses_the_dual_sum():
+    # dual pieces (A + B*eps)/den on two pieces whose value parts have an
+    # irreducible cubic factor: the value and the eps part of l1_sum enclose
+    # the _Dual sum at 1e-60 brackets and 150 digits.  The value is second
+    # order in the bracket width w and no wider than the _Dual sum at the
+    # same 1e-20 brackets; the eps part is first order, as wide as that sum
+    # up to a term in w**2
+    from peanoquad.peano import l1_sum
+    from peanoquad.roots import DEFAULT_ROOT_TOL, _isolate_rational
+    from util import reference_isolate_roots
+
+    rng = random.Random(32)
+    seen = 0
+    while seen < 40:
+        den, mid = rng.randint(1, 9), F(rng.randint(-9, 9), 10)
+        ends = [(F(-1), F(rng.randint(-3, 3), 4)), (mid, F(rng.randint(-3, 3), 2)), (F(1), 0)]
+        pieces = []
+        for _ in range(2):
+            cubic = [rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(-6, 6), rng.randint(-2, 2), 4]
+            A = _fmul(cubic, [rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])])
+            pieces.append((A, [rng.randint(-5, 5) for _ in A], den, 0))
+        windows = [(lo, hi) for (lo, _), (hi, _) in zip(ends, ends[1:])]
+        roots = [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, F(A[-1], den))
+                 for (A, *_), (lo, hi) in zip(pieces, windows)]
+        if all(rt.is_exact() for found in roots for rt in found):
+            continue
+        seen += 1
+        got = _Dual.parts(l1_sum(pieces, ends, roots))
+        wide = _dual_abs_sum(pieces, ends, roots)
+        set_working_dps(150)
+        try:
+            tight = _dual_abs_sum(pieces, ends, [
+                reference_isolate_roots(Polynomial([F(a, den) for a in A]), lo, hi, F(1, 10**60))
+                for (A, *_), (lo, hi) in zip(pieces, windows)])
+        finally:
+            set_working_dps(60)
+        for g, w, t, width, slack in zip(got, wide, tight, (1e-35, 1e-15), (0, 1e-35)):
+            (lo, hi), (wlo, whi), (tlo, thi) = g.bounds(), w.bounds(), t.bounds()
+            assert not g.is_exact and lo <= tlo and thi <= hi and hi - lo < width, (pieces, ends)
+            assert hi - lo <= whi - wlo + slack, (pieces, ends)
+
+
+def test_a_root_enclosure_rounded_across_a_window_end_is_not_cut():
+    # at 16 digits the enclosure of the root 1/3 + 1.8e-19 of this piece,
+    # rounded outward, has its midpoint below the window end 1/3: that cut
+    # is left out, and the sum still holds the Scalar sum at 150 digits
+    from peanoquad.peano import l1_sum
+    from peanoquad.roots import DEFAULT_ROOT_TOL, _isolate_rational
+    from util import reference_isolate_roots
+
+    A = _fmul([-1, 3], [-2, 0, 1])
+    A = [c * 10**17 for c in A]
+    A[0] += 1
+    lo, hi = F(1, 3), F(1)
+    set_working_dps(16)
+    try:
+        roots = _isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, F(A[-1]))
+        assert len(roots) == 1 and sum(roots[0].location.bounds()) / 2 < lo
+        got = l1_sum([(A, [0] * len(A), 1, 1)], [(lo, 0), (hi, 0)], [roots])
+    finally:
+        set_working_dps(60)
+    set_working_dps(150)
+    try:
+        F_ = Polynomial(A).antiderivative()
+        cuts = [Scalar(lo), *(rt.location for rt in reference_isolate_roots(
+            Polynomial(A), lo, hi, F(1, 10**60))), Scalar(hi)]
+        want = sum((abs(F_(t) - F_(s)) for s, t in zip(cuts, cuts[1:])), Scalar(0))
+    finally:
+        set_working_dps(60)
+    (glo, ghi), (wlo, whi) = got.bounds(), want.bounds()
+    assert not got.is_exact and glo <= wlo and whi <= ghi

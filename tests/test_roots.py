@@ -8,10 +8,10 @@ from functools import reduce
 import pytest
 
 from peanoquad import DegreeTooHigh, Polynomial, Scalar, isolate_roots, sqrt
-from peanoquad._qpoly import _fmul
+from peanoquad._qpoly import _fmul, _ints
 from peanoquad.roots import _simplest_in_open, _sturm_chain_int
-from util import (REFERENCE_EXITS, fdivmod, reference_isolate_roots, reference_simplest_in_open,
-                  reference_sturm_chain_int, yun_squarefree)
+from util import (REFERENCE_EXITS, fdivmod, fraction_eval, reference_isolate_roots,
+                  reference_simplest_in_open, reference_sturm_chain_int, yun_squarefree)
 
 
 def sign_scan_oracle(fn, lo, hi, n=100001):
@@ -242,11 +242,11 @@ def _scalar_quadratic_roots(f, lo, hi):
 
 def _yun_route(c, lo, hi):
     """Reference: _isolate_rational with every piece split by Yun first."""
-    from peanoquad import _qpoly, roots
+    from peanoquad import roots
 
-    while len(c) > 1 and _qpoly.fraction_eval(c, lo) == 0:
+    while len(c) > 1 and fraction_eval(c, lo) == 0:
         c = fdivmod(c, [-lo, F(1)])[0]
-    while len(c) > 1 and _qpoly.fraction_eval(c, hi) == 0:
+    while len(c) > 1 and fraction_eval(c, hi) == 0:
         c = fdivmod(c, [-hi, F(1)])[0]
     if len(c) < 2:
         return []
@@ -288,7 +288,7 @@ def test_closed_form_low_degree_roots_match_the_yun_route():
         if lo >= hi or c[-1] == 0:
             continue
         want = _yun_route(list(c), lo, hi)
-        got = _isolate_rational(list(c), lo, hi, tol)
+        got = _isolate_rational(_ints(*c)[:-1], lo, hi, tol, c[-1])
         assert ([(r.location.to_json_str(), r.multiplicity_hint, r.certified) for r in got]
                 == [(r.location.to_json_str(), r.multiplicity_hint, r.certified) for r in want]), c
         assert list(isolate_roots(Polynomial(c), lo, hi)) == got

@@ -1,0 +1,66 @@
+"""How tools/same_outputs.py classifies the outputs that differ, on small
+synthetic dumps."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "same_outputs", Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def _scalar(text, tier="interval", bounds=None):
+    return {"scalar": text, "tier": tier, "bounds": bounds or [text, text]}
+
+
+def _interval(lo, hi):
+    return _scalar(f"[{lo}, {hi}]", "interval", [lo, hi])
+
+
+def test_each_kind_of_change_is_counted_once():
+    old = {
+        "op/same": {"value": _interval("1/3", "2/3"), "n": 4},
+        "op/exact": [_scalar("1/90", "rational"), _scalar("1/2+1/3*sqrt(2)", "sqrt")],
+        "op/tier": _scalar("1/7", "rational"),
+        "op/narrower": {"values": [_interval("0", "1"), _interval("2", "4")]},
+        "op/moved": _interval("0", "1"),
+        "op/wider": _interval("1/4", "1/2"),
+        "op/disjoint": _interval("0", "1/10"),
+        "op/cli": [0, "M = 0.25\n", {"out.json": "{}"}],
+    }
+    new = {
+        "op/same": {"value": _interval("1/3", "2/3"), "n": 4},
+        "op/exact": [_scalar("1/91", "rational"), _scalar("1/2+1/3*sqrt(3)", "sqrt")],
+        "op/tier": _interval("1/8", "1/6"),
+        "op/narrower": {"values": [_interval("1/2", "1"), _interval("2", "3")]},
+        "op/moved": _interval("1/2", "3/2"),
+        "op/wider": _interval("0", "1"),
+        "op/disjoint": _interval("1/5", "3/10"),
+        "op/cli": [0, "M = 0.26\n", {"out.json": "{}"}],
+    }
+    counts = same_outputs.classify(old, new)
+    assert counts == {"exact or tier changed": 3, "narrower": 2, "moved": 1, "wider": 1,
+                      "disjoint": 1, "other": 1}
+    assert same_outputs.classify(old, old) == {}
+
+
+def test_an_enclosure_that_shrinks_to_a_point_inside_is_narrower_and_one_outside_disjoint():
+    old = _interval("0", "1")
+    assert same_outputs.classify(old, _interval("1/2", "1/2")) == {"narrower": 1}
+    assert same_outputs.classify(old, _interval("1", "1")) == {"narrower": 1}  # the ends touch
+    assert same_outputs.classify(old, _interval("2", "2")) == {"disjoint": 1}
+
+
+def test_missing_ops_and_changed_shapes_count_as_other():
+    old = {"a": [_interval("0", "1")], "b": 1}
+    new = {"a": [_interval("0", "1"), _interval("0", "1")], "c": 1}
+    assert same_outputs.classify(old, new) == {"other": 3}
+
+
+def test_the_summary_keeps_its_leading_counts():
+    counts = same_outputs.classify({"x": _interval("0", "1")}, {"x": _interval("0", "1/2")})
+    line = same_outputs.summary(1, 826, 0, 4, counts)
+    assert line.startswith("1 of 826 ops differ, 0 of 4 demos differ; ")
+    assert line.endswith("Scalars: 0 exact or tier changed, 1 narrower, 0 moved, 0 wider, "
+                         "0 disjoint; 0 other values differ")

@@ -7,11 +7,10 @@ from fractions import Fraction as F
 
 from peanoquad import (KernelReport, OrderExceedsExactness, PiecewisePolynomial, Polynomial,
                        QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm)
-from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _to_int_primitive,
-                              fraction_eval, int_horner)
+from peanoquad._qpoly import _fderiv, _fdeg, _fmul, _fsub, _ftrim, _ints, _primitive, int_horner
 from peanoquad.peano import _integrals, _piece_roots, build_kernel
 from peanoquad.roots import Root
-from peanoquad.scalars import _Dual, _extract_square, _quad, as_scalar, field_parts, minus_terms
+from peanoquad.scalars import _Dual, _dual, _extract_square, _quad, as_scalar, field_parts, minus_terms
 
 
 # every family with a free node x; the parameters of the others are those
@@ -51,6 +50,23 @@ def assert_scalar_equals(got: Scalar, want, tol=1e-12):
     else:
         diff = abs(float(got - want))
         assert diff <= tol, f"|{float(got)} - {float(want)}| = {diff} > {tol}"
+
+
+def no_wider_overlapping(got: Scalar, want: Scalar) -> bool:
+    """got is want where want is exact (same type, tier and exact string), and
+    an enclosure no wider than want that overlaps it where want is an
+    interval; part by part for a _Dual."""
+    if type(got) is not type(want):
+        return False
+    for g, w in zip(_Dual.parts(got), _Dual.parts(want)):
+        if w.is_exact:
+            if (g.is_rational, g.is_exact, g.to_json_str()) != (w.is_rational, True, w.to_json_str()):
+                return False
+            continue
+        (glo, ghi), (wlo, whi) = g.bounds(), w.bounds()
+        if ghi - glo > whi - wlo or ghi < wlo or whi < glo:
+            return False
+    return True
 
 
 def random_rational_rule(
@@ -196,10 +212,28 @@ def reference_bound_fn(family, r: int):
     return fn, sig, slope
 
 
-def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
+def reference_abs_sum(A, B, den, cuts, m):
+    """(value, eps part) of the sum of |F(c_(k+1)) - F(c_k)| in Scalar and
+    _Dual arithmetic, F the antiderivative of (A + B*eps)/den: a cut is a
+    Scalar or rational, or a pair (p, q), p + q*eps at the two ends and
+    p + q*sqrt(m) inside."""
+    F_ = Polynomial([_dual(Scalar(F(a, den)), Scalar(F(b, den)))
+                     for a, b in zip(A, B or [0] * len(A))]).antiderivative()
+    points = [Scalar(c) if type(c) is not tuple
+              else _dual(Scalar(c[0]), Scalar(c[1])) if k in (0, len(cuts) - 1)
+              else _quad(c[0], c[1], m) for k, c in enumerate(cuts)]
+    total = Scalar(0)
+    for s, t in zip(points, points[1:]):
+        total = total + abs(F_(t) - F_(s))
+    return _Dual.parts(total)
+
+
+def reference_kernel_l1_norm(rule: QuadRule, r: int, tol=None) -> KernelReport:
     """``kernel_l1_norm`` on ``reference_build_kernel``: the antiderivative of
     each piece by Scalar Horner passes at the cut points, and the sum
-    total + |F(cut) - F(previous cut)| in Scalar arithmetic."""
+    total + |F(cut) - F(previous cut)| in Scalar arithmetic.  Given a root
+    tolerance ``tol``, the roots come from ``reference_isolate_roots`` with
+    brackets of width at most tol."""
     kernel = reference_build_kernel(rule, r)
     total = Scalar(0)
     roots = []
@@ -208,7 +242,12 @@ def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
         if piece.is_zero:
             continue
         inside = piece.degree >= 1 and Scalar(lo) != Scalar(hi)
-        piece_roots = isolate_roots(piece, lo, hi) if inside else ()
+        if not inside:
+            piece_roots = ()
+        elif tol is None:
+            piece_roots = isolate_roots(piece, lo, hi)
+        else:
+            piece_roots = reference_isolate_roots(piece, lo, hi, tol)
         F_ = piece.antiderivative()
         cuts = [lo] + [rt.location for rt in piece_roots] + [hi]
         prev = F_(cuts[0])
@@ -222,6 +261,18 @@ def reference_kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
 
 # --------------------------------------------------------------------------
 # root isolation in Fractions: Euclid over Q, monic gcds, Fraction bisection
+
+
+def fraction_eval(c: list[F], t: F) -> F:
+    """p(t) for rational coefficients c, by one integer Horner pass."""
+    *ints, den = _ints(*c)
+    return F(int_horner(ints, t.numerator, t.denominator), den * t.denominator ** max(len(c) - 1, 0))
+
+
+def _to_int_primitive(c: list[F]) -> list[int]:
+    """The primitive integer multiple of rational coefficients, with their sign."""
+    return _primitive(_ints(*c)[:-1])
+
 
 #: how often the reference engine left by each exit; tests clear it and read
 #: it to show that their cases reach every branch

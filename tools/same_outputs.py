@@ -22,8 +22,12 @@ print match; a demo gives its exit code, standard output and the files it
 writes.
 
 The ids of the operations and the names of the demos whose outputs differ
-are printed, and the last line counts them.  Exit status: 0 when every
-output is identical, 1 otherwise.
+are printed, and the last line counts them.  It goes on to say how each
+Scalar that differs moved: its exact string or tier changed, or, from one
+enclosure to another, it got narrower (and overlaps the old one), kept its
+width but moved, got wider, or is disjoint from the old one; any other value
+that differs (a CLI's output text, say) counts as other.  Exit status: 0
+when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 #: (workload, seeds, rounds per seed; None for all)
@@ -61,6 +66,50 @@ def _plain(x, scalar_type):
     if isinstance(x, (float, Fraction)):
         return str(x)
     return x
+
+
+#: how a Scalar can differ, in the order of the summary
+KINDS = ("exact or tier changed", "narrower", "moved", "wider", "disjoint")
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, dict) and x.keys() == {"scalar", "tier", "bounds"}
+
+
+def _kind(a: dict, b: dict) -> str:
+    """How the dumped Scalar a became b (a != b), one of KINDS."""
+    if a["tier"] != "interval" or b["tier"] != "interval":
+        return KINDS[0]
+    (alo, ahi), (blo, bhi) = ([Fraction(e) for e in x["bounds"]] for x in (a, b))
+    if bhi < alo or ahi < blo:
+        return "disjoint"
+    return "wider" if bhi - blo > ahi - alo else "narrower" if bhi - blo < ahi - alo else "moved"
+
+
+def classify(a, b, counts: Counter | None = None) -> Counter:
+    """Count the differences of two dumped outputs, walked alike: each Scalar
+    that differs by its kind, any other value that differs as "other"."""
+    counts = Counter() if counts is None else counts
+    if a == b:
+        return counts
+    if _is_scalar(a) and _is_scalar(b):
+        counts[_kind(a, b)] += 1
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() | b.keys():
+            classify(a.get(key), b.get(key), counts)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            classify(x, y, counts)
+    else:
+        counts["other"] += 1
+    return counts
+
+
+def summary(n_differ: int, n_ops: int, n_demos_differ: int, n_demos: int, counts: Counter) -> str:
+    """The last line: the counts of differing ops and demos, then of each kind of change."""
+    kinds = ", ".join(f"{counts[kind]} {kind}" for kind in KINDS)
+    return (f"{n_differ} of {n_ops} ops differ, {n_demos_differ} of {n_demos} demos differ; "
+            f"Scalars: {kinds}; {counts['other']} other values differ")
 
 
 def dump(tree: str, scratch: str, out_path: str) -> None:
@@ -128,8 +177,9 @@ def main(argv: list[str]) -> int:
     demos = [key for key in sorted(da.keys() | db.keys()) if da.get(key) != db.get(key)]
     for key in differ + [f"demos/{name}" for name in demos]:
         print(key)
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} ops differ, "
-          f"{len(demos)} of {len(da.keys() | db.keys())} demos differ")
+    counts = classify(a, b)
+    print(summary(len(differ), len(a.keys() | b.keys()), len(demos), len(da.keys() | db.keys()),
+                  counts))
     return 1 if differ or demos else 0
 
 
