@@ -31,6 +31,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .composite import _certificate
@@ -83,6 +84,12 @@ class MinimizeResult(NamedTuple):
     multimodal_suspected: bool
 
 
+@lru_cache(maxsize=64)
+def _memo(key: tuple) -> tuple[dict, dict, dict]:
+    """The value, signature and slope memos of one key of ``_bound_fn``."""
+    return {}, {}, {}
+
+
 def _bound_fn(family: RuleFamily, r: int):
     """Memoized x -> M_r(x), x -> kernel root signature, and
     x -> (M_r(x), M_r'(x)).
@@ -103,9 +110,9 @@ def _bound_fn(family: RuleFamily, r: int):
     """
     from ._forms import form_of, form_pieces, form_read  # compiled on a family's first scan
 
-    values: dict[Fraction, Scalar] = {}
-    sigs: dict[Fraction, tuple[int, ...]] = {}
-    slopes: dict[Fraction, tuple[Scalar, Scalar]] = {}
+    fixed = tuple((k, v._frac if v._frac is not None else v._sqrt or v.bounds())
+                  for k, v in family.fixed_params.items())
+    values, sigs, slopes = _memo((family.name, fixed, family.domain, r, get_working_dps()))
     form = form_of(family)
 
     def scan(x: Fraction, d: int = 0, summed: bool = True):  # the pass at x + d*eps

@@ -30,7 +30,9 @@ class Polynomial:
     @classmethod
     def of_ints(cls, A: list[int], B: list[int], den: int, m: int) -> "Polynomial":
         """(A + B*sqrt(m))/den, for integer lists of one length whose last
-        pair is not (0, 0)."""
+        pair is not (0, 0); m >= 1, so a dual piece over Q[eps] raises ValueError."""
+        if m < 1:
+            raise ValueError("Polynomial.of_ints takes no polynomial over Q[eps] (m = 0)")
         p = cls.__new__(cls)
         p.ints = (A, B, den, m)
         return p

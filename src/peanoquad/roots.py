@@ -318,12 +318,8 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     integers over their common denominator.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign.
-    Raises :class:`DegreeTooHigh` above degree 16, and ``ValueError`` for a
-    ``Polynomial.of_ints`` over Q[eps] (m = 0): read as one over Q(sqrt m),
-    its norm could not settle a sign at an irrational root.
+    Raises :class:`DegreeTooHigh` above degree 16.
     """
-    if p.ints is not None and not p.ints[3]:
-        raise ValueError("isolate_roots takes no polynomial over Q[eps]")
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
     lo_s, hi_s = as_scalar(lo), as_scalar(hi)

@@ -34,6 +34,7 @@ from peanoquad import (
     sqrt,
 )
 from peanoquad._qpoly import abs_integral
+from peanoquad.bounds import _bound_fn, _memo
 from peanoquad.polynomials import Polynomial
 from peanoquad.scalars import _Dual, _quad
 from util import (SCAN_FAMILIES, assert_scalar_equals, no_wider_overlapping, reference_abs_sum,
@@ -508,6 +509,7 @@ def test_signature_probes_match_the_full_pass_reference(name, fixed):
     fam = family(name, **fixed)
     for r in range(fam.generic_degree + 1):
         kinks = [k.as_fraction() for k in bound_scan(fam, r, grid_size=33).branch_points]
+        _memo.cache_clear()  # the scan's passes are in the memo: probe afresh
         fn, sig, _ = _bound_fn(fam, r)
         for x in fam.domain.grid(33) + kinks:
             rule = fam.build(Scalar(x))
@@ -786,13 +788,12 @@ def test_scan_points_equal_the_kernel_pass_reference(name, fixed, monkeypatch):
     extra = [(2, F(0)), (3, F(0))] if fixed.get("lam") == F(2, 3) else []
     points = [(r, x) for r in range(fam.generic_degree + 1) for x in family_points(fam)] + extra
     for r in sorted({r for r, _ in points}):
-        fn, sig, slope = _bound_fn(fam, r)
-        _, probe, _ = _bound_fn(fam, r)
+        fn, sig, slope = _bound_fn(fam, r)  # a fresh memo: each x is probed first
         want_fn, want_sig, want_slope = reference_bound_fn(fam, r)
         _, want_probe, _ = reference_bound_fn(fam, r)
         for x in (x for k, x in points if k == r):
             where = (name, r, x)
-            assert probe(x) == want_probe(x), where
+            assert sig(x) == want_probe(x), where
             assert no_wider_overlapping(fn(x), want_fn(x)), where
             assert sig(x) == want_sig(x), where
             assert all(map(no_wider_overlapping, slope(x), want_slope(x))), where
@@ -938,3 +939,102 @@ def test_abs_integral_sums_pieces_over_q_sqrt_m():
         assert (c, e) == (0, 0) and _quad(a, b, m).to_json_str() == want.to_json_str(), (A, B, cuts)
         seen["sqrt"] += bool(b)
     assert seen["sqrt"] >= 150, seen
+
+
+# ---------------------------------------------------------------------------
+# one bound-function memo per (family, order, working precision)
+
+
+def _spelled(values):
+    """Each value by its JSON string and its exact enclosure ends."""
+    return [(v.to_json_str(), v.bounds()) for v in values]
+
+
+def _spelled_scan(scan):
+    return (_spelled(scan.grid), _spelled(scan.values), _spelled(scan.branch_points),
+            _spelled(scan.minimizer), scan.multimodal_suspected)
+
+
+def test_a_minimizer_after_a_scan_of_the_family_forms_no_sum_at_its_points(monkeypatch):
+    # each call takes its own family object: the memo is keyed by the family's
+    # exact parts, so the grid values, probes and slopes of the scan serve the
+    # minimizer's scan; only its probes at x* +- 1e-6 are new passes
+    import peanoquad.bounds as bounds
+
+    bound_scan(family("gs2"), 0, grid_size=33)
+    sums, form_sum = [], bounds.l1_sum
+
+    def counted(*args):
+        sums.append(args)
+        return form_sum(*args)
+
+    monkeypatch.setattr(bounds, "l1_sum", counted)
+    res = minimize_bound(family("gs2"), 0)
+    assert (res.x, res.value) == (Scalar(F(1, 2)), Scalar(F(1, 2)))
+    assert len(sums) == 2, len(sums)
+
+
+def test_working_precision_is_part_of_the_memo_key():
+    # q44 at r = 1 has roots under two radicands: its values are enclosures
+    # whose width follows the working precision
+    fam = family("q44", lam=F(1, 5), gamma=F(1, 32), delta=F(5, 53))
+    try:
+        bound_scan(fam, 1, grid_size=17)
+        set_working_dps(20)
+        warm = _spelled_scan(bound_scan(fam, 1, grid_size=17))
+        _memo.cache_clear()
+        cold = _spelled_scan(bound_scan(fam, 1, grid_size=17))
+    finally:
+        set_working_dps(60)
+    assert warm == cold
+    assert cold != _spelled_scan(bound_scan(fam, 1, grid_size=17))
+
+
+@pytest.mark.parametrize("first,second", [
+    (("alomari4", {"lam": F(1, 5)}),
+     ("alomari4", {"lam": Scalar.from_interval(F(1, 5) - F(1, 10**40), F(1, 5) + F(1, 10**40))})),
+    (("alomari4", {"lam": F(1, 5)}), ("alomari4", {"lam": sqrt(Scalar(F(1, 20)))})),
+    (("mod3", {"lam": F(9, 19)}), ("mod3", {"lam": F(7, 17)})),
+    (("dcr", {"lam": F(2, 7)}), ("dcr", {"lam": F(17, 60)})),
+])
+def test_the_memo_key_separates_fixed_parameters_and_domains(first, second):
+    # a scan after one of a family with other fixed parameters (another
+    # domain, for dcr) is the cold scan: each key has its own memo
+    name, fixed = second
+    want = _spelled_scan(bound_scan(family(name, **fixed), 0, grid_size=5))
+    _memo.cache_clear()
+    bound_scan(family(first[0], **first[1]), 0, grid_size=5)
+    assert _spelled_scan(bound_scan(family(name, **fixed), 0, grid_size=5)) == want
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_warm_scans_equal_cold_scans(name, fixed):
+    # a scan on another grid and window, and a minimizer, read the values,
+    # probes and slopes of a 33-point scan made before them: each result is
+    # the one a fresh memo gives, to the last digit and enclosure end
+    fam = family(name, **fixed)
+    lo, hi = fam.domain.lo, fam.domain.hi
+
+    def minimized(r):
+        x, value, flag = minimize_bound(fam, r)
+        return _spelled([x, value]), flag
+
+    for r in range(fam.generic_degree + 1):
+        runs = [lambda: _spelled_scan(bound_scan(fam, r, grid_size=17)),
+                lambda: _spelled_scan(bound_scan(fam, r, grid_size=9, lo=lo + (hi - lo) / 5,
+                                                 hi=hi - (hi - lo) / 7)),
+                lambda: minimized(r)]
+        for run in runs:
+            _memo.cache_clear()
+            bound_scan(fam, r, grid_size=33)
+            warm = run()
+            _memo.cache_clear()
+            assert warm == run(), (name, r)
+
+
+def test_the_memo_bound_evicts_the_oldest_keys():
+    size = _memo.cache_info().maxsize
+    assert size >= 32  # the (family, order) pairs of a family_scan round fit
+    for k in range(size + 5):
+        _bound_fn(family("mod3", lam=F(1, k + 2)), 0)
+    assert _memo.cache_info().currsize == size

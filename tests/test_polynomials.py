@@ -100,6 +100,15 @@ def test_derivative():
     assert Polynomial([7]).derivative().is_zero
 
 
+def test_integer_pieces_over_q_eps_are_refused_where_they_are_made():
+    # (A + B*eps)/den is no polynomial over Q(sqrt m): its coefficients would
+    # read as a + b*sqrt(0), an exact non-rational Scalar
+    with pytest.raises(ValueError, match="Q\\[eps\\]"):
+        Polynomial.of_ints([1, 2], [3, 0], 5, 0)
+    p = Polynomial.of_ints([1, 2], [3, 0], 5, 2)
+    assert p.coeffs == (Scalar(F(1, 5)) + F(3, 5) * sqrt(Scalar(2)), Scalar(F(2, 5)))
+
+
 def _scalar_horner(p, t):
     """Reference: p(t) by Horner's rule in Scalar arithmetic."""
     acc = Scalar(0)
