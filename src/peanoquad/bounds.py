@@ -23,6 +23,10 @@ pass that isolates the roots of each kernel
 piece: over the integer pieces of the family's fitted form where it covers
 the point (a rational x or x + eps), with no rule or kernel object, and over
 the kernel of the built rule (``RuleFamily.build``) at any other point.
+Values, signatures and slopes are memoized for the process, per family
+name, exact fixed parameters, domain, order and working precision (the 64
+most recently used), so a minimizer after a scan of the family reads the
+scan's passes.
 """
 
 from __future__ import annotations
@@ -101,8 +105,11 @@ def _bound_fn(family: RuleFamily, r: int):
     the form covers, with no rule or kernel, else of the built rule's kernel
     (``_piece_roots``).  A value or slope pass then sums |K_r| over them
     (``peano.l1_sum``, or ``_kernel_l1`` as ``kernel_l1_norm`` does); a probe
-    forms no sum.  A pass at x memoizes its signature; no piece or root
-    outlives it.
+    forms no sum.  A pass keeps only its value, signature or slope, in the
+    memos ``_memo`` gives for the key (family name, the exact parts of each
+    fixed parameter: a Fraction, the (a, b, m) of a + b*sqrt(m), or the
+    exact ends of an interval; domain, r, working precision), which every
+    call with that key shares; the 64 most recently used keys are kept.
     The derivative is that of the kernel pass at a dual number x + eps,
     which carries d/dx through the nodes, weights, breakpoints and
     integrals; where M_r has a corner it is the right-hand derivative (the
