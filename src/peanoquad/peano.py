@@ -27,9 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
-from ._qpoly import (_fderiv, abs_integral, int_parts, integrate_pieces, kernel_pieces, parts,
-                     plain_field, remainder)
+from ._qpoly import (_fderiv, _ints, abs_integral, int_horner, int_parts, integrate_pieces,
+                     kernel_pieces, parts, plain_field, remainder)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
@@ -206,14 +207,16 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     an end is irrational, else the field of the first quadratic root (in a
     slope pass, of the first one whose piece has an eps part).
 
-    A bracketed root tau, or one exact in another field, is cut at the
-    rational midpoint c of its enclosure, of width w; a cut at or beyond a
-    window end is left out.  As K(tau) = 0, each such cut undercounts by at
-    most 2|int_tau^c K| <= sup|K'| (w/2)**2, so the value is [L, L + G], G
-    the sum of those bounds, with sup|K'| over |t| <= R (R the larger end of
-    the enclosure) bounded by an integer sum.  In a slope pass (m = 0) G
-    reads A alone, and the eps part is within the sum of sup|B/den| * w of
-    the true slope, sup over the enclosure: first order in w."""
+    A bracketed root tau is cut at the rational midpoint c of its exact
+    bracket (``Root.bracket``), one exact in another field at that of its
+    enclosure, of width w; a cut at or beyond a window end is left out.  As
+    K(tau) = 0, each such cut undercounts by at most 2|int_tau^c K| <=
+    sup|K'| (w/2)**2, so the value is [L, L + G], G the sum of those bounds,
+    with sup|K'| over |t| <= R (R the larger end of the bracket) bounded by
+    one integer Horner pass of the absolute values of K''s coefficients.  In
+    a slope pass (m = 0) G reads A alone, and the eps part is within the sum
+    of sup|B/den| * w of the true slope, sup over the bracket: first order
+    in w."""
     m = pieces[0][3]
     if m > 1 and (any(q for _, q in ends) or any(any(B) for _, B, _, _ in pieces)):
         d = m
@@ -225,20 +228,26 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     total, gap, slack = [0, 0, 0, 0], 0, 0
     for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots):
         cuts = [lo if lo[1] else lo[0]]
+        dK = None  # den * |K'|, its coefficients' absolute values, sqrt(m) read as ceil(sqrt(m))
         for rt in found:
             s = rt.location
             if s._frac is not None or s._sqrt and s._sqrt[2] == d:
                 cuts.append(s._frac if s._frac is not None else s._sqrt[:2])
                 continue
-            a, b = s.bounds()
-            c, R = (a + b) / 2, max(-a, b)
+            P, Q, e = rt.bracket[1:] if rt.bracket else _ints(*s.bounds())  # (P/e, Q/e)
+            c = Fraction(P + Q, 2 * e)
             if _quad_sign(c - lo[0], -lo[1], m) == _quad_sign(hi[0] - c, hi[1], m) == 1:
                 cuts.append(c)
-            dK = _abs_sum(_fderiv(A), R) + root * _abs_sum(_fderiv(B), R)  # den * sup|K'|
-            gap += dK * (b - a) ** 2 / (4 * den)
+            if dK is None:
+                dK = [abs(a) + root * abs(b)
+                      for a, b in zip_longest(_fderiv(A), _fderiv(B), fillvalue=0)]
+            # sup|K'| (w/2)**2 with |t| <= R = max(-P, Q)/e and w = (Q - P)/e
+            gap += Fraction(int_horner(dK, max(-P, Q), e) * (Q - P) ** 2,
+                            4 * den * e ** (len(dK) + 1))
             if not m:  # |B| <= |B(c)| + sup|B'| w/2 over the enclosure
+                R, w = Fraction(max(-P, Q), e), Fraction(Q - P, e)
                 slack += (abs(sum(x * c**j for j, x in enumerate(B)))
-                          + _abs_sum(_fderiv(B), R) * (b - a) / 2) * (b - a) / den
+                          + _abs_sum(_fderiv(B), R) * w / 2) * w / den
         cuts.append(hi if hi[1] else hi[0])
         part = abs_integral(A, B if m != 1 and any(B) else (), den, m, cuts, d)
         total = [t + x if x else t for t, x in zip(total, part)]

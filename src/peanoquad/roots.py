@@ -4,13 +4,18 @@ One exact engine works on rational coefficients, in integers: the input is
 made a primitive polynomial of Z[t] once, roots at the window ends are
 divided out by synthetic division, and linear and quadratic pieces get
 closed forms.  Higher degrees are split by Yun over Z[t] and isolated with
-Sturm chains of primitive pseudo-remainders; a bracket A/d < t < B/d is
-bisected by doubling A, B and d, and a rational root is recognised by a
-continued-fraction walk for the simplest rational in the bracket.  So roots
-like 1/3 are reported exactly, irrational roots of Yun factors of degree
-<= 2 as exact a + b*sqrt(m), and the rest (a quadratic irrational inside a
-squarefree factor of degree >= 3 too) as brackets of width at most the
-tolerance, each holding one root.  Every input reduces to it:
+Sturm chains of primitive pseudo-remainders.  A bracket A/d < t < B/d is
+refined on the dyadic grid of bisection, in integers: eight halvings by
+doubling A, B and d, then Newton steps that each double the number of
+halvings done, every one settled by the signs of f at grid points (Abbott,
+"Quadratic interval refinement for real roots", ACM Comm. Computer Algebra
+48, 2014).  It ends in the cell that bisection ends in.  A rational root is
+recognised by a continued-fraction walk for the simplest rational in a
+cell.  So roots like 1/3 are reported exactly, irrational roots of Yun
+factors of degree <= 2 as exact a + b*sqrt(m), and the rest (a quadratic
+irrational inside a squarefree factor of degree >= 3 too) as brackets of
+width at most the tolerance, each holding one root and keeping its exact
+cell on the ``Root``.  Every input reduces to it:
 
 * coefficients in one field Q(sqrt m): p = A + B*sqrt(m) with A, B in Q[t]
   (B = 0 for rationals).  The roots of G = gcd(A, B) are isolated directly,
@@ -24,7 +29,7 @@ tolerance, each holding one root.  Every input reduces to it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import DegreeTooHigh
@@ -40,11 +45,16 @@ DEFAULT_ROOT_TOL = Fraction(1, 10**20)
 @dataclass(frozen=True)
 class Root:
     """An exact location or a bracket; ``certified`` is False for a bracket
-    (from interval data) over which no sign change could be proven."""
+    (from interval data) over which no sign change could be proven.  A
+    bracket of the exact engine keeps ``bracket`` = (f, A, B, d): the
+    squarefree integer factor f that changes sign at the root, its one root
+    in (A/d, B/d), inside ``location``'s enclosure; None for an exact root
+    and for a bracket from interval data."""
 
     location: Scalar
     multiplicity_hint: int
     certified: bool = True
+    bracket: tuple | None = field(default=None, compare=False)
 
     def is_exact(self) -> bool:
         return self.location.is_exact
@@ -81,11 +91,18 @@ def _simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
     """Rational with the smallest denominator strictly inside (a, b)."""
     if not a < b:
         raise ValueError("empty interval")
-    if a < 0 < b:
-        return Fraction(0)
-    if b <= 0:
-        return -_simplest_in_open(-b, -a)
-    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
+    return Fraction(*_simplest_between(a.numerator * b.denominator, b.numerator * a.denominator,
+                                       a.denominator * b.denominator))
+
+
+def _simplest_between(A: int, B: int, d: int) -> tuple[int, int]:
+    """(p, q) for the simplest rational p/q strictly inside (A/d, B/d), A < B, d > 0."""
+    if A < 0 < B:
+        return 0, 1
+    if B <= 0:
+        p, q = _simplest(-B, d, -A, d)
+        return -p, q
+    return _simplest(A, d, B, d)
 
 
 def _simplest(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
@@ -101,29 +118,64 @@ def _simplest(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return q * p + s, p
 
 
-def _refine_single(f: list[int], A: int, B: int, d: int, tol: Fraction) -> Scalar:
-    """The one root of f inside (A/d, B/d): exact when it is rational and
-    found, else a bracket of width <= tol.  Bisection doubles A, B and d."""
+def _refine_single(f: tuple[int, ...], A: int, B: int, d: int, tol: Fraction, mult: int) -> Root:
+    """The one root of the squarefree f inside (A/d, B/d), f nonzero at both
+    ends: exact when it is rational and found, else the cell of width <= tol
+    that bisection of the bracket ends in, with (f, A, B, d) kept on the Root.
+
+    Bisection would halve the bracket K times, K fixed by tol; the cells of
+    level k are those of width (B - A)/(d 2**k).  It halves only to level
+    min(K, 8).  From there each Newton step on f goes from level k to level
+    min(K, 2k - 2): f and f' at the centre of the cell, one integer division
+    for the grid point of level 2k - 2 below the Newton estimate, and the
+    signs at it and the next grid point; where they do not close a cell,
+    halving inside the bracket left does.  A grid point where f vanishes is
+    returned exactly, so a root is exact on the same grids as in bisection,
+    and the simplest rational is tried on the same cells: the first bracket,
+    the one of level 8 (when K > 8) and the last.
+    """
+    n = B - A  # the width of every cell of the current level, over d
+    K = (-(-n * tol.denominator // (tol.numerator * d)) - 1).bit_length()  # halvings to tol
     sa = _sign(int_horner(f, A, d))
-    step = 0
-    while (B - A) * tol.denominator > tol.numerator * d:
-        if step in (0, 8):  # cheap shots at small-denominator rational roots
-            cand = _simplest_in_open(Fraction(A, d), Fraction(B, d))
-            if int_horner(f, cand.numerator, cand.denominator) == 0:
-                return Scalar(cand)
+    for level in range(min(K, 8)):
+        if level == 0 and (hit := _rational_root(f, A, B, d)) is not None:
+            return Root(Scalar(hit), mult)
         M, A, B, d = A + B, 2 * A, 2 * B, 2 * d
         sm = _sign(int_horner(f, M, d))
         if sm == 0:
-            return Scalar(Fraction(M, d))
+            return Root(Scalar(Fraction(M, d)), mult)
         if sm == sa:
             A = M
         else:
             B = M
-        step += 1
-    cand = _simplest_in_open(Fraction(A, d), Fraction(B, d))
-    if int_horner(f, cand.numerator, cand.denominator) == 0:
-        return Scalar(cand)
-    return Scalar.from_interval(Fraction(A, d), Fraction(B, d))
+    if K > 8:
+        if (hit := _rational_root(f, A, B, d)) is not None:
+            return Root(Scalar(hit), mult)
+        df, level = _fderiv(f), 8
+        while level < K:
+            s = min(K, 2 * level - 2) - level
+            A, d, lo, hi = A << s, d << s, 0, 1 << s  # grid points A + j*n over d, lo <= j <= hi
+            c = 1 << (s - 1)  # the centre
+            v, g = int_horner(f, A + c * n, d), int_horner(df, A + c * n, d)
+            j = c + (-v) // (g * n) if g else c  # the grid point below the Newton estimate
+            probes = [c, j, j + 1]  # then halve what is left
+            while hi - lo > 1:
+                t = probes.pop(0) if probes else (lo + hi) // 2
+                if lo < t < hi:
+                    st = _sign(v if t == c else int_horner(f, A + t * n, d))
+                    if st == 0:
+                        return Root(Scalar(Fraction(A + t * n, d)), mult)
+                    lo, hi = (t, hi) if st == sa else (lo, t)
+            A, B, level = A + lo * n, A + hi * n, level + s
+    if (hit := _rational_root(f, A, B, d)) is not None:
+        return Root(Scalar(hit), mult)
+    return Root(Scalar.from_interval(Fraction(A, d), Fraction(B, d)), mult, bracket=(f, A, B, d))
+
+
+def _rational_root(f: tuple[int, ...], A: int, B: int, d: int) -> Fraction | None:
+    """The simplest rational inside (A/d, B/d) when f vanishes there."""
+    p, q = _simplest_between(A, B, d)
+    return Fraction(p, q) if int_horner(f, p, q) == 0 else None
 
 
 def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -> list[Scalar]:
@@ -205,24 +257,29 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
                 stack.append((2 * A, M, 2 * e, va, vm))
                 stack.append((M, 2 * B, 2 * e, vm, vb))
             if exact_hit is None:
-                found.extend(Root(_refine_single(f, A, B, e, tol), mult) for A, B, e in brackets)
+                f = tuple(f)
+                found.extend(_refine_single(f, A, B, e, tol, mult) for A, B, e in brackets)
                 break
             found.append(Root(Scalar(exact_hit), mult))
             f = _idiv(f, [-exact_hit.numerator, exact_hit.denominator])
-    found.sort(key=lambda r: r.location.bounds()[0])
+    found.sort(key=_lower_end)
     return found
 
 
-def _sign_at_root(s: list[int], n: list[int], x: Scalar) -> int:
-    """Exact sign of s at the root of n that x locates; s must not vanish there.
+def _lower_end(r: Root) -> Fraction:
+    """The lower end of r's exact bracket, else of its enclosure."""
+    return Fraction(r.bracket[1], r.bracket[3]) if r.bracket else r.location.bounds()[0]
 
-    A bracket is halved on the squarefree part of n until the centred form
+
+def _sign_at_root(s: list[int], r: Root) -> int:
+    """Exact sign of s at the root r; s must not vanish there.
+
+    An exact bracket (w, L, H, d) is halved on w until the centred form
     |s(t) - s(c)| <= max|s'| * |t - c| proves the sign of s over it.
     """
-    if x.is_exact:
-        return Polynomial(s)(x).sign()
-    L, H, d = _ints(*x.bounds())
-    w = _idiv(n, _igcd(n, _fderiv(n)))  # a sign change at every root
+    if r.bracket is None:
+        return Polynomial(s)(r.location).sign()
+    w, L, H, d = r.bracket
     slope = [abs(c) for c in _fderiv(s)]
     s_lo = _sign(int_horner(w, L, d))
     while True:
@@ -252,14 +309,13 @@ def _isolate_field(A: list[int], B: list[int], D: int, m: int, lo: Fraction, hi:
     # each root of it belongs to exactly one factor, to the first where a*b < 0
     norm = _fsub(_fmul(A, A), [m * x for x in _fmul(B, B)])
     lead, ab = Fraction(g[-1] ** 2 * norm[-1], D * D), _fmul(A, B)
-    found += [r for r in _isolate_rational(norm, lo, hi, tol, lead)
-              if _sign_at_root(ab, norm, r.location) < 0]
+    found += [r for r in _isolate_rational(norm, lo, hi, tol, lead) if _sign_at_root(ab, r) < 0]
     out: list[Root] = []
-    for r in sorted(found, key=lambda r: r.location.bounds()[0]):
+    for r in sorted(found, key=_lower_end):
         if out and out[-1].location.lt_definite(r.location) is not True:  # in g and the cofactor
             prev = out.pop()
-            r = Root(prev.location if prev.is_exact() else r.location,
-                     prev.multiplicity_hint + r.multiplicity_hint)
+            r = replace(prev if prev.is_exact() else r,
+                        multiplicity_hint=prev.multiplicity_hint + r.multiplicity_hint)
         out.append(r)
     return out
 
@@ -313,9 +369,10 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     root is found: rational roots and roots of Yun factors of degree <= 2
     come back exactly, the rest as interval scalars of width at most
     ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
-    root of t(t^2 - 6t + 3), is a bracket).  A ``Polynomial.of_ints`` is read
-    from its integers, at the scale 1/den, and other exact coefficients as
-    integers over their common denominator.
+    root of t(t^2 - 6t + 3), is a bracket): the cell that bisection of its
+    Sturm bracket would end in, kept exactly as ``Root.bracket``.  A
+    ``Polynomial.of_ints`` is read from its integers, at the scale 1/den, and
+    other exact coefficients as integers over their common denominator.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign.
     Raises :class:`DegreeTooHigh` above degree 16.
