@@ -35,7 +35,7 @@ from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
 from .rules import QuadRule, _node_keys, _node_order
-from .scalars import Scalar, _dual, _quad, _quad_sign, as_scalar, minus_terms
+from .scalars import Scalar, _dual, _quad_sign, as_scalar, minus_terms, quad_widened
 
 
 class PiecewisePolynomial:
@@ -212,11 +212,13 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     enclosure, of width w; a cut at or beyond a window end is left out.  As
     K(tau) = 0, each such cut undercounts by at most 2|int_tau^c K| <=
     sup|K'| (w/2)**2, so the value is [L, L + G], G the sum of those bounds,
-    with sup|K'| over |t| <= R (R the larger end of the bracket) bounded by
-    one integer Horner pass of the absolute values of K''s coefficients.  In
-    a slope pass (m = 0) G reads A alone, and the eps part is within the sum
-    of sup|B/den| * w of the true slope, sup over the bracket: first order
-    in w."""
+    each end rounded once, outward (``scalars.quad_widened``).  sup|K'| over
+    the bracket is the smaller of two integer bounds: the absolute values of
+    K''s coefficients summed at R, the larger end of the bracket, and
+    |K'(c)| + sup|K''| w/2, with sqrt(m) read as ceil(sqrt(m)).  In a slope
+    pass (m = 0) G reads A alone, and the eps part is within the sum of
+    sup|B/den| * w of the true slope, sup over the bracket: first order in
+    w."""
     m = pieces[0][3]
     if m > 1 and (any(q for _, q in ends) or any(any(B) for _, B, _, _ in pieces)):
         d = m
@@ -228,7 +230,7 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     total, gap, slack = [0, 0, 0, 0], 0, 0
     for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots):
         cuts = [lo if lo[1] else lo[0]]
-        dK = None  # den * |K'|, its coefficients' absolute values, sqrt(m) read as ceil(sqrt(m))
+        dA = None  # den * K' = dA + dB*sqrt(m), and absolute coefficient sums for |K'|, |K''|
         for rt in found:
             s = rt.location
             if s._frac is not None or s._sqrt and s._sqrt[2] == d:
@@ -238,27 +240,27 @@ def l1_sum(pieces, ends, roots) -> Scalar:
             c = Fraction(P + Q, 2 * e)
             if _quad_sign(c - lo[0], -lo[1], m) == _quad_sign(hi[0] - c, hi[1], m) == 1:
                 cuts.append(c)
-            if dK is None:
-                dK = [abs(a) + root * abs(b)
-                      for a, b in zip_longest(_fderiv(A), _fderiv(B), fillvalue=0)]
-            # sup|K'| (w/2)**2 with |t| <= R = max(-P, Q)/e and w = (Q - P)/e
-            gap += Fraction(int_horner(dK, max(-P, Q), e) * (Q - P) ** 2,
-                            4 * den * e ** (len(dK) + 1))
+            if dA is None:
+                dA, dB = zip(*zip_longest(_fderiv(A), _fderiv(B), fillvalue=0))
+                abs1 = [abs(a) + root * abs(b) for a, b in zip(dA, dB)]
+                abs2 = [abs(a) + root * abs(b) for a, b in zip(_fderiv(dA), _fderiv(dB))]
+            # den * sup|K'| over the bracket, of width w and within |t| <= R, times
+            # 2 (2e)**(k-1): the coefficient sum at R, or |K'(c)| + sup|K''| w/2
+            k, R, w = len(abs1), max(-P, Q), Q - P
+            at_c = abs(int_horner(dA, P + Q, 2 * e))
+            if root:
+                at_c += root * abs(int_horner(dB, P + Q, 2 * e))
+            dK = min(int_horner(abs1, R, e) << k, 2 * at_c + (int_horner(abs2, R, e) * w << (k - 1)))
+            gap += Fraction(dK * w * w, den * e ** (k + 1) << (k + 2))  # sup|K'| (w/2)**2
             if not m:  # |B| <= |B(c)| + sup|B'| w/2 over the enclosure
-                R, w = Fraction(max(-P, Q), e), Fraction(Q - P, e)
+                R, w = Fraction(R, e), Fraction(w, e)
                 slack += (abs(sum(x * c**j for j, x in enumerate(B)))
                           + _abs_sum(_fderiv(B), R) * w / 2) * w / den
         cuts.append(hi if hi[1] else hi[0])
         part = abs_integral(A, B if m != 1 and any(B) else (), den, m, cuts, d)
         total = [t + x if x else t for t, x in zip(total, part)]
-    value, eps = _quad(total[0], total[1], d), _quad(total[2], total[3], d)
-    if gap:
-        lo, hi = value.bounds()
-        value = Scalar.from_interval(lo, hi + gap)
-    if slack:
-        lo, hi = eps.bounds()
-        eps = Scalar.from_interval(lo - slack, hi + slack)
-    return _dual(value, eps)
+    return _dual(quad_widened(total[0], total[1], d, 0, gap),
+                 quad_widened(total[2], total[3], d, slack, slack))
 
 
 def _kernel_l1(kernel: PiecewisePolynomial, found) -> Scalar:

@@ -544,6 +544,33 @@ def _quad_round(a: Fraction, b: Fraction, m: int, prec: int | None = None):
         k *= 2
 
 
+def quad_widened(a: Fraction, b: Fraction, m: int, below: Fraction, above: Fraction) -> Scalar:
+    """[v - below, v + above] for v = a + b*sqrt(m), each end rounded once,
+    outward, to the working precision; v itself when both are 0.  For an
+    irrational v the ends come from integers as in ``_quad_round``: v*d*2^k
+    lies strictly between lo and lo + 1, and k doubles until both round an
+    end alike."""
+    if not (below or above):
+        return _quad(a, b, m)
+    if b == 0 or m == 1:
+        return Scalar.from_interval(a + b - below, a + b + above)
+    d = a.denominator * b.denominator
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    k, prec = iv.prec + 8, iv.prec
+    while True:
+        t = isqrt(y * y * m << 2 * k)
+        lo = (x << k) + t if y > 0 else (x << k) - t - 1
+        ends = [[from_rational(e.numerator, e.denominator, prec, rnd)
+                 for e in (Fraction(lo, d << k) + off, Fraction(lo + 1, d << k) + off)]
+                for off, rnd in ((-below, round_floor), (above, round_ceiling))]
+        if all(u == v for u, v in ends):
+            s = Scalar.__new__(Scalar)
+            s._frac = s._sqrt = None
+            s._ival = iv.make_mpf(tuple(u for u, _ in ends))
+            return s
+        k *= 2
+
+
 def _common_field(x: Scalar, y: Scalar):
     """(a1, b1, a2, b2, m) with x = a1 + b1*sqrt(m) and y = a2 + b2*sqrt(m)
     (m is None when both are rational), or None when either is an interval

@@ -1054,7 +1054,7 @@ def test_plain_exact_kernels_are_kept_on_the_rule():
         got = kernel_l1_norm(rule, 1)
         assert got.kernel is kernel
         assert _matches_with_no_wider_norm(got, reference_kernel_l1_norm(rule, 1))
-        assert got.radius > 1e-22  # an enclosure at 20 digits
+        assert 1e-24 < got.radius < 1e-21  # an enclosure at 20 digits, about one rounding unit
     finally:
         set_working_dps(60)
     got = kernel_l1_norm(rule, 1)
