@@ -499,3 +499,143 @@ def test_dual_pieces_are_refused():
                       ([-2, 0, 1], [0, 5, 0], 53)]:
         with pytest.raises(ValueError, match="Q\\[eps\\]"):
             isolate_roots(Polynomial.of_ints(A, B, den, 0), F(-3), F(3))
+
+
+# --------------------------------------------------------------------------
+# bracket refinement: Newton steps on bisection's grid
+
+TOLS = (F(1, 10**20), F(1, 10**61), F(1, 10**121))
+
+
+def _seeded_brackets(monkeypatch):
+    """(f, A, B, d) of every bracket that the engine refines, as it hands
+    them over: over the seeded polynomials of ``_engine_cases``, and over
+    random integer polynomials of degree 3 to 8 on (-4, 4)."""
+    from peanoquad import roots
+
+    seen, refine = [], roots._refine_single
+
+    def record(f, A, B, d, tol, mult):
+        seen.append((f, A, B, d))
+        return refine(f, A, B, d, tol, mult)
+
+    rng = random.Random(4099)
+    cases = list(_engine_cases(random.Random(17017)))
+    cases += [([F(rng.randint(-9, 9)) for _ in range(deg)] + [F(rng.choice((-2, -1, 1, 3)))],
+               F(-4), F(4)) for deg in range(3, 9) for _ in range(4)]
+    with monkeypatch.context() as patch:
+        patch.setattr(roots, "_refine_single", record)
+        for c, lo, hi in cases:
+            isolate_roots(Polynomial(c), lo, hi)
+    return seen
+
+
+def _built_brackets():
+    """(f, A, B, d) for each exit of the refinement, f squarefree with one
+    root in (A/d, B/d): the simplest rational of the first bracket (1), of
+    the level-8 cell (1/3) and of the last cell (123457/1000003), dyadic
+    grid roots below and above level 8, and sqrt(2) in brackets of every
+    width from a unit to one within each tolerance (K = 0 and K <= 8)."""
+    sq2 = [-2, 0, 1]  # t**2 - 2, its roots outside (0, 1)
+    out = [(_times([-1, 1], sq2), 2, 5, 4), (_times([-1, 3], sq2), 0, 1, 1),
+           (_times([-123457, 1000003], sq2), 0, 1, 1), (_times([-5, 16], sq2), 0, 1, 1),
+           (_times([-12345, 1 << 20], sq2), 0, 1, 1), (_times([-3, 1], sq2), 3, 10, 7)]
+    for k in (0, 62, 70, 200, 404, 410):
+        A = math.isqrt(2 << 2 * k)
+        out.append((_times([-3, 1], sq2), A, A + 1, 1 << k))
+    return [(tuple(f), A, B, d) for f, A, B, d in out]
+
+
+def _refined_key(root):
+    if root.is_exact():
+        return "exact", root.location.to_json_str()
+    return "bracket", root.location.bounds()
+
+
+def test_refinement_ends_where_fraction_bisection_ends(monkeypatch):
+    from peanoquad.roots import _refine_single
+    from util import reference_refine_single
+
+    REFERENCE_EXITS.clear()
+    cases = _seeded_brackets(monkeypatch) + _built_brackets()
+    assert {len(f) - 1 for f, *_ in cases} >= set(range(3, 9))
+    for tol in TOLS:
+        for f, A, B, d in cases:
+            want = reference_refine_single(list(f), [F(x) for x in f], F(A, d), F(B, d), tol)
+            got = _refine_single(f, A, B, d, tol, 1)
+            if want[0] == "exact":
+                assert _refined_key(got) == ("exact", Scalar(want[1]).to_json_str()), (f, A, B, d)
+                assert got.bracket is None
+            else:
+                assert _refined_key(got) == ("bracket", Scalar.from_interval(*want[1:]).bounds())
+                g, P, Q, e = got.bracket
+                assert g is f and (F(P, e), F(Q, e)) == want[1:], (f, A, B, d, tol)
+    assert {"probe at step 0", "probe at step 8", "final probe", "dyadic midpoint",
+            "bracket"} <= {e for e, n in REFERENCE_EXITS.items() if n}
+
+
+def test_refinement_takes_far_fewer_sign_tests_than_bisection(monkeypatch):
+    # 67 halvings take a unit bracket to 1e-20: bisection makes at least 71
+    # integer Horner calls for a bracketed root, Newton steps about 28 and
+    # more where a nearby root or a small slope slows them.  A root that the
+    # simplest rational of the first bracket or of the level-8 cell finds
+    # ends there, after 2 and 11 calls
+    from peanoquad import roots
+
+    int_horner = roots.int_horner
+
+    def refined(f, A, B, d):  # the root, and the number of integer Horner calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return int_horner(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "int_horner", counted)
+            got = roots._refine_single(f, A, B, d, roots.DEFAULT_ROOT_TOL, 1)
+        return got, len(calls)
+
+    counts = [n for got, n in (refined(*c) for c in _seeded_brackets(monkeypatch))
+              if not got.is_exact()]
+    assert len(counts) >= 40
+    assert sum(counts) / len(counts) <= 35 and max(counts) < 67, counts
+    (one, n1), (third, n8) = (refined(*c) for c in _built_brackets()[:2])
+    assert (one.location, n1, third.location, n8) == (Scalar(1), 2, Scalar(F(1, 3)), 11)
+
+
+def test_bracketed_roots_keep_their_exact_cell():
+    # every bracket of the exact engine keeps (f, A, B, d): inside the
+    # enclosure, no wider than the tolerance, with a sign change of f
+    from peanoquad import catalog_names, degree_of_exactness, kernel_l1_norm, make_rule
+    from peanoquad._qpoly import int_horner
+    from peanoquad.roots import DEFAULT_ROOT_TOL
+    from peanoquad.rules import CATALOG
+
+    values = {"x": F(1, 3), "lambda": F(1, 5), "y": F(2, 3), "gamma": F(1, 10), "delta": F(-1, 3)}
+    found = []
+    for name in catalog_names():
+        params = {p.replace("lambda", "lam"): values[p] for p in CATALOG[name].param_names}
+        if name == "alomari2":  # x <= lambda <= y
+            params.update(x=F(-1, 2), lam=F(0))
+        rule = make_rule(name, **params)
+        for r in range(degree_of_exactness(rule, k_max=8).degree + 1):
+            found += kernel_l1_norm(rule, r).sign_changes
+    rng = random.Random(17017)
+    for c, lo, hi in _engine_cases(rng):
+        found += isolate_roots(Polynomial(c), lo, hi)
+    for p, lo, hi in _field_cases(rng):
+        found += isolate_roots(p, lo, hi)
+    brackets = 0
+    for rt in found:
+        if rt.is_exact():
+            assert rt.bracket is None
+            continue
+        brackets += 1
+        f, A, B, d = rt.bracket
+        lo, hi = rt.location.bounds()
+        assert lo <= F(A, d) < F(B, d) <= hi and F(B - A, d) <= DEFAULT_ROOT_TOL
+        assert int_horner(f, A, d) * int_horner(f, B, d) < 0
+    assert brackets >= 40
+    for p, lo, hi in _interval_cases(rng):  # brackets from interval data keep none
+        assert all(rt.bracket is None for rt in isolate_roots(p, lo, hi))
