@@ -560,9 +560,10 @@ def quad_widened(a: Fraction, b: Fraction, m: int, below: Fraction, above: Fract
     while True:
         t = isqrt(y * y * m << 2 * k)
         lo = (x << k) + t if y > 0 else (x << k) - t - 1
-        ends = [[from_rational(e.numerator, e.denominator, prec, rnd)
-                 for e in (Fraction(lo, d << k) + off, Fraction(lo + 1, d << k) + off)]
-                for off, rnd in ((-below, round_floor), (above, round_ceiling))]
+        D = d << k  # an end u/D + p/q, for u = lo and lo + 1, rounds as (u*q + p*D)/(D*q)
+        ends = [[from_rational(u * q + p * D, D * q, prec, rnd) for u in (lo, lo + 1)]
+                for p, q, rnd in ((-below.numerator, below.denominator, round_floor),
+                                  (above.numerator, above.denominator, round_ceiling))]
         if all(u == v for u, v in ends):
             s = Scalar.__new__(Scalar)
             s._frac = s._sqrt = None

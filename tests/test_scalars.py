@@ -496,3 +496,37 @@ def test_decimal_rendering_needs_at_least_one_digit(digits):
         with pytest.raises(ValueError, match="at least 1 significant digit"):
             x.to_decimal(digits)
     assert Scalar(F(1, 3)).to_decimal(1) == "0.3"
+
+
+def test_quad_widened_rounds_each_end_once():
+    # [v - below, v + above] around v = a + b*sqrt(m): each end outward of
+    # its exact value and within one rounding unit of it, so no wider than
+    # the enclosure of a and b*sqrt(m) widened; v itself, exact, with no width
+    from peanoquad.scalars import _quad, _quad_sign, quad_widened
+
+    rng = random.Random(6007)
+    try:
+        for dps in (20, 60):
+            set_working_dps(dps)
+            unit = F(2) ** (1 - iv.prec)
+            for _ in range(150):
+                a = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                b = F(rng.choice((-1, 1)) * rng.randint(1, 10**9), rng.randint(1, 10**6))
+                m = rng.choice((1, 2, 3, 5, 7, 11, 5618))
+                below, above = (rng.choice((0, F(1, 10**40), F(3, 7 * 10**dps))) for _ in "ab")
+                got = quad_widened(a, b, m, below, above)
+                if not (below or above):
+                    assert got.to_json_str() == _quad(a, b, m).to_json_str()
+                    continue
+                lo, hi = got.bounds()
+                v = a + b if m == 1 else None
+                if v is not None:
+                    assert lo <= v - below and v + above <= hi
+                else:
+                    assert _quad_sign(a - below - lo, b, m) >= 0 >= _quad_sign(a + above - hi, b, m)
+                assert hi - lo <= below + above + (abs(lo) + abs(hi)) * unit
+                plo, phi = _quad(a, b, m).bounds()
+                wlo, whi = Scalar.from_interval(plo - below, phi + above).bounds()
+                assert wlo <= lo and hi <= whi
+    finally:
+        set_working_dps(60)
