@@ -214,7 +214,7 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     sup|K'| (w/2)**2, so the value is [L, L + G], G the sum of those bounds,
     each end rounded once, outward (``scalars.quad_widened``).  sup|K'| over
     the bracket is the smaller of two integer bounds: the absolute values of
-    K''s coefficients summed at R, the larger end of the bracket, and
+    the coefficients of K' summed at R, the larger end of the bracket, and
     |K'(c)| + sup|K''| w/2, with sqrt(m) read as ceil(sqrt(m)).  In a slope
     pass (m = 0) G reads A alone, and the eps part is within the sum of
     sup|B/den| * w of the true slope, sup over the bracket: first order in

@@ -124,49 +124,38 @@ def _refine_single(f: tuple[int, ...], A: int, B: int, d: int, tol: Fraction, mu
     that bisection of the bracket ends in, with (f, A, B, d) kept on the Root.
 
     Bisection would halve the bracket K times, K fixed by tol; the cells of
-    level k are those of width (B - A)/(d 2**k).  It halves only to level
+    level k are those of width (B - A)/(d 2**k).  This halves to level
     min(K, 8).  From there each Newton step on f goes from level k to level
     min(K, 2k - 2): f and f' at the centre of the cell, one integer division
-    for the grid point of level 2k - 2 below the Newton estimate, and the
-    signs at it and the next grid point; where they do not close a cell,
-    halving inside the bracket left does.  A grid point where f vanishes is
-    returned exactly, so a root is exact on the same grids as in bisection,
-    and the simplest rational is tried on the same cells: the first bracket,
-    the one of level 8 (when K > 8) and the last.
+    for the grid point of that level below the Newton estimate, and the
+    signs at the centre, at it and at the next grid point; halving closes
+    what they leave open.  A grid point where f vanishes is returned
+    exactly, so a root is exact on the same grids as in bisection, and the
+    simplest rational is tried on the same cells: the first bracket, the
+    one of level 8 (when K > 8) and the last.
     """
-    n = B - A  # the width of every cell of the current level, over d
+    n, level = B - A, 0  # a cell of the current level is n/d wide
     K = (-(-n * tol.denominator // (tol.numerator * d)) - 1).bit_length()  # halvings to tol
-    sa = _sign(int_horner(f, A, d))
-    for level in range(min(K, 8)):
-        if level == 0 and (hit := _rational_root(f, A, B, d)) is not None:
+    sa, df = _sign(int_horner(f, A, d)), _fderiv(f)
+    while level < K:
+        if level in (0, 8) and (hit := _rational_root(f, A, B, d)) is not None:
             return Root(Scalar(hit), mult)
-        M, A, B, d = A + B, 2 * A, 2 * B, 2 * d
-        sm = _sign(int_horner(f, M, d))
-        if sm == 0:
-            return Root(Scalar(Fraction(M, d)), mult)
-        if sm == sa:
-            A = M
-        else:
-            B = M
-    if K > 8:
-        if (hit := _rational_root(f, A, B, d)) is not None:
-            return Root(Scalar(hit), mult)
-        df, level = _fderiv(f), 8
-        while level < K:
-            s = min(K, 2 * level - 2) - level
-            A, d, lo, hi = A << s, d << s, 0, 1 << s  # grid points A + j*n over d, lo <= j <= hi
-            c = 1 << (s - 1)  # the centre
+        s = min(K, 2 * level - 2 if level else 8) - level
+        A, d, lo, hi = A << s, d << s, 0, 1 << s  # grid points A + j*n over d, lo <= j <= hi
+        probes, c = [], -1  # the points to test first; f is v at c
+        if level:  # Newton from the centre c, to the grid point j below the estimate
+            c = 1 << (s - 1)
             v, g = int_horner(f, A + c * n, d), int_horner(df, A + c * n, d)
-            j = c + (-v) // (g * n) if g else c  # the grid point below the Newton estimate
-            probes = [c, j, j + 1]  # then halve what is left
-            while hi - lo > 1:
-                t = probes.pop(0) if probes else (lo + hi) // 2
-                if lo < t < hi:
-                    st = _sign(v if t == c else int_horner(f, A + t * n, d))
-                    if st == 0:
-                        return Root(Scalar(Fraction(A + t * n, d)), mult)
-                    lo, hi = (t, hi) if st == sa else (lo, t)
-            A, B, level = A + lo * n, A + hi * n, level + s
+            j = c + (-v) // (g * n) if g else c
+            probes = [c, j, j + 1]
+        while hi - lo > 1:
+            t = probes.pop(0) if probes else (lo + hi) // 2
+            if lo < t < hi:
+                st = _sign(v if t == c else int_horner(f, A + t * n, d))
+                if st == 0:
+                    return Root(Scalar(Fraction(A + t * n, d)), mult)
+                lo, hi = (t, hi) if st == sa else (lo, t)
+        A, B, level = A + lo * n, A + hi * n, level + s
     if (hit := _rational_root(f, A, B, d)) is not None:
         return Root(Scalar(hit), mult)
     return Root(Scalar.from_interval(Fraction(A, d), Fraction(B, d)), mult, bracket=(f, A, B, d))
