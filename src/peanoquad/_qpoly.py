@@ -6,7 +6,10 @@ Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
 Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
 pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
 node terms by the binomial expansion, pieces by integer subtraction, and
-antiderivatives and remainders I(f) - Q(f) by one Horner loop over Z[sqrt m].
+antiderivatives by one Horner loop over Z[sqrt m].  A rule's power sums
+Q(e_k) step each node's power by one product in Z[sqrt m] per k
+(``power_sums``); they give the remainders R(e_k) of ``degree_of_exactness``
+and I(f) - Q(f) alike.
 With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2): the
 kernel pieces of a scan point x + eps (``_forms.form_pieces``), whose L1 sum
 (``abs_integral``) runs on the same code.  Every cut of that sum is rational
@@ -256,31 +259,63 @@ def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpo
     """Sum of the integrals of piece_i * (G + H*sqrt(m))/e over [b_i, b_{i+1}]
     for pieces (A, B, den, m'), one den, m' in (1, m), on breakpoints rational
     or in Q(sqrt m): with F_i the antiderivative of piece_i * g, the sum of
-    (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0), each one ``zm_horner`` pass."""
+    (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0), each one Horner pass at b_j, all
+    in integers over one denominator (the breakpoints read once over w), and
+    with no sqrt(m) product when the pieces, g and every breakpoint are rational."""
     zero = [0] * len(pieces[0][0])
     ends = [(zero, zero)] + [(A, B) for A, B, _, _ in pieces] + [(zero, zero)]
-    a, b = Fraction(0), Fraction(0)
-    for (A0, B0), (A1, B1), s in zip(ends, ends[1:], breakpoints):
-        dA, dB = [x - y for x, y in zip(A0, A1)], [x - y for x, y in zip(B0, B1)]
+    *PQ, w = _ints(*(x for s in breakpoints for x in parts(s)))
+    n = max(len(zero) + len(G) - 1, 0)  # the length of each product
+    L, X, Y = lcm(*range(1, n + 1)), 0, 0
+    rational = not any(H) and not any(PQ[1::2]) and not any(any(B) for _, B, _, _ in pieces)
+    for (A0, B0), (A1, B1), p, q in zip(ends, ends[1:], PQ[::2], PQ[1::2]):
+        dA = [x - y for x, y in zip(A0, A1)]
+        if rational:
+            X += int_horner(_integral(_fmul(dA, G), L), p, w)
+            continue
+        dB = [x - y for x, y in zip(B0, B1)]
         PA = [x + m * y for x, y in zip(_fmul(dA, G), _fmul(dB, H))]
         PB = [x + y for x, y in zip(_fmul(dA, H), _fmul(dB, G))]
-        L, (p, q, w) = lcm(*range(1, len(PA) + 1)), _ints(*parts(s))
-        X, Y = zm_horner(_integral(PA, L), _integral(PB, L), p, q, w, m)
-        d = pieces[0][2] * e * L * w ** len(PA)
-        a, b = a + Fraction(X, d), b + Fraction(Y, d)
-    return to_scalar(a, b, m)
+        x, y = zm_horner(_integral(PA, L), _integral(PB, L), p, q, w, m)
+        X, Y = X + x, Y + y
+    d = pieces[0][2] * e * L * w ** n
+    return to_scalar(Fraction(X, d), Fraction(Y, d), m)
+
+
+def power_sums(value_nodes, deriv_nodes, m: int):
+    """(e, sums) for nodes and weights plain exact in Q(sqrt m), read once over
+    one denominator e: ``sums`` yields, for k = 0, 1, ..., the integers (X, Y)
+    with Q(e_k) == (X + Y*sqrt(m))/e**(k+1), a value node (x, w) adding
+    (e*w)*(e*x)**k and a derivative node (y, b) k*e*(e*b)*(e*y)**(k-1).  Each
+    node's power steps over Z[sqrt m] by one multiplication per k."""
+    nodes, nv = value_nodes + deriv_nodes, len(value_nodes)
+    G, H, e = int_parts([v for node in nodes for v in node])
+    P, Q, s = G[::2], H[::2], [1] * nv + [e] * (len(nodes) - nv)
+    rational = not any(H)
+
+    def sums():
+        A, B = [c * u for c, u in zip(s, G[1::2])], [c * v for c, v in zip(s, H[1::2])]
+        k, D = 0, (0, 0)  # D: the derivative nodes' terms of the step before
+        while True:
+            yield sum(A[:nv]) + k * D[0], sum(B[:nv]) + k * D[1]
+            D, k = (sum(A[nv:]), sum(B[nv:])), k + 1
+            if rational:
+                A = [a * p for a, p in zip(A, P)]
+            else:
+                A, B = ([a * p + b * q * m for a, b, p, q in zip(A, B, P, Q)],
+                        [a * q + b * p for a, b, p, q in zip(A, B, P, Q)])
+
+    return e, sums()
 
 
 def remainder(value_nodes, deriv_nodes, G: list[int], H: list[int], e: int, m: int) -> Scalar:
     """I(f) - Q(f) for f == (G + H*sqrt(m))/e, nodes and weights plain exact in Q(sqrt m):
-    I(f) = sum of 2 f_k/(k + 1) over even k, each f(x_j) or f'(y_j) one ``zm_horner`` pass."""
-    L = lcm(*range(1, len(G) + 1, 2))
-    a, b = (Fraction(sum(2 * (L // (k + 1)) * c for k, c in enumerate(P) if k % 2 == 0), e * L)
-            for P in (G, H))
-    for nodes, P, Q in ((value_nodes, G, H), (deriv_nodes, _fderiv(G), _fderiv(H))):
-        for x, w in nodes:
-            (p, q, s), (u, v, z) = _ints(*parts(x)), _ints(*parts(w))
-            X, Y = zm_horner(P, Q, p, q, s, m)  # f(x) * e * s**deg
-            d = z * e * s ** max(len(P) - 1, 0)
-            a, b = a - Fraction(X * u + Y * v * m, d), b - Fraction(X * v + Y * u, d)
-    return to_scalar(a, b, m)
+    I(f) = sum of 2 f_k/(k + 1) over even k and Q(f) = sum of f_k Q(e_k), the power
+    sums of ``power_sums`` (over E**(k+1)), all in integers over e*L*E**len(G)."""
+    n, (E, sums) = len(G), power_sums(value_nodes, deriv_nodes, m)
+    L, X, Y = lcm(*range(1, n + 1, 2)), 0, 0
+    for g, h, (x, y) in zip(G, H, sums):  # Horner in E: term k gets E**(n - 1 - k)
+        X, Y = X * E + g * x + h * y * m, Y * E + g * y + h * x
+    IG, IH = (sum(2 * (L // (k + 1)) * c for k, c in enumerate(P) if k % 2 == 0) for P in (G, H))
+    d = E ** n
+    return to_scalar(Fraction(IG * d - X * L, e * L * d), Fraction(IH * d - Y * L, e * L * d), m)

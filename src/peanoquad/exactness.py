@@ -1,7 +1,11 @@
 """Monomial remainders and the precise degree of exactness of a rule.
 
-A remainder counts as zero by ``Scalar.zero_within``: exactly zero, or an
-interval enclosing zero narrower than 10**-(working dps // 2).
+A rule whose nodes and weights are plain exact in Q or one Q(sqrt m) gets its
+remainders from the power sums of ``_qpoly.power_sums``, in one integer pass;
+interval, mixed-radicand and dual data take Scalar arithmetic
+(``remainder_on_monomial``).  An exact remainder is zero or not by itself; an
+interval one counts as zero by ``Scalar.zero_within``: it encloses zero and
+is narrower than 10**-(working dps // 2).
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._qpoly import plain_field, power_sums, to_scalar
 from .rules import QuadRule
 from .scalars import Scalar, minus_terms
 
@@ -54,7 +59,10 @@ def remainder_on_monomial(rule: QuadRule, k: int) -> Scalar:
 
 
 def _classify(value: Scalar) -> tuple[str, bool]:
-    """('zero'|'nonzero', ambiguous_flag) for a remainder value."""
+    """('zero'|'nonzero', ambiguous_flag) for a remainder value; an exact one
+    decides itself, however wide cancellation makes its enclosure."""
+    if value.is_exact:
+        return ("zero" if value.is_exact_zero() else "nonzero"), False
     if value.zero_within():
         return "zero", False
     if value.contains_zero():
@@ -69,13 +77,21 @@ def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
     """Smallest k with R(e_k) != 0 determines the precise degree k - 1.
 
     If every remainder up to k_max vanishes the report carries
-    ``at_least=True`` and ``degree == k_max``.
+    ``at_least=True`` and ``degree == k_max``.  Plain exact data take the
+    power sums in integers, k by k up to the first nonzero remainder.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    m = plain_field([v for node in rule.value_nodes + rule.deriv_nodes for v in node])
+    if m is None:
+        values = (remainder_on_monomial(rule, k) for k in range(k_max + 1))
+    else:  # R(e_k) = I(e_k) - (X + Y*sqrt(m))/e**(k+1)
+        e, sums = power_sums(rule.value_nodes, rule.deriv_nodes, m)
+        values = (to_scalar((Fraction(2, k + 1) if k % 2 == 0 else 0) - Fraction(X, e ** (k + 1)),
+                            Fraction(-Y, e ** (k + 1)), m)
+                  for k, (X, Y) in zip(range(k_max + 1), sums))
     remainders, flags, first = [], [], None
-    for k in range(k_max + 1):
-        r = remainder_on_monomial(rule, k)
+    for k, r in enumerate(values):
         remainders.append(r)
         kind, ambiguous = _classify(r)
         if ambiguous:

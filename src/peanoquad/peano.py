@@ -302,8 +302,11 @@ def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar
     computed by exact piecewise integration.  The contract is lhs == rhs
     (exactly so on rational data) for r >= 1, and for r = 0 on rules without
     derivative nodes (see build_kernel on the r = 0 convention).  Plain exact
-    data in one Q(sqrt m) take integers: the left by ``_qpoly.remainder``, which
-    reads no kernel, the right from f^(r+1) by falling factorials.
+    data in one Q(sqrt m) take integers: the left by ``_qpoly.remainder``, the
+    sum of f_k R(e_k) over the rule's power sums (the pass of
+    ``degree_of_exactness``), which reads no kernel; the right from f^(r+1) by
+    falling factorials, against the kernel's integer pieces over one
+    denominator (``_qpoly.integrate_pieces``).
     """
     kernel = build_kernel(rule, r)
     m = plain_field([*f.coeffs, *(v for node in rule.value_nodes + rule.deriv_nodes for v in node)])

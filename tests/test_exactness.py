@@ -10,9 +10,11 @@ from peanoquad import (
     QuadRule,
     Scalar,
     apply_rule,
+    custom_rule,
     degree_of_exactness,
     make_rule,
     remainder_on_monomial,
+    sqrt,
 )
 from peanoquad.exactness import _classify
 
@@ -141,6 +143,21 @@ def test_ambiguity_is_decided_from_exact_ends():
     # flagged when the midpoint is within AMBIGUITY_FACTOR radii of zero
     assert _classify(Scalar.from_interval(F(17, 4), F(21, 4))) == ("nonzero", True)
     assert _classify(Scalar.from_interval(F(9, 2), F(11, 2))) == ("nonzero", False)
+
+
+def test_an_exact_nonzero_remainder_is_never_ambiguous():
+    # p - q*sqrt(2) from a convergent of sqrt(2): exact and nonzero, yet its
+    # enclosure at the working precision is many times wider than its value
+    p, q = 1, 1
+    while q <= 10**62:
+        p, q = p + 2 * q, p + q
+    tiny = Scalar(p) - Scalar(q) * sqrt(Scalar(2))
+    lo, hi = tiny.bounds()
+    assert tiny.is_exact and not tiny.is_rational and abs(lo + hi) < 10 * (hi - lo)
+    assert _classify(tiny) == ("nonzero", False)
+    report = degree_of_exactness(custom_rule("t", [(F(0), Scalar(2) - tiny)], []))
+    assert report.remainders[0].to_json_str() == tiny.to_json_str()
+    assert (report.degree, report.first_nonzero_index, report.ambiguous_indices) == (-1, 0, ())
 
 
 def test_gs2_trapezoid_case():

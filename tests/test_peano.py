@@ -32,14 +32,14 @@ from peanoquad import (
     verify_peano_identity,
 )
 from peanoquad.scalars import _Dual, _dual
-from peanoquad._qpoly import _fmul
+from peanoquad._qpoly import _fmul, int_parts, remainder
 from peanoquad.peano import _piece_roots
 from peanoquad.roots import isolate_roots
 from peanoquad.rules import _merge_nodes
-from util import (SCAN_FAMILIES, assert_scalar_equals, no_wider_overlapping, random_rational_rule,
-                  reference_breakpoints, reference_build_kernel, reference_kernel_l1_norm,
-                  reference_merge_nodes, reference_signature, reference_verify_peano_identity,
-                  scalar_is_zero)
+from util import (SCAN_FAMILIES, assert_scalar_equals, exactness_fingerprint, no_wider_overlapping,
+                  random_rational_rule, reference_breakpoints, reference_build_kernel,
+                  reference_degree_of_exactness, reference_kernel_l1_norm, reference_merge_nodes,
+                  reference_signature, reference_verify_peano_identity, scalar_is_zero)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -1027,6 +1027,153 @@ def test_plain_exact_identity_takes_no_scalar_pass_and_keeps_its_sides_apart(mon
     rule._kernels[3] = build_kernel(make_rule("simpson"), 3)
     wrong_lhs, wrong_rhs = verify_peano_identity(rule, 3, f)
     assert wrong_lhs == lhs and wrong_rhs != rhs
+
+
+def _sqrt_rules(rng):
+    """Random custom rules with nodes and weights a + b*sqrt(m) in one field:
+    weights that sum to 2, every second rule symmetric, half of them with
+    derivative nodes that make the rule exact on degree 1, and last a rule
+    with derivative nodes only."""
+    def q(n=20):
+        return F(rng.randint(-3, 3), n)
+
+    rules = []
+    for i, m in enumerate((2, 3, 5, 7, 2, 3, 5, 7)):
+        s = sqrt(Scalar(m))
+        value = [(q() + q() * s, q(4) + q(4) * s) for _ in range(rng.randint(1, 3))]
+        value[0] = (value[0][0], value[0][1] + (2 - i % 2) - sum(w for _, w in value))
+        value += [(-x, w) for x, w in value] * (i % 2)  # equal nodes merge
+        deriv = [(q() + q() * s, q(4) * s + q(4)) for _ in range(rng.randint(1, 2) * (i % 4 // 2))]
+        if deriv:
+            y, b = deriv[-1]
+            deriv[-1] = (y, b - sum(w * x for x, w in value) - sum(c for _, c in deriv))
+        rules.append(custom_rule(f"sqrt{m}", value, deriv))
+    rules.append(custom_rule("derivative_only", [], [(F(1, 3), F(2, 5)), (-S3 / 3, S3 / 6)]))
+    return rules
+
+
+def _exactness_rules():
+    """The oracle rules, every catalog rule at seeded rational parameters, 20
+    seeded random rational rules and random rules in one Q(sqrt m)."""
+    rng = random.Random(3636)
+    rules = _oracle_rules() + _kernel_reference_rules()[-10:]
+    rules += [random_rational_rule(rng, with_derivs=i % 2 == 1, force_degree_one=i % 4 == 1)
+              for i in range(20)]
+    return rules + _sqrt_rules(rng)
+
+
+@pytest.mark.parametrize("dps", [15, 20, 60, 120])
+def test_degree_of_exactness_matches_the_scalar_lane(dps):
+    # plain exact rules take the power sums in integers, every other rule the
+    # Scalar lane: every field of the report as remainder_on_monomial and
+    # _classify give it, each remainder by type, tier, exact string and ends
+    set_working_dps(dps)
+    try:
+        rules = _exactness_rules()
+        assert {r.name for r in rules} >= set(catalog_names())
+        for rule in rules:
+            for k_max in (0, 1, 8, 20):
+                got, want = degree_of_exactness(rule, k_max), reference_degree_of_exactness(rule, k_max)
+                assert exactness_fingerprint(got) == exactness_fingerprint(want), (rule.name, k_max)
+    finally:
+        set_working_dps(60)
+
+
+@pytest.mark.parametrize("dps", [60, 120])
+def test_interval_and_mixed_radicand_rules_keep_the_scalar_lane(dps, monkeypatch):
+    def integer_pass(*args):
+        raise AssertionError("the integer lane on interval or mixed-radicand data")
+
+    set_working_dps(dps)
+    try:
+        narrow = Scalar.from_interval(F(-1, 10**50), F(1, 10**50))
+        # the 1e-40 points and the mixed-radicand mod3 rule (sqrt(2) and sqrt(3) meet in an interval)
+        rules = [r for r in _kernel_reference_rules()
+                 if not all(v.is_exact for node in r.value_nodes + r.deriv_nodes for v in node)]
+        rules.append(make_rule("gs2", x=sqrt(Scalar(F(1, 3))) + narrow))
+        assert [r.name for r in rules] == ["mod3", "gs2", "interval_simpson", "interval_double_node", "gs2"]
+        wants = [reference_degree_of_exactness(rule) for rule in rules]
+        monkeypatch.setattr("peanoquad.exactness.power_sums", integer_pass)
+        for rule, want in zip(rules, wants):
+            assert exactness_fingerprint(degree_of_exactness(rule)) == exactness_fingerprint(want)
+    finally:
+        set_working_dps(60)
+
+
+def test_plain_exact_exactness_takes_no_scalar_pass(monkeypatch):
+    def scalar_pass(*args):
+        raise AssertionError("Scalar pass on plain exact data")
+
+    rng = random.Random(77)
+    rules = [make_rule(name) for name in ("simpson", "gauss_legendre2", "lobatto4", "liu_park_gauss")]
+    rules += [random_rational_rule(rng, with_derivs=True) for _ in range(4)] + _sqrt_rules(rng)
+    f = Polynomial([1, F(2, 3), -S3, 5, F(1, 7), 1])
+    wants = [reference_degree_of_exactness(rule) for rule in rules]
+    identity = [(rule, r) for rule, want in zip(rules, wants)
+                for r in range(1 if rule.deriv_nodes else 0, min(want.degree, 3) + 1)]
+    id_wants = [reference_verify_peano_identity(rule, r, f) for rule, r in identity]
+    for rule, r in identity:
+        build_kernel(rule, r)  # kept on the rule
+    monkeypatch.setattr("peanoquad.exactness.minus_terms", scalar_pass)
+    monkeypatch.setattr(Scalar, "__pow__", scalar_pass)
+    for rule, want in zip(rules, wants):
+        assert exactness_fingerprint(degree_of_exactness(rule)) == exactness_fingerprint(want)
+    for (rule, r), want in zip(identity, id_wants):
+        got = verify_peano_identity(rule, r, f)
+        assert [(_fingerprint(v), v.bounds()) for v in got] == [(_fingerprint(v), v.bounds()) for v in want]
+
+
+def _same_sides(got, want):
+    return [(_fingerprint(v), v.bounds()) for v in got] == [(_fingerprint(v), v.bounds()) for v in want]
+
+
+def test_identity_of_the_zero_polynomial_is_an_exact_zero():
+    # no term of f: the left side's sum has no power of the node denominator
+    rng = random.Random(12)
+    rules = [make_rule("simpson"), make_rule("gauss_legendre2"), make_rule("liu_park_gauss"),
+             random_rational_rule(rng, with_derivs=True, force_degree_one=True)] + _sqrt_rules(rng)[:2]
+    for rule in rules:
+        for r in range(1 if rule.deriv_nodes else 0, min(degree_of_exactness(rule).degree, 3) + 1):
+            got = verify_peano_identity(rule, r, Polynomial([]))
+            assert all(type(v) is Scalar and v.is_rational and v.as_fraction() == 0 for v in got)
+            assert _same_sides(got, reference_verify_peano_identity(rule, r, Polynomial([])))
+
+
+def test_rational_pieces_on_irrational_breakpoints():
+    # liu_park_gauss at r = 1: every piece is rational, the breakpoints +-1/sqrt(3) are not
+    rule = make_rule("liu_park_gauss")
+    kernel = build_kernel(rule, 1)
+    assert not any(any(B) for _, B, _, _ in kernel.exact)
+    assert not all(b.is_rational for b in kernel.breakpoints)
+    want = reference_build_kernel(rule, 1)
+    for g in (Polynomial([1]), Polynomial([F(1, 3), -2, F(5, 7)]), Polynomial([F(1, 2), S3])):
+        got = kernel.integrate_against(g)
+        assert _same_sides([got], [want.integrate_against(g)])
+    assert kernel.integrate() == remainder_on_monomial(rule, 2) / 2
+    f = Polynomial([F(1, 5), 2, -1, F(3, 4)])
+    assert _same_sides(verify_peano_identity(rule, 1, f), reference_verify_peano_identity(rule, 1, f))
+
+
+def test_identity_edge_cases_match_the_reference():
+    rng = random.Random(21)
+    derivs = random_rational_rule(rng, with_derivs=True)
+    while not derivs.deriv_nodes:
+        derivs = random_rational_rule(rng, with_derivs=True)
+    cases = [
+        (make_rule("lobatto4"), 2, Polynomial([F(5, 3)])),  # a constant f
+        (make_rule("liu_park_gauss"), 0, Polynomial([1, F(1, 2), F(-2, 3)])),  # r = 0, derivative nodes
+        (derivs, 0, Polynomial([F(2, 3), 1])),
+        (make_rule("gauss_legendre2"), 2, Polynomial([1, F(1, 2) * S5, F(2, 3), 1])),  # f in another field
+    ]
+    for rule, r, f in cases:
+        assert _same_sides(verify_peano_identity(rule, r, f), reference_verify_peano_identity(rule, r, f))
+    # a rule with derivative nodes only is exact on no degree: the left side alone
+    only = _sqrt_rules(rng)[-1]
+    assert not only.value_nodes and degree_of_exactness(only).degree == -1
+    for f in (Polynomial([]), Polynomial([F(5, 3)]), Polynomial([1, F(1, 2), S3, F(-2, 3), 2])):
+        G, H, e = int_parts(f.coeffs)
+        got = remainder(only.value_nodes, only.deriv_nodes, G, H, e, 3)
+        assert _same_sides([got], [f.definite_integral(-1, 1) - only.apply(f)])
 
 
 def test_peano_identity_errors_match_the_reference():

@@ -64,3 +64,27 @@ def test_the_summary_keeps_its_leading_counts():
     assert line.startswith("1 of 826 ops differ, 0 of 4 demos differ; ")
     assert line.endswith("Scalars: 0 exact or tier changed, 1 narrower, 0 moved, 0 wider, "
                          "0 disjoint; 0 other values differ")
+
+
+def test_the_direct_calls_have_their_own_summary_line():
+    counts = same_outputs.classify({"x": _interval("0", "1")}, {"x": _interval("0", "2")})
+    assert same_outputs.direct_summary(1, 291, counts) == (
+        "1 of 291 direct calls differ; Scalars: 0 exact or tier changed, 0 narrower, 0 moved, "
+        "1 wider, 0 disjoint; 0 other values differ")
+
+
+def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
+    import peanoquad as pq
+
+    out = same_outputs.direct_outputs(pq)
+    assert pq.get_working_dps() == 60
+    free = ["simpson", "gauss_legendre2", "radau2", "lobatto4", "liu_park_gauss"]
+    for dps in same_outputs.DIRECT_DPS:
+        for label in free + ["gs2@1/2+-1e-40", "gs2@sqrt(1/3)+-1e-50", "interval_simpson",
+                             "interval_double_node"]:
+            report = out[f"direct/dps{dps}/{label}/exactness"]
+            for r in range(report["degree"] + 1):
+                assert "m" in out[f"direct/dps{dps}/{label}/M{r}"]
+                assert len(out[f"direct/dps{dps}/{label}/identity{r}/1"]) == 2
+    assert out["direct/dps20/lobatto4/M1"]["m"]["tier"] == "interval"
+    assert out == same_outputs.direct_outputs(pq)

@@ -5,8 +5,10 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-from peanoquad import (KernelReport, OrderExceedsExactness, PiecewisePolynomial, Polynomial,
-                       QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm)
+from peanoquad import (ExactnessReport, KernelReport, OrderExceedsExactness, PiecewisePolynomial,
+                       Polynomial, QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm,
+                       remainder_on_monomial)
+from peanoquad.exactness import _classify
 from peanoquad._qpoly import _fderiv, _fdeg, _fmul, _fsub, _ftrim, _ints, _primitive, int_horner
 from peanoquad.peano import _integrals, _piece_roots, build_kernel
 from peanoquad.roots import Root
@@ -161,6 +163,29 @@ def reference_verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tu
     for _ in range(r + 1):
         g = g.derivative()
     return lhs, reference_build_kernel(rule, r).integrate_against(g)
+
+
+def reference_degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
+    """``degree_of_exactness`` in Scalar arithmetic: each R(e_k) by
+    ``remainder_on_monomial``, classified by ``exactness._classify``."""
+    remainders, flags, first = [], [], None
+    for k in range(k_max + 1):
+        remainders.append(remainder_on_monomial(rule, k))
+        kind, ambiguous = _classify(remainders[-1])
+        flags += [k] * ambiguous
+        if kind == "nonzero":
+            first = k
+            break
+    return ExactnessReport(tuple(remainders), k_max if first is None else first - 1, first,
+                           first is None, tuple(flags))
+
+
+def exactness_fingerprint(report: ExactnessReport) -> tuple:
+    """Every field of the report, each remainder by type, tier, exact string
+    and exact enclosure ends."""
+    return ([(type(v), v.is_rational, v.is_exact, v.to_json_str(), v.bounds())
+             for v in report.remainders],
+            report.degree, report.first_nonzero_index, report.at_least, report.ambiguous_indices)
 
 
 def reference_signature(rule: QuadRule, r: int) -> tuple[int, ...]:

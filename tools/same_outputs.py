@@ -21,13 +21,23 @@ directory with the same relative ``PEANOQUAD_OUTDIR``, so the paths they
 print match; a demo gives its exit code, standard output and the files it
 writes.
 
-The ids of the operations and the names of the demos whose outputs differ
-are printed, and the last line counts them.  It goes on to say how each
-Scalar that differs moved: its exact string or tier changed, or, from one
-enclosure to another, it got narrower (and overlaps the old one), kept its
-width but moved, got wider, or is disjoint from the old one; any other value
-that differs (a CLI's output text, say) counts as other.  Exit status: 0
-when every output is identical, 1 otherwise.
+A second set of direct calls covers outputs that no benchmark operation
+reads, at 20, 60 and 120 working digits: for every catalog rule that takes no
+parameter, and for four rules with interval data (gs2 at x = 1/2 +- 1e-40
+and at sqrt(1/3) +- 1e-50, Simpson with one interval weight and node, a
+double node at 1/3 +- 1e-40), the ``degree_of_exactness`` report (k_max 20),
+``kernel_l1_norm`` of every order r up to the degree (M_r and the sign
+changes), and both sides of ``verify_peano_identity`` on two seeded
+polynomials per (rule, r).
+
+The ids of the operations, the names of the demos and the ids of the direct
+calls whose outputs differ are printed; the second-to-last line counts the
+operations and demos, the last line the direct calls.  Each goes on to say
+how each Scalar that differs moved: its exact string or tier changed, or,
+from one enclosure to another, it got narrower (and overlaps the old one),
+kept its width but moved, got wider, or is disjoint from the old one; any
+other value that differs (a CLI's output text, say) counts as other.  Exit
+status: 0 when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -105,15 +116,85 @@ def classify(a, b, counts: Counter | None = None) -> Counter:
     return counts
 
 
-def summary(n_differ: int, n_ops: int, n_demos_differ: int, n_demos: int, counts: Counter) -> str:
-    """The last line: the counts of differing ops and demos, then of each kind of change."""
+def _kinds(counts: Counter) -> str:
     kinds = ", ".join(f"{counts[kind]} {kind}" for kind in KINDS)
-    return (f"{n_differ} of {n_ops} ops differ, {n_demos_differ} of {n_demos} demos differ; "
-            f"Scalars: {kinds}; {counts['other']} other values differ")
+    return f"Scalars: {kinds}; {counts['other']} other values differ"
+
+
+def summary(n_differ: int, n_ops: int, n_demos_differ: int, n_demos: int, counts: Counter) -> str:
+    """The operations' line: the counts of differing ops and demos, then of each kind of change."""
+    return f"{n_differ} of {n_ops} ops differ, {n_demos_differ} of {n_demos} demos differ; {_kinds(counts)}"
+
+
+def direct_summary(n_differ: int, n_calls: int, counts: Counter) -> str:
+    """The last line: the count of differing direct calls, then of each kind of change."""
+    return f"{n_differ} of {n_calls} direct calls differ; {_kinds(counts)}"
+
+
+#: working digits of the direct calls
+DIRECT_DPS = (20, 60, 120)
+
+
+def _direct_rules(pq) -> dict:
+    """{label: rule} at the working precision: every catalog rule without a
+    parameter, then the rules with interval data."""
+    def near(q, digits=40):
+        return pq.Scalar.from_interval(q - Fraction(1, 10**digits), q + Fraction(1, 10**digits))
+
+    rules = {}
+    for name in pq.catalog_names():
+        try:
+            rules[name] = pq.make_rule(name)
+        except Exception:  # a rule that takes parameters
+            continue
+    third = Fraction(1, 3)
+    rules["gs2@1/2+-1e-40"] = pq.make_rule("gs2", x=near(Fraction(1, 2)))
+    rules["gs2@sqrt(1/3)+-1e-50"] = pq.make_rule("gs2", x=pq.sqrt(pq.Scalar(third)) + near(0, 50))
+    rules["interval_simpson"] = pq.custom_rule(
+        "interval_simpson", [(-1, near(third)), (near(0), Fraction(4, 3)), (1, third)])
+    rules["interval_double_node"] = pq.custom_rule(
+        "interval_double_node", [(-1, Fraction(1, 2)), (near(third), Fraction(3, 2))],
+        [(near(third), near(Fraction(1, 7)))])
+    return rules
+
+
+def _kernel(pq, rule, r: int) -> dict:
+    rep = pq.kernel_l1_norm(rule, r)
+    return {"m": rep.l1_norm, "sign_changes": [rt.location for rt in rep.sign_changes]}
+
+
+def direct_outputs(pq) -> dict:
+    """{call id: output} of the direct calls, at each working precision of DIRECT_DPS."""
+    outputs = {}
+
+    def call(key, fn, *args):
+        try:
+            outputs[key] = _plain(fn(*args), pq.Scalar)
+        except Exception as exc:  # a raise is an output too
+            outputs[key] = {"raised": type(exc).__name__, "message": str(exc)}
+        return outputs[key]
+
+    for dps in DIRECT_DPS:
+        pq.set_working_dps(dps)
+        try:
+            for label, rule in _direct_rules(pq).items():
+                key = f"direct/dps{dps}/{label}"
+                report = call(f"{key}/exactness", pq.degree_of_exactness, rule, 20)
+                for r in range(report.get("degree", -1) + 1):
+                    call(f"{key}/M{r}", _kernel, pq, rule, r)
+                    rng = random.Random(f"{label}/{r}")
+                    for i in range(2):
+                        f = pq.Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                           for _ in range(r + 2 + 2 * i)])
+                        call(f"{key}/identity{r}/{i}", pq.verify_peano_identity, rule, r, f)
+        finally:
+            pq.set_working_dps(60)
+    return outputs
 
 
 def dump(tree: str, scratch: str, out_path: str) -> None:
-    """Run the dump set on one tree and write {op key: outputs} to out_path."""
+    """Run the dump set and the direct calls on one tree and write
+    {"ops": {op key: outputs}, "direct": {call id: output}} to out_path."""
     src = os.path.join(tree, "src")
     sys.path[:0] = [os.path.join(tree, "perfbench"), src]
     import peanoquad as pq
@@ -133,7 +214,7 @@ def dump(tree: str, scratch: str, out_path: str) -> None:
                         out = {"raised": type(exc).__name__, "message": str(exc)}
                     outputs[f"{workload}/seed{seed}/round{k}/{i}/{op.id}"] = out
     with open(out_path, "w") as fh:
-        json.dump(outputs, fh)
+        json.dump({"ops": outputs, "direct": direct_outputs(pq)}, fh)
 
 
 def run_demos(tree: str) -> dict:
@@ -172,15 +253,16 @@ def main(argv: list[str]) -> int:
                             os.path.abspath(tree), scratch, path], check=True)
             with open(path) as fh:
                 dumps.append(json.load(fh))
-    (a, b), (da, db) = dumps, [run_demos(tree) for tree in argv]
-    differ = [key for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
-    demos = [key for key in sorted(da.keys() | db.keys()) if da.get(key) != db.get(key)]
-    for key in differ + [f"demos/{name}" for name in demos]:
+    (a, b), (xa, xb) = ([d[part] for d in dumps] for part in ("ops", "direct"))
+    da, db = [run_demos(tree) for tree in argv]
+    differ, demos, direct = ([key for key in sorted(p.keys() | q.keys()) if p.get(key) != q.get(key)]
+                             for p, q in ((a, b), (da, db), (xa, xb)))
+    for key in differ + [f"demos/{name}" for name in demos] + direct:
         print(key)
-    counts = classify(a, b)
     print(summary(len(differ), len(a.keys() | b.keys()), len(demos), len(da.keys() | db.keys()),
-                  counts))
-    return 1 if differ or demos else 0
+                  classify(a, b)))
+    print(direct_summary(len(direct), len(xa.keys() | xb.keys()), classify(xa, xb)))
+    return 1 if differ or demos or direct else 0
 
 
 if __name__ == "__main__":
