@@ -1029,6 +1029,10 @@ def test_plain_exact_identity_takes_no_scalar_pass_and_keeps_its_sides_apart(mon
     assert wrong_lhs == lhs and wrong_rhs != rhs
 
 
+def _same_sides(got, want):
+    return [(_fingerprint(v), v.bounds()) for v in got] == [(_fingerprint(v), v.bounds()) for v in want]
+
+
 def _sqrt_rules(rng):
     """Random custom rules with nodes and weights a + b*sqrt(m) in one field:
     weights that sum to 2, every second rule symmetric, half of them with
@@ -1119,12 +1123,7 @@ def test_plain_exact_exactness_takes_no_scalar_pass(monkeypatch):
     for rule, want in zip(rules, wants):
         assert exactness_fingerprint(degree_of_exactness(rule)) == exactness_fingerprint(want)
     for (rule, r), want in zip(identity, id_wants):
-        got = verify_peano_identity(rule, r, f)
-        assert [(_fingerprint(v), v.bounds()) for v in got] == [(_fingerprint(v), v.bounds()) for v in want]
-
-
-def _same_sides(got, want):
-    return [(_fingerprint(v), v.bounds()) for v in got] == [(_fingerprint(v), v.bounds()) for v in want]
+        assert _same_sides(verify_peano_identity(rule, r, f), want)
 
 
 def test_identity_of_the_zero_polynomial_is_an_exact_zero():

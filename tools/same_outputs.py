@@ -145,7 +145,7 @@ def _direct_rules(pq) -> dict:
     for name in pq.catalog_names():
         try:
             rules[name] = pq.make_rule(name)
-        except Exception:  # a rule that takes parameters
+        except pq.UnknownRule:  # a rule that takes parameters
             continue
     third = Fraction(1, 3)
     rules["gs2@1/2+-1e-40"] = pq.make_rule("gs2", x=near(Fraction(1, 2)))
@@ -165,7 +165,7 @@ def _kernel(pq, rule, r: int) -> dict:
 
 def direct_outputs(pq) -> dict:
     """{call id: output} of the direct calls, at each working precision of DIRECT_DPS."""
-    outputs = {}
+    outputs, dps0 = {}, pq.get_working_dps()
 
     def call(key, fn, *args):
         try:
@@ -188,7 +188,7 @@ def direct_outputs(pq) -> dict:
                                            for _ in range(r + 2 + 2 * i)])
                         call(f"{key}/identity{r}/{i}", pq.verify_peano_identity, rule, r, f)
         finally:
-            pq.set_working_dps(60)
+            pq.set_working_dps(dps0)
     return outputs
 
 
