@@ -3,7 +3,9 @@
 Root isolation works in Z[t], on lists of integers (index i holds the
 coefficient of t**i): pseudo-remainders, primitive gcds, exact quotients and
 Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
-Theory*, sections 3.1-3.3).  The Peano kernel pass of plain exact data uses
+Theory*, sections 3.1-3.3).  ``int_parts`` is the one reader of plain exact
+Scalars into integers, and a rule's nodes and weights are read once
+(``_rule_ints``).  The Peano kernel pass of plain exact data uses
 pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
 node terms by the binomial expansion, pieces by integer subtraction, and
 antiderivatives by one Horner loop over Z[sqrt m].  A rule's power sums
@@ -23,7 +25,7 @@ import math
 from fractions import Fraction
 from math import comb, lcm
 
-from .scalars import Scalar, _quad, _quad_sign, _rat
+from .scalars import Scalar, _quad, _quad_sign
 
 
 def _ints(*xs) -> list[int]:
@@ -143,23 +145,9 @@ def _yun_squarefree(c: list[int]) -> list[tuple[list[int], int]]:
 # integer pairs over one Q(sqrt m)
 
 
-def plain_field(values: list) -> int | None:
-    """m when all values are plain exact Scalars (``type(v) is Scalar``: not a
-    _Dual) in one Q(sqrt m), 1 when all are rational, else None."""
-    if any(type(v) is not Scalar or v._ival is not None for v in values):
-        return None
-    ms = {v._sqrt[2] for v in values if v._sqrt is not None}
-    return None if len(ms) > 1 else max(ms, default=1)
-
-
 def parts(v: Scalar) -> tuple:
     """(a, b) with the plain exact v == a + b*sqrt(m)."""
     return v._sqrt[:2] if v._sqrt is not None else (v._frac, 0)
-
-
-def to_scalar(a: Fraction, b, m: int) -> Scalar:
-    """a + b*sqrt(m) (a a Fraction, b a Fraction or 0) as a Scalar."""
-    return _rat(a) if not b else _quad(a, b, m)
 
 
 def kernel_pieces(terms, e: int, r: int, m: int, n_pieces: int):
@@ -245,14 +233,26 @@ def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple
     return tuple(t and Fraction(t, D) for t in total)
 
 
-def int_parts(values) -> tuple[list[int], list[int], int]:
-    """(G, H, e) with values[i] == (G[i] + H[i]*sqrt(m))/e, all plain exact in Q(sqrt m)."""
-    ab = [parts(c) for c in values]
-    if not any(b for _, b in ab):  # every b is 0, of denominator 1
-        *G, e = _ints(*[a for a, _ in ab])
-        return G, [0] * len(ab), e
-    *GH, e = _ints(*[a for a, _ in ab], *[b for _, b in ab])
-    return GH[:len(ab)], GH[len(ab):], e
+def int_parts(values) -> tuple[list[int], list[int], int, int] | None:
+    """(G, H, e, m) with values[i] == (G[i] + H[i]*sqrt(m))/e when every value
+    is plain exact (``type(v) is Scalar``, not an interval: no _Dual) and all
+    lie in one Q(sqrt m), m == 1 when all are rational; else None."""
+    ms = {v._sqrt[2] for v in values if v._sqrt is not None}
+    if len(ms) > 1 or any(type(v) is not Scalar or v._ival is not None for v in values):
+        return None
+    ab = [parts(v) for v in values]  # the b parts are all 0 where ms is empty
+    *GH, e = _ints(*[a for a, _ in ab], *([b for _, b in ab] if ms else ()))
+    return GH[:len(ab)], GH[len(ab):] or [0] * len(ab), e, max(ms, default=1)
+
+
+def _rule_ints(rule) -> tuple[list[int], list[int], int, int] | None:
+    """``int_parts`` of the rule's nodes, then of their weights, value nodes
+    first: read once and kept on the rule, as its plain exact kernels are."""
+    kept = vars(rule)
+    if "_ints" not in kept:
+        nodes = rule.value_nodes + rule.deriv_nodes
+        kept["_ints"] = int_parts([x for x, _ in nodes] + [w for _, w in nodes])
+    return kept["_ints"]
 
 
 def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpoints) -> Scalar:
@@ -279,27 +279,27 @@ def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpo
         x, y = zm_horner(_integral(PA, L), _integral(PB, L), p, q, w, m)
         X, Y = X + x, Y + y
     d = pieces[0][2] * e * L * w ** n
-    return to_scalar(Fraction(X, d), Fraction(Y, d), m)
+    return _quad(Fraction(X, d), Fraction(Y, d), m)
 
 
-def power_sums(value_nodes, deriv_nodes, m: int):
-    """(e, sums) for nodes and weights plain exact in Q(sqrt m), read once over
-    one denominator e: ``sums`` yields, for k = 0, 1, ..., the integers (X, Y)
-    with Q(e_k) == (X + Y*sqrt(m))/e**(k+1), a value node (x, w) adding
-    (e*w)*(e*x)**k and a derivative node (y, b) k*e*(e*b)*(e*y)**(k-1).  Each
-    node's power steps over Z[sqrt m] by one multiplication per k."""
-    nodes, nv = value_nodes + deriv_nodes, len(value_nodes)
-    G, H, e = int_parts([v for node in nodes for v in node])
-    P, Q, s = G[::2], H[::2], [1] * nv + [e] * (len(nodes) - nv)
-    rational = not any(H)
+def power_sums(rule):
+    """(e, sums) for a rule whose nodes and weights are plain exact in Q(sqrt m),
+    read once over one denominator e (``_rule_ints``): ``sums`` yields, for
+    k = 0, 1, ..., the integers (X, Y) with Q(e_k) == (X + Y*sqrt(m))/e**(k+1),
+    a value node (x, w) adding (e*w)*(e*x)**k and a derivative node (y, b)
+    k*e*(e*b)*(e*y)**(k-1).  Each node's power steps over Z[sqrt m] by one
+    multiplication per k."""
+    G, H, e, m = _rule_ints(rule)
+    n, nv = len(G) // 2, len(rule.value_nodes)
+    P, Q, s = G[:n], H[:n], [1] * nv + [e] * (n - nv)
 
     def sums():
-        A, B = [c * u for c, u in zip(s, G[1::2])], [c * v for c, v in zip(s, H[1::2])]
+        A, B = [c * u for c, u in zip(s, G[n:])], [c * v for c, v in zip(s, H[n:])]
         k, D = 0, (0, 0)  # D: the derivative nodes' terms of the step before
         while True:
             yield sum(A[:nv]) + k * D[0], sum(B[:nv]) + k * D[1]
             D, k = (sum(A[nv:]), sum(B[nv:])), k + 1
-            if rational:
+            if m == 1:
                 A = [a * p for a, p in zip(A, P)]
             else:
                 A, B = ([a * p + b * q * m for a, b, p, q in zip(A, B, P, Q)],
@@ -308,14 +308,15 @@ def power_sums(value_nodes, deriv_nodes, m: int):
     return e, sums()
 
 
-def remainder(value_nodes, deriv_nodes, G: list[int], H: list[int], e: int, m: int) -> Scalar:
-    """I(f) - Q(f) for f == (G + H*sqrt(m))/e, nodes and weights plain exact in Q(sqrt m):
-    I(f) = sum of 2 f_k/(k + 1) over even k and Q(f) = sum of f_k Q(e_k), the power
-    sums of ``power_sums`` (over E**(k+1)), all in integers over e*L*E**len(G)."""
-    n, (E, sums) = len(G), power_sums(value_nodes, deriv_nodes, m)
+def remainder(rule, G: list[int], H: list[int], e: int, m: int) -> Scalar:
+    """I(f) - Q(f) for f == (G + H*sqrt(m))/e, the rule's nodes and weights plain
+    exact in Q or Q(sqrt m): I(f) = sum of 2 f_k/(k + 1) over even k and
+    Q(f) = sum of f_k Q(e_k), the power sums of ``power_sums`` (over E**(k+1)),
+    all in integers over e*L*E**len(G)."""
+    n, (E, sums) = len(G), power_sums(rule)
     L, X, Y = lcm(*range(1, n + 1, 2)), 0, 0
     for g, h, (x, y) in zip(G, H, sums):  # Horner in E: term k gets E**(n - 1 - k)
         X, Y = X * E + g * x + h * y * m, Y * E + g * y + h * x
     IG, IH = (sum(2 * (L // (k + 1)) * c for k, c in enumerate(P) if k % 2 == 0) for P in (G, H))
     d = E ** n
-    return to_scalar(Fraction(IG * d - X * L, e * L * d), Fraction(IH * d - Y * L, e * L * d), m)
+    return _quad(Fraction(IG * d - X * L, e * L * d), Fraction(IH * d - Y * L, e * L * d), m)

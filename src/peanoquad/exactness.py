@@ -1,7 +1,7 @@
 """Monomial remainders and the precise degree of exactness of a rule.
 
 A rule whose nodes and weights are plain exact in Q or one Q(sqrt m) gets its
-remainders from the power sums of ``_qpoly.power_sums``, in one integer pass;
+remainders from the power sums of its one integer read (``_qpoly.power_sums``);
 interval, mixed-radicand and dual data take Scalar arithmetic
 (``remainder_on_monomial``).  An exact remainder is zero or not by itself; an
 interval one counts as zero by ``Scalar.zero_within``: it encloses zero and
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._qpoly import plain_field, power_sums, to_scalar
+from ._qpoly import _rule_ints, power_sums
 from .rules import QuadRule
-from .scalars import Scalar, minus_terms
+from .scalars import Scalar, _quad, minus_terms
 
 #: A nonzero value this close to its own error radius gets flagged.
 AMBIGUITY_FACTOR = 10
@@ -82,13 +82,13 @@ def degree_of_exactness(rule: QuadRule, k_max: int = 20) -> ExactnessReport:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    m = plain_field([v for node in rule.value_nodes + rule.deriv_nodes for v in node])
-    if m is None:
+    read = _rule_ints(rule)
+    if read is None:
         values = (remainder_on_monomial(rule, k) for k in range(k_max + 1))
     else:  # R(e_k) = I(e_k) - (X + Y*sqrt(m))/e**(k+1)
-        e, sums = power_sums(rule.value_nodes, rule.deriv_nodes, m)
-        values = (to_scalar((Fraction(2, k + 1) if k % 2 == 0 else 0) - Fraction(X, e ** (k + 1)),
-                            Fraction(-Y, e ** (k + 1)), m)
+        m, (e, sums) = read[3], power_sums(rule)
+        values = (_quad((Fraction(2, k + 1) if k % 2 == 0 else 0) - Fraction(X, e ** (k + 1)),
+                        Fraction(-Y, e ** (k + 1)), m)
                   for k, (X, Y) in zip(range(k_max + 1), sums))
     remainders, flags, first = [], [], None
     for k, r in enumerate(values):

@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from ._qpoly import (_fderiv, _ints, abs_integral, int_horner, int_parts, integrate_pieces,
-                     kernel_pieces, parts, plain_field, remainder)
+from ._qpoly import (_fderiv, _ints, _rule_ints, abs_integral, int_horner, int_parts,
+                     integrate_pieces, kernel_pieces, parts, remainder)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
 from .roots import Root, isolate_roots
@@ -74,9 +74,9 @@ class PiecewisePolynomial:
     def integrate_against(self, g: Polynomial) -> Scalar:
         """Integral of (self * g) over [-1, 1], exact piecewise."""
         if self.exact is not None:  # in integers for g in Q or the pieces' field
-            m, gm = self.exact[0][3], plain_field(g.coeffs)
-            if gm is not None and (m == 1 or gm in (1, m)):
-                G, H, e = int_parts(g.coeffs)
+            m, read = self.exact[0][3], int_parts(g.coeffs)
+            if read is not None and (m == 1 or read[3] in (1, m)):
+                G, H, e, gm = read
                 return integrate_pieces(self.exact, G, H, e, max(m, gm), self.breakpoints)
         total = Scalar(0)
         for i, p in enumerate(self.pieces):
@@ -123,13 +123,14 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
 
     The breakpoints are -1, 1 and the nodes in ``rules._node_order``; the
     term of the node at b_j is active on the pieces (b_i, b_(i+1)] with i < j.
-    Plain exact data in Q or one Q(sqrt m) are read once as integers, which
-    key the breakpoint order and form the node terms (``_qpoly.kernel_pieces``);
-    that kernel is kept on the rule by r.  Otherwise (interval or dual data)
-    each node's term A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed
-    once, and every piece subtracts the terms of its active nodes from the
-    leading term in rule order, the same order whatever the tier of the data;
-    that kernel is built on every call.
+    Plain exact data in Q or one Q(sqrt m) are read once (``_qpoly._rule_ints``),
+    and the integers key the breakpoint order and form the node terms
+    (``_qpoly.kernel_pieces``); that kernel is kept on the rule by r.
+    Otherwise (interval, dual or mixed-radicand data) each node's term
+    A_k (x_k - t)^r (or r B_k (y_k - t)^(r-1)) is formed once, and every
+    piece subtracts the terms of its active nodes from the leading term in
+    rule order, the same order whatever the tier of the data; that kernel is
+    built on every call.
 
     ``OrderExceedsExactness`` is raised unless every coefficient of
     I[(x-t)^r] - (all node terms), formed by ``minus_terms``, passes ``zero_within``.
@@ -139,17 +140,16 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
     kernels = vars(rule).setdefault("_kernels", {})
     if r in kernels:
         return kernels[r]
-    nodes = rule.value_nodes + rule.deriv_nodes
+    nodes, read = rule.value_nodes + rule.deriv_nodes, _rule_ints(rule)
     points = [Scalar(-1), Scalar(1)] + [x for x, _ in nodes]
-    m = plain_field([v for node in nodes for v in node])
-    if m is not None:  # one read of the nodes and weights, over one denominator e
-        G, H, e = int_parts(points + [w for _, w in nodes])
-        k = len(points)  # the weight of the node points[i] is at k + i - 2
-        bps, at = _node_order(points, *_node_keys(G[:k], H[:k], m))
+    if read is not None:  # nodes, then weights, over one denominator e
+        G, H, e, m = read
+        k = len(nodes)  # the weight of the node G[i] is at k + i
+        bps, at = _node_order(points, *_node_keys([-e, e] + G[:k], [0, 0] + H[:k], m))
         # node terms s*w*(x - t)**n: r*w*(y - t)**(r-1) at derivative nodes, none at r = 0
         sn = [(1, r)] * len(rule.value_nodes) + [(r, r - 1)] * len(rule.deriv_nodes) * (r > 0)
-        den, exact = kernel_pieces([(G[i], H[i], s * G[k + i - 2], s * H[k + i - 2], n, at[i])
-                                    for i, (s, n) in enumerate(sn, 2)], e, r, m, len(bps) - 1)
+        den, exact = kernel_pieces([(G[i], H[i], s * G[k + i], s * H[k + i], n, at[i + 2])
+                                    for i, (s, n) in enumerate(sn)], e, r, m, len(bps) - 1)
         ok = exact is not None
     else:
         lead, moments = _integrals(r)
@@ -163,7 +163,7 @@ def build_kernel(rule: QuadRule, r: int) -> PiecewisePolynomial:
             f"rule {rule.name} is not exact on degree {r} polynomials; "
             f"the order-{r} kernel identity does not hold"
         )
-    if m is not None:
+    if read is not None:
         kernels[r] = PiecewisePolynomial(bps, exact=tuple((A, B, den, m) for A, B in exact))
         return kernels[r]
     bps, at = _node_order(points)  # after the order check, which may raise first
@@ -302,22 +302,22 @@ def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar
     computed by exact piecewise integration.  The contract is lhs == rhs
     (exactly so on rational data) for r >= 1, and for r = 0 on rules without
     derivative nodes (see build_kernel on the r = 0 convention).  Plain exact
-    data in one Q(sqrt m) take integers: the left by ``_qpoly.remainder``, the
-    sum of f_k R(e_k) over the rule's power sums (the pass of
+    data in one Q(sqrt m) (``_qpoly.int_parts`` of f, and the rule's one
+    integer read) take integers: the left by ``_qpoly.remainder``, the sum of
+    f_k R(e_k) over the rule's power sums (the pass of
     ``degree_of_exactness``), which reads no kernel; the right from f^(r+1) by
     falling factorials, against the kernel's integer pieces over one
     denominator (``_qpoly.integrate_pieces``).
     """
-    kernel = build_kernel(rule, r)
-    m = plain_field([*f.coeffs, *(v for node in rule.value_nodes + rule.deriv_nodes for v in node)])
-    if m is None:
+    kernel, read, fread = build_kernel(rule, r), _rule_ints(rule), int_parts(f.coeffs)
+    if read is None or fread is None or read[3] > 1 and fread[3] not in (1, read[3]):
         g = f
         for _ in range(r + 1):
             g = g.derivative()
         return f.definite_integral(-1, 1) - rule.apply(f), kernel.integrate_against(g)
-    G, H, e = int_parts(f.coeffs)
+    G, H, e, m = *fread[:3], max(fread[3], read[3])
     G1, H1 = ([c * math.perm(k, r + 1) for k, c in enumerate(P) if k > r] for P in (G, H))
-    return (remainder(rule.value_nodes, rule.deriv_nodes, G, H, e, m),
+    return (remainder(rule, G, H, e, m),
             integrate_pieces(kernel.exact, G1, H1, e, m, kernel.breakpoints))
 
 

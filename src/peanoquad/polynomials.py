@@ -5,8 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._qpoly import to_scalar
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, _quad, as_scalar
 
 
 class Polynomial:
@@ -41,8 +40,7 @@ class Polynomial:
         if name != "_coeffs":
             raise AttributeError(name)
         A, B, den, m = self.ints
-        self._coeffs = tuple(to_scalar(Fraction(a, den), b and Fraction(b, den), m)
-                             for a, b in zip(A, B))
+        self._coeffs = tuple(_quad(Fraction(a, den), Fraction(b, den), m) for a, b in zip(A, B))
         return self._coeffs
 
     @property

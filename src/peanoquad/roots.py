@@ -205,7 +205,8 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     straight to the closed form ``_quadratic_roots`` with the input's lead;
     a quadratic with zero discriminant is one double root.  Higher degrees
     are split by Yun, and factors above degree 2 are isolated with integer
-    Sturm chains.
+    Sturm chains; a rational root that their bisection hits is divided out,
+    and a cofactor of degree 2 goes to the closed form, with its factor's lead.
     """
     c = _primitive(coeffs)
     for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
@@ -222,10 +223,8 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     found: list[Root] = []
     L, H, d = _ints(lo, hi)
     for f, mult in _yun_squarefree(c):
-        if _fdeg(f) <= 2:  # Yun's factors were monic over Q: lead 1 names their fields
-            found.extend(Root(r, mult) for r in _quadratic_roots(f, 1, lo, hi))
-            continue
-        while _fdeg(f) >= 1:
+        scale = lead if f is c else 1  # Yun's split factors are monic over Q: 1 names their fields
+        while _fdeg(f) > 2:
             exact_hit = None
             chain = _sturm_chain_int(f)
             # (A, B, e, variations at A/e, at B/e); bisection doubles A, B and e
@@ -251,6 +250,8 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
                 break
             found.append(Root(Scalar(exact_hit), mult))
             f = _idiv(f, [-exact_hit.numerator, exact_hit.denominator])
+        else:  # a factor of degree <= 2, or the cofactor an exact hit leaves: closed forms
+            found.extend(Root(r, mult) for r in _quadratic_roots(f, scale, lo, hi))
     found.sort(key=_lower_end)
     return found
 

@@ -18,7 +18,7 @@ from math import comb
 from typing import Callable
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import _ints, int_parts, parts, plain_field
+from ._qpoly import int_parts
 from .polynomials import Polynomial
 from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
 
@@ -41,19 +41,19 @@ class QuadRule:
 
 def _node_order(xs, keys=None, order=None) -> tuple[list[Scalar], list[int]]:
     """The distinct values of xs in exact order (the first instance of each
-    stays), and the index of each x among them.  Plain exact values
-    (``_qpoly.plain_field``) are keyed by their integer parts over one
-    denominator, or by the ``keys`` and ``order`` of ``_node_keys`` that a
-    caller has read already.  Other values merge by Scalar == and sort by
-    Scalar <, so values that overlap without being equal raise AmbiguousOrder."""
+    stays), and the index of each x among them.  Plain exact values are keyed
+    by their integer parts over one denominator (``_qpoly.int_parts``), or by
+    the ``keys`` and ``order`` of ``_node_keys`` that a caller has read
+    already.  Other values merge by Scalar == and sort by Scalar <, so
+    values that overlap without being equal raise AmbiguousOrder."""
     if keys is None:
-        m = plain_field(xs)
-        if m is None:  # the key of x: the index of its first instance
+        read = int_parts(xs)
+        if read is None:  # the key of x: the index of its first instance
             keys, order = [], xs.__getitem__
             for i, x in enumerate(xs):
                 keys.append(next((j for j in range(i) if keys[j] == j and xs[j] == x), i))
         else:
-            keys, order = _node_keys(*int_parts(xs)[:2], m)
+            keys, order = _node_keys(read[0], read[1], read[3])
     first = {}
     for k, x in zip(keys, xs):
         first.setdefault(k, x)
@@ -128,9 +128,9 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     * float values of f are summed exactly, as integer multiples of
       2**-1074 (every finite float is one), other values as Scalars in
       panel order;
-    * a Polynomial with plain exact coefficients at plain exact nodes
-      (``_qpoly.plain_field``) is summed in closed form from its first
-      deg + 1 values (:func:`_closed_sum`) once n > deg + 1.
+    * a Polynomial with plain exact coefficients at plain exact nodes, all
+      in one field (``_qpoly.int_parts``), is summed in closed form from its
+      first deg + 1 values (:func:`_closed_sum`) once n > deg + 1.
     """
     if rule.deriv_nodes and fprime is None:
         if isinstance(f, Polynomial):
@@ -146,17 +146,16 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
     nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
     centre = (a + b) / 2
-    data = [centre, h] + [offset for _, offset, _ in nodes]
-    plain = plain_field(data) is not None
+    data = [centre] + [offset for _, offset, _ in nodes] + [-h, h]
+    plain = int_parts(data)
     keys = range(len(nodes))  # plain exact offsets by their integer parts, others by node
     if plain:
-        G, H, _ = int_parts(data[2:] + [-h, h])
-        *keys, lo, hi = zip(G, H)
+        _, *keys, lo, hi = zip(*plain[:2])
     sums = [Scalar(0)] * len(nodes)
-    looped = []
+    looped, closed = [], [g for g in (f, fprime) if plain and isinstance(g, Polynomial)
+                          and n > g.degree + 1 and int_parts(data + list(g.coeffs)) is not None]
     for j, (g, offset, _) in enumerate(nodes):
-        if (plain and isinstance(g, Polynomial) and n > g.degree + 1
-                and plain_field(data + list(g.coeffs)) is not None):
+        if any(g is c for c in closed):
             sums[j] = _closed_sum(g, _walk(centre, h, offset, n), n)
         else:
             looped.append((j, g, offset, keys[j]))
@@ -187,24 +186,23 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
 def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
     """Panel k's node centre + (2k + 1 - n)*h + offset for k = 0, ..., n - 1.
 
-    When ``plain_field`` finds the first node and the step 2h plain and
-    exact over one Q(sqrt m), the node is
-    (a0 + k*a1)/da + ((b0 + k*b1)/db)*sqrt(m) with integers formed once, and
-    each node is one Fraction or one _quad (the Scalar that the Scalar
-    expression gives), read by every panel that has it.  Interval and dual
-    data take the expression itself, from the centre, so no drift builds up.
+    When ``int_parts`` reads the first node and the step 2h as plain exact
+    values of one Q(sqrt m), the node is (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e
+    with integers formed once, and each node is one Fraction or one _quad
+    (the Scalar that the Scalar expression gives), read by every panel that
+    has it.  Interval and dual data take the expression itself, from the
+    centre, so no drift builds up.
     """
     first, step = centre + (1 - n) * h + offset, 2 * h
-    m = plain_field([first, step])
-    if m is None:
+    read = int_parts([first, step])
+    if read is None:
         for k in range(n):
             yield centre + (2 * k + 1 - n) * h + offset
         return
-    (a0, b0), (a1, b1) = parts(first), parts(step)
-    (a0, a1, da), (b0, b1, db) = _ints(a0, a1), _ints(b0, b1)
+    (a0, a1), (b0, b1), e, m = read
     for _ in range(n):
-        x = Fraction(a0, da)
-        yield _quad(x, Fraction(b0, db), m) if b0 else _rat(x)
+        x = Fraction(a0, e)
+        yield _quad(x, Fraction(b0, e), m) if b0 else _rat(x)
         a0 += a1
         b0 += b1
 

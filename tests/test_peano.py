@@ -1126,6 +1126,30 @@ def test_plain_exact_exactness_takes_no_scalar_pass(monkeypatch):
         assert _same_sides(verify_peano_identity(rule, r, f), want)
 
 
+def test_a_rule_is_read_into_integers_once(monkeypatch):
+    # the exactness report, the kernel and both identity sides share one
+    # integer read of the rule's nodes and weights
+    from peanoquad import _qpoly, peano, rules
+
+    def counting(values):
+        values = list(values)
+        reads.append(any(v is w for v in values for _, w in nodes))
+        return int_parts(values)
+
+    for make in (lambda: make_rule("gs2", x=sqrt(Scalar(F(1, 3)))), lambda: make_rule("liu_park_gauss"),
+                 lambda: custom_rule("dn", [(-1, F(1, 2)), (F(1, 3), F(3, 2))], [(F(1, 3), F(1, 7))])):
+        rule, reads = make(), []
+        nodes = rule.value_nodes + rule.deriv_nodes
+        for module in (_qpoly, peano, rules):
+            if hasattr(module, "int_parts"):
+                monkeypatch.setattr(module, "int_parts", counting)
+        r = min(degree_of_exactness(rule).degree, 2)
+        kernel_l1_norm(rule, r)
+        verify_peano_identity(rule, r, Polynomial([1, F(1, 2), -S3, 2, 1]))
+        monkeypatch.undo()
+        assert sum(reads) == 1, rule.name
+
+
 def test_identity_of_the_zero_polynomial_is_an_exact_zero():
     # no term of f: the left side's sum has no power of the node denominator
     rng = random.Random(12)
@@ -1170,8 +1194,8 @@ def test_identity_edge_cases_match_the_reference():
     only = _sqrt_rules(rng)[-1]
     assert not only.value_nodes and degree_of_exactness(only).degree == -1
     for f in (Polynomial([]), Polynomial([F(5, 3)]), Polynomial([1, F(1, 2), S3, F(-2, 3), 2])):
-        G, H, e = int_parts(f.coeffs)
-        got = remainder(only.value_nodes, only.deriv_nodes, G, H, e, 3)
+        G, H, e, _ = int_parts(f.coeffs)
+        got = remainder(only, G, H, e, 3)
         assert _same_sides([got], [f.definite_integral(-1, 1) - only.apply(f)])
 
 

@@ -398,6 +398,23 @@ def test_integer_engine_matches_the_fraction_reference():
     assert exits <= {e for e, n in REFERENCE_EXITS.items() if n}, exits - set(REFERENCE_EXITS)
 
 
+def test_quadratic_cofactor_of_an_exact_hit_takes_the_closed_form():
+    # over (-1, 1) the Sturm bisection hits the root 0 at its first midpoint
+    # and divides it out; over (0, 1) the root 0 is a window end.  Both leave
+    # t**2 - 6t + 3, whose root 3 - sqrt(6) is named alike: by the input's
+    # scale (53**2 stays in the discriminant), or by lead 1 for a factor of
+    # Yun's split (the double root 5 outside the window)
+    cubic, lin5 = [F(0), F(3), F(-6), F(1)], [F(-5), F(1)]
+    cases = [(cubic, "3-sqrt(6)"), (_times([F(53)], cubic), "3-1/53*sqrt(16854)"),
+             (_times([F(53)], cubic, lin5, lin5), "3-sqrt(6)")]
+    for coeffs, want in cases:
+        p = Polynomial(coeffs)
+        inside, at_end = isolate_roots(p, -1, 1), isolate_roots(p, 0, 1)
+        assert [r.location.to_json_str() for r in inside] == ["0", want], coeffs
+        assert [r.location.to_json_str() for r in at_end] == [want], coeffs
+        assert [r.multiplicity_hint for r in inside] == [1, 1]
+
+
 def test_simplest_rational_matches_the_fraction_reference():
     rng = random.Random(2718)
     ends = [(F(-7, 3), F(-2, 3)), (F(-1, 2), F(1, 3)), (F(-5), F(-4)), (F(2), F(5, 2)),

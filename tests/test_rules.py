@@ -26,7 +26,7 @@ from peanoquad import (
 from peanoquad._forms import fit_ratio, form_of, form_read
 from peanoquad._qpoly import int_parts
 from peanoquad.rules import CATALOG
-from peanoquad.scalars import _Dual
+from peanoquad.scalars import _Dual, field_parts
 
 from util import SCAN_FAMILIES, family_points
 
@@ -503,5 +503,18 @@ def test_fit_ratio_finds_the_lowest_terms_and_rejects_higher_degrees():
 
 
 def test_int_parts_of_rationals_reads_one_denominator():
-    assert int_parts([Scalar(F(1, 6)), Scalar(F(-3, 4)), Scalar(2)]) == ([2, -9, 24], [0, 0, 0], 12)
-    assert int_parts([Scalar(F(1, 2)), sqrt(Scalar(3)) / 3]) == ([3, 0], [0, 2], 6)
+    assert int_parts([Scalar(F(1, 6)), Scalar(F(-3, 4)), Scalar(2)]) == ([2, -9, 24], [0, 0, 0], 12, 1)
+    assert int_parts([Scalar(F(1, 2)), sqrt(Scalar(3)) / 3]) == ([3, 0], [0, 2], 6, 3)
+
+
+def test_int_parts_refuses_duals_intervals_and_two_radicands():
+    s2 = sqrt(Scalar(2))
+    assert int_parts([s2 / 2, Scalar(F(1, 3))]) == ([0, 2], [3, 0], 6, 2)
+    assert int_parts([]) == ([], [], 1, 1)
+    narrow = Scalar.from_interval(F(1, 3) - F(1, 10**40), F(1, 3) + F(1, 10**40))
+    s5618 = sqrt(Scalar(5618)) / 53  # sqrt(2) again: 53**2 is not pulled out of 5618
+    refused = [[Scalar(1), _Dual(F(1, 3), 1)], [Scalar(1), _Dual(F(1, 3), 0)], [narrow, Scalar(2)],
+               [s2, sqrt(Scalar(3))], [s2, s5618]]
+    assert all(int_parts(values) is None for values in refused)
+    # field_parts, the reader of root windows and estimates, merges that last pair
+    assert field_parts([s2, s5618]) == (2, [(0, 1), (0, 1)])

@@ -87,4 +87,13 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
                 assert "m" in out[f"direct/dps{dps}/{label}/M{r}"]
                 assert len(out[f"direct/dps{dps}/{label}/identity{r}/1"]) == 2
     assert out["direct/dps20/lobatto4/M1"]["m"]["tier"] == "interval"
+    # the scans, minimizers and root windows, once, at LANE_DPS
+    lanes = sorted(key for key in out if not key.startswith("direct/dps"))
+    assert lanes == sorted([f"direct/alomari4@{lam}/{call}{r}" for lam in ("sqrt(1/20)", "1/5+-1e-40")
+                            for call in ("scan", "minimize") for r in (0, 1)]
+                           + ["direct/window(0,e)", "direct/window(-e,0)", "direct/window(e,1)"])
+    assert not any("raised" in out[key] for key in lanes if isinstance(out[key], dict))
+    assert out["direct/alomari4@1/5+-1e-40/minimize0"]["x"]["scalar"] == "2/5"
+    assert len(out["direct/alomari4@sqrt(1/20)/scan1"]["grid"]) == 9
+    assert len(out) == 302
     assert out == same_outputs.direct_outputs(pq)

@@ -1,5 +1,6 @@
 """tools/traffic.py on a small fake tree: a two-module package and a workload
-file whose plans reach part of it."""
+file whose plans reach part of it, and a package API on which the direct calls
+of tools/same_outputs.py reach another part."""
 
 import subprocess
 import sys
@@ -43,6 +44,28 @@ def outer():
         return 2
     return (
         3)
+'''
+
+# what the direct calls read of the package, as names bound outside any
+# function: the listed functions stay those of core and cli
+API = '''\
+from fractions import Fraction
+
+from .core import Box, outer, unused
+
+
+class Scalar(Fraction):
+    from_interval = staticmethod(lambda lo, hi: Scalar(lo))
+
+
+UnknownRule, Polynomial, sqrt = LookupError, list, Scalar
+get_working_dps = set_working_dps = catalog_names = lambda *args: ()
+make_rule = custom_rule = family = lambda *args, **params: Box()
+degree_of_exactness = lambda rule, k_max: {"degree": rule.grow() - 4}  # degree 0
+kernel_l1_norm = lambda rule, r: outer()  # its report lacks l1_norm: a raise
+verify_peano_identity = lambda rule, r, f: unused()
+bound_scan = minimize_bound = lambda fam, r, *grid: fam.grow()
+isolate_roots = lambda p, lo, hi: ()
 '''
 
 CLI = '''\
@@ -99,7 +122,7 @@ def execute(env, op):
 def _tree(root: Path) -> Path:
     pkg = root / "src" / "peanoquad"
     pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text(API)
     (pkg / "core.py").write_text(CORE)
     (pkg / "cli.py").write_text(CLI)
     (root / "perfbench").mkdir()
@@ -115,8 +138,13 @@ def test_traffic_lists_reached_and_unreached_statements(tmp_path):
     lines = proc.stdout.splitlines()
     # the same_outputs set: 2 rounds of 2 rule_analysis seeds, and every
     # round of 3 seeds of the others, 31 ops in all; the raising op counts
-    assert lines[-1] == "13 of 21 statements reached over 31 ops; 4 of 7 functions never entered"
-    by_name = {line.split()[0]: line for line in lines[:-1]}
+    assert lines[-2] == "13 of 21 statements reached over 31 ops; 4 of 7 functions never entered"
+    # the direct calls, apart: at each of 3 precisions, 4 rules of degree 0
+    # (exactness, M_0 and 2 identities each), then 8 scans and minimizers
+    # and 3 root windows; they enter Box.grow, outer and unused only
+    assert lines[-1] == ("4 of 21 statements reached over 59 direct calls; "
+                         "4 of 7 functions never entered")
+    by_name = {line.split()[0]: line for line in lines[:-2]}
     assert by_name["core.used"] == "core.used  5/6  never: 7"
     assert by_name["core.unused"] == "core.unused  0/1  never: 12"
     assert by_name["core.Box.grow"] == "core.Box.grow  0/1  never: 28"

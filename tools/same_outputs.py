@@ -28,7 +28,13 @@ and at sqrt(1/3) +- 1e-50, Simpson with one interval weight and node, a
 double node at 1/3 +- 1e-40), the ``degree_of_exactness`` report (k_max 20),
 ``kernel_l1_norm`` of every order r up to the degree (M_r and the sign
 changes), and both sides of ``verify_peano_identity`` on two seeded
-polynomials per (rule, r).
+polynomials per (rule, r).  At 60 digits it also calls, for lanes that no
+operation reaches (the builder fallback of the bound function, ``_Dual``
+arithmetic, interval root windows), ``bound_scan`` (grid 9) and
+``minimize_bound`` of alomari4 at lambda = sqrt(1/20) and at
+1/5 +- 1e-40, r = 0 and 1, and ``isolate_roots`` on three windows with an
+exact end e = sqrt(1/3) that hold or miss the root r = double(e) + 1e-40:
+t - r on (0, e), t + r on (-e, 0) and t - r on (e, 1).  302 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -131,8 +137,8 @@ def direct_summary(n_differ: int, n_calls: int, counts: Counter) -> str:
     return f"{n_differ} of {n_calls} direct calls differ; {_kinds(counts)}"
 
 
-#: working digits of the direct calls
-DIRECT_DPS = (20, 60, 120)
+#: working digits of the direct calls, and of the scans, minimizers and root windows
+DIRECT_DPS, LANE_DPS = (20, 60, 120), 60
 
 
 def _direct_rules(pq) -> dict:
@@ -163,8 +169,26 @@ def _kernel(pq, rule, r: int) -> dict:
     return {"m": rep.l1_norm, "sign_changes": [rt.location for rt in rep.sign_changes]}
 
 
+def _lane_calls(pq, call) -> None:
+    """The scans and minimizers of alomari4 at an irrational and at an
+    interval lambda, and the root windows with an exact irrational end."""
+    tiny = Fraction(1, 10**40)
+    lams = {"sqrt(1/20)": pq.sqrt(pq.Scalar(Fraction(1, 20))),
+            "1/5+-1e-40": pq.Scalar.from_interval(Fraction(1, 5) - tiny, Fraction(1, 5) + tiny)}
+    for label, lam in lams.items():
+        fam = pq.family("alomari4", lam=lam)
+        for r in (0, 1):
+            call(f"direct/alomari4@{label}/scan{r}", pq.bound_scan, fam, r, 9)
+            call(f"direct/alomari4@{label}/minimize{r}", pq.minimize_bound, fam, r)
+    e = pq.sqrt(pq.Scalar(Fraction(1, 3)))
+    x = Fraction(float(e)) + tiny
+    for window, c, lo, hi in (("(0,e)", -x, 0, e), ("(-e,0)", x, -e, 0), ("(e,1)", -x, e, 1)):
+        call(f"direct/window{window}", pq.isolate_roots, pq.Polynomial([c, 1]), lo, hi)
+
+
 def direct_outputs(pq) -> dict:
-    """{call id: output} of the direct calls, at each working precision of DIRECT_DPS."""
+    """{call id: output} of the direct calls, at each working precision of DIRECT_DPS,
+    then of ``_lane_calls`` at LANE_DPS."""
     outputs, dps0 = {}, pq.get_working_dps()
 
     def call(key, fn, *args):
@@ -174,9 +198,9 @@ def direct_outputs(pq) -> dict:
             outputs[key] = {"raised": type(exc).__name__, "message": str(exc)}
         return outputs[key]
 
-    for dps in DIRECT_DPS:
-        pq.set_working_dps(dps)
-        try:
+    try:
+        for dps in DIRECT_DPS:
+            pq.set_working_dps(dps)
             for label, rule in _direct_rules(pq).items():
                 key = f"direct/dps{dps}/{label}"
                 report = call(f"{key}/exactness", pq.degree_of_exactness, rule, 20)
@@ -187,8 +211,10 @@ def direct_outputs(pq) -> dict:
                         f = pq.Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                                            for _ in range(r + 2 + 2 * i)])
                         call(f"{key}/identity{r}/{i}", pq.verify_peano_identity, rule, r, f)
-        finally:
-            pq.set_working_dps(dps0)
+        pq.set_working_dps(LANE_DPS)
+        _lane_calls(pq, call)
+    finally:
+        pq.set_working_dps(dps0)
     return outputs
 
 

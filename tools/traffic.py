@@ -19,8 +19,10 @@ a method is listed by itself, and its ``def`` counts as a statement of the
 function around it.  A statement is reached when the tracer saw a line event
 on a line of it that holds code (of a compound statement, its header; of an
 ``except`` clause, its first line).  Module and class bodies are not listed.
-The last line sums the statements reached and counts the functions never
-entered.  Standard library only; Python 3.10 or later.
+The second-to-last line sums the statements reached and counts the functions
+never entered.  The last line does the same for the direct calls of
+``tools/same_outputs.py`` (its ``direct_outputs``), traced apart from the
+operations.  Standard library only; Python 3.10 or later.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from same_outputs import DUMP_SET  # noqa: E402
+from same_outputs import DUMP_SET, direct_outputs  # noqa: E402
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -154,15 +156,22 @@ def run_ops(tree: str, hits: dict[str, set[int]]) -> int:
     return count
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    tree = os.path.abspath(argv[0])
-    package = os.path.join(tree, "src", "peanoquad")
-    hits: dict[str, set[int]] = {}
-    n_ops = run_ops(tree, hits)
-    reached = total = unentered = n_funcs = 0
+def run_direct(tree: str, hits: dict[str, set[int]]) -> int:
+    """Run the direct calls under the tracer, after ``run_ops`` has imported
+    the tree's package; the number of calls."""
+    import peanoquad as pq
+
+    sys.settrace(tracer(os.path.join(tree, "src", "peanoquad") + os.sep, hits))
+    try:
+        return len(direct_outputs(pq))
+    finally:
+        sys.settrace(None)
+
+
+def reach(package: str, hits: dict[str, set[int]]) -> tuple[list[str], tuple[int, int, int, int]]:
+    """The line of each function, and the counts of the summary: statements
+    reached, statements, functions never entered, functions."""
+    lines, reached, total, unentered, n_funcs = [], 0, 0, 0, 0
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         path = os.path.join(package, name)
         with open(path) as fh:
@@ -175,9 +184,29 @@ def main(argv: list[str]) -> int:
             unentered += bool(stmts) and not any(got)
             reached, total = reached + sum(got), total + len(stmts)
             line = f"{name[:-3]}.{qualname}  {sum(got)}/{len(stmts)}"
-            print(line + ("  never: " + " ".join(map(str, never)) if never else ""))
-    print(f"{reached} of {total} statements reached over {n_ops} ops; "
-          f"{unentered} of {n_funcs} functions never entered")
+            lines.append(line + ("  never: " + " ".join(map(str, never)) if never else ""))
+    return lines, (reached, total, unentered, n_funcs)
+
+
+def summary(counts: tuple[int, int, int, int], calls: str) -> str:
+    reached, total, unentered, n_funcs = counts
+    return (f"{reached} of {total} statements reached over {calls}; "
+            f"{unentered} of {n_funcs} functions never entered")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    tree = os.path.abspath(argv[0])
+    package = os.path.join(tree, "src", "peanoquad")
+    ops, direct = {}, {}
+    n_ops = run_ops(tree, ops)
+    n_direct = run_direct(tree, direct)
+    lines, counts = reach(package, ops)
+    print("\n".join(lines))
+    print(summary(counts, f"{n_ops} ops"))
+    print(summary(reach(package, direct)[1], f"{n_direct} direct calls"))
     return 0
 
 
