@@ -260,15 +260,15 @@ def integrate_pieces(pieces, G: list[int], H: list[int], e: int, m: int, breakpo
     for pieces (A, B, den, m'), one den, m' in (1, m), on breakpoints rational
     or in Q(sqrt m): with F_i the antiderivative of piece_i * g, the sum of
     (F_{j-1} - F_j)(b_j) (F_{-1} = F_n = 0), each one Horner pass at b_j, all
-    in integers over one denominator (the breakpoints read once over w), and
+    in integers over one denominator (``int_parts`` of the breakpoints, over w), and
     with no sqrt(m) product when the pieces, g and every breakpoint are rational."""
     zero = [0] * len(pieces[0][0])
     ends = [(zero, zero)] + [(A, B) for A, B, _, _ in pieces] + [(zero, zero)]
-    *PQ, w = _ints(*(x for s in breakpoints for x in parts(s)))
+    P, Q, w, _ = int_parts(breakpoints)
     n = max(len(zero) + len(G) - 1, 0)  # the length of each product
     L, X, Y = lcm(*range(1, n + 1)), 0, 0
-    rational = not any(H) and not any(PQ[1::2]) and not any(any(B) for _, B, _, _ in pieces)
-    for (A0, B0), (A1, B1), p, q in zip(ends, ends[1:], PQ[::2], PQ[1::2]):
+    rational = not any(H) and not any(Q) and not any(any(B) for _, B, _, _ in pieces)
+    for (A0, B0), (A1, B1), p, q in zip(ends, ends[1:], P, Q):
         dA = [x - y for x, y in zip(A0, A1)]
         if rational:
             X += int_horner(_integral(_fmul(dA, G), L), p, w)
