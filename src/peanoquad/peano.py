@@ -33,9 +33,10 @@ from ._qpoly import (_fderiv, _ints, _rule_ints, abs_integral, int_horner, int_p
                      integrate_pieces, kernel_pieces, parts, remainder)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
-from .roots import Root, isolate_roots
+from .roots import DEFAULT_ROOT_TOL, Root, isolate_roots
 from .rules import QuadRule, _node_keys, _node_order
-from .scalars import Scalar, _dual, _quad_sign, as_scalar, minus_terms, quad_widened
+from .scalars import (Scalar, _dual, _quad_sign, as_scalar, get_working_dps, minus_terms,
+                      quad_widened)
 
 
 class PiecewisePolynomial:
@@ -288,11 +289,21 @@ def kernel_l1_norm(rule: QuadRule, r: int) -> KernelReport:
     otherwise a validated value whose radius is reported.  A continuity flag
     is True when the jump of K_r at that interior breakpoint passes
     ``Scalar.zero_within``.
+
+    The report of a kernel formed in integers is kept on the rule, as the
+    kernel is, by (r, working precision, ``roots.DEFAULT_ROOT_TOL``), so a
+    rule that ``make_rule`` shares reads each M_r once per process.
     """
+    reports, key = vars(rule).setdefault("_reports", {}), (r, get_working_dps(), DEFAULT_ROOT_TOL)
+    if key in reports:
+        return reports[key]
     kernel = build_kernel(rule, r)
     found = [roots for _, roots in _piece_roots(kernel)]
-    return KernelReport(order=r, kernel=kernel, l1_norm=_kernel_l1(kernel, found),
-                        sign_changes=tuple(rt for roots in found for rt in roots))
+    report = KernelReport(order=r, kernel=kernel, l1_norm=_kernel_l1(kernel, found),
+                          sign_changes=tuple(rt for roots in found for rt in roots))
+    if kernel.exact is not None:
+        reports[key] = report
+    return report
 
 
 def verify_peano_identity(rule: QuadRule, r: int, f: Polynomial) -> tuple[Scalar, Scalar]:

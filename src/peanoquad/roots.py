@@ -31,12 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DegreeTooHigh
 from ._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _idiv, _igcd, _ints, _prem, _primitive,
-                     _yun_squarefree, int_horner)
+                     _yun_squarefree, int_horner, zm_horner)
 from .polynomials import Polynomial
-from .scalars import Scalar, _extract_square, _quad, as_scalar, field_parts
+from .scalars import (Scalar, _common_field, _extract_square, _quad, _quad_sign, as_scalar,
+                      field_parts)
 
 DEGREE_LIMIT = 16
 DEFAULT_ROOT_TOL = Fraction(1, 10**20)
@@ -285,29 +287,144 @@ def _sign_at_root(s: list[int], r: Root) -> int:
 
 
 def _isolate_field(A: list[int], B: list[int], D: int, m: int, lo: Fraction, hi: Fraction,
-                   tol: Fraction) -> list[Root]:
+                   tol: Fraction, ends=(None, None)) -> list[Root]:
     """Roots of p = (A + B*sqrt(m))/D (A, B in Z[t], trimmed) via the rational
     engine.  The scale of its input names the field of a closed-form root
     (see ``_quadratic_roots``), so the engine gets A at the scale 1/D, or the
-    monic gcd of A and B, and the norm of A/D and B/D divided by it."""
+    monic gcd of A and B, and the norm of A/D and B/D divided by it.
+
+    ``ends`` holds the ``_irrational_end`` of each window end that lo or hi
+    rounds, else None: the engine works on the rational window
+    (``_window``), and the roots outside the exact one are dropped
+    (``_clip``)."""
     if not B:
-        return _isolate_rational(A, lo, hi, tol, Fraction(A[-1], D)) if A else []
+        return _clip(_isolate_rational(A, *_window(A, lo, hi, ends), tol, Fraction(A[-1], D)),
+                     ends) if A else []
     g = _igcd(A, B)
     A, B = _idiv(A, g), _idiv(B, g)
-    found = _isolate_rational(g, lo, hi, tol, 1)
+    found = _isolate_rational(g, *_window(g, lo, hi, ends), tol, 1)
     # the norm (a + b*sqrt(m)) * (a - b*sqrt(m)); a and b share no root now, so
     # each root of it belongs to exactly one factor, to the first where a*b < 0
     norm = _fsub(_fmul(A, A), [m * x for x in _fmul(B, B)])
     lead, ab = Fraction(g[-1] ** 2 * norm[-1], D * D), _fmul(A, B)
-    found += [r for r in _isolate_rational(norm, lo, hi, tol, lead) if _sign_at_root(ab, r) < 0]
+    found += [r for r in _isolate_rational(norm, *_window(norm, lo, hi, ends), tol, lead)
+              if _sign_at_root(ab, r) < 0]
     out: list[Root] = []
-    for r in sorted(found, key=_lower_end):
+    for r in sorted(_clip(found, ends), key=_lower_end):
         if out and out[-1].location.lt_definite(r.location) is not True:  # in g and the cofactor
             prev = out.pop()
             r = replace(prev if prev.is_exact() else r,
                         multiplicity_hint=prev.multiplicity_hint + r.multiplicity_hint)
         out.append(r)
     return out
+
+
+def _irrational_end(s: Scalar) -> tuple | None:
+    """(a, b, k, l, u) for a window end s = a + b*sqrt(k) (a plain value or a
+    _Dual's), with rationals l < s < u, u - l = 2**-64/w over the common
+    denominator w of a and b (by ``isqrt``); None for any other end."""
+    if s._sqrt is None:
+        return None
+    a, b, k = s._sqrt
+    p, q, w = _ints(a, b)
+    t = isqrt(q * q * k << 128)  # 2**64 * |q| * sqrt(k) lies in (t, t + 1)
+    lo, den = (p << 64) + (t if q > 0 else -t - 1), w << 64
+    return a, b, k, Fraction(lo, den), Fraction(lo + 1, den)
+
+
+def _sign_against(x: Fraction, end: tuple) -> int:
+    """The sign of x - (a + b*sqrt(k)) for an ``_irrational_end``, exactly:
+    by its rational bounds, else in Q(sqrt k)."""
+    a, b, k, l, u = end
+    if x >= u or x <= l:
+        return 1 if x >= u else -1
+    return _quad_sign(x - a, -b, k)
+
+
+def _window(c: list[int], lo: Fraction, hi: Fraction, ends) -> tuple[Fraction, Fraction]:
+    """The rational window on which the engine isolates the roots of c for
+    the exact window of ``ends`` (see ``_isolate_field``): lo and hi, which
+    set the bisection grid, except that an end which rounds inward (lo above
+    its exact end e, hi below) moves out to e's rational bound on the other
+    side when c has a root in the sliver between the two, or at either of
+    its ends.  Sturm counts at the two sliver ends (one chain of c for both
+    window ends) settle that; a root of c inside the exact window is then
+    inside this one."""
+    window, chain = [lo, hi], None
+    for i, (x, end) in enumerate(zip(window, ends)):
+        side = 1 - 2 * i  # lo rounds inward when lo > e, hi when hi < e
+        if end is None or _sign_against(x, end) != side:
+            continue
+        y = end[3 + i]  # l below e for lo, u above e for hi
+        u, v = (y, x) if side > 0 else (x, y)
+        chain = chain or _sturm_chain_int(c)
+        ints = [(t.numerator, t.denominator) for t in (u, v)]
+        if (any(int_horner(c, *t) == 0 for t in ints)
+                or _variations(chain, *ints[0]) != _variations(chain, *ints[1])):
+            window[i] = y
+    return window[0], window[1]
+
+
+def _clip(found: list[Root], ends) -> list[Root]:
+    """The roots of found strictly inside the exact window ends (see ``_inside``)."""
+    for i, end in enumerate(ends):
+        if end is not None:
+            found = [r for r in (_inside(r, end, 1 - 2 * i) for r in found) if r is not None]
+    return found
+
+
+def _inside(r: Root, end: tuple, side: int) -> Root | None:
+    """r when its root tau lies on the inner side of the ``_irrational_end``
+    e (above it for side 1, below for side -1), else None.
+
+    An exact root is compared exactly, a bracket (f, A, B, d) by its rational
+    cell; a cell across e by the exact sign of f at e against that at A/d,
+    and it is halved on f, as bisection would, until it lies on tau's side
+    of e."""
+    x = r.location
+    if r.bracket is None:
+        s = _sign_against(x._frac, end) if x._frac is not None else _exact_sign(x, *end[:3])
+        return r if s == side else None
+    f, A, B, d = r.bracket
+
+    def past(x: int, d: int) -> int:  # the sign of side*(x/d - e)
+        return side * _sign_against(Fraction(x, d), end)
+
+    if past(B if side > 0 else A, d) <= 0:  # the cell on the outer side of e
+        return None
+    near = A if side > 0 else B
+    if past(near, d) >= 0:
+        return r
+    p, q, w = _ints(*end[:2])  # e = (p + q*sqrt(k))/w, f(e) * w**deg = X + Y*sqrt(k)
+    fa = _sign(int_horner(f, A, d))
+    if side * fa * _quad_sign(*zm_horner(list(f), [0] * len(f), p, q, w, end[2]), end[2]) <= 0:
+        return None  # f(e) = 0 (tau is e), or tau between e and the outer end of the cell
+    while past(near, d) < 0:
+        M = A + B
+        fm = _sign(int_horner(f, M, 2 * d))
+        if fm == 0:
+            return Root(Scalar(Fraction(M, 2 * d)), r.multiplicity_hint)
+        A, B, d = (M, 2 * B, 2 * d) if fm == fa else (2 * A, M, 2 * d)
+        near = A if side > 0 else B
+    return Root(Scalar.from_interval(Fraction(A, d), Fraction(B, d)), r.multiplicity_hint,
+                bracket=(f, A, B, d))
+
+
+def _exact_sign(x: Scalar, a: Fraction, b: Fraction, k: int) -> int:
+    """The sign of x - (a + b*sqrt(k)) for x = c + g*sqrt(n) and b != 0,
+    exactly: in one field when x shares it (``_common_field``), else, for
+    n*k not a square, from the signs of P = c - a + g*sqrt(n) and
+    Q = b*sqrt(k) and of P**2 - Q**2 in Q(sqrt n), which is never 0."""
+    same = _common_field(x, _quad(a, b, k))
+    if same is not None:
+        a1, b1, a2, b2, n = same
+        return _quad_sign(a1 - a2, b1 - b2, n)
+    c, g, n = x._sqrt
+    u, sq = c - a, _sign(b)
+    sp = _quad_sign(u, g, n)
+    if sp != sq:
+        return 1 if sp > sq else -1
+    return sp * _quad_sign(u * u + g * g * n - b * b * k, 2 * u * g, n)
 
 
 def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, hi: Fraction,
@@ -352,6 +469,14 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     return out
 
 
+def _rounded(s: Scalar) -> Fraction:
+    """The rational window end that sets the bisection grid for the end s:
+    s itself, the exact midpoint of an interval, and for a + b*sqrt(m) (of a
+    plain value or of a _Dual's) the midpoint of its enclosure truncated to a
+    double, which exact data in Q(sqrt m) then corrects (``_isolate_field``)."""
+    return Fraction(float(s.interval().mid)) if s._sqrt is not None else s.mid_fraction()
+
+
 def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     """Isolate every real root of p inside the open interval (lo, hi).
 
@@ -363,14 +488,18 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     Sturm bracket would end in, kept exactly as ``Root.bracket``.  A
     ``Polynomial.of_ints`` is read from its integers, at the scale 1/den, and
     other exact coefficients as integers over their common denominator.
+    A window end a + b*sqrt(m) is exact for them too: a root at it or
+    beyond it is left out, and one just inside it is found, however close
+    (``_window``, ``_clip``); a bracket across it is halved to its root's side.
     Interval or mixed-radicand coefficients give brackets about a quarter
-    of it wider, flagged ``certified`` only where p provably changes sign.
+    of it wider, flagged ``certified`` only where p provably changes sign;
+    they read such an end at the double ``_rounded`` gives.
     Raises :class:`DegreeTooHigh` above degree 16.
     """
     if p.degree > DEGREE_LIMIT:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
     lo_s, hi_s = as_scalar(lo), as_scalar(hi)
-    lof, hif = lo_s.mid_fraction(), hi_s.mid_fraction()
+    lof, hif = _rounded(lo_s), _rounded(hi_s)
     if not lof < hif:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
@@ -384,4 +513,6 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         m, ab = parts
         *AB, den = _ints(*(x for pair in ab for x in pair))
         A, B = AB[::2], AB[1::2]
-    return tuple(_isolate_field(_ftrim(list(A)), _ftrim(list(B)), den, m, lof, hif, DEFAULT_ROOT_TOL))
+    return tuple(_isolate_field(_ftrim(list(A)), _ftrim(list(B)), den, m, lof, hif, DEFAULT_ROOT_TOL,
+                                (_irrational_end(lo_s), _irrational_end(hi_s))))
+

@@ -15,10 +15,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice, tee
 from math import comb
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import int_parts
+from ._qpoly import _rule_ints, int_parts
 from .polynomials import Polynomial
 from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
 
@@ -28,12 +29,14 @@ _MINUS_ONE, _ZERO, _ONE = Scalar(-1), Scalar(0), Scalar(1)
 
 @dataclass(frozen=True, eq=False)
 class QuadRule:
-    """Immutable quadrature rule Q(f) = sum A_k f(x_k) + sum B_k f'(y_k) on [-1,1]."""
+    """Immutable quadrature rule Q(f) = sum A_k f(x_k) + sum B_k f'(y_k) on [-1,1].
+    ``params`` is a read-only mapping: ``make_rule`` hands one rule to every
+    caller with equal parameters."""
 
     name: str
     value_nodes: tuple[tuple[Scalar, Scalar], ...]
     deriv_nodes: tuple[tuple[Scalar, Scalar], ...]
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, Scalar] = field(default_factory=lambda: MappingProxyType({}))
 
     def apply(self, f, a=-1, b=1, fprime=None) -> Scalar:
         return apply_rule(self, f, a, b, fprime)
@@ -98,7 +101,7 @@ def _assemble(name: str, values, derivs, params: dict) -> QuadRule:
         for (x1, _), (x2, _) in zip(seq, seq[1:]):
             if x1.lt_definite(x2) is not True:
                 raise ParamOutOfDomain(f"{name}: nodes {x1} and {x2} are not separated")
-    return QuadRule(name, tuple(vnodes), tuple(dnodes), dict(params))
+    return QuadRule(name, tuple(vnodes), tuple(dnodes), MappingProxyType(dict(params)))
 
 
 # --------------------------------------------------------------------------
@@ -498,8 +501,21 @@ def custom_rule(name: str, value_nodes, deriv_nodes=(), params=None) -> QuadRule
     return _assemble(name, list(value_nodes), list(deriv_nodes), dict(params or {}))
 
 
+#: make_rule's shared rules by (name, the ``int_parts`` of their parameters),
+#: least recently used first; at most _SHARED_SIZE
+_SHARED: dict[tuple, QuadRule] = {}
+_SHARED_SIZE = 64
+
+
 def make_rule(name: str, **params) -> QuadRule:
-    """Build a catalog rule; parameters may be Scalars, numbers, or strings."""
+    """Build a catalog rule; parameters may be Scalars, numbers, or strings.
+
+    Plain exact parameters in Q or one Q(sqrt m) (``_qpoly.int_parts``) give
+    one shared rule per name and values, whatever form they arrive in, so the
+    kernels and reports it keeps serve every caller; the 64 most recently
+    used are kept, and only rules whose own nodes and weights are plain
+    exact (``_qpoly._rule_ints``).  Interval, ``_Dual`` and mixed-radicand
+    parameters give a new rule on every call."""
     entry = CATALOG.get(name)
     if entry is None:
         raise UnknownRule(f"unknown rule {name!r}; see catalog_names()")
@@ -512,8 +528,18 @@ def make_rule(name: str, **params) -> QuadRule:
     if missing:
         raise UnknownRule(f"{name} requires parameter(s) {sorted(missing)}")
     recorded = {p: as_scalar(params[_PY_NAMES.get(p, p)]) for p in entry.param_names}
-    values, derivs = entry.builder(*recorded.values())
-    return _assemble(name, values, derivs, recorded)
+    read = int_parts(list(recorded.values()))
+    key = read and (name, tuple(read[0]), tuple(read[1]), read[2], read[3])
+    rule = _SHARED.pop(key, None) if key else None
+    if rule is None:
+        values, derivs = entry.builder(*recorded.values())
+        rule = _assemble(name, values, derivs, recorded)
+        if not key or _rule_ints(rule) is None:
+            return rule
+        if len(_SHARED) >= _SHARED_SIZE:
+            del _SHARED[next(iter(_SHARED))]
+    _SHARED[key] = rule
+    return rule
 
 
 # --------------------------------------------------------------------------

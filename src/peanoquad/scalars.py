@@ -249,14 +249,11 @@ class Scalar:
         return tuple(_exact_end(e) for e in _iv_endpoints(self.interval()))
 
     def mid_fraction(self) -> Fraction:
-        """Exact rational at (or near) the midpoint of the enclosure: the
-        value of a rational, the exact midpoint of an interval, the nearest
-        float of a + b*sqrt(m)."""
+        """Exact rational at the midpoint of the enclosure: the value of a
+        rational, else the exact midpoint of the enclosure's ends."""
         if self._frac is not None:
             return self._frac
-        if self._ival is not None:
-            return sum(self.bounds()) / 2
-        return Fraction(float(self.interval().mid))
+        return sum(self.bounds()) / 2
 
     # --- arithmetic ----------------------------------------------------
 

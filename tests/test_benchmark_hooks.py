@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import peanoquad
 from peanoquad import Scalar, family, kernel_l1_norm, make_rule, peano, roots, rules, sqrt
-from util import reference_build_kernel
+from util import reference_build_kernel, unshared
 
 
 def test_traced_rule_functions_stay_public():
@@ -45,7 +45,8 @@ def test_isolate_roots_gets_each_kernel_piece_with_scalar_coefficients(monkeypat
         return roots.isolate_roots(p, lo, hi)
 
     monkeypatch.setattr(peano, "isolate_roots", spy)
-    cases = [(make_rule("lobatto4"), 3), (make_rule("simpson"), 1),
+    # unshared rules: a shared one may keep its report, and isolate no piece
+    cases = [(unshared(make_rule("lobatto4")), 3), (unshared(make_rule("simpson")), 1),
              (family("q44", lam=F(1, 5), gamma=F(1, 32), delta=F(5, 53)).build(F(1, 64)), 1)]
     for rule, r in cases:
         seen.clear()

@@ -39,7 +39,7 @@ from peanoquad.rules import _merge_nodes
 from util import (SCAN_FAMILIES, assert_scalar_equals, exactness_fingerprint, no_wider_overlapping,
                   random_rational_rule, reference_breakpoints, reference_build_kernel,
                   reference_degree_of_exactness, reference_kernel_l1_norm, reference_merge_nodes,
-                  reference_signature, reference_verify_peano_identity, scalar_is_zero)
+                  reference_signature, reference_verify_peano_identity, scalar_is_zero, unshared)
 
 S3 = sqrt(Scalar(3))
 S5 = sqrt(Scalar(5))
@@ -1020,7 +1020,7 @@ def test_plain_exact_identity_takes_no_scalar_pass_and_keeps_its_sides_apart(mon
     monkeypatch.setattr(QuadRule, "apply", scalar_pass)
     monkeypatch.setattr(PiecewisePolynomial, "integrate_against", scalar_pass)
     f = Polynomial([1, F(2, 3), -S3, 5, F(1, 7), 1])
-    rule = make_rule("gauss_legendre2")
+    rule = unshared(make_rule("gauss_legendre2"))  # the test writes a kept kernel
     lhs, rhs = verify_peano_identity(rule, 3, f)
     assert lhs == rhs
     # the left side reads no kernel: a wrong kept kernel changes the right side only
@@ -1136,7 +1136,9 @@ def test_a_rule_is_read_into_integers_once(monkeypatch):
         reads.append(any(v is w for v in values for _, w in nodes))
         return int_parts(values)
 
-    for make in (lambda: make_rule("gs2", x=sqrt(Scalar(F(1, 3)))), lambda: make_rule("liu_park_gauss"),
+    # unshared copies: make_rule reads a rule it keeps when it builds it
+    for make in (lambda: unshared(make_rule("gs2", x=sqrt(Scalar(F(1, 3))))),
+                 lambda: unshared(make_rule("liu_park_gauss")),
                  lambda: custom_rule("dn", [(-1, F(1, 2)), (F(1, 3), F(3, 2))], [(F(1, 3), F(1, 7))])):
         rule, reads = make(), []
         nodes = rule.value_nodes + rule.deriv_nodes
@@ -1464,3 +1466,33 @@ def test_a_root_enclosure_rounded_across_a_window_end_is_not_cut():
         set_working_dps(60)
     (glo, ghi), (wlo, whi) = got.bounds(), want.bounds()
     assert not got.is_exact and glo <= wlo and whi <= ghi
+
+
+def test_a_shared_rule_keeps_its_reports_by_order_and_precision():
+    # GL2's M_1 at 20, 60, then 20 digits: each precision's own radius, and
+    # each report the one an unshared rule of the same data gives
+    radii = []
+    try:
+        for dps in (20, 60, 20):
+            set_working_dps(dps)
+            report = kernel_l1_norm(make_rule("gauss_legendre2"), 1)
+            assert kernel_l1_norm(make_rule("gauss_legendre2"), 1) is report
+            want = kernel_l1_norm(unshared(make_rule("gauss_legendre2")), 1)
+            assert report.l1_norm.bounds() == want.l1_norm.bounds(), dps
+            radii.append(report.radius)
+    finally:
+        set_working_dps(60)
+    assert 1e-23 < radii[0] == radii[2] < 1e-22 and 1e-42 < radii[1] < 1e-41
+    rule = make_rule("gauss_legendre2")
+    assert [kernel_l1_norm(rule, r).order for r in (1, 2, 3, 1)] == [1, 2, 3, 1]
+
+
+def test_no_report_is_kept_for_a_raise_or_for_interval_data():
+    for _ in range(2):
+        with pytest.raises(OrderExceedsExactness):
+            kernel_l1_norm(make_rule("simpson"), 4)
+    near = Scalar.from_interval(F(1, 2) - F(1, 10**40), F(1, 2) + F(1, 10**40))
+    rule = make_rule("gs2", x=near)
+    first = kernel_l1_norm(rule, 1)
+    assert kernel_l1_norm(rule, 1) is not first
+    assert kernel_l1_norm(rule, 1).l1_norm.bounds() == first.l1_norm.bounds()

@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 
 from peanoquad import DegreeTooHigh, Polynomial, Scalar, isolate_roots, sqrt
+from peanoquad.scalars import as_scalar
 from peanoquad._qpoly import _fmul, _ints
 from peanoquad.roots import _simplest_in_open, _sturm_chain_int
 from util import (REFERENCE_EXITS, fdivmod, fraction_eval, reference_isolate_roots,
@@ -656,3 +657,82 @@ def test_bracketed_roots_keep_their_exact_cell():
     assert brackets >= 40
     for p, lo, hi in _interval_cases(rng):  # brackets from interval data keep none
         assert all(rt.bracket is None for rt in isolate_roots(p, lo, hi))
+
+
+# --------------------------------------------------------------------------
+# windows with an exact irrational end
+
+E3 = sqrt(Scalar(F(1, 3)))  # its double lies below it
+
+
+def _mirrored(p: Polynomial) -> Polynomial:
+    return Polynomial([c * (-1) ** k for k, c in enumerate(p.coeffs)])
+
+
+def _check_window(p, lo, hi, taus, bracketed=False):
+    """isolate_roots(p, lo, hi), and of p(-t) on (-hi, -lo), give one root per
+    tau (Scalars, in increasing order), each strictly inside the exact
+    window: an exact root equal to tau, or a cell of the exact engine that
+    holds tau."""
+    for q, a, b, want in ((p, lo, hi, taus), (_mirrored(p), -hi, -lo, [-t for t in taus[::-1]])):
+        a, b = as_scalar(a), as_scalar(b)
+        got = isolate_roots(q, a, b)
+        assert len(got) == len(want), (q.coeffs, a, b, got)
+        for rt, tau in zip(got, want):
+            assert rt.is_exact() is not bracketed, rt
+            if rt.is_exact():
+                assert rt.location == tau and a < rt.location < b
+            else:
+                _, A, B, d = rt.bracket
+                assert a < Scalar(F(A, d)) < tau < Scalar(F(B, d)) < b, (rt, a, b)
+                lo_l, hi_l = rt.location.bounds()
+                assert lo_l <= F(A, d) < F(B, d) <= hi_l
+
+
+def test_a_window_with_an_exact_irrational_end_holds_exactly_its_roots():
+    # r lies between the double of e = sqrt(1/3) and e: inside (0, e), not in (e, 1)
+    r = Scalar(F(float(E3)) + F(1, 10**40))
+    assert F(float(E3)) < r.as_fraction() and r < E3
+    t_r = Polynomial([-r, 1])
+    assert [rt.location for rt in isolate_roots(t_r, 0, E3)] == [r]
+    assert [rt.location for rt in isolate_roots(Polynomial([r, 1]), -E3, 0)] == [-r]
+    assert isolate_roots(t_r, E3, 1) == ()
+    _check_window(t_r, 0, E3, [r])
+    _check_window(t_r, E3, 1, [])
+    # a root at the double the engine starts from, and roots at e itself,
+    # which lie outside the open window
+    at = Scalar(F(float(E3.interval().mid)))
+    _check_window(Polynomial([-at, 1]), 0, E3, [at])
+    _check_window(Polynomial([-at, 1]), E3, 1, [])
+    for lo, hi in ((0, E3), (E3, 1), (-E3, E3)):
+        _check_window(Polynomial([F(-1, 3), 0, 1]), lo, hi, [])
+    _check_window(Polynomial([F(-1, 3), 0, 1]), -E3 / 2, 1, [E3])
+
+
+def test_roots_in_other_fields_and_in_the_ends_field_are_placed_exactly():
+    # sqrt(1/3 +- 1e-50) lie 1.5e-50 from e, in another field; e +- 1e-50 in its own
+    tiny = F(1, 10**50)
+    for c, side in ((F(1, 3) + tiny, 1), (F(1, 3) - tiny, -1)):
+        root = sqrt(Scalar(c))
+        assert root._sqrt is not None and (root > E3) is (side == 1)
+        p = Polynomial([-c, 0, 1])
+        _check_window(p, 0, E3, [root] if side < 0 else [])
+        _check_window(p, E3, 1, [root] if side > 0 else [])
+        q = Polynomial([-(E3 + side * tiny), 1])  # coefficients in Q(sqrt(3))
+        _check_window(q, 0, E3, [E3 + side * tiny] if side < 0 else [])
+        _check_window(q, E3, 1, [E3 + side * tiny] if side > 0 else [])
+
+
+def test_a_bracket_across_an_exact_end_keeps_the_side_of_its_root():
+    # a cubic whose root tau lies within 1e-59 of e: its cell of width 1e-20
+    # holds e too; the sign of the factor at e places tau, and the cell is
+    # halved until it lies on tau's side
+    lo_e, hi_e = E3.bounds()
+    for tau, side in ((lo_e - F(1, 10**70), -1), (hi_e + F(1, 10**70), 1)):
+        p = Polynomial([-tau, 1]) * Polynomial([-7, 0, 1])
+        (whole,) = isolate_roots(p, 0, 1)
+        _, A, B, d = whole.bracket
+        assert Scalar(F(A, d)) < E3 < Scalar(F(B, d))  # across e on a rational window
+        tau = Scalar(tau)
+        _check_window(p, 0, E3, [tau] if side < 0 else [], bracketed=True)
+        _check_window(p, E3, 1, [tau] if side > 0 else [], bracketed=True)

@@ -518,3 +518,67 @@ def test_int_parts_refuses_duals_intervals_and_two_radicands():
     assert all(int_parts(values) is None for values in refused)
     # field_parts, the reader of root windows and estimates, merges that last pair
     assert field_parts([s2, s5618]) == (2, [(0, 1), (0, 1)])
+
+
+# --------------------------------------------------------------------------
+# make_rule shares one rule for equal plain exact parameters
+
+
+def test_equal_plain_exact_parameters_share_one_rule():
+    # an int, a Fraction, a string and a Scalar of one value are one key
+    for name, forms in (("ostrowski", [{"x": 0}, {"x": F(0)}, {"x": "0"}, {"x": Scalar(0)}]),
+                        ("mod3", [{"x": F(1, 3), "lam": F(1, 2)}, {"x": "1/3", "lam": "0.5"},
+                                  {"x": Scalar(F(1, 3)), "lam": F(2, 4)}]),
+                        ("gs2", [{"x": sqrt(Scalar(F(1, 3)))}, {"x": sqrt(Scalar(3)) / 3}]),
+                        ("simpson", [{}, {}])):
+        rules = [make_rule(name, **params) for params in forms]
+        assert all(rule is rules[0] for rule in rules), name
+    # and unequal ones are not: another name, value, denominator or radicand,
+    # and the same values for swapped parameters
+    distinct = [make_rule("ostrowski", x=F(1, 2)), make_rule("mp3", x=F(1, 2)),
+                make_rule("ostrowski", x=F(1, 4)), make_rule("ostrowski", x=F(-1, 2)),
+                make_rule("gs2", x=sqrt(Scalar(2)) / 2), make_rule("gs2", x=sqrt(Scalar(3)) / 2),
+                make_rule("gs2", x=1 - sqrt(Scalar(3)) / 2), make_rule("gs2", x=F(1, 2)),
+                make_rule("gs2", x=F(1, 4)), make_rule("gs2", x=(1 + sqrt(Scalar(3))) / 4),
+                make_rule("mod3", x=F(1, 3), lam=F(1, 2)), make_rule("mod3", x=F(1, 2), lam=F(1, 3))]
+    assert len({id(rule) for rule in distinct}) == len(distinct)
+    assert make_rule("gs2", x=sqrt(Scalar(3)) / 2).value_nodes[1][0] == sqrt(Scalar(3)) / 2
+
+
+def test_interval_dual_and_mixed_radicand_parameters_get_a_new_rule():
+    near = Scalar.from_interval(F(1, 2) - F(1, 10**40), F(1, 2) + F(1, 10**40))
+    mixed = {"x": sqrt(Scalar(F(1, 3))), "lam": sqrt(Scalar(2)) / 4}
+    for name, params in (("gs2", {"x": near}), ("mod3", mixed)):
+        assert make_rule(name, **params) is not make_rule(name, **params), name
+    # a dual x never receives the rule of its plain value, before or after it
+    for d in (1, -1, F(3, 7)):
+        plain = make_rule("gs2", x=F(1, 2))
+        dual = make_rule("gs2", x=_Dual(F(1, 2), d))
+        assert dual is not plain and make_rule("gs2", x=F(1, 2)) is plain
+        assert [_Dual.parts(x)[1] for x, _ in dual.value_nodes] == [Scalar(-d), Scalar(d)]
+        assert all(type(x) is Scalar for x, _ in plain.value_nodes)
+
+
+def test_shared_rules_are_bounded():
+    # the least recently used rule goes first
+    from peanoquad.rules import _SHARED, _SHARED_SIZE
+
+    first = make_rule("mp3", x=F(1, 2))
+    kept = [make_rule("mp3", x=F(1, k)) for k in range(3, 2 + _SHARED_SIZE)]
+    assert len(_SHARED) == _SHARED_SIZE and make_rule("mp3", x=F(1, 2)) is first
+    make_rule("mp3", x=F(1, 2 + _SHARED_SIZE))
+    assert len(_SHARED) == _SHARED_SIZE
+    assert make_rule("mp3", x=F(1, 2)) is first and make_rule("mp3", x=F(1, 4)) is kept[1]
+    assert make_rule("mp3", x=F(1, 3)) is not kept[0]
+
+
+def test_a_rules_parameters_are_read_only():
+    for rule in (make_rule("mod3", x=F(1, 3), lam=F(1, 2)), custom_rule("c", [(0, 2)], params={"x": 0}),
+                 family("gs2").build(F(1, 2))):
+        with pytest.raises(TypeError):
+            rule.params["x"] = Scalar(F(1, 5))
+        with pytest.raises(TypeError):
+            del rule.params["x"]
+    rule = make_rule("mod3", x=F(1, 3), lam=F(1, 2))
+    assert rule.params["x"] == Scalar(F(1, 3)) and dict(rule.params) == {"x": F(1, 3), "lambda": F(1, 2)}
+    assert json.loads(rule_to_json(rule))["params"] == {"x": "1/3", "lambda": "1/2"}

@@ -38,6 +38,14 @@ def family_points(fam):
     return xs
 
 
+def unshared(rule: QuadRule) -> QuadRule:
+    """A rule with the data of ``rule`` that no other caller holds.
+    ``make_rule`` shares one rule for equal parameters, with the kernels and
+    reports it keeps, so a test that writes kept state or counts work takes
+    this copy."""
+    return custom_rule(rule.name, rule.value_nodes, rule.deriv_nodes, rule.params)
+
+
 def scalar_is_zero(s: Scalar) -> bool:
     return s.is_exact_zero() or s.zero_within()
 
