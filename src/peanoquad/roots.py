@@ -387,8 +387,8 @@ def _inside(r: Root, end: tuple, side: int) -> Root | None:
         return r if s == side else None
     f, A, B, d = r.bracket
 
-    def past(x: int, d: int) -> int:  # the sign of side*(x/d - e)
-        return side * _sign_against(Fraction(x, d), end)
+    def past(n: int, d: int) -> int:  # the sign of side*(n/d - e)
+        return side * _sign_against(Fraction(n, d), end)
 
     if past(B if side > 0 else A, d) <= 0:  # the cell on the outer side of e
         return None
@@ -513,6 +513,7 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         m, ab = parts
         *AB, den = _ints(*(x for pair in ab for x in pair))
         A, B = AB[::2], AB[1::2]
+    ends = (_irrational_end(lo_s), _irrational_end(hi_s))
     return tuple(_isolate_field(_ftrim(list(A)), _ftrim(list(B)), den, m, lof, hif, DEFAULT_ROOT_TOL,
-                                (_irrational_end(lo_s), _irrational_end(hi_s))))
+                                ends))
 
