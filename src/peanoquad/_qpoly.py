@@ -1,28 +1,32 @@
 """Exact polynomials over Q and over one Q(sqrt m), in integers.
 
 Root isolation works in Z[t], on lists of integers (index i holds the
-coefficient of t**i): pseudo-remainders, primitive gcds, exact quotients and
+coefficient of t**i): pseudo-remainders, primitive gcds, exact quotients,
 Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
-Theory*, sections 3.1-3.3).  ``int_parts`` is the one reader of plain exact
-Scalars into integers, and a rule's nodes and weights are read once
-(``_rule_ints``).  The Peano kernel pass of plain exact data uses
-pairs (A, B) of integer lists over one denominator d, meaning (A + B*sqrt(m))/d:
-node terms by the binomial expansion, pieces by integer subtraction, and
-antiderivatives by one Horner loop over Z[sqrt m].  A rule's power sums
-Q(e_k) step each node's power by one product in Z[sqrt m] per k
-(``power_sums``); they give the remainders R(e_k) of ``degree_of_exactness``
-and I(f) - Q(f) alike.
+Theory*, sections 3.1-3.3) and the sign-variation count of Descartes' rule
+on a window (``sign_variations``), which clears a window with no root, or
+with one simple root, before any gcd or Sturm chain.  ``int_parts`` is the
+one reader of plain exact Scalars into integers, and a rule's nodes and
+weights are read once (``_rule_ints``).  The Peano kernel pass of plain
+exact data uses pairs (A, B) of integer lists over one denominator d,
+meaning (A + B*sqrt(m))/d: node terms by the binomial expansion, pieces by
+integer subtraction, and antiderivatives by one Horner loop over Z[sqrt m].
+A rule's power sums Q(e_k) step each node's power by one product in
+Z[sqrt m] per k (``power_sums``); they give the remainders R(e_k) of
+``degree_of_exactness`` and I(f) - Q(f) alike.
 With m = 0 the same pairs are dual numbers A + B*eps of Q[eps]/(eps**2): the
-kernel pieces of a scan point x + eps (``_forms.form_pieces``), whose L1 sum
-(``abs_integral``) runs on the same code.  Every cut of that sum is rational
-or in one Q(sqrt m), so it never leaves integers.  A value converted back is
-the Scalar that Scalar arithmetic gives (exact).
+kernel pieces of a scan point x + eps (``_forms.form_pieces``).  The L1 sum
+of a kernel's pieces, over Q, one Q(sqrt m) or Q[eps], is one integer pass
+over all of them (``abs_integrals``): every cut of it is rational or in one
+Q(sqrt m), so it never leaves integers.  A value converted back is the
+Scalar that Scalar arithmetic gives (exact).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 
 from .scalars import Scalar, _quad, _quad_sign
@@ -141,6 +145,20 @@ def _yun_squarefree(c: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+def sign_variations(c: list[int], L: int, H: int, d: int) -> int:
+    """The sign variations of g(y) = (d*(1 + y))**n * c((L + H*y)/(d*(1 + y))),
+    n = deg c, L < H, d > 0: at least the number of roots of c in (L/d, H/d),
+    counted with multiplicity, and of the same parity (Descartes' rule of
+    signs; Collins and Akritas, SYMSAC 1976).  g is sum c_i X**i Y**(n-i) at
+    X = L + H*y, Y = d + d*y, by one homogeneous Horner pass in Z[y]."""
+    g, Y = [c[-1]], [1]  # Y: the coefficients of (d + d*y)**k, k = deg g
+    for a in reversed(c[:-1]):
+        Y = [d * (u + v) for u, v in zip(Y + [0], [0] + Y)]
+        g = [L * u + H * v + a * t for u, v, t in zip(g + [0], [0] + g, Y)]
+    signs = [x > 0 for x in g if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 # --------------------------------------------------------------------------
 # integer pairs over one Q(sqrt m)
 
@@ -196,40 +214,46 @@ def _integral(P: list[int], L: int) -> list[int]:
     return [0] + [c * (L // (k + 1)) for k, c in enumerate(P)]
 
 
-def abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple:
-    """The integral of |p| for the piece p = (A + B*sqrt(k))/den, or
-    (A + B*eps)/den for k = 0 (B empty for a rational piece), from the first
-    cut to the last, between consecutive cuts of which A keeps its sign: the
-    sum of |F(c_(j+1)) - F(c_j)|, F an antiderivative, as (a, b, c, e) for
-    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.
-    A cut is a rational or a pair (p, q), p + q*sqrt(m) (m = k for k > 1 and
-    B not empty), except that for k = 0 the two ends (breakpoints of a dual
-    pass) are p + q*eps.  Each |.| reads the sign of the value part, or of
-    the eps part where that is 0, as ``_Dual.__abs__`` does."""
-    L = lcm(*range(1, len(A) + 1))
-    FA = _integral(A, L)
-    if not B and all(type(c) is not tuple for c in cuts):  # all in Q
-        *U, w = _ints(*cuts)
-        X = [int_horner(FA, u, w) for u in U]  # F(u/w) * den * L * w**len(A)
-        S, D = sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * w ** len(A)
-        return Fraction(S, D), 0, 0, 0
-    zero, F = [0] * len(FA), []
-    FB = _integral(B, L) if B else zero
-    *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
-    for j, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
-        if k:  # F(p + q*sqrt(m)) over w
-            F.append((*zm_horner(FA, FB, p, q, w, m), 0, 0))
-        elif not q or j in (0, len(cuts) - 1):  # p + q*eps over w
-            X, U = zm_horner(FA, FB, p, q, w, 0)
-            F.append((X, 0, U, 0))
-        else:
-            F.append((*zm_horner(FA, zero, p, q, w, m), *zm_horner(FB, zero, p, q, w, m)))
-    total = [0, 0, 0, 0]
-    for x, y in zip(F, F[1:]):
-        d = [b - a for a, b in zip(x, y)]
-        s = _quad_sign(d[0], d[1], m) or _quad_sign(d[2], d[3], m)
-        total = [t + s * v for t, v in zip(total, d)]
-    D = den * L * w ** len(A)
+def abs_integrals(pieces, cuts: list, m: int) -> tuple:
+    """The integral of |K| for the kernel pieces (A, B, den, k), one den,
+    p = (A + B*sqrt(k))/den, or (A + B*eps)/den for k = 0, each from its
+    first cut to its last, between consecutive cuts of which A keeps its
+    sign: the sum of |F(c_(j+1)) - F(c_j)| over every piece, F an
+    antiderivative of the piece, as (a, b, c, e) for
+    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps.  A cut is a pair (p, q) of
+    rationals, p + q*sqrt(m), except that for k = 0 the two ends of a piece
+    (breakpoints of a dual pass) are p + q*eps.  B is no part of a piece
+    with k = 1 or B = 0.  One pass in integers: every cut over one common
+    denominator w, every piece padded to one length, one Fraction per part
+    at the end.  Each |.| reads the sign of the value part, or of the eps
+    part where that is 0, as ``_Dual.__abs__`` does."""
+    n = max(len(A) for A, *_ in pieces)
+    L, zero = lcm(*range(1, n + 1)), [0] * (n + 1)
+    *PQ, w = _ints(*(x for cs in cuts for c in cs for x in c))
+    total, pairs = [0, 0, 0, 0], iter(zip(PQ[::2], PQ[1::2]))
+    for (A, B, _, k), cs in zip(pieces, cuts):
+        P, Q = zip(*islice(pairs, len(cs)))
+        FA = _integral(A + [0] * (n - len(A)), L)
+        plain = k == 1 or not any(B)
+        if plain and not any(Q):  # in Q: F(p/w) * den * L * w**n
+            X = [int_horner(FA, p, w) for p in P]
+            total[0] += sum(abs(y - x) for x, y in zip(X, X[1:]))
+            continue
+        FB = zero if plain else _integral(B + [0] * (n - len(B)), L)
+        F = []
+        for i, (p, q) in enumerate(zip(P, Q)):
+            if k:  # F(p + q*sqrt(m)) over w
+                F.append((*zm_horner(FA, FB, p, q, w, m), 0, 0))
+            elif not q or i in (0, len(cs) - 1):  # p + q*eps over w
+                X, U = zm_horner(FA, FB, p, q, w, 0)
+                F.append((X, 0, U, 0))
+            else:
+                F.append((*zm_horner(FA, zero, p, q, w, m), *zm_horner(FB, zero, p, q, w, m)))
+        for x, y in zip(F, F[1:]):
+            d = [b - a for a, b in zip(x, y)]
+            s = _quad_sign(d[0], d[1], m) or _quad_sign(d[2], d[3], m)
+            total = [t + s * v for t, v in zip(total, d)]
+    D = pieces[0][2] * L * w ** n
     return tuple(t and Fraction(t, D) for t in total)
 
 

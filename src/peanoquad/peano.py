@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from ._qpoly import (_fderiv, _ints, _rule_ints, abs_integral, int_horner, int_parts,
+from ._qpoly import (_fderiv, _ints, _rule_ints, abs_integrals, int_horner, int_parts,
                      integrate_pieces, kernel_pieces, parts, remainder)
 from .errors import OrderExceedsExactness
 from .polynomials import Polynomial
@@ -202,11 +202,12 @@ def l1_sum(pieces, ends, roots) -> Scalar:
     """The integral of |K_r| over [-1, 1] for a kernel's integer pieces
     (A, B, den, m), (A + B*sqrt(m))/den or (m = 0) (A + B*eps)/den, on the
     breakpoints ``ends``, pairs (p, q) for p + q*sqrt(m) or p + q*eps, given
-    the roots inside each piece.  Each piece adds its |F(c') - F(c)| between
-    its cuts (its ends and roots) in one integer sum (``_qpoly.abs_integral``)
-    over Q, one Q(sqrt d), Q[eps] or Q(sqrt d)[eps]: d is m where a piece or
-    an end is irrational, else the field of the first quadratic root (in a
-    slope pass, of the first one whose piece has an eps part).
+    the roots inside each piece.  Every piece's |F(c') - F(c)| between its
+    cuts (its ends and roots) goes into one integer sum over the whole
+    kernel (``_qpoly.abs_integrals``) over Q, one Q(sqrt d), Q[eps] or
+    Q(sqrt d)[eps]: d is m where a piece or an end is irrational, else the
+    field of the first quadratic root (in a slope pass, of the first one
+    whose piece has an eps part).
 
     A bracketed root tau is cut at the rational midpoint c of its exact
     bracket (``Root.bracket``), one exact in another field at that of its
@@ -228,19 +229,19 @@ def l1_sum(pieces, ends, roots) -> Scalar:
                  for (_, B, _, _), found in zip(pieces, roots) for rt in found if rt.location._sqrt]
         d = min(quads, key=lambda q: q[0], default=(0, 1))[1]
     root = math.isqrt(m - 1) + 1 if m > 1 else 0  # ceil(sqrt(m)); 0 where B is no part of the value
-    total, gap, slack = [0, 0, 0, 0], 0, 0
+    cuts, gap, slack = [], 0, 0
     for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots):
-        cuts = [lo if lo[1] else lo[0]]
+        cuts.append([lo])
         dA = None  # den * K' = dA + dB*sqrt(m), and absolute coefficient sums for |K'|, |K''|
         for rt in found:
             s = rt.location
             if s._frac is not None or s._sqrt and s._sqrt[2] == d:
-                cuts.append(s._frac if s._frac is not None else s._sqrt[:2])
+                cuts[-1].append((s._frac, 0) if s._frac is not None else s._sqrt[:2])
                 continue
             P, Q, e = rt.bracket[1:] if rt.bracket else _ints(*s.bounds())  # (P/e, Q/e)
             c = Fraction(P + Q, 2 * e)
             if _quad_sign(c - lo[0], -lo[1], m) == _quad_sign(hi[0] - c, hi[1], m) == 1:
-                cuts.append(c)
+                cuts[-1].append((c, 0))
             if dA is None:
                 dA, dB = zip(*zip_longest(_fderiv(A), _fderiv(B), fillvalue=0))
                 abs1 = [abs(a) + root * abs(b) for a, b in zip(dA, dB)]
@@ -257,9 +258,8 @@ def l1_sum(pieces, ends, roots) -> Scalar:
                 R, w = Fraction(R, e), Fraction(w, e)
                 slack += (abs(sum(x * c**j for j, x in enumerate(B)))
                           + _abs_sum(_fderiv(B), R) * w / 2) * w / den
-        cuts.append(hi if hi[1] else hi[0])
-        part = abs_integral(A, B if m != 1 and any(B) else (), den, m, cuts, d)
-        total = [t + x if x else t for t, x in zip(total, part)]
+        cuts[-1].append(hi)
+    total = abs_integrals(pieces, cuts, d)
     return _dual(quad_widened(total[0], total[1], d, 0, gap),
                  quad_widened(total[2], total[3], d, slack, slack))
 

@@ -35,7 +35,7 @@ from math import isqrt
 
 from .errors import DegreeTooHigh
 from ._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _idiv, _igcd, _ints, _prem, _primitive,
-                     _yun_squarefree, int_horner, zm_horner)
+                     _yun_squarefree, int_horner, sign_variations, zm_horner)
 from .polynomials import Polynomial
 from .scalars import (Scalar, _common_field, _extract_square, _quad, _quad_sign, as_scalar,
                       field_parts)
@@ -177,22 +177,25 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
     Q(sqrt(disc)), so values of rational polynomials at them stay exact; disc
     is the discriminant of f scaled to the leading coefficient lead, whose
     square factors name m.  Each root is placed against lo and hi by the sign
-    of f there and the side of the vertex a they lie on, without a square root.
+    of f there and the side of the vertex a they lie on, in integers and
+    before the discriminant is formed, so its square factors are extracted
+    only when a root lies inside.
     """
     if _fdeg(f) == 1:
         r = Fraction(-f[0], f[1])
         return [Scalar(r)] if lo < r < hi else []
     f = f if f[2] > 0 else [-x for x in f]  # now f < 0 just between the roots
     c0, c1, c2 = f
-    if c1 * c1 < 4 * c0 * c2:
+    (p, q), (u, v) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    f_lo, f_hi = int_horner(f, p, q), int_horner(f, u, v)
+    after_lo, before_hi = 2 * c2 * p < -c1 * q, -c1 * v < 2 * c2 * u  # lo < a, a < hi
+    inside = (f_lo > 0 and after_lo and (f_hi < 0 or before_hi),   # lo < a - b*sqrt(m) < hi
+              (f_lo < 0 or after_lo) and f_hi > 0 and before_hi)   # lo < a + b*sqrt(m) < hi
+    if not any(inside) or c1 * c1 < 4 * c0 * c2:
         return []
     disc = (c1 * c1 - 4 * c0 * c2) * Fraction(lead, c2) ** 2
     s, m = _extract_square(disc.numerator * disc.denominator)  # sqrt(p/q) = sqrt(p*q)/q
     a, b = Fraction(-c1, 2 * c2), Fraction(s, disc.denominator) / (2 * abs(lead))
-    f_lo = int_horner(f, lo.numerator, lo.denominator)
-    f_hi = int_horner(f, hi.numerator, hi.denominator)
-    inside = (f_lo > 0 and lo < a and (f_hi < 0 or a < hi),   # lo < a - b*sqrt(m) < hi
-              (f_lo < 0 or lo < a) and f_hi > 0 and a < hi)   # lo < a + b*sqrt(m) < hi
     return [_quad(a, y, m) for y, ok in zip((-b, b), inside) if ok]
 
 
@@ -206,7 +209,11 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     or of degree 2 with a nonzero discriminant, is squarefree and goes
     straight to the closed form ``_quadratic_roots`` with the input's lead;
     a quadratic with zero discriminant is one double root.  Higher degrees
-    are split by Yun, and factors above degree 2 are isolated with integer
+    first count the sign variations V of Descartes' rule on the window
+    (``_qpoly.sign_variations``): V = 0 leaves no root, and V = 1 with no
+    factor in Yun's split but the input itself leaves one simple root, whose
+    bracket is the whole window, as a Sturm count of 1 would give.  Else
+    Yun's split goes on, and factors above degree 2 are isolated with integer
     Sturm chains; a rational root that their bisection hits is divided out,
     and a cofactor of degree 2 goes to the closed form, with its factor's lead.
     """
@@ -222,9 +229,15 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     if _fdeg(c) <= 2:
         return [Root(r, 1) for r in _quadratic_roots(c, lead, lo, hi)]
 
-    found: list[Root] = []
     L, H, d = _ints(lo, hi)
-    for f, mult in _yun_squarefree(c):
+    v = sign_variations(c, L, H, d)
+    if v == 0:
+        return []
+    split = _yun_squarefree(c)
+    if v == 1 and split[0][0] is c:  # c squarefree: the one root is simple
+        return [_refine_single(tuple(c), L, H, d, tol, 1)]
+    found: list[Root] = []
+    for f, mult in split:
         scale = lead if f is c else 1  # Yun's split factors are monic over Q: 1 names their fields
         while _fdeg(f) > 2:
             exact_hit = None
@@ -437,7 +450,10 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     changes sign over it.  An even-multiplicity root of p can leave q just
     clear of zero, so an extremum of q that turns away from zero (q q'' > 0
     there), over whose bracket p's enclosure still contains zero, is
-    reported as an uncertified bracket with multiplicity hint 2."""
+    reported as an uncertified bracket with multiplicity hint 2.  A window
+    end a + b*sqrt(m) is placed exactly, as for exact data: the roots of q
+    and q' are isolated on ``_window`` and kept by ``_clip`` before their
+    brackets are widened."""
     *Q, w = _ints(*(sum(c.bounds()) / 2 for c in p.coeffs))
 
     def at(t: Fraction) -> Fraction:  # Q(t), exactly
@@ -449,8 +465,9 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     Q = _ftrim([z * Q[0] - a, z * Q[1] - b] + [z * c for c in Q[2:]])  # q is Q/(w*z) from here on
     if _fdeg(Q) < 1:
         return []
-    out = []
-    for r in _isolate_rational(Q, lo, hi, tol, Fraction(Q[-1], w * z)):
+    out, ends = [], (_irrational_end(lo_s), _irrational_end(hi_s))
+    for r in _clip(_isolate_rational(Q, *_window(Q, lo, hi, ends), tol, Fraction(Q[-1], w * z)),
+                   ends):
         qa, qb = r.location.bounds()
         qa, qb = qa - tol / 4, qb + tol / 4
         sa, sb = p(Scalar(qa)).sign(), p(Scalar(qb)).sign()
@@ -458,7 +475,8 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
         out.append(Root(Scalar.from_interval(qa, qb), r.multiplicity_hint, certified))
     dQ = _fderiv(Q)
     d2Q = _fderiv(dQ)
-    for r in _isolate_rational(dQ, lo, hi, tol, Fraction(dQ[-1], w * z)):
+    for r in _clip(_isolate_rational(dQ, *_window(dQ, lo, hi, ends), tol, Fraction(dQ[-1], w * z)),
+                   ends):
         qa, qb = r.location.bounds()
         c = (qa + qb) / 2
         if at(c) * int_horner(d2Q, c.numerator, c.denominator) > 0:
@@ -473,7 +491,7 @@ def _rounded(s: Scalar) -> Fraction:
     """The rational window end that sets the bisection grid for the end s:
     s itself, the exact midpoint of an interval, and for a + b*sqrt(m) (of a
     plain value or of a _Dual's) the midpoint of its enclosure truncated to a
-    double, which exact data in Q(sqrt m) then corrects (``_isolate_field``)."""
+    double, which ``_window`` and ``_clip`` then correct."""
     return Fraction(float(s.interval().mid)) if s._sqrt is not None else s.mid_fraction()
 
 
@@ -492,8 +510,9 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     beyond it is left out, and one just inside it is found, however close
     (``_window``, ``_clip``); a bracket across it is halved to its root's side.
     Interval or mixed-radicand coefficients give brackets about a quarter
-    of it wider, flagged ``certified`` only where p provably changes sign;
-    they read such an end at the double ``_rounded`` gives.
+    of it wider, flagged ``certified`` only where p provably changes sign,
+    around the roots of their midpoint polynomial that lie inside such an
+    end.
     Raises :class:`DegreeTooHigh` above degree 16.
     """
     if p.degree > DEGREE_LIMIT:

@@ -33,7 +33,7 @@ from peanoquad import (
     set_working_dps,
     sqrt,
 )
-from peanoquad._qpoly import abs_integral
+from peanoquad._qpoly import abs_integrals
 from peanoquad.bounds import _bound_fn, _memo
 from peanoquad.polynomials import Polynomial
 from peanoquad.scalars import _Dual, _quad
@@ -882,6 +882,11 @@ def test_roots_under_two_radicands_give_enclosures_no_wider_than_the_scalar_sum(
     assert seen >= 10, seen
 
 
+def _pair(cut):
+    """A cut of ``abs_integrals``: a rational c as (c, 0), a pair as it is."""
+    return cut if type(cut) is tuple else (cut, 0)
+
+
 def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
     # against Scalar and _Dual arithmetic: the eps parts at the ends, quadratic
     # irrational cuts inside, and differences whose value part is 0, where the
@@ -907,7 +912,7 @@ def test_abs_integral_sums_over_q_sqrt_m_and_q_eps():
         if rng.random() < 0.2 and inside:
             inside.append(inside[-1])
         cuts[1:1] = inside
-        a, b, c, e = abs_integral(A, B, den, 0, cuts, m)
+        a, b, c, e = abs_integrals([(A, list(B), den, 0)], [[_pair(c) for c in cuts]], m)
         got = (_quad(a, b, m), _quad(c, e, m))
         want = reference_abs_sum(A, list(B), den, cuts, m)
         assert [v.to_json_str() for v in got] == [v.to_json_str() for v in want], (A, B, den, cuts, m)
@@ -930,7 +935,7 @@ def test_abs_integral_sums_pieces_over_q_sqrt_m():
         cuts = [(c, F(rng.randint(-3, 3), rng.randint(1, 5))) if rng.random() < 0.5 else c
                 for c in cuts]
         den = rng.randint(1, 12)
-        a, b, c, e = abs_integral(A, B, den, m, cuts, m)
+        a, b, c, e = abs_integrals([(A, list(B), den, m)], [[_pair(c) for c in cuts]], m)
         F_ = Polynomial.of_ints(A, B or [0] * len(A), den, m).antiderivative()
         points = [_quad(x[0], x[1], m) if type(x) is tuple else Scalar(x) for x in cuts]
         want = Scalar(0)

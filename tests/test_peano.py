@@ -1496,3 +1496,80 @@ def test_no_report_is_kept_for_a_raise_or_for_interval_data():
     first = kernel_l1_norm(rule, 1)
     assert kernel_l1_norm(rule, 1) is not first
     assert kernel_l1_norm(rule, 1).l1_norm.bounds() == first.l1_norm.bounds()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass L1 sum against the per-piece sum of util.py
+
+
+def _same_sum(got, want) -> bool:
+    """The same Scalar (or _Dual): equal by ==, part by part by type and exact enclosure ends."""
+    return got == want and [(type(g), g.bounds()) for g in _Dual.parts(got)] == [
+        (type(w), w.bounds()) for w in _Dual.parts(want)]
+
+
+def _catalog_rules(x):
+    """Every catalog rule, its free node (and alomari2's lower node, negated) at x."""
+    from peanoquad.rules import CATALOG
+
+    values = {"x": x, "lambda": F(1, 5), "y": F(2, 3), "gamma": F(1, 10), "delta": F(-1, 3)}
+    for name in catalog_names():
+        params = {p.replace("lambda", "lam"): values[p] for p in CATALOG[name].param_names}
+        if name == "alomari2":  # x <= lambda <= y
+            params.update(x=-x, lam=F(0))
+        yield make_rule(name, **params)
+
+
+def test_the_one_pass_l1_sum_equals_the_per_piece_sum():
+    from peanoquad._forms import form_of, form_pieces, form_read
+    from peanoquad._qpoly import parts
+    from peanoquad.peano import l1_sum
+    from peanoquad.roots import DEFAULT_ROOT_TOL, _isolate_rational
+    from util import family_points, reference_l1_sum
+
+    seen = {}
+
+    def check(pieces, ends, found, kind):
+        got, want = l1_sum(pieces, ends, found), reference_l1_sum(pieces, ends, found)
+        assert _same_sum(got, want), (kind, pieces, ends)
+        seen[kind] = seen.get(kind, 0) + 1
+
+    def kernels(rule):
+        for r in range(degree_of_exactness(rule, k_max=8).degree + 1):
+            kernel = build_kernel(rule, r)
+            if kernel.exact is not None:
+                yield kernel, [roots for _, roots in _piece_roots(kernel)]
+
+    # every catalog kernel over Q, Q(sqrt 3) and Q(sqrt 5), at three precisions
+    for field, x in (("Q", F(1, 3)), ("Q(sqrt 3)", sqrt(Scalar(F(1, 3)))),
+                     ("Q(sqrt 5)", sqrt(Scalar(F(1, 5))))):
+        for dps in (20, 60, 120):
+            set_working_dps(dps)
+            try:
+                for rule in _catalog_rules(x):
+                    for kernel, found in kernels(rule):
+                        check(kernel.exact, [parts(b) for b in kernel.breakpoints], found, field)
+            finally:
+                set_working_dps(60)
+    # seeded random rational kernels (interpolatory rules), each with a bracketed root
+    rng = random.Random(4004)
+    while seen.get("bracketed", 0) < 100:
+        for kernel, found in kernels(_interpolatory_rule(rng)):
+            if any(rt.bracket for roots in found for rt in roots):
+                check(kernel.exact, [parts(b) for b in kernel.breakpoints], found, "bracketed")
+    # the Q[eps] pieces of the fitted forms at x + d*eps, as the slope passes read them
+    for name, fixed in SCAN_FAMILIES:
+        fam = family(name, **fixed)
+        for x in family_points(fam)[::6]:
+            for d in (1, -1):
+                read = form_read(form_of(fam), fam.domain, x, d)
+                for r in range(fam.generic_degree + 1):
+                    pieces = read and form_pieces(read, r)
+                    if not pieces:
+                        continue
+                    ends = [(F(g, read[4]), h and F(h, read[4])) for g, h in read[6]]
+                    found = [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, F(A[-1], den))
+                             for (A, _, den, _), (lo, _), (hi, _) in zip(pieces, ends, ends[1:])]
+                    check(pieces, ends, found, "Q[eps]")
+    assert seen["Q"] >= 120 and seen["Q(sqrt 3)"] >= 120 and seen["Q(sqrt 5)"] >= 120, seen
+    assert seen["Q[eps]"] >= 200, seen

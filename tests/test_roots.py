@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
@@ -414,6 +415,122 @@ def test_quadratic_cofactor_of_an_exact_hit_takes_the_closed_form():
         assert [r.location.to_json_str() for r in inside] == ["0", want], coeffs
         assert [r.location.to_json_str() for r in at_end] == [want], coeffs
         assert [r.multiplicity_hint for r in inside] == [1, 1]
+
+
+# --------------------------------------------------------------------------
+# Descartes' rule of signs before Yun's split and the Sturm chains
+
+
+def _descartes_cases(rng):
+    """(integer coefficients, lo, hi) of seeded polynomials of degree 3 to 8
+    on windows with rational ends: random coefficients and products of
+    distinct linear and quadratic factors (squarefree), products with a
+    linear factor repeated inside the window, and products whose repeated
+    factors all lie outside it.  Some have a root at a window end."""
+    def q(den=9):
+        return F(rng.randint(-40, 40), rng.randint(1, den))
+
+    def lin(r):  # the primitive integer multiple of t - r
+        return [-r.numerator, r.denominator]
+
+    def quad():  # (t - a)**2 - s: roots a +- sqrt(s), none real for s < 0
+        a, s = q(), q(4)
+        return _ints(a * a - s, -2 * a, F(1))[:-1]
+
+    def prod(*fs):  # with squarefree factors added up to degree 3
+        fs = list(fs)
+        while sum(len(f) - 1 for f in fs) < 3:
+            fs.append(some())
+        return _times([rng.choice((-3, -1, 1, 2))], *fs)
+
+    for _ in range(130):
+        lo = q()
+        hi = lo + F(rng.randint(1, 40), rng.randint(1, 9))
+
+        def inner():
+            return lo + (hi - lo) * F(rng.randint(1, 29), 30)
+
+        def outer():
+            return rng.choice((lo - F(rng.randint(1, 60), rng.randint(1, 7)),
+                               hi + F(rng.randint(1, 60), rng.randint(1, 7))))
+
+        def some():  # one squarefree factor: a root inside or outside, a quadratic, an end
+            return rng.choice((lambda: lin(inner()), lambda: lin(outer()), quad, quad,
+                               lambda: lin(rng.choice((lo, hi)))))()
+
+        yield [rng.randint(-20, 20) for _ in range(rng.randint(3, 8))] + [rng.choice((-3, 1, 2, 5))], lo, hi
+        yield prod(*(some() for _ in range(rng.randint(2, 4)))), lo, hi
+        twice = lin(inner())
+        yield prod(*[twice] * rng.randint(2, 3), *(some() for _ in range(rng.randint(1, 2)))), lo, hi
+        far = rng.choice((lin(outer()), lin(outer()), quad()))
+        yield prod(far, far, *(some() for _ in range(rng.randint(1, 2)))), lo, hi
+
+
+def _deflated(c, lo, hi):
+    """c made primitive with its roots at lo and hi divided out, as the engine does."""
+    from peanoquad._qpoly import _idiv, _primitive, int_horner
+
+    c = _primitive(c)
+    for t in (lo, hi):
+        while len(c) > 1 and int_horner(c, t.numerator, t.denominator) == 0:
+            c = _idiv(c, [-t.numerator, t.denominator])
+    return c
+
+
+def _engine_keys(roots):
+    """Each root by its exact string, enclosure, multiplicity hint and exact cell."""
+    return [(r.location.to_json_str(), r.location.bounds(), r.multiplicity_hint,
+             r.bracket and (F(r.bracket[1], r.bracket[3]), F(r.bracket[2], r.bracket[3])))
+            for r in roots]
+
+
+def test_descartes_exits_match_the_fraction_reference():
+    # the engine against the Fraction engine of util.py, and the sign
+    # variations against the Sturm counts of Yun's factors, each counted
+    # with its multiplicity: never fewer, and of the same parity
+    from peanoquad._qpoly import _yun_squarefree, sign_variations
+    from peanoquad.roots import DEFAULT_ROOT_TOL, _isolate_rational
+    from util import reference_count_roots, reference_isolate_rational
+
+    rng = random.Random(4040)
+    kinds, exits = Counter(), Counter()
+    for c, lo, hi in _descartes_cases(rng):
+        assert 3 <= len(c) - 1 <= 8
+        got = _isolate_rational(c, lo, hi, DEFAULT_ROOT_TOL, F(c[-1]))
+        want = reference_isolate_rational([F(x) for x in c], lo, hi, DEFAULT_ROOT_TOL)
+        assert _engine_keys(got) == _engine_keys(want), (c, lo, hi)
+        split = yun_squarefree([F(x) for x in c])
+        repeated = [f for f, mult in split if mult > 1]
+        kinds["squarefree" if not repeated else "repeated inside"
+              if any(reference_count_roots(f, lo, hi) for f in repeated) else "repeated outside"] += 1
+        d = _deflated(c, lo, hi)
+        if len(d) < 4:
+            continue
+        L, H, e = _ints(lo, hi)
+        v = sign_variations(d, L, H, e)
+        sturm = sum(mult * reference_count_roots(f, lo, hi)
+                    for f, mult in yun_squarefree([F(x) for x in d]))
+        assert v >= sturm and (v - sturm) % 2 == 0, (d, lo, hi, v, sturm)
+        exits["V = 0" if v == 0 else "V >= 2" if v > 1 else "V = 1, squarefree"
+              if _yun_squarefree(d)[0][0] is d else "V = 1, not squarefree"] += 1
+    assert sum(kinds.values()) >= 500 and min(kinds.values()) >= 100, kinds
+    assert len(exits) == 4 and min(exits.values()) >= 5, exits
+
+
+def test_the_midpoint_polynomial_places_its_roots_against_an_exact_end():
+    # r lies above the double of e = sqrt(1/3) and below e: the root of
+    # t + c, c an interval of radius 1e-50 around -r, is inside (0, e) and
+    # not in (e, 1); mirrored, inside (-e, 0) and not in (-1, -e)
+    r = F(float(E3.interval().mid)) + F(1, 10**40)
+    assert Scalar(r) < E3
+    tiny = F(1, 10**50)
+    c = Scalar.from_interval(-r - tiny, -r + tiny)
+    for p, lo, hi, miss, tau in ((Polynomial([c, 1]), 0, E3, (E3, 1), r),
+                                 (Polynomial([-c, 1]), -E3, 0, (-1, -E3), -r)):
+        (root,) = isolate_roots(p, lo, hi)
+        a, b = root.location.bounds()
+        assert root.certified and root.multiplicity_hint == 1 and a < tau < b
+        assert isolate_roots(p, *miss) == ()
 
 
 def test_simplest_rational_matches_the_fraction_reference():

@@ -91,9 +91,13 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
     lanes = sorted(key for key in out if not key.startswith("direct/dps"))
     assert lanes == sorted([f"direct/alomari4@{lam}/{call}{r}" for lam in ("sqrt(1/20)", "1/5+-1e-40")
                             for call in ("scan", "minimize") for r in (0, 1)]
-                           + ["direct/window(0,e)", "direct/window(-e,0)", "direct/window(e,1)"])
+                           + ["direct/window(0,e)", "direct/window(-e,0)", "direct/window(e,1)",
+                              "direct/interval-window(0,e)", "direct/interval-window(e,1)"]
+                           + [f"direct/roots/{label}" for label in (
+                               "53t(t2-6t+3)(t-5)2(-1,1)", "53t(t2-6t+3)(t-5)2(0,1)",
+                               "t3-6t2+3t(-1,1)", "(10t2-10t+3)(t+5)(0,1)")])
     assert not any("raised" in out[key] for key in lanes if isinstance(out[key], dict))
     assert out["direct/alomari4@1/5+-1e-40/minimize0"]["x"]["scalar"] == "2/5"
     assert len(out["direct/alomari4@sqrt(1/20)/scan1"]["grid"]) == 9
-    assert len(out) == 302
+    assert len(out) == 308
     assert out == same_outputs.direct_outputs(pq)

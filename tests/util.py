@@ -4,15 +4,19 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import zip_longest
+from math import lcm
 
 from peanoquad import (ExactnessReport, KernelReport, OrderExceedsExactness, PiecewisePolynomial,
                        Polynomial, QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm,
                        remainder_on_monomial)
 from peanoquad.exactness import _classify
-from peanoquad._qpoly import _fderiv, _fdeg, _fmul, _fsub, _ftrim, _ints, _primitive, int_horner
-from peanoquad.peano import _integrals, _piece_roots, build_kernel
+from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _integral, _ints, _primitive, int_horner,
+                              zm_horner)
+from peanoquad.peano import _abs_sum, _integrals, _piece_roots, build_kernel
 from peanoquad.roots import Root
-from peanoquad.scalars import _Dual, _dual, _extract_square, _quad, as_scalar, field_parts, minus_terms
+from peanoquad.scalars import (_Dual, _dual, _extract_square, _quad, _quad_sign, as_scalar, field_parts,
+                               minus_terms, quad_widened)
 
 
 # every family with a free node x; the parameters of the others are those
@@ -261,6 +265,96 @@ def reference_abs_sum(A, B, den, cuts, m):
     return _Dual.parts(total)
 
 
+# --------------------------------------------------------------------------
+# the L1 sum of an integer kernel, piece by piece
+
+
+def reference_abs_integral(A: list[int], B, den: int, k: int, cuts: list, m: int) -> tuple:
+    """``_qpoly.abs_integrals`` for one piece, as it was summed piece by
+    piece: the integral of |p| for p = (A + B*sqrt(k))/den, or
+    (A + B*eps)/den for k = 0 (B empty for a rational piece), from the first
+    cut to the last, between consecutive cuts of which A keeps its sign: the
+    sum of |F(c_(j+1)) - F(c_j)|, F an antiderivative, as (a, b, c, e) for
+    (a + b*sqrt(m)) + (c + e*sqrt(m))*eps, in integers over one denominator.
+    A cut is a rational or a pair (p, q), p + q*sqrt(m) (m = k for k > 1 and
+    B not empty), except that for k = 0 the two ends (breakpoints of a dual
+    pass) are p + q*eps.  Each |.| reads the sign of the value part, or of
+    the eps part where that is 0, as ``_Dual.__abs__`` does."""
+    L = lcm(*range(1, len(A) + 1))
+    FA = _integral(A, L)
+    if not B and all(type(c) is not tuple for c in cuts):  # all in Q
+        *U, w = _ints(*cuts)
+        X = [int_horner(FA, u, w) for u in U]  # F(u/w) * den * L * w**len(A)
+        S, D = sum(abs(y - x) for x, y in zip(X, X[1:])), den * L * w ** len(A)
+        return F(S, D), 0, 0, 0
+    zero, vals = [0] * len(FA), []
+    FB = _integral(B, L) if B else zero
+    *PQ, w = _ints(*(x for c in cuts for x in (c if type(c) is tuple else (c, 0))))
+    for j, (p, q) in enumerate(zip(PQ[::2], PQ[1::2])):
+        if k:  # F(p + q*sqrt(m)) over w
+            vals.append((*zm_horner(FA, FB, p, q, w, m), 0, 0))
+        elif not q or j in (0, len(cuts) - 1):  # p + q*eps over w
+            X, U = zm_horner(FA, FB, p, q, w, 0)
+            vals.append((X, 0, U, 0))
+        else:
+            vals.append((*zm_horner(FA, zero, p, q, w, m), *zm_horner(FB, zero, p, q, w, m)))
+    total = [0, 0, 0, 0]
+    for x, y in zip(vals, vals[1:]):
+        d = [b - a for a, b in zip(x, y)]
+        s = _quad_sign(d[0], d[1], m) or _quad_sign(d[2], d[3], m)
+        total = [t + s * v for t, v in zip(total, d)]
+    D = den * L * w ** len(A)
+    return tuple(t and F(t, D) for t in total)
+
+
+def reference_l1_sum(pieces, ends, roots) -> Scalar:
+    """``peano.l1_sum`` as it summed piece by piece: each piece's cuts read
+    over their own denominator by ``reference_abs_integral``, and the parts
+    of the pieces added as Fractions."""
+    m = pieces[0][3]
+    if m > 1 and (any(q for _, q in ends) or any(any(B) for _, B, _, _ in pieces)):
+        d = m
+    else:
+        quads = [(not (m == 0 and any(B)), rt.location._sqrt[2])
+                 for (_, B, _, _), found in zip(pieces, roots) for rt in found if rt.location._sqrt]
+        d = min(quads, key=lambda q: q[0], default=(0, 1))[1]
+    root = math.isqrt(m - 1) + 1 if m > 1 else 0  # ceil(sqrt(m)); 0 where B is no part of the value
+    total, gap, slack = [0, 0, 0, 0], 0, 0
+    for (A, B, den, _), lo, hi, found in zip(pieces, ends, ends[1:], roots):
+        cuts = [lo if lo[1] else lo[0]]
+        dA = None  # den * K' = dA + dB*sqrt(m), and absolute coefficient sums for |K'|, |K''|
+        for rt in found:
+            s = rt.location
+            if s._frac is not None or s._sqrt and s._sqrt[2] == d:
+                cuts.append(s._frac if s._frac is not None else s._sqrt[:2])
+                continue
+            P, Q, e = rt.bracket[1:] if rt.bracket else _ints(*s.bounds())  # (P/e, Q/e)
+            c = F(P + Q, 2 * e)
+            if _quad_sign(c - lo[0], -lo[1], m) == _quad_sign(hi[0] - c, hi[1], m) == 1:
+                cuts.append(c)
+            if dA is None:
+                dA, dB = zip(*zip_longest(_fderiv(A), _fderiv(B), fillvalue=0))
+                abs1 = [abs(a) + root * abs(b) for a, b in zip(dA, dB)]
+                abs2 = [abs(a) + root * abs(b) for a, b in zip(_fderiv(dA), _fderiv(dB))]
+            # den * sup|K'| over the bracket, of width w and within |t| <= R, times
+            # 2 (2e)**(k-1): the coefficient sum at R, or |K'(c)| + sup|K''| w/2
+            k, R, w = len(abs1), max(-P, Q), Q - P
+            at_c = abs(int_horner(dA, P + Q, 2 * e))
+            if root:
+                at_c += root * abs(int_horner(dB, P + Q, 2 * e))
+            dK = min(int_horner(abs1, R, e) << k, 2 * at_c + (int_horner(abs2, R, e) * w << (k - 1)))
+            gap += F(dK * w * w, den * e ** (k + 1) << (k + 2))  # sup|K'| (w/2)**2
+            if not m:  # |B| <= |B(c)| + sup|B'| w/2 over the enclosure
+                R, w = F(R, e), F(w, e)
+                slack += (abs(sum(x * c**j for j, x in enumerate(B)))
+                          + _abs_sum(_fderiv(B), R) * w / 2) * w / den
+        cuts.append(hi if hi[1] else hi[0])
+        part = reference_abs_integral(A, B if m != 1 and any(B) else (), den, m, cuts, d)
+        total = [t + x if x else t for t, x in zip(total, part)]
+    return _dual(quad_widened(total[0], total[1], d, 0, gap),
+                 quad_widened(total[2], total[3], d, slack, slack))
+
+
 def reference_kernel_l1_norm(rule: QuadRule, r: int, tol=None) -> KernelReport:
     """``kernel_l1_norm`` on ``reference_build_kernel``: the antiderivative of
     each piece by Scalar Horner passes at the cut points, and the sum
@@ -462,7 +556,8 @@ def _quadratic_roots(f: list[F], lo: F, hi: F) -> list[Scalar]:
 def reference_isolate_rational(coeffs: list[F], lo: F, hi: F, tol: F) -> list[Root]:
     """``roots._isolate_rational`` in Fraction arithmetic: deflation by
     monic division, Yun over Q, Sturm chains by Euclid over Q and Fraction
-    bisection."""
+    bisection.  A bracket keeps its cell (a, b) as ``Root.bracket``, (f, A,
+    B, d) with a = A/d and b = B/d in lowest terms."""
     c = [F(x) for x in coeffs]
     for end, name in ((lo, "lo"), (hi, "hi")):
         k = 0
@@ -515,8 +610,9 @@ def reference_isolate_rational(coeffs: list[F], lo: F, hi: F, tol: F) -> list[Ro
                 got = reference_refine_single(f_int, pending, a, b, tol)
                 if got[0] == "exact":
                     found.append(Root(Scalar(got[1]), mult))
-                else:
-                    found.append(Root(Scalar.from_interval(got[1], got[2]), mult))
+                else:  # the cell kept as an exact engine's bracket (f, A, B, d)
+                    found.append(Root(Scalar.from_interval(got[1], got[2]), mult,
+                                      bracket=(tuple(f_int), *_ints(got[1], got[2]))))
             break
     found.sort(key=lambda r: r.location.bounds()[0])
     return found

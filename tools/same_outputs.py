@@ -34,7 +34,13 @@ arithmetic, interval root windows), ``bound_scan`` (grid 9) and
 ``minimize_bound`` of alomari4 at lambda = sqrt(1/20) and at
 1/5 +- 1e-40, r = 0 and 1, and ``isolate_roots`` on three windows with an
 exact end e = sqrt(1/3) that hold or miss the root r = double(e) + 1e-40:
-t - r on (0, e), t + r on (-e, 0) and t - r on (e, 1).  302 calls in all.
+t - r on (0, e), t + r on (-e, 0) and t - r on (e, 1); on the same windows
+(0, e) and (e, 1) for t + c, c = -r +- 1e-50 an interval; and on windows
+that reach each exit of the exact engine after the sign-variation count V
+of Descartes' rule: 53t(t^2 - 6t + 3)(t - 5)^2 on (-1, 1) and on (0, 1)
+(there V = 1 with a repeated factor), t^3 - 6t^2 + 3t on (-1, 1) (a Sturm
+bisection that hits the root 0) and (10t^2 - 10t + 3)(t + 5) on (0, 1)
+(V = 2 and no root).  308 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -171,7 +177,8 @@ def _kernel(pq, rule, r: int) -> dict:
 
 def _lane_calls(pq, call) -> None:
     """The scans and minimizers of alomari4 at an irrational and at an
-    interval lambda, and the root windows with an exact irrational end."""
+    interval lambda, the root windows with an exact irrational end, and the
+    root windows of the exits of the exact engine."""
     tiny = Fraction(1, 10**40)
     lams = {"sqrt(1/20)": pq.sqrt(pq.Scalar(Fraction(1, 20))),
             "1/5+-1e-40": pq.Scalar.from_interval(Fraction(1, 5) - tiny, Fraction(1, 5) + tiny)}
@@ -184,6 +191,15 @@ def _lane_calls(pq, call) -> None:
     x = Fraction(float(e)) + tiny
     for window, c, lo, hi in (("(0,e)", -x, 0, e), ("(-e,0)", x, -e, 0), ("(e,1)", -x, e, 1)):
         call(f"direct/window{window}", pq.isolate_roots, pq.Polynomial([c, 1]), lo, hi)
+    c = pq.Scalar.from_interval(-x - Fraction(1, 10**50), -x + Fraction(1, 10**50))
+    for window, lo, hi in (("(0,e)", 0, e), ("(e,1)", e, 1)):
+        call(f"direct/interval-window{window}", pq.isolate_roots, pq.Polynomial([c, 1]), lo, hi)
+    quintic = [0, 3975, -9540, 4664, -848, 53]  # 53t(t^2 - 6t + 3)(t - 5)^2
+    for label, coeffs, lo, hi in (("53t(t2-6t+3)(t-5)2(-1,1)", quintic, -1, 1),
+                                  ("53t(t2-6t+3)(t-5)2(0,1)", quintic, 0, 1),
+                                  ("t3-6t2+3t(-1,1)", [0, 3, -6, 1], -1, 1),
+                                  ("(10t2-10t+3)(t+5)(0,1)", [15, -47, 40, 10], 0, 1)):
+        call(f"direct/roots/{label}", pq.isolate_roots, pq.Polynomial(coeffs), lo, hi)
 
 
 def direct_outputs(pq) -> dict:
