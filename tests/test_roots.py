@@ -458,10 +458,12 @@ def _descartes_cases(rng):
             return rng.choice((lambda: lin(inner()), lambda: lin(outer()), quad, quad,
                                lambda: lin(rng.choice((lo, hi)))))()
 
-        yield [rng.randint(-20, 20) for _ in range(rng.randint(3, 8))] + [rng.choice((-3, 1, 2, 5))], lo, hi
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(3, 8))]
+        yield coeffs + [rng.choice((-3, 1, 2, 5))], lo, hi
         yield prod(*(some() for _ in range(rng.randint(2, 4)))), lo, hi
         twice = lin(inner())
-        yield prod(*[twice] * rng.randint(2, 3), *(some() for _ in range(rng.randint(1, 2)))), lo, hi
+        factors = [twice] * rng.randint(2, 3) + [some() for _ in range(rng.randint(1, 2))]
+        yield prod(*factors), lo, hi
         far = rng.choice((lin(outer()), lin(outer()), quad()))
         yield prod(far, far, *(some() for _ in range(rng.randint(1, 2)))), lo, hi
 
@@ -501,8 +503,9 @@ def test_descartes_exits_match_the_fraction_reference():
         assert _engine_keys(got) == _engine_keys(want), (c, lo, hi)
         split = yun_squarefree([F(x) for x in c])
         repeated = [f for f, mult in split if mult > 1]
-        kinds["squarefree" if not repeated else "repeated inside"
-              if any(reference_count_roots(f, lo, hi) for f in repeated) else "repeated outside"] += 1
+        inside = any(reference_count_roots(f, lo, hi) for f in repeated)
+        kinds["squarefree" if not repeated else "repeated inside" if inside
+              else "repeated outside"] += 1
         d = _deflated(c, lo, hi)
         if len(d) < 4:
             continue

@@ -11,12 +11,12 @@ from peanoquad import (ExactnessReport, KernelReport, OrderExceedsExactness, Pie
                        Polynomial, QuadRule, Scalar, custom_rule, isolate_roots, kernel_l1_norm,
                        remainder_on_monomial)
 from peanoquad.exactness import _classify
-from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _integral, _ints, _primitive, int_horner,
-                              zm_horner)
+from peanoquad._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _integral, _ints, _primitive,
+                              int_horner, zm_horner)
 from peanoquad.peano import _abs_sum, _integrals, _piece_roots, build_kernel
 from peanoquad.roots import Root
-from peanoquad.scalars import (_Dual, _dual, _extract_square, _quad, _quad_sign, as_scalar, field_parts,
-                               minus_terms, quad_widened)
+from peanoquad.scalars import (_Dual, _dual, _extract_square, _quad, _quad_sign, as_scalar,
+                               field_parts, minus_terms, quad_widened)
 
 
 # every family with a free node x; the parameters of the others are those
