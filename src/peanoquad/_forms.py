@@ -5,9 +5,9 @@ Each raw node and weight of a family's builder is fitted as P(x)/Q(x), deg P,
 deg Q <= 2, from samples in the domain (``fit_ratio``), and kept as an integer
 polynomial in x over one denominator D(x) (``family_form``).  The rule at a
 rational x, or x + d*eps, is then read in integers (``form_read``), and its
-kernels from the form's kernel pieces in x (``form_pieces``); no rule or
-kernel object is built.  ``bounds`` imports this module only when a family is
-first scanned.
+kernels from the form's kernel pieces in x (``form_pieces``), or at r = 0
+straight from the read (``m0_pass``); no rule or kernel object is built.
+``bounds`` imports this module only when a family is first scanned.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate
 from ._qpoly import _fderiv, _fmul, _ftrim, _idiv, _igcd, _ints, _primitive, int_horner
 from .errors import ParamOutOfDomain
 from .rules import CATALOG, Domain
-from .scalars import Scalar, _rat, as_scalar
+from .scalars import Scalar, _dual, _rat, as_scalar
 
 
 def fit_ratio(xs: list[Fraction], vs: list[Fraction]) -> tuple[list[int], list[int]] | None:
@@ -176,3 +176,34 @@ def form_pieces(read, r: int) -> list | None:
     Hs = [[int_horner(c, u, v) for c in P] for P in pieces]
     return [([p * h * b for p in H], [a * (int_horner(c, u, v) * h - p * dh) for p, c in zip(H, dP)],
              h * h * b, m) for H, dP in zip(Hs, dpieces)]
+
+
+def m0_pass(read) -> tuple[tuple[int, ...], Scalar] | None:
+    """The order-0 root signature and M_0 of a form read, None unless the
+    weights of its value nodes sum to 2.  Over the read's denominator E, K_0
+    is c_i - t on (b_i, b_(i+1)], c_i = -1 plus the weights of the value nodes
+    at b_i or left of it (a node at -1 lies on no piece, but its weight
+    counts).  When b_i < c_i < b_(i+1) the piece has the one root c_i and adds
+    ((c_i - b_i)**2 + (b_(i+1) - c_i)**2)/2, else (b_(i+1) - b_i)|2c_i - b_i -
+    b_(i+1)|/2: one integer sum over 2E**2.  Over x + d*eps each entry is a
+    pair (value, eps part), the eps part of the sum comes by the product
+    rule, and |.| reads the sign of the value part, or of the eps part where
+    that is 0, as ``peano.l1_sum`` does; at c_i = b_i both forms agree in
+    value and slope."""
+    E, weights, keys = read[4], dict(read[5][0]), read[6]
+    if [sum(w) for w in zip(*weights.values())] != [2 * E, 0]:
+        return None
+    c, ce, total, slope, sig = -E, 0, 0, 0, []
+    for (p, pe), (q, qe) in zip(keys, keys[1:]):
+        w, we = weights.get((p, pe), (0, 0))
+        c, ce = c + w, ce + we
+        sig.append(int(p < c < q))
+        if sig[-1]:
+            total += (c - p) ** 2 + (q - c) ** 2
+            slope += 2 * ((c - p) * (ce - pe) + (q - c) * (qe - ce))
+        else:  # keys ascend: q - p > 0, or q - p = 0 < qe - pe
+            m, me = 2 * c - p - q, 2 * ce - pe - qe
+            s = 1 if m > 0 or not m and me > 0 else -1
+            total += s * (q - p) * m
+            slope += s * ((q - p) * me + (qe - pe) * m)
+    return tuple(sig), _dual(Scalar(Fraction(total, 2 * E * E)), Scalar(Fraction(slope, 2 * E * E)))

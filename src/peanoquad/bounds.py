@@ -6,12 +6,13 @@ from kernels (never from hard-coded formulas), so it works equally for
 families without known closed forms.  Branch points are the parameters where
 the kernel's interior root pattern changes; the scan tracks that pattern on
 the grid, which localizes even branch points where the bound itself is
-numerically indistinguishable from smooth.  A probe of that pattern isolates
-the kernel's roots, but forms no L1 sum.  A change within the
-bisection tolerance of a grid point (a branch switch at x = 1/2, or nodes
-colliding at a domain end) is taken as that grid point, exactly; any other
-change is bisected, and the simplest rational in the final bracket is
-reported, so a kink at a small rational such as 1/3 comes back exactly too.
+numerically indistinguishable from smooth.  A probe of that pattern counts
+the kernel's roots in their isolating cells and forms no L1 sum (at r = 0
+the closed form gives both at once).  A change within the bisection
+tolerance of a grid point (a branch switch at x = 1/2, or nodes colliding at
+a domain end) is taken as that grid point, exactly; any other change is
+bisected, and the simplest rational in the final bracket is reported, so a
+kink at a small rational such as 1/3 comes back exactly too.
 
 Minima are found from the exact derivative dM_r/dx, which one kernel pass at
 a dual-number node x + eps gives (forward-mode differentiation).  On each
@@ -19,10 +20,12 @@ branch the minimizer is a branch end, or lies in a bracket across which
 dM_r/dx provably goes from <= 0 to >= 0, shrunk by regula falsi on exact
 rational iterates; every decision compares exact values or validated
 enclosures, never floats.  A value, probe or slope at a scan point is one
-pass that isolates the roots of each kernel
-piece: over the integer pieces of the family's fitted form where it covers
-the point (a rational x or x + eps), with no rule or kernel object, and over
-the kernel of the built rule (``RuleFamily.build``) at any other point.
+pass that isolates the roots of each kernel piece: over the integer pieces
+of the family's fitted form where it covers the point (a rational x or
+x + eps), with no rule or kernel object, and over the kernel of the built
+rule (``RuleFamily.build``) at any other point.  At r = 0 a covered point is
+one read of the form and a closed form: each piece is c_i - t, whose one
+root c_i is placed and |c_i - t| integrated in integers (``_forms.m0_pass``).
 Values, signatures and slopes are memoized for the process, per family
 name, exact fixed parameters, domain, order and working precision (the 64
 most recently used), so a minimizer after a scan of the family reads the
@@ -100,12 +103,18 @@ def _bound_fn(family: RuleFamily, r: int):
 
     The signature is the per-piece count of interior kernel roots; it changes
     exactly where the bound function switches branch.  Each is one pass at x,
-    or x + eps, that isolates the roots of every kernel piece: of the fitted
-    form's integer pieces (``_forms.form_pieces``) at a rational point that
-    the form covers, with no rule or kernel, else of the built rule's kernel
-    (``_piece_roots``).  A value or slope pass then sums |K_r| over them
-    (``peano.l1_sum``, or ``_kernel_l1`` as ``kernel_l1_norm`` does); a probe
-    forms no sum.  A pass keeps only its value, signature or slope, in the
+    or x + eps.  At r = 0, at a rational point that the fitted form covers, it
+    is the form's read (``_forms.form_read``) and the closed form
+    ``_forms.m0_pass``: every piece is c_i - t, so the signature and
+    Sum int |c_i - t| come from the read's nodes and weights, and a probe
+    keeps the value as well.  Any other pass isolates the roots of every
+    kernel piece: of the fitted form's integer pieces (``_forms.form_pieces``)
+    at a rational point that the form covers, with no rule or kernel, else of
+    the built rule's kernel (``_piece_roots``).  A value or slope pass then
+    sums |K_r| over them (``peano.l1_sum``, or ``_kernel_l1`` as
+    ``kernel_l1_norm`` does); a probe of the form's pieces counts their roots
+    in their isolating cells, neither refined nor placed, and forms no sum.
+    A pass keeps only its value, signature or slope, in the
     memos ``_memo`` gives for the key (family name, the exact parts of each
     fixed parameter: a Fraction, the (a, b, m) of a + b*sqrt(m), or the
     exact ends of an interval; domain, r, working precision), which every
@@ -115,7 +124,7 @@ def _bound_fn(family: RuleFamily, r: int):
     integrals; where M_r has a corner it is the right-hand derivative (the
     left-hand one at the upper end of the domain).
     """
-    from ._forms import form_of, form_pieces, form_read  # compiled on a family's first scan
+    from ._forms import form_of, form_pieces, form_read, m0_pass  # compiled on a first scan
 
     fixed = tuple((k, v._frac if v._frac is not None else v._sqrt or v.bounds())
                   for k, v in family.fixed_params.items())
@@ -124,10 +133,15 @@ def _bound_fn(family: RuleFamily, r: int):
 
     def scan(x: Fraction, d: int = 0, summed: bool = True):  # the pass at x + d*eps
         read = form and form_read(form, family.domain, x, d)
+        if read and not r and (got := m0_pass(read)):  # a probe keeps the value too
+            if not d:
+                sigs[x], values[x] = got
+            return got[1]
         pieces = read and form_pieces(read, r)
         if pieces:  # value parts to the root engine as isolate_roots hands them over
             ends = [(Fraction(g, read[4]), h and Fraction(h, read[4])) for g, h in read[6]]
-            found = [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den))
+            found = [_isolate_rational(A, lo, hi, DEFAULT_ROOT_TOL, Fraction(A[-1], den),
+                                       not summed)
                      for (A, _, den, _), (lo, _), (hi, _) in zip(pieces, ends, ends[1:])]
         else:
             kernel = build_kernel(family.build(_Dual(x, d) if d else Scalar(x)), r)

@@ -169,9 +169,11 @@ def _rational_root(f: tuple[int, ...], A: int, B: int, d: int) -> Fraction | Non
     return Fraction(p, q) if int_horner(f, p, q) == 0 else None
 
 
-def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -> list[Scalar]:
+def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction,
+                     count: bool = False) -> list[Scalar | None]:
     """Exact roots inside (lo, hi), in increasing order, of a linear factor
-    or of a quadratic one with nonzero discriminant.
+    or of a quadratic one with nonzero discriminant; with ``count``, a None
+    for each, and no square root is formed.
 
     Irrational quadratic roots come back as exact elements a + b*sqrt(m) of
     Q(sqrt(disc)), so values of rational polynomials at them stay exact; disc
@@ -183,7 +185,7 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
     """
     if _fdeg(f) == 1:
         r = Fraction(-f[0], f[1])
-        return [Scalar(r)] if lo < r < hi else []
+        return [None if count else Scalar(r)] if lo < r < hi else []
     f = f if f[2] > 0 else [-x for x in f]  # now f < 0 just between the roots
     c0, c1, c2 = f
     (p, q), (u, v) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
@@ -193,6 +195,8 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
               (f_lo < 0 or after_lo) and f_hi > 0 and before_hi)   # lo < a + b*sqrt(m) < hi
     if not any(inside) or c1 * c1 < 4 * c0 * c2:
         return []
+    if count:
+        return [None] * sum(inside)
     disc = (c1 * c1 - 4 * c0 * c2) * Fraction(lead, c2) ** 2
     s, m = _extract_square(disc.numerator * disc.denominator)  # sqrt(p/q) = sqrt(p*q)/q
     a, b = Fraction(-c1, 2 * c2), Fraction(s, disc.denominator) / (2 * abs(lead))
@@ -200,9 +204,12 @@ def _quadratic_roots(f: list[int], lead: Fraction, lo: Fraction, hi: Fraction) -
 
 
 def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fraction,
-                      lead: Fraction) -> list[Root]:
+                      lead: Fraction, count: bool = False) -> list[Root | None]:
     """Roots inside (lo, hi) of the integer coefficients scaled so that the
-    last one is lead, sorted by the lower end of their brackets.
+    last one is lead, sorted by the lower end of their brackets.  With
+    ``count`` only their number is asked: a root of a closed form or of an
+    isolating cell is a None, neither placed (``_quadratic_roots``) nor
+    refined (``_refine_single``), and the list is not sorted.
 
     The work is in Z[t], on the primitive multiple of the input.
     Roots at lo and hi are divided away first.  What is left of degree 1,
@@ -227,7 +234,8 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
         r = Fraction(-c[1], 2 * c[2])
         return [Root(Scalar(r), 2)] if lo < r < hi else []
     if _fdeg(c) <= 2:
-        return [Root(r, 1) for r in _quadratic_roots(c, lead, lo, hi)]
+        found = _quadratic_roots(c, lead, lo, hi, count)
+        return found if count else [Root(r, 1) for r in found]
 
     L, H, d = _ints(lo, hi)
     v = sign_variations(c, L, H, d)
@@ -235,8 +243,8 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
         return []
     split = _yun_squarefree(c)
     if v == 1 and split[0][0] is c:  # c squarefree: the one root is simple
-        return [_refine_single(tuple(c), L, H, d, tol, 1)]
-    found: list[Root] = []
+        return [None] if count else [_refine_single(tuple(c), L, H, d, tol, 1)]
+    found: list[Root | None] = []
     for f, mult in split:
         scale = lead if f is c else 1  # Yun's split factors are monic over Q: 1 names their fields
         while _fdeg(f) > 2:
@@ -261,13 +269,16 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
                 stack.append((M, 2 * B, 2 * e, vm, vb))
             if exact_hit is None:
                 f = tuple(f)
-                found.extend(_refine_single(f, A, B, e, tol, mult) for A, B, e in brackets)
+                found.extend(None if count else _refine_single(f, A, B, e, tol, mult)
+                             for A, B, e in brackets)
                 break
             found.append(Root(Scalar(exact_hit), mult))
             f = _idiv(f, [-exact_hit.numerator, exact_hit.denominator])
         else:  # a factor of degree <= 2, or the cofactor an exact hit leaves: closed forms
-            found.extend(Root(r, mult) for r in _quadratic_roots(f, scale, lo, hi))
-    found.sort(key=_lower_end)
+            found.extend(r if count else Root(r, mult)
+                         for r in _quadratic_roots(f, scale, lo, hi, count))
+    if not count:
+        found.sort(key=_lower_end)
     return found
 
 

@@ -257,6 +257,16 @@ def test_four_point_m0_minimum_is_smallest_at_third():
     assert abs(float(numeric.value - value)) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [F(k, 21) for k in range(1, 21)])
+def test_alomari4_min_m0_is_what_the_kernel_route_finds(lam):
+    # bound functions never come from hard-coded formulas: the minimizer of
+    # the general route is the closed form exactly, and dM_0/dx is 0 there
+    x_star, value = alomari4_min_m0(lam)
+    fam = family("alomari4", lam=lam)
+    assert minimize_bound(fam, 0) == (x_star, value, False)
+    assert _bound_fn(fam, 0)[2](x_star.as_fraction()) == (value, Scalar(0))
+
+
 def test_alomari4_min_m0_domain():
     with pytest.raises(ParamOutOfDomain):
         alomari4_min_m0(0)
@@ -743,12 +753,15 @@ PASS_FAMILIES = SCAN_FAMILIES + [("mod3", {"lam": F(2, 3)}),
 
 
 def _pass_lanes(monkeypatch):
-    """Wrap the integer pass's sum (bounds.l1_sum) and the sum of a kernel
-    pass on a built rule (bounds._kernel_l1); count what each scan point took."""
+    """Wrap the integer pass's sum (bounds.l1_sum), the r = 0 closed form
+    (_forms.m0_pass, counted where it gives the pass, always in Q) and the
+    sum of a kernel pass on a built rule (bounds._kernel_l1); count what each
+    scan point took."""
+    import peanoquad._forms as forms
     import peanoquad.bounds as bounds
 
     lanes = Counter()
-    form_sum, kernel = bounds.l1_sum, bounds._kernel_l1
+    form_sum, kernel, closed_form = bounds.l1_sum, bounds._kernel_l1, forms.m0_pass
 
     def counted_form_sum(pieces, ends, roots):
         out = form_sum(pieces, ends, roots)
@@ -763,6 +776,13 @@ def _pass_lanes(monkeypatch):
         lanes["kernel pass"] += 1
         return kernel(*args)
 
+    def counted_closed_form(read):
+        out = closed_form(read)
+        if out is not None:
+            lanes["dual" if read[3] else "value", "Q"] += 1
+        return out
+
+    monkeypatch.setattr(forms, "m0_pass", counted_closed_form)
     monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
     monkeypatch.setattr(bounds, "_kernel_l1", counted_kernel)
     return lanes
@@ -966,14 +986,21 @@ def test_a_minimizer_after_a_scan_of_the_family_forms_no_sum_at_its_points(monke
     # minimizer's scan; only its probes at x* +- 1e-6 are new passes
     import peanoquad.bounds as bounds
 
+    import peanoquad._forms as forms
+
     bound_scan(family("gs2"), 0, grid_size=33)
-    sums, form_sum = [], bounds.l1_sum
+    sums, form_sum, closed_form = [], bounds.l1_sum, forms.m0_pass
 
     def counted(*args):
         sums.append(args)
         return form_sum(*args)
 
+    def counted_closed_form(read):  # an r = 0 pass sums in closed form
+        sums.append(read)
+        return closed_form(read)
+
     monkeypatch.setattr(bounds, "l1_sum", counted)
+    monkeypatch.setattr(forms, "m0_pass", counted_closed_form)
     res = minimize_bound(family("gs2"), 0)
     assert (res.x, res.value) == (Scalar(F(1, 2)), Scalar(F(1, 2)))
     assert len(sums) == 2, len(sums)

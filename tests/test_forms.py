@@ -85,3 +85,69 @@ def test_mod3_at_two_thirds_falls_back_where_the_identity_in_x_fails():
     for r in (2, 3):  # above the generic degree 1: refused before any point is valued
         with pytest.raises(OrderExceedsExactness):
             bound_scan(fam, r)
+
+
+@pytest.mark.parametrize("name,fixed", SCAN_FAMILIES)
+def test_the_r0_closed_form_equals_the_kernel_pass_reference(name, fixed):
+    # at r = 0 each piece is c_i - t: the value, the signature (probed first,
+    # and after a value) and the slope of the closed form equal those of
+    # kernel passes on built rules, by ==, at the family points (both closed
+    # ends, the slope seeded -1 at the upper one; x = 0 and 1, where nodes
+    # meet), on grids of 33 and 101 points and at every branch point, where
+    # a c_i meets a breakpoint
+    from peanoquad.bounds import _memo
+    from util import reference_bound_fn
+
+    fam = family(name, **fixed)
+    kinks = {k.as_fraction() for k in bound_scan(fam, 0, grid_size=33).branch_points}
+    _memo.cache_clear()  # the scan's passes are in the memo: pass afresh
+    fn, sig, slope = _bound_fn(fam, 0)
+    want_fn, want_sig, want_slope = reference_bound_fn(fam, 0)
+    _, want_probe, _ = reference_bound_fn(fam, 0)
+    points = set(family_points(fam)) | set(fam.domain.grid(33)) | set(fam.domain.grid(101)) | kinks
+    for x in sorted(points):
+        assert sig(x) == want_probe(x), (x, sig(x))
+        got, want = fn(x), want_fn(x)
+        assert got == want and got.to_json_str() == want.to_json_str(), x
+        assert sig(x) == want_sig(x), x
+        assert slope(x) == want_slope(x), x
+
+
+def test_an_r0_scan_of_a_form_takes_no_kernel_pieces_roots_or_sum(monkeypatch):
+    # every r = 0 value, probe and slope that a form covers is one form_read and
+    # the closed form: a scan and a minimizer of each family, and the family
+    # points (a node at -1 carries weight but lies on no piece), call none of
+    # the generic pass's steps
+    import peanoquad._forms as forms
+    import peanoquad.bounds as bounds
+    import peanoquad.peano as peano
+    import peanoquad.roots as roots
+    from peanoquad import minimize_bound
+
+    def refuse(*args):
+        raise AssertionError("an r = 0 pass left the closed form")
+
+    for module, name in ((forms, "form_pieces"), (roots, "_isolate_rational"),
+                         (bounds, "_isolate_rational"), (peano, "l1_sum"), (bounds, "l1_sum"),
+                         (bounds, "build_kernel")):
+        monkeypatch.setattr(module, name, refuse)
+    bounds._memo.cache_clear()
+    for name, fixed in SCAN_FAMILIES:
+        fam = family(name, **fixed)
+        bound_scan(fam, 0, grid_size=33)
+        minimize_bound(fam, 0)
+        fn, sig, slope = _bound_fn(fam, 0)
+        for x in family_points(fam):
+            fn(x), sig(x), slope(x)
+
+
+def test_the_r0_closed_form_needs_weights_that_sum_to_two():
+    # a read whose value-node weights do not sum to 2 (the r = 0 order
+    # condition) is left to the generic pass; one that does sums |c_i - t|
+    from peanoquad._forms import m0_pass
+
+    E, keys = 4, [(-4, 0), (0, 0), (4, 0)]
+    midpoint = [((0, 0), (8, 0))]  # weight 2 at 0: c = -1 on (-1, 0], 1 on (0, 1]
+    assert m0_pass((None, 0, 1, 0, E, (midpoint, []), keys, ())) == ((0, 0), Scalar(1))
+    assert m0_pass((None, 0, 1, 0, E, ([((0, 0), (4, 0))], []), keys, ())) is None
+    assert m0_pass((None, 0, 1, 1, E, ([((0, 0), (8, 1))], []), keys, ())) is None

@@ -627,6 +627,32 @@ def test_root_counts_match_isolation():
     assert {0, 1, 2, 3, 4} <= counts
 
 
+def test_a_count_neither_refines_nor_places_its_roots(monkeypatch):
+    # a signature probe asks _isolate_rational for the number of roots alone:
+    # as many entries as the full isolation gives, on the cases of the two
+    # tests above, with no bracket refined and no square root formed
+    import peanoquad.roots as roots
+
+    cases = [(c, lo, hi, F(c[-1])) for c, lo, hi in _descartes_cases(random.Random(4040))]
+    for c, lo, hi in _count_cases(random.Random(2501)):
+        *A, den = _ints(*c)
+        if lo < hi:
+            cases.append((A, lo, hi, F(A[-1], den)))
+    tol = roots.DEFAULT_ROOT_TOL
+    want = [roots._isolate_rational(A, lo, hi, tol, lead) for A, lo, hi, lead in cases]
+
+    def refuse(*args):
+        raise AssertionError("a count refines or places a root")
+
+    for name in ("_refine_single", "_extract_square", "_quad"):
+        monkeypatch.setattr(roots, name, refuse)
+    got = [roots._isolate_rational(A, lo, hi, tol, lead, True) for A, lo, hi, lead in cases]
+    assert list(map(len, got)) == list(map(len, want))
+    kinds = Counter("bracket" if rt.bracket else "sqrt" if rt.location._sqrt else "rational"
+                    for found in want for rt in found)
+    assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+
+
 def test_dual_pieces_are_refused():
     # a piece (A + B*eps)/den over Q[eps] is no polynomial over one
     # Q(sqrt m): the engine refuses it, at any degree, rather than reading

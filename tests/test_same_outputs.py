@@ -88,7 +88,7 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
                 assert len(out[f"direct/dps{dps}/{label}/identity{r}/1"]) == 2
     assert out["direct/dps20/lobatto4/M1"]["m"]["tier"] == "interval"
     # the scans, minimizers and root windows, once, at LANE_DPS
-    lanes = sorted(key for key in out if not key.startswith("direct/dps"))
+    lanes = sorted(key for key in out if not key.startswith(("direct/dps", "direct/r0/")))
     assert lanes == sorted([f"direct/alomari4@{lam}/{call}{r}" for lam in ("sqrt(1/20)", "1/5+-1e-40")
                             for call in ("scan", "minimize") for r in (0, 1)]
                            + ["direct/window(0,e)", "direct/window(-e,0)", "direct/window(e,1)",
@@ -99,5 +99,15 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
     assert not any("raised" in out[key] for key in lanes if isinstance(out[key], dict))
     assert out["direct/alomari4@1/5+-1e-40/minimize0"]["x"]["scalar"] == "2/5"
     assert len(out["direct/alomari4@sqrt(1/20)/scan1"]["grid"]) == 9
-    assert len(out) == 308
+    # the r = 0 bound functions of the families the tests scan, each at its
+    # closed domain ends and switch points, and one narrow-window scan
+    from util import SCAN_FAMILIES
+
+    assert [(name, fixed) for name, fixed, _ in same_outputs.R0_FAMILIES] == SCAN_FAMILIES
+    points = {key: out[key] for key in out if key.startswith("direct/r0/") and "scan" not in key}
+    assert len(points) == 15 and sum(map(len, points.values())) == 81
+    assert points["direct/r0/liu_park"]["1/2"]["signature"] == [0, 1, 0]
+    assert points["direct/r0/ostrowski"]["-1"]["value"]["scalar"] == "2"
+    assert out["direct/r0/liu_park/scan[49/100,51/100]"]["branch_points"][0]["scalar"] == "1/2"
+    assert len(out) == 324
     assert out == same_outputs.direct_outputs(pq)

@@ -40,7 +40,13 @@ that reach each exit of the exact engine after the sign-variation count V
 of Descartes' rule: 53t(t^2 - 6t + 3)(t - 5)^2 on (-1, 1) and on (0, 1)
 (there V = 1 with a repeated factor), t^3 - 6t^2 + 3t on (-1, 1) (a Sturm
 bisection that hits the root 0) and (10t^2 - 10t + 3)(t + 5) on (0, 1)
-(V = 2 and no root).  308 calls in all.
+(V = 2 and no root).  Last, at 60 digits too, one call per family of
+``R0_FAMILIES`` (those the tests scan) for its r = 0 bound function: the
+signature (a fresh probe), value and slope at each closed domain end, at 0,
++-1/3, +-1/2 and +-1 where the domain holds them (nodes meet, or a root c_i
+of the kernel c_i - t meets a breakpoint: liu_park at 1/2), and at the
+family's other such points; and an r = 0 ``bound_scan`` of liu_park on the
+narrow window [49/100, 51/100], grid 5.  324 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -202,9 +208,48 @@ def _lane_calls(pq, call) -> None:
         call(f"direct/roots/{label}", pq.isolate_roots, pq.Polynomial(coeffs), lo, hi)
 
 
+#: (name, fixed parameters, the points other than 0, +-1/3, +-1/2 and +-1 where
+#: a root c_i of the r = 0 kernel c_i - t meets a breakpoint)
+R0_FAMILIES = (
+    ("ostrowski", {}, ()), ("mp3", {}, ()), ("mod3_opt", {}, ()), ("gs2", {}, ()),
+    ("franjic", {}, ()), ("liu_park", {}, ()), ("dragomir_sofo", {}, ()),
+    ("mod3", {"lam": Fraction(9, 19)}, (Fraction(-9, 10), Fraction(9, 10))),
+    ("mod3", {"lam": Fraction(7, 17)}, (Fraction(-7, 10), Fraction(7, 10))),
+    ("dcr", {"lam": Fraction(2, 7)}, ()), ("dcr", {"lam": Fraction(17, 60)}, ()),
+    ("alomari4", {"lam": Fraction(9, 43)}, (Fraction(34, 43),)),
+    ("alomari4", {"lam": Fraction(3, 16)}, (Fraction(13, 16),)),
+    ("q44", {"lam": Fraction(1, 5), "gamma": Fraction(1, 32), "delta": Fraction(5, 53)},
+     (Fraction(4, 5),)),
+    ("q44", {"lam": Fraction(13, 53), "gamma": Fraction(2, 57), "delta": Fraction(3, 25)},
+     (Fraction(40, 53),)),
+)
+
+
+def _r0_points(pq, name: str, fixed: dict, extra: tuple) -> dict:
+    """{x: signature, value and slope} of the r = 0 bound function of one family,
+    each x probed afresh, at the points of ``R0_FAMILIES`` that its domain holds."""
+    pq.bounds._memo.cache_clear()
+    fam = pq.family(name, **fixed)
+    fn, sig, slope = pq.bounds._bound_fn(fam, 0)
+    points = {fam.domain.lo, fam.domain.hi, *extra,
+              *(Fraction(k, n) for n in (1, 2, 3) for k in (-1, 0, 1))}
+    return {x: {"signature": sig(x), "value": fn(x), "slope": slope(x)}
+            for x in sorted(points) if fam.domain.contains(x)}
+
+
+def _r0_calls(pq, call) -> None:
+    """The r = 0 bound functions of ``R0_FAMILIES``, one call per family, and an
+    r = 0 scan on a narrow window."""
+    for name, fixed, extra in R0_FAMILIES:
+        label = name + "".join(f",{k}={v}" for k, v in fixed.items())
+        call(f"direct/r0/{label}", _r0_points, pq, name, fixed, extra)
+    call("direct/r0/liu_park/scan[49/100,51/100]", pq.bound_scan, pq.family("liu_park"), 0, 5,
+         Fraction(49, 100), Fraction(51, 100))
+
+
 def direct_outputs(pq) -> dict:
     """{call id: output} of the direct calls, at each working precision of DIRECT_DPS,
-    then of ``_lane_calls`` at LANE_DPS."""
+    then of ``_lane_calls`` and ``_r0_calls`` at LANE_DPS."""
     outputs, dps0 = {}, pq.get_working_dps()
 
     def call(key, fn, *args):
@@ -229,6 +274,7 @@ def direct_outputs(pq) -> dict:
                         call(f"{key}/identity{r}/{i}", pq.verify_peano_identity, rule, r, f)
         pq.set_working_dps(LANE_DPS)
         _lane_calls(pq, call)
+        _r0_calls(pq, call)
     finally:
         pq.set_working_dps(dps0)
     return outputs
