@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,6 +18,7 @@ from .bounds import bound_scan, export_scan_csv, export_scan_json, minimize_boun
 from .composite import composite_integrate
 from .errors import PeanoQuadError
 from .exactness import degree_of_exactness
+from .integrands import named_integrand
 from .peano import export_kernel_csv, export_kernel_json, kernel_l1_norm, verify_peano_identity
 from .polynomials import Polynomial
 from .rules import _PY_NAMES, CATALOG, family, make_rule, rule_to_json_dict
@@ -56,26 +56,6 @@ def _parse_params(pairs: list[str]) -> dict:
         key = name.strip()
         params[_PY_NAMES.get(key, key)] = Scalar.parse(value.strip())
     return params
-
-
-def _integrand(spec: str):
-    """Named integrand with derivative: exp, sin, cos, runge, or poly:c0,c1,..."""
-    if spec.startswith("poly:"):
-        coeffs = [Scalar.parse(c) for c in spec[len("poly:"):].split(",")]
-        p = Polynomial(coeffs)
-        return p, p.derivative()
-    table = {
-        "exp": (math.exp, math.exp),
-        "sin": (math.sin, math.cos),
-        "cos": (math.cos, lambda t: -math.sin(float(t))),
-        "runge": (
-            lambda t: 1.0 / (1.0 + 25.0 * float(t) ** 2),
-            lambda t: -50.0 * float(t) / (1.0 + 25.0 * float(t) ** 2) ** 2,
-        ),
-    }
-    if spec not in table:
-        raise ValueError(f"unknown function {spec!r}; use exp, sin, cos, runge, or poly:c0,c1,...")
-    return table[spec]
 
 
 def _cmd_catalog(args) -> int:
@@ -184,7 +164,7 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_integrate(args) -> int:
     rule = make_rule(args.rule, **_parse_params(args.param))
-    f, fprime = _integrand(args.function)
+    f, fprime = named_integrand(args.function)
     res = composite_integrate(
         rule, f, args.a, args.b, args.n, args.r, args.deriv_sup, fprime=fprime
     )

@@ -11,10 +11,12 @@ bound is always caller-asserted; nothing here differentiates a black box.
 The rule is mapped once per call, not once per panel: node offsets and
 scaled weights are formed once, and f is summed node by node over the
 panels (``rules._sum_panels``, the same path ``apply_rule`` takes).  Exact
-nodes are stepped in integer arithmetic, float values of f are summed
-exactly as dyadic rationals, and a Polynomial with exact coefficients is
-summed in closed form from deg + 1 values.  For exact data the value equals
-the panel-by-panel sum exactly.
+nodes are stepped in integers.  A user's f is called once per panel node,
+with Scalars; a named float integrand (``integrands``) is evaluated once per
+distinct node, from those integers.  Float values are summed exactly as
+dyadic rationals, a Polynomial with exact coefficients in closed form from
+deg + 1 values formed in integers.  For exact data the value equals the
+panel-by-panel sum exactly.
 
 The certificate covers the truncation error alone: it still ignores the
 rounding error of evaluating f in floating point.

@@ -13,15 +13,17 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice, tee
-from math import comb
+from itertools import chain, count, islice, repeat, tee
+from math import comb, fsum, isqrt
+from operator import truediv
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import BadInterval, MissingDerivative, ParamOutOfDomain, UnknownRule
-from ._qpoly import _rule_ints, int_parts
+from ._qpoly import _rule_ints, int_parts, zm_horner
+from .integrands import FLOAT_INTEGRANDS
 from .polynomials import Polynomial
-from .scalars import Scalar, _quad, _rat, as_scalar, sqrt
+from .scalars import Scalar, _quad, _quad_round, _rat, as_scalar, sqrt
 
 F = Fraction
 _MINUS_ONE, _ZERO, _ONE = Scalar(-1), Scalar(0), Scalar(1)
@@ -119,21 +121,21 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     With h = (b - a)/(2n), the node offsets x*h and the scaled weights w*h
     (w*h^2 at derivative nodes) are formed once.  Panel k's nodes are
     centre + (2k + 1 - n)*h + x*h; the values of f (or fprime) at node j of
-    every panel go into one sum S_j, and the result is sum_j W_j*S_j.  f is
-    called once per node of each panel, panel by panel, with the same node
-    Scalars as a panel-by-panel sum; for exact data the result is that sum:
+    every panel go into one sum S_j, and the result is sum_j W_j*S_j, for
+    exact data the panel-by-panel sum:
 
-    * plain exact nodes are stepped in integers (:func:`_walk`), each
-      distinct node built once: equal offsets read one walk, and offsets -h
-      and +h one walk of the n + 1 panel ends, so a shared node is one
-      Scalar; interval and ``_Dual`` nodes are formed node by node by the
-      expression above, so their enclosures and derivatives stay the same;
-    * float values of f are summed exactly, as integer multiples of
-      2**-1074 (every finite float is one), other values as Scalars in
-      panel order;
-    * a Polynomial with plain exact coefficients at plain exact nodes, all
-      in one field (``_qpoly.int_parts``), is summed in closed form from its
-      first deg + 1 values (:func:`_closed_sum`) once n > deg + 1.
+    * plain exact nodes (all data in Q or one Q(sqrt m)) are stepped in
+      integers; interval and ``_Dual`` nodes are formed by the expression;
+    * a user's f is called once per node of each panel, panel by panel,
+      with Scalars, a distinct plain exact node being one Scalar (equal
+      offsets read one :func:`_walk`, -h and +h one of the n + 1 panel ends);
+    * a named float integrand (``integrands.FLOAT_INTEGRANDS``) at plain
+      exact nodes is evaluated once per distinct node, at the floats of
+      :func:`_node_floats`, and its float values summed by :func:`_float_sum`;
+    * other float values are summed exactly, in units of 2**-1074, other
+      values as Scalars in panel order;
+    * a Polynomial with plain exact coefficients in the nodes' field is
+      summed in closed form (:func:`_closed_sum`) once n > deg + 1.
     """
     if rule.deriv_nodes and fprime is None:
         if isinstance(f, Polynomial):
@@ -150,76 +152,126 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
     centre = (a + b) / 2
     data = [centre] + [offset for _, offset, _ in nodes] + [-h, h]
-    plain = int_parts(data)
-    keys = range(len(nodes))  # plain exact offsets by their integer parts, others by node
-    if plain:
-        _, *keys, lo, hi = zip(*plain[:2])
-    sums = [Scalar(0)] * len(nodes)
-    looped, closed = [], [g for g in (f, fprime) if plain and isinstance(g, Polynomial)
-                          and n > g.degree + 1 and int_parts(data + list(g.coeffs)) is not None]
+    plain, ih = int_parts(data), len(data) - 1
+    keys = list(zip(*plain[:2])) if plain else range(len(data))  # equal keys: equal nodes
+    lo, hi = keys[ih - 1], keys[ih]
+
+    def steps(read, i, size=n):  # the walk of offset data[i] in read = int_parts(data + ...)
+        G, H, e, m = read
+        return (G[0] + (1 - n) * G[ih] + G[i], 2 * G[ih], H[0] + (1 - n) * H[ih] + H[i],
+                2 * H[ih], e, m, size)
+
+    sums, floats = [Scalar(0)] * len(nodes), [0] * len(nodes)  # floats in units of 2**-1074
+    named, looped = {}, []
     for j, (g, offset, _) in enumerate(nodes):
-        if any(g is c for c in closed):
-            sums[j] = _closed_sum(g, _walk(centre, h, offset, n), n)
+        key = keys[j + 1]
+        if read := (plain and isinstance(g, Polynomial) and n > g.degree + 1
+                    and int_parts(data + list(g.coeffs))):
+            sums[j] = _closed_sum(g, steps(read, j + 1), read[0][ih + 1:], read[1][ih + 1:], n)
+        elif plain and any(g is u for u in FLOAT_INTEGRANDS):
+            ends = key in (lo, hi) and {lo, hi} <= {keys[i + 1] for i, (u, *_) in enumerate(nodes)
+                                                     if u is g}
+            if (g, ends or key) not in named:
+                walk = steps(plain, ih - 1, n + 1) if ends else steps(plain, j + 1)
+                named[g, ends or key] = _float_sum(map(g, _node_floats(*walk)))
+            total, first, last = named[g, ends or key]  # panel ends: less end n or end 0
+            floats[j] = total - (last if key == lo else first) if ends else total
         else:
-            looped.append((j, g, offset, keys[j]))
+            looped.append((j, g, offset, key))
     walks, col = [], {}
-    if plain and {lo, hi} <= {key for *_, key in looped}:  # panel k: ends k and k + 1
-        walks, col = list(tee(_walk(centre, h, _ZERO, n + 1))), {lo: 0, hi: 1}
+    if {lo, hi} <= {key for *_, key in looped}:  # panel k: ends k and k + 1
+        walks, col = list(tee(_walk(*steps(plain, ih - 1, n + 1)))), {lo: 0, hi: 1}
         next(walks[1])
-    for _, _, offset, key in looped:
+    for j, _, offset, key in looped:
         if col.setdefault(key, len(walks)) == len(walks):
-            walks.append(_walk(centre, h, offset, n))
+            walks.append(_walk(*steps(plain, j + 1)) if plain else
+                         map(lambda k, x=offset: centre + (2 * k + 1 - n) * h + x, range(n)))
     looped = [(j, g, col[key]) for j, g, _, key in looped]
-    floats = [0] * len(nodes)  # in units of 2**-1074
     for row in zip(*walks):
         for j, g, c in looped:
             v = g(row[c])
             if isinstance(v, float):
-                try:
-                    p, q = v.as_integer_ratio()
-                except (OverflowError, ValueError):  # inf, nan: as Scalar(v) raises
-                    raise ValueError(f"not a finite number: {v}") from None
-                floats[j] += p << (1075 - q.bit_length())
+                floats[j] += _units(v)
             else:
                 sums[j] = sums[j] + as_scalar(v)
     sums = [s + Scalar(Fraction(e, 1 << 1074)) if e else s for s, e in zip(sums, floats)]
     return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
 
 
-def _walk(centre: Scalar, h: Scalar, offset: Scalar, n: int):
-    """Panel k's node centre + (2k + 1 - n)*h + offset for k = 0, ..., n - 1.
-
-    When ``int_parts`` reads the first node and the step 2h as plain exact
-    values of one Q(sqrt m), the node is (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e
-    with integers formed once, and each node is one Fraction or one _quad
-    (the Scalar that the Scalar expression gives), read by every panel that
-    has it.  Interval and dual data take the expression itself, from the
-    centre, so no drift builds up.
-    """
-    first, step = centre + (1 - n) * h + offset, 2 * h
-    read = int_parts([first, step])
-    if read is None:
-        for k in range(n):
-            yield centre + (2 * k + 1 - n) * h + offset
-        return
-    (a0, a1), (b0, b1), e, m = read
-    for _ in range(n):
+def _walk(a0: int, a1: int, b0: int, b1: int, e: int, m: int, size: int):
+    """The Scalars of the nodes (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e, k < size."""
+    for _ in range(size):
         x = Fraction(a0, e)
         yield _quad(x, Fraction(b0, e), m) if b0 else _rat(x)
         a0 += a1
         b0 += b1
 
 
-def _closed_sum(g: Polynomial, walk, n: int) -> Scalar:
-    """sum of g over the n nodes of walk, exactly.  g(node_k) is a
-    polynomial of degree d = deg g in k, so by Newton's forward-difference
-    formula the sum is sum_i C(n, i + 1) * Delta^i g(node_0) for i <= d,
-    from the first d + 1 values."""
-    diffs = [g(x) for x in islice(walk, g.degree + 1)]
-    total = Scalar(0)
-    for i in range(len(diffs)):
-        total = total + comb(n, i + 1) * diffs[0]
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+def _node_floats(a0: int, a1: int, b0: int, b1: int, e: int, m: int, size: int):
+    """float() of each node of :func:`_walk` from its integers, as
+    ``Scalar.__float__`` rounds it: by int/int division if rational; for a
+    constant sqrt(m) part, from one isqrt bracket per walk (node*e*2**64 in
+    (lo, lo + 1)) where both its ends round alike; else by ``_quad_round``."""
+    def exact(k):
+        a, b = a0 + k * a1, b0 + k * b1
+        return _quad_round(Fraction(a, e), Fraction(b, e), m) if b else a / e
+
+    if not (b0 or b1):
+        return map(truediv, range(a0, a0 + size * a1, a1), repeat(e))
+    if b1:
+        return map(exact, range(size))
+    t = isqrt(b0 * b0 * m << 128)
+    lo0, step, den = (a0 << 64) + (t if b0 > 0 else -t - 1), a1 << 64, e << 64
+    los = range(lo0, lo0 + size * step, step)
+    return (x if x == (lo + 1) / den else exact(k)
+            for k, lo, x in zip(count(), los, map(truediv, los, repeat(den))))
+
+
+def _units(v: float) -> int:
+    """The float v in units of 2**-1074; inf and nan raise as Scalar(v) does."""
+    try:
+        p, q = v.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"not a finite number: {v}") from None
+    return p << (1075 - q.bit_length())
+
+
+def _float_sum(values) -> tuple[int, int, int]:
+    """The sum of the floats in units of 2**-1074, then its first and last terms.
+    A chunk's sum is exact: fsums (correctly rounded from exact partials) of its
+    terms less the fsums so far, to 0; or term by term past the float range."""
+    values, total, first = iter(values), 0, []
+    while chunk := list(islice(values, 4096)):
+        first, last, sums, part = first or chunk, chunk[-1], [], 0
+        try:
+            while s := fsum(chain(chunk, sums)):
+                part += _units(s)
+                sums.append(-s)
+        except (OverflowError, ValueError):
+            part = sum(map(_units, chunk))
+        total += part
+    return total, _units(first[0]), _units(last)
+
+
+def _closed_sum(g: Polynomial, walk, C: list[int], D: list[int], n: int) -> Scalar:
+    """sum of g over the n nodes of a walk (:func:`_walk`'s integers),
+    exactly, from its first d + 1 values, d = deg g (:func:`_newton`):
+    e**(d+1)*g(node) = X + Y*sqrt(m) by one Horner pass over Z[sqrt m] for
+    g = (C + D*sqrt(m))/e, or Scalars from a subclass that evaluates itself."""
+    a0, a1, b0, b1, e, m, _ = walk
+    d = g.degree
+    if type(g).__call__ is not Polynomial.__call__:
+        return as_scalar(_newton([g(x) for x in islice(_walk(*walk), d + 1)], n))
+    X, Y = zip(*[zm_horner(C, D, a0 + k * a1, b0 + k * b1, e, m) for k in range(d + 1)] or [(0, 0)])
+    return _quad(Fraction(_newton(X, n), e ** (d + 1)), Fraction(_newton(Y, n), e ** (d + 1)), m)
+
+
+def _newton(values, n: int):
+    """sum_{k<n} p(k) = sum_i C(n, i+1)*Delta^i p(0) for p(0), p(1), ... = values."""
+    total = 0
+    for i in range(len(values)):
+        total += comb(n, i + 1) * values[0]
+        values = [y - x for x, y in zip(values, values[1:])]
     return total
 
 

@@ -295,10 +295,12 @@ GOLDEN_SECTION_CALLS = 735
 
 
 def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
+    import peanoquad._forms as forms
     import peanoquad.bounds as bounds
 
     searching, calls = [False], [0]
     kernel, form_sum, search = bounds._kernel_l1, bounds.l1_sum, bounds._slope_min
+    m0_pass = forms.m0_pass
 
     def counted(*args):  # the sum of a kernel pass on a built rule
         calls[0] += searching[0]
@@ -308,13 +310,19 @@ def test_minimizer_search_needs_few_kernel_passes(monkeypatch):
         calls[0] += searching[0]
         return form_sum(*args)
 
+    def counted_m0_pass(*args):  # so is a closed-form r = 0 pass
+        calls[0] += searching[0]
+        return m0_pass(*args)
+
     def flagged(*args):
         searching[0] = True
         return search(*args)
 
     monkeypatch.setattr(bounds, "_kernel_l1", counted)
     monkeypatch.setattr(bounds, "l1_sum", counted_form_sum)
+    monkeypatch.setattr(forms, "m0_pass", counted_m0_pass)
     monkeypatch.setattr(bounds, "_slope_min", flagged)
+    bounds._memo.cache_clear()  # passes memoized by earlier tests would go uncounted
     for name, r in CRITERION_5_CASES:
         searching[0] = False
         minimize_bound(family(name), r)

@@ -22,6 +22,8 @@ from peanoquad import (
     panels_for_tolerance,
     sqrt,
 )
+from peanoquad.integrands import NAMED
+from peanoquad.scalars import _quad, _quad_round
 
 
 def reference_composite(rule, f, a, b, n, fprime=None):
@@ -230,14 +232,93 @@ def test_coinciding_exact_nodes_are_one_scalar(name, fname, n, ends):
                 assert (fprime_calls[2 * k + i] is f_calls[nv * k + 1 + i]) == exact
 
 
-def test_simpson_panel_walk_holds_no_node_list():
+def named_and_wrapped(fname):
+    """The library's named (f, f') and the same functions as user callables."""
+    f, fprime = NAMED[fname]
+    return (f, fprime), (lambda t: f(t), lambda t: fprime(t))
+
+
+@pytest.mark.parametrize("name", SHARING_RULES)
+@pytest.mark.parametrize("fname", ["exp", "cos"])
+@pytest.mark.parametrize("n", [1, 2, 7, 513])
+@pytest.mark.parametrize("ends", sorted(SHARING_ENDS))
+def test_named_float_integrands_match_the_scalar_lane(name, fname, n, ends):
+    # math.exp and math.cos read the nodes' floats from the walk's integers
+    # (plain exact ends, rational or with a stepping sqrt(3) part); the
+    # wrapped ones get Scalars and read them through Scalar.__float__
+    rule = make_rule(name)
+    a, b = SHARING_ENDS[ends]
+    got, want = (composite_integrate(rule, f, a, b, n, 0, 1, fprime=fprime).value
+                 for f, fprime in named_and_wrapped(fname))
+    assert fingerprint(got) == fingerprint(want)
+
+
+@pytest.mark.parametrize("fname", ["sin", "runge"])
+@pytest.mark.parametrize("name", ["gauss_legendre2", "liu_park_gauss"])
+def test_the_other_named_integrands_match_the_scalar_lane(fname, name):
+    for a, b in [(F(-3, 4), F(1, 4)), SHARING_ENDS["sqrt"]]:
+        got, want = (composite_integrate(make_rule(name), f, a, b, 33, 0, 1, fprime=fp).value
+                     for f, fp in named_and_wrapped(fname))
+        assert fingerprint(got) == fingerprint(want)
+
+
+@pytest.mark.parametrize("name", SHARING_RULES)
+@pytest.mark.parametrize("ends", ["rational", "sqrt"])
+def test_a_named_integrand_reads_each_distinct_node_once_as_a_float(monkeypatch, name, ends):
+    import peanoquad.rules as rules
+
+    g = Recorder(math.exp)
+    monkeypatch.setattr(rules, "FLOAT_INTEGRANDS", (g,))
+    rule = make_rule(name)
+    a, b = SHARING_ENDS[ends]
+    got = composite_integrate(rule, g, a, b, 9, 0, 1, fprime=g).value
+    want = composite_integrate(rule, math.exp, a, b, 9, 0, 1, fprime=math.exp).value
+    assert fingerprint(got) == fingerprint(want)
+    # lobatto4's Q(sqrt 5) nodes at sqrt(3) ends are intervals: the Scalar lane
+    plain = ends == "rational" or name != "lobatto4"
+    assert all(type(t) is float for t in g.calls) == plain
+    if plain:
+        assert len(g.calls) == len(set(g.calls))
+        nodes = {x.to_json_str() for x, _ in rule.value_nodes + rule.deriv_nodes}
+        shared = all(any(x == e for x, _ in rule.value_nodes) for e in (-1, 1))
+        assert len(g.calls) == 9 * (len(nodes) - shared) + shared  # panel ends: n + 1
+
+
+@pytest.mark.parametrize("b0, a0", [(1, 2**53 + 3 - 2**64), (-1, 2**64 - 2**53 - 3)])
+def test_node_floats_round_past_a_bracket_that_straddles_a_tie(monkeypatch, b0, a0):
+    # sqrt(2**128 - 1) = 2**64 - 2**-65 - ...: node k, a0 + k*2**20 + b0*sqrt(m),
+    # lies within 2**-64 of the tie 2**53 + 3 (+ k*2**20), so the walk's one
+    # bracket rounds two ways and _quad_round settles the node
+    import peanoquad.rules as rules
+
+    m, settled = 2**128 - 1, []
+    monkeypatch.setattr(rules, "_quad_round", lambda *args: settled.append(args) or
+                        _quad_round(*args))
+    got = list(rules._node_floats(a0, 2**20, b0, 0, 1, m, 3))
+    assert got == [float(_quad(F(a0 + k * 2**20), F(b0), m)) for k in range(3)]
+    assert got[0] == b0 * (2**53 + 2) and settled
+
+
+@pytest.mark.parametrize("name", ["simpson", "gauss_legendre2"])
+@pytest.mark.parametrize("a, b", [(700, 720), (F(10) ** 400, F(10) ** 400 + 1)])
+def test_an_overflowing_node_raises_in_both_lanes(name, a, b):
+    # math.exp overflows past 709.78; a node beyond the float range cannot
+    # be converted at all
+    for f in (math.exp, lambda t: math.exp(t)):
+        with pytest.raises(OverflowError):
+            composite_integrate(make_rule(name), f, a, b, 7, 0, 1)
+
+
+@pytest.mark.parametrize("lane", ["named", "scalar"])
+def test_simpson_panel_walk_holds_no_node_list(lane):
     # the panel ends are stepped, never listed, and the two ends of a panel
     # read one walk in lockstep, so the memory peak stays small at any n
     rule = make_rule("simpson")
+    f = math.exp if lane == "named" else lambda t: math.exp(t)
     kernel_l1_norm(rule, 3)  # the rule keeps its kernel: built outside the trace
     tracemalloc.start()
     try:
-        composite_integrate(rule, math.exp, 0, 1, 100_000, 3, 3)
+        composite_integrate(rule, f, 0, 1, 100_000, 3, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -279,6 +360,19 @@ def test_exact_polynomial_closed_form_matches_the_reference_loop(name, n, coeffs
     else:  # deg + 1 values per node, all at nodes the loop visits
         assert len(calls[0]) == 5 * len(rule.value_nodes)
         assert set(calls[0]) <= set(want_calls[0])
+
+
+@pytest.mark.parametrize("name", ["simpson", "gauss_legendre2", "lobatto4", "liu_park_gauss"])
+@pytest.mark.parametrize("n", [6, 7, 513])
+@pytest.mark.parametrize("ends", ["rational", "sqrt"])
+@pytest.mark.parametrize("coeffs", [QUARTIC, [sqrt(Scalar(3)), F(1, 2), -sqrt(Scalar(3)), 0, 1],
+                                    []])
+def test_exact_polynomial_closed_form_in_integers_matches_the_reference_loop(name, n, ends,
+                                                                             coeffs):
+    p = Polynomial(coeffs)  # a plain Polynomial: its values come from the walk's integers
+    a, b = SHARING_ENDS[ends]
+    got = composite_integrate(make_rule(name), p, a, b, n, 0, 1).value
+    assert fingerprint(got) == fingerprint(reference_sum_panels(make_rule(name), p, a, b, n))
 
 
 @pytest.mark.parametrize("rule", [make_rule("liu_park_gauss"),

@@ -88,7 +88,8 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
                 assert len(out[f"direct/dps{dps}/{label}/identity{r}/1"]) == 2
     assert out["direct/dps20/lobatto4/M1"]["m"]["tier"] == "interval"
     # the scans, minimizers and root windows, once, at LANE_DPS
-    lanes = sorted(key for key in out if not key.startswith(("direct/dps", "direct/r0/")))
+    lanes = sorted(key for key in out
+                   if not key.startswith(("direct/dps", "direct/r0/", "direct/composite/")))
     assert lanes == sorted([f"direct/alomari4@{lam}/{call}{r}" for lam in ("sqrt(1/20)", "1/5+-1e-40")
                             for call in ("scan", "minimize") for r in (0, 1)]
                            + ["direct/window(0,e)", "direct/window(-e,0)", "direct/window(e,1)",
@@ -109,5 +110,10 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
     assert points["direct/r0/liu_park"]["1/2"]["signature"] == [0, 1, 0]
     assert points["direct/r0/ostrowski"]["-1"]["value"]["scalar"] == "2"
     assert out["direct/r0/liu_park/scan[49/100,51/100]"]["branch_points"][0]["scalar"] == "1/2"
-    assert len(out) == 324
+    # composite sums of math.exp at sqrt(3) and interval ends, and at liu_park_gauss's double nodes
+    composite = {key: out[key] for key in out if key.startswith("direct/composite/")}
+    assert len(composite) == 22 and not any("raised" in v for v in composite.values())
+    assert composite["direct/composite/gauss_legendre2@sqrt3/n7"]["value"]["tier"] == "sqrt"
+    assert composite["direct/composite/simpson@interval/n1"]["value"]["tier"] == "interval"
+    assert len(out) == 346
     assert out == same_outputs.direct_outputs(pq)

@@ -142,9 +142,9 @@ def test_traffic_lists_reached_and_unreached_statements(tmp_path):
     # the direct calls, apart: at each of 3 precisions, 4 rules of degree 0
     # (exactness, M_0 and 2 identities each), then 8 scans and minimizers,
     # 9 root windows, 15 r = 0 bound functions (each raises: the fake API
-    # has no bounds module) and one scan; they enter Box.grow, outer and
-    # unused only
-    assert lines[-1] == ("4 of 21 statements reached over 81 direct calls; "
+    # has no bounds module), one scan and 22 composite sums (each raises:
+    # no composite_integrate); they enter Box.grow, outer and unused only
+    assert lines[-1] == ("4 of 21 statements reached over 103 direct calls; "
                          "4 of 7 functions never entered")
     by_name = {line.split()[0]: line for line in lines[:-2]}
     assert by_name["core.used"] == "core.used  5/6  never: 7"

@@ -46,7 +46,12 @@ signature (a fresh probe), value and slope at each closed domain end, at 0,
 +-1/3, +-1/2 and +-1 where the domain holds them (nodes meet, or a root c_i
 of the kernel c_i - t meets a breakpoint: liu_park at 1/2), and at the
 family's other such points; and an r = 0 ``bound_scan`` of liu_park on the
-narrow window [49/100, 51/100], grid 5.  324 calls in all.
+narrow window [49/100, 51/100], grid 5.  And ``composite_integrate`` (r = 0)
+of math.exp, with math.exp as its derivative, where no operation takes it:
+each rule the benchmark integrates with, at n = 1 and 7, on
+[sqrt(3)/4 - 1, sqrt(3)/2 + 1/3] (nodes with a stepping sqrt(3) part) and
+on [-3/4, 1/4] with ends +- 1e-40 (interval nodes), and liu_park_gauss on
+[-3/4, 1/4] itself (its double nodes).  346 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -247,9 +253,30 @@ def _r0_calls(pq, call) -> None:
          Fraction(49, 100), Fraction(51, 100))
 
 
+#: the rules of the benchmark's composite operations
+COMPOSITE_RULES = ("simpson", "radau2", "gauss_legendre2", "lobatto4", "liu_park_gauss")
+
+
+def _composite(pq, name: str, ends: str, n: int):
+    """``composite_integrate`` (r = 0) of math.exp, its own derivative, with
+    the rule ``name`` on n panels of the interval ``ends`` names."""
+    s3, tiny, lo, hi = pq.sqrt(pq.Scalar(3)), Fraction(1, 10**40), Fraction(-3, 4), Fraction(1, 4)
+    a, b = {"sqrt3": (s3 / 4 - 1, s3 / 2 + Fraction(1, 3)), "rational": (lo, hi),
+            "interval": [pq.Scalar.from_interval(x - tiny, x + tiny) for x in (lo, hi)]}[ends]
+    return pq.composite_integrate(pq.make_rule(name), math.exp, a, b, n, 0, 1, math.exp)
+
+
+def _composite_calls(pq, call) -> None:
+    """The composite sums of math.exp at the ends and panel counts that no operation uses."""
+    for ends in ("sqrt3", "interval", "rational"):
+        for name in COMPOSITE_RULES if ends != "rational" else ("liu_park_gauss",):
+            for n in (1, 7):
+                call(f"direct/composite/{name}@{ends}/n{n}", _composite, pq, name, ends, n)
+
+
 def direct_outputs(pq) -> dict:
     """{call id: output} of the direct calls, at each working precision of DIRECT_DPS,
-    then of ``_lane_calls`` and ``_r0_calls`` at LANE_DPS."""
+    then of ``_lane_calls``, ``_r0_calls`` and ``_composite_calls`` at LANE_DPS."""
     outputs, dps0 = {}, pq.get_working_dps()
 
     def call(key, fn, *args):
@@ -275,6 +302,7 @@ def direct_outputs(pq) -> dict:
         pq.set_working_dps(LANE_DPS)
         _lane_calls(pq, call)
         _r0_calls(pq, call)
+        _composite_calls(pq, call)
     finally:
         pq.set_working_dps(dps0)
     return outputs
