@@ -17,6 +17,7 @@ from peanoquad import (
     apply_rule,
     as_scalar,
     composite_integrate,
+    custom_rule,
     kernel_l1_norm,
     make_rule,
     panels_for_tolerance,
@@ -250,6 +251,19 @@ def test_named_float_integrands_match_the_scalar_lane(name, fname, n, ends):
     a, b = SHARING_ENDS[ends]
     got, want = (composite_integrate(rule, f, a, b, n, 0, 1, fprime=fprime).value
                  for f, fprime in named_and_wrapped(fname))
+    assert fingerprint(got) == fingerprint(want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4097])
+@pytest.mark.parametrize("ends", sorted(SHARING_ENDS))
+def test_a_closed_rule_with_unequal_end_weights_takes_each_end_sum(ends, n):
+    # S_lo leaves out the last panel end and S_hi the first: with the end
+    # weights of a symmetric rule a swap of the two would not show; at
+    # n = 4097 the walks span two chunks of the exact float sum
+    rule = custom_rule("closed", [(-1, F(1, 3)), (F(1, 3), 1), (1, F(2, 3))])
+    a, b = SHARING_ENDS[ends]
+    got, want = (composite_integrate(rule, f, a, b, n, 0, 1).value
+                 for f, _ in named_and_wrapped("exp"))
     assert fingerprint(got) == fingerprint(want)
 
 
