@@ -12,9 +12,11 @@ The rule is mapped once per call, not once per panel: node offsets and
 scaled weights are formed once, and f is summed node by node over the
 panels (``rules._sum_panels``, the same path ``apply_rule`` takes).  Exact
 nodes are stepped in integers.  A user's f is called once per panel node,
-with Scalars; a named float integrand (``integrands``) is evaluated once per
-distinct node, from those integers.  Float values are summed exactly as
-dyadic rationals, a Polynomial with exact coefficients in closed form from
+with Scalars, and a node with a constant sqrt(m) part keeps its float from
+those integers, so ``float(t)`` reads it; a named float integrand
+(``integrands``) is evaluated once per distinct node, from those integers.
+Float values are summed exactly as dyadic rationals, a chunk of each node's
+values at a time, a Polynomial with exact coefficients in closed form from
 deg + 1 values formed in integers.  For exact data the value equals the
 panel-by-panel sum exactly.
 

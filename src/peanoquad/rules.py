@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, count, islice, repeat, tee
-from math import comb, fsum, isqrt
+from math import comb, fsum, isfinite, isqrt
 from operator import truediv
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -128,12 +128,14 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
       integers; interval and ``_Dual`` nodes are formed by the expression;
     * a user's f is called once per node of each panel, panel by panel,
       with Scalars, a distinct plain exact node being one Scalar (equal
-      offsets read one :func:`_walk`, -h and +h one of the n + 1 panel ends);
+      offsets read one :func:`_walk`, -h and +h one of the n + 1 panel ends)
+      that keeps its float from the walk's integers where it can;
     * a named float integrand (``integrands.FLOAT_INTEGRANDS``) at plain
       exact nodes is evaluated once per distinct node, at the floats of
       :func:`_node_floats`, and its float values summed by :func:`_float_sum`;
-    * other float values are summed exactly, in units of 2**-1074, other
-      values as Scalars in panel order;
+    * a user's finite float values are kept per column and summed exactly by
+      :func:`_float_sum` every 4096 panels; other values (nan and inf raise
+      at their node, as Scalar(v) does) are added as Scalars in panel order;
     * a Polynomial with plain exact coefficients in the nodes' field is
       summed in closed form (:func:`_closed_sum`) once n > deg + 1.
     """
@@ -186,20 +188,38 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
         if col.setdefault(key, len(walks)) == len(walks):
             walks.append(_walk(*steps(plain, j + 1)) if plain else
                          map(lambda k, x=offset: centre + (2 * k + 1 - n) * h + x, range(n)))
-    looped = [(j, g, col[key]) for j, g, _, key in looped]
-    for row in zip(*walks):
-        for j, g, c in looped:
-            v = g(row[c])
-            if isinstance(v, float):
-                floats[j] += _units(v)
-            else:
-                sums[j] = sums[j] + as_scalar(v)
+    looped, rows = [(j, g, col[key], []) for j, g, _, key in looped], zip(*walks)
+    for _ in range(0, n, 4096):  # each column's float values, 4096 rows at a time
+        for row in islice(rows, 4096):
+            for j, g, c, values in looped:
+                v = g(row[c])
+                if isinstance(v, float) and isfinite(v):
+                    values.append(v)
+                else:  # Scalar(v) rejects nan and inf
+                    sums[j] = sums[j] + as_scalar(v)
+        for j, _, _, values in looped:
+            if values:
+                floats[j] += _float_sum(values)[0]
+                values.clear()
     sums = [s + Scalar(Fraction(e, 1 << 1074)) if e else s for s, e in zip(sums, floats)]
     return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
 
 
 def _walk(a0: int, a1: int, b0: int, b1: int, e: int, m: int, size: int):
-    """The Scalars of the nodes (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e, k < size."""
+    """The Scalars of the nodes (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e, k < size.
+    A constant sqrt(m) part is one Fraction, and each node keeps its float
+    from :func:`_node_floats` (``Scalar.__float__`` reads it) unless an end of
+    the walk, and so maybe a node, lies near the float range's edge."""
+    if b0 and not b1 and (max(abs(a0), abs(a0 + (size - 1) * a1)) + abs(b0) * (isqrt(m) + 1)
+                          < e << 1023):
+        b = Fraction(b0, e)
+        for x in _node_floats(a0, a1, b0, 0, e, m, size):
+            node = object.__new__(Scalar)
+            node._frac = node._ival = None
+            node._sqrt, node._float = (Fraction(a0, e), b, m), x
+            yield node
+            a0 += a1
+        return
     for _ in range(size):
         x = Fraction(a0, e)
         yield _quad(x, Fraction(b0, e), m) if b0 else _rat(x)
@@ -211,7 +231,8 @@ def _node_floats(a0: int, a1: int, b0: int, b1: int, e: int, m: int, size: int):
     """float() of each node of :func:`_walk` from its integers, as
     ``Scalar.__float__`` rounds it: by int/int division if rational; for a
     constant sqrt(m) part, from one isqrt bracket per walk (node*e*2**64 in
-    (lo, lo + 1)) where both its ends round alike; else by ``_quad_round``."""
+    (lo, lo + 1)) where both its ends round alike, the floats that walk's
+    nodes keep; else by ``_quad_round``."""
     def exact(k):
         a, b = a0 + k * a1, b0 + k * b1
         return _quad_round(Fraction(a, e), Fraction(b, e), m) if b else a / e

@@ -94,10 +94,11 @@ class Scalar:
     """Exact rational, exact a + b*sqrt(m), or validated interval real.
 
     Exactly one of the slots describes the value: ``_frac`` (a Fraction),
-    ``_sqrt`` (the triple ``(a, b, m)``) or ``_ival`` (an ``iv.mpf``).
+    ``_sqrt`` (the triple ``(a, b, m)``) or ``_ival`` (an ``iv.mpf``).  An
+    a + b*sqrt(m) may keep its float in ``_float`` (see ``__float__``).
     """
 
-    __slots__ = ("_frac", "_ival", "_sqrt")
+    __slots__ = ("_frac", "_ival", "_sqrt", "_float")
 
     def __init__(self, value=0):
         if type(value) is Fraction or type(value) is int:
@@ -234,11 +235,16 @@ class Scalar:
         by Python's int/int division, so a subnormal is rounded once, to its
         own shorter mantissa, and a value beyond the float range raises
         OverflowError; the correctly rounded midpoint of the enclosure for
-        an interval."""
+        an interval.  An a + b*sqrt(m) keeps its float once rounded (or as a
+        panel walk set it, ``rules._walk``), so a repeat call reads it."""
         if self._frac is not None:  # the int/int division float(Fraction) makes
             return self._frac.numerator / self._frac.denominator
         if self._sqrt is not None:
-            return _quad_round(*self._sqrt)
+            try:
+                return self._float
+            except AttributeError:
+                self._float = x = _quad_round(*self._sqrt)
+                return x
         lo, hi = self.interval()._mpi_
         return to_float(mpf_shift(mpf_add(lo, hi, 0), -1), rnd=round_nearest)
 

@@ -59,6 +59,18 @@ def test_direction_decides_the_winner(better, wins):
     assert row["wins"] == wins
 
 
+@pytest.mark.parametrize("change, beyond", [(0.114, True), (0.100, False)])
+def test_a_median_worse_by_more_than_the_bound_is_flagged(change, beyond):
+    spec = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    pairs = _pairs([0.088] * 5, [change] * 5, name="setup_s")
+    (row,) = bench_pairs.summarize(pairs, spec)
+    assert row["beyond_bound"] is beyond  # 0.114 is 29.5 % above 0.088, 0.100 13.6 %
+    # a higher-is-better metric is worse when it falls
+    pairs = _pairs([100.0] * 3, [74.0] * 3)
+    (row,) = bench_pairs.summarize(pairs, [{"name": "ops_per_s", "better": "higher", "bound": 0.25}])
+    assert row["beyond_bound"] and not bench_pairs.summarize(pairs, METRICS)[0]["beyond_bound"]
+
+
 def test_json_summary_round_trips_the_printed_rows(tmp_path, monkeypatch, capsys):
     runs = iter([4.0, 5.0, 6.0, 5.5, 4.5, 6.5])  # parent, change; change, parent; parent, change
 

@@ -313,6 +313,82 @@ def test_node_floats_round_past_a_bracket_that_straddles_a_tie(monkeypatch, b0, 
     assert got[0] == b0 * (2**53 + 2) and settled
 
 
+#: walks (a0, a1, b0, b1, e, m, size): a constant and a stepping sqrt(3) part
+#: (b crosses 0: rational nodes), the straddling tie above, a constant part
+#: past the float range
+WALKS = [(-7, 3, 2, 0, 12, 3, 50), (-7, 3, 5, -1, 12, 3, 50),
+         (2**53 + 3 - 2**64, 2**20, 1, 0, 1, 2**128 - 1, 3),
+         (2**64 - 2**53 - 3, 2**20, -1, 0, 1, 2**128 - 1, 3), (10**400, 1, 1, 0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_walk_nodes_keep_the_float_that_quad_round_gives(walk):
+    import peanoquad.rules as rules
+
+    a0, a1, b0, b1, e, m, size = walk
+    nodes = list(rules._walk(*walk))
+    assert [fingerprint(t) for t in nodes] == [
+        fingerprint(_quad(F(a0 + k * a1, e), F(b0 + k * b1, e), m)) for k in range(size)]
+    kept = [getattr(t, "_float", None) for t in nodes]  # set by the walk, before any float()
+    if b1 or a0 == 10**400:
+        assert kept == [None] * size
+    else:
+        assert kept == [_quad_round(*t._sqrt) for t in nodes]
+    for t in nodes:
+        if a0 == 10**400:
+            with pytest.raises(OverflowError):
+                float(t)
+        elif not t.is_rational:
+            assert float(t) == _quad_round(*t._sqrt)
+
+
+@pytest.mark.parametrize("name", ["gauss_legendre2", "liu_park_gauss"])
+@pytest.mark.parametrize("ends", ["huge", "sqrt"])
+def test_a_users_exact_f_matches_the_reference_past_the_float_range(name, ends):
+    # nodes (10**400 + ...) + c*sqrt(3) keep no float, and t * t never asks
+    a, b = (F(10) ** 400, F(10) ** 400 + 1) if ends == "huge" else SHARING_ENDS["sqrt"]
+    rule, f, fprime = make_rule(name), lambda t: t * t, lambda t: 2 * t
+    got = composite_integrate(rule, f, a, b, 7, 0, 1, fprime=fprime).value
+    assert got.to_json_str() == reference_sum_panels(rule, f, a, b, 7, fprime).to_json_str()
+
+
+#: a user's f and f' of float values, of floats at some nodes and Fractions at others
+CHUNK_INTEGRANDS = {
+    "exp": (lambda t: math.exp(float(t)), lambda t: math.exp(float(t))),
+    "mixed": (lambda t: F(1, 3) if t < F(1, 2) else math.exp(float(t)),
+              lambda t: math.cos(float(t)) if t < F(1, 4) else F(2, 7)),
+}
+
+
+@pytest.mark.parametrize("name", ["simpson", "liu_park_gauss"])
+@pytest.mark.parametrize("fname", sorted(CHUNK_INTEGRANDS))
+@pytest.mark.parametrize("n", [1, 7, 4095, 4096, 4097])
+def test_a_users_float_values_summed_in_chunks_match_the_reference(name, fname, n):
+    # each column's float values are summed 4096 rows at a time
+    rule, (f, fprime) = make_rule(name), CHUNK_INTEGRANDS[fname]
+    got = composite_integrate(rule, f, 0, 1, n, 0, 1, fprime=fprime).value
+    assert got.to_json_str() == reference_sum_panels(rule, f, 0, 1, n, fprime).to_json_str()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["simpson", "liu_park_gauss"])
+@pytest.mark.parametrize("k", [3, 4096])
+def test_a_non_finite_value_at_panel_k_raises_after_as_many_calls(bad, name, k):
+    rule, n = make_rule(name), 4097
+
+    def make():  # bad inside panel k, [k/n, (k+1)/n]
+        return Recorder(lambda t: bad if F(k, n) < t < F(k + 1, n) else math.exp(float(t)))
+
+    calls = []
+    for run in (lambda f, fp: composite_integrate(rule, f, 0, 1, n, 0, 1, fprime=fp),
+                lambda f, fp: reference_sum_panels(rule, f, 0, 1, n, fp)):
+        f, fprime = make(), make()
+        with pytest.raises(ValueError, match="not a finite number"):
+            run(f, fprime)
+        calls.append((len(f.calls), len(fprime.calls)))
+    assert calls[0] == calls[1] and calls[0][0] > k
+
+
 @pytest.mark.parametrize("name", ["simpson", "gauss_legendre2"])
 @pytest.mark.parametrize("a, b", [(700, 720), (F(10) ** 400, F(10) ** 400 + 1)])
 def test_an_overflowing_node_raises_in_both_lanes(name, a, b):

@@ -20,7 +20,7 @@ from peanoquad import (
     sqrt,
 )
 from peanoquad import scalars
-from peanoquad.scalars import as_scalar
+from peanoquad.scalars import _quad_round, as_scalar
 
 
 def test_rational_arithmetic_exact():
@@ -446,12 +446,24 @@ def test_float_of_quadratic_field_value_matches_a_400_digit_reference():
             set_working_dps(60)
 
 
+def test_float_of_quadratic_field_value_is_kept_once_rounded(monkeypatch):
+    values = [Scalar(a) + Scalar(b) * sqrt(Scalar(m)) for a, b, m in _quad_cases()]
+    want = [scalars._quad_round(*v._sqrt) for v in values]
+    rounded = []
+    monkeypatch.setattr(scalars, "_quad_round", lambda *args: rounded.append(args) or
+                        _quad_round(*args))
+    assert [float(v) for v in values] == want and len(rounded) == len(values)
+    assert [float(v) for v in values] == want and len(rounded) == len(values)  # kept
+
+
 def test_float_of_quadratic_field_value_overflows():
-    for big in (F(10**400), F(-(10**400)), F(2**1024)):
-        with pytest.raises(OverflowError):
-            float(Scalar(big) + sqrt(Scalar(2)))
-    with pytest.raises(OverflowError):
-        float(Scalar(10**200) * sqrt(Scalar(10**250 + 1)))
+    values = [Scalar(big) + sqrt(Scalar(2)) for big in (F(10**400), F(-(10**400)), F(2**1024))]
+    values.append(Scalar(10**200) * sqrt(Scalar(10**250 + 1)))
+    for v in values:
+        for _ in range(2):  # nothing is kept: every call raises
+            with pytest.raises(OverflowError):
+                float(v)
+        assert getattr(v, "_float", None) is None
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -9,8 +9,10 @@ repository's ``BENCHMARK.json``.  The parent runs first in even pairs and the
 change first in odd ones.  Each pair is printed when it finishes.  Then, for
 every end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 median and quartiles, the number of pairs the change won (strictly better in
-the metric's direction), and whether the gap between the medians is wider
-than the parent's interquartile range.  Exit status 1 when a run reports
+the metric's direction), whether the gap between the medians is wider
+than the parent's interquartile range, and whether the change's median is
+worse than the parent's by more than the metric's relative ``bound`` (a
+regression the benchmark's bounds do not allow).  Exit status 1 when a run reports
 ``correct`` false or prints no result line, else 0.  With ``--json PATH``
 the summary is also written to PATH: the workload, the seeds, the number of
 pairs, each tree's ``git rev-parse HEAD`` (null for a tree that is not the
@@ -50,9 +52,11 @@ def spread(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
-    """One row per metric ({"name", "better"}) that every run reports: the
-    parent's and the change's (q1, median, q3), the pairs the change won, and
-    whether the medians lie further apart than the parent's q3 - q1."""
+    """One row per metric ({"name", "better"} and an optional relative
+    "bound") that every run reports: the parent's and the change's (q1,
+    median, q3), the pairs the change won, whether the medians lie further
+    apart than the parent's q3 - q1, and whether the change's median is worse
+    than the parent's by more than bound * |parent median|."""
     rows = []
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
@@ -60,9 +64,12 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             continue
         parent, change = spread([p[name] for p, _ in pairs]), spread([c[name] for _, c in pairs])
         wins = sum(1 for p, c in pairs if sign * (c[name] - p[name]) > 0)
+        bound = spec.get("bound")
         rows.append({"name": name, "parent": parent, "change": change, "wins": wins,
                      "pairs": len(pairs),
-                     "resolved": abs(change[1] - parent[1]) > parent[2] - parent[0]})
+                     "resolved": abs(change[1] - parent[1]) > parent[2] - parent[0],
+                     "beyond_bound": bound is not None
+                     and sign * (parent[1] - change[1]) > bound * abs(parent[1])})
     return rows
 
 
@@ -112,11 +119,12 @@ def main(argv: list[str] | None = None) -> int:
                           for m in metrics if m["name"] in pairs[-1][0])
         print(f"pair {k + 1} seed {seed} ({order[k % 2][0]} first): {shown}", flush=True)
     rows = summarize(pairs, metrics)
-    print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} won    gap>IQR")
+    print(f"{'metric':<14} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} won    "
+          "gap>IQR beyond bound")
     for row in rows:
         p, c = (f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]" for q in (row["parent"], row["change"]))
         print(f"{row['name']:<14} {p:<34} {c:<34} {row['wins']:>2}/{row['pairs']:<3} "
-              f"{'yes' if row['resolved'] else 'no'}")
+              f"{'yes' if row['resolved'] else 'no':<7} {'yes' if row['beyond_bound'] else 'no'}")
     if args.json:
         summary = {"workload": args.workload, "seeds": [args.seed + k for k in range(len(pairs))],
                    "pairs": len(pairs), "parent_commit": tree_commit(args.parent),

@@ -51,7 +51,13 @@ of math.exp, with math.exp as its derivative, where no operation takes it:
 each rule the benchmark integrates with, at n = 1 and 7, on
 [sqrt(3)/4 - 1, sqrt(3)/2 + 1/3] (nodes with a stepping sqrt(3) part) and
 on [-3/4, 1/4] with ends +- 1e-40 (interval nodes), and liu_park_gauss on
-[-3/4, 1/4] itself (its double nodes).  346 calls in all.
+[-3/4, 1/4] itself (its double nodes).  Then ``composite_integrate`` of a
+user's f, in lanes that no operation reaches: a lambda of float values (exp
+of ``float(t)``, its own derivative) with each of those rules at n = 7 on
+the sqrt(3) ends, and with liu_park_gauss at n = 4097 on [-3/4, 1/4] (its
+columns cross a chunk of the float sums); and an f of Fractions at some
+nodes and floats at others with simpson at n = 7 and liu_park_gauss at
+n = 4097 on [-3/4, 1/4].  354 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -256,22 +262,39 @@ def _r0_calls(pq, call) -> None:
 #: the rules of the benchmark's composite operations
 COMPOSITE_RULES = ("simpson", "radau2", "gauss_legendre2", "lobatto4", "liu_park_gauss")
 
+#: (f, f') of the composite calls: math.exp, a user's lambda of float values,
+#: and a user's f of floats at some nodes and Fractions at others
+COMPOSITE_INTEGRANDS = {
+    "exp": (math.exp, math.exp),
+    "lambda-exp": (lambda t: math.exp(float(t)), lambda t: math.exp(float(t))),
+    "mixed": (lambda t: Fraction(1, 3) if t < Fraction(-1, 4) else math.exp(float(t)),
+              lambda t: math.cos(float(t)) if t < Fraction(-1, 2) else Fraction(2, 7)),
+}
 
-def _composite(pq, name: str, ends: str, n: int):
-    """``composite_integrate`` (r = 0) of math.exp, its own derivative, with
-    the rule ``name`` on n panels of the interval ``ends`` names."""
+
+def _composite(pq, name: str, ends: str, n: int, fname: str = "exp"):
+    """``composite_integrate`` (r = 0) of the ``fname`` pair of
+    ``COMPOSITE_INTEGRANDS`` with the rule ``name`` on n panels of the
+    interval ``ends`` names."""
     s3, tiny, lo, hi = pq.sqrt(pq.Scalar(3)), Fraction(1, 10**40), Fraction(-3, 4), Fraction(1, 4)
     a, b = {"sqrt3": (s3 / 4 - 1, s3 / 2 + Fraction(1, 3)), "rational": (lo, hi),
             "interval": [pq.Scalar.from_interval(x - tiny, x + tiny) for x in (lo, hi)]}[ends]
-    return pq.composite_integrate(pq.make_rule(name), math.exp, a, b, n, 0, 1, math.exp)
+    f, fprime = COMPOSITE_INTEGRANDS[fname]
+    return pq.composite_integrate(pq.make_rule(name), f, a, b, n, 0, 1, fprime)
 
 
 def _composite_calls(pq, call) -> None:
-    """The composite sums of math.exp at the ends and panel counts that no operation uses."""
+    """The composite sums of math.exp at the ends and panel counts that no
+    operation uses, and of a user's f in the lanes that no operation reaches."""
     for ends in ("sqrt3", "interval", "rational"):
         for name in COMPOSITE_RULES if ends != "rational" else ("liu_park_gauss",):
             for n in (1, 7):
                 call(f"direct/composite/{name}@{ends}/n{n}", _composite, pq, name, ends, n)
+    user = [("lambda-exp", name, "sqrt3", 7) for name in COMPOSITE_RULES]
+    user += [("lambda-exp", "liu_park_gauss", "rational", 4097),
+             ("mixed", "simpson", "rational", 7), ("mixed", "liu_park_gauss", "rational", 4097)]
+    for fname, name, ends, n in user:
+        call(f"direct/composite/{fname}/{name}@{ends}/n{n}", _composite, pq, name, ends, n, fname)
 
 
 def direct_outputs(pq) -> dict:
