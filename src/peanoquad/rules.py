@@ -118,18 +118,21 @@ def apply_rule(rule: QuadRule, f, a=-1, b=1, fprime=None) -> Scalar:
 def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     """The rule applied to f on each of n equal panels of [a, b], summed.
 
-    With h = (b - a)/(2n), the node offsets x*h and the scaled weights w*h
-    (w*h^2 at derivative nodes) are formed once.  Panel k's nodes are
-    centre + (2k + 1 - n)*h + x*h; the values of f (or fprime) at node j of
-    every panel go into one sum S_j, and the result is sum_j W_j*S_j, for
-    exact data the panel-by-panel sum:
+    With h = (b - a)/(2n), panel k's nodes are centre + (2k + 1 - n)*h + x*h
+    and its weights w*h (w*h^2 at derivative nodes); the values of f (or
+    fprime) at node j of every panel go into one sum S_j, and the result is
+    sum_j W_j*S_j, for exact data the panel-by-panel sum:
 
-    * plain exact nodes (all data in Q or one Q(sqrt m)) are stepped in
-      integers; interval and ``_Dual`` nodes are formed by the expression;
+    * plain exact data (the rule's integers, ``_qpoly._rule_ints``, and a, b
+      in Q or one Q(sqrt m)) is one integer plan: each node's walk, the
+      weights W_j over one denominator, and, when every S_j is a float sum,
+      the result, formed once; other data (intervals, ``_Dual``, two
+      radicands) forms h, the offsets x*h and the weights as Scalars, and
+      each node by the expression;
     * a user's f is called once per node of each panel, panel by panel,
       with Scalars, a distinct plain exact node being one Scalar (equal
       offsets read one :func:`_walk`, -h and +h one of the n + 1 panel ends)
-      that keeps its float from the walk's integers where it can;
+      that forms its Fractions only when read;
     * a named float integrand (``integrands.FLOAT_INTEGRANDS``) at plain
       exact nodes is evaluated once per distinct node, at the floats of
       :func:`_node_floats`, and its float values summed by :func:`_float_sum`;
@@ -149,46 +152,50 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
     a, b = as_scalar(a), as_scalar(b)
     if not a.lt_definite(b):
         raise BadInterval(f"need a < b, got [{a}, {b}]")
-    h = (b - a) / (2 * n)
-    nodes = [(f, x * h, w * h) for x, w in rule.value_nodes]
-    nodes += [(fprime, y * h, w * h * h) for y, w in rule.deriv_nodes]
-    centre = (a + b) / 2
-    data = [centre] + [offset for _, offset, _ in nodes] + [-h, h]
-    plain, ih = int_parts(data), len(data) - 1
-    keys = list(zip(*plain[:2])) if plain else range(len(data))  # equal keys: equal nodes
-    lo, hi = keys[ih - 1], keys[ih]
+    gs = [f] * len(rule.value_nodes) + [fprime] * len(rule.deriv_nodes)
+    k, nv = len(gs), len(rule.value_nodes)
+    R, ab = _rule_ints(rule), int_parts([a, b])
+    plain = R and ab and (R[3] == ab[3] or 1 in (R[3], ab[3]))
+    if plain:  # nodes (x + y*sqrt(m))/er, a = (A + P*sqrt(m))/eab, b = (B + Q*sqrt(m))/eab
+        (G, H, er, m), ((A, B), (P, Q), eab, _) = R, ab
+        m, s, D0, D1 = max(m, ab[3]), 2 * n * eab, B - A, Q - P  # h = (D0 + D1*sqrt(m))/s
+        keys, lo, hi = list(zip(G[:k], H[:k])), (-er, 0), (er, 0)  # equal keys: equal nodes
+        hh = [(s * D0, s * D1)] * nv + [(D0 * D0 + D1 * D1 * m, 2 * D0 * D1)] * (k - nv)
+        W = [(u * c + v * d * m, u * d + v * c) for u, v, (c, d) in zip(G[k:], H[k:], hh)]
+        dw = s * s * er  # W_j = (U_j + V_j*sqrt(m))/dw for (U_j, V_j) in W
 
-    def steps(read, i, size=n):  # the walk of offset data[i] in read = int_parts(data + ...)
-        G, H, e, m = read
-        return (G[0] + (1 - n) * G[ih] + G[i], 2 * G[ih], H[0] + (1 - n) * H[ih] + H[i],
-                2 * H[ih], e, m, size)
-
-    sums, floats = [Scalar(0)] * len(nodes), [0] * len(nodes)  # floats in units of 2**-1074
+        def steps(x, y, size=n):  # the walk of offset (x + y*sqrt(m))/er*h, over s*er
+            return (er * (2 * n * A + D0) + x * D0 + y * D1 * m, 2 * er * D0,
+                    er * (2 * n * P + D1) + x * D1 + y * D0, 2 * er * D1, s * er, m, size)
+    else:
+        h = (b - a) / (2 * n)
+        nodes = [(x * h, w * h) for x, w in rule.value_nodes]
+        nodes += [(y * h, w * h * h) for y, w in rule.deriv_nodes]
+        centre, keys, lo, hi = (a + b) / 2, range(k), -1, -1
+    sums, floats = [_ZERO] * k, [0] * k  # floats in units of 2**-1074
     named, looped = {}, []
-    for j, (g, offset, _) in enumerate(nodes):
-        key = keys[j + 1]
-        if read := (plain and isinstance(g, Polynomial) and n > g.degree + 1
-                    and int_parts(data + list(g.coeffs))):
-            sums[j] = _closed_sum(g, steps(read, j + 1), read[0][ih + 1:], read[1][ih + 1:], n)
+    for j, (g, key) in enumerate(zip(gs, keys)):
+        read = plain and isinstance(g, Polynomial) and n > g.degree + 1 and int_parts(g.coeffs)
+        if read and (read[3] in (1, m) or m == 1):
+            sums[j] = _closed_sum(g, steps(*key), read, n)
         elif plain and any(g is u for u in FLOAT_INTEGRANDS):
-            ends = key in (lo, hi) and {lo, hi} <= {keys[i + 1] for i, (u, *_) in enumerate(nodes)
-                                                     if u is g}
+            ends = key in (lo, hi) and {lo, hi} <= {keys[i] for i, u in enumerate(gs) if u is g}
             if (g, ends or key) not in named:
-                walk = steps(plain, ih - 1, n + 1) if ends else steps(plain, j + 1)
+                walk = steps(-er, 0, n + 1) if ends else steps(*key)
                 named[g, ends or key] = _float_sum(map(g, _node_floats(*walk)))
             total, first, last = named[g, ends or key]  # panel ends: less end n or end 0
             floats[j] = total - (last if key == lo else first) if ends else total
         else:
-            looped.append((j, g, offset, key))
+            looped.append((j, g, key))
     walks, col = [], {}
     if {lo, hi} <= {key for *_, key in looped}:  # panel k: ends k and k + 1
-        walks, col = list(tee(_walk(*steps(plain, ih - 1, n + 1)))), {lo: 0, hi: 1}
+        walks, col = list(tee(_walk(*steps(-er, 0, n + 1)))), {lo: 0, hi: 1}
         next(walks[1])
-    for j, _, offset, key in looped:
+    for j, _, key in looped:
         if col.setdefault(key, len(walks)) == len(walks):
-            walks.append(_walk(*steps(plain, j + 1)) if plain else
-                         map(lambda k, x=offset: centre + (2 * k + 1 - n) * h + x, range(n)))
-    looped, rows = [(j, g, col[key], []) for j, g, _, key in looped], zip(*walks)
+            walks.append(_walk(*steps(*key)) if plain else
+                         map(lambda i, x=nodes[j][0]: centre + (2 * i + 1 - n) * h + x, range(n)))
+    looped, rows = [(j, g, col[key], []) for j, g, key in looped], zip(*walks)
     for _ in range(0, n, 4096):  # each column's float values, 4096 rows at a time
         for row in islice(rows, 4096):
             for j, g, c, values in looped:
@@ -201,22 +208,28 @@ def _sum_panels(rule: QuadRule, f, a, b, n: int, fprime=None) -> Scalar:
             if values:
                 floats[j] += _float_sum(values)[0]
                 values.clear()
-    sums = [s + Scalar(Fraction(e, 1 << 1074)) if e else s for s, e in zip(sums, floats)]
-    return sum((w * s for (_, _, w), s in zip(nodes, sums)), Scalar(0))
+    if plain and all(t is _ZERO for t in sums):  # sum_j W_j*floats_j, formed once
+        return _quad(Fraction(sum(u * t for (u, _), t in zip(W, floats)), dw << 1074),
+                     Fraction(sum(v * t for (_, v), t in zip(W, floats)), dw << 1074), m)
+    weights = ([_quad(Fraction(u, dw), Fraction(v, dw), m) for u, v in W] if plain
+               else [w for _, w in nodes])
+    sums = [t + Scalar(Fraction(e, 1 << 1074)) if e else t for t, e in zip(sums, floats)]
+    return sum((w * t for w, t in zip(weights, sums)), Scalar(0))
 
 
 def _walk(a0: int, a1: int, b0: int, b1: int, e: int, m: int, size: int):
     """The Scalars of the nodes (a0 + k*a1 + (b0 + k*b1)*sqrt(m))/e, k < size.
-    A constant sqrt(m) part is one Fraction, and each node keeps its float
-    from :func:`_node_floats` (``Scalar.__float__`` reads it) unless an end of
-    the walk, and so maybe a node, lies near the float range's edge."""
-    if b0 and not b1 and (max(abs(a0), abs(a0 + (size - 1) * a1)) + abs(b0) * (isqrt(m) + 1)
-                          < e << 1023):
-        b = Fraction(b0, e)
+    Where the sqrt(m) part is constant (or 0) and no end of the walk, and so
+    no node, lies near the float range's edge, a node holds its integers in
+    ``Scalar._walk``, with the constant part as one Fraction, and its float
+    from :func:`_node_floats`; its Fractions are formed when first read.
+    Other nodes (a stepping sqrt(m) part) are built at once."""
+    if not b1 and (max(abs(a0), abs(a0 + (size - 1) * a1)) + abs(b0) * (isqrt(m) + 1)
+                   < e << 1023):
+        b = b0 and Fraction(b0, e)
         for x in _node_floats(a0, a1, b0, 0, e, m, size):
             node = object.__new__(Scalar)
-            node._frac = node._ival = None
-            node._sqrt, node._float = (Fraction(a0, e), b, m), x
+            node._ival, node._walk, node._float = None, (a0, b, e, m), x
             yield node
             a0 += a1
         return
@@ -274,17 +287,20 @@ def _float_sum(values) -> tuple[int, int, int]:
     return total, _units(first[0]), _units(last)
 
 
-def _closed_sum(g: Polynomial, walk, C: list[int], D: list[int], n: int) -> Scalar:
+def _closed_sum(g: Polynomial, walk, coeffs, n: int) -> Scalar:
     """sum of g over the n nodes of a walk (:func:`_walk`'s integers),
-    exactly, from its first d + 1 values, d = deg g (:func:`_newton`):
-    e**(d+1)*g(node) = X + Y*sqrt(m) by one Horner pass over Z[sqrt m] for
-    g = (C + D*sqrt(m))/e, or Scalars from a subclass that evaluates itself."""
+    exactly, from its first d + 1 values, d = deg g (:func:`_newton`): for
+    g = (C + D*sqrt(m'))/c (``coeffs``, ``int_parts`` of its coefficients),
+    c*e**d*g(node) = X + Y*sqrt(m) by one Horner pass over Z[sqrt m], or
+    Scalars from a subclass that evaluates itself."""
     a0, a1, b0, b1, e, m, _ = walk
-    d = g.degree
+    C, D, c, cm = coeffs
+    d, m = g.degree, max(m, cm)
     if type(g).__call__ is not Polynomial.__call__:
         return as_scalar(_newton([g(x) for x in islice(_walk(*walk), d + 1)], n))
     X, Y = zip(*[zm_horner(C, D, a0 + k * a1, b0 + k * b1, e, m) for k in range(d + 1)] or [(0, 0)])
-    return _quad(Fraction(_newton(X, n), e ** (d + 1)), Fraction(_newton(Y, n), e ** (d + 1)), m)
+    den = c * e ** max(d, 0)
+    return _quad(Fraction(_newton(X, n), den), Fraction(_newton(Y, n), den), m)
 
 
 def _newton(values, n: int):

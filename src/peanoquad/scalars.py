@@ -95,10 +95,21 @@ class Scalar:
 
     Exactly one of the slots describes the value: ``_frac`` (a Fraction),
     ``_sqrt`` (the triple ``(a, b, m)``) or ``_ival`` (an ``iv.mpf``).  An
-    a + b*sqrt(m) may keep its float in ``_float`` (see ``__float__``).
+    exact value may keep its float in ``_float`` (see ``__float__``).  A node
+    of a panel walk (``rules._walk``) holds ``_walk`` = (a, b, e, m), the
+    value (a + b*sqrt(m))/e with b a Fraction or 0, its float, and ``_ival``
+    None; its ``_frac`` and ``_sqrt`` are formed when first read.
     """
 
-    __slots__ = ("_frac", "_ival", "_sqrt", "_float")
+    __slots__ = ("_frac", "_ival", "_sqrt", "_float", "_walk")
+
+    def __getattr__(self, name):  # reached only while a slot is unset
+        if name not in ("_frac", "_sqrt"):
+            raise AttributeError(name)
+        a, b, e, m = self._walk
+        x = Fraction(a, e)
+        self._frac, self._sqrt = (None, (x, b, m)) if b else (x, None)
+        return getattr(self, name)
 
     def __init__(self, value=0):
         if type(value) is Fraction or type(value) is int:
@@ -235,16 +246,18 @@ class Scalar:
         by Python's int/int division, so a subnormal is rounded once, to its
         own shorter mantissa, and a value beyond the float range raises
         OverflowError; the correctly rounded midpoint of the enclosure for
-        an interval.  An a + b*sqrt(m) keeps its float once rounded (or as a
-        panel walk set it, ``rules._walk``), so a repeat call reads it."""
-        if self._frac is not None:  # the int/int division float(Fraction) makes
-            return self._frac.numerator / self._frac.denominator
-        if self._sqrt is not None:
+        an interval.  An exact value's kept float (a panel walk sets it,
+        ``rules._walk``) is read first, through the slot, so a walk node
+        forms no Fraction; an a + b*sqrt(m) keeps its float once rounded."""
+        if self._ival is None:
             try:
-                return self._float
+                return Scalar._float.__get__(self)
             except AttributeError:
-                self._float = x = _quad_round(*self._sqrt)
-                return x
+                pass
+            if self._frac is not None:  # the int/int division float(Fraction) makes
+                return self._frac.numerator / self._frac.denominator
+            self._float = x = _quad_round(*self._sqrt)
+            return x
         lo, hi = self.interval()._mpi_
         return to_float(mpf_shift(mpf_add(lo, hi, 0), -1), rnd=round_nearest)
 

@@ -160,15 +160,26 @@ PANEL_INTEGRANDS = {
 }
 
 
+_S3, _S5 = sqrt(Scalar(3)), sqrt(Scalar(5))
+PANEL_ENDS = {
+    "rational": (F(-3, 4), F(1, 4)),
+    "sqrt": (_S3 / 4 - 1, _S3 / 2 + F(1, 3)),  # an irrational width steps the sqrt(3) parts too
+    "thirds": (F(1, 3), F(22, 7)),  # ends over unequal denominators
+    "elevenths": (F(-7, 11), F(5, 13)),
+    # Q(sqrt 5) ends: a sqrt(3) rule's nodes are intervals (Scalar set-up
+    # and expression walk), lobatto4's stay in its own field
+    "sqrt5": (_S5 / 4 - 1, _S5 / 2 + F(1, 3)),
+}
+
+
 @pytest.mark.parametrize("name", PANEL_RULES)
 @pytest.mark.parametrize("fname", sorted(PANEL_INTEGRANDS))
-@pytest.mark.parametrize("n", [1, 5, 64])
-@pytest.mark.parametrize("ends", ["rational", "sqrt"])
+@pytest.mark.parametrize("n, ends", [(n, ends) for n in (1, 5, 64) for ends in PANEL_ENDS]
+                         + [(4097, "thirds")])  # across a chunk of the float sums
 def test_panel_sum_and_nodes_match_the_reference_loop(name, fname, n, ends):
     rule = make_rule(name)
     f, fprime = PANEL_INTEGRANDS[fname]
-    s3 = sqrt(Scalar(3))  # an irrational width steps the sqrt(3) parts too
-    a, b = (F(-3, 4), F(1, 4)) if ends == "rational" else (s3 / 4 - 1, s3 / 2 + F(1, 3))
+    a, b = PANEL_ENDS[ends]
     value, calls = assert_matches_reference(rule, lambda: Recorder(f), a, b, n,
                                             lambda: Recorder(fprime))
     assert len(calls[0]) == n * len(rule.value_nodes)
@@ -701,3 +712,88 @@ def test_certificate_matches_error_bound_additivity():
 def test_infinite_derivative_bound_raises_value_error():
     with pytest.raises(ValueError, match="not a finite number"):
         composite_integrate(make_rule("simpson"), math.exp, 0, 1, 4, 3, deriv_sup=math.inf)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True])
+def test_a_panel_count_that_is_not_an_int_raises_before_any_kernel_work(monkeypatch, n):
+    import peanoquad.composite as composite
+
+    monkeypatch.setattr(composite, "kernel_l1_norm", lambda *args: pytest.fail("kernel read"))
+    with pytest.raises(TypeError, match="panel count n"):
+        composite_integrate(make_rule("simpson"), math.exp, 0, 1, n, 3, 3)
+
+
+@pytest.mark.parametrize("name", SHARING_RULES)
+@pytest.mark.parametrize("ends", ["rational", "sqrt"])
+def test_a_users_f_gets_nodes_that_form_their_fractions_when_read(name, ends):
+    # nodes of a rational walk or a constant sqrt(3) part hold their integers
+    # and float until read; a stepping sqrt(3) part (sqrt(3) ends) is built
+    # at once; lobatto4's Q(sqrt 5) nodes at sqrt(3) ends are intervals
+    rule, (a, b) = make_rule(name), SHARING_ENDS[ends]
+    f = Recorder(lambda t: math.exp(float(t)))
+    composite_integrate(rule, f, a, b, 7, 0, 1, fprime=f)
+    unread = []
+    for t in f.calls:
+        try:
+            Scalar._frac.__get__(t)  # the slot itself: a read through it forms nothing
+        except AttributeError:
+            unread.append(t)
+    assert len(unread) == (len(f.calls) if ends == "rational" else 0)
+
+
+def _expression_certificate(rule, r, a, b, deriv_sup):
+    """n -> the certificate in the order n * M_r * ((b - a)/(2n))^(r+2) * deriv_sup."""
+    m_r = kernel_l1_norm(rule, r).l1_norm
+    a, b, deriv_sup = as_scalar(a), as_scalar(b), as_scalar(deriv_sup)
+    return lambda n: n * m_r * ((b - a) / (2 * n)) ** (r + 2) * deriv_sup
+
+
+CERTIFICATE_ENDS = {
+    "rational": (F(-3, 4), F(1, 4)),
+    "sqrt": SHARING_ENDS["sqrt"],
+    "interval": SHARING_ENDS["interval"],
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RULES)
+@pytest.mark.parametrize("ends", sorted(CERTIFICATE_ENDS))
+@pytest.mark.parametrize("deriv_sup", [F(7, 3), _S3 + 1])
+def test_the_certificate_equals_the_expression_at_every_order(name, ends, deriv_sup):
+    from peanoquad.composite import _certificate
+    from peanoquad.exactness import degree_of_exactness
+
+    rule, (a, b) = make_rule(name), CERTIFICATE_ENDS[ends]
+    for r in range(degree_of_exactness(rule).degree + 1):
+        got, want = _certificate(rule, r, a, b, deriv_sup), _expression_certificate(
+            rule, r, a, b, deriv_sup)
+        for n in (1, 2, 7, 10**4):
+            assert fingerprint(got(n)) == fingerprint(want(n)), (r, n)
+
+
+def _reference_panels(rule, r, deriv_sup, a, b, eps):
+    """The least n whose expression certificate is provably at most eps, by
+    doubling and then bisection."""
+    certificate, eps = _expression_certificate(rule, r, a, b, deriv_sup), as_scalar(eps)
+    too_few = lambda n: eps.lt_definite(certificate(n)) is not False
+    hi = 1
+    while too_few(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1 and lo:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if too_few(mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("name, r", [(name, r) for name in REFERENCE_RULES for r in (0, 1)]
+                         + [("simpson", 3), ("lobatto4", 5)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-15])
+def test_panels_for_tolerance_is_the_least_count_of_the_expression(name, r, eps):
+    # gauss_legendre2: M_0 = 5/3 - 2/3*sqrt(3) (one factor), M_1 an interval
+    rule = make_rule(name)
+    for a, b in [(0, 1), SHARING_ENDS["sqrt"]]:
+        got = panels_for_tolerance(rule, r, F(5, 2), a, b, eps)
+        assert got == _reference_panels(rule, r, F(5, 2), a, b, eps)
+    m_r = kernel_l1_norm(rule, r).l1_norm
+    if name == "gauss_legendre2":
+        assert m_r.to_json_str() == "5/3-2/3*sqrt(3)" if r == 0 else not m_r.is_exact

@@ -112,11 +112,18 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
     assert out["direct/r0/liu_park/scan[49/100,51/100]"]["branch_points"][0]["scalar"] == "1/2"
     # composite sums of math.exp at sqrt(3) and interval ends, and at liu_park_gauss's double nodes
     composite = {key: out[key] for key in out if key.startswith("direct/composite/")}
-    assert len(composite) == 30 and not any("raised" in v for v in composite.values())
+    assert len(composite) == 39
+    assert not any("raised" in v for v in composite.values() if isinstance(v, dict))
     assert composite["direct/composite/gauss_legendre2@sqrt3/n7"]["value"]["tier"] == "sqrt"
     assert composite["direct/composite/simpson@interval/n1"]["value"]["tier"] == "interval"
     # and of a user's f where no operation takes it: lambdas and a mixed f
     assert composite["direct/composite/lambda-exp/liu_park_gauss@sqrt3/n7"]["value"]["tier"] == "sqrt"
     assert composite["direct/composite/mixed/liu_park_gauss@rational/n4097"]["panels"] == 4097
-    assert len(out) == 354
+    # at ends over unequal denominators, sqrt(3) rules at Q(sqrt 5) ends, and
+    # the panel counts of gauss_legendre2 at r = 0 and 1
+    assert composite["direct/composite/radau2@thirds/n7"]["value"]["tier"] == "rational"
+    assert composite["direct/composite/gauss_legendre2@sqrt5/n7"]["value"]["tier"] == "sqrt"
+    assert all(type(composite[f"direct/composite/panels/gauss_legendre2/r{r}"]) is int
+               for r in (0, 1))
+    assert len(out) == 363
     assert out == same_outputs.direct_outputs(pq)

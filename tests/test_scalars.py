@@ -542,3 +542,93 @@ def test_quad_widened_rounds_each_end_once():
                 assert wlo <= lo and hi <= whi
     finally:
         set_working_dps(60)
+
+
+#: panel walks (a0, a1, b0, b1, e, m, size) whose nodes form their Fractions
+#: when read: rational (over Q and inside a Q(sqrt 3) plan) and with a
+#: constant sqrt(3) part of either sign
+LAZY_WALKS = [(-7, 3, 0, 0, 12, 1, 9), (-7, 3, 0, 0, 12, 3, 9), (-7, 3, 2, 0, 12, 3, 9),
+              (5, -4, -9, 0, 6, 3, 9)]
+
+
+def _walk_and_eager(walk):
+    """The nodes of rules._walk, each unread, beside the Scalar built at once."""
+    from peanoquad.rules import _walk
+    from peanoquad.scalars import _quad
+
+    a0, a1, b0, _, e, m, size = walk
+    eager = [_quad(F(a0 + k * a1, e), F(b0, e), m) for k in range(size)]
+    return list(_walk(*walk)), eager
+
+
+def _unread(node) -> bool:
+    """True while neither _frac nor _sqrt is set (read through the slots)."""
+    for slot in ("_frac", "_sqrt"):
+        try:
+            Scalar.__dict__[slot].__get__(node)
+            return False
+        except AttributeError:
+            pass
+    return True
+
+
+_S3, _THIRD = sqrt(Scalar(3)), Scalar(F(1, 3))
+#: what a caller may read of a node first: its parts, its string, its float,
+#: and its arithmetic and order with a rational and with sqrt(3)
+LAZY_READS = {
+    "parts": lambda t: (t._frac, t._sqrt),
+    "json": lambda t: (t.to_json_str(), str(t), t.is_rational, t.is_exact),
+    "float": float,
+    "rational": lambda t: (str(t + _THIRD), str(_THIRD / t), str(-t), t < _THIRD),
+    "sqrt3": lambda t: (str(t * _S3), str(_S3 - t), t < _S3, _S3 == t),
+    "hash": lambda t: pytest.raises(TypeError, hash, t).type,  # == and no hash, walked or not
+}
+
+
+@pytest.mark.parametrize("read", sorted(LAZY_READS))
+@pytest.mark.parametrize("walk", LAZY_WALKS)
+def test_a_walk_node_reads_as_the_eagerly_built_scalar(walk, read):
+    lazy, eager = _walk_and_eager(walk)
+    assert all(type(t) is Scalar and _unread(t) for t in lazy)
+    assert [LAZY_READS[read](t) for t in lazy] == [LAZY_READS[read](u) for u in eager]
+    # float() reads the kept float; hash() reads nothing
+    assert all(_unread(t) for t in lazy) == (read in ("float", "hash"))
+    assert all(t == u and u == t and not t != u for t, u in zip(*_walk_and_eager(walk)))
+
+
+@pytest.mark.parametrize("walk", LAZY_WALKS)
+def test_a_copied_or_pickled_walk_node_is_the_same_scalar(walk):
+    import copy
+    import pickle
+
+    lazy, eager = _walk_and_eager(walk)
+    for t, u in zip(lazy, eager):
+        for again in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+            assert type(again) is Scalar and again == u and again.to_json_str() == u.to_json_str()
+            assert float(again) == float(u)
+
+
+def test_a_scalar_still_raises_attribute_error_for_an_unset_slot():
+    with pytest.raises(AttributeError):
+        Scalar(1).missing
+    with pytest.raises(AttributeError):
+        Scalar(1)._walk
+    with pytest.raises(AttributeError):
+        sqrt(Scalar(2))._walk
+    bare = object.__new__(Scalar)  # no slot set, no walk to form from
+    for slot in ("_frac", "_sqrt", "_walk", "_float"):
+        with pytest.raises(AttributeError):
+            getattr(bare, slot)
+
+
+@pytest.mark.parametrize("walk", LAZY_WALKS)
+def test_dual_arithmetic_with_a_walk_node_is_unchanged(walk):
+    from peanoquad.scalars import _Dual
+
+    d = _Dual(Scalar(F(2, 5)), F(-3, 7))
+    lazy, eager = _walk_and_eager(walk)
+    for t, u in zip(lazy, eager):
+        for got, want in ((t + d, u + d), (d * t, d * u), (t / d, u / d), (d - t, d - u),
+                          (_Dual(t, 1) * t, _Dual(u, 1) * u)):
+            assert type(got) is type(want)
+            assert [str(x) for x in _Dual.parts(got)] == [str(x) for x in _Dual.parts(want)]

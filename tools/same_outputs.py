@@ -57,7 +57,12 @@ of ``float(t)``, its own derivative) with each of those rules at n = 7 on
 the sqrt(3) ends, and with liu_park_gauss at n = 4097 on [-3/4, 1/4] (its
 columns cross a chunk of the float sums); and an f of Fractions at some
 nodes and floats at others with simpson at n = 7 and liu_park_gauss at
-n = 4097 on [-3/4, 1/4].  354 calls in all.
+n = 4097 on [-3/4, 1/4].  Then math.exp again at n = 7: with each of those
+rules on [1/3, 22/7] (ends over unequal denominators), and with
+gauss_legendre2 and liu_park_gauss on [sqrt(5)/4 - 1, sqrt(5)/2 + 1/3]
+(sqrt(3) nodes at Q(sqrt 5) ends: interval nodes); and
+``panels_for_tolerance`` of gauss_legendre2 on [0, 1] at eps = 1e-9 for
+r = 0 (M_0 in Q(sqrt 3)) and r = 1 (M_1 an interval).  363 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -277,15 +282,26 @@ def _composite(pq, name: str, ends: str, n: int, fname: str = "exp"):
     ``COMPOSITE_INTEGRANDS`` with the rule ``name`` on n panels of the
     interval ``ends`` names."""
     s3, tiny, lo, hi = pq.sqrt(pq.Scalar(3)), Fraction(1, 10**40), Fraction(-3, 4), Fraction(1, 4)
+    s5 = pq.sqrt(pq.Scalar(5))
     a, b = {"sqrt3": (s3 / 4 - 1, s3 / 2 + Fraction(1, 3)), "rational": (lo, hi),
-            "interval": [pq.Scalar.from_interval(x - tiny, x + tiny) for x in (lo, hi)]}[ends]
+            "interval": [pq.Scalar.from_interval(x - tiny, x + tiny) for x in (lo, hi)],
+            "thirds": (Fraction(1, 3), Fraction(22, 7)),
+            "sqrt5": (s5 / 4 - 1, s5 / 2 + Fraction(1, 3))}[ends]
     f, fprime = COMPOSITE_INTEGRANDS[fname]
     return pq.composite_integrate(pq.make_rule(name), f, a, b, n, 0, 1, fprime)
 
 
+def _panels(pq, name: str, r: int) -> int:
+    """``panels_for_tolerance`` of the rule ``name`` at order r on [0, 1], with
+    deriv_sup 5/2 and eps 1e-9."""
+    return pq.panels_for_tolerance(pq.make_rule(name), r, Fraction(5, 2), 0, 1,
+                                   Fraction(1, 10**9))
+
+
 def _composite_calls(pq, call) -> None:
     """The composite sums of math.exp at the ends and panel counts that no
-    operation uses, and of a user's f in the lanes that no operation reaches."""
+    operation uses, and of a user's f in the lanes that no operation reaches;
+    the panel counts of gauss_legendre2 at r = 0 and 1."""
     for ends in ("sqrt3", "interval", "rational"):
         for name in COMPOSITE_RULES if ends != "rational" else ("liu_park_gauss",):
             for n in (1, 7):
@@ -295,6 +311,12 @@ def _composite_calls(pq, call) -> None:
              ("mixed", "simpson", "rational", 7), ("mixed", "liu_park_gauss", "rational", 4097)]
     for fname, name, ends, n in user:
         call(f"direct/composite/{fname}/{name}@{ends}/n{n}", _composite, pq, name, ends, n, fname)
+    for name in COMPOSITE_RULES:  # rational ends over unequal denominators
+        call(f"direct/composite/{name}@thirds/n7", _composite, pq, name, "thirds", 7)
+    for name in ("gauss_legendre2", "liu_park_gauss"):  # sqrt(3) rules at Q(sqrt 5) ends
+        call(f"direct/composite/{name}@sqrt5/n7", _composite, pq, name, "sqrt5", 7)
+    for r in (0, 1):  # M_0 = 5/3 - 2/3*sqrt(3), one exact factor; M_1 an interval
+        call(f"direct/composite/panels/gauss_legendre2/r{r}", _panels, pq, "gauss_legendre2", r)
 
 
 def direct_outputs(pq) -> dict:
