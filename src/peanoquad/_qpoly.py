@@ -4,8 +4,9 @@ Root isolation works in Z[t], on lists of integers (index i holds the
 coefficient of t**i): pseudo-remainders, primitive gcds, exact quotients,
 Yun's squarefree split (Cohen, *A Course in Computational Algebraic Number
 Theory*, sections 3.1-3.3) and the sign-variation count of Descartes' rule
-on a window (``sign_variations``), which clears a window with no root, or
-with one simple root, before any gcd or Sturm chain.  ``int_parts`` is the
+on a window (``sign_variations``), the one root count of the exact engine:
+it clears a window with no root, or with one simple root, before any gcd,
+and settles each cell of the bisection after.  ``int_parts`` is the
 one reader of plain exact Scalars into integers, and a rule's nodes and
 weights are read once (``_rule_ints``).  The Peano kernel pass of plain
 exact data uses pairs (A, B) of integer lists over one denominator d,

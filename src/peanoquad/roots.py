@@ -3,19 +3,21 @@
 One exact engine works on rational coefficients, in integers: the input is
 made a primitive polynomial of Z[t] once, roots at the window ends are
 divided out by synthetic division, and linear and quadratic pieces get
-closed forms.  Higher degrees are split by Yun over Z[t] and isolated with
-Sturm chains of primitive pseudo-remainders.  A bracket A/d < t < B/d is
-refined on the dyadic grid of bisection, in integers: eight halvings by
-doubling A, B and d, then Newton steps that each double the number of
-halvings done, every one settled by the signs of f at grid points (Abbott,
-"Quadratic interval refinement for real roots", ACM Comm. Computer Algebra
-48, 2014).  It ends in the cell that bisection ends in.  A rational root is
-recognised by a continued-fraction walk for the simplest rational in a
-cell.  So roots like 1/3 are reported exactly, irrational roots of Yun
-factors of degree <= 2 as exact a + b*sqrt(m), and the rest (a quadratic
-irrational inside a squarefree factor of degree >= 3 too) as brackets of
-width at most the tolerance, each holding one root and keeping its exact
-cell on the ``Root``.  Every input reduces to it:
+closed forms.  Higher degrees are split by Yun over Z[t] and isolated by
+bisection, each cell counted by Descartes' rule of signs alone: no sign
+variation leaves no root, one leaves one (Collins and Akritas, SYMSAC
+1976).  A bracket A/d < t < B/d is refined on the dyadic grid of
+bisection, in integers: eight halvings by doubling A, B and d, then Newton
+steps that each double the number of halvings done, every one settled by
+the signs of f at grid points (Abbott, "Quadratic interval refinement for
+real roots", ACM Comm. Computer Algebra 48, 2014).  It ends in the cell
+that bisection ends in.  A rational root is recognised by a
+continued-fraction walk for the simplest rational in a cell.  So roots like
+1/3 are reported exactly, irrational roots of Yun factors of degree <= 2 as
+exact a + b*sqrt(m), and the rest (a quadratic irrational inside a
+squarefree factor of degree >= 3 too) as brackets of width at most the
+tolerance, each holding one root and keeping its exact cell on the
+``Root``.  Every input reduces to it:
 
 * coefficients in one field Q(sqrt m): p = A + B*sqrt(m) with A, B in Q[t]
   (B = 0 for rationals).  The roots of G = gcd(A, B) are isolated directly,
@@ -34,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DegreeTooHigh
-from ._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _idiv, _igcd, _ints, _prem, _primitive,
+from ._qpoly import (_fderiv, _fdeg, _fmul, _fsub, _ftrim, _idiv, _igcd, _ints, _primitive,
                      _yun_squarefree, int_horner, sign_variations, zm_horner)
 from .polynomials import Polynomial
 from .scalars import (Scalar, _common_field, _extract_square, _quad, _quad_sign, as_scalar,
@@ -64,29 +66,6 @@ class Root:
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
-
-
-def _sturm_chain_int(c: list[int]) -> list[list[int]]:
-    """c, c' and the negated remainders, each made primitive; pseudo-remainders
-    scaled by a power of |lc| keep every sign of the chain over Q."""
-    chain = [_primitive(c), _primitive(_fderiv(c))]
-    while _fdeg(chain[-1]) > 0:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive([-x for x in r]))
-    return [p for p in chain if p]
-
-
-def _variations(chain: list[list[int]], u: int, v: int) -> int:
-    """Sign changes along the chain at u/v (v > 0), zeros skipped."""
-    count, last = 0, 0
-    for p in chain:
-        s = _sign(int_horner(p, u, v))
-        if s:
-            count += last * s < 0
-            last = s
-    return count
 
 
 def _simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
@@ -219,10 +198,12 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     first count the sign variations V of Descartes' rule on the window
     (``_qpoly.sign_variations``): V = 0 leaves no root, and V = 1 with no
     factor in Yun's split but the input itself leaves one simple root, whose
-    bracket is the whole window, as a Sturm count of 1 would give.  Else
-    Yun's split goes on, and factors above degree 2 are isolated with integer
-    Sturm chains; a rational root that their bisection hits is divided out,
-    and a cofactor of degree 2 goes to the closed form, with its factor's lead.
+    bracket is the whole window.  Else Yun's split goes on, and each factor
+    above degree 2 is bisected, each cell settled by its own V: 0 drops it,
+    1 makes it a bracket, more splits it at its midpoint, which ends since
+    the factors are squarefree.  A rational root that the bisection hits at
+    a midpoint is divided out, and a cofactor of degree 2 goes to the closed
+    form, with its factor's lead.
     """
     c = _primitive(coeffs)
     for p, q in ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)):
@@ -248,25 +229,20 @@ def _isolate_rational(coeffs: list[int], lo: Fraction, hi: Fraction, tol: Fracti
     for f, mult in split:
         scale = lead if f is c else 1  # Yun's split factors are monic over Q: 1 names their fields
         while _fdeg(f) > 2:
-            exact_hit = None
-            chain = _sturm_chain_int(f)
-            # (A, B, e, variations at A/e, at B/e); bisection doubles A, B and e
-            stack = [(L, H, d, _variations(chain, L, d), _variations(chain, H, d))]
-            brackets = []
+            exact_hit, brackets, stack = None, [], [(L, H, d)]  # bisection doubles A, B and e
             while stack:
-                A, B, e, va, vb = stack.pop()
-                if va - vb <= 0:
-                    continue
-                if va - vb == 1:
+                A, B, e = stack.pop()
+                v = sign_variations(f, A, B, e)
+                if v == 1:
                     brackets.append((A, B, e))
+                if v < 2:
                     continue
                 M = A + B
                 if int_horner(f, M, 2 * e) == 0:
                     exact_hit = Fraction(M, 2 * e)
                     break
-                vm = _variations(chain, M, 2 * e)
-                stack.append((2 * A, M, 2 * e, va, vm))
-                stack.append((M, 2 * B, 2 * e, vm, vb))
+                stack.append((2 * A, M, 2 * e))
+                stack.append((M, 2 * B, 2 * e))
             if exact_hit is None:
                 f = tuple(f)
                 found.extend(None if count else _refine_single(f, A, B, e, tol, mult)
@@ -371,20 +347,18 @@ def _window(c: list[int], lo: Fraction, hi: Fraction, ends) -> tuple[Fraction, F
     set the bisection grid, except that an end which rounds inward (lo above
     its exact end e, hi below) moves out to e's rational bound on the other
     side when c has a root in the sliver between the two, or at either of
-    its ends.  Sturm counts at the two sliver ends (one chain of c for both
-    window ends) settle that; a root of c inside the exact window is then
-    inside this one."""
-    window, chain = [lo, hi], None
+    its ends.  The engine's own count settles that (``_isolate_rational``
+    with ``count``); a root of c inside the exact window is then inside this
+    one."""
+    window = [lo, hi]
     for i, (x, end) in enumerate(zip(window, ends)):
         side = 1 - 2 * i  # lo rounds inward when lo > e, hi when hi < e
         if end is None or _sign_against(x, end) != side:
             continue
         y = end[3 + i]  # l below e for lo, u above e for hi
         u, v = (y, x) if side > 0 else (x, y)
-        chain = chain or _sturm_chain_int(c)
-        ints = [(t.numerator, t.denominator) for t in (u, v)]
-        if (any(int_horner(c, *t) == 0 for t in ints)
-                or _variations(chain, *ints[0]) != _variations(chain, *ints[1])):
+        if (any(int_horner(c, t.numerator, t.denominator) == 0 for t in (u, v))
+                or _isolate_rational(c, u, v, DEFAULT_ROOT_TOL, 1, count=True)):
             window[i] = y
     return window[0], window[1]
 
@@ -452,7 +426,7 @@ def _exact_sign(x: Scalar, a: Fraction, b: Fraction, k: int) -> int:
 
 
 def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, hi: Fraction,
-                       tol: Fraction) -> list[Root]:
+                       ends, tol: Fraction) -> list[Root]:
     """Brackets for interval or mixed-radicand coefficients, from the
     polynomial q of exact enclosure midpoints, read once as integers Q over
     one denominator.  Where p's enclosure at an end contains zero, a line is
@@ -476,7 +450,7 @@ def _isolate_midpoints(p: Polynomial, lo_s: Scalar, hi_s: Scalar, lo: Fraction, 
     Q = _ftrim([z * Q[0] - a, z * Q[1] - b] + [z * c for c in Q[2:]])  # q is Q/(w*z) from here on
     if _fdeg(Q) < 1:
         return []
-    out, ends = [], (_irrational_end(lo_s), _irrational_end(hi_s))
+    out = []
     for r in _clip(_isolate_rational(Q, *_window(Q, lo, hi, ends), tol, Fraction(Q[-1], w * z)),
                    ends):
         qa, qb = r.location.bounds()
@@ -514,12 +488,14 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     come back exactly, the rest as interval scalars of width at most
     ``DEFAULT_ROOT_TOL``, each certain to hold one root (so 3 - sqrt(6), a
     root of t(t^2 - 6t + 3), is a bracket): the cell that bisection of its
-    Sturm bracket would end in, kept exactly as ``Root.bracket``.  A
+    isolating bracket would end in, kept exactly as ``Root.bracket``.  A
     ``Polynomial.of_ints`` is read from its integers, at the scale 1/den, and
     other exact coefficients as integers over their common denominator.
     A window end a + b*sqrt(m) is exact for them too: a root at it or
     beyond it is left out, and one just inside it is found, however close
     (``_window``, ``_clip``); a bracket across it is halved to its root's side.
+    Exact ends that round to one double, or past each other, set the grid
+    from their outer rational bounds.
     Interval or mixed-radicand coefficients give brackets about a quarter
     of it wider, flagged ``certified`` only where p provably changes sign,
     around the roots of their midpoint polynomial that lie inside such an
@@ -530,6 +506,9 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
         raise DegreeTooHigh(f"degree {p.degree} exceeds the limit {DEGREE_LIMIT}")
     lo_s, hi_s = as_scalar(lo), as_scalar(hi)
     lof, hif = _rounded(lo_s), _rounded(hi_s)
+    ends = (_irrational_end(lo_s), _irrational_end(hi_s))
+    if not lof < hif and lo_s.is_exact and hi_s.is_exact and lo_s.lt_definite(hi_s):
+        lof, hif = (x if e is None else e[3 + i] for i, (x, e) in enumerate(zip((lof, hif), ends)))
     if not lof < hif:
         raise ValueError("isolate_roots requires lo < hi")
     if p.degree < 1:
@@ -539,11 +518,10 @@ def isolate_roots(p: Polynomial, lo, hi) -> tuple[Root, ...]:
     else:
         parts = field_parts(p.coeffs)
         if parts is None:
-            return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, DEFAULT_ROOT_TOL))
+            return tuple(_isolate_midpoints(p, lo_s, hi_s, lof, hif, ends, DEFAULT_ROOT_TOL))
         m, ab = parts
         *AB, den = _ints(*(x for pair in ab for x in pair))
         A, B = AB[::2], AB[1::2]
-    ends = (_irrational_end(lo_s), _irrational_end(hi_s))
     return tuple(_isolate_field(_ftrim(list(A)), _ftrim(list(B)), den, m, lof, hif, DEFAULT_ROOT_TOL,
                                 ends))
 

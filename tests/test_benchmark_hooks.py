@@ -1,7 +1,8 @@
 """Names that the benchmark in perfbench/ reads from outside the package.
 
 perfbench/run.py watches roots._isolate_rational for its per-operation
-deadline and traces rules.apply_rule by name (a traced name that no longer
+deadline (every root count of the exact engine runs under such a frame) and
+traces rules.apply_rule by name (a traced name that no longer
 exists, such as rules.map_rule_to_interval, reads as 0 calls),
 and perfbench/tracer.py tells exact from interval scalars by the _frac and
 _sqrt slots, and reads the coeffs and evaluate of each polynomial that
@@ -9,10 +10,12 @@ isolate_roots gets.  Renaming any of them breaks the benchmark, so pin them.
 """
 
 import inspect
+import sys
 from fractions import Fraction as F
 
 import peanoquad
-from peanoquad import Scalar, family, kernel_l1_norm, make_rule, peano, roots, rules, sqrt
+from peanoquad import (Polynomial, Scalar, family, isolate_roots, kernel_l1_norm, make_rule,
+                       peano, roots, rules, sqrt)
 from util import reference_build_kernel, unshared
 
 
@@ -24,6 +27,39 @@ def test_traced_rule_functions_stay_public():
 
 def test_isolate_rational_is_a_function():
     assert inspect.isfunction(roots._isolate_rational)
+
+
+def test_every_root_count_runs_inside_an_isolate_rational_frame(monkeypatch):
+    # the hang watch walks the stack up to an _isolate_rational frame: the
+    # counts of a bisection and of the sliver test at an irrational window
+    # end (from _window, by the count-only engine) are all under one
+    watched, window, stacks = roots._isolate_rational.__code__, roots._window.__code__, []
+    count = roots.sign_variations
+
+    def spy(*args):
+        frame, codes = sys._getframe(1), set()
+        while frame is not None:
+            codes.add(frame.f_code)
+            frame = frame.f_back
+        stacks.append(codes)
+        return count(*args)
+
+    monkeypatch.setattr(roots, "sign_variations", spy)
+    e = sqrt(Scalar(F(1, 3)))
+    r = F(float(e.interval().mid)) + F(1, 10**40)
+    def lin(x):
+        return Polynomial([-x, 1])
+
+    tau = e.bounds()[1] + F(1, 10**70)  # a root within 1e-59 of e, of a cubic
+    polys = [lin(r), lin(r) * lin(r + F(1, 10**45)) * lin(F(7, 10)),
+             lin(tau) * Polynomial([-7, 0, 1]), Polynomial([F(-1, 3), 0, 1])]
+    for p in polys:
+        for lo, hi in ((0, e), (e, 1), (-e, e), (-e / 2, 1)):
+            isolate_roots(p, lo, hi)
+            isolate_roots(Polynomial([c * (-1) ** k for k, c in enumerate(p.coeffs)]), -hi, -lo)
+    assert any(window in codes for codes in stacks)
+    kernel_l1_norm(unshared(make_rule("lobatto4")), 3)
+    assert len(stacks) > 100 and all(watched in codes for codes in stacks)
 
 
 def test_scalar_tier_slots():

@@ -11,9 +11,10 @@ import pytest
 from peanoquad import DegreeTooHigh, Polynomial, Scalar, isolate_roots, sqrt
 from peanoquad.scalars import as_scalar
 from peanoquad._qpoly import _fmul, _ints
-from peanoquad.roots import _simplest_in_open, _sturm_chain_int
-from util import (REFERENCE_EXITS, fdivmod, fraction_eval, reference_isolate_roots,
-                  reference_simplest_in_open, reference_sturm_chain_int, yun_squarefree)
+from peanoquad.roots import DEFAULT_ROOT_TOL, _isolate_rational, _simplest_in_open
+from util import (REFERENCE_EXITS, fdivmod, fraction_eval, reference_isolate_rational,
+                  reference_isolate_roots, reference_simplest_in_open, reference_sturm_chain_int,
+                  yun_squarefree)
 
 
 def sign_scan_oracle(fn, lo, hi, n=100001):
@@ -401,7 +402,7 @@ def test_integer_engine_matches_the_fraction_reference():
 
 
 def test_quadratic_cofactor_of_an_exact_hit_takes_the_closed_form():
-    # over (-1, 1) the Sturm bisection hits the root 0 at its first midpoint
+    # over (-1, 1) the bisection hits the root 0 at its first midpoint
     # and divides it out; over (0, 1) the root 0 is a window end.  Both leave
     # t**2 - 6t + 3, whose root 3 - sqrt(6) is named alike: by the input's
     # scale (53**2 stays in the discriminant), or by lead 1 for a factor of
@@ -418,7 +419,7 @@ def test_quadratic_cofactor_of_an_exact_hit_takes_the_closed_form():
 
 
 # --------------------------------------------------------------------------
-# Descartes' rule of signs before Yun's split and the Sturm chains
+# Descartes' rule of signs before Yun's split and in its bisection
 
 
 def _descartes_cases(rng):
@@ -556,16 +557,20 @@ def test_simplest_rational_matches_the_fraction_reference():
 
 def test_sturm_chain_keeps_the_signs_of_the_fraction_chain():
     # pseudo-remainders scaled by lc instead of |lc| flip the sign of a
-    # remainder after a negative leading coefficient and miscount roots
+    # remainder after a negative leading coefficient and miscount roots: the
+    # Fraction reference counts by such chains, the engine by Descartes'
+    # rule alone, and on these polynomials both find the same roots
     rng = random.Random(31)
     polys = [[5, -3, 0, 2, -7], [-1, 4, 0, -6, 1, -2], [3, 0, -9, 2, 0, 0, -1]]
     polys += [[rng.randint(-9, 9) for _ in range(rng.randint(4, 9))] + [rng.choice((-3, -1, 2))]
               for _ in range(40)]
     negative_inner = 0
     for c in polys:
-        chain = _sturm_chain_int(c)
-        assert chain == reference_sturm_chain_int(c), c
-        negative_inner += any(p[-1] < 0 for p in chain[1:-1])
+        for lo, hi in ((F(-10), F(10)), (F(-1), F(1)), (F(-1, 3), F(7, 5))):
+            got = _isolate_rational(c, lo, hi, DEFAULT_ROOT_TOL, F(c[-1]))
+            want = reference_isolate_rational([F(x) for x in c], lo, hi, DEFAULT_ROOT_TOL)
+            assert _engine_keys(got) == _engine_keys(want), (c, lo, hi)
+        negative_inner += any(p[-1] < 0 for p in reference_sturm_chain_int(c)[1:-1])
     assert negative_inner >= 10
 
 
@@ -819,13 +824,14 @@ def _check_window(p, lo, hi, taus, bracketed=False):
     """isolate_roots(p, lo, hi), and of p(-t) on (-hi, -lo), give one root per
     tau (Scalars, in increasing order), each strictly inside the exact
     window: an exact root equal to tau, or a cell of the exact engine that
-    holds tau."""
+    holds tau; only cells with ``bracketed``, only exact roots without it,
+    and either with ``bracketed=None``."""
     for q, a, b, want in ((p, lo, hi, taus), (_mirrored(p), -hi, -lo, [-t for t in taus[::-1]])):
         a, b = as_scalar(a), as_scalar(b)
         got = isolate_roots(q, a, b)
         assert len(got) == len(want), (q.coeffs, a, b, got)
         for rt, tau in zip(got, want):
-            assert rt.is_exact() is not bracketed, rt
+            assert bracketed is None or rt.is_exact() is not bracketed, rt
             if rt.is_exact():
                 assert rt.location == tau and a < rt.location < b
             else:
@@ -882,3 +888,36 @@ def test_a_bracket_across_an_exact_end_keeps_the_side_of_its_root():
         tau = Scalar(tau)
         _check_window(p, 0, E3, [tau] if side < 0 else [], bracketed=True)
         _check_window(p, E3, 1, [tau] if side > 0 else [], bracketed=True)
+
+
+def test_a_sliver_with_two_roots_widens_the_window():
+    # r1 < r2 lie 1e-45 apart between the double of e and e: both in the
+    # sliver that the count-only engine bisects, at V >= 2, to find them
+    r1 = F(float(E3.interval().mid)) + F(1, 10**40)
+    r2 = r1 + F(1, 10**45)
+    assert Scalar(r2) < E3
+    p = Polynomial([-r1, 1]) * Polynomial([-r2, 1]) * Polynomial([F(-7, 10), 1])
+    _check_window(p, 0, E3, [Scalar(r1), Scalar(r2)], bracketed=None)
+    _check_window(p, E3, 1, [Scalar(F(7, 10))], bracketed=None)
+
+
+def test_exact_ends_that_round_to_one_double_keep_their_window():
+    # both ends round to the double of sqrt(2): the grid starts from their
+    # outer rational bounds, and the roots outside the exact window are dropped
+    from peanoquad import custom_rule, kernel_l1_norm
+
+    tiny, r2 = F(1, 10**30), sqrt(Scalar(2))
+    assert float((r2 - tiny).interval().mid) == float((r2 + tiny).interval().mid)
+    p = Polynomial([-2, 0, 1])
+    assert [rt.location for rt in isolate_roots(p, r2 - tiny, r2 + tiny)] == [r2]
+    assert isolate_roots(p, r2 + tiny, r2 + 2 * tiny) == ()
+    with pytest.raises(ValueError, match="lo < hi"):
+        isolate_roots(p, r2 + tiny, r2 - tiny)
+    # a rule with nodes 1e-30 apart: its constants are those of the merged rule, to O(1e-30)
+    a = sqrt(Scalar(F(1, 2)))
+    near = custom_rule("near", [(-a - tiny, F(1, 2)), (-a, F(1, 2)), (a, F(1, 2)),
+                                (a + tiny, F(1, 2))])
+    merged = custom_rule("merged", [(-a, 1), (a, 1)])
+    m0 = kernel_l1_norm(near, 0).l1_norm
+    assert m0.is_exact and abs(m0 - (2 - sqrt(Scalar(2)))) < 10 * tiny
+    assert abs(kernel_l1_norm(near, 1).l1_norm - kernel_l1_norm(merged, 1).l1_norm) < 10 * tiny

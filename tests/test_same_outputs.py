@@ -96,7 +96,9 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
                               "direct/interval-window(0,e)", "direct/interval-window(e,1)"]
                            + [f"direct/roots/{label}" for label in (
                                "53t(t2-6t+3)(t-5)2(-1,1)", "53t(t2-6t+3)(t-5)2(0,1)",
-                               "t3-6t2+3t(-1,1)", "(10t2-10t+3)(t+5)(0,1)")])
+                               "t3-6t2+3t(-1,1)", "(10t2-10t+3)(t+5)(0,1)",
+                               "t2-2(sqrt2+-1e-30)")]
+                           + ["direct/near-nodes/M0", "direct/near-nodes/M1"])
     assert not any("raised" in out[key] for key in lanes if isinstance(out[key], dict))
     assert out["direct/alomari4@1/5+-1e-40/minimize0"]["x"]["scalar"] == "2/5"
     assert len(out["direct/alomari4@sqrt(1/20)/scan1"]["grid"]) == 9
@@ -125,5 +127,8 @@ def test_the_direct_calls_cover_each_parameter_free_rule_at_each_precision():
     assert composite["direct/composite/gauss_legendre2@sqrt5/n7"]["value"]["tier"] == "sqrt"
     assert all(type(composite[f"direct/composite/panels/gauss_legendre2/r{r}"]) is int
                for r in (0, 1))
-    assert len(out) == 363
+    # exact ends that round to one double: sqrt(2) itself, and an exact M_0
+    assert out["direct/roots/t2-2(sqrt2+-1e-30)"][0]["location"]["scalar"] == "sqrt(2)"
+    assert out["direct/near-nodes/M0"]["m"]["tier"] == "sqrt"
+    assert len(out) == 366
     assert out == same_outputs.direct_outputs(pq)

@@ -141,11 +141,12 @@ def test_traffic_lists_reached_and_unreached_statements(tmp_path):
     assert lines[-2] == "13 of 21 statements reached over 31 ops; 4 of 7 functions never entered"
     # the direct calls, apart: at each of 3 precisions, 4 rules of degree 0
     # (exactness, M_0 and 2 identities each), then 8 scans and minimizers,
-    # 9 root windows, 15 r = 0 bound functions (each raises: the fake API
-    # has no bounds module), one scan, 37 composite sums and 2 panel counts
-    # (each raises: no composite_integrate, no panels_for_tolerance); they
-    # enter Box.grow, outer and unused only
-    assert lines[-1] == ("4 of 21 statements reached over 120 direct calls; "
+    # 10 root windows, 2 kernels of a near-node rule, 15 r = 0 bound
+    # functions (each raises: the fake API has no bounds module), one scan,
+    # 37 composite sums and 2 panel counts (each raises: no
+    # composite_integrate, no panels_for_tolerance); they enter Box.grow,
+    # outer and unused only
+    assert lines[-1] == ("4 of 21 statements reached over 123 direct calls; "
                          "4 of 7 functions never entered")
     by_name = {line.split()[0]: line for line in lines[:-2]}
     assert by_name["core.used"] == "core.used  5/6  never: 7"

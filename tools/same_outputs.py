@@ -38,9 +38,12 @@ t - r on (0, e), t + r on (-e, 0) and t - r on (e, 1); on the same windows
 (0, e) and (e, 1) for t + c, c = -r +- 1e-50 an interval; and on windows
 that reach each exit of the exact engine after the sign-variation count V
 of Descartes' rule: 53t(t^2 - 6t + 3)(t - 5)^2 on (-1, 1) and on (0, 1)
-(there V = 1 with a repeated factor), t^3 - 6t^2 + 3t on (-1, 1) (a Sturm
-bisection that hits the root 0) and (10t^2 - 10t + 3)(t + 5) on (0, 1)
-(V = 2 and no root).  Last, at 60 digits too, one call per family of
+(there V = 1 with a repeated factor), t^3 - 6t^2 + 3t on (-1, 1) (a
+bisection that hits the root 0 at its first midpoint) and
+(10t^2 - 10t + 3)(t + 5) on (0, 1) (V = 2 and no root); and on exact ends
+that round to one double: t^2 - 2 on (sqrt(2) - 1e-30, sqrt(2) + 1e-30), and
+``kernel_l1_norm`` at r = 0 and 1 of the rule with nodes -a - 1e-30, -a, a
+and a + 1e-30, a = sqrt(1/2), each of weight 1/2.  Last, at 60 digits too, one call per family of
 ``R0_FAMILIES`` (those the tests scan) for its r = 0 bound function: the
 signature (a fresh probe), value and slope at each closed domain end, at 0,
 +-1/3, +-1/2 and +-1 where the domain holds them (nodes meet, or a root c_i
@@ -62,7 +65,7 @@ rules on [1/3, 22/7] (ends over unequal denominators), and with
 gauss_legendre2 and liu_park_gauss on [sqrt(5)/4 - 1, sqrt(5)/2 + 1/3]
 (sqrt(3) nodes at Q(sqrt 5) ends: interval nodes); and
 ``panels_for_tolerance`` of gauss_legendre2 on [0, 1] at eps = 1e-9 for
-r = 0 (M_0 in Q(sqrt 3)) and r = 1 (M_1 an interval).  363 calls in all.
+r = 0 (M_0 in Q(sqrt 3)) and r = 1 (M_1 an interval).  366 calls in all.
 
 The ids of the operations, the names of the demos and the ids of the direct
 calls whose outputs differ are printed; the second-to-last line counts the
@@ -200,8 +203,9 @@ def _kernel(pq, rule, r: int) -> dict:
 
 def _lane_calls(pq, call) -> None:
     """The scans and minimizers of alomari4 at an irrational and at an
-    interval lambda, the root windows with an exact irrational end, and the
-    root windows of the exits of the exact engine."""
+    interval lambda, the root windows with an exact irrational end, the
+    root windows of the exits of the exact engine, and exact ends that round
+    to one double."""
     tiny = Fraction(1, 10**40)
     lams = {"sqrt(1/20)": pq.sqrt(pq.Scalar(Fraction(1, 20))),
             "1/5+-1e-40": pq.Scalar.from_interval(Fraction(1, 5) - tiny, Fraction(1, 5) + tiny)}
@@ -223,6 +227,13 @@ def _lane_calls(pq, call) -> None:
                                   ("t3-6t2+3t(-1,1)", [0, 3, -6, 1], -1, 1),
                                   ("(10t2-10t+3)(t+5)(0,1)", [15, -47, 40, 10], 0, 1)):
         call(f"direct/roots/{label}", pq.isolate_roots, pq.Polynomial(coeffs), lo, hi)
+    tiny, r2, a = Fraction(1, 10**30), pq.sqrt(pq.Scalar(2)), pq.sqrt(pq.Scalar(Fraction(1, 2)))
+    call("direct/roots/t2-2(sqrt2+-1e-30)", pq.isolate_roots, pq.Polynomial([-2, 0, 1]),
+         r2 - tiny, r2 + tiny)
+    half = Fraction(1, 2)
+    near = pq.custom_rule("near", [(-a - tiny, half), (-a, half), (a, half), (a + tiny, half)])
+    for r in (0, 1):
+        call(f"direct/near-nodes/M{r}", _kernel, pq, near, r)
 
 
 #: (name, fixed parameters, the points other than 0, +-1/3, +-1/2 and +-1 where
