@@ -44,12 +44,12 @@ def test_every_root_count_runs_inside_an_isolate_rational_frame(monkeypatch):
         stacks.append(codes)
         return count(*args)
 
-    monkeypatch.setattr(roots, "sign_variations", spy)
-    e = sqrt(Scalar(F(1, 3)))
-    r = F(float(e.interval().mid)) + F(1, 10**40)
     def lin(x):
         return Polynomial([-x, 1])
 
+    monkeypatch.setattr(roots, "sign_variations", spy)
+    e = sqrt(Scalar(F(1, 3)))
+    r = F(float(e.interval().mid)) + F(1, 10**40)
     tau = e.bounds()[1] + F(1, 10**70)  # a root within 1e-59 of e, of a cubic
     polys = [lin(r), lin(r) * lin(r + F(1, 10**45)) * lin(F(7, 10)),
              lin(tau) * Polynomial([-7, 0, 1]), Polynomial([F(-1, 3), 0, 1])]

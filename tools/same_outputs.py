@@ -43,9 +43,10 @@ bisection that hits the root 0 at its first midpoint) and
 (10t^2 - 10t + 3)(t + 5) on (0, 1) (V = 2 and no root); and on exact ends
 that round to one double: t^2 - 2 on (sqrt(2) - 1e-30, sqrt(2) + 1e-30), and
 ``kernel_l1_norm`` at r = 0 and 1 of the rule with nodes -a - 1e-30, -a, a
-and a + 1e-30, a = sqrt(1/2), each of weight 1/2.  Last, at 60 digits too, one call per family of
-``R0_FAMILIES`` (those the tests scan) for its r = 0 bound function: the
-signature (a fresh probe), value and slope at each closed domain end, at 0,
+and a + 1e-30, a = sqrt(1/2), each of weight 1/2.  Last, at 60 digits too,
+one call per family of ``R0_FAMILIES`` (those the tests scan) for its r = 0
+bound function: the signature (a fresh probe), value and slope at each
+closed domain end, at 0,
 +-1/3, +-1/2 and +-1 where the domain holds them (nodes meet, or a root c_i
 of the kernel c_i - t meets a breakpoint: liu_park at 1/2), and at the
 family's other such points; and an r = 0 ``bound_scan`` of liu_park on the
